@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), plus the ablations listed in DESIGN.md. All run under
+// evaluation (§4), plus the ablations listed in ARCHITECTURE.md
+// ("Simulated hardware: calibration and ablations"). All run under
 // sim.PaperModel, whose latencies are calibrated to the paper's hardware
 // (Sun3/60s, 10 Mbit/s Ethernet, Wren IV disks), so ns/op values are
 // directly comparable to the paper's milliseconds:
@@ -370,7 +371,8 @@ func BenchmarkAblationMessageVsDisk(b *testing.B) {
 }
 
 // BenchmarkSubstrates microbenchmarks the building blocks at paper scale
-// (sanity anchors for the calibration table in DESIGN.md §3).
+// (sanity anchors for the calibration table in ARCHITECTURE.md,
+// "Simulated hardware: calibration and ablations").
 func BenchmarkSubstrates(b *testing.B) {
 	b.Run("rpc_null", func(b *testing.B) {
 		net := sim.NewNetwork(sim.PaperModel(), 1)

@@ -111,15 +111,15 @@ type Options struct {
 	DisableReadMajorityCheck bool
 	// NVRAMSize sizes the NVRAM region (default 24 KB, as in §4.1).
 	NVRAMSize int
-	// DiskEngine puts the disk-backed storage engine under the group
-	// kinds: each replica carves an engine partition (checkpoints + a
-	// write-ahead log) from its disk, applies go to RAM with the log as
-	// the critical-path durability, and recovery is checkpoint + log
-	// suffix instead of a full replay. For plain KindGroup this also
-	// closes the whole-shard-crash 2PC window (prepares and decides hit
-	// the log before the reply); for KindGroupNVRAM the NVRAM log stays
-	// the critical path and checkpoints replace the background flush.
-	// Engine partitions also feed readonly secondaries (StartSecondary).
+	// DiskEngine puts the disk-backed storage engine under KindGroup:
+	// each replica carves an engine partition (checkpoints + a write-ahead
+	// log) from its disk, applies go to RAM with the log as the
+	// critical-path durability, and recovery is checkpoint + log suffix
+	// instead of a full replay. This also closes the whole-shard-crash 2PC
+	// window (prepares and decides hit the log before the reply). Engine
+	// partitions also feed readonly secondaries (StartSecondary). New
+	// rejects it on KindGroupNVRAM, whose NVRAM log is that kind's
+	// critical-path durability; the RPC and local kinds ignore it.
 	DiskEngine bool
 	// EngineBlocks sizes each replica's engine partition when DiskEngine
 	// is set (default DiskBlocks/4).
@@ -201,6 +201,9 @@ var clusterSeq int
 
 // New builds and boots a cluster of the given kind.
 func New(kind Kind, opts Options) (*Cluster, error) {
+	if kind == KindGroupNVRAM && opts.DiskEngine {
+		return nil, errors.New("faultdir: DiskEngine needs KindGroup; KindGroupNVRAM keeps its NVRAM log")
+	}
 	if opts.Model == nil {
 		opts.Model = sim.FastModel()
 	}
@@ -261,10 +264,10 @@ func New(kind Kind, opts Options) (*Cluster, error) {
 }
 
 // engineEnabled reports whether this deployment carves storage-engine
-// partitions (group kinds only; the RPC and local kinds keep their
+// partitions (KindGroup only; the RPC and local kinds keep their
 // intention/write-through durability).
 func (c *Cluster) engineEnabled() bool {
-	return c.opts.DiskEngine && (c.Kind == KindGroup || c.Kind == KindGroupNVRAM)
+	return c.opts.DiskEngine && c.Kind == KindGroup
 }
 
 // Shards returns the number of replica groups in the deployment.

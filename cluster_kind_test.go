@@ -32,3 +32,13 @@ func TestKindServers(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsEngineUnderNVRAM pins the three persistence modes: the
+// storage engine goes under KindGroup only.
+func TestNewRejectsEngineUnderNVRAM(t *testing.T) {
+	c, err := New(KindGroupNVRAM, Options{DiskEngine: true})
+	if err == nil {
+		c.Close()
+		t.Fatal("New(KindGroupNVRAM, DiskEngine) succeeded")
+	}
+}

@@ -16,7 +16,7 @@
 // spreads its reads across every replica of a shard
 // (session-consistent via the MinSeq floor) instead of pinning to the
 // first HEREIS responder; status then shows how many reads each
-// replica served. With -engine (group kinds) every replica runs the
+// replica served. With -engine (-kind group only) every replica runs the
 // disk-backed storage engine — checkpoints plus a write-ahead log
 // instead of per-update object-table writes; status then shows each
 // server's checkpoint seq and log length, the checkpoint command cuts
@@ -77,7 +77,7 @@ func main() {
 		cache    = flag.Bool("cache", false, "enable the client read cache")
 		leases   = flag.Bool("leases", false, "push-based cache coherence (implies -cache)")
 		balance  = flag.Bool("read-balance", false, "spread reads across all replicas of a shard")
-		engine   = flag.Bool("engine", false, "disk-backed storage engine: checkpoints + write-ahead log (group kinds)")
+		engine   = flag.Bool("engine", false, "disk-backed storage engine: checkpoints + write-ahead log (-kind group only)")
 	)
 	flag.Parse()
 	if err := run(*kindName, *scale, *shards, *active, *cache || *leases, *leases, *balance, *engine); err != nil {
@@ -127,8 +127,8 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 	if active < 0 || active > shards {
 		return fmt.Errorf("-active must be in 0..%d", shards)
 	}
-	if engine && kind != faultdir.KindGroup && kind != faultdir.KindGroupNVRAM {
-		return fmt.Errorf("-engine needs a group kind, not %q", kindName)
+	if engine && kind != faultdir.KindGroup {
+		return fmt.Errorf("-engine needs -kind group, not %q", kindName)
 	}
 	fmt.Printf("booting %v cluster (%d shard(s) × %d servers, scale %g, cache %v, leases %v, read-balance %v, engine %v)...\n",
 		kind, shards, kind.Servers(), scale, cache, leases, balance, engine)

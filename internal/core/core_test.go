@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/lastfail"
 	"dirsvc/internal/sim"
@@ -41,42 +40,6 @@ func TestExchangeBlobRejectsGarbage(t *testing.T) {
 	for _, blob := range [][]byte{nil, {1}, {0, 5, 1}, {0, 1, 1, 1, 9}} {
 		if _, _, err := decodeExchange(blob); err == nil {
 			t.Fatalf("decodeExchange(%v) succeeded", blob)
-		}
-	}
-}
-
-func TestStateBundleRoundTrip(t *testing.T) {
-	in := &stateBundle{
-		appliedSeq: 42,
-		commitSeq:  17,
-		dirs: []dirState{
-			{obj: 1, seq: 40, secret: capability.NewSecret([]byte("a")), image: []byte("dir-one")},
-			{obj: 9, seq: 42, secret: capability.NewSecret([]byte("b")), image: nil},
-		},
-	}
-	got, err := decodeStateBundle(encodeStateBundle(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.appliedSeq != in.appliedSeq || got.commitSeq != in.commitSeq || len(got.dirs) != 2 {
-		t.Fatalf("bundle = %+v", got)
-	}
-	if got.dirs[0].obj != 1 || string(got.dirs[0].image) != "dir-one" || got.dirs[0].secret != in.dirs[0].secret {
-		t.Fatalf("dir[0] = %+v", got.dirs[0])
-	}
-	if got.dirs[1].obj != 9 || len(got.dirs[1].image) != 0 {
-		t.Fatalf("dir[1] = %+v", got.dirs[1])
-	}
-}
-
-func TestStateBundleRejectsTruncation(t *testing.T) {
-	raw := encodeStateBundle(&stateBundle{
-		appliedSeq: 1,
-		dirs:       []dirState{{obj: 1, seq: 1, image: []byte("xyz")}},
-	})
-	for cut := 1; cut < len(raw); cut += 3 {
-		if _, err := decodeStateBundle(raw[:len(raw)-cut]); err == nil {
-			t.Fatalf("truncated bundle (cut %d) decoded", cut)
 		}
 	}
 }
@@ -131,15 +94,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(stack, Config{Service: "x", ID: 4, N: 3}); err == nil {
 		t.Fatal("accepted server id beyond N")
-	}
-}
-
-func TestNewCheckSeedUnique(t *testing.T) {
-	a := newCheckSeed(1, 5, 0)
-	b := newCheckSeed(1, 6, 0)
-	c := newCheckSeed(2, 5, 0)
-	d := newCheckSeed(1, 5, 1)
-	if string(a) == string(b) || string(a) == string(c) || string(a) == string(d) {
-		t.Fatal("check seeds collide")
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
-	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/group"
 	"dirsvc/internal/lastfail"
@@ -31,7 +29,7 @@ func (s *Server) recover() error {
 	// replayed history predates every live subscription, and the applied
 	// cursor may jump. Subscribers are told to resync (best effort) and
 	// the log gets a fresh identity when recovery completes.
-	s.applier.AttachEvents(nil)
+	s.front.Applier.AttachEvents(nil)
 	// Waiting initiators exit on the era change; whatever they left in
 	// the result/ack tables is abandoned, and any update still queued
 	// for the sender belongs to the old era (the sender drops it).
@@ -45,10 +43,7 @@ func (s *Server) recover() error {
 	// log (§3). If the recovering flag was already set, a previous
 	// recovery was interrupted and our state may be inconsistent —
 	// force the sequence number to zero so nobody syncs from us (§3).
-	mySeq := s.table.MaxSeq()
-	if s.commit.Seq > mySeq {
-		mySeq = s.commit.Seq
-	}
+	mySeq := s.front.StoredSeq()
 	if s.nvlog != nil && s.nvlog.MaxSeq() > mySeq {
 		mySeq = s.nvlog.MaxSeq()
 	}
@@ -139,8 +134,7 @@ func (s *Server) recover() error {
 		// The replica's state is current again: restart the event log at
 		// the applied cursor (a fresh identity — surviving subscribers get
 		// a resync push) and resume recording.
-		s.notifier.Reset(applied)
-		s.applier.AttachEvents(s.notifier)
+		s.front.StartEvents(applied)
 		if err := commit.Write(s.cfg.Admin); err != nil {
 			return fmt.Errorf("write commit block: %w", err)
 		}
@@ -300,10 +294,9 @@ func (s *Server) recoverOnce(
 // following OpDecide record then resolves it, and one still undecided
 // is left for the resolution loop.
 func (s *Server) loadLocalState() error {
-	s.applier.ResetTx()
-	s.applier.InvalidateCache()
+	s.front.Applier.ResetTx()
+	s.front.Applier.InvalidateCache()
 	var ckptSeq uint64
-	haveCkpt := false
 	if s.engine != nil {
 		seq, payload, err := s.engine.Checkpoint()
 		switch {
@@ -312,35 +305,28 @@ func (s *Server) loadLocalState() error {
 			if derr != nil {
 				return derr
 			}
-			if err := s.applier.InstallSnapshot(snap, false); err != nil {
+			if err := s.installSnapshot(snap, false); err != nil {
 				return err
 			}
 			ckptSeq = seq
-			haveCkpt = true
-			if snap.Topo != nil {
-				s.mu.Lock()
-				t := *snap.Topo
-				s.commit.Topo = &t
-				s.mu.Unlock()
-			}
 		case errors.Is(err, dirsvc.ErrNoCheckpoint):
 			// Fresh engine: nothing checkpointed yet, start empty.
 		default:
 			return err
 		}
-	} else if err := s.applier.LoadAll(); err != nil {
+	} else if err := s.front.Applier.LoadAll(); err != nil {
 		return err
 	}
-	if err := s.applier.FormatRoot(s.nvlog == nil && s.engine == nil); err != nil {
+	if err := s.front.Applier.FormatRoot(s.nvlog == nil && s.engine == nil); err != nil {
 		return err
 	}
-	maxSeq := s.table.MaxSeq()
+	maxSeq := s.front.Table.MaxSeq()
 	if ckptSeq > maxSeq {
 		maxSeq = ckptSeq
 	}
-	if s.engine != nil && s.nvlog == nil {
-		// Engine-backed critical path: replay the write-ahead suffix. The
-		// checkpoint flip already truncated everything it covers.
+	if s.engine != nil {
+		// Replay the write-ahead suffix. The checkpoint flip already
+		// truncated everything it covers.
 		for _, rec := range s.engine.LogSuffix(ckptSeq) {
 			req, err := dirsvc.DecodeRequest(rec.Payload)
 			if err != nil {
@@ -355,12 +341,6 @@ func (s *Server) loadLocalState() error {
 			return err
 		}
 		for i, req := range reqs {
-			if haveCkpt && seqs[i] <= ckptSeq {
-				// The checkpoint already covers this record; re-applying
-				// it would double-apply the update (and a prepare replay
-				// would re-stage a transaction the checkpoint resolved).
-				continue
-			}
 			s.replayLogged(req, seqs[i], &maxSeq)
 		}
 		if s.nvlog.MaxSeq() > maxSeq {
@@ -376,6 +356,23 @@ func (s *Server) loadLocalState() error {
 	return nil
 }
 
+// installSnapshot replaces the replica's state with snap — a peer's
+// state transfer or our own last checkpoint — and adopts its shard-map
+// state into the commit block, which the write at recovery completion
+// persists.
+func (s *Server) installSnapshot(snap *dirsvc.Snapshot, durable bool) error {
+	if err := s.front.Applier.InstallSnapshot(snap, durable); err != nil {
+		return err
+	}
+	if snap.Topo != nil {
+		t := *snap.Topo
+		s.mu.Lock()
+		s.commit.Topo = &t
+		s.mu.Unlock()
+	}
+	return nil
+}
+
 // replayLogged re-applies one recovery-log record against the RAM state.
 func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
 	if req.Op == dirsvc.OpDecide {
@@ -384,8 +381,8 @@ func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
 		// restore the memory so decision queries stay authoritative,
 		// instead of replaying it as an update.
 		if d, derr := dirsvc.DecodeDecide(req.Blob); derr == nil {
-			if state, _ := s.applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
-				s.applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
+			if state, _ := s.front.Applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
+				s.front.Applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
 				if seq > *maxSeq {
 					*maxSeq = seq
 				}
@@ -393,7 +390,7 @@ func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
 			}
 		}
 	}
-	if _, err := s.applier.ApplyUpdate(req, seq, false); err != nil {
+	if _, err := s.front.Applier.ApplyUpdate(req, seq, false); err != nil {
 		// Replay conflicts mean the record was already applied before
 		// the crash flushed it; skip.
 		return
@@ -403,9 +400,12 @@ func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
 	}
 }
 
-// pullState transfers the full directory state from server src: object
-// table entries with secrets plus every directory image, written through
-// to our own Bullet store and object table.
+// pullState transfers the full replica state from server src as one
+// snapshot (dirsvc.Snapshot): object table entries with secrets, every
+// directory image, stubs, topology, in-doubt transactions and remembered
+// outcomes — so this replica holds the same votes and can answer the
+// same decision queries as the rest of the group. It returns the
+// group-stream position the snapshot was cut at.
 func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ID}
 	raw, err := rc.Trans(dirsvc.RecoveryPort(s.cfg.Service, src), req.Encode())
@@ -419,121 +419,36 @@ func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 	if reply.Status != dirsvc.StatusOK {
 		return 0, reply.Status.Err()
 	}
-	bundle, err := decodeStateBundle(reply.Blob)
+	snap, err := dirsvc.DecodeSnapshot(reply.Blob)
 	if err != nil {
 		return 0, err
 	}
-	if bundle.appliedSeq == 0 && bundle.commitSeq == 0 && len(bundle.dirs) == 0 {
-		// Defensive: an empty bundle means the source had nothing to
+	if snap.AppliedSeq == 0 && snap.CommitSeq == 0 && len(snap.Objects) == 0 {
+		// Defensive: an empty snapshot means the source had nothing to
 		// offer (it should have refused); installing it would wipe us.
-		return 0, errors.New("core: source returned an empty state bundle")
+		return 0, errors.New("core: source returned an empty state snapshot")
 	}
 
-	// Discard stale local state, then install the transferred images.
+	// Discard stale local state, then install the transferred images:
+	// written through to our own Bullet store and object table, except
+	// under an engine, where the install is RAM-only and recover() seals
+	// it into a fresh checkpoint before the replica serves anything.
 	if s.nvlog != nil {
 		if err := s.nvlog.Clear(); err != nil {
 			return 0, err
 		}
 	}
-	s.applier.ResetTx()
-	s.applier.InvalidateCache()
-	if s.engine != nil {
-		// Engine-backed replica: install the bundle as one snapshot —
-		// RAM-only, no Bullet or object-table writes; recover() seals it
-		// into a fresh checkpoint before the replica serves anything.
-		if err := s.applier.InstallSnapshot(bundleSnapshot(bundle), false); err != nil {
-			return 0, err
-		}
-		s.mu.Lock()
-		if bundle.topo != nil {
-			t := *bundle.topo
-			s.commit.Topo = &t
-		}
-		s.commit.Seq = bundle.commitSeq
-		s.appliedSeq = bundle.appliedSeq
-		s.mu.Unlock()
-		return bundle.groupSeq, nil
-	}
-	entries := make(map[uint32]dirsvc.ObjectEntry, len(bundle.dirs))
-	for _, d := range bundle.dirs {
-		bcap, err := s.bc.Create(d.image)
-		if err != nil {
-			return 0, fmt.Errorf("store directory %d: %w", d.obj, err)
-		}
-		entries[d.obj] = dirsvc.ObjectEntry{Cap: bcap, Seq: d.seq, Secret: d.secret}
-	}
-	if err := s.table.ReplaceAll(entries, bundle.stubs); err != nil {
+	if err := s.installSnapshot(snap, s.engine == nil); err != nil {
 		return 0, err
 	}
-	if bundle.topo != nil {
-		// Adopt the source's shard-map state before replaying anything,
-		// so the allocator and routing are fenced to the right epoch; the
-		// commit-block write at recovery completion persists it.
-		s.applier.RestoreTopology(bundle.topo)
-		s.mu.Lock()
-		t := *bundle.topo
-		s.commit.Topo = &t
-		s.mu.Unlock()
-	}
-	if err := s.applier.LoadAll(); err != nil {
-		return 0, err
-	}
-	// Reinstate the source's in-doubt transactions: re-apply each
-	// prepare (re-staging overlay and locks against the fresh images)
-	// and re-log it to NVRAM so a later crash still finds it. Remembered
-	// outcomes ride along so this replica can answer decision queries.
-	for _, tx := range bundle.txs {
-		req, err := dirsvc.DecodeRequest(tx.raw)
-		if err != nil {
-			continue
-		}
-		if _, err := s.applier.ApplyUpdate(req, tx.seq, false); err != nil {
-			continue
-		}
-		if s.nvlog != nil {
-			_, _ = s.nvlog.Append(req, tx.seq)
-		}
-	}
-	s.applier.RestoreDecided(bundle.decided)
 	if s.nvlog != nil {
-		// Keep the transferred outcomes durable here too (see flushNVRAM).
-		for _, d := range s.applier.RecentDecided(recentDecidedKept, s.decidedHorizon()) {
-			req := &dirsvc.Request{
-				Op:   dirsvc.OpDecide,
-				Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit}),
-			}
-			_, _ = s.nvlog.Append(req, d.Seq)
-		}
+		s.relogTxState()
 	}
 	s.mu.Lock()
-	s.commit.Seq = bundle.commitSeq
-	s.appliedSeq = bundle.appliedSeq
+	s.commit.Seq = snap.CommitSeq
+	s.appliedSeq = snap.AppliedSeq
 	s.mu.Unlock()
-	return bundle.groupSeq, nil
-}
-
-// bundleSnapshot converts a pulled state bundle into the storage
-// engine's portable snapshot form, so the whole install is one
-// InstallSnapshot call.
-func bundleSnapshot(b *stateBundle) *dirsvc.Snapshot {
-	snap := &dirsvc.Snapshot{
-		AppliedSeq: b.appliedSeq,
-		CommitSeq:  b.commitSeq,
-		Topo:       b.topo,
-		Decided:    b.decided,
-	}
-	for _, d := range b.dirs {
-		snap.Objects = append(snap.Objects, dirsvc.SnapObject{
-			Object: d.obj, Seq: d.seq, Secret: d.secret, Image: d.image,
-		})
-	}
-	for obj, st := range b.stubs {
-		snap.Stubs = append(snap.Stubs, dirsvc.SnapStub{Object: obj, Target: st.Target, Seq: st.Seq})
-	}
-	for _, tx := range b.txs {
-		snap.InDoubt = append(snap.InDoubt, dirsvc.SnapTx{Seq: tx.seq, Raw: tx.raw})
-	}
-	return snap
+	return reply.Seq, nil
 }
 
 // handleRecoveryRPC serves the server-to-server recovery operations.
@@ -578,14 +493,18 @@ func (s *Server) handleExchange(req *dirsvc.Request) *dirsvc.Reply {
 	}
 }
 
-// handleSyncPull answers a full state transfer. A server that is itself
-// still recovering must refuse: its directory cache is not loaded yet,
-// and shipping a half-built bundle would hand the puller an empty (or
-// stale) replica that it would then serve as current.
+// handleSyncPull answers a full state transfer with a snapshot in the
+// reply Blob and the group-stream position it was cut at in Seq: every
+// message at or below that position is reflected in the snapshot, so the
+// recovering server must not re-apply those — and must not accept a cut
+// before its own join point, or the gap in between would be lost. A
+// server that is itself still recovering must refuse: its directory
+// cache is not loaded yet, and shipping a half-built state would hand
+// the puller an empty (or stale) replica that it would then serve as
+// current.
 func (s *Server) handleSyncPull() *dirsvc.Reply {
 	// Hold the batch lock while cutting the snapshot so the images and
-	// the advertised stream position are consistent: the recovering
-	// server skips every group message at or below groupSeq.
+	// the advertised stream position are consistent.
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.mu.Lock()
@@ -597,37 +516,13 @@ func (s *Server) handleSyncPull() *dirsvc.Reply {
 	commitSeq := s.commit.Seq
 	groupSeq := s.groupSeq
 	s.mu.Unlock()
-	bundle := stateBundle{appliedSeq: appliedSeq, commitSeq: commitSeq, groupSeq: groupSeq}
-	for obj, e := range s.table.All() {
-		d, ok := s.applier.Directory(obj)
-		if !ok {
-			continue
-		}
-		bundle.dirs = append(bundle.dirs, dirState{
-			obj:    obj,
-			seq:    e.Seq,
-			secret: e.Secret,
-			image:  d.Encode(),
-		})
-	}
-	// In-doubt two-phase transactions and remembered outcomes travel
-	// with the images, so a recovering replica holds the same votes and
-	// can answer the same decision queries as the rest of the group.
-	for _, tx := range s.applier.InDoubtTxs() {
-		bundle.txs = append(bundle.txs, txState{seq: tx.Seq, raw: tx.Req.Encode()})
-	}
-	bundle.decided = s.applier.DecidedTxs()
-	if topo, ok := s.applier.Topology(); ok {
-		t := topo
-		bundle.topo = &t
-		bundle.stubs = s.table.Stubs()
-	}
-	return &dirsvc.Reply{Status: dirsvc.StatusOK, Blob: encodeStateBundle(&bundle)}
+	snap := s.front.Applier.SnapshotState(appliedSeq, commitSeq)
+	return &dirsvc.Reply{Status: dirsvc.StatusOK, Seq: groupSeq, Blob: snap.Encode()}
 }
 
 // handleReadDir returns one directory image (diagnostics).
 func (s *Server) handleReadDir(req *dirsvc.Request) *dirsvc.Reply {
-	d, ok := s.applier.Directory(req.Dir.Object)
+	d, ok := s.front.Applier.Directory(req.Dir.Object)
 	if !ok {
 		return &dirsvc.Reply{Status: dirsvc.StatusNotFound}
 	}
@@ -679,269 +574,6 @@ func decodeExchange(blob []byte) (lastfail.Set, bool, error) {
 		mourned[int(blob[2+i])] = true
 	}
 	return mourned, blob[2+n] == 1, nil
-}
-
-type dirState struct {
-	obj    uint32
-	seq    uint64
-	secret capability.Secret
-	image  []byte
-}
-
-// txState is one in-doubt transaction in a state bundle: the encoded
-// OpPrepare request plus the sequence number it applied under.
-type txState struct {
-	seq uint64
-	raw []byte
-}
-
-type stateBundle struct {
-	appliedSeq uint64
-	commitSeq  uint64
-	dirs       []dirState
-	txs        []txState
-	decided    []dirsvc.DecidedTx
-	// Elastic-topology tail (absent in bundles from older servers):
-	// the source's shard-map state and its forwarding stubs.
-	topo  *dirsvc.TopoState
-	stubs map[uint32]dirsvc.StubEntry
-	// groupSeq is the group-stream position the snapshot was cut at:
-	// every message at or below it is reflected in the images above.
-	// The recovering server must not re-apply those messages — and must
-	// not accept a snapshot cut before its own join point, or the gap
-	// in between would be lost forever.
-	groupSeq uint64
-}
-
-func encodeStateBundle(b *stateBundle) []byte {
-	w := make([]byte, 0, 64)
-	w = appendUint64(w, b.appliedSeq)
-	w = appendUint64(w, b.commitSeq)
-	w = appendUint32(w, uint32(len(b.dirs)))
-	for _, d := range b.dirs {
-		w = appendUint32(w, d.obj)
-		w = appendUint64(w, d.seq)
-		w = append(w, d.secret[:]...)
-		w = appendUint32(w, uint32(len(d.image)))
-		w = append(w, d.image...)
-	}
-	w = appendUint32(w, uint32(len(b.txs)))
-	for _, tx := range b.txs {
-		w = appendUint64(w, tx.seq)
-		w = appendUint32(w, uint32(len(tx.raw)))
-		w = append(w, tx.raw...)
-	}
-	w = appendUint32(w, uint32(len(b.decided)))
-	for _, d := range b.decided {
-		w = append(w, d.ID[:]...)
-		if d.Commit {
-			w = append(w, 1)
-		} else {
-			w = append(w, 0)
-		}
-		w = appendUint64(w, d.Seq)
-		w = appendUint32(w, uint32(len(d.Results)))
-		w = append(w, d.Results...)
-	}
-	if b.topo != nil {
-		w = append(w, 1)
-		w = append(w, dirsvc.EncodeTopoState(b.topo)...)
-		w = appendUint32(w, uint32(len(b.stubs)))
-		for _, st := range sortedStubs(b.stubs) {
-			w = appendUint32(w, st.obj)
-			w = appendUint32(w, uint32(st.entry.Target))
-			w = appendUint64(w, st.entry.Seq)
-		}
-	} else {
-		w = append(w, 0)
-	}
-	w = appendUint64(w, b.groupSeq)
-	return w
-}
-
-type stubRec struct {
-	obj   uint32
-	entry dirsvc.StubEntry
-}
-
-func sortedStubs(stubs map[uint32]dirsvc.StubEntry) []stubRec {
-	out := make([]stubRec, 0, len(stubs))
-	for obj, st := range stubs {
-		out = append(out, stubRec{obj: obj, entry: st})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].obj < out[j].obj })
-	return out
-}
-
-func decodeStateBundle(raw []byte) (*stateBundle, error) {
-	b := &stateBundle{}
-	off := 0
-	next := func(n int) ([]byte, error) {
-		if off+n > len(raw) {
-			return nil, errors.New("core: short state bundle")
-		}
-		out := raw[off : off+n]
-		off += n
-		return out, nil
-	}
-	u64 := func() (uint64, error) {
-		b8, err := next(8)
-		if err != nil {
-			return 0, err
-		}
-		return uint64(b8[0])<<56 | uint64(b8[1])<<48 | uint64(b8[2])<<40 | uint64(b8[3])<<32 |
-			uint64(b8[4])<<24 | uint64(b8[5])<<16 | uint64(b8[6])<<8 | uint64(b8[7]), nil
-	}
-	u32 := func() (uint32, error) {
-		b4, err := next(4)
-		if err != nil {
-			return 0, err
-		}
-		return uint32(b4[0])<<24 | uint32(b4[1])<<16 | uint32(b4[2])<<8 | uint32(b4[3]), nil
-	}
-	var err error
-	if b.appliedSeq, err = u64(); err != nil {
-		return nil, err
-	}
-	if b.commitSeq, err = u64(); err != nil {
-		return nil, err
-	}
-	count, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < count; i++ {
-		var d dirState
-		if d.obj, err = u32(); err != nil {
-			return nil, err
-		}
-		if d.seq, err = u64(); err != nil {
-			return nil, err
-		}
-		sec, err := next(6)
-		if err != nil {
-			return nil, err
-		}
-		copy(d.secret[:], sec)
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		img, err := next(int(n))
-		if err != nil {
-			return nil, err
-		}
-		d.image = append([]byte(nil), img...)
-		b.dirs = append(b.dirs, d)
-	}
-	if off == len(raw) {
-		// Pre-2PC bundle: no transaction sections (defensive).
-		return b, nil
-	}
-	ntx, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ntx; i++ {
-		var tx txState
-		if tx.seq, err = u64(); err != nil {
-			return nil, err
-		}
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		rawReq, err := next(int(n))
-		if err != nil {
-			return nil, err
-		}
-		tx.raw = append([]byte(nil), rawReq...)
-		b.txs = append(b.txs, tx)
-	}
-	ndec, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ndec; i++ {
-		var d dirsvc.DecidedTx
-		idb, err := next(len(d.ID))
-		if err != nil {
-			return nil, err
-		}
-		copy(d.ID[:], idb)
-		flag, err := next(1)
-		if err != nil {
-			return nil, err
-		}
-		d.Commit = flag[0] == 1
-		if d.Seq, err = u64(); err != nil {
-			return nil, err
-		}
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		res, err := next(int(n))
-		if err != nil {
-			return nil, err
-		}
-		d.Results = append([]byte(nil), res...)
-		b.decided = append(b.decided, d)
-	}
-	if off == len(raw) {
-		// Pre-elastic bundle: no topology tail (defensive).
-		return b, nil
-	}
-	marker, err := next(1)
-	if err != nil || marker[0] > 1 {
-		return nil, errors.New("core: bad state bundle topology tail")
-	}
-	if marker[0] == 1 {
-		topoRaw, err := next(dirsvc.TopoStateLen)
-		if err != nil {
-			return nil, err
-		}
-		if b.topo, err = dirsvc.DecodeTopoState(topoRaw); err != nil {
-			return nil, err
-		}
-		nstub, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		b.stubs = make(map[uint32]dirsvc.StubEntry, nstub)
-		for i := uint32(0); i < nstub; i++ {
-			obj, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			target, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			seq, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			b.stubs[obj] = dirsvc.StubEntry{Target: int(target), Seq: seq}
-		}
-	}
-	if off == len(raw) {
-		// Bundle from before snapshots carried their stream position.
-		return b, nil
-	}
-	if b.groupSeq, err = u64(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // debugRecovery enables recovery-loop tracing (set via linker or tests).

@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
-	"dirsvc/internal/rpc"
-	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
 )
 
@@ -49,12 +46,10 @@ type SecondaryConfig struct {
 // Secondary is a readonly directory service instance fed from a
 // primary's storage engine.
 type Secondary struct {
-	cfg     SecondaryConfig
-	stack   *flip.Stack
-	model   *sim.LatencyModel
-	rpcSrv  *rpc.Server
-	applier *dirsvc.Applier
-	table   *dirsvc.ObjectTable
+	cfg SecondaryConfig
+	// front is the shared request pipeline; the secondary is a Backend
+	// whose gate admits reads only.
+	front *dirsvc.FrontEnd
 
 	// refreshMu serializes state refreshes (the poll loop and on-demand
 	// refreshes triggered by session floors).
@@ -66,13 +61,10 @@ type Secondary struct {
 	haveState  bool
 	closed     bool
 
-	reads    atomic.Uint64
-	lockWait time.Duration
-	refresh  time.Duration
+	refresh time.Duration
 
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	stopServe func()
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewSecondary boots a readonly secondary on stack. It installs the
@@ -83,57 +75,40 @@ func NewSecondary(stack *flip.Stack, cfg SecondaryConfig) (*Secondary, error) {
 	if cfg.View == nil {
 		return nil, errors.New("core: secondary needs an engine view")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
+	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
+		Service:      cfg.Service,
+		BaseService:  cfg.BaseService,
+		Shard:        cfg.Shard,
+		Shards:       cfg.Shards,
+		ActiveShards: cfg.ActiveShards,
+		Admin:        cfg.Admin,
+		Workers:      cfg.Workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("secondary: %w", err)
 	}
-	model := stack.Model()
 	sec := &Secondary{
-		cfg:   cfg,
-		stack: stack,
-		model: model,
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		front:   front,
+		refresh: cfg.Refresh,
+		stop:    make(chan struct{}),
 	}
-	sec.refresh = cfg.Refresh
 	if sec.refresh <= 0 {
-		sec.refresh = model.Timeout(250 * time.Millisecond)
+		sec.refresh = stack.Model().Timeout(250 * time.Millisecond)
 		if sec.refresh < 10*time.Millisecond {
 			sec.refresh = 10 * time.Millisecond
 		}
 	}
-	sec.lockWait = model.Timeout(5 * time.Second)
-	if sec.lockWait < time.Second {
-		sec.lockWait = time.Second
-	}
-
-	table, err := dirsvc.OpenObjectTable(cfg.Admin)
-	if err != nil {
-		return nil, fmt.Errorf("open secondary object table: %w", err)
-	}
-	base := cfg.ActiveShards
-	if base <= 0 || base > cfg.Shards {
-		base = cfg.Shards
-	}
-	table.ConfigureShard(cfg.Shard, base)
-	sec.table = table
-	capService := cfg.BaseService
-	if capService == "" {
-		capService = cfg.Service
-	}
-	sec.applier = dirsvc.NewApplier(dirsvc.ServicePort(capService), table, nil)
-	sec.applier.SetLockWaitSlots(cfg.Workers - 1)
-	sec.applier.ConfigureTopology(cfg.Shard, base, cfg.Shards)
 
 	// Best-effort initial catch-up; "no checkpoint yet" is not fatal.
 	_ = sec.refreshNow()
 
-	rpcSrv, err := rpc.NewServer(stack, dirsvc.ServicePort(cfg.Service))
-	if err != nil {
+	if err := front.Serve(sec); err != nil {
+		front.Close()
 		return nil, err
 	}
-	sec.rpcSrv = rpcSrv
 	// Announce read-only on HEREIS so locating clients keep updates away.
-	rpcSrv.SetReadOnly(true)
-	sec.stopServe = rpcSrv.ServeFunc(cfg.Workers, sec.handleRPC)
+	front.RPC().SetReadOnly(true)
 
 	sec.wg.Add(1)
 	go sec.refreshLoop()
@@ -150,8 +125,7 @@ func (sec *Secondary) Close() {
 	sec.closed = true
 	sec.mu.Unlock()
 	close(sec.stop)
-	sec.rpcSrv.Close()
-	sec.stopServe()
+	sec.front.Close()
 	sec.wg.Wait()
 }
 
@@ -165,7 +139,7 @@ func (sec *Secondary) AppliedSeq() uint64 {
 
 // ReadsServed returns the number of reads this instance has answered —
 // the read-tier share in the load-distribution measurements.
-func (sec *Secondary) ReadsServed() uint64 { return sec.reads.Load() }
+func (sec *Secondary) ReadsServed() uint64 { return sec.front.ReadsServed() }
 
 // Refresh forces one synchronous catch-up against the primary's engine
 // partition (tests and tools; the poll loop does this continuously).
@@ -214,7 +188,7 @@ func (sec *Secondary) refreshNow() error {
 		if err != nil {
 			return err
 		}
-		if err := sec.applier.InstallSnapshot(snap, false); err != nil {
+		if err := sec.front.Applier.InstallSnapshot(snap, false); err != nil {
 			return err
 		}
 		applied = snap.AppliedSeq
@@ -252,71 +226,45 @@ func (sec *Secondary) refreshNow() error {
 func (sec *Secondary) replayLogged(req *dirsvc.Request, seq uint64) {
 	if req.Op == dirsvc.OpDecide {
 		if d, derr := dirsvc.DecodeDecide(req.Blob); derr == nil {
-			if state, _ := sec.applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
-				sec.applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
+			if state, _ := sec.front.Applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
+				sec.front.Applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
 				return
 			}
 		}
 	}
-	_, _ = sec.applier.ApplyUpdate(req, seq, false)
+	_, _ = sec.front.Applier.ApplyUpdate(req, seq, false)
 }
 
-// handleRPC is the secondary's serving thread body: reads only.
-func (sec *Secondary) handleRPC(req *rpc.Request) []byte {
-	dreq, err := dirsvc.DecodeRequest(req.Payload)
-	if err != nil {
-		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
+// Ready admits reads only, and only once a checkpoint has been
+// installed (trying one on-demand refresh first). No votes, no writes,
+// no leases: a lease here would mask foreign commits the instance has
+// not tailed yet, and an update could never reach the group stream. The
+// refused client fails over to a primary.
+func (sec *Secondary) Ready(op dirsvc.OpCode) bool {
+	if op.IsUpdate() || op == dirsvc.OpWatch || op == dirsvc.OpLeaseRenew {
+		return false
 	}
-	if dreq.Op.IsUpdate() || dreq.Op == dirsvc.OpWatch || dreq.Op == dirsvc.OpLeaseRenew {
-		// No votes, no writes, no leases: a lease here would mask foreign
-		// commits the instance has not tailed yet, and an update could
-		// never reach the group stream. The client fails over.
-		return (&dirsvc.Reply{Status: dirsvc.StatusNoMajority}).Encode()
-	}
-	return sec.handleRead(dreq).Encode()
-}
-
-// handleRead answers one read from the tailed state. A session floor
-// above the applied cursor triggers one on-demand refresh; if the
-// instance is still behind, it refuses and the client fails over to a
-// replica that has the write.
-func (sec *Secondary) handleRead(req *dirsvc.Request) *dirsvc.Reply {
 	sec.mu.Lock()
 	have := sec.haveState
-	applied := sec.appliedSeq
 	sec.mu.Unlock()
-	if !have {
-		if sec.refreshNow() != nil {
-			return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-		}
-		sec.mu.Lock()
-		applied = sec.appliedSeq
-		sec.mu.Unlock()
+	return have || sec.refreshNow() == nil
+}
+
+// WaitFloor answers a session floor above the applied cursor with one
+// on-demand refresh; if the instance is still behind, it refuses and the
+// client fails over to a replica that has the write. Objects locked by a
+// prepared transaction tailed from the primary then hold their readers
+// in the pipeline just like on a primary: the decide arrives with the
+// log tail.
+func (sec *Secondary) WaitFloor(_ uint32, minSeq uint64) bool {
+	if minSeq <= sec.AppliedSeq() {
+		return true
 	}
-	if req.MinSeq > applied {
-		_ = sec.refreshNow()
-		sec.mu.Lock()
-		applied = sec.appliedSeq
-		sec.mu.Unlock()
-		if req.MinSeq > applied {
-			return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-		}
-	}
-	// An object locked by a prepared transaction tailed from the primary
-	// holds its readers just like on a primary: the decide arrives with
-	// the log tail.
-	if obj := req.Dir.Object; obj != 0 && !sec.applier.WaitUnlocked(obj, sec.lockWait) {
-		return &dirsvc.Reply{Status: dirsvc.StatusConflict}
-	}
-	if obj := req.Dir.Object; obj != 0 && req.Op != dirsvc.OpMigRead {
-		if owner, fwd := sec.applier.RouteForward(obj); fwd {
-			topo, _ := sec.applier.Topology()
-			return &dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}
-		}
-	}
-	sec.reads.Add(1)
-	sec.stack.Node().CPU().Charge(sec.model.LookupCPU)
-	reply := sec.applier.Read(req)
-	reply.Seq = applied
-	return reply
+	_ = sec.refreshNow()
+	return minSeq <= sec.AppliedSeq()
+}
+
+// Replicate is never reached: Ready refuses every update.
+func (sec *Secondary) Replicate(*dirsvc.Request) *dirsvc.Reply {
+	return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
 }

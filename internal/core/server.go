@@ -20,7 +20,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"dirsvc/internal/bullet"
-	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
 	"dirsvc/internal/group"
@@ -77,12 +75,12 @@ type Config struct {
 	// background.
 	NVRAM *vdisk.NVRAM
 	// Engine, when non-nil, enables the disk-backed storage engine:
-	// applies go to RAM, the engine's write-ahead log (or the NVRAM log,
-	// when both are configured) carries the critical-path durability, and
-	// a background checkpoint of the whole shard state bounds recovery to
-	// checkpoint + log suffix instead of a full replay. With an engine the
-	// object table and Bullet store are no longer written on the update
-	// path — the checkpoint is the durable copy.
+	// applies go to RAM, the engine's write-ahead log carries the
+	// critical-path durability, and a background checkpoint of the whole
+	// shard state bounds recovery to checkpoint + log suffix instead of a
+	// full replay. With an engine the object table and Bullet store are no
+	// longer written on the update path — the checkpoint is the durable
+	// copy. Mutually exclusive with NVRAM.
 	Engine *dirsvc.Engine
 	// Workers is the number of initiator threads (default 3).
 	Workers int
@@ -113,22 +111,19 @@ type Server struct {
 	cfg    Config
 	stack  *flip.Stack
 	model  *sim.LatencyModel
-	rpcSrv *rpc.Server
 	recSrv *rpc.Server
-	bc     *bullet.Client
-
-	applier *dirsvc.Applier
-	table   *dirsvc.ObjectTable
-	nvlog   *dirsvc.NVLog
-	engine  *dirsvc.Engine
-	// notifier is the lease/callback engine: the bounded event log plus
-	// the watch leases pushes go to. Detached from the applier while
-	// recovery replays state, reset (new log identity) when recovery
-	// completes.
-	notifier *dirsvc.Notifier
+	// front is the shared request pipeline and the replica state it
+	// serves from (object table, applier, notifier); this server is its
+	// Backend. The notifier is detached from the applier while recovery
+	// replays state and restarted when recovery completes.
+	front *dirsvc.FrontEnd
+	// nvlog and engine are mutually exclusive: NVRAM log + background
+	// table flush (§4.1), or engine write-ahead log + checkpoints.
+	nvlog  *dirsvc.NVLog
+	engine *dirsvc.Engine
 
 	// applyMu serializes whole group-message batches against state
-	// snapshots: handleSyncPull holds it while cutting a bundle, so the
+	// snapshots: handleSyncPull holds it while cutting one, so the
 	// transferred images and the group-stream position it advertises are
 	// always batch-aligned (never half a coalesced packet).
 	applyMu sync.Mutex
@@ -153,7 +148,6 @@ type Server struct {
 	forced atomic.Bool // ForceRecover invoked: serve without a majority
 
 	groupSends atomic.Uint64 // successful group broadcasts (write path)
-	reads      atomic.Uint64 // read operations answered by this replica
 
 	// Lock-free mirrors for the RPC load hint (sampled from reply and
 	// dispatcher paths, which must not contend on s.mu): the current
@@ -161,22 +155,10 @@ type Server struct {
 	memberHint   atomic.Value  // *group.Member (possibly typed nil)
 	appliedGroup atomic.Uint64 // mirror of groupSeq
 
-	// minSeqWait bounds how long a read blocks for its session floor
-	// (Request.MinSeq) before telling the client to retry elsewhere.
-	minSeqWait time.Duration
-	// lockWait bounds how long a read blocks on an object locked by a
-	// prepared transaction before refusing with conflict (the client
-	// retries; orphan resolution unwedges the lock meanwhile).
-	lockWait time.Duration
-	// txTimeout is the presumed-abort horizon for prepared transactions.
-	txTimeout time.Duration
-	txRPC     *rpc.Client // decision queries to sibling shards
-
-	sendCh    chan coalesceOp
-	cleanupCh chan capability.Capability
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	stopRPC   []func()
+	sendCh  chan coalesceOp
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	stopRec func() // waits for the recovery-port workers
 }
 
 // coalesceOp is one client update queued for the coalescing sender.
@@ -191,14 +173,14 @@ type coalesceOp struct {
 // the recovery protocol to (re)join the service before accepting
 // requests.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
 	if cfg.Resilience == 0 {
 		cfg.Resilience = cfg.N - 1
 	}
 	if cfg.N < 1 || cfg.ID < 1 || cfg.ID > cfg.N {
 		return nil, fmt.Errorf("core: bad server id %d of %d", cfg.ID, cfg.N)
+	}
+	if cfg.NVRAM != nil && cfg.Engine != nil {
+		return nil, errors.New("core: the NVRAM log and the storage engine are mutually exclusive")
 	}
 	model := stack.Model()
 	if cfg.IdleFlush <= 0 {
@@ -209,143 +191,69 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
+		Service:        cfg.Service,
+		BaseService:    cfg.BaseService,
+		ServerID:       cfg.ID,
+		Replicas:       cfg.N,
+		Shard:          cfg.Shard,
+		Shards:         cfg.Shards,
+		ActiveShards:   cfg.ActiveShards,
+		Admin:          cfg.Admin,
+		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
+		Workers:        cfg.Workers,
+		TxAbortTimeout: cfg.TxAbortTimeout,
+		LeaseTTL:       cfg.LeaseTTL,
+		EventLogSize:   cfg.EventLogSize,
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:       cfg,
 		stack:     stack,
 		model:     model,
-		bc:        bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
+		front:     front,
+		commit:    front.Commit,
+		engine:    cfg.Engine,
 		results:   make(map[uint64]*dirsvc.Reply),
 		sendAcked: make(map[uint64]bool),
 		sendCh:    make(chan coalesceOp, 4*maxCoalesce),
-		cleanupCh: make(chan capability.Capability, 4096),
 		stop:      make(chan struct{}),
 	}
-	s.minSeqWait = model.Timeout(15 * time.Second)
-	if s.minSeqWait < time.Second {
-		s.minSeqWait = time.Second
-	}
-	s.txTimeout = cfg.TxAbortTimeout
-	if s.txTimeout <= 0 {
-		s.txTimeout = model.Timeout(30 * time.Second)
-		if s.txTimeout < 3*time.Second {
-			s.txTimeout = 3 * time.Second
-		}
-	}
-	s.lockWait = model.Timeout(5 * time.Second)
-	if s.lockWait < time.Second {
-		s.lockWait = time.Second
-	}
 	s.cond = sync.NewCond(&s.mu)
-
-	// Load durable state.
-	commit, err := dirsvc.ReadCommitBlock(cfg.Admin, cfg.N)
-	if err != nil {
-		return nil, fmt.Errorf("read commit block: %w", err)
-	}
-	s.commit = commit
-	table, err := dirsvc.OpenObjectTable(cfg.Admin)
-	if err != nil {
-		return nil, fmt.Errorf("open object table: %w", err)
-	}
-	base := cfg.ActiveShards
-	if base <= 0 || base > cfg.Shards {
-		base = cfg.Shards
-	}
-	table.ConfigureShard(cfg.Shard, base)
-	s.table = table
-	// Capabilities are minted and verified under the deployment-wide
-	// port, not the shard's: an online migration moves an object to a
-	// sibling shard, and the capability the client holds must keep
-	// verifying there. Shard 0's service name IS the base name, so
-	// unsharded deployments are byte-identical to before.
-	capService := cfg.BaseService
-	if capService == "" {
-		capService = cfg.Service
-	}
-	s.applier = dirsvc.NewApplier(dirsvc.ServicePort(capService), table, s.bc)
-	s.applier.SetLockWaitSlots(cfg.Workers - 1)
-	s.applier.ConfigureTopology(cfg.Shard, base, cfg.Shards)
-	// A commit block written after a split carries the topology tail;
-	// restoring it re-fences routing and the allocator before recovery
-	// replays or pulls anything.
-	s.applier.RestoreTopology(commit.Topo)
-	leaseTTL := cfg.LeaseTTL
-	if leaseTTL <= 0 {
-		leaseTTL = model.Timeout(60 * time.Second)
-		if leaseTTL < 2*time.Second {
-			leaseTTL = 2 * time.Second
-		}
-	}
-	// The notifier starts detached; recover() resets and attaches it once
-	// the replica's state is current (replayed history is not pushed).
-	s.notifier = dirsvc.NewNotifier(cfg.EventLogSize, 0, leaseTTL)
 	if cfg.NVRAM != nil {
-		nvlog, err := dirsvc.OpenNVLog(cfg.NVRAM)
-		if err != nil {
+		if s.nvlog, err = dirsvc.OpenNVLog(cfg.NVRAM); err != nil {
+			front.Close()
 			return nil, fmt.Errorf("open nvram log: %w", err)
 		}
-		s.nvlog = nvlog
 	}
-	s.engine = cfg.Engine
 
 	// Recovery servers answer even while we recover ourselves.
-	recSrv, err := rpc.NewServer(stack, dirsvc.RecoveryPort(cfg.Service, cfg.ID))
-	if err != nil {
+	if s.recSrv, err = rpc.NewServer(stack, dirsvc.RecoveryPort(cfg.Service, cfg.ID)); err != nil {
+		front.Close()
 		return nil, err
 	}
-	s.recSrv = recSrv
-	s.stopRPC = append(s.stopRPC, recSrv.ServeFunc(2, s.handleRecoveryRPC))
+	s.stopRec = s.recSrv.ServeFunc(2, s.handleRecoveryRPC)
 
-	// Run recovery to (re)join the service. This blocks until we are
-	// part of a majority group with up-to-date state (Fig. 6).
-	if err := s.recover(); err != nil {
-		s.notifier.Close()
-		s.shutdownRPC()
-		return nil, err
+	// Run recovery to (re)join the service — this blocks until we are part
+	// of a majority group with up-to-date state (Fig. 6) — and only then
+	// open the client-facing port.
+	if err = s.recover(); err == nil {
+		err = front.Serve(s)
 	}
-
-	// Client-facing RPC service.
-	rpcSrv, err := rpc.NewServer(stack, dirsvc.ServicePort(cfg.Service))
 	if err != nil {
 		s.shutdownRPC()
 		return nil, err
 	}
-	s.rpcSrv = rpcSrv
-	// The load hint this replica piggybacks on replies and HEREIS carries
-	// its applied-cursor lag: buffered-but-unapplied group messages, read
-	// from lock-free mirrors so sampling never contends on s.mu.
-	rpcSrv.SetLagFunc(func() int {
-		m, _ := s.memberHint.Load().(*group.Member)
-		if m == nil {
-			return 0
-		}
-		buffered, applied := m.Info().Buffered, s.appliedGroup.Load()
-		if buffered <= applied {
-			return 0
-		}
-		return int(buffered - applied)
-	})
-	s.stopRPC = append(s.stopRPC, rpcSrv.ServeFunc(cfg.Workers, s.handleClientRPC))
 
-	txRPC, err := rpc.NewClient(stack)
-	if err != nil {
-		s.shutdownRPC()
-		return nil, err
-	}
-	s.txRPC = txRPC
-
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.groupThread()
-	s.wg.Add(1)
 	go s.sendLoop()
 	if s.nvlog != nil || s.engine != nil {
 		s.wg.Add(1)
 		go s.flushLoop()
 	}
-	s.wg.Add(1)
-	go s.cleanupLoop()
-	s.wg.Add(1)
-	go s.txResolveLoop()
 	return s, nil
 }
 
@@ -404,24 +312,14 @@ func (s *Server) Close() {
 	if member != nil {
 		member.Close()
 	}
-	s.applier.AttachEvents(nil)
-	s.notifier.Close()
 	s.shutdownRPC()
-	if s.txRPC != nil {
-		s.txRPC.Close()
-	}
 	s.wg.Wait()
 }
 
 func (s *Server) shutdownRPC() {
-	if s.rpcSrv != nil {
-		s.rpcSrv.Close()
-	}
+	s.front.Close()
 	s.recSrv.Close()
-	for _, stop := range s.stopRPC {
-		stop()
-	}
-	s.stopRPC = nil
+	s.stopRec()
 }
 
 // Status is a monitoring snapshot (cmd/dird).
@@ -466,128 +364,65 @@ func (s *Server) Status() Status {
 		st.CheckpointSeq = s.engine.CheckpointSeq()
 		st.EngineLog = s.engine.LogLen()
 	}
-	if topo, ok := s.applier.Topology(); ok {
+	if topo, ok := s.front.Applier.Topology(); ok {
 		st.ShardEpoch = topo.Epoch
 	}
-	info := s.applier.ShardMapInfo()
+	info := s.front.Applier.ShardMapInfo()
 	st.Objects = info.Objects
 	st.Stubs = info.Stubs
 	return st
 }
 
-// handleClientRPC is the initiator thread body (Fig. 5, left side).
-func (s *Server) handleClientRPC(req *rpc.Request) []byte {
-	dreq, err := dirsvc.DecodeRequest(req.Payload)
-	if err != nil {
-		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
-	}
-	var reply *dirsvc.Reply
-	switch {
-	case dreq.Op == dirsvc.OpWatch:
-		reply = s.handleWatch(req, dreq)
-	case dreq.Op == dirsvc.OpLeaseRenew:
-		reply = s.handleLeaseRenew(dreq)
-	case dreq.Op.IsUpdate():
-		reply = s.handleUpdate(dreq)
-	default:
-		reply = s.handleRead(dreq)
-	}
-	return reply.Encode()
+// The five dirsvc.Backend hooks follow: what the group kinds contribute
+// to the shared request pipeline (Fig. 5, left side).
+
+// Ready is the majority gate. Reads, watches and lease renewals may
+// bypass it under the DisableReadMajorityCheck ablation; updates never.
+func (s *Server) Ready(op dirsvc.OpCode) bool {
+	s.mu.Lock()
+	ok := s.majorityLocked()
+	s.mu.Unlock()
+	return ok || (s.cfg.DisableReadMajorityCheck && !op.IsUpdate())
 }
 
-// handleWatch registers an event-stream lease: the confirmation reply
-// carries an EventBatch cursor (or replay), and later events are pushed
-// over the request's reply channel. Like reads, watches require a
-// majority — a partitioned minority replica's log stops advancing, so a
-// lease there would silently mask foreign commits.
-func (s *Server) handleWatch(req *rpc.Request, dreq *dirsvc.Request) *dirsvc.Reply {
-	s.mu.Lock()
-	if !s.majorityLocked() && !s.cfg.DisableReadMajorityCheck {
-		s.mu.Unlock()
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+// WaitFloor waits until every group message buffered at request arrival
+// has been applied — guaranteeing the read sees all preceding writes
+// (§3.1) — and then until the applied cursor reaches the session floor a
+// read-balancing client stamped, so landing on a lagging replica cannot
+// violate read-your-writes or monotonic reads.
+func (s *Server) WaitFloor(_ uint32, minSeq uint64) bool {
+	member, _ := s.memberHint.Load().(*group.Member)
+	if member == nil {
+		// Past the gate without a member: the ablation, or recovery began
+		// in between and the replica's state is about to be rebuilt.
+		return s.cfg.DisableReadMajorityCheck
 	}
-	s.mu.Unlock()
-	addr := req.PushAddr()
-	push := func(payload []byte) error { return s.rpcSrv.Push(addr, payload) }
-	batch := s.notifier.Subscribe(addr.Tx, dreq.Seq, dreq.MinSeq, push)
-	return &dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}
+	if !s.waitApplied(member.Info().Buffered) {
+		return false
+	}
+	return minSeq == 0 || s.waitMinSeq(minSeq)
 }
 
-// handleLeaseRenew refreshes a watch lease and returns any events the
-// subscriber missed. The majority check makes a lease on a partitioned
-// replica die within one renewal interval, bounding how long pushed
-// invalidations can lag commits happening on the majority side.
-func (s *Server) handleLeaseRenew(dreq *dirsvc.Request) *dirsvc.Reply {
+// AppliedSeq returns the service update counter.
+func (s *Server) AppliedSeq() uint64 {
 	s.mu.Lock()
-	if !s.majorityLocked() && !s.cfg.DisableReadMajorityCheck {
-		s.mu.Unlock()
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-	}
-	s.mu.Unlock()
-	batch, ok := s.notifier.Renew(dreq.Seq, dreq.MinSeq)
-	if !ok {
-		return &dirsvc.Reply{Status: dirsvc.StatusNotFound}
-	}
-	return &dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}
+	defer s.mu.Unlock()
+	return s.appliedSeq
 }
 
-// handleRead implements the read path: majority check, then wait until
-// every group message buffered at request arrival has been applied —
-// guaranteeing the read sees all preceding writes (§3.1) — then answer
-// from the cache without any communication or disk access. A read
-// carrying a session floor (Request.MinSeq, stamped by read-balancing
-// clients) additionally waits until this replica's applied cursor
-// reaches the floor, so landing on a lagging replica cannot violate
-// read-your-writes or monotonic reads.
-func (s *Server) handleRead(req *dirsvc.Request) *dirsvc.Reply {
-	s.mu.Lock()
-	if !s.majorityLocked() && !s.cfg.DisableReadMajorityCheck {
-		s.mu.Unlock()
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+// Lag is the applied-cursor lag behind the load hint: group messages
+// buffered but not yet applied, read from lock-free mirrors so sampling
+// on the reply path never contends on s.mu.
+func (s *Server) Lag() int {
+	m, _ := s.memberHint.Load().(*group.Member)
+	if m == nil {
+		return 0
 	}
-	member := s.member
-	s.mu.Unlock()
-	if member != nil {
-		buffered := member.Info().Buffered
-		if !s.waitApplied(buffered) {
-			return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-		}
+	buffered, applied := m.Info().Buffered, s.appliedGroup.Load()
+	if buffered <= applied {
+		return 0
 	}
-	if req.MinSeq > 0 && !s.waitMinSeq(req.MinSeq) {
-		// Floor unreachable here (lagging through recovery, or shutdown):
-		// refuse so the client fails over to a caught-up replica.
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-	}
-	// An object locked by a prepared two-phase transaction holds its
-	// readers until the decision: they then see exactly the pre- or
-	// post-batch state, never the pre-state of one shard after another
-	// shard exposed the commit. A bounded wait keeps worker threads from
-	// starving — the refused client retries while orphan resolution
-	// unwedges the lock.
-	if obj := req.Dir.Object; obj != 0 && !s.applier.WaitUnlocked(obj, s.lockWait) {
-		return &dirsvc.Reply{Status: dirsvc.StatusConflict}
-	}
-	// Elastic routing, checked after the lock wait so a read racing a
-	// migration flip sees the post-decide state (stub or entry), never
-	// the in-between. OpMigRead is exempt: the migrator reads objects
-	// precisely because they are homed elsewhere.
-	if obj := req.Dir.Object; obj != 0 && req.Op != dirsvc.OpMigRead {
-		if owner, fwd := s.applier.RouteForward(obj); fwd {
-			topo, _ := s.applier.Topology()
-			return &dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}
-		}
-	}
-	// Sample the applied sequence number before executing the read: the
-	// data returned is at least that fresh, so the stamp is a safe
-	// (conservative) freshness bound for client read caches.
-	s.mu.Lock()
-	svcSeq := s.appliedSeq
-	s.mu.Unlock()
-	s.reads.Add(1)
-	s.stack.Node().CPU().Charge(s.model.LookupCPU)
-	reply := s.applier.Read(req)
-	reply.Seq = svcSeq
-	return reply
+	return int(buffered - applied)
 }
 
 // Read serves one read request exactly as an initiator thread would —
@@ -598,7 +433,7 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply {
 	if req.Op.IsUpdate() {
 		return &dirsvc.Reply{Status: dirsvc.StatusBadRequest}
 	}
-	return s.handleRead(req)
+	return s.front.Read(req)
 }
 
 // waitMinSeq blocks until the replica's applied sequence number reaches
@@ -608,8 +443,8 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply {
 // on: the applied cursor survives recovery and usually reaches the
 // floor the moment the replica has caught up.
 func (s *Server) waitMinSeq(min uint64) bool {
-	deadline := time.Now().Add(s.minSeqWait)
-	wake := time.AfterFunc(s.minSeqWait, func() {
+	deadline := time.Now().Add(s.front.MinSeqWait)
+	wake := time.AfterFunc(s.front.MinSeqWait, func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -626,67 +461,18 @@ func (s *Server) waitMinSeq(min uint64) bool {
 	return true
 }
 
-// handleUpdate implements the write path: majority check, pre-generate
-// the check fields, hand the update to the coalescing sender (which packs
-// it — alone or with concurrent updates — into one totally-ordered group
-// broadcast), wait until our own group thread has applied the operation,
-// and return its result (Fig. 5).
-func (s *Server) handleUpdate(req *dirsvc.Request) *dirsvc.Reply {
+// Replicate is the group kinds' replication step: hand the update to the
+// coalescing sender (which packs it — alone or with concurrent updates —
+// into one totally-ordered group broadcast with resilience degree r),
+// wait until our own group thread has applied the operation, and return
+// its result (Fig. 5).
+func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
-	if !s.majorityLocked() {
-		s.mu.Unlock()
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-	}
 	era := s.era
 	s.opCounter++
 	opID := uint64(s.cfg.ID)<<48 | s.opCounter
 	s.mu.Unlock()
 
-	// An update aimed at objects locked by a prepared two-phase
-	// transaction waits its turn in the lock-wait queue instead of being
-	// refused outright — the decide that releases the lock travels the
-	// group stream, which this initiator-side wait never blocks. OpDecide
-	// itself has no wait targets (it performs the release).
-	if err := s.applier.AwaitLockFree(dirsvc.LockWaitTargets(req, s.cfg.Shard), s.lockWait); err != nil {
-		return dirsvc.ErrorReply(err)
-	}
-
-	// Elastic routing: an update addressing an object this shard no
-	// longer (or does not yet) own is bounced with the owner's identity
-	// instead of being replicated. Batches, prepares, and decides carry
-	// no top-level object; their steps are fenced by the 2PC locks.
-	if obj := req.Dir.Object; obj != 0 {
-		if owner, fwd := s.applier.RouteForward(obj); fwd {
-			topo, _ := s.applier.Topology()
-			return &dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}
-		}
-	}
-
-	// All replicas must mint the same capabilities: the initiator chooses
-	// the check-field material (§3.1) — for every create step of a batch.
-	switch {
-	case req.Op == dirsvc.OpCreateDir && len(req.CheckSeed) == 0:
-		req.CheckSeed = newCheckSeed(s.cfg.ID, opID, 0)
-	case req.Op == dirsvc.OpBatch:
-		steps, err := dirsvc.DecodeBatchSteps(req.Blob)
-		if err != nil {
-			return dirsvc.ErrorReply(err)
-		}
-		if dirsvc.EnsureBatchSeeds(steps, func(i int) []byte {
-			return newCheckSeed(s.cfg.ID, opID, i+1)
-		}) {
-			req.Blob = dirsvc.EncodeBatchSteps(steps)
-		}
-	case req.Op == dirsvc.OpPrepare:
-		if err := dirsvc.EnsurePrepareSeeds(req, func(i int) []byte {
-			return newCheckSeed(s.cfg.ID, opID, i+1)
-		}); err != nil {
-			return dirsvc.ErrorReply(err)
-		}
-	}
-	req.Server = s.cfg.ID
-
-	s.stack.Node().CPU().Charge(s.model.UpdateCPU)
 	select {
 	case s.sendCh <- coalesceOp{opID: opID, era: era, raw: req.Encode()}:
 	case <-s.stop:
@@ -715,14 +501,6 @@ func (s *Server) handleUpdate(req *dirsvc.Request) *dirsvc.Reply {
 	}
 }
 
-func newCheckSeed(id int, opID uint64, step int) []byte {
-	seed := make([]byte, 16)
-	binary.BigEndian.PutUint32(seed[:4], uint32(id))
-	binary.BigEndian.PutUint64(seed[4:12], opID)
-	binary.BigEndian.PutUint32(seed[12:], uint32(step))
-	return seed
-}
-
 // GroupSends returns the number of group broadcasts this server has
 // issued on the write path (benchmark instrumentation: batches and
 // coalescing make this ≪ the number of updates).
@@ -731,7 +509,7 @@ func (s *Server) GroupSends() uint64 { return s.groupSends.Load() }
 // ReadsServed returns the number of read operations this replica has
 // answered — the per-server load-distribution measurement behind the
 // Fig. 8 reproduction and the read-balancing experiments.
-func (s *Server) ReadsServed() uint64 { return s.reads.Load() }
+func (s *Server) ReadsServed() uint64 { return s.front.ReadsServed() }
 
 // majorityLocked: at least ⌈(N+1)/2⌉ servers must be up and in our group.
 func (s *Server) majorityLocked() bool {
@@ -943,12 +721,12 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 		// Make room first if the log is full.
 		s.flushNVRAM()
 	}
-	res, err := s.applier.ApplyUpdate(req, seq, durable)
+	res, err := s.front.Applier.ApplyUpdate(req, seq, durable)
 	if err != nil {
 		// The group backend consumes a sequence number even for a failed
 		// apply; record an empty filler event so the event log's index
 		// stream (and its Seq correspondence) stays gap-free.
-		s.notifier.Record(dirsvc.Event{Seq: seq, Op: req.Op})
+		s.front.Notifier.Record(dirsvc.Event{Seq: seq, Op: req.Op})
 		return dirsvc.ErrorReply(err), seq
 	}
 	effSeq := seq
@@ -960,7 +738,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 		// included: a split is rare (one extra disk write), and recovery
 		// must never come back up routing under the old epoch. The seq
 		// also advances, covering sequence numbers dropped with stubs.
-		topo, ok := s.applier.Topology()
+		topo, ok := s.front.Applier.Topology()
 		s.mu.Lock()
 		s.commit.Seq = effSeq
 		if ok {
@@ -982,9 +760,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 			s.mu.Unlock()
 			_ = commit.Write(s.cfg.Admin)
 		}
-		for _, old := range res.OldBullet {
-			s.scheduleCleanup(old)
-		}
+		s.front.ScheduleCleanup(res.OldBullet)
 	case s.nvlog != nil:
 		if req.Op == dirsvc.OpRestoreShard {
 			// The installed snapshot dwarfs any log budget; flush it
@@ -1041,7 +817,7 @@ func (s *Server) checkpointNow(minSeq uint64) error {
 	if minSeq > applied {
 		applied = minSeq
 	}
-	snap := s.applier.SnapshotState(applied, commitSeq)
+	snap := s.front.Applier.SnapshotState(applied, commitSeq)
 	return s.engine.WriteCheckpoint(snap.MaxSeq(), snap.Encode())
 }
 
@@ -1054,36 +830,12 @@ func (s *Server) Checkpoint() error {
 	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	if s.nvlog != nil {
-		s.flushNVRAM()
-		return nil
-	}
 	return s.checkpointNow(0)
 }
 
-// scheduleCleanup queues an obsolete Bullet file for deletion after the
-// reply (Fig. 5: "remove old Bullet files" happens last).
-func (s *Server) scheduleCleanup(cap capability.Capability) {
-	select {
-	case s.cleanupCh <- cap:
-	default: // cleanup backlog full: leak the file rather than block commit
-	}
-}
-
-func (s *Server) cleanupLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case cap := <-s.cleanupCh:
-			_ = s.bc.Delete(cap)
-		}
-	}
-}
-
-// flushLoop is the NVRAM background flusher: it applies the log to disk
-// when the server is idle or the log passes its threshold (§4.1).
+// flushLoop is the background flusher: it writes the NVRAM log through
+// to disk (§4.1), or cuts an engine checkpoint, when the server is idle
+// or the log passes its threshold.
 func (s *Server) flushLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.IdleFlush / 2)
@@ -1101,21 +853,20 @@ func (s *Server) flushLoop() {
 		if recovering {
 			continue
 		}
+		// The batch lock keeps the flush or checkpoint snapshot-atomic
+		// against the group thread. The loop runs with exactly one of
+		// nvlog and engine.
 		switch {
 		case s.nvlog != nil:
 			if s.nvlog.NeedsFlush() || (idle && s.nvlog.Len() > 0) {
-				// The batch lock keeps the flush (and any checkpoint it
-				// cuts) snapshot-atomic against the group thread.
 				s.applyMu.Lock()
 				s.flushNVRAM()
 				s.applyMu.Unlock()
 			}
-		case s.engine != nil:
-			if s.engine.NeedsCheckpoint() || (idle && s.engine.LogLen() > 0) {
-				s.applyMu.Lock()
-				_ = s.checkpointNow(0)
-				s.applyMu.Unlock()
-			}
+		case s.engine.NeedsCheckpoint() || (idle && s.engine.LogLen() > 0):
+			s.applyMu.Lock()
+			_ = s.checkpointNow(0)
+			s.applyMu.Unlock()
 		}
 	}
 }
@@ -1124,43 +875,37 @@ func (s *Server) flushLoop() {
 // object table, then clears the log. The work list comes from the
 // object table's RAM-dirty set, which — unlike parsing the logged
 // requests — also covers created directories (object numbers assigned
-// at apply time), batch steps, and deletions. Prepare records of
-// still-undecided two-phase transactions are re-appended after the
-// clear: they are the only durable trace of the staged state, and a
-// whole-shard crash must find them so Fig. 6 recovery reinstates the
-// in-doubt transaction instead of silently dropping a vote.
+// at apply time), batch steps, and deletions.
 func (s *Server) flushNVRAM() {
-	if s.engine != nil {
-		// Engine-backed deployment: a checkpoint captures everything the
-		// NVRAM log protects — dirty directories, in-doubt prepares, and
-		// remembered outcomes — in one atomic swap, so the log clears
-		// without re-appending anything.
-		if err := s.checkpointNow(0); err != nil {
-			return // disk trouble: keep the log, retry next round
-		}
-		_ = s.nvlog.Clear()
-		return
-	}
-	for _, obj := range s.table.RAMDirtyObjects() {
-		olds, err := s.applier.FlushObject(obj)
+	for _, obj := range s.front.Table.RAMDirtyObjects() {
+		olds, err := s.front.Applier.FlushObject(obj)
 		if err != nil {
 			return // disk trouble: keep the log, retry next round
 		}
-		for _, old := range olds {
-			s.scheduleCleanup(old)
-		}
+		s.front.ScheduleCleanup(olds)
 	}
 	_ = s.nvlog.Clear()
-	for _, tx := range s.applier.InDoubtTxs() {
+	s.relogTxState()
+}
+
+// relogTxState re-appends the two-phase-commit state to a just-cleared
+// NVRAM log (after a flush, after a state transfer). Prepare records of
+// still-undecided transactions are the only durable trace of the staged
+// state: a whole-shard crash must find them so Fig. 6 recovery
+// reinstates the in-doubt transaction instead of silently dropping a
+// vote. Recent decisions ride along: a whole-shard crash right after a
+// flushed commit must still answer an orphaned peer's decision query
+// with "committed", or the peer would presume abort a transaction
+// another shard already exposed.
+func (s *Server) relogTxState() {
+	for _, tx := range s.front.Applier.InDoubtTxs() {
 		_, _ = s.nvlog.Append(tx.Req, tx.Seq)
 	}
-	// Recent decisions ride along too: a whole-shard crash right after a
-	// flushed commit must still answer an orphaned peer's decision query
-	// with "committed", or the peer would presume abort a transaction
-	// another shard already exposed. The age horizon retires outcomes the
-	// resolver's two-strike protocol can no longer ask about, so the log
-	// does not re-append every decision it ever saw on every flush.
-	for _, d := range s.applier.RecentDecided(recentDecidedKept, s.decidedHorizon()) {
+	// An orphaned peer resolves an in-doubt transaction within one
+	// presumed-abort horizon plus two strike ticks, so outcomes three
+	// horizons old can no longer be asked about — without the age limit
+	// the log would re-append every decision it ever saw on every flush.
+	for _, d := range s.front.Applier.RecentDecided(recentDecidedKept, 3*s.front.TxAbort) {
 		req := &dirsvc.Request{
 			Op:   dirsvc.OpDecide,
 			Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit}),
@@ -1172,59 +917,3 @@ func (s *Server) flushNVRAM() {
 // recentDecidedKept bounds how many decided outcomes are re-logged to
 // NVRAM across flushes (each record is ~40 bytes of the 24 KB region).
 const recentDecidedKept = 32
-
-// decidedHorizon is the age past which a decided outcome stops being
-// re-logged: an orphaned peer resolves an in-doubt transaction within
-// one txTimeout plus two strike ticks, so outcomes three timeouts old
-// can no longer be asked about.
-func (s *Server) decidedHorizon() time.Duration {
-	return 3 * s.txTimeout
-}
-
-// txResolveLoop is the participant side of coordinator recovery: a
-// prepared transaction whose decision has not arrived within the
-// presumed-abort horizon is resolved without the (possibly dead)
-// coordinating client. The transaction's resolver shard aborts it
-// through its own totally-ordered stream — so a late client commit
-// loses cleanly — and every other shard asks the resolver how the
-// transaction ended and applies that decision locally
-// (dirsvc.ResolveOrphanTxs has the full rules, including the
-// two-strike treatment of TxUnknown answers).
-func (s *Server) txResolveLoop() {
-	defer s.wg.Done()
-	tick := s.txTimeout / 4
-	if tick < 25*time.Millisecond {
-		tick = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	strikes := make(map[dirsvc.TxID]int)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-		s.mu.Lock()
-		ready := !s.recovering && s.majorityLocked()
-		s.mu.Unlock()
-		if !ready {
-			continue
-		}
-		dirsvc.ResolveOrphanTxs(s.applier, s.cfg.Shard, s.cfg.Shards, s.txTimeout, strikes,
-			s.decideLocal,
-			func(resolver int, id dirsvc.TxID) dirsvc.TxState {
-				return dirsvc.QueryTxState(s.txRPC, s.cfg.BaseService, s.cfg.Shards, resolver, id)
-			})
-	}
-}
-
-// decideLocal injects a decision into this shard's own stream; failures
-// are retried on the next resolution tick.
-func (s *Server) decideLocal(id dirsvc.TxID, commit bool) {
-	req := &dirsvc.Request{
-		Op:   dirsvc.OpDecide,
-		Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: commit}),
-	}
-	_ = s.handleUpdate(req)
-}

@@ -65,10 +65,10 @@ func (a *Applier) Topology() (TopoState, bool) {
 	return *a.topo, true
 }
 
-// RestoreTopology reinstalls a persisted topology state (commit block
-// or recovery bundle), keeping this shard's configured identity and
-// geometry and adopting the epoch, migration phase, and floors. It
-// reconfigures the allocator to match.
+// RestoreTopology reinstalls a persisted topology state (the commit
+// block's), keeping this shard's configured identity and geometry and
+// adopting the epoch, migration phase, and floors. It reconfigures the
+// allocator to match.
 func (a *Applier) RestoreTopology(t *TopoState) {
 	if t == nil {
 		return

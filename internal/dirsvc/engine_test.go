@@ -332,4 +332,12 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte("garbage-blob")); err == nil {
 		t.Fatal("garbage decoded")
 	}
+	// The snapshot is the recovery and peer-sync payload too: a blob cut
+	// short anywhere must be refused, never installed as a smaller state.
+	raw := snap.Encode()
+	for n := 0; n < len(raw); n++ {
+		if _, err := DecodeSnapshot(raw[:n]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded", n, len(raw))
+		}
+	}
 }

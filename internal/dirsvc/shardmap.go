@@ -99,7 +99,7 @@ func (t *TopoState) Home(obj uint32) int { return HomeShardAt(obj, t.Epoch, t.Ba
 func (t *TopoState) Clone() TopoState { return *t }
 
 // EncodeTopoState renders the state for the commit-block tail and the
-// recovery bundle: epoch u64 | base u32 | total u32 | phase u8 |
+// snapshot: epoch u64 | base u32 | total u32 | phase u8 |
 // peer u32 | floor u32 | allocfloor u32. Fixed size (TopoStateLen); a
 // decoder may be handed a longer buffer and ignores the tail.
 func EncodeTopoState(t *TopoState) []byte {

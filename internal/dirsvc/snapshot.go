@@ -11,11 +11,14 @@ import (
 // This file defines the portable shard snapshot: a self-contained image
 // of one shard's replica state — object table entries with their
 // directory images, forwarding stubs, topology, and the two-phase-commit
-// participant state (staged prepares and remembered outcomes). The same
-// blob serves three roles:
+// participant state (staged prepares and remembered outcomes). It is the
+// only whole-replica state image in the system:
 //
 //   - the checkpoint payload of the disk engine (engine.go), so recovery
 //     is checkpoint + log-suffix replay instead of a full replay;
+//   - the state transfer to a recovering replica: the group kinds'
+//     OpSyncPull reply (Fig. 6, "get copies from s") and the RPC pair's
+//     peer sync at boot;
 //   - the OpBackup reply, a portable backup a client can store anywhere;
 //   - the OpRestoreShard request body, which reinstalls the image through
 //     the backend's ordinary replicated update path.
@@ -358,6 +361,19 @@ func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) ([]uint32,
 	}
 	a.cache = cache
 
+	// Adopt the snapshot's shard-map state before re-staging anything, so
+	// a prepared create allocates under the epoch it was staged in.
+	if snap.Topo != nil && a.topo != nil {
+		cur := a.topo
+		cur.Epoch = snap.Topo.Epoch
+		cur.MigPhase = snap.Topo.MigPhase
+		cur.MigPeer = snap.Topo.MigPeer
+		cur.MigFloor = snap.Topo.MigFloor
+		cur.AllocFloor = snap.Topo.AllocFloor
+		a.table.ConfigureShard(cur.Shard, allocModUnder(cur.Shard, cur.Active(), cur.Total))
+		a.table.SetAllocFloor(cur.AllocFloor)
+	}
+
 	// Discard all transaction state, then re-stage the snapshot's
 	// in-doubt prepares and remembered outcomes.
 	a.prepared = make(map[TxID]*preparedTx)
@@ -379,17 +395,6 @@ func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) ([]uint32,
 	}
 	for _, d := range snap.Decided {
 		a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: d.Seq, results: d.Results})
-	}
-
-	if snap.Topo != nil && a.topo != nil {
-		cur := a.topo
-		cur.Epoch = snap.Topo.Epoch
-		cur.MigPhase = snap.Topo.MigPhase
-		cur.MigPeer = snap.Topo.MigPeer
-		cur.MigFloor = snap.Topo.MigFloor
-		cur.AllocFloor = snap.Topo.AllocFloor
-		a.table.ConfigureShard(cur.Shard, allocModUnder(cur.Shard, cur.Active(), cur.Total))
-		a.table.SetAllocFloor(cur.AllocFloor)
 	}
 
 	out := make([]uint32, 0, len(touched))

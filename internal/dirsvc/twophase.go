@@ -269,7 +269,7 @@ const maxDecided = 4096
 // ship the prepare record during recovery.
 type preparedTx struct {
 	id           TxID
-	req          *Request // the original OpPrepare request (re-log, bundles)
+	req          *Request // the original OpPrepare request (re-log, snapshots)
 	seq          uint64   // sequence number the prepare applied under
 	resolver     int
 	participants []int
@@ -289,7 +289,7 @@ type decidedTx struct {
 }
 
 // InDoubtTx is a snapshot of one prepared-but-undecided transaction
-// (server resolution loops, recovery bundles).
+// (the resolution loop, NVRAM re-logging).
 type InDoubtTx struct {
 	ID           TxID
 	Req          *Request
@@ -299,7 +299,7 @@ type InDoubtTx struct {
 	Age          time.Duration
 }
 
-// DecidedTx is a snapshot of one remembered outcome (recovery bundles).
+// DecidedTx is one remembered outcome (snapshots, NVRAM re-logging).
 type DecidedTx struct {
 	ID      TxID
 	Commit  bool
@@ -325,22 +325,6 @@ func (a *Applier) InDoubtTxs() []InDoubtTx {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Age > out[j].Age })
-	return out
-}
-
-// DecidedTxs returns a snapshot of the remembered outcomes (recovery
-// state transfer).
-func (a *Applier) DecidedTxs() []DecidedTx {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]DecidedTx, 0, len(a.decided))
-	for _, id := range a.decidedOrder {
-		d, ok := a.decided[id]
-		if !ok {
-			continue
-		}
-		out = append(out, DecidedTx{ID: id, Commit: d.commit, Seq: d.seq, Results: d.results})
-	}
 	return out
 }
 
@@ -373,7 +357,7 @@ func (a *Applier) RecentDecided(n int, maxAge time.Duration) []DecidedTx {
 	return out
 }
 
-// RestoreDecided reinstalls remembered outcomes from a recovery bundle.
+// RestoreDecided reinstalls remembered outcomes from a recovery log.
 func (a *Applier) RestoreDecided(recs []DecidedTx) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -383,8 +367,7 @@ func (a *Applier) RestoreDecided(recs []DecidedTx) {
 }
 
 // ResetTx discards all transaction state (recovery restart; the caller
-// reinstates in-doubt transactions from its NVRAM log or a peer's state
-// bundle afterwards).
+// reinstates in-doubt transactions from its recovery log afterwards).
 func (a *Applier) ResetTx() {
 	a.mu.Lock()
 	a.prepared = make(map[TxID]*preparedTx)

@@ -1,6 +1,7 @@
 // Package harness drives the paper's evaluation (§4): the single-client
 // latency experiments of Fig. 7, the multi-client throughput sweeps of
-// Figs. 8 and 9, and the ablation experiments called out in DESIGN.md.
+// Figs. 8 and 9, and the ablation experiments called out in
+// ARCHITECTURE.md ("Simulated hardware: calibration and ablations").
 // It measures wall-clock time, which — under sim.PaperModel — is the
 // calibrated simulated time of the 1993 hardware, so results are
 // directly comparable with the paper's tables.

@@ -18,7 +18,6 @@ import (
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
 	"dirsvc/internal/rpc"
-	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
 )
 
@@ -54,261 +53,87 @@ type Config struct {
 
 // Server is the unreplicated directory server.
 type Server struct {
-	cfg      Config
-	stack    *flip.Stack
-	model    *sim.LatencyModel
-	applier  *dirsvc.Applier
-	table    *dirsvc.ObjectTable
-	rpcSrv   *rpc.Server
-	notifier *dirsvc.Notifier
+	// front is the shared request pipeline and the replica state it
+	// serves from; this server is its Backend.
+	front *dirsvc.FrontEnd
 
 	mu  sync.Mutex
 	seq uint64
-
-	// lockWait bounds how long a read blocks on an object locked by a
-	// prepared two-phase transaction; txTimeout is the presumed-abort
-	// horizon, and txRPC carries decision queries to sibling shards.
-	lockWait  time.Duration
-	txTimeout time.Duration
-	txRPC     *rpc.Client
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	stopRPC func()
 }
 
 // NewServer boots the server on stack.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
 	rc, err := rpc.NewClient(stack)
 	if err != nil {
 		return nil, err
 	}
-	table, err := dirsvc.OpenObjectTable(cfg.Admin)
+	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
+		Service:        cfg.Service,
+		BaseService:    cfg.BaseService,
+		ServerID:       1,
+		Shard:          cfg.Shard,
+		Shards:         cfg.Shards,
+		ActiveShards:   cfg.ActiveShards,
+		Admin:          cfg.Admin,
+		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, 1)),
+		Workers:        cfg.Workers,
+		TxAbortTimeout: cfg.TxAbortTimeout,
+		LeaseTTL:       cfg.LeaseTTL,
+		EventLogSize:   cfg.EventLogSize,
+		ExtraLookupCPU: nfsExtraLookup,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("localdir: %w", err)
 	}
-	base := cfg.ActiveShards
-	if base <= 0 || base > cfg.Shards {
-		base = cfg.Shards
+	s := &Server{front: front}
+	err = front.Applier.FormatRoot(false /* metadata only */)
+	if err == nil {
+		err = front.Table.FlushBlocks([]uint32{dirsvc.RootObject})
 	}
-	table.ConfigureShard(cfg.Shard, base)
-	// Mint/verify capabilities under the deployment-wide port so they
-	// survive a live migration to a sibling shard (core does the same).
-	capService := cfg.BaseService
-	if capService == "" {
-		capService = cfg.Service
-	}
-	s := &Server{
-		cfg:     cfg,
-		stack:   stack,
-		model:   stack.Model(),
-		table:   table,
-		applier: dirsvc.NewApplier(dirsvc.ServicePort(capService), table, bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, 1))),
-	}
-	s.applier.SetLockWaitSlots(cfg.Workers - 1)
-	s.applier.ConfigureTopology(cfg.Shard, base, cfg.Shards)
-	s.lockWait = s.model.Timeout(5 * time.Second)
-	if s.lockWait < 500*time.Millisecond {
-		s.lockWait = 500 * time.Millisecond
-	}
-	s.txTimeout = cfg.TxAbortTimeout
-	if s.txTimeout <= 0 {
-		s.txTimeout = s.model.Timeout(30 * time.Second)
-		if s.txTimeout < 3*time.Second {
-			s.txTimeout = 3 * time.Second
-		}
-	}
-	s.stop = make(chan struct{})
-	if err := s.applier.FormatRoot(false /* metadata only */); err != nil {
+	if err != nil {
+		front.Close()
 		return nil, err
 	}
-	if err := table.FlushBlocks([]uint32{dirsvc.RootObject}); err != nil {
-		return nil, err
-	}
-	s.seq = table.MaxSeq()
-
-	// Adopt a persisted topology (admin block 0, written only on topology
-	// changes): a split at a source shard touches no object-table entry,
-	// so the epoch would otherwise reset to zero on restart.
-	if cb, err := dirsvc.ReadCommitBlock(cfg.Admin, 0); err == nil {
-		if cb.Topo != nil {
-			s.applier.RestoreTopology(cb.Topo)
-		}
-		if cb.Seq > s.seq {
-			s.seq = cb.Seq
-		}
-	}
-
+	s.seq = front.StoredSeq()
 	// The unreplicated server never recovers, so its event log keeps one
 	// identity for the server's whole life, floored at the boot cursor.
-	leaseTTL := cfg.LeaseTTL
-	if leaseTTL <= 0 {
-		leaseTTL = s.model.Timeout(60 * time.Second)
-		if leaseTTL < 2*time.Second {
-			leaseTTL = 2 * time.Second
-		}
-	}
-	s.notifier = dirsvc.NewNotifier(cfg.EventLogSize, s.seq, leaseTTL)
-	s.applier.AttachEvents(s.notifier)
-
-	srv, err := rpc.NewServer(stack, dirsvc.ServicePort(cfg.Service))
-	if err != nil {
+	front.StartEvents(s.seq)
+	if err := front.Serve(s); err != nil {
+		front.Close()
 		return nil, err
 	}
-	s.rpcSrv = srv
-	s.stopRPC = srv.ServeFunc(cfg.Workers, s.handle)
-	txRPC, err := rpc.NewClient(stack)
-	if err != nil {
-		s.rpcSrv.Close()
-		s.stopRPC()
-		return nil, err
-	}
-	s.txRPC = txRPC
-	s.wg.Add(1)
-	go s.txResolveLoop()
 	return s, nil
 }
 
-// txResolveLoop resolves prepared transactions orphaned by a dead
-// coordinator (see dirsvc.ResolveOrphanTxs): presumed abort when this
-// shard is the transaction's resolver, a decision query to the
-// resolver shard otherwise.
-func (s *Server) txResolveLoop() {
-	defer s.wg.Done()
-	tick := s.txTimeout / 4
-	if tick < 25*time.Millisecond {
-		tick = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	strikes := make(map[dirsvc.TxID]int)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-		dirsvc.ResolveOrphanTxs(s.applier, s.cfg.Shard, s.cfg.Shards, s.txTimeout, strikes,
-			func(id dirsvc.TxID, commit bool) {
-				req := &dirsvc.Request{
-					Op:   dirsvc.OpDecide,
-					Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: commit}),
-				}
-				_ = s.update(req)
-			},
-			func(resolver int, id dirsvc.TxID) dirsvc.TxState {
-				return dirsvc.QueryTxState(s.txRPC, s.cfg.BaseService, s.cfg.Shards, resolver, id)
-			})
-	}
-}
-
 // Close stops the server.
-func (s *Server) Close() {
-	close(s.stop)
-	s.applier.AttachEvents(nil)
-	s.notifier.Close()
-	s.rpcSrv.Close()
-	s.stopRPC()
-	if s.txRPC != nil {
-		s.txRPC.Close()
-	}
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.front.Close() }
 
-func (s *Server) handle(req *rpc.Request) []byte {
-	dreq, err := dirsvc.DecodeRequest(req.Payload)
-	if err != nil {
-		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
-	}
-	switch dreq.Op {
-	case dirsvc.OpWatch:
-		addr := req.PushAddr()
-		push := func(payload []byte) error { return s.rpcSrv.Push(addr, payload) }
-		batch := s.notifier.Subscribe(addr.Tx, dreq.Seq, dreq.MinSeq, push)
-		return (&dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}).Encode()
-	case dirsvc.OpLeaseRenew:
-		batch, ok := s.notifier.Renew(dreq.Seq, dreq.MinSeq)
-		if !ok {
-			return (&dirsvc.Reply{Status: dirsvc.StatusNotFound}).Encode()
-		}
-		return (&dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}).Encode()
-	}
-	if !dreq.Op.IsUpdate() {
-		// Request.MinSeq needs no wait here: with a single server, every
-		// floor a client session carries came from this server's own
-		// replies, so s.seq is always at or past it. Readers of an object
-		// locked by a prepared two-phase transaction still wait for the
-		// decision (bounded; a refused client retries).
-		if obj := dreq.Dir.Object; obj != 0 && !s.applier.WaitUnlocked(obj, s.lockWait) {
-			return (&dirsvc.Reply{Status: dirsvc.StatusConflict}).Encode()
-		}
-		// Objects homed elsewhere bounce with the owner's address; the
-		// migration copy read (OpMigRead) must still see the source copy.
-		if obj := dreq.Dir.Object; obj != 0 && dreq.Op != dirsvc.OpMigRead {
-			if owner, fwd := s.applier.RouteForward(obj); fwd {
-				topo, _ := s.applier.Topology()
-				return (&dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}).Encode()
-			}
-		}
-		s.mu.Lock()
-		svcSeq := s.seq
-		s.mu.Unlock()
-		s.stack.Node().CPU().Charge(s.model.LookupCPU + nfsExtraLookup)
-		reply := s.applier.Read(dreq)
-		reply.Seq = svcSeq
-		return reply.Encode()
-	}
-	s.stack.Node().CPU().Charge(s.model.UpdateCPU)
-	// Updates aimed at objects locked by a prepared two-phase transaction
-	// queue for the decision instead of bouncing with a conflict; the
-	// decide itself has no wait targets and runs unimpeded.
-	if err := s.applier.AwaitLockFree(dirsvc.LockWaitTargets(dreq, s.cfg.Shard), s.lockWait); err != nil {
-		return dirsvc.ErrorReply(err).Encode()
-	}
-	if obj := dreq.Dir.Object; obj != 0 {
-		if owner, fwd := s.applier.RouteForward(obj); fwd {
-			topo, _ := s.applier.Topology()
-			return (&dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}).Encode()
-		}
-	}
-	return s.update(dreq).Encode()
-}
+// The four dirsvc.Backend hooks follow.
 
-// update applies the operation with exactly one synchronous disk write —
-// the metadata block — like a local Unix filesystem updating a directory
-// block. The directory contents stay in RAM (the OS buffer cache).
-func (s *Server) update(req *dirsvc.Request) *dirsvc.Reply {
+// Ready always admits: there is nobody to form a majority with.
+func (s *Server) Ready(dirsvc.OpCode) bool { return true }
+
+// WaitFloor has nothing to wait for: with a single server, every floor a
+// client session carries came from this server's own replies, so the
+// sequence number is always at or past it.
+func (s *Server) WaitFloor(uint32, uint64) bool { return true }
+
+// AppliedSeq returns the server's update sequence number.
+func (s *Server) AppliedSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case req.Op == dirsvc.OpCreateDir && len(req.CheckSeed) == 0:
-		seed := make([]byte, 8)
-		for i := range seed {
-			seed[i] = byte(s.seq >> (8 * i))
-		}
-		req.CheckSeed = append(seed, byte(len(seed)))
-	case req.Op == dirsvc.OpBatch:
-		steps, derr := dirsvc.DecodeBatchSteps(req.Blob)
-		if derr != nil {
-			return dirsvc.ErrorReply(derr)
-		}
-		if dirsvc.EnsureBatchSeeds(steps, func(i int) []byte {
-			return fmt.Appendf(nil, "local:%d:%d", s.seq, i)
-		}) {
-			req.Blob = dirsvc.EncodeBatchSteps(steps)
-		}
-	case req.Op == dirsvc.OpPrepare:
-		if derr := dirsvc.EnsurePrepareSeeds(req, func(i int) []byte {
-			return fmt.Appendf(nil, "local:%d:%d:%d", s.seq, time.Now().UnixNano(), i)
-		}); derr != nil {
-			return dirsvc.ErrorReply(derr)
-		}
-	}
+	return s.seq
+}
+
+// Replicate applies the operation with exactly one synchronous disk
+// write — the metadata block — like a local Unix filesystem updating a
+// directory block. The directory contents stay in RAM (the OS buffer
+// cache); there is no second copy to make.
+func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	seq := s.seq + 1
-	res, err := s.applier.ApplyUpdate(req, seq, false /* RAM apply */)
+	res, err := s.front.Applier.ApplyUpdate(req, seq, false /* RAM apply */)
 	if err != nil {
 		return dirsvc.ErrorReply(err)
 	}
@@ -319,14 +144,11 @@ func (s *Server) update(req *dirsvc.Request) *dirsvc.Reply {
 		s.seq = res.AdvanceSeq
 	}
 	// The one synchronous write: the directory's metadata block.
-	if err := s.table.FlushBlocks(res.DirtyObjects); err != nil {
+	if err := s.front.Table.FlushBlocks(res.DirtyObjects); err != nil {
 		return &dirsvc.Reply{Status: dirsvc.StatusError}
 	}
 	if res.TopoChanged {
-		if topo, ok := s.applier.Topology(); ok {
-			t := topo
-			_ = (&dirsvc.CommitBlock{Seq: s.seq, Topo: &t}).Write(s.cfg.Admin)
-		}
+		s.front.PersistTopology(s.seq)
 	}
 	return res.Reply
 }

@@ -14,9 +14,7 @@
 package rpcdir
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
 	"dirsvc/internal/rpc"
-	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
 )
 
@@ -72,42 +69,25 @@ type pendingIntention struct {
 
 // Server is one of the two RPC directory servers.
 type Server struct {
-	cfg      Config
-	stack    *flip.Stack
-	model    *sim.LatencyModel
-	applier  *dirsvc.Applier
-	table    *dirsvc.ObjectTable
-	rpcSrv   *rpc.Server
-	peerSrv  *rpc.Server
-	peerRPC  *rpc.Client
-	bc       *bullet.Client
-	notifier *dirsvc.Notifier
+	cfg Config
+	// front is the shared request pipeline and the replica state it
+	// serves from; this server is its Backend.
+	front   *dirsvc.FrontEnd
+	peerSrv *rpc.Server
+	peerRPC *rpc.Client
 
 	mu       sync.Mutex
 	seq      uint64
 	updateMu sync.Mutex // updates are serialized (paper §4.2)
 	pending  map[uint32]*pendingIntention
 
-	// minSeqWait bounds how long a read waits for the peer's lazy
-	// applies to reach the client's session floor (Request.MinSeq).
-	minSeqWait time.Duration
-	// txTimeout is the presumed-abort horizon for prepared transactions;
-	// txRPC carries decision queries to sibling shards.
-	txTimeout time.Duration
-	txRPC     *rpc.Client
-
-	cleanupCh chan capability.Capability
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	stops     []func()
+	wg       sync.WaitGroup
+	stopPeer func() // waits for the peer-port workers
 }
 
 // NewServer boots one rpcdir server. If the peer is reachable and ahead,
 // the server syncs its state from the peer before serving.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
 	if cfg.ID != 1 && cfg.ID != 2 {
 		return nil, fmt.Errorf("rpcdir: server id must be 1 or 2, got %d", cfg.ID)
 	}
@@ -119,153 +99,64 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err := dirsvc.OpenObjectTable(cfg.Admin)
+	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
+		Service:        cfg.Service,
+		BaseService:    cfg.BaseService,
+		ServerID:       cfg.ID,
+		Shard:          cfg.Shard,
+		Shards:         cfg.Shards,
+		ActiveShards:   cfg.ActiveShards,
+		Admin:          cfg.Admin,
+		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
+		Workers:        cfg.Workers,
+		TxAbortTimeout: cfg.TxAbortTimeout,
+		LeaseTTL:       cfg.LeaseTTL,
+		EventLogSize:   cfg.EventLogSize,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("rpcdir: %w", err)
 	}
-	base := cfg.ActiveShards
-	if base <= 0 || base > cfg.Shards {
-		base = cfg.Shards
-	}
-	table.ConfigureShard(cfg.Shard, base)
 	s := &Server{
-		cfg:       cfg,
-		stack:     stack,
-		model:     stack.Model(),
-		table:     table,
-		peerRPC:   peerRPC,
-		bc:        bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
-		pending:   make(map[uint32]*pendingIntention),
-		cleanupCh: make(chan capability.Capability, 1024),
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		front:   front,
+		peerRPC: peerRPC,
+		pending: make(map[uint32]*pendingIntention),
 	}
-	s.minSeqWait = s.model.Timeout(5 * time.Second)
-	if s.minSeqWait < 500*time.Millisecond {
-		s.minSeqWait = 500 * time.Millisecond
-	}
-	s.txTimeout = cfg.TxAbortTimeout
-	if s.txTimeout <= 0 {
-		s.txTimeout = s.model.Timeout(30 * time.Second)
-		if s.txTimeout < 3*time.Second {
-			s.txTimeout = 3 * time.Second
-		}
-	}
-	s.applier = dirsvc.NewApplier(dirsvc.ServicePort(cfg.Service), table, s.bc)
-	s.applier.SetLockWaitSlots(cfg.Workers - 1)
-	s.applier.ConfigureTopology(cfg.Shard, base, cfg.Shards)
-
 	if err := s.bootstrap(); err != nil {
+		front.Close()
 		return nil, err
 	}
-
 	// Events recorded on this server carry its own apply order: the pair
 	// applies updates at possibly different times (lazy copies), so the
 	// log index — not the agreed Seq — is the stream cursor here. The
 	// identity is per boot; bootstrap's replayed history is not recorded.
-	leaseTTL := cfg.LeaseTTL
-	if leaseTTL <= 0 {
-		leaseTTL = s.model.Timeout(60 * time.Second)
-		if leaseTTL < 2*time.Second {
-			leaseTTL = 2 * time.Second
-		}
-	}
-	s.notifier = dirsvc.NewNotifier(cfg.EventLogSize, s.seq, leaseTTL)
-	s.applier.AttachEvents(s.notifier)
+	front.StartEvents(s.seq)
 
-	peerSrv, err := rpc.NewServer(stack, PeerPort(cfg.Service, cfg.ID))
-	if err != nil {
+	if s.peerSrv, err = rpc.NewServer(stack, PeerPort(cfg.Service, cfg.ID)); err != nil {
+		front.Close()
 		return nil, err
 	}
-	s.peerSrv = peerSrv
-	s.stops = append(s.stops, peerSrv.ServeFunc(2, s.handlePeerRPC))
-
-	rpcSrv, err := rpc.NewServer(stack, dirsvc.ServicePort(cfg.Service))
-	if err != nil {
-		peerSrv.Close()
+	s.stopPeer = s.peerSrv.ServeFunc(2, s.handlePeerRPC)
+	if err := front.Serve(s); err != nil {
+		s.Close()
 		return nil, err
 	}
-	s.rpcSrv = rpcSrv
-	// Load hint: stored-but-unapplied peer intentions are this server's
-	// lag measure (the lazy applies a read may have to wait out).
-	rpcSrv.SetLagFunc(func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.pending)
-	})
-	s.stops = append(s.stops, rpcSrv.ServeFunc(cfg.Workers, s.handleClientRPC))
-
-	txRPC, err := rpc.NewClient(stack)
-	if err != nil {
-		return nil, err
-	}
-	s.txRPC = txRPC
-	s.wg.Add(1)
-	go s.cleanupLoop()
-	s.wg.Add(1)
-	go s.txResolveLoop()
 	return s, nil
-}
-
-// txResolveLoop resolves prepared transactions orphaned by a dead
-// coordinator, exactly like the group kind's loop: presumed abort at
-// the transaction's resolver shard, a decision query elsewhere (see
-// dirsvc.ResolveOrphanTxs). Both servers of the pair run it; the
-// decide goes through handleUpdate, so the peer gets its copy via the
-// ordinary intention protocol and duplicate decisions are idempotent.
-func (s *Server) txResolveLoop() {
-	defer s.wg.Done()
-	tick := s.txTimeout / 4
-	if tick < 25*time.Millisecond {
-		tick = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	strikes := make(map[dirsvc.TxID]int)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-		dirsvc.ResolveOrphanTxs(s.applier, s.cfg.Shard, s.cfg.Shards, s.txTimeout, strikes,
-			func(id dirsvc.TxID, commit bool) {
-				req := &dirsvc.Request{
-					Op:   dirsvc.OpDecide,
-					Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: commit}),
-				}
-				_ = s.handleUpdate(req)
-			},
-			func(resolver int, id dirsvc.TxID) dirsvc.TxState {
-				return dirsvc.QueryTxState(s.txRPC, s.cfg.BaseService, s.cfg.Shards, resolver, id)
-			})
-	}
 }
 
 // bootstrap loads local state, replays a stored intention, and pulls
 // newer state from the peer when available.
 func (s *Server) bootstrap() error {
-	if err := s.applier.LoadAll(); err != nil {
+	applier := s.front.Applier
+	if err := applier.LoadAll(); err != nil {
 		return err
 	}
-	s.seq = s.table.MaxSeq()
-
-	// Adopt the persisted topology (admin block 0, written only on
-	// topology changes — splits, seals, stub drops). A split at a source
-	// shard touches no object-table entry, so without this block the
-	// epoch would silently reset to zero on restart.
-	if cb, err := dirsvc.ReadCommitBlock(s.cfg.Admin, 0); err == nil {
-		if cb.Topo != nil {
-			s.applier.RestoreTopology(cb.Topo)
-		}
-		if cb.Seq > s.seq {
-			s.seq = cb.Seq
-		}
-	}
+	s.seq = s.front.StoredSeq()
 
 	// Replay an intention that was promised before a crash.
 	if raw, err := s.cfg.Staging.ReadBlock(0); err == nil {
 		if intent, seq, ok := decodeIntention(raw); ok && seq > s.seq {
-			if res, err := s.applier.ApplyUpdate(intent, seq, true); err == nil {
+			if res, err := applier.ApplyUpdate(intent, seq, true); err == nil {
 				s.seq = seq
 				if res.AdvanceSeq > s.seq {
 					s.seq = res.AdvanceSeq
@@ -285,150 +176,58 @@ func (s *Server) bootstrap() error {
 			}
 		}
 	}
-	if err := s.applier.FormatRoot(true); err != nil {
-		return err
-	}
-	return nil
+	return applier.FormatRoot(true)
 }
 
 // Close stops the server (fail-stop; disk contents survive).
 func (s *Server) Close() {
-	close(s.stop)
-	s.applier.AttachEvents(nil)
-	s.notifier.Close()
-	s.rpcSrv.Close()
+	s.front.Close()
 	s.peerSrv.Close()
-	for _, stop := range s.stops {
-		stop()
-	}
-	if s.txRPC != nil {
-		s.txRPC.Close()
-	}
+	s.stopPeer()
 	s.wg.Wait()
 }
 
-// Seq returns the server's update sequence number (tests).
-func (s *Server) Seq() uint64 {
+// The five dirsvc.Backend hooks follow.
+
+// Ready always admits: the service assumes partitions do not happen, and
+// a lone survivor keeps serving.
+func (s *Server) Ready(dirsvc.OpCode) bool { return true }
+
+// WaitFloor applies any intention the peer proposed for the directory
+// that we have not applied yet, so the read observes every acknowledged
+// update; creates and batches pend under object 0, so that slot is
+// always drained. A read carrying a session floor (Request.MinSeq,
+// stamped by read-balancing clients) then drains every stored intention
+// and waits for the peer's lazy applies until the local sequence number
+// reaches the floor, so a read landing on the server that did not
+// originate the write still observes it.
+func (s *Server) WaitFloor(obj uint32, minSeq uint64) bool {
+	s.applyPendingFor(0)
+	if obj != 0 {
+		s.applyPendingFor(obj)
+	}
+	return minSeq == 0 || s.waitMinSeq(minSeq)
+}
+
+// AppliedSeq returns the server's update sequence number.
+func (s *Server) AppliedSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
 }
 
-func (s *Server) handleClientRPC(req *rpc.Request) []byte {
-	dreq, err := dirsvc.DecodeRequest(req.Payload)
-	if err != nil {
-		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
-	}
-	switch dreq.Op {
-	case dirsvc.OpWatch:
-		addr := req.PushAddr()
-		push := func(payload []byte) error { return s.rpcSrv.Push(addr, payload) }
-		batch := s.notifier.Subscribe(addr.Tx, dreq.Seq, dreq.MinSeq, push)
-		return (&dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}).Encode()
-	case dirsvc.OpLeaseRenew:
-		batch, ok := s.notifier.Renew(dreq.Seq, dreq.MinSeq)
-		if !ok {
-			return (&dirsvc.Reply{Status: dirsvc.StatusNotFound}).Encode()
-		}
-		return (&dirsvc.Reply{Status: dirsvc.StatusOK, Blob: dirsvc.EncodeEventBatch(batch)}).Encode()
-	}
-	if !dreq.Op.IsUpdate() {
-		return s.handleRead(dreq).Encode()
-	}
-	s.stack.Node().CPU().Charge(s.model.UpdateCPU)
-	return s.handleUpdate(dreq).Encode()
-}
-
-// handleRead serves reads locally. If the peer proposed an intention for
-// the directory that we have not applied yet, apply it first so the read
-// observes every acknowledged update. Creates and batches pend under
-// object 0, so that slot is always drained. A read carrying a session
-// floor (Request.MinSeq, stamped by read-balancing clients) drains every
-// stored intention and waits for the peer's lazy applies until the local
-// sequence number reaches the floor, so a read landing on the server
-// that did not originate the write still observes it.
-func (s *Server) handleRead(req *dirsvc.Request) *dirsvc.Reply {
-	s.applyPendingFor(0)
-	if obj := req.Dir.Object; obj != 0 {
-		s.applyPendingFor(obj)
-	}
-	if req.MinSeq > 0 && !s.waitMinSeq(req.MinSeq) {
-		// Floor unreachable: refuse rather than answer from state the
-		// client has already seen past. Same status as the group kind's
-		// refusal, so the balanced client's failover retry kicks in and
-		// may land on the up-to-date server.
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-	}
-	// Readers of an object locked by a prepared two-phase transaction
-	// wait for the decision (bounded; a refused client retries).
-	if obj := req.Dir.Object; obj != 0 && !s.applier.WaitUnlocked(obj, s.minSeqWait) {
-		return &dirsvc.Reply{Status: dirsvc.StatusConflict}
-	}
-	// An object this shard does not own (migrated away, or not yet
-	// migrated in) is bounced with the owner's address. Checked after the
-	// lock wait: a reader racing a migration flip parks until the decide,
-	// then sees either the entry or the forwarding stub — never a window
-	// where both shards refuse. OpMigRead is the migration copy itself
-	// and must read the source copy that routing says is leaving.
-	if obj := req.Dir.Object; obj != 0 && req.Op != dirsvc.OpMigRead {
-		if owner, fwd := s.applier.RouteForward(obj); fwd {
-			topo, _ := s.applier.Topology()
-			return &dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}
-		}
-	}
-	// Sample the sequence number before the read so the stamp is a
-	// conservative freshness bound for client read caches.
+// Lag is the load hint's lag measure: stored-but-unapplied peer
+// intentions (the lazy applies a read may have to wait out).
+func (s *Server) Lag() int {
 	s.mu.Lock()
-	svcSeq := s.seq
-	s.mu.Unlock()
-	s.stack.Node().CPU().Charge(s.model.LookupCPU)
-	reply := s.applier.Read(req)
-	reply.Seq = svcSeq
-	return reply
+	defer s.mu.Unlock()
+	return len(s.pending)
 }
 
-// handleUpdate is the paper's §1 write protocol.
-func (s *Server) handleUpdate(req *dirsvc.Request) *dirsvc.Reply {
-	// Queue behind prepared-transaction locks before taking updateMu:
-	// the decide that releases them is itself a handleUpdate and must be
-	// able to run while waiters are parked. OpDecide has no wait targets.
-	if err := s.applier.AwaitLockFree(dirsvc.LockWaitTargets(req, s.cfg.Shard), s.minSeqWait); err != nil {
-		return dirsvc.ErrorReply(err)
-	}
-
-	// Bounce updates for objects homed elsewhere (batches, prepares,
-	// decides and splits carry object 0 and pass through).
-	if obj := req.Dir.Object; obj != 0 {
-		if owner, fwd := s.applier.RouteForward(obj); fwd {
-			topo, _ := s.applier.Topology()
-			return &dirsvc.Reply{Status: dirsvc.StatusNotMine, Blob: dirsvc.EncodeNotMine(topo.Epoch, owner)}
-		}
-	}
-
+// Replicate is the paper's §1 write protocol.
+func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-
-	switch {
-	case req.Op == dirsvc.OpCreateDir && len(req.CheckSeed) == 0:
-		req.CheckSeed = fmt.Appendf(nil, "rpcdir:%d:%d", s.cfg.ID, time.Now().UnixNano())
-	case req.Op == dirsvc.OpBatch:
-		steps, err := dirsvc.DecodeBatchSteps(req.Blob)
-		if err != nil {
-			return dirsvc.ErrorReply(err)
-		}
-		if dirsvc.EnsureBatchSeeds(steps, func(i int) []byte {
-			return fmt.Appendf(nil, "rpcdir:%d:%d:%d", s.cfg.ID, time.Now().UnixNano(), i)
-		}) {
-			req.Blob = dirsvc.EncodeBatchSteps(steps)
-		}
-	case req.Op == dirsvc.OpPrepare:
-		if err := dirsvc.EnsurePrepareSeeds(req, func(i int) []byte {
-			return fmt.Appendf(nil, "rpcdir:%d:%d:%d", s.cfg.ID, time.Now().UnixNano(), i)
-		}); err != nil {
-			return dirsvc.ErrorReply(err)
-		}
-	}
-	req.Server = s.cfg.ID
 
 	s.mu.Lock()
 	seq := s.seq + 1
@@ -467,7 +266,7 @@ func (s *Server) handleUpdate(req *dirsvc.Request) *dirsvc.Reply {
 	}
 
 	// Phase 2: perform the update locally (Bullet file + object table).
-	res, aerr := s.applier.ApplyUpdate(req, agreedSeq, true)
+	res, aerr := s.front.Applier.ApplyUpdate(req, agreedSeq, true)
 	if aerr != nil {
 		// Tell the peer to forget the intention.
 		if peerUp {
@@ -476,25 +275,10 @@ func (s *Server) handleUpdate(req *dirsvc.Request) *dirsvc.Reply {
 		}
 		return dirsvc.ErrorReply(aerr)
 	}
-	// A shard restore installs a snapshot whose counters may run past the
-	// agreed sequence number; jump so fresh stamps stay monotonic. (The
-	// peer's lazy-apply message still carries agreedSeq — that is the key
-	// its pending table is indexed by.)
-	effSeq := agreedSeq
-	if res.AdvanceSeq > effSeq {
-		effSeq = res.AdvanceSeq
-	}
-	s.mu.Lock()
-	if effSeq > s.seq {
-		s.seq = effSeq
-	}
-	s.mu.Unlock()
-	if res.TopoChanged {
-		s.persistTopo(effSeq)
-	}
-	for _, old := range res.OldBullet {
-		s.scheduleCleanup(old)
-	}
+	// (The peer's lazy-apply message still carries agreedSeq, whatever
+	// the apply advanced to — that is the key its pending table is
+	// indexed by.)
+	s.applied(res, agreedSeq)
 
 	// Phase 3 (background): the peer creates its copy lazily.
 	if peerUp {
@@ -599,26 +383,40 @@ func (s *Server) handleApplyLazy(dreq *dirsvc.Request) *dirsvc.Reply {
 		_ = s.cfg.Staging.WriteBlockSeq(0, nil)
 		return &dirsvc.Reply{Status: dirsvc.StatusOK}
 	}
-	res, err := s.applier.ApplyUpdate(intent.req, intent.seq, true)
-	effSeq := intent.seq
-	if err == nil {
-		if res.AdvanceSeq > effSeq {
-			effSeq = res.AdvanceSeq
-		}
-		if res.TopoChanged {
-			s.persistTopo(effSeq)
-		}
-		for _, old := range res.OldBullet {
-			s.scheduleCleanup(old)
-		}
+	s.applyIntention(intent)
+	return &dirsvc.Reply{Status: dirsvc.StatusOK}
+}
+
+// applyIntention creates this server's copy of an update the peer
+// proposed and clears the staging block. A failed apply still consumes
+// the agreed sequence number: the originator's failed the same way.
+func (s *Server) applyIntention(intent *pendingIntention) {
+	res, err := s.front.Applier.ApplyUpdate(intent.req, intent.seq, true)
+	if err != nil {
+		res = &dirsvc.ApplyResult{}
+	}
+	s.applied(res, intent.seq)
+	_ = s.cfg.Staging.WriteBlockSeq(0, nil)
+}
+
+// applied folds one apply at seq into the server: the sequence number
+// advances (past seq when a shard restore installed a snapshot whose
+// counters run ahead, so fresh stamps stay monotonic), a changed
+// topology reaches the commit block, and superseded files are queued
+// for deletion.
+func (s *Server) applied(res *dirsvc.ApplyResult, seq uint64) {
+	if res.AdvanceSeq > seq {
+		seq = res.AdvanceSeq
 	}
 	s.mu.Lock()
-	if effSeq > s.seq {
-		s.seq = effSeq
+	if seq > s.seq {
+		s.seq = seq
 	}
 	s.mu.Unlock()
-	_ = s.cfg.Staging.WriteBlockSeq(0, nil)
-	return &dirsvc.Reply{Status: dirsvc.StatusOK}
+	if res.TopoChanged {
+		s.front.PersistTopology(seq)
+	}
+	s.front.ScheduleCleanup(res.OldBullet)
 }
 
 // waitMinSeq drives the local sequence number up to the client's session
@@ -626,7 +424,7 @@ func (s *Server) handleApplyLazy(dreq *dirsvc.Request) *dirsvc.Reply {
 // peer's in-flight lazy applies. It reports whether the floor was
 // reached.
 func (s *Server) waitMinSeq(min uint64) bool {
-	deadline := time.Now().Add(s.minSeqWait)
+	deadline := time.Now().Add(s.front.MinSeqWait)
 	for {
 		s.mu.Lock()
 		cur := s.seq
@@ -659,187 +457,39 @@ func (s *Server) applyPendingFor(obj uint32) {
 		delete(s.pending, obj)
 	}
 	s.mu.Unlock()
-	if intent == nil {
-		return
+	if intent != nil {
+		s.applyIntention(intent)
 	}
-	effSeq := intent.seq
-	if res, err := s.applier.ApplyUpdate(intent.req, intent.seq, true); err == nil {
-		if res.AdvanceSeq > effSeq {
-			effSeq = res.AdvanceSeq
-		}
-		if res.TopoChanged {
-			s.persistTopo(effSeq)
-		}
-		for _, old := range res.OldBullet {
-			s.scheduleCleanup(old)
-		}
-	}
-	s.mu.Lock()
-	if effSeq > s.seq {
-		s.seq = effSeq
-	}
-	s.mu.Unlock()
-	_ = s.cfg.Staging.WriteBlockSeq(0, nil)
 }
 
-// handleSyncPull ships the full state to a restarting peer.
+// handleSyncPull ships the full state to a restarting peer as one
+// snapshot (dirsvc.Snapshot) — images, stubs, topology, and the prepared
+// and decided transactions, so the peer can answer the same decision
+// queries — with the sequence number it covers in Seq.
 func (s *Server) handleSyncPull() *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	s.mu.Lock()
-	seq := s.seq
-	s.mu.Unlock()
-	w := newBundleWriter()
-	for obj, e := range s.table.All() {
-		d, ok := s.applier.Directory(obj)
-		if !ok {
-			continue
-		}
-		w.add(obj, e.Seq, e.Secret, d.Encode())
-	}
-	return &dirsvc.Reply{Status: dirsvc.StatusOK, Seq: seq, Blob: s.wrapSync(w.bytes())}
+	seq := s.AppliedSeq()
+	return &dirsvc.Reply{Status: dirsvc.StatusOK, Seq: seq, Blob: s.front.Applier.SnapshotState(seq, 0).Encode()}
 }
 
-// installState replaces local state with a peer bundle.
+// installState replaces local state with a peer snapshot, written
+// through to our own Bullet store and object table.
 func (s *Server) installState(blob []byte, seq uint64) error {
-	topo, stubs, rest, err := parseSyncWrap(blob)
+	snap, err := dirsvc.DecodeSnapshot(blob)
 	if err != nil {
 		return err
 	}
-	dirs, err := parseBundle(rest)
-	if err != nil {
-		return err
-	}
-	s.applier.InvalidateCache()
-	entries := make(map[uint32]dirsvc.ObjectEntry, len(dirs))
-	for _, d := range dirs {
-		bcap, err := s.bc.Create(d.image)
-		if err != nil {
-			return err
-		}
-		entries[d.obj] = dirsvc.ObjectEntry{Cap: bcap, Seq: d.seq, Secret: d.secret}
-	}
-	if err := s.table.ReplaceAll(entries, stubs); err != nil {
-		return err
-	}
-	if topo != nil {
-		s.applier.RestoreTopology(topo)
-	}
-	if err := s.applier.LoadAll(); err != nil {
+	if err := s.front.Applier.InstallSnapshot(snap, true); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.seq = seq
 	s.mu.Unlock()
-	if topo != nil {
-		s.persistTopo(seq)
+	if snap.Topo != nil {
+		s.front.PersistTopology(seq)
 	}
 	return nil
-}
-
-// persistTopo records the current topology in admin block 0 — rpcdir's
-// equivalent of the group kind's commit block, written only when a
-// split, seal, or stub drop changes the topology. The stored sequence
-// number keeps the server from regressing past the topology change on
-// restart (a split at a source shard touches no object-table entry).
-func (s *Server) persistTopo(seq uint64) {
-	topo, ok := s.applier.Topology()
-	if !ok {
-		return
-	}
-	t := topo
-	_ = (&dirsvc.CommitBlock{Seq: seq, Topo: &t}).Write(s.cfg.Admin)
-}
-
-// wrapSync prefixes a directory bundle with the topology state and the
-// forwarding stubs (which have no directory image, so the plain bundle
-// cannot carry them).
-func (s *Server) wrapSync(dirBundle []byte) []byte {
-	var buf []byte
-	if topo, ok := s.applier.Topology(); ok {
-		buf = append(buf, 1)
-		buf = append(buf, dirsvc.EncodeTopoState(&topo)...)
-	} else {
-		buf = append(buf, 0)
-	}
-	stubs := s.table.Stubs()
-	objs := make([]uint32, 0, len(stubs))
-	for obj := range stubs {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	n := len(objs)
-	buf = append(buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	for _, obj := range objs {
-		st := stubs[obj]
-		buf = append(buf, byte(obj>>24), byte(obj>>16), byte(obj>>8), byte(obj))
-		t := uint32(st.Target)
-		buf = append(buf, byte(t>>24), byte(t>>16), byte(t>>8), byte(t))
-		for i := 7; i >= 0; i-- {
-			buf = append(buf, byte(st.Seq>>(8*i)))
-		}
-	}
-	return append(buf, dirBundle...)
-}
-
-func parseSyncWrap(raw []byte) (*dirsvc.TopoState, map[uint32]dirsvc.StubEntry, []byte, error) {
-	if len(raw) < 1 {
-		return nil, nil, nil, errors.New("rpcdir: short sync bundle")
-	}
-	var topo *dirsvc.TopoState
-	off := 1
-	if raw[0] == 1 {
-		if len(raw) < 1+dirsvc.TopoStateLen {
-			return nil, nil, nil, errors.New("rpcdir: short sync topology")
-		}
-		t, err := dirsvc.DecodeTopoState(raw[1 : 1+dirsvc.TopoStateLen])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		topo = t
-		off += dirsvc.TopoStateLen
-	} else if raw[0] != 0 {
-		return nil, nil, nil, errors.New("rpcdir: bad sync bundle marker")
-	}
-	if off+4 > len(raw) {
-		return nil, nil, nil, errors.New("rpcdir: short sync stub count")
-	}
-	n := int(raw[off])<<24 | int(raw[off+1])<<16 | int(raw[off+2])<<8 | int(raw[off+3])
-	off += 4
-	if n < 0 || off+n*16 > len(raw) {
-		return nil, nil, nil, errors.New("rpcdir: bad sync stub count")
-	}
-	stubs := make(map[uint32]dirsvc.StubEntry, n)
-	for i := 0; i < n; i++ {
-		obj := uint32(raw[off])<<24 | uint32(raw[off+1])<<16 | uint32(raw[off+2])<<8 | uint32(raw[off+3])
-		target := uint32(raw[off+4])<<24 | uint32(raw[off+5])<<16 | uint32(raw[off+6])<<8 | uint32(raw[off+7])
-		var seq uint64
-		for j := 8; j < 16; j++ {
-			seq = seq<<8 | uint64(raw[off+j])
-		}
-		stubs[obj] = dirsvc.StubEntry{Target: int(target), Seq: seq}
-		off += 16
-	}
-	return topo, stubs, raw[off:], nil
-}
-
-func (s *Server) scheduleCleanup(cap capability.Capability) {
-	select {
-	case s.cleanupCh <- cap:
-	default:
-	}
-}
-
-func (s *Server) cleanupLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case cap := <-s.cleanupCh:
-			_ = s.bc.Delete(cap)
-		}
-	}
 }
 
 // Intention staging-block codec: seq u64 | len u32 | request bytes.
@@ -875,57 +525,4 @@ func decodeIntention(raw []byte) (*dirsvc.Request, uint64, bool) {
 		return nil, 0, false
 	}
 	return req, seq, true
-}
-
-// Minimal state-bundle codec (obj, seq, secret, image)*.
-type bundleWriter struct{ buf []byte }
-
-func newBundleWriter() *bundleWriter { return &bundleWriter{} }
-
-func (w *bundleWriter) add(obj uint32, seq uint64, secret capability.Secret, image []byte) {
-	w.buf = append(w.buf, byte(obj>>24), byte(obj>>16), byte(obj>>8), byte(obj))
-	for i := 7; i >= 0; i-- {
-		w.buf = append(w.buf, byte(seq>>(8*i)))
-	}
-	w.buf = append(w.buf, secret[:]...)
-	n := len(image)
-	w.buf = append(w.buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	w.buf = append(w.buf, image...)
-}
-
-func (w *bundleWriter) bytes() []byte { return w.buf }
-
-type bundleDir struct {
-	obj    uint32
-	seq    uint64
-	secret capability.Secret
-	image  []byte
-}
-
-func parseBundle(raw []byte) ([]bundleDir, error) {
-	var out []bundleDir
-	off := 0
-	for off < len(raw) {
-		if off+22 > len(raw) {
-			return nil, errors.New("rpcdir: short bundle")
-		}
-		var d bundleDir
-		d.obj = uint32(raw[off])<<24 | uint32(raw[off+1])<<16 | uint32(raw[off+2])<<8 | uint32(raw[off+3])
-		off += 4
-		for i := 0; i < 8; i++ {
-			d.seq = d.seq<<8 | uint64(raw[off+i])
-		}
-		off += 8
-		copy(d.secret[:], raw[off:off+6])
-		off += 6
-		n := int(raw[off])<<24 | int(raw[off+1])<<16 | int(raw[off+2])<<8 | int(raw[off+3])
-		off += 4
-		if n < 0 || off+n > len(raw) {
-			return nil, errors.New("rpcdir: bad bundle image")
-		}
-		d.image = append([]byte(nil), raw[off:off+n]...)
-		off += n
-		out = append(out, d)
-	}
-	return out, nil
 }

@@ -37,38 +37,6 @@ func TestIntentionCodecRejectsEmptyAndGarbage(t *testing.T) {
 	}
 }
 
-func TestBundleCodecRoundTrip(t *testing.T) {
-	w := newBundleWriter()
-	sec1 := capability.NewSecret([]byte("a"))
-	sec2 := capability.NewSecret([]byte("b"))
-	w.add(1, 10, sec1, []byte("image-one"))
-	w.add(7, 11, sec2, nil)
-	dirs, err := parseBundle(w.bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) != 2 {
-		t.Fatalf("parsed %d dirs", len(dirs))
-	}
-	if dirs[0].obj != 1 || dirs[0].seq != 10 || dirs[0].secret != sec1 || string(dirs[0].image) != "image-one" {
-		t.Fatalf("dir[0] = %+v", dirs[0])
-	}
-	if dirs[1].obj != 7 || len(dirs[1].image) != 0 {
-		t.Fatalf("dir[1] = %+v", dirs[1])
-	}
-}
-
-func TestBundleCodecRejectsTruncation(t *testing.T) {
-	w := newBundleWriter()
-	w.add(1, 10, capability.NewSecret([]byte("a")), []byte("xyz"))
-	raw := w.bytes()
-	for cut := 1; cut < len(raw); cut += 2 {
-		if _, err := parseBundle(raw[:len(raw)-cut]); err == nil {
-			t.Fatalf("parsed truncated bundle (cut %d)", cut)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	stack := newTestStack(t, net)

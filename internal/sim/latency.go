@@ -14,8 +14,10 @@ package sim
 import "time"
 
 // LatencyModel holds the calibrated costs of the simulated hardware. See
-// DESIGN.md §3 for the derivation of the default values from the paper's
-// own measurements.
+// the calibration table in ARCHITECTURE.md ("Simulated hardware:
+// calibration and ablations") for where each default comes from in the
+// paper's own measurements, and bench/README.md ("The traced run") for the
+// end-to-end check against the paper's §4 arithmetic.
 type LatencyModel struct {
 	// WireDelay is the propagation plus controller delay per frame.
 	WireDelay time.Duration
@@ -49,7 +51,8 @@ type LatencyModel struct {
 }
 
 // PaperModel returns the latency model calibrated to the paper's hardware
-// (Sun3/60, 10 Mbit/s Ethernet, Wren IV SCSI disks). See DESIGN.md §3.
+// (Sun3/60, 10 Mbit/s Ethernet, Wren IV SCSI disks); ARCHITECTURE.md
+// ("Simulated hardware: calibration and ablations") gives the sources.
 func PaperModel() *LatencyModel {
 	return &LatencyModel{
 		WireDelay:     10 * time.Microsecond,

@@ -119,7 +119,8 @@ func (d *Disk) WriteBlock(i int, data []byte) error {
 
 // WriteBlockSeq writes like WriteBlock but charges only a short seek. The
 // RPC directory service uses this for its intentions block, which lives at
-// a fixed staging location near the head's resting position (DESIGN.md §6).
+// a fixed staging location near the head's resting position (DiskSeqOp in
+// ARCHITECTURE.md's calibration table).
 func (d *Disk) WriteBlockSeq(i int, data []byte) error {
 	return d.write(i, data, true)
 }

@@ -41,12 +41,17 @@ func newMigCluster(t *testing.T, kind Kind, shards, active int) *Cluster {
 		t.Fatalf("New(%v, shards=%d, active=%d): %v", kind, shards, active, err)
 	}
 	t.Cleanup(c.Close)
-	// Ride out boot churn: group bootstrap can take a few recovery rounds
-	// to merge every replica into one view, and a fixture built meanwhile
-	// sees refused reads, doubled creates (a lost ack retried) and replicas
-	// that have not pulled state yet. A cluster that never settles is left
-	// to the scenario's own retries.
-	_ = retryFor(10*time.Second, func() error {
+	_ = awaitFullMembership(c) // a cluster that never settles is left to the scenario's own retries
+	return c
+}
+
+// awaitFullMembership rides out boot churn: group bootstrap can take a
+// few recovery rounds to merge every replica into one view, and a fixture
+// built meanwhile sees refused reads, doubled creates (a lost ack
+// retried) and replicas that have not pulled state yet. The error says
+// the cluster did not settle: two groups that never merge (ROADMAP 1a).
+func awaitFullMembership(c *Cluster) error {
+	return retryFor(10*time.Second, func() error {
 		for s := 0; s < c.Shards(); s++ {
 			for id := 1; id <= c.ServersPerShard(); id++ {
 				if st, ok := c.ShardServerStatus(s, id); ok && (st.Recovering || st.Members != c.ServersPerShard()) {
@@ -56,7 +61,6 @@ func newMigCluster(t *testing.T, kind Kind, shards, active int) *Cluster {
 		}
 		return nil
 	})
-	return c
 }
 
 // migFixture is one migration scenario: a coordinator, an independent

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"dirsvc/dir"
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirclient"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
+	"dirsvc/internal/vdisk"
 )
 
 // bgCtx is the unbounded context used where no deadline applies.
@@ -323,16 +326,89 @@ func TestMinorityPartitionRefusesReads(t *testing.T) {
 	}
 }
 
-func TestNVRAMTmpFileOptimization(t *testing.T) {
-	c, err := New(KindGroupNVRAM, Options{
-		Model:             sim.FastModel(),
-		HeartbeatInterval: testHeartbeat,
-		IdleFlush:         time.Hour, // never flush during the test
+// nvramFlushMark is the ¾ point of the NVRAM region, past which a server
+// flushes its log to disk.
+const nvramFlushMark = vdisk.DefaultNVRAMSize * 3 / 4
+
+// newNVRAMCluster boots the NVRAM kind with the idle flush off, so only a
+// full log ever reaches the disk, and waits for all three replicas: one
+// that joins late — or is expelled and rejoins — pulls its state onto its
+// disk and starts an empty log. The heartbeat is 50 ms because unpaced
+// writers saturate a small host, and the 15 ms floor then declares a
+// starved replica dead after 90 ms (bench/README.md, "Heartbeat floor").
+func newNVRAMCluster(t *testing.T) *Cluster {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		c, err := New(KindGroupNVRAM, Options{
+			Model:             sim.FastModel(),
+			HeartbeatInterval: 50 * time.Millisecond,
+			IdleFlush:         time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := awaitFullMembership(c); err != nil && attempt < 3 {
+			c.Close() // a boot that split into two groups: boot again
+			continue
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+}
+
+// nvramUsed returns the NVRAM log fill of replica id.
+func nvramUsed(t *testing.T, c *Cluster, id int) int {
+	t.Helper()
+	st, ok := c.ShardServerStatus(0, id)
+	if !ok {
+		t.Fatalf("server %d has no status", id)
+	}
+	return st.NVRAMUsed
+}
+
+// crashAndRestartAll takes every replica down at once and boots them all
+// again: what comes back is what the NVRAM logs and the disks hold.
+func crashAndRestartAll(t *testing.T, c *Cluster) {
+	t.Helper()
+	for id := 1; id <= c.ServersPerShard(); id++ {
+		c.CrashServer(id)
+	}
+	restartShard(t, c, 0)
+}
+
+// listNames lists dir once the restarted service answers.
+func listNames(t *testing.T, client *dirclient.Client, dir capability.Capability) map[string]bool {
+	t.Helper()
+	names := make(map[string]bool)
+	err := retryFor(30*time.Second, func() error {
+		rows, err := client.List(bgCtx, dir, 0)
+		for _, row := range rows {
+			names[row.Name] = true
+		}
+		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("list after restart: %v", err)
 	}
-	t.Cleanup(c.Close)
+	return names
+}
+
+// diskWrites returns each replica's count of disk writes so far.
+func diskWrites(c *Cluster) (writes [3]uint64) {
+	for id := 1; id <= 3; id++ {
+		s := c.DiskStats(id)
+		writes[id-1] = s.Writes + s.SeqWrites
+	}
+	return writes
+}
+
+// TestNVRAMTmpFileOptimization: append+delete pairs cost NO disk writes
+// at any server (the paper's /tmp optimization), however many of them —
+// the log takes the cancelled records' space back instead of flushing,
+// and carries the one long-lived record logged first through every
+// compaction.
+func TestNVRAMTmpFileOptimization(t *testing.T) {
+	c := newNVRAMCluster(t)
 	client, cleanup, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -348,40 +424,52 @@ func TestNVRAMTmpFileOptimization(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	// Settle, then measure: append+delete pairs must cost NO disk
-	// writes at any server (the paper's /tmp optimization).
-	var before [3]uint64
-	for i := 1; i <= 3; i++ {
-		s := c.DiskStats(i)
-		before[i-1] = s.Writes + s.SeqWrites
+	before := diskWrites(c)
+	const writers, pairs = 2, 1000
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			wc, wcleanup, err := c.NewClient()
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer wcleanup()
+			for i := 0; i < pairs; i++ {
+				name := fmt.Sprintf("tmp%d-%d", w, i)
+				if err := wc.Append(bgCtx, dir, name, root, nil); err != nil {
+					errs <- fmt.Errorf("writer %d append %d: %w", w, i, err)
+					return
+				}
+				if err := wc.Delete(bgCtx, dir, name); err != nil {
+					errs <- fmt.Errorf("writer %d delete %d: %w", w, i, err)
+					return
+				}
+				for id := 1; id <= 3; id++ {
+					if st, _ := c.ShardServerStatus(0, id); st.NVRAMUsed > nvramFlushMark {
+						errs <- fmt.Errorf("server %d: NVRAM log at %d bytes, flush mark is %d", id, st.NVRAMUsed, nvramFlushMark)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(w)
 	}
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("tmp%d", i)
-		if err := client.Append(bgCtx, dir, name, root, nil); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		if err := client.Delete(bgCtx, dir, name); err != nil {
-			t.Fatalf("delete %d: %v", i, err)
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	for i := 1; i <= 3; i++ {
-		s := c.DiskStats(i)
-		if got := s.Writes + s.SeqWrites - before[i-1]; got != 0 {
-			t.Fatalf("server %d: %d disk writes for cancelled pairs, want 0", i, got)
-		}
+	if after := diskWrites(c); after != before {
+		t.Fatalf("disk writes per server went %v → %v over cancelled pairs, want no change", before, after)
+	}
+	if _, err := client.Lookup(bgCtx, root, "tmpdir"); err != nil {
+		t.Fatalf("long-lived entry after %d pairs: %v", writers*pairs, err)
 	}
 }
 
 func TestNVRAMSurvivesCrash(t *testing.T) {
-	c, err := New(KindGroupNVRAM, Options{
-		Model:             sim.FastModel(),
-		HeartbeatInterval: testHeartbeat,
-		IdleFlush:         time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := newNVRAMCluster(t)
 	client, cleanup, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +499,113 @@ func TestNVRAMSurvivesCrash(t *testing.T) {
 			t.Fatal("entry lost after NVRAM crash-recovery")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestNVRAMSurvivesCrashAfterCompaction crashes all three replicas right
+// after their logs compacted: nothing is on disk, so every live row —
+// logged before the compaction, moved by it, or appended behind it — must
+// come back from the compacted NVRAM images, and no cancelled one may.
+func TestNVRAMSurvivesCrashAfterCompaction(t *testing.T) {
+	c := newNVRAMCluster(t)
+	client, cleanup, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	dir, err := client.CreateDir(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := diskWrites(c)
+	want := make(map[string]bool)
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("keep%d", i)
+		if err := client.Append(bgCtx, dir, name, dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = true
+	}
+
+	// Cancelled pairs until every replica's log has shrunk once. The
+	// replicas apply one stream, so they compact at the same record; the
+	// acknowledgement only says the initiator has.
+	var last [3]int
+	var compacted [3]bool
+	for i := 0; !(compacted[0] && compacted[1] && compacted[2]); i++ {
+		if i == 1000 {
+			t.Fatalf("no compaction in %d pairs: log fill %v", i, last)
+		}
+		name := fmt.Sprintf("tmp%d", i)
+		if err := client.Append(bgCtx, dir, name, dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Delete(bgCtx, dir, name); err != nil {
+			t.Fatal(err)
+		}
+		for id := 1; id <= 3; id++ {
+			used := nvramUsed(t, c, id)
+			if used < last[id-1] {
+				compacted[id-1] = true
+			}
+			last[id-1] = used
+		}
+	}
+	if err := client.Append(bgCtx, dir, "behind-compaction", dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	want["behind-compaction"] = true
+	if after := diskWrites(c); after != before {
+		t.Fatalf("disk writes per server went %v → %v: the rows would not be coming from NVRAM", before, after)
+	}
+
+	crashAndRestartAll(t, c)
+	if got := listNames(t, client, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows after whole-cluster crash:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNVRAMOversizedBatchSurvivesCrash: an update whose record does not
+// fit in what is left of the log must be flushed through to disk before
+// it is acknowledged. Applied in RAM only and skipped by the log, it
+// would vanish in a whole-cluster crash while later, smaller records —
+// and the log's maxSeq — survive it.
+func TestNVRAMOversizedBatchSurvivesCrash(t *testing.T) {
+	c := newNVRAMCluster(t)
+	client, cleanup, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	d, err := client.CreateDir(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool)
+	for i := 0; nvramUsed(t, c, 1) < vdisk.DefaultNVRAMSize*7/10; i++ {
+		name := fmt.Sprintf("fill%03d", i)
+		if err := client.Append(bgCtx, d, name, d, nil); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = true
+	}
+	batch := dir.NewBatch()
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("batch%03d", i)
+		batch.Append(d, name, d, nil)
+		want[name] = true
+	}
+	if _, err := client.Apply(bgCtx, batch); err != nil {
+		t.Fatalf("100-step batch: %v", err)
+	}
+	if err := client.Append(bgCtx, d, "after-batch", d, nil); err != nil {
+		t.Fatal(err)
+	}
+	want["after-batch"] = true
+
+	crashAndRestartAll(t, c)
+	if got := listNames(t, client, d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d rows after whole-cluster crash, want %d (100 of them from the batch)", len(got), len(want))
 	}
 }
 

@@ -718,8 +718,9 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, uint64) {
 	durable := s.nvlog == nil && s.engine == nil
 	if s.nvlog != nil && s.nvlog.NeedsFlush() {
-		// Make room first if the log is full.
-		s.flushNVRAM()
+		// Live records fill the log (cancelled ones it compacts away by
+		// itself): make room first.
+		_ = s.flushNVRAM() // on disk trouble the log stays and Append below decides
 	}
 	res, err := s.front.Applier.ApplyUpdate(req, seq, durable)
 	if err != nil {
@@ -765,14 +766,20 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 		if req.Op == dirsvc.OpRestoreShard {
 			// The installed snapshot dwarfs any log budget; flush it
 			// through now so a crash cannot lose the restore.
-			s.flushNVRAM()
+			if err := s.flushNVRAM(); err != nil {
+				return dirsvc.ErrorReply(err), effSeq
+			}
 			break
 		}
 		if _, err := s.nvlog.Append(s.pinAllocation(req, res), seq); err != nil {
-			// Log jammed even after flush: fall back to demanding a
-			// flush on the next update; correctness is preserved since
-			// RAM state is current.
-			_ = err
+			// The record does not fit below the region's end (a large
+			// batch, or live records up to the brim). RAM already holds
+			// the update, so flushing it through makes it durable; an
+			// update acknowledged with neither a log record nor a flush
+			// would leave a hole under the log's maxSeq after a crash.
+			if err := s.flushNVRAM(); err != nil {
+				return dirsvc.ErrorReply(err), effSeq
+			}
 		}
 	default: // engine write-ahead log
 		if req.Op == dirsvc.OpRestoreShard {
@@ -835,7 +842,8 @@ func (s *Server) Checkpoint() error {
 
 // flushLoop is the background flusher: it writes the NVRAM log through
 // to disk (§4.1), or cuts an engine checkpoint, when the server is idle
-// or the log passes its threshold.
+// or the log passes its threshold — which the NVRAM log, compacting
+// cancelled records away on its own, passes only when bound by live ones.
 func (s *Server) flushLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.IdleFlush / 2)
@@ -860,7 +868,7 @@ func (s *Server) flushLoop() {
 		case s.nvlog != nil:
 			if s.nvlog.NeedsFlush() || (idle && s.nvlog.Len() > 0) {
 				s.applyMu.Lock()
-				s.flushNVRAM()
+				_ = s.flushNVRAM() // disk trouble: the log is kept, retry next tick
 				s.applyMu.Unlock()
 			}
 		case s.engine.NeedsCheckpoint() || (idle && s.engine.LogLen() > 0):
@@ -872,20 +880,27 @@ func (s *Server) flushLoop() {
 }
 
 // flushNVRAM writes every dirty directory through to Bullet and the
-// object table, then clears the log. The work list comes from the
-// object table's RAM-dirty set, which — unlike parsing the logged
-// requests — also covers created directories (object numbers assigned
-// at apply time), batch steps, and deletions.
-func (s *Server) flushNVRAM() {
+// object table, then clears the log. It runs when live records fill the
+// log (space held by cancelled records the log reclaims itself, with no
+// disk write), when a record does not fit at all, and when the server
+// idles with live records logged. The work list comes from the object
+// table's RAM-dirty set, which — unlike parsing the logged requests —
+// also covers created directories (object numbers assigned at apply
+// time), batch steps, and deletions. On disk trouble the log is kept, so
+// a later round can retry.
+func (s *Server) flushNVRAM() error {
 	for _, obj := range s.front.Table.RAMDirtyObjects() {
 		olds, err := s.front.Applier.FlushObject(obj)
 		if err != nil {
-			return // disk trouble: keep the log, retry next round
+			return err
 		}
 		s.front.ScheduleCleanup(olds)
 	}
-	_ = s.nvlog.Clear()
+	if err := s.nvlog.Clear(); err != nil {
+		return err
+	}
 	s.relogTxState()
+	return nil
 }
 
 // relogTxState re-appends the two-phase-commit state to a just-cleared

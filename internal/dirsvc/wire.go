@@ -329,7 +329,12 @@ type Reply struct {
 
 // Encode serializes the request.
 func (r *Request) Encode() []byte {
-	w := newWriter()
+	return r.appendTo(make([]byte, 0, 128))
+}
+
+// appendTo appends the serialized request to dst.
+func (r *Request) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u8(uint8(r.Op))
 	w.cap(r.Dir)
 	w.str(r.Name)

@@ -17,8 +17,9 @@ const DefaultNVRAMSize = 24 * 1024
 type NVRAM struct {
 	model *sim.LatencyModel
 
-	mu  sync.Mutex
-	buf []byte
+	mu      sync.Mutex
+	buf     []byte
+	onWrite func()
 }
 
 // NewNVRAM creates an NVRAM region of size bytes.
@@ -44,9 +45,22 @@ func (n *NVRAM) Write(off int, data []byte) error {
 		return fmt.Errorf("nvram write [%d,%d): %w", off, off+len(data), ErrTooLarge)
 	}
 	copy(n.buf[off:], data)
+	onWrite := n.onWrite
 	n.mu.Unlock()
+	if onWrite != nil {
+		onWrite()
+	}
 	n.model.Sleep(n.model.NVRAMWrite)
 	return nil
+}
+
+// ObserveWrites makes every later Write call fn once its bytes are in the
+// region. Crash tests use it to examine, through Snapshot, the image a
+// power cut at that point would leave behind.
+func (n *NVRAM) ObserveWrites(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.onWrite = fn
 }
 
 // Read returns a copy of the region [off, off+length).

@@ -334,6 +334,8 @@ func (c *Cluster) buildMachine(sg *shardGroup, id int) (*machine, error) {
 // bootServer starts the directory server process on machine m of shard sg.
 func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 	m.dirStack = flip.NewStack(m.dirNode)
+	front := c.frontConfig(sg, m.admin)
+	front.ServerID = m.id
 	switch c.Kind {
 	case KindGroup, KindGroupNVRAM:
 		peers := make(map[int]sim.NodeID, len(sg.machines))
@@ -349,27 +351,17 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 				return fmt.Errorf("open engine (server %d, shard %d): %w", m.id, sg.index, err)
 			}
 		}
+		front.Replicas = c.opts.Servers
 		srv, err := core.NewServer(m.dirStack, core.Config{
-			Service:                  sg.service,
-			BaseService:              c.Service,
-			ID:                       m.id,
-			N:                        c.opts.Servers,
-			Shard:                    sg.index,
-			Shards:                   c.opts.Shards,
-			ActiveShards:             c.opts.ActiveShards,
-			TxAbortTimeout:           c.opts.TxAbortTimeout,
+			FrontConfig:              front,
 			Peers:                    peers,
-			Admin:                    m.admin,
 			NVRAM:                    m.nvram,
 			Engine:                   engine,
-			Workers:                  c.opts.Workers,
 			Resilience:               c.opts.Resilience,
 			DisableImprovement:       c.opts.DisableImprovement,
 			DisableReadMajorityCheck: c.opts.DisableReadMajorityCheck,
 			HeartbeatInterval:        c.opts.HeartbeatInterval,
 			IdleFlush:                c.opts.IdleFlush,
-			LeaseTTL:                 c.opts.LeaseTTL,
-			EventLogSize:             c.opts.EventLogSize,
 		})
 		if err != nil {
 			return fmt.Errorf("boot group server %d (shard %d): %w", m.id, sg.index, err)
@@ -379,20 +371,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.core = srv
 		m.mu.Unlock()
 	case KindRPC:
-		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{
-			Service:        sg.service,
-			BaseService:    c.Service,
-			ID:             m.id,
-			Admin:          m.admin,
-			Staging:        m.staging,
-			Workers:        c.opts.Workers,
-			Shard:          sg.index,
-			Shards:         c.opts.Shards,
-			ActiveShards:   c.opts.ActiveShards,
-			TxAbortTimeout: c.opts.TxAbortTimeout,
-			LeaseTTL:       c.opts.LeaseTTL,
-			EventLogSize:   c.opts.EventLogSize,
-		})
+		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{FrontConfig: front, Staging: m.staging})
 		if err != nil {
 			return fmt.Errorf("boot rpc server %d (shard %d): %w", m.id, sg.index, err)
 		}
@@ -400,18 +379,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.stop = srv.Close
 		m.mu.Unlock()
 	case KindLocal:
-		srv, err := localdir.NewServer(m.dirStack, localdir.Config{
-			Service:        sg.service,
-			BaseService:    c.Service,
-			Admin:          m.admin,
-			Workers:        c.opts.Workers,
-			Shard:          sg.index,
-			Shards:         c.opts.Shards,
-			ActiveShards:   c.opts.ActiveShards,
-			TxAbortTimeout: c.opts.TxAbortTimeout,
-			LeaseTTL:       c.opts.LeaseTTL,
-			EventLogSize:   c.opts.EventLogSize,
-		})
+		srv, err := localdir.NewServer(m.dirStack, localdir.Config{FrontConfig: front})
 		if err != nil {
 			return fmt.Errorf("boot local server (shard %d): %w", sg.index, err)
 		}
@@ -422,6 +390,23 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		return errors.New("faultdir: unknown cluster kind")
 	}
 	return nil
+}
+
+// frontConfig is what every server kind — and a secondary — of shard sg
+// is told about its place in the deployment and its pipeline sizing.
+func (c *Cluster) frontConfig(sg *shardGroup, admin vdisk.Storage) dirsvc.FrontConfig {
+	return dirsvc.FrontConfig{
+		Service:        sg.service,
+		BaseService:    c.Service,
+		Shard:          sg.index,
+		Shards:         c.opts.Shards,
+		ActiveShards:   c.opts.ActiveShards,
+		Admin:          admin,
+		Workers:        c.opts.Workers,
+		TxAbortTimeout: c.opts.TxAbortTimeout,
+		LeaseTTL:       c.opts.LeaseTTL,
+		EventLogSize:   c.opts.EventLogSize,
+	}
 }
 
 // NewClient creates a directory client on a fresh client host, routing
@@ -516,16 +501,7 @@ func (c *Cluster) StartSecondary(shard, id int) (*core.Secondary, func(), error)
 		stack.Close()
 		return nil, nil, err
 	}
-	sec, err := core.NewSecondary(stack, core.SecondaryConfig{
-		Service:      sg.service,
-		BaseService:  c.Service,
-		Shard:        sg.index,
-		Shards:       c.opts.Shards,
-		ActiveShards: c.opts.ActiveShards,
-		View:         view,
-		Admin:        admin,
-		Workers:      c.opts.Workers,
-	})
+	sec, err := core.NewSecondary(stack, core.SecondaryConfig{FrontConfig: c.frontConfig(sg, admin), View: view})
 	if err != nil {
 		stack.Close()
 		return nil, nil, err

@@ -456,6 +456,86 @@ func TestMigrationWholeShardCrash(t *testing.T) {
 	}
 }
 
+// TestMigrationSplitThenCrashKeepsCreatedNumbers: a split persists
+// the new allocator class in the commit block at once, while the recovery
+// log still holds older records whose creates were numbered under the old
+// one. Each record therefore carries the numbers it was given — the steps
+// of a batch and of a prepare as much as a single create — and a
+// whole-shard crash after the split brings every directory back under the
+// capability its client holds, on both log kinds.
+func TestMigrationSplitThenCrashKeepsCreatedNumbers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash schedule: covered by the dedicated migration CI lane")
+	}
+	for _, tc := range []struct {
+		name   string
+		kind   Kind
+		engine bool
+	}{{"NVRAMLog", KindGroupNVRAM, false}, {"EngineWAL", KindGroup, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.kind, Options{
+				Model:             sim.FastModel(),
+				HeartbeatInterval: testHeartbeat,
+				Shards:            2,
+				ActiveShards:      1,
+				Workers:           8,
+				IdleFlush:         time.Hour, // the records stay in the log
+				DiskEngine:        tc.engine,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			_ = awaitFullMembership(c)
+			client, cleanup, err := c.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cleanup)
+
+			created := make(map[string]dir.Capability)
+			if err := retryFor(crashRetryWait, func() error {
+				res, err := client.Apply(bgCtx, dir.NewBatch().CreateDir())
+				if err == nil {
+					created["batch"] = res.Results[0].Cap
+				}
+				return err
+			}); err != nil {
+				t.Fatalf("batch create: %v", err)
+			}
+			send := rawSender(t, c)
+			id := dirsvc.NewTxID()
+			vote := send(0, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
+				ID: id, Resolver: 0, Participants: []int{0},
+				Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{{Op: dirsvc.OpCreateDir}}),
+			})})
+			results, err := dirsvc.DecodeBatchResults(vote.Blob)
+			if err != nil || len(results) != 1 {
+				t.Fatalf("prepare results: %+v, %v", results, err)
+			}
+			created["prepare"] = results[0].Cap
+			send(0, &dirsvc.Request{Op: dirsvc.OpDecide, Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: true})})
+
+			if _, err := client.Split(bgCtx); err != nil {
+				t.Fatalf("Split: %v", err)
+			}
+			for id := 1; id <= c.ServersPerShard(); id++ {
+				c.CrashShardServer(0, id)
+			}
+			restartShard(t, c, 0)
+
+			for how, d := range created {
+				if err := retryFor(crashRetryWait, func() error {
+					_, err := client.List(bgCtx, d, 0)
+					return err
+				}); err != nil {
+					t.Errorf("directory created by a %s (object %d) after split + whole-shard crash: %v", how, d.Object, err)
+				}
+			}
+		})
+	}
+}
+
 // TestMigrationCrashBetweenSealSteps kills the coordinator between the
 // last object's flip and the seal, and between the seal and the stub
 // drop — the tail of the state machine the flip hooks cannot reach —

@@ -294,6 +294,79 @@ func TestBackupRestoreSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestOutcomeRecordsReplayAsOutcomes drives dirsvc.Applier.Replay from
+// both of its callers — a restarted primary's checkpoint + log-suffix
+// load and a secondary's log tail. The write-ahead log past the
+// checkpoint holds two decide records whose transactions are staged
+// nowhere: a coordinator's retried commit (the checkpoint already carries
+// its effects) and the presumed abort of a transaction nobody prepared.
+// Neither may apply as an update; both must leave the outcome answerable,
+// on the secondary and on every primary after a whole-cluster crash.
+func TestOutcomeRecordsReplayAsOutcomes(t *testing.T) {
+	c := newEngineCluster(t, 1)
+	client, cleanup, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	d, err := client.CreateDir(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := rawSender(t, c)
+	decide := func(id dirsvc.TxID, commit bool) {
+		send(0, &dirsvc.Request{Op: dirsvc.OpDecide, Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: commit})})
+	}
+	committed, ghost := dirsvc.NewTxID(), dirsvc.NewTxID()
+	masks := []dir.Rights{dir.AllRights, dir.AllRights, dir.AllRights}
+	send(0, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
+		ID: committed, Resolver: 0, Participants: []int{0},
+		Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{
+			{Op: dirsvc.OpAppendRow, Dir: d, Name: "tx", Cap: d, Masks: masks},
+		}),
+	})})
+	decide(committed, true)
+	if err := c.CheckpointShard(0); err != nil {
+		t.Fatal(err)
+	}
+	decide(committed, true)
+	decide(ghost, false)
+
+	check := func(who string, read func(*dirsvc.Request) *dirsvc.Reply) {
+		t.Helper()
+		for id, want := range map[dirsvc.TxID]dirsvc.TxState{committed: dirsvc.TxCommitted, ghost: dirsvc.TxAborted} {
+			var reply *dirsvc.Reply
+			if err := retryFor(crashRetryWait, func() error {
+				reply = read(&dirsvc.Request{Op: dirsvc.OpTxQuery, Blob: id[:]})
+				return reply.Status.Err()
+			}); err != nil {
+				t.Fatalf("%s: decision query: %v", who, err)
+			}
+			if len(reply.Blob) != 1 || dirsvc.TxState(reply.Blob[0]) != want {
+				t.Errorf("%s answers %v for transaction %v, want %v", who, reply.Blob, id, want)
+			}
+		}
+		if reply := read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: d}); reply.Status != dirsvc.StatusOK || len(reply.Rows) != 1 {
+			t.Errorf("%s lists %d rows (%v), want the committed one", who, len(reply.Rows), reply.Status)
+		}
+	}
+
+	sec, secCleanup, err := c.StartSecondary(0, 1)
+	if err != nil {
+		t.Fatalf("StartSecondary: %v", err)
+	}
+	defer secCleanup()
+	if err := sec.Refresh(); err != nil {
+		t.Fatalf("secondary refresh: %v", err)
+	}
+	check("secondary", sec.Read)
+
+	crashAndRestartAll(t, c)
+	for id := 1; id <= c.ServersPerShard(); id++ {
+		check(fmt.Sprintf("restarted server %d", id), c.machine(id).core.Read)
+	}
+}
+
 // TestSecondaryReadConsistency boots a readonly secondary fed from a
 // primary's engine partition and drives a balanced client through
 // write-then-read pairs: the session floor (Request.MinSeq) must keep

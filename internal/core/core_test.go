@@ -64,7 +64,7 @@ func TestRecoverySeqZeroAfterInterruptedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = table.Set(2, dirsvc.ObjectEntry{Seq: 120})
+	table.SetRAM(2, dirsvc.ObjectEntry{Seq: 120})
 
 	// Reproduce the recovery-seq computation from Server.recover.
 	loaded, err := dirsvc.ReadCommitBlock(admin, 3)
@@ -89,10 +89,10 @@ func TestRecoverySeqZeroAfterInterruptedRecovery(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	stack := newStack(t, net)
-	if _, err := NewServer(stack, Config{Service: "x", ID: 0, N: 3}); err == nil {
+	if _, err := NewServer(stack, Config{FrontConfig: dirsvc.FrontConfig{Service: "x", ServerID: 0, Replicas: 3}}); err == nil {
 		t.Fatal("accepted server id 0")
 	}
-	if _, err := NewServer(stack, Config{Service: "x", ID: 4, N: 3}); err == nil {
+	if _, err := NewServer(stack, Config{FrontConfig: dirsvc.FrontConfig{Service: "x", ServerID: 4, Replicas: 3}}); err == nil {
 		t.Fatal("accepted server id beyond N")
 	}
 }

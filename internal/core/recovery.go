@@ -54,7 +54,7 @@ func (s *Server) recover() error {
 		mySeq = 0
 	}
 	s.recoverySeq = mySeq
-	mourned := lastfail.MournedFromConfig(allServerIDs(s.cfg.N), upSet(s.commit))
+	mourned := lastfail.MournedFromConfig(allServerIDs(s.cfg.Replicas), upSet(s.commit))
 	stayedUp := s.neverDown
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -101,7 +101,7 @@ func (s *Server) recover() error {
 		}
 		if err != nil {
 			if debugRecovery {
-				fmt.Printf("server %d recovery attempt %d: %v\n", s.cfg.ID, attempt, err)
+				fmt.Printf("server %d recovery attempt %d: %v\n", s.cfg.ServerID, attempt, err)
 			}
 			// Wait for more servers to come back, then start all over
 			// again (Fig. 6: "try again").
@@ -184,18 +184,18 @@ func (s *Server) recoverOnce(
 	for id, nd := range s.cfg.Peers {
 		nodeToServer[nd] = id
 	}
-	state := lastfail.NewState(allServerIDs(s.cfg.N), s.cfg.ID, myMourned)
-	seqnos := map[int]uint64{s.cfg.ID: mySeq}
+	state := lastfail.NewState(allServerIDs(s.cfg.Replicas), s.cfg.ServerID, myMourned)
+	seqnos := map[int]uint64{s.cfg.ServerID: mySeq}
 	stayedUpServer := -1
 	if stayedUp {
-		stayedUpServer = s.cfg.ID
+		stayedUpServer = s.cfg.ServerID
 	}
 	for _, nd := range info.Members {
 		peer, ok := nodeToServer[nd]
-		if !ok || peer == s.cfg.ID {
+		if !ok || peer == s.cfg.ServerID {
 			continue
 		}
-		req := &dirsvc.Request{Op: dirsvc.OpExchange, Server: s.cfg.ID, Seq: mySeq}
+		req := &dirsvc.Request{Op: dirsvc.OpExchange, Server: s.cfg.ServerID, Seq: mySeq}
 		raw, err := rc.Trans(dirsvc.RecoveryPort(s.cfg.Service, peer), req.Encode())
 		if err != nil {
 			continue // unreachable peer: simply not part of the exchange
@@ -234,7 +234,7 @@ func (s *Server) recoverOnce(
 
 	// Fetch the latest directories from the member with the highest
 	// sequence number (Fig. 6: "s = HighestSeq; get copies from s").
-	src, srcSeq := s.cfg.ID, mySeq
+	src, srcSeq := s.cfg.ServerID, mySeq
 	for id, seq := range seqnos {
 		if seq > srcSeq || (seq == srcSeq && id < src) {
 			src, srcSeq = id, seq
@@ -246,7 +246,7 @@ func (s *Server) recoverOnce(
 	// Delivered still reads the welcome position.)
 	joinSeq := member.Info().Delivered
 	syncedTo := joinSeq
-	if src != s.cfg.ID && srcSeq > mySeq {
+	if src != s.cfg.ServerID && srcSeq > mySeq {
 		// The snapshot must be cut at or past our join point: a source
 		// whose apply cursor lags the stream would hand us images
 		// missing messages our member never buffered — a silent gap. A
@@ -332,7 +332,9 @@ func (s *Server) loadLocalState() error {
 			if err != nil {
 				continue
 			}
-			s.replayLogged(req, rec.Seq, &maxSeq)
+			if s.front.Applier.Replay(req, rec.Seq) && rec.Seq > maxSeq {
+				maxSeq = rec.Seq
+			}
 		}
 	}
 	if s.nvlog != nil {
@@ -341,7 +343,9 @@ func (s *Server) loadLocalState() error {
 			return err
 		}
 		for i, req := range reqs {
-			s.replayLogged(req, seqs[i], &maxSeq)
+			if s.front.Applier.Replay(req, seqs[i]) && seqs[i] > maxSeq {
+				maxSeq = seqs[i]
+			}
 		}
 		if s.nvlog.MaxSeq() > maxSeq {
 			maxSeq = s.nvlog.MaxSeq()
@@ -373,33 +377,6 @@ func (s *Server) installSnapshot(snap *dirsvc.Snapshot, durable bool) error {
 	return nil
 }
 
-// replayLogged re-applies one recovery-log record against the RAM state.
-func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
-	if req.Op == dirsvc.OpDecide {
-		// A decide whose transaction is not staged here is a re-logged
-		// outcome record (the effects were flushed before the crash):
-		// restore the memory so decision queries stay authoritative,
-		// instead of replaying it as an update.
-		if d, derr := dirsvc.DecodeDecide(req.Blob); derr == nil {
-			if state, _ := s.front.Applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
-				s.front.Applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
-				if seq > *maxSeq {
-					*maxSeq = seq
-				}
-				return
-			}
-		}
-	}
-	if _, err := s.front.Applier.ApplyUpdate(req, seq, false); err != nil {
-		// Replay conflicts mean the record was already applied before
-		// the crash flushed it; skip.
-		return
-	}
-	if seq > *maxSeq {
-		*maxSeq = seq
-	}
-}
-
 // pullState transfers the full replica state from server src as one
 // snapshot (dirsvc.Snapshot): object table entries with secrets, every
 // directory image, stubs, topology, in-doubt transactions and remembered
@@ -407,7 +384,7 @@ func (s *Server) replayLogged(req *dirsvc.Request, seq uint64, maxSeq *uint64) {
 // same decision queries as the rest of the group. It returns the
 // group-stream position the snapshot was cut at.
 func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
-	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ID}
+	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ServerID}
 	raw, err := rc.Trans(dirsvc.RecoveryPort(s.cfg.Service, src), req.Encode())
 	if err != nil {
 		return 0, err
@@ -483,7 +460,7 @@ func (s *Server) handleExchange(req *dirsvc.Request) *dirsvc.Reply {
 	if s.recovering {
 		mySeq = s.recoverySeq
 	}
-	mourned := lastfail.MournedFromConfig(allServerIDs(s.cfg.N), upSet(s.commit))
+	mourned := lastfail.MournedFromConfig(allServerIDs(s.cfg.Replicas), upSet(s.commit))
 	stayedUp := s.neverDown
 	s.mu.Unlock()
 	return &dirsvc.Reply{

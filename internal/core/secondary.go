@@ -8,7 +8,6 @@ import (
 
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
-	"dirsvc/internal/vdisk"
 )
 
 // SecondaryConfig describes one readonly secondary instance: a
@@ -21,23 +20,14 @@ import (
 // secondary that has not caught up to the floor refuses, and the client
 // fails over to a writable replica.
 type SecondaryConfig struct {
-	// Service names the directory service instance whose port this
-	// secondary answers on (alongside the primaries).
-	Service string
-	// BaseService is the deployment-wide service name capabilities are
-	// minted under (empty: Service), mirroring Config.BaseService.
-	BaseService string
-	// Shard/Shards/ActiveShards place the instance in a sharded
-	// deployment, mirroring Config.
-	Shard, Shards, ActiveShards int
+	// FrontConfig names the service whose port this secondary answers on
+	// (alongside the primaries) and places it in a sharded deployment,
+	// mirroring Config. Admin is a scratch partition backing the instance's
+	// object-table mirror; it is never a durability source (state installs
+	// are RAM-only), and Bullet stays nil.
+	dirsvc.FrontConfig
 	// View is the read-only attachment to the primary's engine partition.
 	View *dirsvc.EngineView
-	// Admin is a scratch partition backing the instance's object-table
-	// mirror; it is never a durability source (state installs are
-	// RAM-only).
-	Admin vdisk.Storage
-	// Workers is the number of serving threads (default 3).
-	Workers int
 	// Refresh is the poll interval for tailing the primary's engine
 	// partition (zero: a model-scaled default).
 	Refresh time.Duration
@@ -75,15 +65,7 @@ func NewSecondary(stack *flip.Stack, cfg SecondaryConfig) (*Secondary, error) {
 	if cfg.View == nil {
 		return nil, errors.New("core: secondary needs an engine view")
 	}
-	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
-		Service:      cfg.Service,
-		BaseService:  cfg.BaseService,
-		Shard:        cfg.Shard,
-		Shards:       cfg.Shards,
-		ActiveShards: cfg.ActiveShards,
-		Admin:        cfg.Admin,
-		Workers:      cfg.Workers,
-	})
+	front, err := dirsvc.NewFrontEnd(stack, cfg.FrontConfig)
 	if err != nil {
 		return nil, fmt.Errorf("secondary: %w", err)
 	}
@@ -140,6 +122,10 @@ func (sec *Secondary) AppliedSeq() uint64 {
 // ReadsServed returns the number of reads this instance has answered —
 // the read-tier share in the load-distribution measurements.
 func (sec *Secondary) ReadsServed() uint64 { return sec.front.ReadsServed() }
+
+// Read serves one read request exactly as a serving thread would, without
+// the RPC transport, so tests and tools can interrogate this instance.
+func (sec *Secondary) Read(req *dirsvc.Request) *dirsvc.Reply { return sec.front.Read(req) }
 
 // Refresh forces one synchronous catch-up against the primary's engine
 // partition (tests and tools; the poll loop does this continuously).
@@ -206,7 +192,7 @@ func (sec *Secondary) refreshNow() error {
 			if derr != nil {
 				continue
 			}
-			sec.replayLogged(req, rec.Seq)
+			sec.front.Applier.Replay(req, rec.Seq)
 			if rec.Seq > applied {
 				applied = rec.Seq
 			}
@@ -218,21 +204,6 @@ func (sec *Secondary) refreshNow() error {
 	sec.haveState = true
 	sec.mu.Unlock()
 	return err
-}
-
-// replayLogged applies one tailed write-ahead record, mirroring the
-// primary's recovery replay: a decide for a transaction not staged here
-// restores the remembered outcome instead of replaying as an update.
-func (sec *Secondary) replayLogged(req *dirsvc.Request, seq uint64) {
-	if req.Op == dirsvc.OpDecide {
-		if d, derr := dirsvc.DecodeDecide(req.Blob); derr == nil {
-			if state, _ := sec.front.Applier.TxStateOf(d.ID); state != dirsvc.TxPrepared {
-				sec.front.Applier.RestoreDecided([]dirsvc.DecidedTx{{ID: d.ID, Commit: d.Commit, Seq: seq}})
-				return
-			}
-		}
-	}
-	_, _ = sec.front.Applier.ApplyUpdate(req, seq, false)
 }
 
 // Ready admits reads only, and only once a checkpoint has been

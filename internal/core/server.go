@@ -37,39 +37,16 @@ import (
 
 // Config describes one directory server replica.
 type Config struct {
-	// Service names the directory service instance (port derivation).
-	Service string
-	// ID is this server's 1-based id; N is the replication degree
-	// (3 in the paper, but any N ≥ 1 works — §3: "though four or more
-	// replicas are also possible, without changing the protocol").
-	ID, N int
-	// Shard and Shards place this replica group in a sharded deployment:
-	// the object table then allocates only numbers homed on Shard (see
-	// ObjectTable.ConfigureShard), so capabilities minted here route back
-	// by object number alone. Zero values mean unsharded.
-	Shard, Shards int
-	// ActiveShards is the number of shards active at shard-map epoch 0;
-	// the rest are spare capacity an online split activates later
-	// (dirsvc.ActiveShardsAt). Zero means all Shards are active — the
-	// pre-elastic behavior.
-	ActiveShards int
-	// BaseService is the deployment-wide service name sibling shard
-	// ports derive from (dirsvc.ShardService); the transaction resolver
-	// loop uses it to send decision queries to other shards. Empty means
-	// no cross-shard queries (unsharded deployments need none).
-	BaseService string
-	// TxAbortTimeout is how long a prepared two-phase transaction may
-	// stay undecided before this participant resolves it on its own —
-	// presumed abort when this shard is the transaction's resolver, a
-	// decision query to the resolver otherwise. Zero means a
-	// model-scaled default.
-	TxAbortTimeout time.Duration
+	// FrontConfig places the replica and sizes its request pipeline.
+	// ServerID is this server's 1-based id and Replicas the replication
+	// degree N (3 in the paper, but any N ≥ 1 works — §3: "though four or
+	// more replicas are also possible, without changing the protocol");
+	// Admin is the raw partition holding the commit block and object table
+	// (Fig. 4). Bullet is filled in by NewServer.
+	dirsvc.FrontConfig
 	// Peers maps server ids (1..N) to their host node ids, so config
 	// vectors can be kept when group membership changes.
 	Peers map[int]sim.NodeID
-	// Admin is the raw partition holding the commit block and object
-	// table (Fig. 4).
-	Admin vdisk.Storage
 	// NVRAM, when non-nil, enables the §4.1 NVRAM variant: updates are
 	// logged to battery-backed RAM and flushed to disk in the
 	// background.
@@ -82,8 +59,6 @@ type Config struct {
 	// longer written on the update path — the checkpoint is the durable
 	// copy. Mutually exclusive with NVRAM.
 	Engine *dirsvc.Engine
-	// Workers is the number of initiator threads (default 3).
-	Workers int
 	// Resilience overrides the group resilience degree (default N-1).
 	Resilience int
 	// DisableImprovement turns off the §3.2 recovery refinement, for the
@@ -98,12 +73,6 @@ type Config struct {
 	// IdleFlush is how long the NVRAM variant waits for quiet before
 	// flushing the log (default 20× heartbeat).
 	IdleFlush time.Duration
-	// LeaseTTL bounds how long a watch/cache lease survives without a
-	// renewal (zero: a model-scaled default).
-	LeaseTTL time.Duration
-	// EventLogSize bounds the per-server event log replayable to
-	// reconnecting watchers (zero: dirsvc.DefaultEventLogSize).
-	EventLogSize int
 }
 
 // Server is one replica of the group directory service.
@@ -174,10 +143,10 @@ type coalesceOp struct {
 // requests.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if cfg.Resilience == 0 {
-		cfg.Resilience = cfg.N - 1
+		cfg.Resilience = cfg.Replicas - 1
 	}
-	if cfg.N < 1 || cfg.ID < 1 || cfg.ID > cfg.N {
-		return nil, fmt.Errorf("core: bad server id %d of %d", cfg.ID, cfg.N)
+	if cfg.Replicas < 1 || cfg.ServerID < 1 || cfg.ServerID > cfg.Replicas {
+		return nil, fmt.Errorf("core: bad server id %d of %d", cfg.ServerID, cfg.Replicas)
 	}
 	if cfg.NVRAM != nil && cfg.Engine != nil {
 		return nil, errors.New("core: the NVRAM log and the storage engine are mutually exclusive")
@@ -191,21 +160,8 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
-		Service:        cfg.Service,
-		BaseService:    cfg.BaseService,
-		ServerID:       cfg.ID,
-		Replicas:       cfg.N,
-		Shard:          cfg.Shard,
-		Shards:         cfg.Shards,
-		ActiveShards:   cfg.ActiveShards,
-		Admin:          cfg.Admin,
-		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
-		Workers:        cfg.Workers,
-		TxAbortTimeout: cfg.TxAbortTimeout,
-		LeaseTTL:       cfg.LeaseTTL,
-		EventLogSize:   cfg.EventLogSize,
-	})
+	cfg.Bullet = bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ServerID))
+	front, err := dirsvc.NewFrontEnd(stack, cfg.FrontConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +186,7 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	}
 
 	// Recovery servers answer even while we recover ourselves.
-	if s.recSrv, err = rpc.NewServer(stack, dirsvc.RecoveryPort(cfg.Service, cfg.ID)); err != nil {
+	if s.recSrv, err = rpc.NewServer(stack, dirsvc.RecoveryPort(cfg.Service, cfg.ServerID)); err != nil {
 		front.Close()
 		return nil, err
 	}
@@ -282,7 +238,7 @@ func (s *Server) majorityNeeded() int {
 	if s.forced.Load() {
 		return 1
 	}
-	return s.cfg.N/2 + 1
+	return s.cfg.Replicas/2 + 1
 }
 
 // ForceRecover is the system administrators' escape hatch the paper
@@ -348,7 +304,7 @@ func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		ID:         s.cfg.ID,
+		ID:         s.cfg.ServerID,
 		Recovering: s.recovering,
 		AppliedSeq: s.appliedSeq,
 	}
@@ -470,7 +426,7 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
 	era := s.era
 	s.opCounter++
-	opID := uint64(s.cfg.ID)<<48 | s.opCounter
+	opID := uint64(s.cfg.ServerID)<<48 | s.opCounter
 	s.mu.Unlock()
 
 	select {
@@ -689,7 +645,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 
 		s.mu.Lock()
 		s.appliedSeq = seq
-		if req.Server == s.cfg.ID {
+		if req.Server == s.cfg.ServerID {
 			s.results[ent.opID] = reply
 			// Bound the table against abandoned initiators.
 			if len(s.results) > 10000 {
@@ -771,7 +727,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 			}
 			break
 		}
-		if _, err := s.nvlog.Append(s.pinAllocation(req, res), seq); err != nil {
+		if _, err := s.nvlog.Append(dirsvc.PinAllocation(req, res.Reply), seq); err != nil {
 			// The record does not fit below the region's end (a large
 			// batch, or live records up to the brim). RAM already holds
 			// the update, so flushing it through makes it durable; an
@@ -786,7 +742,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 			_ = s.checkpointNow(effSeq)
 			break
 		}
-		if err := s.engine.AppendLog(seq, s.pinAllocation(req, res).Encode()); err != nil {
+		if err := s.engine.AppendLog(seq, dirsvc.PinAllocation(req, res.Reply).Encode()); err != nil {
 			// Log region full (or write trouble): fold the update into a
 			// fresh checkpoint instead — it covers this apply's effects,
 			// and the flip truncates the log.
@@ -794,19 +750,6 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 		}
 	}
 	return res.Reply, effSeq
-}
-
-// pinAllocation pins a create's allocation outcome into the record bound
-// for a recovery log: replay re-runs the allocator, and a topology change
-// persisted between now and the crash (an online split) would otherwise
-// renumber the directory.
-func (s *Server) pinAllocation(req *dirsvc.Request, res *dirsvc.ApplyResult) *dirsvc.Request {
-	if req.Op == dirsvc.OpCreateDir && req.Dir.Object == 0 && res.Reply.Status == dirsvc.StatusOK {
-		pinned := *req
-		pinned.Dir.Object = res.Reply.Cap.Object
-		return &pinned
-	}
-	return req
 }
 
 // checkpointNow cuts a snapshot of the whole shard state and writes it

@@ -41,7 +41,7 @@ func newService(t *testing.T) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := localdir.NewServer(dstack, localdir.Config{Service: service, Admin: admin})
+	srv, err := localdir.NewServer(dstack, localdir.Config{FrontConfig: dirsvc.FrontConfig{Service: service, Admin: admin}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ type ApplyResult struct {
 	// removes them after the commit, off the critical path (Fig. 5:
 	// "remove old Bullet files").
 	OldBullet []capability.Capability
-	// DirtyObjects lists the directories the update touched (NVRAM mode
-	// flush tracking).
+	// DirtyObjects lists, in ascending order, the object-table slots the
+	// update changed: the event's object list, and — for a RAM-mode apply —
+	// what a later FlushBlocks has to write.
 	DirtyObjects []uint32
 	// DeletedDir is set when the update deleted a directory, which
 	// requires advancing the commit block sequence number (§3).
@@ -55,6 +56,8 @@ type Applier struct {
 	// topo is the shard's elastic-topology state (nil when the
 	// deployment never called ConfigureTopology); see applytopo.go.
 	topo *TopoState
+	// scratch is the staging overlay single updates and batches reuse.
+	scratch overlay
 
 	// Two-phase-commit participant state: staged transactions, the
 	// per-object locks they hold, and remembered outcomes. txCond wakes
@@ -110,27 +113,17 @@ func rootSecret(port capability.Port) capability.Secret {
 // FormatRoot creates the root directory if the table does not know it.
 // durable controls whether the image is written through to Bullet/disk.
 func (a *Applier) FormatRoot(durable bool) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if _, ok := a.table.Get(RootObject); ok {
 		return nil
 	}
-	root := dirdata.New()
-	img := root.Encode()
-	entry := ObjectEntry{Secret: rootSecret(a.port)}
-	if durable {
-		bcap, err := a.bullet.Create(img)
-		if err != nil {
-			return fmt.Errorf("format root: %w", err)
-		}
-		entry.Cap = bcap
-		if err := a.table.Set(RootObject, entry); err != nil {
-			return fmt.Errorf("format root: %w", err)
-		}
-	} else {
-		a.table.SetRAM(RootObject, entry)
+	var ov overlay
+	s := ov.stage(RootObject)
+	s.dir, s.entry = dirdata.New(), ObjectEntry{Secret: rootSecret(a.port)}
+	if _, err := a.commitOverlayLocked(&ov, 0, durable); err != nil {
+		return fmt.Errorf("format root: %w", err)
 	}
-	a.mu.Lock()
-	a.cache[RootObject] = root
-	a.mu.Unlock()
 	return nil
 }
 
@@ -285,11 +278,13 @@ func (a *Applier) Read(req *Request) *Reply {
 }
 
 // ApplyUpdate executes one update operation, stamping seq as the
-// service-wide sequence number of the change. In durable mode the new
-// directory image is written through to the Bullet store and the object
-// table block is written to disk (the commit point of Fig. 5). In
-// non-durable mode only RAM changes; the caller logs the operation to
-// NVRAM and flushes later.
+// service-wide sequence number of the change. Every operation that
+// changes directories is staged in an overlay and committed by
+// commitOverlayLocked, which alone knows the two modes: durable writes
+// the new images to the Bullet store and the object-table blocks to disk
+// before returning (the commit point of Fig. 5); otherwise only RAM
+// changes, and the caller makes the update durable its own way — an NVRAM
+// or engine log record now, FlushObject or a checkpoint later.
 func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -302,12 +297,8 @@ func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyRes
 
 func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
 	switch req.Op {
-	case OpCreateDir:
-		return a.createDirLocked(req, seq, durable)
-	case OpDeleteDir:
-		return a.deleteDirLocked(req, seq, durable)
-	case OpAppendRow, OpChmodRow, OpDeleteRow, OpReplaceSet:
-		return a.mutateDirLocked(req, seq, durable)
+	case OpCreateDir, OpDeleteDir, OpAppendRow, OpChmodRow, OpDeleteRow, OpReplaceSet:
+		return a.applySingleLocked(req, seq, durable)
 	case OpBatch:
 		return a.applyBatchLocked(req, seq, durable)
 	case OpPrepare:
@@ -327,204 +318,60 @@ func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool) (*Ap
 	}
 }
 
-func (a *Applier) createDirLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
-	if len(req.CheckSeed) == 0 {
-		return nil, fmt.Errorf("create-dir without check seed: %w", ErrBadRequest)
-	}
-	// Creating a directory requires write permission on a parent-ish
-	// capability; Amoeba let any holder of the service port create. We
-	// keep creation open, as registration into a parent is a separate
-	// append.
-	//
-	// A pinned object number (req.Dir.Object) makes the record replay
-	// deterministically: the NVRAM log stamps the allocation outcome
-	// into the record, because re-running the allocator after a crash
-	// may see a different topology (a split moves the skip classes) and
-	// would renumber every replayed directory.
-	obj := req.Dir.Object
-	if obj != 0 {
-		if _, taken := a.table.Get(obj); taken {
-			return nil, fmt.Errorf("object %d already allocated: %w", obj, ErrExists)
+// Replay re-applies one record of a recovery log (NVRAM log, engine
+// write-ahead log or its tail at a secondary) to the RAM state and
+// reports whether the state now reflects it. A decide whose transaction
+// is not staged here is a re-logged outcome record — the effects were
+// flushed or checkpointed before the crash — so it restores the
+// remembered outcome, keeping decision queries authoritative, instead of
+// applying. A record that no longer applies was flushed before the crash
+// that kept its log entry; it is skipped.
+func (a *Applier) Replay(req *Request, seq uint64) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if req.Op == OpDecide {
+		if d, err := DecodeDecide(req.Blob); err == nil && a.prepared[d.ID] == nil {
+			a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: seq})
+			return true
 		}
-	} else {
-		obj = a.table.NextFreeExcept(a.allocSkipLocked(nil))
 	}
-	if obj == 0 {
-		return nil, fmt.Errorf("object table full: %w", ErrServer)
-	}
-	d := dirdata.New(req.Columns...)
-	d.Seq = seq
-	entry := ObjectEntry{Seq: seq, Secret: capability.NewSecret(req.CheckSeed)}
-	if durable {
-		bcap, err := a.bullet.Create(d.Encode())
-		if err != nil {
-			return nil, fmt.Errorf("store directory: %w", err)
-		}
-		entry.Cap = bcap
-		if err := a.table.Set(obj, entry); err != nil {
-			return nil, err
-		}
-	} else {
-		a.table.SetRAM(obj, entry)
-	}
-	a.cache[obj] = d
-	return &ApplyResult{
-		Reply:        &Reply{Status: StatusOK, Cap: capability.Mint(a.port, obj, entry.Secret), Seq: seq},
-		DirtyObjects: []uint32{obj},
-	}, nil
+	_, err := a.applyUpdateLocked(req, seq, false)
+	return err == nil
 }
 
-func (a *Applier) deleteDirLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
-	if req.Dir.Object == RootObject {
-		return nil, fmt.Errorf("cannot delete the root directory: %w", ErrBadRequest)
-	}
-	if a.lockedByOtherLocked(req.Dir.Object, TxID{}) {
-		return nil, ErrConflict
-	}
-	e, err := a.verify(req.Dir, capability.RightDelete)
-	if err != nil {
-		return nil, err
-	}
-	obj := req.Dir.Object
-	if durable {
-		if err := a.table.Delete(obj); err != nil {
-			return nil, err
-		}
-	} else {
-		a.table.DeleteRAM(obj)
-	}
-	delete(a.cache, obj)
-	res := &ApplyResult{
-		Reply:        &Reply{Status: StatusOK, Seq: seq},
-		DirtyObjects: []uint32{obj},
-		DeletedDir:   true,
-	}
-	if !e.Cap.IsZero() {
-		res.OldBullet = append(res.OldBullet, e.Cap)
-	}
-	return res, nil
-}
-
-func (a *Applier) mutateDirLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
-	if a.lockedByOtherLocked(req.Dir.Object, TxID{}) {
-		return nil, ErrConflict
-	}
-	need := capability.RightWrite
-	switch req.Op {
-	case OpDeleteRow:
-		need = capability.RightDelete
-	case OpChmodRow:
-		need = capability.RightAdmin
-	}
-	e, err := a.verify(req.Dir, need)
-	if err != nil {
-		return nil, err
-	}
-	obj := req.Dir.Object
-	cached := a.cache[obj]
-	if cached == nil {
-		return nil, ErrNotFound
-	}
-	d := cached.Clone()
-	reply := &Reply{Status: StatusOK, Seq: seq}
-	switch req.Op {
-	case OpAppendRow:
-		err = d.Append(req.Name, req.Cap, req.Masks)
-	case OpChmodRow:
-		err = d.Chmod(req.Name, req.Masks)
-	case OpDeleteRow:
-		err = d.Delete(req.Name)
-	case OpReplaceSet:
-		for _, it := range req.Set {
-			old, rerr := d.Replace(it.Name, it.Cap)
-			if rerr != nil {
-				err = rerr
-				break
-			}
-			reply.Caps = append(reply.Caps, old)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	d.Seq = seq
-
-	newEntry := ObjectEntry{Seq: seq, Secret: e.Secret}
-	if durable {
-		bcap, berr := a.bullet.Create(d.Encode())
-		if berr != nil {
-			return nil, fmt.Errorf("store directory: %w", berr)
-		}
-		newEntry.Cap = bcap
-		if err := a.table.Set(obj, newEntry); err != nil {
-			return nil, err
-		}
-	} else {
-		newEntry.Cap = e.Cap // stale until the NVRAM flush rewrites it
-		a.table.SetRAM(obj, newEntry)
-	}
-	a.cache[obj] = d
-
-	res := &ApplyResult{Reply: reply, DirtyObjects: []uint32{obj}}
-	if durable && !e.Cap.IsZero() {
-		res.OldBullet = append(res.OldBullet, e.Cap)
-	}
-	return res, nil
-}
-
-// FlushObject writes the current image of obj through to Bullet and the
-// object table (the NVRAM background flush). It returns the superseded
-// Bullet file, if any.
+// FlushObject writes the current image of obj through to Bullet and its
+// object-table block to disk (the NVRAM background flush). It returns the
+// superseded Bullet file, if any. The image is stored without the applier
+// lock held, so reads go on during the flush; the caller keeps updates
+// out.
 func (a *Applier) FlushObject(obj uint32) ([]capability.Capability, error) {
 	if obj == 0 {
 		return nil, nil
 	}
-	a.mu.Lock()
-	d, live := a.cache[obj]
+	a.mu.RLock()
+	d := a.cache[obj]
 	var img []byte
-	if live {
+	if d != nil {
 		img = d.Encode()
 	}
-	a.mu.Unlock()
+	a.mu.RUnlock()
 
-	e, known := a.table.Get(obj)
-	if !live {
-		// Deleted: drop the table entry and the old file. When the RAM
-		// delete already cleared the entry (DeleteRAM), the slot still
-		// has to reach the disk, or a restart resurrects the directory.
-		if !known {
-			return nil, a.table.FlushBlocks([]uint32{obj})
-		}
-		if err := a.table.Delete(obj); err != nil {
-			return nil, err
+	var olds []capability.Capability
+	if e, known := a.table.Get(obj); known && d != nil {
+		bcap, err := a.bullet.Create(img)
+		if err != nil {
+			return nil, fmt.Errorf("flush directory %d: %w", obj, err)
 		}
 		if !e.Cap.IsZero() {
-			return []capability.Capability{e.Cap}, nil
+			olds = append(olds, e.Cap)
 		}
-		return nil, nil
+		e.Cap = bcap
+		a.table.SetRAM(obj, e)
 	}
-	bcap, err := a.bullet.Create(img)
-	if err != nil {
-		return nil, fmt.Errorf("flush directory %d: %w", obj, err)
-	}
-	old := e.Cap
-	e.Cap = bcap
-	a.mu.Lock()
-	e.Seq = d.Seq
-	a.mu.Unlock()
-	e.Secret = entrySecretOr(e, known, a.port)
-	if err := a.table.Set(obj, e); err != nil {
+	// A slot the RAM apply cleared or stubbed has to reach the disk too, or
+	// a restart resurrects the directory.
+	if err := a.table.FlushBlocks([]uint32{obj}); err != nil {
 		return nil, err
 	}
-	if known && !old.IsZero() && old != bcap {
-		return []capability.Capability{old}, nil
-	}
-	return nil, nil
-}
-
-func entrySecretOr(e ObjectEntry, known bool, port capability.Port) capability.Secret {
-	if known {
-		return e.Secret
-	}
-	return rootSecret(port)
+	return olds, nil
 }

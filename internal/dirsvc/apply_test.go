@@ -18,16 +18,33 @@ type applierFixture struct {
 	applier *Applier
 	table   *ObjectTable
 	disk    *vdisk.Disk
+	admin   *countedStorage
+	store   *bullet.Store
 }
 
-func newApplier(t *testing.T) *applierFixture {
+// countedStorage counts the block writes that reach the admin partition
+// (the disk's own counters include the Bullet store's).
+type countedStorage struct {
+	vdisk.Storage
+	writes int
+}
+
+func (c *countedStorage) WriteBlock(i int, data []byte) error {
+	c.writes++
+	return c.Storage.WriteBlock(i, data)
+}
+
+func newApplier(t testing.TB) *applierFixture { return newApplierSized(t, 2048-64) }
+
+// newApplierSized gives the Bullet store a partition of bulletBlocks.
+func newApplierSized(t testing.TB, bulletBlocks int) *applierFixture {
 	t.Helper()
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	service := "apply-test"
 
 	bstack := flip.NewStack(net.AddNode("bullet"))
 	disk := vdisk.New(sim.FastModel(), 2048)
-	bpart, err := vdisk.NewPartition(disk, 64, 2048-64)
+	bpart, err := vdisk.NewPartition(disk, 64, bulletBlocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +62,11 @@ func newApplier(t *testing.T) *applierFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin, err := vdisk.NewPartition(disk, 0, 17)
+	part, err := vdisk.NewPartition(disk, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
+	admin := &countedStorage{Storage: part}
 	table, err := OpenObjectTable(admin)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +80,7 @@ func newApplier(t *testing.T) *applierFixture {
 		bstack.Close()
 		dstack.Close()
 	})
-	return &applierFixture{applier: a, table: table, disk: disk}
+	return &applierFixture{applier: a, table: table, disk: disk, admin: admin, store: store}
 }
 
 func ownerMasks() []capability.Rights {

@@ -265,30 +265,19 @@ func (a *Applier) applyDropStubsLocked(req *Request, seq uint64, durable bool) (
 	} else if t.MigPhase == MigTarget {
 		return nil, fmt.Errorf("drop-stubs on a split target: %w", ErrConflict)
 	}
-	stubs := a.table.Stubs()
-	if len(stubs) == 0 {
-		return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}, TopoChanged: true}, nil
+	// Clearing a stub slot is a delete like any other: it sets DeletedDir,
+	// so the commit block remembers the sequence numbers the stubs carried
+	// and recovery's max-seq scan cannot regress.
+	var ov overlay
+	for obj := range a.table.Stubs() {
+		ov.stage(obj)
 	}
-	objs := make([]uint32, 0, len(stubs))
-	for obj := range stubs {
-		objs = append(objs, obj)
+	res, err := a.commitOverlayLocked(&ov, seq, durable)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	if durable {
-		if err := a.table.DropAllStubs(); err != nil {
-			return nil, err
-		}
-	} else {
-		a.table.DropAllStubsRAM()
-	}
-	return &ApplyResult{
-		Reply:        &Reply{Status: StatusOK, Seq: seq},
-		DirtyObjects: objs,
-		// Stub slots carried sequence numbers; advance the commit block
-		// so recovery's max-seq scan cannot regress.
-		DeletedDir:  true,
-		TopoChanged: true,
-	}, nil
+	res.TopoChanged = true
+	return res, nil
 }
 
 // migOutStepLocked validates and stages an OpMigOut step: the source
@@ -296,7 +285,7 @@ func (a *Applier) applyDropStubsLocked(req *Request, seq uint64, durable bool) (
 // number the migrator copied (st.Seq) — any interleaved write makes the
 // prepare vote no, and the migrator re-copies. Commit replaces the
 // entry with a forwarding stub to st.Column. Called with a.mu held.
-func (a *Applier) migOutStepLocked(ov *batchOverlay, st *Request, seq uint64, self TxID) error {
+func (a *Applier) migOutStepLocked(ov *overlay, st *Request, seq uint64, self TxID) error {
 	obj := st.Dir.Object
 	if obj == 0 || obj == RootObject {
 		return fmt.Errorf("cannot migrate object %d: %w", obj, ErrBadRequest)
@@ -312,9 +301,8 @@ func (a *Applier) migOutStepLocked(ov *batchOverlay, st *Request, seq uint64, se
 		return fmt.Errorf("object %d changed since copy (seq %d != %d): %w",
 			obj, e.Seq, st.Seq, ErrConflict)
 	}
-	delete(ov.dirs, obj)
-	delete(ov.entries, obj)
-	ov.migOut[obj] = StubEntry{Target: st.Column, Seq: seq}
+	s := ov.stage(obj)
+	s.dir, s.stub = nil, &StubEntry{Target: st.Column, Seq: seq}
 	return nil
 }
 
@@ -322,7 +310,7 @@ func (a *Applier) migOutStepLocked(ov *batchOverlay, st *Request, seq uint64, se
 // of a migration flip. The blob carries the object's secret and image
 // as read at the source; commit installs them, each replica minting its
 // own Bullet file. Called with a.mu held.
-func (a *Applier) migInStepLocked(ov *batchOverlay, st *Request, seq uint64, self TxID) error {
+func (a *Applier) migInStepLocked(ov *overlay, st *Request, seq uint64, self TxID) error {
 	obj := st.Dir.Object
 	if obj == 0 {
 		return fmt.Errorf("migrate-in of object 0: %w", ErrBadRequest)
@@ -342,8 +330,7 @@ func (a *Applier) migInStepLocked(ov *batchOverlay, st *Request, seq uint64, sel
 		return fmt.Errorf("migrate-in image of object %d: %w", obj, err)
 	}
 	d.Seq = seq
-	ov.created[obj] = true
-	ov.entries[obj] = ObjectEntry{Seq: seq, Secret: secret}
-	ov.dirs[obj] = d
+	s := ov.stage(obj)
+	s.dir, s.entry, s.stub = d, ObjectEntry{Seq: seq, Secret: secret}, nil
 	return nil
 }

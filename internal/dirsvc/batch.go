@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dirsvc/internal/capability"
 )
@@ -168,6 +169,66 @@ func EnsureBatchSeeds(steps []*Request, seed func(step int) []byte) bool {
 		}
 	}
 	return changed
+}
+
+// PinAllocation returns req as a recovery log has to record it once it
+// applied with reply: every directory it created — as a single update or
+// as a step of a batch or prepare — carries the object number the
+// allocator chose, so a replay after a persisted topology change (an
+// online split moves the allocator's residue class and floor) mints the
+// capability the client was given, not a fresh number. req itself is
+// returned when it created nothing.
+func PinAllocation(req *Request, reply *Reply) *Request {
+	switch req.Op {
+	case OpCreateDir:
+		if req.Dir.Object == 0 {
+			pinned := *req
+			pinned.Dir.Object = reply.Cap.Object
+			return &pinned
+		}
+	case OpBatch:
+		if blob := pinnedSteps(req.Blob, reply.Blob); blob != nil {
+			pinned := *req
+			pinned.Blob = blob
+			return &pinned
+		}
+	case OpPrepare:
+		if p, err := DecodePrepare(req.Blob); err == nil {
+			if blob := pinnedSteps(p.Steps, reply.Blob); blob != nil {
+				p.Steps = blob
+				pinned := *req
+				pinned.Blob = EncodePrepare(p)
+				return &pinned
+			}
+		}
+	}
+	return req
+}
+
+// pinnedSteps re-encodes a steps blob with every create-dir step that
+// left the allocation to the applier stamped with the object number its
+// result carries; nil when there is no such step. Only creates have a
+// result capability, so most blobs are never decoded.
+func pinnedSteps(stepsBlob, resultsBlob []byte) []byte {
+	results, err := DecodeBatchResults(resultsBlob)
+	if err != nil || !slices.ContainsFunc(results, func(r BatchStepResult) bool { return !r.Cap.IsZero() }) {
+		return nil
+	}
+	steps, err := DecodeBatchSteps(stepsBlob)
+	if err != nil || len(steps) != len(results) {
+		return nil
+	}
+	changed := false
+	for i, st := range steps {
+		if st.Op == OpCreateDir && st.Dir.Object == 0 {
+			st.Dir.Object = results[i].Cap.Object
+			changed = true
+		}
+	}
+	if !changed {
+		return nil
+	}
+	return EncodeBatchSteps(steps)
 }
 
 // ErrorReply builds the error reply for a failed update, carrying the

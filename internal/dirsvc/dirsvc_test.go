@@ -184,9 +184,7 @@ func newTestTable(t *testing.T) (*ObjectTable, *vdisk.Disk) {
 func TestObjectTableSetGetDelete(t *testing.T) {
 	table, _ := newTestTable(t)
 	e := ObjectEntry{Cap: testCap(5), Seq: 9, Secret: capability.NewSecret([]byte("s"))}
-	if err := table.Set(5, e); err != nil {
-		t.Fatal(err)
-	}
+	table.SetRAM(5, e)
 	got, ok := table.Get(5)
 	if !ok || got != e {
 		t.Fatalf("Get = %+v, %v", got, ok)
@@ -194,11 +192,9 @@ func TestObjectTableSetGetDelete(t *testing.T) {
 	if table.MaxSeq() != 9 {
 		t.Fatalf("MaxSeq = %d", table.MaxSeq())
 	}
-	if err := table.Delete(5); err != nil {
-		t.Fatal(err)
-	}
+	table.DeleteRAM(5)
 	if _, ok := table.Get(5); ok {
-		t.Fatal("entry survives Delete")
+		t.Fatal("entry survives DeleteRAM")
 	}
 }
 
@@ -207,9 +203,9 @@ func TestObjectTableNextFreeIsDeterministic(t *testing.T) {
 	if got := table.NextFree(); got != 1 {
 		t.Fatalf("NextFree on empty = %d", got)
 	}
-	_ = table.Set(1, ObjectEntry{Seq: 1})
-	_ = table.Set(2, ObjectEntry{Seq: 1})
-	_ = table.Set(4, ObjectEntry{Seq: 1})
+	table.SetRAM(1, ObjectEntry{Seq: 1})
+	table.SetRAM(2, ObjectEntry{Seq: 1})
+	table.SetRAM(4, ObjectEntry{Seq: 1})
 	if got := table.NextFree(); got != 3 {
 		t.Fatalf("NextFree with hole = %d", got)
 	}
@@ -242,26 +238,26 @@ func TestObjectTableShardAllocation(t *testing.T) {
 	if got := table.NextFree(); got != 3 {
 		t.Fatalf("NextFree = %d, want 3", got)
 	}
-	_ = table.Set(3, ObjectEntry{Seq: 1})
+	table.SetRAM(3, ObjectEntry{Seq: 1})
 	if got := table.NextFree(); got != 7 {
 		t.Fatalf("NextFree after 3 = %d, want 7", got)
 	}
 	// The shard's own root (object 1, outside its residue class) does not
 	// disturb allocation.
-	_ = table.Set(1, ObjectEntry{Seq: 1})
+	table.SetRAM(1, ObjectEntry{Seq: 1})
 	if got := table.NextFree(); got != 7 {
 		t.Fatalf("NextFree with root = %d, want 7", got)
 	}
 	// Batch allocation skips both used and reserved numbers, staying in
 	// the residue class.
-	if got := table.NextFreeExcept(map[uint32]bool{7: true}); got != 11 {
+	if got := table.NextFreeExcept(func(obj uint32) bool { return obj == 7 }); got != 11 {
 		t.Fatalf("NextFreeExcept = %d, want 11", got)
 	}
 
 	// Shard 0 of 4 owns 1, 5, 9, ... and the root occupies 1.
 	t0, _ := newTestTable(t)
 	t0.ConfigureShard(0, 4)
-	_ = t0.Set(1, ObjectEntry{Seq: 1})
+	t0.SetRAM(1, ObjectEntry{Seq: 1})
 	if got := t0.NextFree(); got != 5 {
 		t.Fatalf("shard-0 NextFree = %d, want 5", got)
 	}
@@ -278,10 +274,9 @@ func TestObjectTablePersistsAcrossOpen(t *testing.T) {
 	table, disk := newTestTable(t)
 	e1 := ObjectEntry{Cap: testCap(1), Seq: 3, Secret: capability.NewSecret([]byte("a"))}
 	e2 := ObjectEntry{Cap: testCap(40), Seq: 8, Secret: capability.NewSecret([]byte("b"))}
-	if err := table.Set(1, e1); err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Set(40, e2); err != nil { // second block
+	table.SetRAM(1, e1)
+	table.SetRAM(40, e2) // second block
+	if err := table.FlushBlocks(table.RAMDirtyObjects()); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := OpenObjectTable(disk)
@@ -299,45 +294,39 @@ func TestObjectTablePersistsAcrossOpen(t *testing.T) {
 	}
 }
 
-func TestObjectTableSetCostsOneWrite(t *testing.T) {
+// TestObjectTableFlushWritesEachBlockOnce: slots change in RAM only, and
+// FlushBlocks is the one way they reach the disk — one write per block
+// however many of its slots changed, entries, stubs and cleared slots
+// alike.
+func TestObjectTableFlushWritesEachBlockOnce(t *testing.T) {
 	table, disk := newTestTable(t)
-	before := disk.Stats().Writes
-	if err := table.Set(3, ObjectEntry{Seq: 1}); err != nil {
+	entry := ObjectEntry{Cap: testCap(2), Seq: 10, Secret: capability.NewSecret([]byte("x"))}
+	table.SetRAM(1, ObjectEntry{Seq: 1})
+	table.SetRAM(2, entry)
+	table.SetStubRAM(4, StubEntry{Target: 1, Seq: 12})
+	table.SetRAM(50, ObjectEntry{Seq: 2}) // fourth block
+	table.DeleteRAM(1)
+	if got := disk.Stats().Writes; got != 0 {
+		t.Fatalf("RAM mutators wrote %d blocks", got)
+	}
+	dirty := table.RAMDirtyObjects()
+	if !reflect.DeepEqual(dirty, []uint32{1, 2, 4, 50}) {
+		t.Fatalf("RAM-dirty = %v", dirty)
+	}
+	if err := table.FlushBlocks(dirty); err != nil {
 		t.Fatal(err)
 	}
-	if got := disk.Stats().Writes - before; got != 1 {
-		t.Fatalf("Set cost %d writes, want 1 (the paper's single object-table write)", got)
+	if got := disk.Stats().Writes; got != 2 {
+		t.Fatalf("flush of four slots in two blocks cost %d writes, want 2", got)
 	}
-}
-
-func TestObjectTableReplaceAll(t *testing.T) {
-	table, disk := newTestTable(t)
-	_ = table.Set(1, ObjectEntry{Seq: 1})
-	_ = table.Set(50, ObjectEntry{Seq: 2})
-	newEntries := map[uint32]ObjectEntry{
-		2: {Cap: testCap(2), Seq: 10, Secret: capability.NewSecret([]byte("x"))},
-	}
-	newStubs := map[uint32]StubEntry{
-		4: {Target: 1, Seq: 12},
-	}
-	if err := table.ReplaceAll(newEntries, newStubs); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := table.Get(1); ok {
-		t.Fatal("stale entry survived ReplaceAll")
-	}
-	got, ok := table.Get(2)
-	if !ok || got.Seq != 10 {
-		t.Fatalf("replaced entry: %+v, %v", got, ok)
-	}
-	if st, ok := table.Stub(4); !ok || st.Target != 1 || st.Seq != 12 {
-		t.Fatalf("replaced stub: %+v, %v", st, ok)
+	if left := table.RAMDirtyObjects(); len(left) != 0 {
+		t.Fatalf("still dirty after flush: %v", left)
 	}
 	reopened, err := OpenObjectTable(disk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(reopened.All(), newEntries) {
+	if want := map[uint32]ObjectEntry{2: entry, 50: {Seq: 2}}; !reflect.DeepEqual(reopened.All(), want) {
 		t.Fatalf("after reopen: %+v", reopened.All())
 	}
 	if st, ok := reopened.Stub(4); !ok || st.Target != 1 || st.Seq != 12 {

@@ -3,7 +3,7 @@ package dirsvc
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dirsvc/internal/capability"
@@ -46,9 +46,12 @@ const (
 const entriesPerBlock = vdisk.BlockSize / entrySlot
 
 // ObjectTable maps directory object numbers to their entries. The table
-// occupies blocks 1..k of the admin partition; updating one entry costs
-// exactly one block write — the paper's "one disk operation to store the
-// changed entry in the object table".
+// occupies blocks 1..k of the admin partition. Every mutator changes RAM
+// only and marks the object dirty; FlushBlocks is the one way a slot
+// reaches the disk, one write per block — the paper's "one disk operation
+// to store the changed entry in the object table". When that write
+// happens is the caller's persistence mode: at once (write-through), on
+// the NVRAM flush, or never (the engine checkpoint is the durable copy).
 type ObjectTable struct {
 	admin vdisk.Storage
 
@@ -130,7 +133,7 @@ func (t *ObjectTable) Objects() []uint32 {
 	for k := range t.entries {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -190,10 +193,10 @@ func (t *ObjectTable) ClassMax(mod, res uint32) uint32 {
 func (t *ObjectTable) NextFree() uint32 { return t.NextFreeExcept(nil) }
 
 // NextFreeExcept returns the lowest unused object number homed on this
-// shard that is also not in skip — the allocator for batches, where
-// several creations must pick distinct numbers before any of them
+// shard that skip (when non-nil) does not report — the allocator for
+// staged creations, which must pick distinct numbers before any of them
 // commits.
-func (t *ObjectTable) NextFreeExcept(skip map[uint32]bool) uint32 {
+func (t *ObjectTable) NextFreeExcept(skip func(obj uint32) bool) uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	start := t.allocRes + 1
@@ -205,7 +208,7 @@ func (t *ObjectTable) NextFreeExcept(skip map[uint32]bool) uint32 {
 	for obj := start; obj <= t.max; obj += t.allocMod {
 		_, used := t.entries[obj]
 		_, stubbed := t.stubs[obj]
-		if !used && !stubbed && !skip[obj] {
+		if !used && !stubbed && (skip == nil || !skip(obj)) {
 			return obj
 		}
 	}
@@ -231,59 +234,12 @@ func (t *ObjectTable) MaxSeq() uint64 {
 	return maxSeq
 }
 
-// Set updates obj's entry and writes the containing block (one disk
-// operation — the commit point of the write protocol, Fig. 5).
-func (t *ObjectTable) Set(obj uint32, e ObjectEntry) error {
-	t.mu.Lock()
-	if obj == 0 || obj > t.max {
-		t.mu.Unlock()
-		return fmt.Errorf("object %d out of range (max %d)", obj, t.max)
-	}
-	t.entries[obj] = e
-	delete(t.stubs, obj)
-	delete(t.ramDirty, obj)
-	raw := t.encodeBlockLocked(blockOf(obj))
-	t.mu.Unlock()
-	return t.admin.WriteBlock(blockOf(obj), raw)
-}
+// Holds reports whether obj is a slot of this table.
+func (t *ObjectTable) Holds(obj uint32) bool { return obj >= 1 && obj <= t.max }
 
-// Delete clears obj's slot and writes the containing block.
-func (t *ObjectTable) Delete(obj uint32) error {
-	t.mu.Lock()
-	delete(t.ramDirty, obj)
-	_, used := t.entries[obj]
-	_, stubbed := t.stubs[obj]
-	if !used && !stubbed {
-		t.mu.Unlock()
-		return nil
-	}
-	delete(t.entries, obj)
-	delete(t.stubs, obj)
-	raw := t.encodeBlockLocked(blockOf(obj))
-	t.mu.Unlock()
-	return t.admin.WriteBlock(blockOf(obj), raw)
-}
-
-// SetStub replaces obj's slot with a forwarding stub and writes the
-// containing block — the source side's commit point of a migration flip:
-// the object entry is gone, its number stays reserved, and in-flight
-// clients are pointed at the new home.
-func (t *ObjectTable) SetStub(obj uint32, s StubEntry) error {
-	t.mu.Lock()
-	if obj == 0 || obj > t.max {
-		t.mu.Unlock()
-		return fmt.Errorf("object %d out of range (max %d)", obj, t.max)
-	}
-	delete(t.entries, obj)
-	t.stubs[obj] = s
-	delete(t.ramDirty, obj)
-	raw := t.encodeBlockLocked(blockOf(obj))
-	t.mu.Unlock()
-	return t.admin.WriteBlock(blockOf(obj), raw)
-}
-
-// SetStubRAM installs a forwarding stub in memory only, marking the
-// object dirty for the background flush (the NVRAM critical path).
+// SetStubRAM replaces obj's slot with a forwarding stub — the source
+// side of a migration flip: the entry is gone, its number stays reserved,
+// and in-flight clients are pointed at the new home.
 func (t *ObjectTable) SetStubRAM(obj uint32, s StubEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -318,130 +274,16 @@ func (t *ObjectTable) StubCount() int {
 	return len(t.stubs)
 }
 
-// DropAllStubs removes every forwarding stub and rewrites the affected
-// blocks — the final step of a completed split, after clients have had
-// the new shard map pushed at them via NotMine chases.
-func (t *ObjectTable) DropAllStubs() error {
-	t.mu.Lock()
-	dirty := make(map[int]bool)
-	for obj := range t.stubs {
-		dirty[blockOf(obj)] = true
-		delete(t.ramDirty, obj)
-	}
-	t.stubs = make(map[uint32]StubEntry)
-	blocks := make([]int, 0, len(dirty))
-	for b := range dirty {
-		blocks = append(blocks, b)
-	}
-	sort.Ints(blocks)
-	images := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		images[i] = t.encodeBlockLocked(b)
-	}
-	t.mu.Unlock()
-	for i, b := range blocks {
-		if err := t.admin.WriteBlock(b, images[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DropAllStubsRAM removes every forwarding stub in memory only, marking
-// the affected objects dirty for the background flush.
-func (t *ObjectTable) DropAllStubsRAM() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for obj := range t.stubs {
-		t.ramDirty[obj] = true
-	}
-	t.stubs = make(map[uint32]StubEntry)
-}
-
-// ReplaceAll atomically installs a full table image (recovery state
-// transfer), entries and forwarding stubs both, rewriting every dirty
-// block.
-func (t *ObjectTable) ReplaceAll(entries map[uint32]ObjectEntry, stubs map[uint32]StubEntry) error {
-	t.mu.Lock()
-	dirty := make(map[int]bool)
-	for obj := range t.entries {
-		dirty[blockOf(obj)] = true
-	}
-	for obj := range t.stubs {
-		dirty[blockOf(obj)] = true
-	}
-	for obj := range entries {
-		dirty[blockOf(obj)] = true
-	}
-	for obj := range stubs {
-		dirty[blockOf(obj)] = true
-	}
-	t.entries = make(map[uint32]ObjectEntry, len(entries))
-	t.stubs = make(map[uint32]StubEntry, len(stubs))
-	t.ramDirty = make(map[uint32]bool)
-	for k, v := range entries {
-		t.entries[k] = v
-	}
-	for k, v := range stubs {
-		t.stubs[k] = v
-	}
-	blocks := make([]int, 0, len(dirty))
-	for b := range dirty {
-		blocks = append(blocks, b)
-	}
-	sort.Ints(blocks)
-	images := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		images[i] = t.encodeBlockLocked(b)
-	}
-	t.mu.Unlock()
-	for i, b := range blocks {
-		if err := t.admin.WriteBlock(b, images[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReplaceAllRAM installs a full table image in memory only, marking
-// every slot that changed hands dirty for the background flush. The
-// disk-engine and secondary paths use this: the checkpoint, not the
-// admin partition, is their durable copy.
-func (t *ObjectTable) ReplaceAllRAM(entries map[uint32]ObjectEntry, stubs map[uint32]StubEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	dirty := make(map[uint32]bool)
-	for obj := range t.entries {
-		dirty[obj] = true
-	}
-	for obj := range t.stubs {
-		dirty[obj] = true
-	}
-	t.entries = make(map[uint32]ObjectEntry, len(entries))
-	t.stubs = make(map[uint32]StubEntry, len(stubs))
-	for k, v := range entries {
-		t.entries[k] = v
-		dirty[k] = true
-	}
-	for k, v := range stubs {
-		t.stubs[k] = v
-		dirty[k] = true
-	}
-	t.ramDirty = dirty
-}
-
-// SetRAM updates obj's entry in memory only, marking the object dirty
-// for the background flush. The NVRAM variant of the service uses this
-// on its critical path; FlushBlocks persists later.
+// SetRAM updates obj's entry.
 func (t *ObjectTable) SetRAM(obj uint32, e ObjectEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.entries[obj] = e
+	delete(t.stubs, obj)
 	t.ramDirty[obj] = true
 }
 
-// DeleteRAM clears obj's slot in memory only, marking the object dirty
-// for the background flush.
+// DeleteRAM clears obj's slot, entry or stub.
 func (t *ObjectTable) DeleteRAM(obj uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -452,8 +294,8 @@ func (t *ObjectTable) DeleteRAM(obj uint32) {
 
 // RAMDirtyObjects returns, in ascending order, every object whose RAM
 // state (entry changed, created, or deleted) has not been persisted —
-// the authoritative work list for the background flush. Unlike parsing
-// the operation log, this covers creations (whose object numbers are
+// the authoritative work list for a deferred flush. Unlike parsing the
+// operation log, this covers creations (whose object numbers are
 // assigned at apply time) and batch steps.
 func (t *ObjectTable) RAMDirtyObjects() []uint32 {
 	t.mu.Lock()
@@ -462,24 +304,21 @@ func (t *ObjectTable) RAMDirtyObjects() []uint32 {
 	for obj := range t.ramDirty {
 		out = append(out, obj)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // FlushBlocks writes the blocks containing the given objects, each block
-// once (the background NVRAM flush path).
+// once, and clears the objects' dirty marks — the commit point of the
+// write protocol (Fig. 5) when called at once, the NVRAM flush when
+// called later.
 func (t *ObjectTable) FlushBlocks(objs []uint32) error {
-	seen := make(map[int]bool)
-	var blocks []int
+	blocks := make([]int, 0, len(objs))
 	for _, obj := range objs {
-		b := blockOf(obj)
-		if !seen[b] {
-			seen[b] = true
-			blocks = append(blocks, b)
-		}
+		blocks = append(blocks, blockOf(obj))
 	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
+	slices.Sort(blocks)
+	for _, b := range slices.Compact(blocks) {
 		t.mu.Lock()
 		raw := t.encodeBlockLocked(b)
 		t.mu.Unlock()

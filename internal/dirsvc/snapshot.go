@@ -273,9 +273,8 @@ func (a *Applier) SnapshotState(appliedSeq, commitSeq uint64) *Snapshot {
 // table, images, stubs, topology, staged prepares, and remembered
 // outcomes. In durable mode every image is written through to the Bullet
 // store and the table blocks reach the disk; otherwise everything lands
-// in RAM marked dirty for the background flush. Recovery and the
-// readonly secondary call this directly; OpRestoreShard reaches it
-// through the replicated update path.
+// in RAM, marked dirty. Recovery and the readonly secondary call this
+// directly; OpRestoreShard reaches it through the replicated update path.
 func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -284,82 +283,63 @@ func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 }
 
 // applyRestoreLocked executes OpRestoreShard: decode the snapshot in
-// the request Blob and install it wholesale. DirtyObjects is the union
-// of objects present before or after, so the NVRAM/local flush paths
-// write every changed slot through (including ones the restore
-// removed). Called with a.mu held.
+// the request Blob and install it wholesale. Called with a.mu held.
 func (a *Applier) applyRestoreLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
 	snap, err := DecodeSnapshot(req.Blob)
 	if err != nil {
 		return nil, err
 	}
-	dirty, err := a.installSnapshotLocked(snap, durable)
+	res, err := a.installSnapshotLocked(snap, durable)
 	if err != nil {
 		return nil, err
 	}
-	adv := snap.MaxSeq()
-	if seq > adv {
-		adv = seq
-	}
-	return &ApplyResult{
-		Reply:        &Reply{Status: StatusOK, Seq: seq},
-		DirtyObjects: dirty,
-		// Slots may have emptied and restored seqs may exceed the stream
-		// seq; advance the commit-block floor so recovery cannot regress.
-		DeletedDir:  true,
-		TopoChanged: snap.Topo != nil,
-		AdvanceSeq:  adv,
-	}, nil
+	res.Reply.Seq = seq
+	// Restored seqs may exceed the stream seq; advance the commit-block
+	// floor even when no slot emptied, so recovery cannot regress.
+	res.DeletedDir = true
+	res.TopoChanged = snap.Topo != nil
+	res.AdvanceSeq = max(seq, snap.MaxSeq())
+	return res, nil
 }
 
-// installSnapshotLocked is InstallSnapshot under a.mu; it returns the
-// union of objects present before or after the install (the restore
-// dirty set). Called with a.mu held.
-func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) ([]uint32, error) {
-	touched := make(map[uint32]bool)
-	for obj := range a.table.All() {
-		touched[obj] = true
+// installSnapshotLocked is InstallSnapshot under a.mu: one overlay that
+// clears every slot held now and stages every slot of the snapshot, so
+// the commit's DirtyObjects is the union of objects present before or
+// after — a deferred flush writes every changed slot through, including
+// the ones the install removed. Called with a.mu held.
+func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) (*ApplyResult, error) {
+	var ov overlay
+	for _, obj := range a.table.Objects() {
+		ov.stage(obj)
 	}
 	for obj := range a.table.Stubs() {
-		touched[obj] = true
+		ov.stage(obj)
 	}
 	for obj := range a.cache {
-		touched[obj] = true
+		ov.stage(obj)
 	}
-
-	entries := make(map[uint32]ObjectEntry, len(snap.Objects))
-	cache := make(map[uint32]*dirdata.Directory, len(snap.Objects))
 	for _, o := range snap.Objects {
 		d, err := dirdata.Decode(o.Image)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot image of object %d: %w", o.Object, err)
 		}
-		e := ObjectEntry{Seq: o.Seq, Secret: o.Secret}
-		if durable {
-			bcap, berr := a.bullet.Create(o.Image)
-			if berr != nil {
-				return nil, fmt.Errorf("store snapshot object %d: %w", o.Object, berr)
-			}
-			e.Cap = bcap
+		if !a.table.Holds(o.Object) {
+			return nil, fmt.Errorf("snapshot object %d outside the table: %w", o.Object, ErrBadRequest)
 		}
-		entries[o.Object] = e
-		cache[o.Object] = d
-		touched[o.Object] = true
+		s := ov.stage(o.Object)
+		s.dir, s.entry, s.stub = d, ObjectEntry{Seq: o.Seq, Secret: o.Secret}, nil
 	}
-	stubs := make(map[uint32]StubEntry, len(snap.Stubs))
 	for _, st := range snap.Stubs {
-		stubs[st.Object] = StubEntry{Target: st.Target, Seq: st.Seq}
-		touched[st.Object] = true
-	}
-
-	if durable {
-		if err := a.table.ReplaceAll(entries, stubs); err != nil {
-			return nil, err
+		if !a.table.Holds(st.Object) {
+			return nil, fmt.Errorf("snapshot stub %d outside the table: %w", st.Object, ErrBadRequest)
 		}
-	} else {
-		a.table.ReplaceAllRAM(entries, stubs)
+		s := ov.stage(st.Object)
+		s.dir, s.stub = nil, &StubEntry{Target: st.Target, Seq: st.Seq}
 	}
-	a.cache = cache
+	res, err := a.commitOverlayLocked(&ov, 0, durable)
+	if err != nil {
+		return nil, err
+	}
 
 	// Adopt the snapshot's shard-map state before re-staging anything, so
 	// a prepared create allocates under the epoch it was staged in.
@@ -397,10 +377,5 @@ func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) ([]uint32,
 		a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: d.Seq, results: d.Results})
 	}
 
-	out := make([]uint32, 0, len(touched))
-	for obj := range touched {
-		out = append(out, obj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return res, nil
 }

@@ -269,11 +269,11 @@ const maxDecided = 4096
 // ship the prepare record during recovery.
 type preparedTx struct {
 	id           TxID
-	req          *Request // the original OpPrepare request (re-log, snapshots)
+	req          *Request // the OpPrepare request, allocations pinned (re-log, snapshots)
 	seq          uint64   // sequence number the prepare applied under
 	resolver     int
 	participants []int
-	overlay      *batchOverlay
+	overlay      *overlay
 	results      []BatchStepResult
 	objs         []uint32 // locked objects (targets plus staged creations)
 	preparedAt   time.Time
@@ -355,15 +355,6 @@ func (a *Applier) RecentDecided(n int, maxAge time.Duration) []DecidedTx {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// RestoreDecided reinstalls remembered outcomes from a recovery log.
-func (a *Applier) RestoreDecided(recs []DecidedTx) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range recs {
-		a.rememberDecidedLocked(r.ID, decidedTx{commit: r.Commit, seq: r.Seq, results: r.Results})
-	}
 }
 
 // ResetTx discards all transaction state (recovery restart; the caller
@@ -456,23 +447,6 @@ func (a *Applier) lockedByOtherLocked(obj uint32, self TxID) bool {
 	return ok && owner != self
 }
 
-// allocSkipLocked is the skip set for object allocation: numbers staged
-// by the current overlay plus numbers staged by prepared transactions.
-// Must hold a.mu.
-func (a *Applier) allocSkipLocked(created map[uint32]bool) map[uint32]bool {
-	if len(a.locks) == 0 {
-		return created
-	}
-	skip := make(map[uint32]bool, len(created)+len(a.locks))
-	for obj := range created {
-		skip[obj] = true
-	}
-	for obj := range a.locks {
-		skip[obj] = true
-	}
-	return skip
-}
-
 // applyPrepareLocked stages one transaction's steps: validate into an
 // overlay exactly like an atomic batch, but instead of writing through,
 // park the overlay in the prepared table and lock the touched objects
@@ -499,16 +473,19 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, er
 	if err != nil {
 		return nil, err
 	}
-	ov := newBatchOverlay()
+	ov := &overlay{}
 	results := make([]BatchStepResult, len(steps))
 	for i, st := range steps {
 		if err := a.batchStepLocked(ov, st, seq, p.ID, &results[i]); err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
+	reply := &Reply{Status: StatusOK, Seq: seq, Blob: EncodeBatchResults(results)}
 	tx := &preparedTx{
-		id:           p.ID,
-		req:          req,
+		id: p.ID,
+		// The kept request is what a flush re-logs and a snapshot ships: it
+		// has to re-stage under whatever topology it meets there.
+		req:          PinAllocation(req, reply),
 		seq:          seq,
 		resolver:     p.Resolver,
 		participants: append([]int(nil), p.Participants...),
@@ -516,26 +493,13 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, er
 		results:      results,
 		preparedAt:   time.Now(),
 	}
-	seen := make(map[uint32]bool)
-	for _, st := range steps {
-		if st.Dir.Object != 0 && !seen[st.Dir.Object] {
-			seen[st.Dir.Object] = true
-			tx.objs = append(tx.objs, st.Dir.Object)
-		}
-	}
-	for obj := range ov.created {
-		if !seen[obj] {
-			seen[obj] = true
-			tx.objs = append(tx.objs, obj)
-		}
-	}
-	for _, obj := range tx.objs {
-		a.locks[obj] = p.ID
+	// Every step stages its target, creations included.
+	for _, s := range ov.objs {
+		tx.objs = append(tx.objs, s.obj)
+		a.locks[s.obj] = p.ID
 	}
 	a.prepared[p.ID] = tx
-	return &ApplyResult{Reply: &Reply{
-		Status: StatusOK, Seq: seq, Blob: EncodeBatchResults(results),
-	}}, nil
+	return &ApplyResult{Reply: reply}, nil
 }
 
 // applyDecideLocked resolves a prepared transaction: commit writes the
@@ -578,26 +542,25 @@ func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool) (*Ap
 
 	// Commit: the staged images were stamped with the prepare's sequence
 	// number; restamp with the commit's before writing through.
-	for obj, e := range tx.overlay.entries {
-		e.Seq = seq
-		tx.overlay.entries[obj] = e
+	for i := range tx.overlay.objs {
+		s := &tx.overlay.objs[i]
+		s.entry.Seq = seq
+		if s.dir != nil {
+			s.dir.Seq = seq
+		}
+		if s.stub != nil {
+			s.stub.Seq = seq
+		}
 	}
-	for _, dir := range tx.overlay.dirs {
-		dir.Seq = seq
-	}
-	for obj, st := range tx.overlay.migOut {
-		st.Seq = seq
-		tx.overlay.migOut[obj] = st
-	}
-	resultsBlob := EncodeBatchResults(tx.results)
-	res, err := a.commitOverlayLocked(tx.overlay, seq, durable, resultsBlob)
+	res, err := a.commitOverlayLocked(tx.overlay, seq, durable)
 	if err != nil {
 		// Disk trouble: the transaction stays prepared so a decide retry
 		// can complete it; nothing partial became visible.
 		return nil, err
 	}
+	res.Reply.Blob = EncodeBatchResults(tx.results)
 	a.releaseTxLocked(tx)
-	a.rememberDecidedLocked(d.ID, decidedTx{commit: true, seq: seq, results: resultsBlob})
+	a.rememberDecidedLocked(d.ID, decidedTx{commit: true, seq: seq, results: res.Reply.Blob})
 	return res, nil
 }
 

@@ -232,6 +232,40 @@ func TestPrepareReplayRestages(t *testing.T) {
 	}
 }
 
+// TestDecideReplay covers Applier.Replay, the one way a recovery-log
+// record reaches the RAM state: a decide whose transaction is staged
+// applies; a decide whose transaction is not — an outcome re-logged after
+// its effects were flushed — restores the remembered outcome and changes
+// nothing else; a record whose effect the state already holds is skipped.
+func TestDecideReplay(t *testing.T) {
+	f, id, _, _ := preparedFixture(t)
+	root, _ := f.applier.RootCap()
+	rows := func() int {
+		return len(f.applier.Read(&Request{Op: OpListDir, Dir: root}).Rows)
+	}
+	decide := func(id TxID) *Request {
+		return &Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: id, Commit: true})}
+	}
+
+	if !f.applier.Replay(decide(id), 9) || rows() != 1 {
+		t.Fatalf("staged transaction: decide did not apply (%d rows)", rows())
+	}
+	flushed := NewTxID()
+	if !f.applier.Replay(decide(flushed), 12) {
+		t.Fatal("outcome record refused")
+	}
+	if state, seq := f.applier.TxStateOf(flushed); state != TxCommitted || seq != 12 {
+		t.Fatalf("outcome record restored %v/%d, want committed/12", state, seq)
+	}
+	if rows() != 1 || len(f.applier.InDoubtTxs()) != 0 {
+		t.Fatal("outcome record changed directories or staged something")
+	}
+	again := &Request{Op: OpAppendRow, Dir: root, Name: "staged", Cap: root, Masks: ownerMasks()}
+	if f.applier.Replay(again, 13) {
+		t.Fatal("a record the state already reflects replayed as applied")
+	}
+}
+
 // TestWaitUnlocked covers the reader-blocking primitive: an unlocked
 // object passes immediately, a locked one blocks until the decision.
 func TestWaitUnlocked(t *testing.T) {

@@ -18,37 +18,17 @@ import (
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
 	"dirsvc/internal/rpc"
-	"dirsvc/internal/vdisk"
 )
 
 // nfsExtraLookup models NFS's slightly slower lookup path (6 ms vs the
 // directory service's 5 ms in Fig. 7).
 const nfsExtraLookup = time.Millisecond
 
-// Config describes the single server.
+// Config describes the single server: where it sits and how its request
+// pipeline is sized. ServerID, Bullet and ExtraLookupCPU are filled in by
+// NewServer.
 type Config struct {
-	Service string
-	Admin   vdisk.Storage
-	Workers int
-	// Shard and Shards place this server in a sharded deployment (see
-	// dirsvc.ObjectTable.ConfigureShard). Zero values mean unsharded.
-	Shard, Shards int
-	// ActiveShards is the number of shards serving traffic at epoch zero;
-	// the rest are reserve targets for online splits. Zero means all
-	// Shards are active — the pre-elastic behavior.
-	ActiveShards int
-	// BaseService is the deployment-wide service name (decision queries
-	// to sibling shards); empty means no cross-shard queries.
-	BaseService string
-	// TxAbortTimeout is the presumed-abort horizon for prepared
-	// two-phase transactions (zero: a model-scaled default).
-	TxAbortTimeout time.Duration
-	// LeaseTTL bounds a watch/cache lease without renewal (zero: a
-	// model-scaled default).
-	LeaseTTL time.Duration
-	// EventLogSize bounds the event log replayable to reconnecting
-	// watchers (zero: dirsvc.DefaultEventLogSize).
-	EventLogSize int
+	dirsvc.FrontConfig
 }
 
 // Server is the unreplicated directory server.
@@ -67,21 +47,10 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
-		Service:        cfg.Service,
-		BaseService:    cfg.BaseService,
-		ServerID:       1,
-		Shard:          cfg.Shard,
-		Shards:         cfg.Shards,
-		ActiveShards:   cfg.ActiveShards,
-		Admin:          cfg.Admin,
-		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, 1)),
-		Workers:        cfg.Workers,
-		TxAbortTimeout: cfg.TxAbortTimeout,
-		LeaseTTL:       cfg.LeaseTTL,
-		EventLogSize:   cfg.EventLogSize,
-		ExtraLookupCPU: nfsExtraLookup,
-	})
+	cfg.ServerID = 1
+	cfg.Bullet = bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, 1))
+	cfg.ExtraLookupCPU = nfsExtraLookup
+	front, err := dirsvc.NewFrontEnd(stack, cfg.FrontConfig)
 	if err != nil {
 		return nil, fmt.Errorf("localdir: %w", err)
 	}

@@ -47,7 +47,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	dstack := flip.NewStack(net.AddNode("dir"))
-	srv, err := NewServer(dstack, Config{Service: service, Admin: admin})
+	srv, err := NewServer(dstack, Config{FrontConfig: dirsvc.FrontConfig{Service: service, Admin: admin}})
 	if err != nil {
 		t.Fatal(err)
 	}

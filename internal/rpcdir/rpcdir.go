@@ -33,31 +33,12 @@ func PeerPort(service string, id int) capability.Port {
 
 // Config describes one of the two servers.
 type Config struct {
-	Service string
-	ID      int // 1 or 2
-	Admin   vdisk.Storage
-	// Staging is the fixed intentions block (same disk, short seek).
+	// FrontConfig places the server and sizes its request pipeline;
+	// ServerID is 1 or 2. Bullet is filled in by NewServer.
+	dirsvc.FrontConfig
+	// Staging is the fixed intentions block (same disk as Admin, short
+	// seek).
 	Staging vdisk.Storage
-	Workers int
-	// Shard and Shards place this server pair in a sharded deployment
-	// (see dirsvc.ObjectTable.ConfigureShard). Zero values mean unsharded.
-	Shard, Shards int
-	// ActiveShards is the number of shards serving traffic at epoch zero;
-	// the rest are reserve targets for online splits. Zero means all
-	// Shards are active — the pre-elastic behavior.
-	ActiveShards int
-	// BaseService is the deployment-wide service name (decision queries
-	// to sibling shards); empty means no cross-shard queries.
-	BaseService string
-	// TxAbortTimeout is the presumed-abort horizon for prepared
-	// two-phase transactions (zero: a model-scaled default).
-	TxAbortTimeout time.Duration
-	// LeaseTTL bounds a watch/cache lease without renewal (zero: a
-	// model-scaled default).
-	LeaseTTL time.Duration
-	// EventLogSize bounds the event log replayable to reconnecting
-	// watchers (zero: dirsvc.DefaultEventLogSize).
-	EventLogSize int
 }
 
 // pendingIntention is an update the peer has proposed and we have
@@ -88,8 +69,8 @@ type Server struct {
 // NewServer boots one rpcdir server. If the peer is reachable and ahead,
 // the server syncs its state from the peer before serving.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
-	if cfg.ID != 1 && cfg.ID != 2 {
-		return nil, fmt.Errorf("rpcdir: server id must be 1 or 2, got %d", cfg.ID)
+	if cfg.ServerID != 1 && cfg.ServerID != 2 {
+		return nil, fmt.Errorf("rpcdir: server id must be 1 or 2, got %d", cfg.ServerID)
 	}
 	rc, err := rpc.NewClient(stack)
 	if err != nil {
@@ -99,20 +80,8 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, err := dirsvc.NewFrontEnd(stack, dirsvc.FrontConfig{
-		Service:        cfg.Service,
-		BaseService:    cfg.BaseService,
-		ServerID:       cfg.ID,
-		Shard:          cfg.Shard,
-		Shards:         cfg.Shards,
-		ActiveShards:   cfg.ActiveShards,
-		Admin:          cfg.Admin,
-		Bullet:         bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ID)),
-		Workers:        cfg.Workers,
-		TxAbortTimeout: cfg.TxAbortTimeout,
-		LeaseTTL:       cfg.LeaseTTL,
-		EventLogSize:   cfg.EventLogSize,
-	})
+	cfg.Bullet = bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ServerID))
+	front, err := dirsvc.NewFrontEnd(stack, cfg.FrontConfig)
 	if err != nil {
 		return nil, fmt.Errorf("rpcdir: %w", err)
 	}
@@ -132,7 +101,7 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	// identity is per boot; bootstrap's replayed history is not recorded.
 	front.StartEvents(s.seq)
 
-	if s.peerSrv, err = rpc.NewServer(stack, PeerPort(cfg.Service, cfg.ID)); err != nil {
+	if s.peerSrv, err = rpc.NewServer(stack, PeerPort(cfg.Service, cfg.ServerID)); err != nil {
 		front.Close()
 		return nil, err
 	}
@@ -167,8 +136,8 @@ func (s *Server) bootstrap() error {
 	}
 
 	// Sync from the peer if it is ahead (lazy copies we missed).
-	peer := 3 - s.cfg.ID
-	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ID}
+	peer := 3 - s.cfg.ServerID
+	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ServerID}
 	if raw, err := s.peerRPC.Trans(PeerPort(s.cfg.Service, peer), req.Encode()); err == nil {
 		if reply, err := dirsvc.DecodeReply(raw); err == nil && reply.Status == dirsvc.StatusOK && reply.Seq > s.seq {
 			if err := s.installState(reply.Blob, reply.Seq); err != nil {
@@ -235,11 +204,11 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 
 	// Phase 1: inform the other server of the intended update; it
 	// stores the intentions on disk and answers OK (§1).
-	peer := 3 - s.cfg.ID
+	peer := 3 - s.cfg.ServerID
 	intention := &dirsvc.Request{
 		Op:     dirsvc.OpIntention,
 		Seq:    seq,
-		Server: s.cfg.ID,
+		Server: s.cfg.ServerID,
 		Blob:   req.Encode(),
 	}
 	agreedSeq := seq
@@ -270,7 +239,7 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	if aerr != nil {
 		// Tell the peer to forget the intention.
 		if peerUp {
-			drop := &dirsvc.Request{Op: dirsvc.OpApplyLazy, Seq: agreedSeq, Server: s.cfg.ID, Column: 1}
+			drop := &dirsvc.Request{Op: dirsvc.OpApplyLazy, Seq: agreedSeq, Server: s.cfg.ServerID, Column: 1}
 			_, _ = s.peerRPC.Trans(PeerPort(s.cfg.Service, peer), drop.Encode())
 		}
 		return dirsvc.ErrorReply(aerr)
@@ -285,7 +254,7 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			lazy := &dirsvc.Request{Op: dirsvc.OpApplyLazy, Seq: agreedSeq, Server: s.cfg.ID}
+			lazy := &dirsvc.Request{Op: dirsvc.OpApplyLazy, Seq: agreedSeq, Server: s.cfg.ServerID}
 			_, _ = s.peerRPC.Trans(PeerPort(s.cfg.Service, peer), lazy.Encode())
 		}()
 	}

@@ -40,7 +40,7 @@ func TestIntentionCodecRejectsEmptyAndGarbage(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	stack := newTestStack(t, net)
-	if _, err := NewServer(stack, Config{Service: "x", ID: 3}); err == nil {
+	if _, err := NewServer(stack, Config{FrontConfig: dirsvc.FrontConfig{Service: "x", ServerID: 3}}); err == nil {
 		t.Fatal("accepted server id 3 in a two-server service")
 	}
 }

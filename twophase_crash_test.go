@@ -454,27 +454,7 @@ func TestTwoPhaseRPCStateTransfer(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	f := newTxFixture(t, c, "xfer")
-	rc, _, err := c.NewRawClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	send := func(shard int, req *dirsvc.Request) (reply *dirsvc.Reply) {
-		t.Helper()
-		port := dirsvc.ServicePort(dirsvc.ShardService(c.Service, shard, c.Shards()))
-		if err := retryFor(crashRetryWait, func() error {
-			raw, err := rc.Trans(port, req.Encode())
-			if err != nil {
-				return err
-			}
-			if reply, err = dirsvc.DecodeReply(raw); err != nil {
-				return err
-			}
-			return reply.Status.Err()
-		}); err != nil {
-			t.Fatalf("%v on shard %d: %v", req.Op, shard, err)
-		}
-		return reply
-	}
+	send := rawSender(t, c)
 
 	c.CrashShardServer(0, 2)
 	id := dirsvc.NewTxID()
@@ -500,6 +480,34 @@ func TestTwoPhaseRPCStateTransfer(t *testing.T) {
 	if len(reply.Blob) != 1 || dirsvc.TxState(reply.Blob[0]) != dirsvc.TxCommitted {
 		t.Fatalf("restarted resolver answers %v for a committed transaction, want %v",
 			reply.Blob, dirsvc.TxCommitted)
+	}
+}
+
+// rawSender returns a function that drives one request at the wire level
+// against a shard's service port until it is answered OK — for tests that
+// have to know a transaction's id or send what no client would.
+func rawSender(t *testing.T, c *Cluster) func(shard int, req *dirsvc.Request) *dirsvc.Reply {
+	t.Helper()
+	rc, _, err := c.NewRawClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(shard int, req *dirsvc.Request) (reply *dirsvc.Reply) {
+		t.Helper()
+		port := dirsvc.ServicePort(dirsvc.ShardService(c.Service, shard, c.Shards()))
+		if err := retryFor(crashRetryWait, func() error {
+			raw, err := rc.Trans(port, req.Encode())
+			if err != nil {
+				return err
+			}
+			if reply, err = dirsvc.DecodeReply(raw); err != nil {
+				return err
+			}
+			return reply.Status.Err()
+		}); err != nil {
+			t.Fatalf("%v on shard %d: %v", req.Op, shard, err)
+		}
+		return reply
 	}
 }
 

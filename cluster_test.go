@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,6 +220,98 @@ func TestGroupSurvivesOneServerCrash(t *testing.T) {
 	}
 }
 
+// TestBoundClientFailoverBounded: a read-only client loses the replica it
+// is bound to with thirty lookups on their way there. The transport gives
+// the replica up once, for all of them, after three unanswered probes —
+// not once per lookup after three reply time-outs (9 s at this scale) —
+// so every lookup is answered by a survivor within 1.5 s: detection, the
+// survivors' group reset and one locate.
+func TestBoundClientFailoverBounded(t *testing.T) {
+	// A thread per lookup: a NOTHERE would move the client by itself.
+	c := newSettledCluster(t, KindGroup, Options{Model: sim.ScaledPaperModel(0.2), DiskEngine: true, Workers: 32})
+	writer, cleanupW, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanupW()
+	reader, cleanupR, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanupR()
+
+	const lookups = 30
+	parent, err := writer.CreateDir(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]capability.Capability, lookups)
+	for i := range targets {
+		targets[i] = capability.Capability{Port: parent.Port, Object: uint32(1000 + i), Rights: capability.AllRights}
+		if err := writer.Append(bgCtx, parent, fmt.Sprintf("n%d", i), targets[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range targets { // binds the reader and samples its replica's round trip
+		if err := retryFor(5*time.Second, func() error {
+			_, err := reader.Lookup(bgCtx, parent, fmt.Sprintf("n%d", i))
+			return err
+		}); err != nil {
+			t.Fatalf("warm lookup %d: %v", i, err)
+		}
+	}
+	bound := 0
+	for id := 1; id <= c.ServersPerShard(); id++ {
+		if c.shardMachine(0, id).dirNode.ID() == reader.ReplicaStats(0)[0].Server {
+			bound = id
+		}
+	}
+	if bound == 0 {
+		t.Fatalf("reader is bound to no replica: %+v", reader.ReplicaStats(0))
+	}
+
+	c.CrashServer(bound)
+	const limit = 1500 * time.Millisecond
+	type result struct {
+		got  capability.Capability
+		err  error
+		took time.Duration
+	}
+	results := make([]result, lookups)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, start := &results[i], time.Now()
+			// A survivor refuses reads until the group has reset.
+			r.err = retryFor(limit, func() (err error) {
+				r.got, err = reader.Lookup(bgCtx, parent, fmt.Sprintf("n%d", i))
+				return err
+			})
+			r.took = time.Since(start)
+		}(i)
+	}
+	wg.Wait()
+	var slowest time.Duration
+	for i, r := range results {
+		slowest = max(slowest, r.took)
+		switch {
+		case r.err != nil:
+			t.Errorf("lookup %d failed after %v: %v", i, r.took, r.err)
+		case r.got != targets[i]:
+			t.Errorf("lookup %d returned %v, want %v", i, r.got, targets[i])
+		case r.took > limit:
+			t.Errorf("lookup %d took %v, want ≤ %v", i, r.took, limit)
+		}
+	}
+	fo := reader.FailoverStats()
+	t.Logf("slowest lookup %v; failure detection %+v", slowest, fo)
+	if fo.Verdicts != 1 {
+		t.Errorf("%d dead verdicts, want one for the one dead replica", fo.Verdicts)
+	}
+}
+
 func TestGroupRecoveryAfterRestart(t *testing.T) {
 	c := newTestCluster(t, KindGroup)
 	client, cleanup, err := c.NewClient()
@@ -338,17 +431,24 @@ const nvramFlushMark = vdisk.DefaultNVRAMSize * 3 / 4
 // starved replica dead after 90 ms (bench/README.md, "Heartbeat floor").
 func newNVRAMCluster(t *testing.T) *Cluster {
 	t.Helper()
+	return newSettledCluster(t, KindGroupNVRAM, Options{
+		Model:             sim.FastModel(),
+		HeartbeatInterval: 50 * time.Millisecond,
+		IdleFlush:         time.Hour,
+	})
+}
+
+// newSettledCluster boots until every replica is in one full view, at
+// most three times (ROADMAP 1a: a boot can split into two groups).
+func newSettledCluster(t *testing.T, kind Kind, opts Options) *Cluster {
+	t.Helper()
 	for attempt := 1; ; attempt++ {
-		c, err := New(KindGroupNVRAM, Options{
-			Model:             sim.FastModel(),
-			HeartbeatInterval: 50 * time.Millisecond,
-			IdleFlush:         time.Hour,
-		})
+		c, err := New(kind, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := awaitFullMembership(c); err != nil && attempt < 3 {
-			c.Close() // a boot that split into two groups: boot again
+			c.Close()
 			continue
 		}
 		t.Cleanup(c.Close)

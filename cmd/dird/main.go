@@ -460,11 +460,18 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 					if rs.Samples > 0 {
 						fmt.Printf(" age=%v", rs.Age.Round(time.Millisecond))
 					}
+					if rs.Heard > 0 {
+						fmt.Printf(" heard=%v probes=%d", rs.Heard.Round(time.Millisecond), rs.Probes)
+					}
 					fmt.Println()
 				}
 			}
 			if sent, wins := client.HedgeStats(); sent > 0 {
 				fmt.Printf("hedged reads: %d sent, %d won\n", sent, wins)
+			}
+			if fo := client.FailoverStats(); fo.Probes+fo.Verdicts > 0 {
+				fmt.Printf("failure detection: %d probes sent, %d answered WORKING, %d servers declared dead, %d more transactions failed over with them\n",
+					fo.Probes, fo.Working, fo.Verdicts, fo.Released)
 			}
 			st := cluster.Net.Stats()
 			fmt.Printf("network: %d frames sent, %d delivered, %d dropped\n",

@@ -224,8 +224,9 @@ func (c *Client) RPC() *rpc.Client { return c.conns[0].rpc }
 
 // ReplicaStats returns the transport's per-replica latency and load view
 // for one shard — smoothed RTT, last piggybacked load hint, outstanding
-// requests — in the shard's port-cache order. Empty until the shard has
-// been located.
+// requests, how long ago the replica was last heard from and how often a
+// request to it was re-sent — in the shard's port-cache order. Empty
+// until the shard has been located.
 func (c *Client) ReplicaStats(shard int) []rpc.ReplicaStat {
 	if shard < 0 || shard >= len(c.conns) {
 		return nil
@@ -244,6 +245,21 @@ func (c *Client) HedgeStats() (sent, wins uint64) {
 		wins += w
 	}
 	return sent, wins
+}
+
+// FailoverStats sums the transport's failure-detection counters across
+// every shard endpoint: probes sent, WORKING acks received, servers
+// declared dead, and transactions a shared verdict failed over.
+func (c *Client) FailoverStats() rpc.FailoverStats {
+	var sum rpc.FailoverStats
+	for _, cn := range c.conns {
+		st := cn.rpc.FailoverStats()
+		sum.Probes += st.Probes
+		sum.Working += st.Working
+		sum.Verdicts += st.Verdicts
+		sum.Released += st.Released
+	}
+	return sum
 }
 
 // shardOf routes a directory capability to its home shard under the

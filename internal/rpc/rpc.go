@@ -16,6 +16,14 @@
 // candidate set immediately instead of waiting for the cache to drain
 // empty; a TTL bounds staleness even without failures.
 //
+// "Stops answering" is one verdict per server, not one per transaction.
+// An overdue reply is probed for — the request re-sent, first after twice
+// the server's measured ~p95 round trip, then doubling up to the reply
+// time-out — and a server with the request in progress answers WORKING,
+// so slow is never taken for dead. Only retransmits+1 probes in a row
+// with no frame of any kind from the server declare it dead, and that
+// fails over every transaction parked on it at once.
+//
 // The transport is concurrent: one Client multiplexes any number of
 // in-flight transactions over its single reply port. Replies are routed
 // back to their transaction by id (a demux goroutine), so goroutines
@@ -46,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +70,7 @@ const (
 	opReply   = 2
 	opNotHere = 3
 	opAck     = 4
+	opWorking = 5 // server → client: the retransmitted request is still in progress
 )
 
 var (
@@ -102,13 +112,33 @@ type portCache struct {
 // one port: smoothed reply latency (TCP RTO-style SRTT/RTTVAR), the load
 // hint the server last piggybacked, and when the last latency sample
 // landed (stale samples stop counting against a replica — see
-// scoreLocked).
+// scoreLocked). probes counts the requests re-sent to it; down is the
+// channel its dead verdict closes, nil until a transaction waits on it
+// and nil again after a verdict (a re-located replica starts afresh).
 type replicaStat struct {
 	srtt    time.Duration
 	rttvar  time.Duration
 	hint    byte
 	updated time.Time
 	samples uint64
+	probes  uint64
+	down    chan struct{}
+}
+
+// target is one pick: the server, the channel its dead verdict will close
+// and the wait before the first probe, all read under the pick's mutex.
+type target struct {
+	server sim.NodeID
+	down   chan struct{}
+	probe  time.Duration
+}
+
+// FailoverStats counts the transport's failure-detection events.
+type FailoverStats struct {
+	Probes   uint64 // requests re-sent because the reply was overdue
+	Working  uint64 // WORKING acks received: the server still had the request in progress
+	Verdicts uint64 // servers declared dead after retransmits+1 silent probes
+	Released uint64 // transactions failed over by another transaction's verdict
 }
 
 // Hedging parameters: each balanced read refills hedgeRate tokens (cap
@@ -130,7 +160,8 @@ type Client struct {
 	replies   *flip.Listener
 
 	locateWindow time.Duration
-	replyTimeout time.Duration
+	replyTimeout time.Duration // longest probe interval; × (retransmits+1), the longest wait on one server
+	probeFloor   time.Duration // shortest probe interval: one group heartbeat period
 	retransmits  int
 	maxAttempts  int
 	cacheTTL     time.Duration
@@ -147,6 +178,8 @@ type Client struct {
 	load     map[capability.Port]map[sim.NodeID]int          // in-flight requests per server
 	stats    map[capability.Port]map[sim.NodeID]*replicaStat // adaptive-routing state
 	pending  map[uint64]chan flip.Msg                        // reply routing by transaction id
+	heard    map[sim.NodeID]time.Time                        // last frame routed from each node
+	failover FailoverStats
 	txid     uint64
 	rng      *rand.Rand // P2C candidate selection; guarded by mu
 	tokens   float64    // hedge token bucket; guarded by mu
@@ -175,12 +208,17 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 	if cacheTTL < 5*time.Second {
 		cacheTTL = 5 * time.Second
 	}
+	probeFloor := model.Timeout(150 * time.Millisecond)
+	if probeFloor < 50*time.Millisecond {
+		probeFloor = 50 * time.Millisecond // three probes must outlast a host scheduling stall
+	}
 	c := &Client{
 		stack:        stack,
 		replyPort:    replyPort,
 		replies:      l,
 		locateWindow: model.Timeout(15 * time.Millisecond),
 		replyTimeout: replyTimeout,
+		probeFloor:   probeFloor,
 		retransmits:  2,
 		maxAttempts:  8,
 		cacheTTL:     cacheTTL,
@@ -189,6 +227,7 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		load:         make(map[capability.Port]map[sim.NodeID]int),
 		stats:        make(map[capability.Port]map[sim.NodeID]*replicaStat),
 		pending:      make(map[uint64]chan flip.Msg),
+		heard:        make(map[sim.NodeID]time.Time),
 		rng:          rand.New(rand.NewSource(int64(seq))),
 		tokens:       hedgeBurst,
 		// Transaction ids carry the client sequence number in the high
@@ -227,9 +266,17 @@ func (c *Client) HedgeStats() (sent, wins uint64) {
 	return c.hedgesSent.Load(), c.hedgeWins.Load()
 }
 
+// FailoverStats returns the failure-detection counters.
+func (c *Client) FailoverStats() FailoverStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failover
+}
+
 // ReplicaStat is one replica's routing state as seen by this client:
 // smoothed latency, the load hint it last advertised, in-flight requests
-// from this client, and the age of its last latency sample.
+// from this client, the age of its last latency sample, the age of its
+// last frame of any kind (zero: never heard), and requests re-sent to it.
 type ReplicaStat struct {
 	Server   sim.NodeID
 	SRTT     time.Duration
@@ -238,6 +285,8 @@ type ReplicaStat struct {
 	Inflight int
 	Age      time.Duration
 	Samples  uint64
+	Heard    time.Duration
+	Probes   uint64
 }
 
 // ReplicaStats returns the adaptive-routing state for every cached
@@ -254,8 +303,11 @@ func (c *Client) ReplicaStats(port capability.Port) []ReplicaStat {
 	out := make([]ReplicaStat, 0, len(e.servers))
 	for _, s := range e.servers {
 		rs := ReplicaStat{Server: s, Inflight: c.load[port][s]}
+		if at, ok := c.heard[s]; ok {
+			rs.Heard = now.Sub(at)
+		}
 		if st := c.stats[port][s]; st != nil {
-			rs.SRTT, rs.RTTVar, rs.Hint, rs.Samples = st.srtt, st.rttvar, st.hint, st.samples
+			rs.SRTT, rs.RTTVar, rs.Hint, rs.Samples, rs.Probes = st.srtt, st.rttvar, st.hint, st.samples, st.probes
 			if !st.updated.IsZero() {
 				rs.Age = now.Sub(st.updated)
 			}
@@ -296,9 +348,10 @@ func (c *Client) SetCacheTTL(d time.Duration) {
 	}
 }
 
-// demux routes incoming replies to their transaction by id. It exits —
-// closing c.closed, which unblocks every waiter — when the reply listener
-// shuts down (Close or node crash).
+// demux routes incoming replies to their transaction by id and notes, for
+// every frame, that its sender is alive (a WORKING ack says nothing else
+// and ends here). It exits — closing c.closed, which unblocks every
+// waiter — when the reply listener shuts down (Close or node crash).
 func (c *Client) demux() {
 	defer close(c.closed)
 	for m := range c.replies.Chan() {
@@ -306,8 +359,14 @@ func (c *Client) demux() {
 			continue
 		}
 		tx := binary.BigEndian.Uint64(m.Payload[1:9])
+		now := time.Now()
 		c.mu.Lock()
+		c.heard[m.Src] = now
 		ch := c.pending[tx]
+		if m.Payload[0] == opWorking {
+			c.failover.Working++
+			ch = nil
+		}
 		c.mu.Unlock()
 		if ch != nil {
 			select {
@@ -334,7 +393,8 @@ func (c *Client) Trans(port capability.Port, req []byte) ([]byte, error) {
 // reply — and returns ctx.Err(). The Amoeba kernel had no such handle;
 // every operation blocked until the kernel-level timeout fired.
 func (c *Client) TransCtx(ctx context.Context, port capability.Port, req []byte) ([]byte, error) {
-	return c.transact(ctx, port, req, false)
+	_, reply, err := c.transact(ctx, port, req, route{})
+	return reply, err
 }
 
 // TransRead is TransReadCtx with a background context.
@@ -349,208 +409,298 @@ func (c *Client) TransRead(port capability.Port, req []byte) ([]byte, error) {
 // the request payload (the directory protocol's MinSeq), since different
 // replicas may lag one another.
 func (c *Client) TransReadCtx(ctx context.Context, port capability.Port, req []byte) ([]byte, error) {
-	return c.transact(ctx, port, req, c.balance.Load())
+	_, reply, err := c.transact(ctx, port, req, route{balance: c.balance.Load()})
+	return reply, err
 }
 
-func (c *Client) transact(ctx context.Context, port capability.Port, req []byte, balance bool) ([]byte, error) {
-	ch := make(chan flip.Msg, replyChanDepth)
+// route is all the public entry points differ in.
+type route struct {
+	balance bool       // spread over every cached responder (TransRead, balancing on)
+	fixed   bool       // go to server and nowhere else (TransTo)
+	server  sim.NodeID // the fixed server
+	keep    bool       // leave the reply channel registered after the reply (Subscribe)
+}
+
+// transact is the one attempt loop: register a reply channel, then pick a
+// server, wait on it and act on the verdict until a reply arrives or the
+// attempts run out. A transaction is a Stream, usually closed after its
+// first reply; it comes back naming the server that answered.
+func (c *Client) transact(ctx context.Context, port capability.Port, req []byte, r route) (s Stream, reply []byte, err error) {
+	depth, attempts := replyChanDepth, c.maxAttempts
+	if r.keep {
+		depth = pushChanDepth
+	}
+	if r.fixed {
+		attempts = 3
+	}
+	s = Stream{c: c, ch: make(chan flip.Msg, depth)}
 	c.mu.Lock()
 	c.txid++
-	tx := c.txid
-	c.pending[tx] = ch
+	s.tx = c.txid
+	c.pending[s.tx] = s.ch
 	c.mu.Unlock()
 	defer func() {
-		c.mu.Lock()
-		delete(c.pending, tx)
-		c.mu.Unlock()
+		if err != nil || !r.keep {
+			s.Close()
+		}
 	}()
 
-	located := false
-	noServer := 0
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
+	located, noServer := false, 0
+loop:
+	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return s, nil, err
 		}
-		server, ok := c.pickServer(ctx, port, balance, &located)
+		t, ok := c.pickServer(ctx, port, r, &located)
 		if !ok {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return s, nil, err
 			}
 			select {
 			case <-c.closed:
-				return nil, ErrClosed
+				return s, nil, ErrClosed
 			default:
 			}
-			// A locate can come up empty transiently (the HEREIS window
-			// is one round-trip wide); retry a bounded number of rounds —
-			// each pick backs off one window first — before declaring the
-			// port serverless.
+			// A locate can come up empty transiently (the HEREIS window is
+			// one round-trip wide): each pick backs off one window first.
 			if noServer++; noServer >= 3 {
-				return nil, fmt.Errorf("port %v: %w", port, ErrNoServer)
+				return s, nil, fmt.Errorf("port %v: %w", port, ErrNoServer)
 			}
 			continue
 		}
-		reply, verdict := c.transactOnce(ctx, server, port, tx, req, ch, balance && c.hedge.Load())
-		c.release(port, server)
-		switch verdict {
+		payload, from, v := c.transactOnce(ctx, t, port, s.tx, req, s.ch, r.balance && c.hedge.Load())
+		c.release(port, t.server)
+		switch v {
 		case verdictReply:
-			return reply, nil
+			s.server = from
+			return s, payload, nil
 		case verdictCanceled:
-			return nil, ctx.Err()
+			return s, nil, ctx.Err()
 		case verdictClosed:
-			return nil, ErrClosed
+			return s, nil, ErrClosed
 		case verdictNotHere:
-			// Busy server: drain to the next cached candidate (§4.2).
-			c.evict(port, server, false)
-		case verdictDead:
-			// Silent server: refresh the candidate set on the next pick.
-			c.evict(port, server, true)
+			// Busy: drain to the next cached candidate (§4.2), or wait.
+			if !r.fixed {
+				c.evict(port, t, v)
+			} else if err := c.pause(ctx, c.locateWindow); err != nil {
+				return s, nil, err
+			}
+		default:
+			// Silent or stuck: the next pick re-locates, if it may.
+			c.evict(port, t, v)
+			if r.fixed {
+				break loop
+			}
 		}
 	}
-	return nil, fmt.Errorf("port %v: %w", port, ErrTimeout)
+	return s, nil, fmt.Errorf("port %v: %w", port, ErrTimeout)
+}
+
+// pause waits d, or less if the context or the client ends first.
+func (c *Client) pause(ctx context.Context, d time.Duration) error {
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-c.closed:
+		return ErrClosed
+	}
 }
 
 type verdict int
 
 const (
-	verdictReply verdict = iota + 1
-	verdictNotHere
-	verdictDead
+	verdictReply   verdict = iota + 1
+	verdictNotHere         // no thread in GetRequest at the server
+	verdictDead            // retransmits+1 probes and not a frame from the server: every waiter's verdict
+	verdictSlow            // frames, but no reply in (retransmits+1) × replyTimeout: this transaction's alone
 	verdictCanceled
 	verdictClosed
 )
 
 // transactOnce sends the request to one server and waits for its routed
-// replies, retransmitting on silence. With hedge set, a reply slower
-// than the server's ~p95 latency estimate triggers one hedge: the same
-// wire frame (same transaction id) goes to the next-best replica, and
-// whichever reply arrives first wins — the demultiplexer already routes
-// both to this channel, and the server-side duplicate-suppression table
-// keys on (src, tx), so the loser is simply a second reply that the
+// replies. An overdue reply is probed for: the same frame (same id, so
+// the server's duplicate suppression holds) goes out again after t.probe,
+// then twice that, up to replyTimeout. retransmits+1 expiries in a row
+// with no frame from the server since the last transmission are
+// verdictDead — through evict and t.down, every waiter's; a server that
+// is heard from is waited on for the old per-server bound.
+//
+// With hedge set, a reply slower than the server's ~p95 latency estimate
+// triggers one hedge: the same wire frame goes to the next-best replica,
+// and whichever reply arrives first wins — the demultiplexer already
+// routes both to this channel, and the server-side duplicate-suppression
+// table keys on (src, tx), so the loser is simply a second reply that the
 // winner's return leaves unread. Runs without the client mutex.
-func (c *Client) transactOnce(ctx context.Context, server sim.NodeID, port capability.Port, tx uint64, req []byte, replies <-chan flip.Msg, hedge bool) ([]byte, verdict) {
+func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, tx uint64, req []byte, replies <-chan flip.Msg, hedge bool) ([]byte, sim.NodeID, verdict) {
 	wire := encodeRequest(tx, c.replyPort, req)
 	var (
-		sentAt      time.Time // first transmission, for Karn-safe RTT samples
 		hedgeCh     <-chan time.Time
-		hedgeTimer  *time.Timer
 		hedged      bool // a hedge was actually sent (NodeID 0 is valid, so a flag, not the zero id)
 		hedgeServer sim.NodeID
 		hedgeSent   time.Time
 	)
 	if hedge {
-		if d, ok := c.hedgeDelay(port, server); ok {
-			hedgeTimer = time.NewTimer(d)
-			hedgeCh = hedgeTimer.C
+		if d, ok := c.hedgeDelay(port, t.server); ok {
+			hedgeCh = time.After(d)
 		}
 	}
 	defer func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
 		if hedged {
 			c.release(port, hedgeServer)
 		}
 	}()
-	for send := 0; send <= c.retransmits; send++ {
-		if ctx.Err() != nil {
-			return nil, verdictCanceled
-		}
-		if send == 0 {
-			sentAt = time.Now()
-		}
-		if err := c.stack.Send(server, port, wire); err != nil {
-			return nil, verdictDead
-		}
-		timer := time.NewTimer(c.replyTimeout)
-	recv:
-		for {
-			select {
-			case m := <-replies:
-				op, _, hint, payload, err := decodeReply(m.Payload)
-				if err != nil {
-					continue
-				}
-				switch op {
-				case opReply:
-					// A reply is valid whichever server it came from: a
-					// server this transaction already gave up on may
-					// answer late, and its reply is still the result of
-					// this exact request (at-most-once per server).
-					// Third message of the exchange: acknowledge so the
-					// server can drop its duplicate-suppression state.
-					timer.Stop()
-					_ = c.stack.Send(m.Src, port, encodeAck(tx))
-					// RTT sampling follows Karn's rule: only replies
-					// unambiguously attributable to one transmission
-					// count — the primary's reply before any retransmit,
-					// or the hedge's reply (the hedge is sent once).
-					switch {
-					case hedged && m.Src == hedgeServer:
-						c.hedgeWins.Add(1)
-						c.noteReply(port, m.Src, time.Since(hedgeSent), hint)
-					case m.Src == server && send == 0:
-						c.noteReply(port, m.Src, time.Since(sentAt), hint)
-					default:
-						c.noteHint(port, m.Src, hint)
-					}
-					return payload, verdictReply
-				case opNotHere:
-					if m.Src != server {
-						// Stale NOTHERE from a server this transaction
-						// already failed over from — or from a busy hedge
-						// target — must not evict the current one.
-						continue
-					}
-					timer.Stop()
-					c.noteHint(port, m.Src, hint)
-					return nil, verdictNotHere
-				}
-			case <-hedgeCh:
-				hedgeCh = nil
-				if hs, ok := c.takeHedge(port, server); ok {
-					hedged, hedgeServer, hedgeSent = true, hs, time.Now()
-					c.hedgesSent.Add(1)
-					_ = c.stack.Send(hs, port, wire)
-				}
-			case <-timer.C:
-				break recv
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, verdictCanceled
-			case <-c.closed:
-				timer.Stop()
-				return nil, verdictClosed
+	sentAt := time.Now() // first transmission, for Karn-safe RTT samples
+	if err := c.stack.Send(t.server, port, wire); err != nil {
+		return nil, 0, verdictDead
+	}
+	var (
+		probeAt  = sentAt // latest transmission
+		interval = t.probe
+		silent   = 0 // consecutive transmissions nothing came back for
+		giveUp   = sentAt.Add(time.Duration(c.retransmits+1) * c.replyTimeout)
+	)
+	timer := time.NewTimer(interval)
+	defer timer.Stop()
+	// onFrame acts on one routed frame; verdict 0 means keep waiting.
+	onFrame := func(m flip.Msg) ([]byte, verdict) {
+		op, _, hint, payload, err := decodeReply(m.Payload)
+		switch {
+		case err != nil:
+		case op == opReply:
+			// A reply is valid whichever server it came from: a server
+			// this transaction already gave up on may answer late, and
+			// its reply is still the result of this exact request
+			// (at-most-once per server). Third message of the exchange:
+			// acknowledge so the server can drop its duplicate entry.
+			_ = c.stack.Send(m.Src, port, encodeAck(tx))
+			// RTT sampling follows Karn's rule: only replies
+			// attributable to one transmission count — the primary's
+			// before any probe, or the hedge's (it is sent once).
+			switch {
+			case hedged && m.Src == hedgeServer:
+				c.hedgeWins.Add(1)
+				c.noteReply(port, m.Src, time.Since(hedgeSent), hint)
+			case m.Src == t.server && probeAt.Equal(sentAt):
+				c.noteReply(port, m.Src, time.Since(sentAt), hint)
+			default:
+				c.noteHint(port, m.Src, hint)
 			}
+			return payload, verdictReply
+		case op == opNotHere && m.Src == t.server:
+			// (Not a stale NOTHERE from a server this transaction failed
+			// over from, or from a busy hedge target.)
+			c.noteHint(port, m.Src, hint)
+			return nil, verdictNotHere
+		}
+		return nil, 0
+	}
+	for {
+		select {
+		case m := <-replies:
+			if payload, v := onFrame(m); v != 0 {
+				return payload, m.Src, v
+			}
+		case <-hedgeCh:
+			hedgeCh = nil
+			if hs, ok := c.takeHedge(port, t.server); ok {
+				hedged, hedgeServer, hedgeSent = true, hs, time.Now()
+				c.hedgesSent.Add(1)
+				_ = c.stack.Send(hs, port, wire)
+			}
+		case <-timer.C:
+			// select picks at random between a fired timer and a ready
+			// reply: take what has arrived before calling it silence.
+			for len(replies) > 0 {
+				m := <-replies
+				if payload, v := onFrame(m); v != 0 {
+					return payload, m.Src, v
+				}
+			}
+			now := time.Now()
+			if c.heardSince(t.server, probeAt) {
+				silent = 0
+			} else if silent++; silent > c.retransmits {
+				return nil, 0, verdictDead
+			}
+			if !now.Before(giveUp) {
+				return nil, 0, verdictSlow
+			}
+			c.mu.Lock()
+			c.failover.Probes++
+			c.statLocked(port, t.server).probes++
+			c.mu.Unlock()
+			if err := c.stack.Send(t.server, port, wire); err != nil {
+				return nil, 0, verdictDead
+			}
+			probeAt = now
+			interval = min(2*interval, c.replyTimeout)
+			timer.Reset(min(interval, giveUp.Sub(now)))
+		case <-t.down:
+			return nil, 0, verdictDead
+		case <-ctx.Done():
+			return nil, 0, verdictCanceled
+		case <-c.closed:
+			return nil, 0, verdictClosed
 		}
 	}
-	return nil, verdictDead
+}
+
+// heardSince reports whether any frame from server arrived at or after t:
+// the evidence that an unanswered probe met a live server.
+func (c *Client) heardSince(server sim.NodeID, t time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.heard[server].Before(t) // never heard is the zero time
 }
 
 // hedgeDelay computes how long a balanced read waits on server before
-// hedging: the replica's SRTT + 4·RTTVAR (~p95 under the TCP RTO model).
-// It also refills the hedge token bucket — called once per hedge-eligible
-// read, so the refill rate is hedgeRate tokens per read. No sample yet,
-// or an estimate so large the retransmit path covers it, disables the
-// hedge for this transaction.
+// hedging: the replica's rtoLocked. It also refills the hedge token
+// bucket — called once per hedge-eligible read, so the refill rate is
+// hedgeRate tokens per read. No sample yet, or an estimate so large the
+// probe path covers it, disables the hedge for this transaction.
 func (c *Client) hedgeDelay(port capability.Port, server sim.NodeID) (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tokens += hedgeRate; c.tokens > hedgeBurst {
 		c.tokens = hedgeBurst
 	}
+	d, ok := c.rtoLocked(port, server)
+	if !ok || d >= c.replyTimeout {
+		return 0, false
+	}
+	return max(d, time.Millisecond), true
+}
+
+// rtoLocked is the replica's SRTT + 4·RTTVAR (~p95 under the TCP RTO
+// model), or false while it has no sample: the hedge fires after one of
+// these, the first probe after two. Must hold c.mu.
+func (c *Client) rtoLocked(port capability.Port, server sim.NodeID) (time.Duration, bool) {
 	st := c.stats[port][server]
 	if st == nil || st.samples == 0 {
 		return 0, false
 	}
-	d := st.srtt + 4*st.rttvar
-	if d < time.Millisecond {
-		d = time.Millisecond
+	return st.srtt + 4*st.rttvar, true
+}
+
+// aimLocked charges server one in-flight request and returns the target:
+// the first probe comes after clamp(2·rto, probeFloor, replyTimeout), or
+// 4 × probeFloor for a server never sampled. Must hold c.mu.
+func (c *Client) aimLocked(port capability.Port, server sim.NodeID) target {
+	if c.load[port] == nil {
+		c.load[port] = make(map[sim.NodeID]int)
 	}
-	if d >= c.replyTimeout {
-		return 0, false
+	c.load[port][server]++
+	st := c.statLocked(port, server)
+	if st.down == nil {
+		st.down = make(chan struct{})
 	}
-	return d, true
+	probe := 4 * c.probeFloor
+	if rto, ok := c.rtoLocked(port, server); ok {
+		probe = max(2*rto, c.probeFloor)
+	}
+	return target{server: server, down: st.down, probe: min(probe, c.replyTimeout)}
 }
 
 // takeHedge spends one hedge token and picks the best-scored cached
@@ -583,11 +733,7 @@ func (c *Client) takeHedge(port capability.Port, primary sim.NodeID) (sim.NodeID
 		return 0, false
 	}
 	c.tokens--
-	if c.load[port] == nil {
-		c.load[port] = make(map[sim.NodeID]int)
-	}
-	c.load[port][best]++
-	return best, true
+	return c.aimLocked(port, best).server, true
 }
 
 // noteReply folds one RTT sample and the piggybacked load hint into the
@@ -653,19 +799,19 @@ func (c *Client) scoreLocked(port capability.Port, server sim.NodeID) float64 {
 	return float64(st.srtt) * (1 + float64(st.hint)/64) * float64(1+c.load[port][server])
 }
 
-// pickServer returns a server for port, locating the service when the
-// cache is empty, stale after a failover, or past its TTL. Concurrent
-// pickers share one locate (single-flight). located tracks whether this
-// transaction already performed a locate, limiting it to one backoff
-// round per attempt.
-func (c *Client) pickServer(ctx context.Context, port capability.Port, balance bool, located *bool) (sim.NodeID, bool) {
+// pickServer returns the route's fixed server or a server for port,
+// locating the service when the cache is empty, stale after a failover,
+// or past its TTL. Concurrent pickers share one locate (single-flight).
+// located tracks whether this transaction already performed a locate,
+// limiting it to one backoff round per attempt.
+func (c *Client) pickServer(ctx context.Context, port capability.Port, r route, located *bool) (target, bool) {
 	for {
 		c.mu.Lock()
 		e := c.cache[port]
-		if e != nil && len(e.servers) > 0 && time.Now().Before(e.recheckAt) {
-			server := c.chooseLocked(port, e, balance)
+		if r.fixed || (e != nil && len(e.servers) > 0 && time.Now().Before(e.recheckAt)) {
+			t := c.chooseLocked(port, e, r)
 			c.mu.Unlock()
-			return server, true
+			return t, true
 		}
 		if wait, inFlight := c.locating[port]; inFlight {
 			c.mu.Unlock()
@@ -673,9 +819,9 @@ func (c *Client) pickServer(ctx context.Context, port capability.Port, balance b
 			case <-wait:
 				continue // re-check the refreshed cache
 			case <-ctx.Done():
-				return 0, false
+				return target{}, false
 			case <-c.closed:
-				return 0, false
+				return target{}, false
 			}
 		}
 		done := make(chan struct{})
@@ -692,32 +838,28 @@ func (c *Client) pickServer(ctx context.Context, port capability.Port, balance b
 			// still holds (those servers may well be alive; only the
 			// refresh failed) — but only for a short grace, so the next
 			// picks keep retrying the locate until the set is rebuilt.
-			if old := c.cache[port]; old != nil && len(old.servers) > 0 {
-				old.recheckAt = time.Now().Add(c.locateWindow)
-				server := c.chooseLocked(port, old, balance)
+			if e = c.cache[port]; e == nil || len(e.servers) == 0 {
 				c.mu.Unlock()
-				return server, true
+				return target{}, false
 			}
-			c.mu.Unlock()
-			return 0, false
-		}
-		servers := make([]sim.NodeID, len(found))
-		var writable []sim.NodeID
-		for i, h := range found {
-			servers[i] = h.Src
-			if !h.ReadOnly {
-				writable = append(writable, h.Src)
+			e.recheckAt = time.Now().Add(c.locateWindow)
+		} else {
+			e = &portCache{servers: make([]sim.NodeID, len(found)), recheckAt: time.Now().Add(c.cacheTTL)}
+			for i, h := range found {
+				e.servers[i] = h.Src
+				if !h.ReadOnly {
+					e.writable = append(e.writable, h.Src)
+				}
+				// Seed each responder's routing state with the hint its
+				// HEREIS piggybacked, so the first balanced picks already
+				// steer away from loaded replicas.
+				c.statLocked(port, h.Src).hint = h.Hint
 			}
-			// Seed each responder's routing state with the hint its
-			// HEREIS piggybacked, so the first balanced picks already
-			// steer away from loaded replicas.
-			c.statLocked(port, h.Src).hint = h.Hint
+			c.cache[port] = e
 		}
-		e = &portCache{servers: servers, writable: writable, recheckAt: time.Now().Add(c.cacheTTL)}
-		c.cache[port] = e
-		server := c.chooseLocked(port, e, balance)
+		t := c.chooseLocked(port, e, r)
 		c.mu.Unlock()
-		return server, true
+		return t, true
 	}
 }
 
@@ -725,14 +867,8 @@ func (c *Client) pickServer(ctx context.Context, port capability.Port, balance b
 // their piggybacked load hints. A second locate within one transaction
 // waits one window first, giving servers time to come up.
 func (c *Client) locate(ctx context.Context, port capability.Port, located *bool) ([]flip.HereIs, bool) {
-	if *located {
-		timer := time.NewTimer(c.locateWindow)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, false
-		}
+	if *located && c.pause(ctx, c.locateWindow) != nil {
+		return nil, false
 	}
 	*located = true
 	found, err := c.stack.LocateHints(port, c.locateWindow, 0)
@@ -742,10 +878,10 @@ func (c *Client) locate(ctx context.Context, port capability.Port, located *bool
 	return found, true
 }
 
-// chooseLocked picks a server from the cache entry and charges it one
-// in-flight request. First-responder order for unbalanced picks;
-// power-of-two-choices over the adaptive score (latency EWMA × load
-// hint × in-flight) for balanced reads — two random candidates, keep the
+// chooseLocked picks the route's fixed server or one from the cache entry
+// and charges it one in-flight request. First-responder order for
+// unbalanced picks; power-of-two-choices over the adaptive score (EWMA ×
+// load hint × in-flight) for balanced reads — two random candidates, keep the
 // better, which spreads load almost as evenly as ranking every replica
 // while staying O(1) and avoiding the herd behavior of always picking
 // the global best. Candidates whose scores are within 50% of each other
@@ -754,16 +890,19 @@ func (c *Client) locate(ctx context.Context, port capability.Port, located *bool
 // when it is picked, so without the decay one unlucky early sample
 // (cold caches, a scheduling hiccup) would freeze a replica out of the
 // rotation forever. Must hold c.mu.
-func (c *Client) chooseLocked(port capability.Port, e *portCache, balance bool) sim.NodeID {
+func (c *Client) chooseLocked(port capability.Port, e *portCache, r route) target {
+	if r.fixed {
+		return c.aimLocked(port, r.server)
+	}
 	// Unbalanced picks — all updates, plus reads from clients that opted
 	// out of balancing — must land on a writable responder; read-only
 	// secondaries join the pool only for balanced reads.
 	pool := e.servers
-	if !balance && len(e.writable) > 0 {
+	if !r.balance && len(e.writable) > 0 {
 		pool = e.writable
 	}
 	server := pool[0]
-	if balance && len(pool) > 1 {
+	if r.balance && len(pool) > 1 {
 		i := c.rng.Intn(len(pool))
 		j := c.rng.Intn(len(pool) - 1)
 		if j >= i {
@@ -784,11 +923,7 @@ func (c *Client) chooseLocked(port capability.Port, e *portCache, balance bool) 
 			st.srtt -= st.srtt / 4
 		}
 	}
-	if c.load[port] == nil {
-		c.load[port] = make(map[sim.NodeID]int)
-	}
-	c.load[port][server]++
-	return server
+	return c.aimLocked(port, server)
 }
 
 // release returns one in-flight charge for server.
@@ -802,32 +937,31 @@ func (c *Client) release(port capability.Port, server sim.NodeID) {
 	}
 }
 
-// evict removes server from the port cache. dead expires the entry so
-// the next selection re-locates (failover refresh) instead of draining
-// the shrinking remainder; NOTHERE evictions keep the paper's drain
-// behavior.
-func (c *Client) evict(port capability.Port, server sim.NodeID, dead bool) {
+// evict removes the server a transaction gave up on from the port cache.
+// A NOTHERE keeps the paper's drain behavior; the other verdicts expire
+// the entry so the next selection re-locates (failover refresh) instead
+// of draining the shrinking remainder. verdictDead also closes the down
+// channel: every transaction parked there returns the same verdict.
+func (c *Client) evict(port capability.Port, t target, why verdict) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if why == verdictDead {
+		st := c.statLocked(port, t.server)
+		if st.down != t.down {
+			c.failover.Released++
+			return
+		}
+		close(st.down)
+		st.down = nil
+		c.failover.Verdicts++
+	}
 	e := c.cache[port]
 	if e == nil {
 		return
 	}
-	kept := e.servers[:0]
-	for _, s := range e.servers {
-		if s != server {
-			kept = append(kept, s)
-		}
-	}
-	e.servers = kept
-	keptW := e.writable[:0]
-	for _, s := range e.writable {
-		if s != server {
-			keptW = append(keptW, s)
-		}
-	}
-	e.writable = keptW
-	if dead {
+	gone := func(s sim.NodeID) bool { return s == t.server }
+	e.servers, e.writable = slices.DeleteFunc(e.servers, gone), slices.DeleteFunc(e.writable, gone)
+	if why != verdictNotHere {
 		e.recheckAt = time.Time{}
 	}
 }

@@ -20,7 +20,7 @@ type fixture struct {
 }
 
 // newFixture builds one client and n echo-less servers listening on port.
-func newFixture(t *testing.T, n int) (*fixture, capability.Port, []*Server) {
+func newFixture(t testing.TB, n int) (*fixture, capability.Port, []*Server) {
 	t.Helper()
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	port := capability.PortFromString("svc")

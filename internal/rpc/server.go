@@ -269,30 +269,34 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 		if done {
 			// Retransmitted request whose reply was lost: resend it.
 			_ = s.stack.Send(m.Src, replyPort, encodeReply(tx, s.hintByte(), payload))
+		} else {
+			// In progress: alive and working on it; Reply will follow.
+			_ = s.stack.Send(m.Src, replyPort, encodeStatus(opWorking, tx, s.hintByte()))
 		}
-		// In progress: drop; the worker's Reply will reach the client.
 		return
 	}
-	s.mu.Unlock()
-
-	req := &Request{
+	// The entry is made under the same hold of the mutex as the hand-off
+	// (which never blocks), the in-flight count before it: a worker that
+	// replies at once must find the entry there to mark done, not have a
+	// late "in progress" one put over it, nor take the count below zero.
+	s.inflight.Add(1)
+	select {
+	case s.reqCh <- &Request{
 		Src:       m.Src,
 		Payload:   m.Payload[15:],
 		srv:       s,
 		tx:        tx,
 		replyPort: replyPort,
 		accepted:  time.Now(),
-	}
-	select {
-	case s.reqCh <- req:
-		s.inflight.Add(1)
-		s.mu.Lock()
+	}:
 		s.insertDupLocked(key, &dupEntry{})
 		s.mu.Unlock()
 	default:
+		s.mu.Unlock()
+		s.inflight.Add(-1)
 		// No thread blocked in GetRequest: the kernel answers NOTHERE
 		// (paper §4.2), prompting the client to try another server.
-		_ = s.stack.Send(m.Src, replyPort, encodeNotHere(tx, s.hintByte()))
+		_ = s.stack.Send(m.Src, replyPort, encodeStatus(opNotHere, tx, s.hintByte()))
 	}
 }
 
@@ -332,9 +336,10 @@ func encodeReply(tx uint64, hint byte, payload []byte) []byte {
 	return buf
 }
 
-func encodeNotHere(tx uint64, hint byte) []byte {
+// encodeStatus frames the two payload-less answers, NOTHERE and WORKING.
+func encodeStatus(op byte, tx uint64, hint byte) []byte {
 	buf := make([]byte, 1+8+1)
-	buf[0] = opNotHere
+	buf[0] = op
 	binary.BigEndian.PutUint64(buf[1:9], tx)
 	buf[9] = hint
 	return buf

@@ -2,8 +2,6 @@ package rpc
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"dirsvc/internal/capability"
 	"dirsvc/internal/flip"
@@ -80,58 +78,11 @@ func (c *Client) Done() <-chan struct{} { return c.closed }
 // the server sends for the same transaction arrives on the stream.
 // The caller must Close the stream when done with it.
 func (c *Client) Subscribe(ctx context.Context, port capability.Port, req []byte) (*Stream, []byte, error) {
-	ch := make(chan flip.Msg, pushChanDepth)
-	c.mu.Lock()
-	c.txid++
-	tx := c.txid
-	c.pending[tx] = ch
-	c.mu.Unlock()
-	unregister := func() {
-		c.mu.Lock()
-		delete(c.pending, tx)
-		c.mu.Unlock()
+	s, reply, err := c.transact(ctx, port, req, route{keep: true})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	located := false
-	noServer := 0
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			unregister()
-			return nil, nil, err
-		}
-		server, ok := c.pickServer(ctx, port, false, &located)
-		if !ok {
-			select {
-			case <-c.closed:
-				unregister()
-				return nil, nil, ErrClosed
-			default:
-			}
-			if noServer++; noServer >= 3 {
-				unregister()
-				return nil, nil, fmt.Errorf("port %v: %w", port, ErrNoServer)
-			}
-			continue
-		}
-		reply, verdict := c.transactOnce(ctx, server, port, tx, req, ch, false)
-		c.release(port, server)
-		switch verdict {
-		case verdictReply:
-			return &Stream{c: c, tx: tx, ch: ch, server: server}, reply, nil
-		case verdictCanceled:
-			unregister()
-			return nil, nil, ctx.Err()
-		case verdictClosed:
-			unregister()
-			return nil, nil, ErrClosed
-		case verdictNotHere:
-			c.evict(port, server, false)
-		case verdictDead:
-			c.evict(port, server, true)
-		}
-	}
-	unregister()
-	return nil, nil, fmt.Errorf("port %v: %w", port, ErrTimeout)
+	return &s, reply, nil
 }
 
 // TransTo performs one transaction against a specific server instead
@@ -140,41 +91,6 @@ func (c *Client) Subscribe(ctx context.Context, port capability.Port, req []byte
 // short backoff; a silent one fails with ErrTimeout so the caller can
 // re-subscribe elsewhere.
 func (c *Client) TransTo(ctx context.Context, server sim.NodeID, port capability.Port, req []byte) ([]byte, error) {
-	ch := make(chan flip.Msg, replyChanDepth)
-	c.mu.Lock()
-	c.txid++
-	tx := c.txid
-	c.pending[tx] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, tx)
-		c.mu.Unlock()
-	}()
-
-	for attempt := 0; attempt < 3; attempt++ {
-		reply, verdict := c.transactOnce(ctx, server, port, tx, req, ch, false)
-		switch verdict {
-		case verdictReply:
-			return reply, nil
-		case verdictCanceled:
-			return nil, ctx.Err()
-		case verdictClosed:
-			return nil, ErrClosed
-		case verdictNotHere:
-			timer := time.NewTimer(c.locateWindow)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-c.closed:
-				timer.Stop()
-				return nil, ErrClosed
-			}
-		case verdictDead:
-			return nil, fmt.Errorf("server %v: %w", server, ErrTimeout)
-		}
-	}
-	return nil, fmt.Errorf("server %v: %w", server, ErrTimeout)
+	_, reply, err := c.transact(ctx, port, req, route{fixed: true, server: server})
+	return reply, err
 }

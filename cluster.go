@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dirsvc/dir"
@@ -192,12 +193,13 @@ type Cluster struct {
 	opts   Options
 	shards []*shardGroup
 
-	mu         sync.Mutex
-	clients    []func()
-	dirClients []*dirclient.Client
+	mu      sync.Mutex
+	clients []func()
 }
 
-var clusterSeq int
+// clusterSeq numbers the clusters of this process: each gets its own
+// service name, so their ports never collide.
+var clusterSeq atomic.Int64
 
 // New builds and boots a cluster of the given kind.
 func New(kind Kind, opts Options) (*Cluster, error) {
@@ -219,11 +221,10 @@ func New(kind Kind, opts Options) (*Cluster, error) {
 	if opts.NVRAMSize == 0 {
 		opts.NVRAMSize = vdisk.DefaultNVRAMSize
 	}
-	clusterSeq++
 	c := &Cluster{
 		Kind:    kind,
 		Net:     sim.NewNetwork(opts.Model, opts.Seed),
-		Service: fmt.Sprintf("%s-%d", kind, clusterSeq),
+		Service: fmt.Sprintf("%s-%d", kind, clusterSeq.Add(1)),
 		opts:    opts,
 	}
 
@@ -445,26 +446,8 @@ func (c *Cluster) NewBalancedClient(cache dir.CacheOptions, balance bool) (*dirc
 	}
 	c.mu.Lock()
 	c.clients = append(c.clients, cleanup)
-	c.dirClients = append(c.dirClients, client)
 	c.mu.Unlock()
 	return client, cleanup, nil
-}
-
-// CacheStats sums the read-cache counters over every client the cluster
-// has created (zero when caching is disabled everywhere).
-func (c *Cluster) CacheStats() dir.CacheStats {
-	c.mu.Lock()
-	clients := append([]*dirclient.Client(nil), c.dirClients...)
-	c.mu.Unlock()
-	var total dir.CacheStats
-	for _, cl := range clients {
-		s := cl.CacheStats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Invalidations += s.Invalidations
-		total.Evictions += s.Evictions
-	}
-	return total
 }
 
 // NewFileClient creates a Bullet client on the public file-service port
@@ -517,7 +500,7 @@ func (c *Cluster) StartSecondary(shard, id int) (*core.Secondary, func(), error)
 }
 
 // CheckpointShard forces a synchronous storage-engine checkpoint on
-// every live replica of one shard (tests and the benchmark harness; the
+// every live replica of one shard (tests, tools and benchmarks; the
 // background flush loop cuts checkpoints on its own). A no-op for
 // deployments without Options.DiskEngine.
 func (c *Cluster) CheckpointShard(shard int) error {
@@ -555,7 +538,7 @@ func (c *Cluster) ShardServerStatus(shard, id int) (core.Status, bool) {
 	return srv.Status(), true
 }
 
-// NewRawClient returns an RPC client on a fresh host (harness use).
+// NewRawClient returns an RPC client on a fresh host (wire-level tests).
 func (c *Cluster) NewRawClient() (*rpc.Client, func(), error) {
 	stack := flip.NewStack(c.Net.AddNode("client"))
 	rc, err := rpc.NewClient(stack)
@@ -589,13 +572,6 @@ func (c *Cluster) CrashShardServer(shard, id int) {
 	if stop != nil {
 		stop()
 	}
-}
-
-// CrashMachine fail-stops both the directory server and its Bullet
-// server of shard 0 (whole-replica failure). Disk contents survive.
-func (c *Cluster) CrashMachine(id int) {
-	c.CrashShardServer(0, id)
-	c.shardMachine(0, id).bulletNode.Crash()
 }
 
 // RestartServer reboots directory server id of shard 0 from its
@@ -682,8 +658,7 @@ func (c *Cluster) ForceRecoverShard(shard, id int) error {
 // GroupSends returns the total number of write-path group broadcasts the
 // cluster's directory servers have issued so far, summed over every
 // shard. Zero for non-group kinds. Batching and coalescing make this
-// grow far slower than the update count — the measurement behind the
-// batch benchmark.
+// grow far slower than the update count.
 func (c *Cluster) GroupSends() uint64 {
 	var total uint64
 	for _, sg := range c.shards {

@@ -1,6 +1,9 @@
 package faultdir
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -40,5 +43,37 @@ func TestNewRejectsEngineUnderNVRAM(t *testing.T) {
 	if err == nil {
 		c.Close()
 		t.Fatal("New(KindGroupNVRAM, DiskEngine) succeeded")
+	}
+}
+
+// TestNewConcurrently builds four clusters from four goroutines: New is
+// public, so its cluster counter must hand every caller its own Service
+// name (run under -race).
+func TestNewConcurrently(t *testing.T) {
+	clusters := make([]*Cluster, 4)
+	var wg sync.WaitGroup
+	for i := range clusters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := New(KindLocal, testOptions())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			clusters[i] = c
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool)
+	for _, c := range clusters {
+		if c == nil {
+			continue
+		}
+		defer c.Close()
+		if seen[c.Service] {
+			t.Errorf("two clusters share the service name %q", c.Service)
+		}
+		seen[c.Service] = true
 	}
 }

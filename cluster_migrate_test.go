@@ -270,6 +270,61 @@ func splitMigrationBasic(t *testing.T, kind Kind) {
 	}
 }
 
+// TestSplitMigrationIfHot drives the load-triggered split: while every
+// active shard's mean load hint is under the threshold SplitIfHot leaves
+// the topology alone; once a hint reaches it the whole online split runs
+// and objects move to the reserve shard.
+func TestSplitMigrationIfHot(t *testing.T) {
+	c := newMigCluster(t, KindGroup, 2, 1)
+	f := newMigFixture(t, c, 8)
+
+	// A hint counts the requests in flight behind the one being answered,
+	// so the coordinator's own concurrent lookups are the load it samples.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					_, _ = f.coordinator.Lookup(bgCtx, f.dirs[i%len(f.dirs)], "mark") // load only
+				}
+			}
+		}()
+	}
+
+	// A hint is one byte: 256 is out of reach.
+	if split, epoch, err := f.coordinator.SplitIfHot(bgCtx, 256); err != nil || split || epoch != 0 {
+		t.Fatalf("SplitIfHot(256) = %v, epoch %d, %v; want no split at epoch 0", split, epoch, err)
+	}
+	if info, err := f.probe.ShardMap(bgCtx, 1); err != nil || info.Topo.Epoch != 0 || info.Objects != 1 {
+		t.Fatalf("reserve shard after the cold call: %+v, %v; want epoch 0 and only its root", info, err)
+	}
+	if err := retryFor(crashRetryWait, func() error {
+		split, epoch, err := f.coordinator.SplitIfHot(bgCtx, 1)
+		if err != nil {
+			t.Fatalf("SplitIfHot(1): %v", err)
+		}
+		if !split || epoch != 1 {
+			return fmt.Errorf("split %v at epoch %d under load hints %v", split, epoch, f.coordinator.LoadHints())
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.assertReachable(t, "hot")
+	f.assertConverged(t, 1)
+	if info, err := f.probe.ShardMap(bgCtx, 1); err != nil || info.Objects < 2 {
+		t.Fatalf("reserve shard after the split: %+v, %v; want migrated directories", info, err)
+	}
+}
+
 // TestMigrationCoordinatorCrashAtEveryStep halts the migration
 // coordinator at every stage of the per-object copy → flip protocol —
 // after the copy, before the flip's prepare, while both shards are

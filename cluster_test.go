@@ -440,7 +440,7 @@ func newNVRAMCluster(t *testing.T) *Cluster {
 
 // newSettledCluster boots until every replica is in one full view, at
 // most three times (ROADMAP 1a: a boot can split into two groups).
-func newSettledCluster(t *testing.T, kind Kind, opts Options) *Cluster {
+func newSettledCluster(t testing.TB, kind Kind, opts Options) *Cluster {
 	t.Helper()
 	for attempt := 1; ; attempt++ {
 		c, err := New(kind, opts)
@@ -468,7 +468,7 @@ func nvramUsed(t *testing.T, c *Cluster, id int) int {
 
 // crashAndRestartAll takes every replica down at once and boots them all
 // again: what comes back is what the NVRAM logs and the disks hold.
-func crashAndRestartAll(t *testing.T, c *Cluster) {
+func crashAndRestartAll(t testing.TB, c *Cluster) {
 	t.Helper()
 	for id := 1; id <= c.ServersPerShard(); id++ {
 		c.CrashServer(id)

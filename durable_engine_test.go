@@ -456,4 +456,29 @@ func TestSecondaryReadConsistency(t *testing.T) {
 	if got := sec.AppliedSeq(); got < primary {
 		t.Fatalf("secondary applied %d lags primary %d after refresh", got, primary)
 	}
+
+	// Causal-token handoff: a second session that adopts the writer's
+	// floor must observe each write at once, also when its read lands on
+	// the secondary (which refuses below the floor until it has tailed
+	// that far). Its own floor would let the secondary serve a miss.
+	reader, readerCleanup, err := c.NewBalancedClient(dir.CacheOptions{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readerCleanup()
+	served := sec.ReadsServed()
+	deadline = time.Now().Add(30 * time.Second)
+	for i := 0; sec.ReadsServed() == served || i < 25; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("secondary never served a read under an adopted floor")
+		}
+		name := fmt.Sprintf("handoff%03d", i)
+		if err := client.Append(bgCtx, d, name, d, nil); err != nil {
+			t.Fatalf("append %s: %v", name, err)
+		}
+		reader.AdoptFloor(0, client.SessionFloor(0))
+		if got, err := reader.Lookup(bgCtx, d, name); err != nil || got != d {
+			t.Fatalf("read of %s under the writer's floor = %v, %v; want %v", name, got, err, d)
+		}
+	}
 }

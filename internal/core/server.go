@@ -772,7 +772,7 @@ func (s *Server) checkpointNow(minSeq uint64) error {
 }
 
 // Checkpoint forces one synchronous checkpoint of the storage engine —
-// for tests, tools, and the benchmark harness; the flush loop cuts them
+// for tests, tools and benchmarks; the flush loop cuts them
 // in the background. A no-op (nil) without an engine.
 func (s *Server) Checkpoint() error {
 	if s.engine == nil {

@@ -23,7 +23,7 @@
 // coordinator (see twophase.go), unless the batch opted out with
 // dir.Batch.SingleShard (dir.ErrCrossShardBatch then).
 //
-// The client can also cache reads (NewShardedCached): List rows and
+// The client can also cache reads (Options.Cache): List rows and
 // looked-up capabilities are kept in a per-shard LRU cache and repeat
 // reads are answered locally, with no RPC at all. Invalidation rides the
 // sequence numbers every reply already carries — see dir.CacheOptions
@@ -129,20 +129,7 @@ var _ dir.Watcher = (*Client)(nil)
 // New creates a client for the named unsharded service on the given
 // stack.
 func New(stack *flip.Stack, service string) (*Client, error) {
-	return NewSharded(stack, service, 1)
-}
-
-// NewSharded creates a client for a service partitioned across shards
-// independent replica groups, with one RPC endpoint per shard. The read
-// cache is disabled; use NewShardedCached to enable it.
-func NewSharded(stack *flip.Stack, service string, shards int) (*Client, error) {
-	return NewShardedCached(stack, service, shards, dir.CacheOptions{})
-}
-
-// NewShardedCached creates a sharded client with the read cache
-// configured by opts (see dir.CacheOptions; the zero value disables it).
-func NewShardedCached(stack *flip.Stack, service string, shards int, opts dir.CacheOptions) (*Client, error) {
-	return NewWithOptions(stack, service, Options{Shards: shards, Cache: opts})
+	return NewWithOptions(stack, service, Options{})
 }
 
 // NewWithOptions creates a client for the named service with the full

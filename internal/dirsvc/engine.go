@@ -429,7 +429,3 @@ func (v *EngineView) LogSince(m *Manifest, after uint64) ([]LogRec, error) {
 	}
 	return out, nil
 }
-
-// IsTornRead reports whether err is the transient torn-read error a
-// secondary sees while racing a checkpoint flip.
-func IsTornRead(err error) bool { return errors.Is(err, errTornManifest) }

@@ -110,9 +110,6 @@ func (s *State) Exchange(id int, theirMourned Set) {
 	s.mourned.Union(theirMourned)
 }
 
-// Mourned returns the current (unioned) mourned set.
-func (s *State) Mourned() Set { return s.mourned.Clone() }
-
 // NewGroup returns the servers exchanged with so far (including me).
 func (s *State) NewGroup() Set { return s.newGroup.Clone() }
 

@@ -318,7 +318,7 @@ func (c *Client) ReplicaStats(port capability.Port) []ReplicaStat {
 }
 
 // CachedServers returns the client's current port-cache entry, in
-// preference order. Exposed for tests and the load-distribution harness.
+// preference order. Exposed for tests.
 func (c *Client) CachedServers(port capability.Port) []sim.NodeID {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -513,7 +513,7 @@ func rawSender(t *testing.T, c *Cluster) func(shard int, req *dirsvc.Request) *d
 
 // restartShard reboots every replica of one shard concurrently (each
 // one's recovery waits for a majority of the others).
-func restartShard(t *testing.T, c *Cluster, shard int) {
+func restartShard(t testing.TB, c *Cluster, shard int) {
 	t.Helper()
 	errs := make(chan error, c.ServersPerShard())
 	for id := 1; id <= c.ServersPerShard(); id++ {

@@ -39,7 +39,7 @@ func TestCacheServesRepeatReadsLocally(t *testing.T) {
 	}
 
 	const reads = 200
-	frames := c.Net.Stats().FramesSent
+	frames := quietFrames(c.Net)
 	statsBefore := client.CacheStats()
 	for i := 0; i < reads; i++ {
 		got, err := client.Lookup(bgCtx, work, "hot")
@@ -57,6 +57,21 @@ func TestCacheServesRepeatReadsLocally(t *testing.T) {
 	stats := client.CacheStats()
 	if hits := stats.Hits - statsBefore.Hits; hits != 2*reads {
 		t.Fatalf("hits = %d, want %d", hits, 2*reads)
+	}
+}
+
+// quietFrames returns the network's sent-frame count once it has stopped
+// moving: the ACK of the last transaction leaves the client's transmit
+// queue after the call has returned.
+func quietFrames(net *sim.Network) uint64 {
+	last := net.Stats().FramesSent
+	for {
+		time.Sleep(5 * time.Millisecond)
+		now := net.Stats().FramesSent
+		if now == last {
+			return now
+		}
+		last = now
 	}
 }
 

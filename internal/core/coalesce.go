@@ -24,23 +24,21 @@ type groupEntry struct {
 	raw  []byte // encoded dirsvc.Request
 }
 
-func packGroupEntries(entries []groupEntry) []byte {
-	size := 3
-	for _, e := range entries {
-		size += 12 + len(e.raw)
+// packGroupEntries appends the packed payload of ops to dst.
+func packGroupEntries(dst []byte, ops []coalesceOp) []byte {
+	dst = append(dst, groupPayloadVersion)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ops)))
+	for _, op := range ops {
+		dst = binary.BigEndian.AppendUint64(dst, op.opID)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(op.raw)))
+		dst = append(dst, op.raw...)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, groupPayloadVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(entries)))
-	for _, e := range entries {
-		buf = binary.BigEndian.AppendUint64(buf, e.opID)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.raw)))
-		buf = append(buf, e.raw...)
-	}
-	return buf
+	return dst
 }
 
-func unpackGroupEntries(payload []byte) ([]groupEntry, error) {
+// unpackGroupEntries appends the entries of a packed payload to entries,
+// each raw request a slice of payload; a malformed payload yields none.
+func unpackGroupEntries(entries []groupEntry, payload []byte) ([]groupEntry, error) {
 	if len(payload) < 3 || payload[0] != groupPayloadVersion {
 		return nil, dirsvc.ErrBadRequest
 	}
@@ -49,7 +47,6 @@ func unpackGroupEntries(payload []byte) ([]groupEntry, error) {
 		return nil, dirsvc.ErrBadRequest
 	}
 	off := 3
-	entries := make([]groupEntry, 0, n)
 	for i := 0; i < n; i++ {
 		if off+12 > len(payload) {
 			return nil, dirsvc.ErrBadRequest
@@ -72,17 +69,23 @@ func unpackGroupEntries(payload []byte) ([]groupEntry, error) {
 // sendLoop is the per-server coalescing sender: it drains queued client
 // updates and ships them to the group in packed broadcasts — one
 // broadcast per drain — so N concurrent updates cost ~1 totally-ordered
-// group message instead of N.
+// group message instead of N. The batch and the packed payload are the
+// loop's own scratch: Send copies the payload into its frames.
 func (s *Server) sendLoop() {
 	defer s.wg.Done()
+	var (
+		batch  []coalesceOp
+		packed []byte
+	)
 	for {
+		clear(batch) // let go of the last batch's requests
 		var first coalesceOp
 		select {
 		case <-s.stop:
 			return
 		case first = <-s.sendCh:
 		}
-		batch := drainCoalesce(first, s.sendCh)
+		batch = drainCoalesce(batch[:0], first, s.sendCh)
 
 		s.mu.Lock()
 		member := s.member
@@ -102,15 +105,12 @@ func (s *Server) sendLoop() {
 			continue
 		}
 
-		entries := make([]groupEntry, len(batch))
-		for i, op := range batch {
-			entries[i] = groupEntry{opID: op.opID, raw: op.raw}
-		}
 		if member == nil {
 			s.failPending(batch)
 			continue
 		}
-		if _, err := member.Send(packGroupEntries(entries)); err != nil {
+		packed = packGroupEntries(packed[:0], batch)
+		if _, err := member.Send(packed); err != nil {
 			s.failPending(batch)
 			continue
 		}
@@ -133,12 +133,12 @@ func (s *Server) sendLoop() {
 	}
 }
 
-// drainCoalesce collects every update already waiting in ch behind
-// first, up to maxCoalesce, without blocking: the shared broadcast
-// carries exactly the backlog that accumulated while the previous
-// broadcast was in flight.
-func drainCoalesce(first coalesceOp, ch <-chan coalesceOp) []coalesceOp {
-	batch := []coalesceOp{first}
+// drainCoalesce appends first and every update already waiting in ch
+// behind it to batch, up to maxCoalesce, without blocking: the shared
+// broadcast carries exactly the backlog that accumulated while the
+// previous broadcast was in flight.
+func drainCoalesce(batch []coalesceOp, first coalesceOp, ch <-chan coalesceOp) []coalesceOp {
+	batch = append(batch, first)
 	for len(batch) < maxCoalesce {
 		select {
 		case op := <-ch:

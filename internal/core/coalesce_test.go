@@ -9,12 +9,12 @@ import (
 )
 
 func TestGroupEntriesRoundTrip(t *testing.T) {
-	entries := []groupEntry{
+	entries := []coalesceOp{
 		{opID: 1<<48 | 7, raw: (&dirsvc.Request{Op: dirsvc.OpAppendRow, Name: "x"}).Encode()},
 		{opID: 2<<48 | 9, raw: (&dirsvc.Request{Op: dirsvc.OpDeleteRow, Name: "y"}).Encode()},
 		{opID: 3, raw: []byte{}},
 	}
-	got, err := unpackGroupEntries(packGroupEntries(entries))
+	got, err := unpackGroupEntries(nil, packGroupEntries(nil, entries))
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
@@ -29,21 +29,21 @@ func TestGroupEntriesRoundTrip(t *testing.T) {
 }
 
 func TestUnpackGroupEntriesErrors(t *testing.T) {
-	valid := packGroupEntries([]groupEntry{{opID: 5, raw: []byte("req")}})
+	valid := packGroupEntries(nil, []coalesceOp{{opID: 5, raw: []byte("req")}})
 	for n := 0; n < len(valid); n++ {
-		if _, err := unpackGroupEntries(valid[:n]); err == nil {
+		if _, err := unpackGroupEntries(nil, valid[:n]); err == nil {
 			t.Fatalf("truncated to %d bytes: unpack succeeded", n)
 		}
 	}
 	bad := append([]byte(nil), valid...)
 	bad[0] = groupPayloadVersion + 1
-	if _, err := unpackGroupEntries(bad); !errors.Is(err, dirsvc.ErrBadRequest) {
+	if _, err := unpackGroupEntries(nil, bad); !errors.Is(err, dirsvc.ErrBadRequest) {
 		t.Errorf("bad version: err = %v", err)
 	}
-	if _, err := unpackGroupEntries(append(valid, 0x01)); err == nil {
+	if _, err := unpackGroupEntries(nil, append(valid, 0x01)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
-	if _, err := unpackGroupEntries(packGroupEntries(nil)); err == nil {
+	if _, err := unpackGroupEntries(nil, packGroupEntries(nil, nil)); err == nil {
 		t.Error("empty payload accepted")
 	}
 }
@@ -56,7 +56,7 @@ func TestDrainCoalesce(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ch <- coalesceOp{opID: uint64(i + 2)}
 	}
-	batch := drainCoalesce(coalesceOp{opID: 1}, ch)
+	batch := drainCoalesce(nil, coalesceOp{opID: 1}, ch)
 	if len(batch) != 6 {
 		t.Fatalf("drained %d ops, want 6 (1 first + 5 queued)", len(batch))
 	}
@@ -67,7 +67,7 @@ func TestDrainCoalesce(t *testing.T) {
 	}
 
 	// An empty queue yields a singleton batch immediately.
-	if batch := drainCoalesce(coalesceOp{opID: 99}, ch); len(batch) != 1 || batch[0].opID != 99 {
+	if batch := drainCoalesce(batch[:0], coalesceOp{opID: 99}, ch); len(batch) != 1 || batch[0].opID != 99 {
 		t.Fatalf("empty queue drained to %d ops", len(batch))
 	}
 
@@ -75,16 +75,16 @@ func TestDrainCoalesce(t *testing.T) {
 	for i := 0; i < 2*maxCoalesce; i++ {
 		ch <- coalesceOp{opID: uint64(1000 + i)}
 	}
-	if batch := drainCoalesce(coalesceOp{opID: 999}, ch); len(batch) != maxCoalesce {
+	if batch := drainCoalesce(nil, coalesceOp{opID: 999}, ch); len(batch) != maxCoalesce {
 		t.Fatalf("drained %d ops, want maxCoalesce=%d", len(batch), maxCoalesce)
 	}
 
 	// The packed form of a full drain survives the wire.
-	full := make([]groupEntry, maxCoalesce)
+	full := make([]coalesceOp, maxCoalesce)
 	for i := range full {
-		full[i] = groupEntry{opID: uint64(i), raw: fmt.Appendf(nil, "op-%d", i)}
+		full[i] = coalesceOp{opID: uint64(i), raw: fmt.Appendf(nil, "op-%d", i)}
 	}
-	if _, err := unpackGroupEntries(packGroupEntries(full)); err != nil {
+	if _, err := unpackGroupEntries(nil, packGroupEntries(nil, full)); err != nil {
 		t.Fatalf("full packet round-trip: %v", err)
 	}
 }

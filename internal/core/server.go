@@ -124,6 +124,8 @@ type Server struct {
 	memberHint   atomic.Value  // *group.Member (possibly typed nil)
 	appliedGroup atomic.Uint64 // mirror of groupSeq
 
+	entries []groupEntry // processGroupMsg's scratch, the group thread's alone
+
 	sendCh  chan coalesceOp
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -353,7 +355,7 @@ func (s *Server) WaitFloor(_ uint32, minSeq uint64) bool {
 		// in between and the replica's state is about to be rebuilt.
 		return s.cfg.DisableReadMajorityCheck
 	}
-	if !s.waitApplied(member.Info().Buffered) {
+	if _, _, buffered := member.Summary(); !s.waitApplied(buffered) {
 		return false
 	}
 	return minSeq == 0 || s.waitMinSeq(minSeq)
@@ -374,11 +376,11 @@ func (s *Server) Lag() int {
 	if m == nil {
 		return 0
 	}
-	buffered, applied := m.Info().Buffered, s.appliedGroup.Load()
-	if buffered <= applied {
-		return 0
+	_, _, buffered := m.Summary()
+	if applied := s.appliedGroup.Load(); buffered > applied {
+		return int(buffered - applied)
 	}
-	return int(buffered - applied)
+	return 0
 }
 
 // Read serves one read request exactly as an initiator thread would —
@@ -472,8 +474,8 @@ func (s *Server) majorityLocked() bool {
 	if s.recovering || s.member == nil {
 		return false
 	}
-	info := s.member.Info()
-	return info.State == group.StateNormal && len(info.Members) >= s.majorityNeeded()
+	state, members, _ := s.member.Summary()
+	return state == group.StateNormal && members >= s.majorityNeeded()
 }
 
 // waitApplied blocks until the group thread has applied all messages up
@@ -609,7 +611,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		s.mu.Unlock()
 		return
 	}
-	entries, err := unpackGroupEntries(msg.Payload)
+	entries, err := unpackGroupEntries(s.entries[:0], msg.Payload)
 	if err != nil {
 		// Unparseable payload: still advance the group cursor so reads
 		// waiting on buffered messages are not stuck forever.
@@ -619,6 +621,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		s.mu.Unlock()
 		return
 	}
+	s.entries = entries
 
 	// One broadcast may carry several updates (a coalesced packet); each
 	// entry is applied in order under its own service sequence number.

@@ -428,10 +428,8 @@ func (c *Client) trans(ctx context.Context, shard int, req *dirsvc.Request) (*di
 func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request) (*dirsvc.Reply, int, error) {
 	hops := 0
 	for attempt := 0; ; attempt++ {
-		cn := c.conns[shard]
 		req.MinSeq = c.floor(shard)
-		raw, err := cn.rpc.TransReadCtx(ctx, cn.port, req.Encode())
-		reply, err := c.decodeNoted(shard, raw, err)
+		reply, err := c.call(ctx, shard, req, true)
 		if err != nil {
 			return nil, shard, err
 		}
@@ -464,10 +462,36 @@ func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request) 
 // reply without converting a non-OK status to an error (the batch path
 // needs the reply's blob alongside the status).
 func (c *Client) transRaw(ctx context.Context, shard int, req *dirsvc.Request) (*dirsvc.Reply, error) {
+	return c.call(ctx, shard, req, false)
+}
+
+// encodeBufs are the request encoders of calls in progress: the transport
+// copies a request into its frame and keeps nothing of it, so the buffer
+// is the call's scratch, handed to the next call when this one returns.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// call is one transaction against shard — a read (server selection may
+// balance) or an update — decoded through decodeNoted.
+func (c *Client) call(ctx context.Context, shard int, req *dirsvc.Request, read bool) (*dirsvc.Reply, error) {
 	cn := c.conns[shard]
-	raw, err := cn.rpc.TransCtx(ctx, cn.port, req.Encode())
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = req.AppendTo((*buf)[:0])
+	var raw []byte
+	var err error
+	if read {
+		raw, err = cn.rpc.TransReadCtx(ctx, cn.port, *buf)
+	} else {
+		raw, err = cn.rpc.TransCtx(ctx, cn.port, *buf)
+	}
+	if cap(*buf) <= maxPooledEncode {
+		encodeBufs.Put(buf)
+	}
 	return c.decodeNoted(shard, raw, err)
 }
+
+// maxPooledEncode is the largest encoder kept for reuse; a restore's
+// snapshot is left to the collector.
+const maxPooledEncode = 64 << 10
 
 // Root returns (and caches) the root directory capability. The root is
 // always homed on shard 0.
@@ -621,9 +645,13 @@ func (c *Client) LookupSet(ctx context.Context, dir capability.Capability, names
 		}
 	}
 	epoch := c.cache.epochOf(shard)
-	set := make([]dirsvc.SetItem, len(names))
-	for i, n := range names {
-		set[i] = dirsvc.SetItem{Name: n}
+	var one [1]dirsvc.SetItem // the request does not outlive the call: a single name needs no heap
+	set := one[:0]
+	if len(names) > 1 {
+		set = make([]dirsvc.SetItem, 0, len(names))
+	}
+	for _, n := range names {
+		set = append(set, dirsvc.SetItem{Name: n})
 	}
 	reply, served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpLookupSet, Dir: dir, Set: set})
 	if err != nil {

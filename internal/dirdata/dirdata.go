@@ -95,6 +95,19 @@ func (d *Directory) Clone() *Directory {
 	return out
 }
 
+// Fork returns a copy of d to stage an update in. It has a row list of
+// its own, with room for the row an append adds, but shares with d the
+// column names and every row's mask array: no method writes into either
+// (Append and Chmod install fresh masks), so whatever the fork goes
+// through leaves d as it was — which is what lets readers keep using d
+// while an update is staged beside it. Clone is the copy for callers
+// that may write into a row.
+func (d *Directory) Fork() *Directory {
+	rows := make([]Row, len(d.Rows), len(d.Rows)+1)
+	copy(rows, d.Rows)
+	return &Directory{Columns: d.Columns, Rows: rows, Seq: d.Seq}
+}
+
 // find returns the index of the named row, or -1.
 func (d *Directory) find(name string) int {
 	for i := range d.Rows {

@@ -175,6 +175,37 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestForkLeavesOriginal: every update method run on a fork leaves the
+// directory it was forked from byte-for-byte as it was, although the two
+// share masks and column names.
+func TestForkLeavesOriginal(t *testing.T) {
+	d := New()
+	for i, name := range []string{"a", "b", "c"} {
+		_ = d.Append(name, mkCap(uint32(i+1)), threeMasks(capability.RightRead))
+	}
+	before := d.Encode()
+	f := d.Fork()
+	steps := []error{
+		f.Append("d", mkCap(9), threeMasks(capability.RightWrite)),
+		f.Chmod("a", threeMasks(capability.RightDelete)),
+		f.Delete("b"),
+	}
+	_, err := f.Replace("c", mkCap(10))
+	steps = append(steps, err)
+	for i, err := range steps {
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	f.Seq = 99
+	if !bytes.Equal(d.Encode(), before) {
+		t.Fatal("an update staged in the fork changed the original")
+	}
+	if names := f.Names(); !reflect.DeepEqual(names, []string{"a", "c", "d"}) {
+		t.Fatalf("fork rows = %v", names)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d := New("owner", "other")
 	d.Seq = 42

@@ -279,8 +279,8 @@ func (a *Applier) batchStepLocked(ov *overlay, st *Request, seq uint64, self TxI
 		if err != nil {
 			return err
 		}
-		// First touch clones the cached image, so the cache stays as it is
-		// until the commit.
+		// First touch forks the cached image, so the cache — and every read
+		// still holding it — stays as it is until the commit.
 		s := ov.find(st.Dir.Object)
 		if s == nil {
 			cached := a.cache[st.Dir.Object]
@@ -288,7 +288,7 @@ func (a *Applier) batchStepLocked(ov *overlay, st *Request, seq uint64, self TxI
 				return ErrNotFound
 			}
 			s = ov.stage(st.Dir.Object)
-			s.dir, s.entry = cached.Clone(), e
+			s.dir, s.entry = cached.Fork(), e
 		}
 		d := s.dir
 		switch st.Op {

@@ -243,7 +243,7 @@ func (f *FrontEnd) Serve(backend Backend) error {
 	if h, ok := backend.(LagHinter); ok {
 		srv.SetLagFunc(h.Lag)
 	}
-	f.stopWorkers = srv.ServeFunc(f.cfg.Workers, f.handleRPC)
+	f.stopWorkers = srv.ServeAppend(f.cfg.Workers, f.handleRPC)
 	if f.txRPC, err = rpc.NewClient(f.stack); err != nil {
 		return err
 	}
@@ -277,21 +277,22 @@ func (f *FrontEnd) ReadsServed() uint64 { return f.reads.Load() }
 
 func status(s Status) *Reply { return &Reply{Status: s} }
 
-// handleRPC is the initiator thread body (Fig. 5, left side).
-func (f *FrontEnd) handleRPC(rreq *rpc.Request) []byte {
+// handleRPC is the initiator thread body (Fig. 5, left side); the reply
+// is appended to the RPC worker's own buffer.
+func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 	req, err := DecodeRequest(rreq.Payload)
 	if err != nil {
-		return status(StatusBadRequest).Encode()
+		return status(StatusBadRequest).AppendTo(dst)
 	}
 	switch {
 	case req.Op == OpWatch:
-		return f.watch(rreq, req).Encode()
+		return f.watch(rreq, req).AppendTo(dst)
 	case req.Op == OpLeaseRenew:
-		return f.renew(req).Encode()
+		return f.renew(req).AppendTo(dst)
 	case req.Op.IsUpdate():
-		return f.Update(req).Encode()
+		return f.Update(req).AppendTo(dst)
 	default:
-		return f.Read(req).Encode()
+		return f.Read(req).AppendTo(dst)
 	}
 }
 

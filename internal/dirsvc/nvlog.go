@@ -160,7 +160,7 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 	// capacity ends with the region, so a record too large for it is
 	// moved to the heap by append instead of overrunning.
 	buf := append(l.img[l.used:l.used:len(l.img)], make([]byte, nvRecHeaderSize)...)
-	buf = req.appendTo(buf)
+	buf = req.AppendTo(buf)
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-nvRecHeaderSize))
 	buf[nvAliveOffset] = 1
 	binary.BigEndian.PutUint64(buf[5:13], seq)

@@ -329,11 +329,13 @@ type Reply struct {
 
 // Encode serializes the request.
 func (r *Request) Encode() []byte {
-	return r.appendTo(make([]byte, 0, 128))
+	return r.AppendTo(make([]byte, 0, 128))
 }
 
-// appendTo appends the serialized request to dst.
-func (r *Request) appendTo(dst []byte) []byte {
+// AppendTo appends the serialized request to dst: the allocation-free
+// encode for callers that own a reusable buffer (the NVRAM log's record,
+// a client's per-call scratch).
+func (r *Request) AppendTo(dst []byte) []byte {
 	w := writer{buf: dst}
 	w.u8(uint8(r.Op))
 	w.cap(r.Dir)
@@ -407,7 +409,13 @@ func DecodeRequest(buf []byte) (*Request, error) {
 
 // Encode serializes the reply.
 func (r *Reply) Encode() []byte {
-	w := newWriter()
+	return r.AppendTo(make([]byte, 0, 128))
+}
+
+// AppendTo appends the serialized reply to dst (see Request.AppendTo):
+// a server's initiator threads encode into the RPC worker's buffer.
+func (r *Reply) AppendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u8(uint8(r.Status))
 	w.cap(r.Cap)
 	w.u32(uint32(len(r.Rows)))

@@ -287,14 +287,44 @@ func (s *Stack) deregister(l *Listener) {
 
 // Send delivers payload to the listener on port at host dst.
 func (s *Stack) Send(dst sim.NodeID, port capability.Port, payload []byte) error {
-	return s.node.Unicast(dst, encodeFrame(kindData, port, payload))
+	return s.SendFrame(dst, append(NewFrame(port, len(payload)), payload...))
 }
 
-// Multicast delivers payload to every host listening on port, in a single
-// Ethernet transmission. The sender's own listener does not receive it
-// (matching the simulated Ethernet, which never loops frames back).
-func (s *Stack) Multicast(port capability.Port, payload []byte) error {
-	return s.node.Broadcast(encodeFrame(kindMcast, port, payload))
+// NewFrame starts a unicast frame for port: the FLIP header, with room
+// behind it for size payload bytes the caller appends. The layers above
+// append their own headers and bodies to it, so one request or reply is
+// one allocation from the directory codec down to the wire; SendFrame
+// sends it as is.
+func NewFrame(port capability.Port, size int) []byte {
+	return newFrame(kindData, port, size)
+}
+
+// NewMcastFrame is NewFrame for MulticastFrame.
+func NewMcastFrame(port capability.Port, size int) []byte {
+	return newFrame(kindMcast, port, size)
+}
+
+func newFrame(kind byte, port capability.Port, size int) []byte {
+	buf := make([]byte, headerSize, headerSize+size)
+	buf[0] = kind
+	copy(buf[1:headerSize], port[:])
+	return buf
+}
+
+// SendFrame sends a frame built by NewFrame to host dst. From this call
+// on the frame belongs to its receivers, which may keep slices of it
+// (see ARCHITECTURE.md, "Buffer ownership on the wire"): the caller must
+// not change it, though it may send the same frame again.
+func (s *Stack) SendFrame(dst sim.NodeID, frame []byte) error {
+	return s.node.Unicast(dst, frame)
+}
+
+// MulticastFrame delivers a frame built by NewMcastFrame to every host
+// listening on its port, in a single Ethernet transmission. The sender's
+// own listener does not receive it (matching the simulated Ethernet,
+// which never loops frames back). Ownership passes as with SendFrame.
+func (s *Stack) MulticastFrame(frame []byte) error {
+	return s.node.Broadcast(frame)
 }
 
 // Locate broadcasts a request for hosts listening on port and collects
@@ -335,9 +365,8 @@ func (s *Stack) LocateHints(port capability.Port, window time.Duration, max int)
 		s.mu.Unlock()
 	}()
 
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, id)
-	if err := s.node.Broadcast(encodeFrame(kindLocate, port, payload)); err != nil {
+	frame := binary.BigEndian.AppendUint64(newFrame(kindLocate, port, 8), id)
+	if err := s.node.Broadcast(frame); err != nil {
 		return nil, err
 	}
 
@@ -398,11 +427,9 @@ func (s *Stack) dispatch() {
 				// Echo the locate id back so the requester can correlate
 				// the reply, and piggyback the listener's load hint plus
 				// its flag byte (read-only responders announce themselves).
-				reply := make([]byte, 10)
-				copy(reply, payload)
-				reply[8] = l.hintByte()
-				reply[9] = l.flagByte()
-				_ = s.node.Unicast(frame.Src, encodeFrame(kindHereIs, port, reply))
+				reply := append(newFrame(kindHereIs, port, 10), payload...)
+				reply = append(reply, l.hintByte(), l.flagByte())
+				_ = s.node.Unicast(frame.Src, reply)
 			}
 		case kindHereIs:
 			// id (8 bytes) plus an optional load-hint byte.
@@ -428,14 +455,6 @@ func (s *Stack) dispatch() {
 			}
 		}
 	}
-}
-
-func encodeFrame(kind byte, port capability.Port, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	buf[0] = kind
-	copy(buf[1:7], port[:])
-	copy(buf[7:], payload)
-	return buf
 }
 
 func decodeFrame(buf []byte) (kind byte, port capability.Port, payload []byte, err error) {

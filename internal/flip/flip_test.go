@@ -99,7 +99,7 @@ func TestMulticastReachesAllListeners(t *testing.T) {
 	})
 
 	before := net.Stats().FramesSent
-	if err := stacks[0].Multicast(port, []byte("ord")); err != nil {
+	if err := stacks[0].MulticastFrame(append(NewMcastFrame(port, 3), "ord"...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range listeners {

@@ -153,14 +153,19 @@ type doneState struct {
 	sender   sim.NodeID
 	msgID    uint64
 	needed   int
-	acked    map[sim.NodeID]bool
+	acked    []sim.NodeID // members whose ACCEPT counted; backed by ackedBuf up to four
+	ackedBuf [4]sim.NodeID
 	doneSent bool
 }
 
-// sendWait is one outstanding Send call.
-type sendWait struct {
-	ch chan uint64 // receives the assigned seq when the send commits
-}
+// timers and sendDones recycle what a Send call owns while it waits: its
+// retry timer (since Go 1.23 a stopped timer's channel holds no stale
+// tick) and the channel its DONE arrives on, drained once the call has
+// unregistered it under the member mutex every DONE is delivered under.
+var (
+	timers    = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+	sendDones = sync.Pool{New: func() any { return make(chan uint64, 1) }}
+)
 
 // Member is one process's membership in a group.
 type Member struct {
@@ -188,7 +193,8 @@ type Member struct {
 
 	nextSeq   uint64 // next sequence number expected in order
 	delivered uint64
-	queue     []Msg
+	queue     []Msg // delivered in order; queue[qHead:] not yet received
+	qHead     int
 	pending   map[uint64]*wireMsg // out-of-order ORDs
 
 	// Sequencer / supplier state. Every member maintains history and the
@@ -201,8 +207,8 @@ type Member struct {
 	sequenced   map[sim.NodeID]map[uint64]uint64 // sender → msgID → seq
 	syncedSeq   uint64                           // seqs ≤ syncedSeq are at all members (last reset)
 
-	msgCounter uint64
-	waiting    map[uint64]*sendWait
+	msgCounter uint64                 // last msgID used; starts at the incarnation's start time
+	waiting    map[uint64]chan uint64 // Send calls by msgID: each gets its seq once the send commits
 
 	lastSeen      map[sim.NodeID]time.Time
 	lastRetransAt time.Time
@@ -249,8 +255,7 @@ func Join(stack *flip.Stack, cfg Config, timeout time.Duration) (*Member, error)
 
 	deadline := time.Now().Add(timeout)
 	for {
-		req := &wireMsg{kind: wireJoinReq, from: m.me}
-		if err := m.stack.Multicast(m.cfg.Port, req.encode()); err != nil {
+		if err := m.multicast(&wireMsg{kind: wireJoinReq, from: m.me}); err != nil {
 			m.destroy()
 			return nil, err
 		}
@@ -307,11 +312,17 @@ func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
 		retryEvery:  3 * base,
 		ackWindow:   2 * base,
 		nextSeq:     1, // sequence numbers start at 1; Buffered = nextSeq-1
+		// Message ids continue past every id an earlier incarnation of
+		// this process can have used (one id per Send, each far longer
+		// than a nanosecond), so the group's duplicate table never takes
+		// a restarted process's sends for retries of its old ones —
+		// whether or not its crash was noticed before it joined again.
+		msgCounter:  uint64(time.Now().UnixNano()),
 		pending:     make(map[uint64]*wireMsg),
 		history:     make(map[uint64]*wireMsg),
 		pendingDone: make(map[uint64]*doneState),
 		sequenced:   make(map[sim.NodeID]map[uint64]uint64),
-		waiting:     make(map[uint64]*sendWait),
+		waiting:     make(map[uint64]chan uint64),
 		lastSeen:    make(map[sim.NodeID]time.Time),
 		stop:        make(chan struct{}),
 	}
@@ -387,6 +398,15 @@ func (m *Member) Info() Info {
 	return m.infoLocked()
 }
 
+// Summary is the part of Info read on every client request — state,
+// view size and buffered position — under the same lock, without
+// copying the member list.
+func (m *Member) Summary() (state State, members int, buffered uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.state, len(m.members), m.nextSeq - 1
+}
+
 func (m *Member) infoLocked() Info {
 	members := make([]sim.NodeID, len(m.members))
 	copy(members, m.members)
@@ -418,9 +438,12 @@ func (m *Member) Receive() (Msg, error) {
 			}
 			return Msg{}, ErrLeft
 		}
-		if len(m.queue) > 0 && m.state == StateNormal {
-			msg := m.queue[0]
-			m.queue = m.queue[1:]
+		if m.qHead < len(m.queue) && m.state == StateNormal {
+			msg := m.queue[m.qHead]
+			m.queue[m.qHead] = Msg{}
+			if m.qHead++; m.qHead == len(m.queue) {
+				m.queue, m.qHead = m.queue[:0], 0 // drained: reuse the array
+			}
 			m.delivered = msg.Seq
 			return msg, nil
 		}
@@ -445,14 +468,22 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 	}
 	m.msgCounter++
 	msgID := m.msgCounter
-	w := &sendWait{ch: make(chan uint64, 1)}
-	m.waiting[msgID] = w
+	done := sendDones.Get().(chan uint64)
+	m.waiting[msgID] = done
 	m.mu.Unlock()
 
+	timer := timers.Get().(*time.Timer)
 	defer func() {
+		timer.Stop()
+		timers.Put(timer)
 		m.mu.Lock()
 		delete(m.waiting, msgID)
 		m.mu.Unlock()
+		select {
+		case <-done: // a DONE for a retry that lost the race with the first
+		default:
+		}
+		sendDones.Put(done)
 	}()
 
 	for {
@@ -464,7 +495,7 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 		case StateLeft:
 			return 0, ErrLeft
 		case StateNormal:
-			req := &wireMsg{
+			req := wireMsg{
 				kind:    wireSendReq,
 				gid:     m.gidSnapshot(),
 				from:    m.me,
@@ -474,20 +505,18 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 			}
 			if seqNode == m.me {
 				m.mu.Lock()
-				m.sequencerHandleSendLocked(req)
+				m.sequencerHandleSendLocked(&req)
 				m.mu.Unlock()
-			} else if err := m.stack.Send(seqNode, m.cfg.Port, req.encode()); err != nil {
+			} else if err := m.send(seqNode, &req); err != nil {
 				return 0, err
 			}
 		}
 		// Wait for the DONE (or a state change that warrants a resend).
-		timer := time.NewTimer(m.retryEvery)
+		timer.Reset(m.retryEvery)
 		select {
-		case seq := <-w.ch:
-			timer.Stop()
+		case seq := <-done:
 			return seq, nil
 		case <-m.stop:
-			timer.Stop()
 			return 0, ErrClosed
 		case <-timer.C:
 		}
@@ -532,8 +561,7 @@ func (m *Member) Leave() error {
 				}
 				m.mu.Unlock()
 			} else {
-				req := &wireMsg{kind: wireLeave, gid: m.gidSnapshot(), from: m.me, node: m.me}
-				_ = m.stack.Send(seqNode, m.cfg.Port, req.encode())
+				_ = m.send(seqNode, &wireMsg{kind: wireLeave, gid: m.gidSnapshot(), from: m.me, node: m.me})
 			}
 		}
 		m.mu.Lock()
@@ -624,8 +652,22 @@ func (m *Member) heartbeatLoop() {
 			continue
 		}
 		m.mu.Unlock()
-		_ = m.stack.Multicast(m.cfg.Port, alive.encode())
+		_ = m.multicast(alive)
 	}
+}
+
+// send unicasts w to dst in a frame of its own, and multicast multicasts
+// it: one buffer from the FLIP header to the payload.
+func (m *Member) send(dst sim.NodeID, w *wireMsg) error {
+	return m.stack.SendFrame(dst, w.appendTo(flip.NewFrame(m.cfg.Port, w.size())))
+}
+
+func (m *Member) multicast(w *wireMsg) error {
+	return m.stack.MulticastFrame(m.mcastFrame(w))
+}
+
+func (m *Member) mcastFrame(w *wireMsg) []byte {
+	return w.appendTo(flip.NewMcastFrame(m.cfg.Port, w.size()))
 }
 
 // failLocked transitions to the failed state; Receive and Reset take over.

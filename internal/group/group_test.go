@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,16 +25,15 @@ func testConfig(r int) Config {
 
 // cluster is a set of group members on one simulated network.
 type cluster struct {
-	t       *testing.T
 	net     *sim.Network
 	stacks  []*flip.Stack
 	members []*Member
 }
 
 // newCluster creates n members: the first creates the group, the rest join.
-func newCluster(t *testing.T, n, resilience int) *cluster {
+func newCluster(t testing.TB, n, resilience int) *cluster {
 	t.Helper()
-	c := &cluster{t: t, net: sim.NewNetwork(sim.FastModel(), 1)}
+	c := &cluster{net: sim.NewNetwork(sim.FastModel(), 1)}
 	cfg := testConfig(resilience)
 	for i := 0; i < n; i++ {
 		c.stacks = append(c.stacks, flip.NewStack(c.net.AddNode(fmt.Sprintf("m%d", i))))
@@ -729,5 +729,91 @@ func TestCloseUnblocksReceiveAndSend(t *testing.T) {
 	}
 	if _, err := m.Send([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Send after close: %v", err)
+	}
+}
+
+// TestRejoinedMemberSendsAreDelivered: a process that crashes and joins
+// again is a fresh Member. The group must take its sends as new
+// messages, not answer them as retries of its previous life's (which it
+// once did: Send returned an old sequence number and the message was
+// never delivered).
+func TestRejoinedMemberSendsAreDelivered(t *testing.T) {
+	testRejoinedMemberSends(t, true)
+}
+
+// TestRestartedMemberRejoinsBeforeDetection is the same restart with no
+// failure detected in between: the survivors still count the process as
+// a member when its new incarnation joins, so the sequencer only
+// re-welcomes it and orders no join.
+func TestRestartedMemberRejoinsBeforeDetection(t *testing.T) {
+	testRejoinedMemberSends(t, false)
+}
+
+// testRejoinedMemberSends crashes member 2 of three after it has sent
+// three messages, restarts it (after the survivors reset without it when
+// resetFirst), joins again and sends "new", which a survivor must
+// receive at the sequence number Send returned.
+func testRejoinedMemberSends(t *testing.T, resetFirst bool) {
+	c := newCluster(t, 3, 2)
+	old := c.members[2]
+	for i := 0; i < 3; i++ {
+		if _, err := old.Send([]byte(fmt.Sprintf("old-%d", i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	node := c.net.Node(old.Me())
+	node.Crash()
+	old.Close()
+	survivors := c.members[:2]
+	if resetFirst {
+		for _, m := range survivors {
+			drainUntilFailure(t, m)
+		}
+		var wg sync.WaitGroup
+		for _, m := range survivors {
+			wg.Add(1)
+			go func(m *Member) {
+				defer wg.Done()
+				if _, err := m.Reset(2); err != nil {
+					t.Errorf("member %d reset: %v", m.Me(), err)
+				}
+			}(m)
+		}
+		wg.Wait()
+	}
+
+	node.Restart()
+	stack := flip.NewStack(node)
+	c.stacks = append(c.stacks, stack)
+	reborn, err := Join(stack, testConfig(2), 5*time.Second)
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	c.members = append(c.members, reborn)
+	before := survivors[0].Info().Buffered
+	seq, err := reborn.Send([]byte("new"))
+	if err != nil {
+		t.Fatalf("send after rejoin: %v", err)
+	}
+	if seq <= before {
+		t.Fatalf("send after rejoin returned seq %d, not past the group's %d: taken for a retry", seq, before)
+	}
+	got := make(chan Msg, 1)
+	go func() {
+		for {
+			// Without a reset the old messages are still queued first.
+			if msg := receiveAppAllowingReset(t, survivors[0], 2); !bytes.HasPrefix(msg.Payload, []byte("old-")) {
+				got <- msg
+				return
+			}
+		}
+	}()
+	select {
+	case msg := <-got:
+		if string(msg.Payload) != "new" || msg.Seq != seq {
+			t.Fatalf("survivor received %q at seq %d, want \"new\" at %d", msg.Payload, msg.Seq, seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rejoined member's message never reached a survivor")
 	}
 }

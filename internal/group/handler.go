@@ -19,11 +19,14 @@ const retransBatch = 512
 // handle processes one group protocol message. It runs synchronously in
 // the FLIP dispatcher of this node (the analogue of Amoeba's kernel
 // protocol processing), so it must never block on the network or sleep.
+// The message is decoded onto the dispatcher's stack; the handlers copy
+// what they keep (an ORD, into the pending set or the history).
 func (m *Member) handle(fm flip.Msg) {
-	w, err := decodeWire(fm.Payload)
-	if err != nil {
+	var msg wireMsg
+	if decodeWire(fm.Payload, &msg) != nil {
 		return
 	}
+	w := &msg
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || m.state == StateLeft {
@@ -104,13 +107,16 @@ func (m *Member) sequencerHandleSendLocked(w *wireMsg) {
 	if max := len(m.members) - 1; needed > max {
 		needed = max
 	}
-	m.pendingDone[s] = &doneState{
-		sender: w.from,
-		msgID:  w.msgID,
-		needed: needed,
-		acked:  make(map[sim.NodeID]bool),
+	pd := &doneState{sender: w.from, msgID: w.msgID, needed: needed}
+	pd.acked = pd.ackedBuf[:0]
+	m.pendingDone[s] = pd
+	frame := m.mcastFrame(ord)
+	_ = m.stack.MulticastFrame(frame)
+	if len(ord.payload) > 0 {
+		// What the history and the local delivery keep is the sent frame's
+		// copy, not the sender's buffer: Send's caller may reuse that.
+		ord.payload = frame[len(frame)-len(ord.payload):]
 	}
-	_ = m.stack.Multicast(m.cfg.Port, ord.encode())
 	m.processOrdLocked(ord) // multicast does not loop back
 	if needed == 0 {
 		m.sendDoneLocked(s)
@@ -134,10 +140,10 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 	// ORD to members that have not acknowledged; their duplicate
 	// handling re-ACCEPTs.
 	if ord := m.history[s]; ord != nil {
-		enc := ord.encode()
+		frame := ord.appendTo(flip.NewFrame(m.cfg.Port, ord.size()))
 		for _, nd := range m.members {
-			if nd != m.me && !pd.acked[nd] {
-				_ = m.stack.Send(nd, m.cfg.Port, enc)
+			if nd != m.me && !contains(pd.acked, nd) {
+				_ = m.stack.SendFrame(nd, frame)
 			}
 		}
 	}
@@ -163,7 +169,8 @@ func (m *Member) handleOrdLocked(w *wireMsg) {
 		return
 	}
 	if _, dup := m.pending[w.seq]; !dup {
-		m.pending[w.seq] = w
+		kept := *w
+		m.pending[w.seq] = &kept
 	}
 	m.acceptLocked(w.seq)
 	m.drainPendingLocked()
@@ -177,8 +184,7 @@ func (m *Member) acceptLocked(seq uint64) {
 	if m.sequencer == m.me {
 		return
 	}
-	acc := &wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: seq, from: m.me}
-	_ = m.stack.Send(m.sequencer, m.cfg.Port, acc.encode())
+	_ = m.send(m.sequencer, &wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: seq, from: m.me})
 }
 
 // drainPendingLocked promotes contiguous pending messages into the
@@ -268,10 +274,10 @@ func (m *Member) handleAcceptLocked(w *wireMsg) {
 		return
 	}
 	pd := m.pendingDone[w.seq]
-	if pd == nil || pd.acked[w.from] || !contains(m.members, w.from) {
+	if pd == nil || contains(pd.acked, w.from) || !contains(m.members, w.from) {
 		return
 	}
-	pd.acked[w.from] = true
+	pd.acked = append(pd.acked, w.from)
 	if !pd.doneSent && len(pd.acked) >= pd.needed {
 		m.sendDoneLocked(w.seq)
 	}
@@ -290,23 +296,20 @@ func (m *Member) sendDoneLocked(seq uint64) {
 
 func (m *Member) replyDoneLocked(sender sim.NodeID, msgID, seq uint64) {
 	if sender == m.me {
-		if w := m.waiting[msgID]; w != nil {
-			select {
-			case w.ch <- seq:
-			default:
-			}
-		}
+		m.completeSendLocked(msgID, seq)
 		return
 	}
-	done := &wireMsg{kind: wireDone, gid: m.gid, epoch: m.epoch, seq: seq, msgID: msgID, from: m.me}
-	_ = m.stack.Send(sender, m.cfg.Port, done.encode())
+	_ = m.send(sender, &wireMsg{kind: wireDone, gid: m.gid, epoch: m.epoch, seq: seq, msgID: msgID, from: m.me})
 }
 
 // handleDoneLocked completes one of our outstanding Send calls.
-func (m *Member) handleDoneLocked(w *wireMsg) {
-	if wait := m.waiting[w.msgID]; wait != nil {
+func (m *Member) handleDoneLocked(w *wireMsg) { m.completeSendLocked(w.msgID, w.seq) }
+
+// completeSendLocked hands seq to the Send call waiting on msgID, if any.
+func (m *Member) completeSendLocked(msgID, seq uint64) {
+	if done := m.waiting[msgID]; done != nil {
 		select {
-		case wait.ch <- w.seq:
+		case done <- seq:
 		default:
 		}
 	}
@@ -333,7 +336,7 @@ func (m *Member) sequencerHandleJoinLocked(w *wireMsg) {
 		ordKind: ordJoin,
 		node:    node,
 	}
-	_ = m.stack.Multicast(m.cfg.Port, ord.encode())
+	_ = m.multicast(ord)
 	m.processOrdLocked(ord)
 	m.sendWelcomeLocked(node, s)
 }
@@ -349,7 +352,7 @@ func (m *Member) sendWelcomeLocked(node sim.NodeID, joinSeq uint64) {
 		from:    m.me,
 		members: members,
 	}
-	_ = m.stack.Send(node, m.cfg.Port, welcome.encode())
+	_ = m.send(node, welcome)
 }
 
 // handleWelcomeLocked installs the group snapshot at a joining member.
@@ -391,7 +394,7 @@ func (m *Member) sequencerHandleLeaveLocked(w *wireMsg) {
 		ordKind: ordLeave,
 		node:    w.node,
 	}
-	_ = m.stack.Multicast(m.cfg.Port, ord.encode())
+	_ = m.multicast(ord)
 	m.processOrdLocked(ord)
 }
 
@@ -410,7 +413,7 @@ func (m *Member) handleRetransLocked(w *wireMsg) {
 		// valid in the view that inherited them.
 		copyOrd := *ord
 		copyOrd.epoch = m.epoch
-		_ = m.stack.Send(w.from, m.cfg.Port, copyOrd.encode())
+		_ = m.send(w.from, &copyOrd)
 	}
 }
 
@@ -440,8 +443,7 @@ func (m *Member) maybeRequestRetransLocked(upTo uint64) {
 		return
 	}
 	m.lastRetransAt = now
-	req := &wireMsg{kind: wireRetrans, gid: m.gid, epoch: m.epoch, seq: m.nextSeq, seq2: upTo, from: m.me}
-	_ = m.stack.Send(m.sequencer, m.cfg.Port, req.encode())
+	_ = m.send(m.sequencer, &wireMsg{kind: wireRetrans, gid: m.gid, epoch: m.epoch, seq: m.nextSeq, seq2: upTo, from: m.me})
 }
 
 // handleInviteLocked reacts to a reset proposal: higher proposals win.
@@ -460,8 +462,7 @@ func (m *Member) handleInviteLocked(w *wireMsg) {
 		m.cond.Broadcast()
 	}
 	if m.curProposal == p {
-		ack := &wireMsg{kind: wireResetAck, gid: m.gid, epoch: w.epoch, seq: m.nextSeq - 1, from: m.me}
-		_ = m.stack.Send(w.from, m.cfg.Port, ack.encode())
+		_ = m.send(w.from, &wireMsg{kind: wireResetAck, gid: m.gid, epoch: w.epoch, seq: m.nextSeq - 1, from: m.me})
 	}
 }
 

@@ -77,7 +77,7 @@ func (m *Member) Reset(minSize int) (Info, error) {
 
 		// Two invite rounds per proposal to ride out frame loss.
 		for round := 0; round < 2; round++ {
-			_ = m.stack.Multicast(m.cfg.Port, invite.encode())
+			_ = m.multicast(invite)
 			time.Sleep(m.ackWindow)
 			m.mu.Lock()
 			superseded := m.curProposal != p
@@ -130,9 +130,9 @@ func (m *Member) Reset(minSize int) (Info, error) {
 		info := m.infoLocked()
 		m.mu.Unlock()
 
-		enc := commit.encode()
-		_ = m.stack.Multicast(m.cfg.Port, enc)
-		_ = m.stack.Multicast(m.cfg.Port, enc) // repeat for loss tolerance
+		frame := m.mcastFrame(commit)
+		_ = m.stack.MulticastFrame(frame)
+		_ = m.stack.MulticastFrame(frame) // repeat for loss tolerance
 		return info, nil
 	}
 

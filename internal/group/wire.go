@@ -68,32 +68,37 @@ type wireMsg struct {
 
 var errShortMsg = errors.New("group: short message")
 
-func (m *wireMsg) encode() []byte {
-	buf := make([]byte, 0, 64+len(m.payload))
-	buf = append(buf, m.kind)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.gid))
-	buf = binary.BigEndian.AppendUint64(buf, m.epoch)
-	buf = binary.BigEndian.AppendUint64(buf, m.seq)
-	buf = binary.BigEndian.AppendUint64(buf, m.seq2)
-	buf = binary.BigEndian.AppendUint64(buf, m.msgID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.from))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.node))
-	buf = append(buf, m.ordKind)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.members)))
-	for _, nd := range m.members {
+// size is the length of w's encoding.
+func (w *wireMsg) size() int { return wireFixed + 4*len(w.members) + len(w.payload) }
+
+// appendTo appends w's encoding to dst.
+func (w *wireMsg) appendTo(buf []byte) []byte {
+	buf = append(buf, w.kind)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(w.gid))
+	buf = binary.BigEndian.AppendUint64(buf, w.epoch)
+	buf = binary.BigEndian.AppendUint64(buf, w.seq)
+	buf = binary.BigEndian.AppendUint64(buf, w.seq2)
+	buf = binary.BigEndian.AppendUint64(buf, w.msgID)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(w.from))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(w.node))
+	buf = append(buf, w.ordKind)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(w.members)))
+	for _, nd := range w.members {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(nd))
 	}
-	buf = append(buf, m.payload...)
-	return buf
+	return append(buf, w.payload...)
 }
 
 const wireFixed = 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 1 + 2
 
-func decodeWire(buf []byte) (*wireMsg, error) {
+// decodeWire parses buf into w, which the caller owns (the dispatcher
+// decodes onto its stack and copies only what it keeps). w.payload is a
+// slice of buf: a received frame is never changed, so it may be kept.
+func decodeWire(buf []byte, w *wireMsg) error {
 	if len(buf) < wireFixed {
-		return nil, errShortMsg
+		return errShortMsg
 	}
-	m := &wireMsg{
+	*w = wireMsg{
 		kind:    buf[0],
 		gid:     groupID(binary.BigEndian.Uint64(buf[1:9])),
 		epoch:   binary.BigEndian.Uint64(buf[9:17]),
@@ -107,17 +112,17 @@ func decodeWire(buf []byte) (*wireMsg, error) {
 	n := int(binary.BigEndian.Uint16(buf[50:52]))
 	off := wireFixed
 	if len(buf) < off+4*n {
-		return nil, fmt.Errorf("members: %w", errShortMsg)
+		return fmt.Errorf("members: %w", errShortMsg)
 	}
 	if n > 0 {
-		m.members = make([]sim.NodeID, n)
+		w.members = make([]sim.NodeID, n)
 		for i := 0; i < n; i++ {
-			m.members[i] = sim.NodeID(binary.BigEndian.Uint32(buf[off : off+4]))
+			w.members[i] = sim.NodeID(binary.BigEndian.Uint32(buf[off : off+4]))
 			off += 4
 		}
 	}
 	if off < len(buf) {
-		m.payload = buf[off:]
+		w.payload = buf[off:]
 	}
-	return m, nil
+	return nil
 }

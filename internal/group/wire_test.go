@@ -1,6 +1,7 @@
 package group
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		{kind: wireCommit, gid: 7, epoch: 4, from: 2, node: 0, seq2: 99, members: []sim.NodeID{0, 2}},
 	}
 	for _, in := range tests {
-		got, err := decodeWire(in.encode())
+		got, err := roundTrip(in)
 		if err != nil {
 			t.Fatalf("kind %d: %v", in.kind, err)
 		}
@@ -29,11 +30,22 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// roundTrip encodes in and decodes the result, checking size against the
+// encoding's length on the way.
+func roundTrip(in *wireMsg) (*wireMsg, error) {
+	raw := in.appendTo(nil)
+	if len(raw) != in.size() {
+		return nil, fmt.Errorf("encoded %d bytes, size says %d", len(raw), in.size())
+	}
+	got := new(wireMsg)
+	return got, decodeWire(raw, got)
+}
+
 func TestWireRejectsShortFrames(t *testing.T) {
 	msg := &wireMsg{kind: wireOrd, gid: 1, seq: 5, payload: []byte("xyz")}
-	raw := msg.encode()
+	raw := msg.appendTo(nil)
 	for cut := len(raw) - len(msg.payload) - 1; cut > 0; cut -= 7 {
-		if _, err := decodeWire(raw[:cut]); err == nil {
+		if err := decodeWire(raw[:cut], new(wireMsg)); err == nil {
 			t.Fatalf("decoded truncated frame of %d bytes", cut)
 		}
 	}
@@ -72,7 +84,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		if len(payload) > 0 {
 			in.payload = payload
 		}
-		got, err := decodeWire(in.encode())
+		got, err := roundTrip(in)
 		return err == nil && reflect.DeepEqual(got, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

@@ -41,10 +41,13 @@ func BenchmarkNullTrans(b *testing.B) {
 }
 
 // TestNullTransAllocs guards the hot path's allocation count: the
-// liveness bookkeeping rides the lock acquisitions and the one timer a
-// transaction already had. AllocsPerRun counts the whole process — client,
-// simulated network, server — so the bound is the full exchange's.
+// liveness bookkeeping rides the lock acquisitions, and the probe timer
+// and reply channel are recycled. AllocsPerRun counts the whole process —
+// client, simulated network, server — so the bound is the full exchange's.
 func TestNullTransAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop what it is given")
+	}
 	null := warmEcho(t)
 	got := testing.AllocsPerRun(500, func() {
 		if err := null(); err != nil {
@@ -57,5 +60,12 @@ func TestNullTransAllocs(t *testing.T) {
 	}
 }
 
-// nullTransAllocs is what the parent commit measured (15.0), and this one.
-const nullTransAllocs = 15
+// nullTransAllocs is what this commit measured: the request, reply and
+// ACK frames, one buffer each, and the simulated network's queues (15
+// before every layer appended into one buffer and the timer and reply
+// channel were recycled).
+const nullTransAllocs = 6
+
+// raceBuild is set under the race detector (race_test.go), where
+// allocation counts are not the program's.
+var raceBuild bool

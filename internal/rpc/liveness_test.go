@@ -306,9 +306,10 @@ func TestExpiredTimerDoesNotBeatReadyReply(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tx := uint64(1000 + i)
 		ch := make(chan flip.Msg, replyChanDepth)
-		ch <- flip.Msg{Src: id, Payload: encodeReply(tx, 0, []byte("ready"))}
+		ch <- flip.Msg{Src: id, Payload: append(appendServerHeader(nil, opReply, tx, 0), "ready"...)}
 		aim := target{server: id, down: make(chan struct{}), probe: time.Nanosecond}
-		reply, from, v := f.client.transactOnce(context.Background(), aim, port, tx, []byte("q"), ch, false)
+		wire := requestFrame(port, tx, f.client.replyPort, []byte("q"))
+		reply, from, v := f.client.transactOnce(context.Background(), aim, port, tx, wire, ch, false)
 		if v != verdictReply || string(reply) != "ready" || from != id {
 			t.Fatalf("round %d: verdict %d, reply %q from %v; want the waiting reply", i, v, reply, from)
 		}
@@ -327,7 +328,7 @@ func TestExpiredTimerDoesNotBeatReadyReply(t *testing.T) {
 		t.Fatal("server heard from before it sent anything")
 	}
 	clientNode := f.stacks[0].Node().ID()
-	if err := servers[1].stack.Send(clientNode, f.client.replyPort, encodeStatus(opWorking, 1, 0)); err != nil {
+	if err := servers[1].stack.SendFrame(clientNode, replyFrame(f.client.replyPort, opWorking, 1, 0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); f.client.FailoverStats().Working == 0; {
@@ -358,7 +359,16 @@ func TestExpiredTimerDoesNotBeatReadyReply(t *testing.T) {
 // reply was lost was never answered again and the client took its request
 // to the next server. Every transaction here loses its first reply; each
 // must be re-answered by the first server and run exactly once.
-func TestFinishedRequestStaysFinished(t *testing.T) {
+func TestFinishedRequestStaysFinished(t *testing.T) { finishedStaysFinished(t, false) }
+
+// TestFinishedRequestStaysFinishedUnderLoad is the same with the
+// background callers on the tested servers: tens of thousands of
+// acknowledged requests go through the duplicate table while the test's
+// replies wait for their retransmits, and none of them may push out an
+// entry still waiting.
+func TestFinishedRequestStaysFinishedUnderLoad(t *testing.T) { finishedStaysFinished(t, true) }
+
+func finishedStaysFinished(t *testing.T, bgOnTested bool) {
 	rounds := 2000
 	if testing.Short() {
 		rounds = 400
@@ -380,13 +390,19 @@ func TestFinishedRequestStaysFinished(t *testing.T) {
 			stop()
 		})
 	}
-	bgStack := flip.NewStack(f.net.AddNode("bg-server"))
-	f.stacks = append(f.stacks, bgStack)
-	bgSrv, err := NewServer(bgStack, capability.PortFromString("bg"))
-	if err != nil {
-		t.Fatal(err)
+	// Background traffic goes to a server of its own, or through the
+	// tested ones.
+	bgPort, bgNode := port, sim.NodeID(-1)
+	if !bgOnTested {
+		bgStack := flip.NewStack(f.net.AddNode("bg-server"))
+		f.stacks = append(f.stacks, bgStack)
+		bgSrv, err := NewServer(bgStack, capability.PortFromString("bg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		echoWorkers(t, bgSrv, 4)
+		bgPort, bgNode = bgSrv.Port(), bgStack.Node().ID()
 	}
-	echoWorkers(t, bgSrv, 4)
 	f.client.SetCacheTTL(time.Hour) // no re-locate may reorder the cache mid-test
 	for i := 0; i < 8; i++ {        // an RTT sample, so the re-send comes after the floor
 		if _, err := f.client.Trans(port, []byte("warm")); err != nil {
@@ -398,8 +414,8 @@ func TestFinishedRequestStaysFinished(t *testing.T) {
 	replied := make(map[uint64]bool)
 	f.net.SetDropFilter(func(src, dst sim.NodeID, frame []byte) bool {
 		op, tx := rpcOp(frame)
-		if op != opReply || src == bgStack.Node().ID() {
-			return false
+		if op != opReply || src == bgNode || bytes.HasSuffix(frame, []byte(":bg")) {
+			return false // background traffic runs at full speed
 		}
 		dropMu.Lock()
 		defer dropMu.Unlock()
@@ -409,9 +425,7 @@ func TestFinishedRequestStaysFinished(t *testing.T) {
 	})
 
 	// The overwrite needs a worker to finish on one core before the
-	// dispatcher, on the other, is back at its table: keep both busy, with
-	// traffic to a server of its own (through the tested servers it would
-	// push their entries out of the 4096-request table within one probe).
+	// dispatcher, on the other, is back at its table: keep both busy.
 	var bg sync.WaitGroup
 	stopBG := make(chan struct{})
 	for g := 0; g < 3; g++ {
@@ -423,7 +437,7 @@ func TestFinishedRequestStaysFinished(t *testing.T) {
 				case <-stopBG:
 					return
 				default:
-					_, _ = f.client.Trans(bgSrv.Port(), []byte("bg"))
+					_, _ = f.client.Trans(bgPort, []byte("bg"))
 				}
 			}
 		}()
@@ -460,8 +474,35 @@ func TestFinishedRequestStaysFinished(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for payload, n := range executed {
-		if n != 1 && payload != "warm" {
+		if n != 1 && payload != "warm" && payload != "bg" {
 			t.Fatalf("%s executed %d times, want 1", payload, n)
 		}
+	}
+}
+
+// TestDupTableBoundsLiveEntries: acknowledged entries stop counting at
+// once, so an old unacknowledged reply outlives any number of later
+// acknowledged ones, and the table still holds at most maxDupEntries.
+func TestDupTableBoundsLiveEntries(t *testing.T) {
+	d := newDupTable()
+	waiting := dupKey{src: 1, tx: 1}
+	d.put(waiting, dupEntry{done: true, payload: []byte("reply")})
+	for tx := uint64(2); tx < 10*maxDupEntries; tx++ {
+		key := dupKey{src: 2, tx: tx}
+		d.put(key, dupEntry{})
+		d.put(key, dupEntry{done: true})
+		delete(d.entries, key)
+	}
+	if e, ok := d.entries[waiting]; !ok || string(e.payload) != "reply" {
+		t.Fatal("an unacknowledged reply was pushed out by acknowledged ones")
+	}
+	for tx := uint64(0); tx < maxDupEntries; tx++ {
+		d.put(dupKey{src: 3, tx: tx}, dupEntry{})
+	}
+	if _, ok := d.entries[waiting]; ok {
+		t.Fatal("the oldest live entry survived maxDupEntries newer live ones")
+	}
+	if len(d.entries) != maxDupEntries {
+		t.Fatalf("%d live entries, want the bound %d", len(d.entries), maxDupEntries)
 	}
 }

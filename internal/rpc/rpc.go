@@ -88,6 +88,16 @@ var clientSeq atomic.Uint64
 // can produce several replies for one transaction.
 const replyChanDepth = 8
 
+// maxFreeReplyChans bounds the client's recycled reply channels: about
+// the number of transactions it has in flight at once.
+const maxFreeReplyChans = 64
+
+// timers recycles transactions' probe timers. A timer is scratch owned by
+// the one transaction waiting on it, which returns it stopped; since Go
+// 1.23 a stopped or reset timer's channel holds no stale tick, so the next
+// owner's first expiry is its own.
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
 // portCache is the client's knowledge of one service port: the HEREIS
 // responders of the last locate, in arrival order.
 type portCache struct {
@@ -178,6 +188,7 @@ type Client struct {
 	load     map[capability.Port]map[sim.NodeID]int          // in-flight requests per server
 	stats    map[capability.Port]map[sim.NodeID]*replicaStat // adaptive-routing state
 	pending  map[uint64]chan flip.Msg                        // reply routing by transaction id
+	free     []chan flip.Msg                                 // drained reply channels of finished transactions
 	heard    map[sim.NodeID]time.Time                        // last frame routed from each node
 	failover FailoverStats
 	txid     uint64
@@ -350,8 +361,12 @@ func (c *Client) SetCacheTTL(d time.Duration) {
 
 // demux routes incoming replies to their transaction by id and notes, for
 // every frame, that its sender is alive (a WORKING ack says nothing else
-// and ends here). It exits — closing c.closed, which unblocks every
-// waiter — when the reply listener shuts down (Close or node crash).
+// and ends here). The hand-off never blocks and happens under the mutex
+// that registers and unregisters reply channels, so once a transaction
+// has unregistered its channel nothing more arrives in it and the channel
+// can serve the next transaction. It exits — closing c.closed, which
+// unblocks every waiter — when the reply listener shuts down (Close or
+// node crash).
 func (c *Client) demux() {
 	defer close(c.closed)
 	for m := range c.replies.Chan() {
@@ -362,18 +377,15 @@ func (c *Client) demux() {
 		now := time.Now()
 		c.mu.Lock()
 		c.heard[m.Src] = now
-		ch := c.pending[tx]
 		if m.Payload[0] == opWorking {
 			c.failover.Working++
-			ch = nil
-		}
-		c.mu.Unlock()
-		if ch != nil {
+		} else if ch := c.pending[tx]; ch != nil {
 			select {
 			case ch <- m:
 			default: // waiter overrun: drop, retransmission recovers
 			}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -383,7 +395,9 @@ func (c *Client) demux() {
 // server stops replying the client fails over to another server, so an
 // operation may execute twice across a crash — exactly the Amoeba
 // contract the paper's services are built on (§2: "it does not support
-// failure-free operations for clients").
+// failure-free operations for clients"). req is copied into the request
+// frame and not kept: the caller may reuse it once Trans returns, as it
+// may with every other transaction entry point.
 func (c *Client) Trans(port capability.Port, req []byte) ([]byte, error) {
 	return c.TransCtx(context.Background(), port, req)
 }
@@ -421,29 +435,40 @@ type route struct {
 	keep    bool       // leave the reply channel registered after the reply (Subscribe)
 }
 
-// transact is the one attempt loop: register a reply channel, then pick a
-// server, wait on it and act on the verdict until a reply arrives or the
-// attempts run out. A transaction is a Stream, usually closed after its
-// first reply; it comes back naming the server that answered.
+// transact is the one attempt loop: register a reply channel, build the
+// request frame, then pick a server, wait on it and act on the verdict
+// until a reply arrives or the attempts run out. Every attempt, probe and
+// hedge sends the same frame. A transaction is a Stream, usually closed
+// after its first reply — its channel then serves a later transaction —
+// and it comes back naming the server that answered.
 func (c *Client) transact(ctx context.Context, port capability.Port, req []byte, r route) (s Stream, reply []byte, err error) {
-	depth, attempts := replyChanDepth, c.maxAttempts
-	if r.keep {
-		depth = pushChanDepth
-	}
+	attempts := c.maxAttempts
 	if r.fixed {
 		attempts = 3
 	}
-	s = Stream{c: c, ch: make(chan flip.Msg, depth)}
+	s = Stream{c: c}
 	c.mu.Lock()
 	c.txid++
 	s.tx = c.txid
+	switch n := len(c.free); {
+	case r.keep:
+		s.ch = make(chan flip.Msg, pushChanDepth)
+	case n > 0:
+		s.ch, c.free = c.free[n-1], c.free[:n-1]
+	default:
+		s.ch = make(chan flip.Msg, replyChanDepth)
+	}
 	c.pending[s.tx] = s.ch
 	c.mu.Unlock()
 	defer func() {
-		if err != nil || !r.keep {
+		switch {
+		case !r.keep:
+			s.recycle()
+		case err != nil:
 			s.Close()
 		}
 	}()
+	wire := requestFrame(port, s.tx, c.replyPort, req)
 
 	located, noServer := false, 0
 loop:
@@ -468,7 +493,7 @@ loop:
 			}
 			continue
 		}
-		payload, from, v := c.transactOnce(ctx, t, port, s.tx, req, s.ch, r.balance && c.hedge.Load())
+		payload, from, v := c.transactOnce(ctx, t, port, s.tx, wire, s.ch, r.balance && c.hedge.Load())
 		c.release(port, t.server)
 		switch v {
 		case verdictReply:
@@ -519,8 +544,8 @@ const (
 	verdictClosed
 )
 
-// transactOnce sends the request to one server and waits for its routed
-// replies. An overdue reply is probed for: the same frame (same id, so
+// transactOnce sends the request frame to one server and waits for its
+// routed replies. An overdue reply is probed for: the same frame (same id, so
 // the server's duplicate suppression holds) goes out again after t.probe,
 // then twice that, up to replyTimeout. retransmits+1 expiries in a row
 // with no frame from the server since the last transmission are
@@ -533,8 +558,7 @@ const (
 // routes both to this channel, and the server-side duplicate-suppression
 // table keys on (src, tx), so the loser is simply a second reply that the
 // winner's return leaves unread. Runs without the client mutex.
-func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, tx uint64, req []byte, replies <-chan flip.Msg, hedge bool) ([]byte, sim.NodeID, verdict) {
-	wire := encodeRequest(tx, c.replyPort, req)
+func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, tx uint64, wire []byte, replies <-chan flip.Msg, hedge bool) ([]byte, sim.NodeID, verdict) {
 	var (
 		hedgeCh     <-chan time.Time
 		hedged      bool // a hedge was actually sent (NodeID 0 is valid, so a flag, not the zero id)
@@ -552,7 +576,7 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 		}
 	}()
 	sentAt := time.Now() // first transmission, for Karn-safe RTT samples
-	if err := c.stack.Send(t.server, port, wire); err != nil {
+	if err := c.stack.SendFrame(t.server, wire); err != nil {
 		return nil, 0, verdictDead
 	}
 	var (
@@ -561,8 +585,12 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 		silent   = 0 // consecutive transmissions nothing came back for
 		giveUp   = sentAt.Add(time.Duration(c.retransmits+1) * c.replyTimeout)
 	)
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
+	timer := timers.Get().(*time.Timer)
+	timer.Reset(interval)
+	defer func() {
+		timer.Stop()
+		timers.Put(timer)
+	}()
 	// onFrame acts on one routed frame; verdict 0 means keep waiting.
 	onFrame := func(m flip.Msg) ([]byte, verdict) {
 		op, _, hint, payload, err := decodeReply(m.Payload)
@@ -574,7 +602,8 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			// its reply is still the result of this exact request
 			// (at-most-once per server). Third message of the exchange:
 			// acknowledge so the server can drop its duplicate entry.
-			_ = c.stack.Send(m.Src, port, encodeAck(tx))
+			ack := binary.BigEndian.AppendUint64(append(flip.NewFrame(port, 9), opAck), tx)
+			_ = c.stack.SendFrame(m.Src, ack)
 			// RTT sampling follows Karn's rule: only replies
 			// attributable to one transmission count — the primary's
 			// before any probe, or the hedge's (it is sent once).
@@ -607,7 +636,7 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			if hs, ok := c.takeHedge(port, t.server); ok {
 				hedged, hedgeServer, hedgeSent = true, hs, time.Now()
 				c.hedgesSent.Add(1)
-				_ = c.stack.Send(hs, port, wire)
+				_ = c.stack.SendFrame(hs, wire)
 			}
 		case <-timer.C:
 			// select picks at random between a fired timer and a ready
@@ -631,7 +660,7 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			c.failover.Probes++
 			c.statLocked(port, t.server).probes++
 			c.mu.Unlock()
-			if err := c.stack.Send(t.server, port, wire); err != nil {
+			if err := c.stack.SendFrame(t.server, wire); err != nil {
 				return nil, 0, verdictDead
 			}
 			probeAt = now
@@ -966,20 +995,13 @@ func (c *Client) evict(port capability.Port, t target, why verdict) {
 	}
 }
 
-func encodeRequest(tx uint64, replyPort capability.Port, payload []byte) []byte {
-	buf := make([]byte, 1+8+6+len(payload))
-	buf[0] = opRequest
-	binary.BigEndian.PutUint64(buf[1:9], tx)
-	copy(buf[9:15], replyPort[:])
-	copy(buf[15:], payload)
-	return buf
-}
-
-func encodeAck(tx uint64) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = opAck
-	binary.BigEndian.PutUint64(buf[1:9], tx)
-	return buf
+// requestFrame builds a whole request frame for port in one buffer: the
+// FLIP header, [op:1][tx:8][reply port:6], then the caller's payload.
+func requestFrame(port capability.Port, tx uint64, replyPort capability.Port, payload []byte) []byte {
+	buf := append(flip.NewFrame(port, 1+8+6+len(payload)), opRequest)
+	buf = binary.BigEndian.AppendUint64(buf, tx)
+	buf = append(buf, replyPort[:]...)
+	return append(buf, payload...)
 }
 
 // decodeReply parses a server-to-client frame:

@@ -27,15 +27,18 @@ type Request struct {
 
 // Reply sends the reply to the client and records it for duplicate
 // suppression until the client's ACK arrives. Reply must be called exactly
-// once per request.
+// once per request. payload is copied into the reply frame, which is what
+// the duplicate table keeps: the caller may reuse payload once Reply
+// returns.
 func (r *Request) Reply(payload []byte) error {
 	if r.replied {
 		return errors.New("rpc: duplicate Reply")
 	}
 	r.replied = true
 	r.srv.noteHandled(time.Since(r.accepted))
-	r.srv.recordReply(r, payload)
-	return r.srv.stack.Send(r.Src, r.replyPort, encodeReply(r.tx, r.srv.hintByte(), payload))
+	frame := replyFrame(r.replyPort, opReply, r.tx, r.srv.hintByte(), payload)
+	r.srv.recordReply(r, frame[len(frame)-len(payload):])
+	return r.srv.stack.SendFrame(r.Src, frame)
 }
 
 // PushAddr is a client's long-lived notification endpoint: the reply
@@ -61,7 +64,7 @@ func (r *Request) PushAddr() PushAddr {
 // recorded for duplicate suppression, and is not acknowledged: a lost
 // push is recovered by the subscription's own lease-renewal protocol.
 func (s *Server) Push(addr PushAddr, payload []byte) error {
-	return s.stack.Send(addr.Src, addr.ReplyPort, encodeReply(addr.Tx, s.hintByte(), payload))
+	return s.stack.SendFrame(addr.Src, replyFrame(addr.ReplyPort, opReply, addr.Tx, s.hintByte(), payload))
 }
 
 // dupKey identifies one transaction. Transaction ids are globally unique
@@ -74,11 +77,55 @@ type dupKey struct {
 
 type dupEntry struct {
 	done    bool
-	payload []byte
+	payload []byte // the reply, inside the frame that carried it
+	order   uint64 // insertion order: the lowest is evicted first
 }
 
-// maxDupEntries bounds the duplicate-suppression table.
+// maxDupEntries bounds the duplicate-suppression table's live entries.
 const maxDupEntries = 4096
+
+// dupTable is the duplicate-suppression table: one entry per transaction
+// not yet acknowledged. The bound counts live entries only — an entry the
+// client's ACK deleted stops counting at once, so an unacknowledged
+// request is forgotten after maxDupEntries later unacknowledged ones,
+// never after so many requests.
+type dupTable struct {
+	entries map[dupKey]dupEntry
+	next    uint64 // order of the next new entry
+}
+
+func newDupTable() dupTable {
+	return dupTable{entries: make(map[dupKey]dupEntry)}
+}
+
+// put records e under key. A new key takes the next order, evicting the
+// oldest entry first when the table is full; a known one keeps its order.
+func (d *dupTable) put(key dupKey, e dupEntry) {
+	if old, ok := d.entries[key]; ok {
+		e.order = old.order
+	} else {
+		if len(d.entries) >= maxDupEntries {
+			d.evictOldest()
+		}
+		e.order = d.next
+		d.next++
+	}
+	d.entries[key] = e
+}
+
+// evictOldest deletes the entry with the lowest order. It scans the whole
+// table, which only a server with maxDupEntries unacknowledged
+// transactions at once ever asks for.
+func (d *dupTable) evictOldest() {
+	var oldest dupKey
+	lowest := d.next
+	for key, e := range d.entries {
+		if e.order < lowest {
+			oldest, lowest = key, e.order
+		}
+	}
+	delete(d.entries, oldest)
+}
 
 // Server accepts transactions on one port. Worker threads call GetRequest
 // and Reply, mirroring Amoeba's getreq/putrep server loop. If a REQUEST
@@ -88,12 +135,11 @@ type Server struct {
 	stack    *flip.Stack
 	port     capability.Port
 	listener *flip.Listener
-	reqCh    chan *Request
+	reqCh    chan Request
 
-	mu       sync.Mutex
-	dups     map[dupKey]*dupEntry
-	dupOrder []dupKey
-	closed   bool
+	mu     sync.Mutex
+	dups   dupTable
+	closed bool
 
 	// Load-hint state: the byte piggybacked on every reply and HEREIS so
 	// clients steer around loaded replicas without probing them.
@@ -165,8 +211,8 @@ func NewServer(stack *flip.Stack, port capability.Port) (*Server, error) {
 		stack:    stack,
 		port:     port,
 		listener: l,
-		reqCh:    make(chan *Request), // unbuffered: handoff only to a blocked GetRequest
-		dups:     make(map[dupKey]*dupEntry),
+		reqCh:    make(chan Request), // unbuffered: handoff only to a blocked GetRequest
+		dups:     newDupTable(),
 		done:     make(chan struct{}),
 	}
 	// HEREIS answers for this port carry the same load hint as replies,
@@ -206,24 +252,45 @@ func (s *Server) GetRequest() (*Request, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
-	return req, nil
+	return &req, nil
 }
 
 // ServeFunc starts workers goroutines that loop GetRequest → handler →
 // Reply with the handler's result. It returns a stop function that waits
 // for the workers to exit (the server itself must be Closed separately).
+// The *Request is the worker's own and good until handler returns.
 func (s *Server) ServeFunc(workers int, handler func(*Request) []byte) (stop func()) {
+	return s.ServeAppend(workers, func(req *Request, _ []byte) []byte { return handler(req) })
+}
+
+// maxScratch is the largest reply buffer a ServeAppend worker keeps for
+// the next request; a larger one (a snapshot) is left to the collector.
+const maxScratch = 64 << 10
+
+// ServeAppend is ServeFunc for handlers that append their reply to dst, a
+// buffer the worker owns and hands back, emptied, with every request:
+// Reply copies the reply into its frame, so the buffer is scratch and a
+// steady stream of requests encodes its replies without allocating.
+func (s *Server) ServeAppend(workers int, handler func(req *Request, dst []byte) []byte) (stop func()) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var (
+				req     Request // one per worker: the handler's pointer escapes
+				scratch []byte
+				ok      bool
+			)
 			for {
-				req, err := s.GetRequest()
-				if err != nil {
+				if req, ok = <-s.reqCh; !ok {
 					return
 				}
-				_ = req.Reply(handler(req))
+				scratch = handler(&req, scratch[:0])
+				_ = req.Reply(scratch)
+				if cap(scratch) > maxScratch {
+					scratch = nil
+				}
 			}
 		}()
 	}
@@ -248,7 +315,7 @@ func (s *Server) dispatch() {
 			s.handleRequest(m, tx)
 		case opAck:
 			s.mu.Lock()
-			delete(s.dups, dupKey{src: m.Src, tx: tx})
+			delete(s.dups.entries, dupKey{src: m.Src, tx: tx})
 			s.mu.Unlock()
 		}
 	}
@@ -263,15 +330,14 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 	key := dupKey{src: m.Src, tx: tx}
 
 	s.mu.Lock()
-	if e, seen := s.dups[key]; seen {
-		done, payload := e.done, e.payload
+	if e, seen := s.dups.entries[key]; seen {
 		s.mu.Unlock()
-		if done {
+		if e.done {
 			// Retransmitted request whose reply was lost: resend it.
-			_ = s.stack.Send(m.Src, replyPort, encodeReply(tx, s.hintByte(), payload))
+			_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opReply, tx, s.hintByte(), e.payload))
 		} else {
 			// In progress: alive and working on it; Reply will follow.
-			_ = s.stack.Send(m.Src, replyPort, encodeStatus(opWorking, tx, s.hintByte()))
+			_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opWorking, tx, s.hintByte(), nil))
 		}
 		return
 	}
@@ -281,7 +347,7 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 	// late "in progress" one put over it, nor take the count below zero.
 	s.inflight.Add(1)
 	select {
-	case s.reqCh <- &Request{
+	case s.reqCh <- Request{
 		Src:       m.Src,
 		Payload:   m.Payload[15:],
 		srv:       s,
@@ -289,58 +355,33 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 		replyPort: replyPort,
 		accepted:  time.Now(),
 	}:
-		s.insertDupLocked(key, &dupEntry{})
+		s.dups.put(key, dupEntry{})
 		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
 		s.inflight.Add(-1)
 		// No thread blocked in GetRequest: the kernel answers NOTHERE
 		// (paper §4.2), prompting the client to try another server.
-		_ = s.stack.Send(m.Src, replyPort, encodeStatus(opNotHere, tx, s.hintByte()))
+		_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opNotHere, tx, s.hintByte(), nil))
 	}
 }
 
 func (s *Server) recordReply(r *Request, payload []byte) {
-	key := dupKey{src: r.Src, tx: r.tx}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.dups[key]; ok {
-		e.done = true
-		e.payload = payload
-		return
-	}
-	s.insertDupLocked(key, &dupEntry{done: true, payload: payload})
-}
-
-// insertDupLocked adds a duplicate-suppression entry, evicting the oldest
-// when the table is full. Must be called with s.mu held.
-func (s *Server) insertDupLocked(key dupKey, e *dupEntry) {
-	if len(s.dupOrder) >= maxDupEntries {
-		evict := s.dupOrder[0]
-		s.dupOrder = s.dupOrder[1:]
-		delete(s.dups, evict)
-	}
-	s.dups[key] = e
-	s.dupOrder = append(s.dupOrder, key)
+	s.dups.put(dupKey{src: r.Src, tx: r.tx}, dupEntry{done: true, payload: payload})
+	s.mu.Unlock()
 }
 
 // Server-to-client frames are [op:1][tx:8][hint:1][payload]: every
-// reply, push, and NOTHERE piggybacks the server's current load hint,
-// which the client folds into its replica-selection scores.
-func encodeReply(tx uint64, hint byte, payload []byte) []byte {
-	buf := make([]byte, 1+8+1+len(payload))
-	buf[0] = opReply
-	binary.BigEndian.PutUint64(buf[1:9], tx)
-	buf[9] = hint
-	copy(buf[10:], payload)
-	return buf
+// reply, push, NOTHERE and WORKING piggybacks the server's current load
+// hint, which the client folds into its replica-selection scores.
+// replyFrame builds one such frame for the client's reply port, whole.
+func replyFrame(replyPort capability.Port, op byte, tx uint64, hint byte, payload []byte) []byte {
+	buf := appendServerHeader(flip.NewFrame(replyPort, 1+8+1+len(payload)), op, tx, hint)
+	return append(buf, payload...)
 }
 
-// encodeStatus frames the two payload-less answers, NOTHERE and WORKING.
-func encodeStatus(op byte, tx uint64, hint byte) []byte {
-	buf := make([]byte, 1+8+1)
-	buf[0] = op
-	binary.BigEndian.PutUint64(buf[1:9], tx)
-	buf[9] = hint
-	return buf
+func appendServerHeader(dst []byte, op byte, tx uint64, hint byte) []byte {
+	dst = binary.BigEndian.AppendUint64(append(dst, op), tx)
+	return append(dst, hint)
 }

@@ -46,15 +46,35 @@ func (s *Stream) Server() sim.NodeID { return s.server }
 // the server knows the lease by.
 func (s *Stream) Tx() uint64 { return s.tx }
 
-// Close unregisters the stream from the demultiplexer. The channel
-// itself is left open (a concurrent push may still be in flight); it
-// simply stops receiving.
+// Close unregisters the stream from the demultiplexer, which hands
+// frames only to registered channels: the channel is left open, with
+// whatever it already holds, and simply stops receiving.
 func (s *Stream) Close() {
 	s.c.mu.Lock()
+	s.closeLocked()
+	s.c.mu.Unlock()
+}
+
+func (s *Stream) closeLocked() {
 	if s.c.pending[s.tx] == s.ch {
 		delete(s.c.pending, s.tx)
 	}
-	s.c.mu.Unlock()
+}
+
+// recycle closes a one-reply transaction's stream and keeps its channel,
+// drained, for the next transaction: the demultiplexer only hands frames
+// to registered channels, under the same mutex, so nothing more arrives.
+func (s *Stream) recycle() {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.closeLocked()
+	for len(s.ch) > 0 {
+		<-s.ch
+	}
+	if len(c.free) < maxFreeReplyChans {
+		c.free = append(c.free, s.ch)
+	}
 }
 
 // PushPayload extracts the payload of a pushed frame. ok is false for

@@ -61,18 +61,19 @@ func TestCacheServesRepeatReadsLocally(t *testing.T) {
 }
 
 // quietFrames returns the network's sent-frame count once it has stopped
-// moving: the ACK of the last transaction leaves the client's transmit
-// queue after the call has returned.
+// moving for longer than an idle client waits before acknowledging its
+// last reply in a frame of its own (one rpc probe floor, 50 ms at zero
+// scale).
 func quietFrames(net *sim.Network) uint64 {
-	last := net.Stats().FramesSent
-	for {
+	const quiet = 100 * time.Millisecond
+	last, since := net.Stats().FramesSent, time.Now()
+	for time.Since(since) < quiet {
 		time.Sleep(5 * time.Millisecond)
-		now := net.Stats().FramesSent
-		if now == last {
-			return now
+		if now := net.Stats().FramesSent; now != last {
+			last, since = now, time.Now()
 		}
-		last = now
 	}
+	return last
 }
 
 // TestCacheReadYourWrites pins the first consistency guarantee: a

@@ -27,7 +27,7 @@ func warmEcho(tb testing.TB) func() error {
 	return null
 }
 
-// BenchmarkNullTrans is the warm three-message exchange at zero modelled
+// BenchmarkNullTrans is the warm two-frame exchange at zero modelled
 // latency: what the transport itself costs per transaction (ROADMAP 5c).
 func BenchmarkNullTrans(b *testing.B) {
 	null := warmEcho(b)
@@ -60,11 +60,11 @@ func TestNullTransAllocs(t *testing.T) {
 	}
 }
 
-// nullTransAllocs is what this commit measured: the request, reply and
-// ACK frames, one buffer each, and the simulated network's queues (15
-// before every layer appended into one buffer and the timer and reply
-// channel were recycled).
-const nullTransAllocs = 6
+// nullTransAllocs is what this commit measured: the request and reply
+// frames, one buffer each, and the simulated network's queues (15 before
+// every layer appended into one buffer and the timer and reply channel
+// were recycled, 6 while an ACK frame followed every reply).
+const nullTransAllocs = 4
 
 // raceBuild is set under the race detector (race_test.go), where
 // allocation counts are not the program's.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,50 @@ func TestHedgedReadWinsOverStalledReplica(t *testing.T) {
 		if string(reply) != "echo:"+payload {
 			t.Fatalf("post-hedge read %d got %q: late losing reply corrupted the pairing", i, reply)
 		}
+	}
+}
+
+// TestHedgeAcksLoser: a hedged read ends owing its id to both servers it
+// reached. The loser's worker is still stalled when the client's next
+// request there acknowledges the id, and its late reply must not bring
+// the entry back: the loser ends up holding nothing for the transaction.
+func TestHedgeAcksLoser(t *testing.T) {
+	f, port, slowID, fastID, stallMS := stallFixture(t)
+	const stall = 150
+	stallMS.Store(stall)
+	seedStat(f.client, port, slowID, time.Millisecond)
+	seedStat(f.client, port, fastID, 50*time.Millisecond)
+
+	sent0, _ := f.client.HedgeStats()
+	if _, err := f.client.TransRead(port, []byte("hedged")); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _ := f.client.HedgeStats(); sent == sent0 {
+		t.Fatal("no hedge was sent against the stalled replica")
+	}
+	f.client.mu.Lock()
+	key := dupKey{src: f.stacks[0].Node().ID(), tx: f.client.txid}
+	f.client.mu.Unlock()
+
+	stallMS.Store(0)
+	if _, err := f.client.TransTo(context.Background(), slowID, port, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	// The next frame from the loser is its late reply, sent after it was
+	// recorded.
+	next := time.Now()
+	for deadline := next.Add(5 * time.Second); !f.client.heardSince(slowID, next); {
+		if time.Now().After(deadline) {
+			t.Fatal("the hedge loser never replied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	loser := f.servers[0]
+	loser.mu.Lock()
+	_, held := loser.dups.entries[key]
+	loser.mu.Unlock()
+	if held {
+		t.Fatalf("the hedge loser still holds an entry for transaction %d", key.tx)
 	}
 }
 

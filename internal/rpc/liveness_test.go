@@ -308,8 +308,8 @@ func TestExpiredTimerDoesNotBeatReadyReply(t *testing.T) {
 		ch := make(chan flip.Msg, replyChanDepth)
 		ch <- flip.Msg{Src: id, Payload: append(appendServerHeader(nil, opReply, tx, 0), "ready"...)}
 		aim := target{server: id, down: make(chan struct{}), probe: time.Nanosecond}
-		wire := requestFrame(port, tx, f.client.replyPort, []byte("q"))
-		reply, from, v := f.client.transactOnce(context.Background(), aim, port, tx, wire, ch, false)
+		wire := requestFrame(port, tx, f.client.replyPort, nil, []byte("q"))
+		reply, from, _, v := f.client.transactOnce(context.Background(), aim, port, wire, ch, false)
 		if v != verdictReply || string(reply) != "ready" || from != id {
 			t.Fatalf("round %d: verdict %d, reply %q from %v; want the waiting reply", i, v, reply, from)
 		}
@@ -486,23 +486,44 @@ func finishedStaysFinished(t *testing.T, bgOnTested bool) {
 func TestDupTableBoundsLiveEntries(t *testing.T) {
 	d := newDupTable()
 	waiting := dupKey{src: 1, tx: 1}
-	d.put(waiting, dupEntry{done: true, payload: []byte("reply")})
+	d.add(waiting)
+	d.finish(waiting, []byte("reply"))
+	var id [8]byte
 	for tx := uint64(2); tx < 10*maxDupEntries; tx++ {
 		key := dupKey{src: 2, tx: tx}
-		d.put(key, dupEntry{})
-		d.put(key, dupEntry{done: true})
-		delete(d.entries, key)
+		d.add(key)
+		d.finish(key, nil)
+		d.ack(key.src, binary.BigEndian.AppendUint64(id[:0], tx))
 	}
 	if e, ok := d.entries[waiting]; !ok || string(e.payload) != "reply" {
 		t.Fatal("an unacknowledged reply was pushed out by acknowledged ones")
 	}
 	for tx := uint64(0); tx < maxDupEntries; tx++ {
-		d.put(dupKey{src: 3, tx: tx}, dupEntry{})
+		d.add(dupKey{src: 3, tx: tx})
 	}
 	if _, ok := d.entries[waiting]; ok {
 		t.Fatal("the oldest live entry survived maxDupEntries newer live ones")
 	}
 	if len(d.entries) != maxDupEntries {
 		t.Fatalf("%d live entries, want the bound %d", len(d.entries), maxDupEntries)
+	}
+}
+
+// TestDupTableFinishAfterAck: a reply recorded after the client has
+// acknowledged its transaction — a hedge loser's — does not bring the
+// entry back, while a reply to a transaction still held marks it done.
+func TestDupTableFinishAfterAck(t *testing.T) {
+	d := newDupTable()
+	gone, held := dupKey{src: 1, tx: 1}, dupKey{src: 1, tx: 2}
+	d.add(gone)
+	d.add(held)
+	d.ack(gone.src, binary.BigEndian.AppendUint64(nil, gone.tx))
+	d.finish(gone, []byte("late"))
+	d.finish(held, []byte("reply"))
+	if _, ok := d.entries[gone]; ok {
+		t.Fatal("a late reply re-entered an acknowledged transaction")
+	}
+	if e := d.entries[held]; !e.done || string(e.payload) != "reply" {
+		t.Fatalf("entry %+v, want the reply marked done", e)
 	}
 }

@@ -1,8 +1,16 @@
 // Package rpc implements Amoeba-style remote procedure call on top of the
 // FLIP layer.
 //
-// An RPC costs three messages — REQUEST, REPLY, ACK — matching the paper's
-// cost analysis (§3.1: "an RPC in Amoeba requires only 3 messages").
+// A warm RPC costs two frames, REQUEST and REPLY — one fewer than the
+// paper's cost analysis (§3.1: "an RPC in Amoeba requires only 3
+// messages"). The third, the client's ACK that lets the server drop the
+// reply it keeps for retransmissions, was sent before Trans returned and
+// received by the server just ahead of that client's next request, so
+// each end's per-packet processing sat on the critical path of every
+// transaction. The acknowledgement now rides the client's next REQUEST
+// to the same server and port, as in Birrell and Nelson's RPC; only a
+// client that sends nothing there for one probe floor acknowledges in an
+// ACK frame of its own.
 // Server location uses the mechanism described in §4.2: the first time a
 // client performs an RPC with a service, it broadcasts a locate for the
 // service port; every listening server answers HEREIS; the client caches
@@ -69,7 +77,7 @@ const (
 	opRequest = 1
 	opReply   = 2
 	opNotHere = 3
-	opAck     = 4
+	opAck     = 4 // client → server: [op][tx:8]…, transactions finished while the client sent no request there
 	opWorking = 5 // server → client: the retransmitted request is still in progress
 )
 
@@ -83,6 +91,14 @@ var (
 )
 
 var clientSeq atomic.Uint64
+
+// requestHeader is a request frame's rpc header, [op][tx:8][replyPort:6]
+// [n:1], which n acknowledged transaction ids and the payload follow.
+const requestHeader = 1 + 8 + 6 + 1
+
+// maxAcks is the most acknowledgements one request carries; the rest ride
+// the next one.
+const maxAcks = 255
 
 // replyChanDepth buffers per-transaction reply routing; retransmissions
 // can produce several replies for one transaction.
@@ -133,6 +149,21 @@ type replicaStat struct {
 	samples uint64
 	probes  uint64
 	down    chan struct{}
+}
+
+// ackTo names where an acknowledgement goes: the server's duplicate table
+// for one port.
+type ackTo struct {
+	server sim.NodeID
+	port   capability.Port
+}
+
+// owedAcks holds the finished transactions one server and port still
+// hold duplicate entries for, and since when the oldest has waited. The
+// slice is kept when emptied, so a busy pair owes without allocating.
+type owedAcks struct {
+	ids   []uint64
+	since time.Time
 }
 
 // target is one pick: the server, the channel its dead verdict will close
@@ -190,6 +221,10 @@ type Client struct {
 	pending  map[uint64]chan flip.Msg                        // reply routing by transaction id
 	free     []chan flip.Msg                                 // drained reply channels of finished transactions
 	heard    map[sim.NodeID]time.Time                        // last frame routed from each node
+	owed     map[ackTo]*owedAcks                             // acknowledgements the next request there carries
+	ackTimer *time.Timer                                     // sends what has been owed for a probeFloor (flushAcks)
+	ackArmed bool                                            // ackTimer is set
+	shut     bool                                            // Close has sent what was owed: owe nothing more
 	failover FailoverStats
 	txid     uint64
 	rng      *rand.Rand // P2C candidate selection; guarded by mu
@@ -239,6 +274,7 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		stats:        make(map[capability.Port]map[sim.NodeID]*replicaStat),
 		pending:      make(map[uint64]chan flip.Msg),
 		heard:        make(map[sim.NodeID]time.Time),
+		owed:         make(map[ackTo]*owedAcks),
 		rng:          rand.New(rand.NewSource(int64(seq))),
 		tokens:       hedgeBurst,
 		// Transaction ids carry the client sequence number in the high
@@ -247,13 +283,25 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		txid:   seq << 32,
 		closed: make(chan struct{}),
 	}
+	c.ackTimer = time.AfterFunc(time.Hour, c.flushAcks)
+	c.ackTimer.Stop()
 	go c.demux()
 	return c, nil
 }
 
-// Close releases the client's reply port and unblocks every in-flight
-// transaction with ErrClosed.
-func (c *Client) Close() { c.replies.Close() }
+// Close sends the acknowledgements the client still owes (best effort,
+// so that a short-lived client leaves no duplicate entries behind),
+// releases its reply port and unblocks every in-flight transaction with
+// ErrClosed.
+func (c *Client) Close() {
+	c.mu.Lock()
+	c.shut = true
+	c.ackTimer.Stop()
+	frames, _ := c.takeAcksLocked(time.Now())
+	c.mu.Unlock()
+	c.sendAcks(frames)
+	c.replies.Close()
+}
 
 // SetReadBalance selects the server-selection policy TransRead uses:
 // false (the default) pins reads to the first HEREIS responder like every
@@ -435,12 +483,14 @@ type route struct {
 	keep    bool       // leave the reply channel registered after the reply (Subscribe)
 }
 
-// transact is the one attempt loop: register a reply channel, build the
-// request frame, then pick a server, wait on it and act on the verdict
-// until a reply arrives or the attempts run out. Every attempt, probe and
-// hedge sends the same frame. A transaction is a Stream, usually closed
-// after its first reply — its channel then serves a later transaction —
-// and it comes back naming the server that answered.
+// transact is the one attempt loop: register a reply channel, then pick
+// a server, wait on it and act on the verdict until a reply arrives or
+// the attempts run out. The request frame is built for the first server
+// picked, carrying what the client owes it, and every attempt, probe and
+// hedge sends that same frame. When the transaction ends, every server it
+// reached is owed its id. A transaction is a Stream, usually closed after
+// its first reply — its channel then serves a later transaction — and it
+// comes back naming the server that answered.
 func (c *Client) transact(ctx context.Context, port capability.Port, req []byte, r route) (s Stream, reply []byte, err error) {
 	attempts := c.maxAttempts
 	if r.fixed {
@@ -460,7 +510,13 @@ func (c *Client) transact(ctx context.Context, port capability.Port, req []byte,
 	}
 	c.pending[s.tx] = s.ch
 	c.mu.Unlock()
+	var (
+		wire      []byte
+		reachedAt [4]sim.NodeID
+		reached   = reachedAt[:0] // every server a frame went to, once each
+	)
 	defer func() {
+		c.owe(port, s.tx, reached)
 		switch {
 		case !r.keep:
 			s.recycle()
@@ -468,8 +524,6 @@ func (c *Client) transact(ctx context.Context, port capability.Port, req []byte,
 			s.Close()
 		}
 	}()
-	wire := requestFrame(port, s.tx, c.replyPort, req)
-
 	located, noServer := false, 0
 loop:
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -493,8 +547,12 @@ loop:
 			}
 			continue
 		}
-		payload, from, v := c.transactOnce(ctx, t, port, s.tx, wire, s.ch, r.balance && c.hedge.Load())
+		if wire == nil {
+			wire = c.request(port, t.server, s.tx, req)
+		}
+		payload, from, hedgedTo, v := c.transactOnce(ctx, t, port, wire, s.ch, r.balance && c.hedge.Load())
 		c.release(port, t.server)
+		reached = addServer(addServer(reached, t.server), hedgedTo)
 		switch v {
 		case verdictReply:
 			s.server = from
@@ -519,6 +577,14 @@ loop:
 		}
 	}
 	return s, nil, fmt.Errorf("port %v: %w", port, ErrTimeout)
+}
+
+// addServer appends server to set unless it is there already.
+func addServer(set []sim.NodeID, server sim.NodeID) []sim.NodeID {
+	if slices.Contains(set, server) {
+		return set
+	}
+	return append(set, server)
 }
 
 // pause waits d, or less if the context or the client ends first.
@@ -557,14 +623,15 @@ const (
 // and whichever reply arrives first wins — the demultiplexer already
 // routes both to this channel, and the server-side duplicate-suppression
 // table keys on (src, tx), so the loser is simply a second reply that the
-// winner's return leaves unread. Runs without the client mutex.
-func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, tx uint64, wire []byte, replies <-chan flip.Msg, hedge bool) ([]byte, sim.NodeID, verdict) {
+// winner's return leaves unread. hedgedTo is the hedge's server, or
+// t.server when no hedge went out. Runs without the client mutex.
+func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, wire []byte, replies <-chan flip.Msg, hedge bool) (reply []byte, from, hedgedTo sim.NodeID, v verdict) {
 	var (
-		hedgeCh     <-chan time.Time
-		hedged      bool // a hedge was actually sent (NodeID 0 is valid, so a flag, not the zero id)
-		hedgeServer sim.NodeID
-		hedgeSent   time.Time
+		hedgeCh   <-chan time.Time
+		hedged    bool // a hedge was actually sent (NodeID 0 is valid, so a flag, not the zero id)
+		hedgeSent time.Time
 	)
+	hedgedTo = t.server
 	if hedge {
 		if d, ok := c.hedgeDelay(port, t.server); ok {
 			hedgeCh = time.After(d)
@@ -572,12 +639,12 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 	}
 	defer func() {
 		if hedged {
-			c.release(port, hedgeServer)
+			c.release(port, hedgedTo)
 		}
 	}()
 	sentAt := time.Now() // first transmission, for Karn-safe RTT samples
 	if err := c.stack.SendFrame(t.server, wire); err != nil {
-		return nil, 0, verdictDead
+		return nil, 0, hedgedTo, verdictDead
 	}
 	var (
 		probeAt  = sentAt // latest transmission
@@ -600,15 +667,12 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			// A reply is valid whichever server it came from: a server
 			// this transaction already gave up on may answer late, and
 			// its reply is still the result of this exact request
-			// (at-most-once per server). Third message of the exchange:
-			// acknowledge so the server can drop its duplicate entry.
-			ack := binary.BigEndian.AppendUint64(append(flip.NewFrame(port, 9), opAck), tx)
-			_ = c.stack.SendFrame(m.Src, ack)
-			// RTT sampling follows Karn's rule: only replies
-			// attributable to one transmission count — the primary's
-			// before any probe, or the hedge's (it is sent once).
+			// (at-most-once per server). RTT sampling follows Karn's
+			// rule: only replies attributable to one transmission count
+			// — the primary's before any probe, or the hedge's (it is
+			// sent once).
 			switch {
-			case hedged && m.Src == hedgeServer:
+			case hedged && m.Src == hedgedTo:
 				c.hedgeWins.Add(1)
 				c.noteReply(port, m.Src, time.Since(hedgeSent), hint)
 			case m.Src == t.server && probeAt.Equal(sentAt):
@@ -629,12 +693,12 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 		select {
 		case m := <-replies:
 			if payload, v := onFrame(m); v != 0 {
-				return payload, m.Src, v
+				return payload, m.Src, hedgedTo, v
 			}
 		case <-hedgeCh:
 			hedgeCh = nil
 			if hs, ok := c.takeHedge(port, t.server); ok {
-				hedged, hedgeServer, hedgeSent = true, hs, time.Now()
+				hedged, hedgedTo, hedgeSent = true, hs, time.Now()
 				c.hedgesSent.Add(1)
 				_ = c.stack.SendFrame(hs, wire)
 			}
@@ -644,34 +708,34 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			for len(replies) > 0 {
 				m := <-replies
 				if payload, v := onFrame(m); v != 0 {
-					return payload, m.Src, v
+					return payload, m.Src, hedgedTo, v
 				}
 			}
 			now := time.Now()
 			if c.heardSince(t.server, probeAt) {
 				silent = 0
 			} else if silent++; silent > c.retransmits {
-				return nil, 0, verdictDead
+				return nil, 0, hedgedTo, verdictDead
 			}
 			if !now.Before(giveUp) {
-				return nil, 0, verdictSlow
+				return nil, 0, hedgedTo, verdictSlow
 			}
 			c.mu.Lock()
 			c.failover.Probes++
 			c.statLocked(port, t.server).probes++
 			c.mu.Unlock()
 			if err := c.stack.SendFrame(t.server, wire); err != nil {
-				return nil, 0, verdictDead
+				return nil, 0, hedgedTo, verdictDead
 			}
 			probeAt = now
 			interval = min(2*interval, c.replyTimeout)
 			timer.Reset(min(interval, giveUp.Sub(now)))
 		case <-t.down:
-			return nil, 0, verdictDead
+			return nil, 0, hedgedTo, verdictDead
 		case <-ctx.Done():
-			return nil, 0, verdictCanceled
+			return nil, 0, hedgedTo, verdictCanceled
 		case <-c.closed:
-			return nil, 0, verdictClosed
+			return nil, 0, hedgedTo, verdictClosed
 		}
 	}
 }
@@ -995,12 +1059,117 @@ func (c *Client) evict(port capability.Port, t target, why verdict) {
 	}
 }
 
+// owe records that transaction tx has ended: each server it reached may
+// drop its duplicate entry, since the client never sends tx again. The id
+// rides the next request to that server and port, or goes out in an ACK
+// frame once it has waited a probeFloor (flushAcks).
+func (c *Client) owe(port capability.Port, tx uint64, servers []sim.NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shut || len(servers) == 0 {
+		return
+	}
+	now := time.Now()
+	for _, server := range servers {
+		o := c.owed[ackTo{server, port}]
+		if o == nil {
+			o = &owedAcks{}
+			c.owed[ackTo{server, port}] = o
+		}
+		if len(o.ids) == 0 {
+			o.since = now
+		}
+		o.ids = append(o.ids, tx)
+	}
+	if !c.ackArmed {
+		c.ackArmed = true
+		c.ackTimer.Reset(c.probeFloor)
+	}
+}
+
+// request builds transaction tx's request frame for server, carrying up
+// to maxAcks of the ids owed to server on port.
+func (c *Client) request(port capability.Port, server sim.NodeID, tx uint64, payload []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o := c.owed[ackTo{server, port}]
+	if o == nil {
+		return requestFrame(port, tx, c.replyPort, nil, payload)
+	}
+	acks := o.ids[:min(len(o.ids), maxAcks)]
+	wire := requestFrame(port, tx, c.replyPort, acks, payload)
+	o.ids = o.ids[:copy(o.ids, o.ids[len(acks):])]
+	return wire
+}
+
+// flushAcks is the idle timer: ids owed for a probeFloor, with no request
+// to carry them, go out in one ACK frame per server and port, and the
+// timer is set again for the oldest of the rest.
+func (c *Client) flushAcks() {
+	c.mu.Lock()
+	c.ackArmed = false
+	if c.shut {
+		c.mu.Unlock()
+		return
+	}
+	now := time.Now()
+	frames, oldest := c.takeAcksLocked(now.Add(-c.probeFloor))
+	if !oldest.IsZero() {
+		c.ackArmed = true
+		c.ackTimer.Reset(oldest.Add(c.probeFloor).Sub(now))
+	}
+	c.mu.Unlock()
+	c.sendAcks(frames)
+}
+
+// ackFrame is an ACK frame and its destination.
+type ackFrame struct {
+	dst   sim.NodeID
+	frame []byte
+}
+
+// takeAcksLocked removes the ids of every server and port owed since
+// cutoff or before and returns them as ACK frames, along with when the
+// oldest debt left began (zero if none). Must hold c.mu.
+func (c *Client) takeAcksLocked(cutoff time.Time) (frames []ackFrame, oldest time.Time) {
+	for to, o := range c.owed {
+		switch {
+		case len(o.ids) == 0:
+		case o.since.After(cutoff):
+			if oldest.IsZero() || o.since.Before(oldest) {
+				oldest = o.since
+			}
+		default:
+			frame := append(flip.NewFrame(to.port, 1+8*len(o.ids)), opAck)
+			for _, id := range o.ids {
+				frame = binary.BigEndian.AppendUint64(frame, id)
+			}
+			frames = append(frames, ackFrame{to.server, frame})
+			delete(c.owed, to)
+		}
+	}
+	return frames, oldest
+}
+
+// sendAcks sends frames, best effort. Never called under c.mu: a send
+// charges the host's per-packet CPU.
+func (c *Client) sendAcks(frames []ackFrame) {
+	for _, f := range frames {
+		_ = c.stack.SendFrame(f.dst, f.frame)
+	}
+}
+
 // requestFrame builds a whole request frame for port in one buffer: the
-// FLIP header, [op:1][tx:8][reply port:6], then the caller's payload.
-func requestFrame(port capability.Port, tx uint64, replyPort capability.Port, payload []byte) []byte {
-	buf := append(flip.NewFrame(port, 1+8+6+len(payload)), opRequest)
+// FLIP header, [op:1][tx:8][reply port:6][n:1], the n acknowledged
+// transaction ids acks, 8 bytes each, then the caller's payload.
+func requestFrame(port capability.Port, tx uint64, replyPort capability.Port, acks []uint64, payload []byte) []byte {
+	buf := append(flip.NewFrame(port, requestHeader+8*len(acks)+len(payload)), opRequest)
 	buf = binary.BigEndian.AppendUint64(buf, tx)
 	buf = append(buf, replyPort[:]...)
+	buf = append(buf, byte(len(acks)))
+	for _, id := range acks {
+		buf = binary.BigEndian.AppendUint64(buf, id)
+	}
 	return append(buf, payload...)
 }
 

@@ -14,9 +14,10 @@ import (
 )
 
 type fixture struct {
-	net    *sim.Network
-	client *Client
-	stacks []*flip.Stack
+	net     *sim.Network
+	client  *Client
+	stacks  []*flip.Stack
+	servers []*Server
 }
 
 // newFixture builds one client and n echo-less servers listening on port.
@@ -42,6 +43,7 @@ func newFixture(t testing.TB, n int) (*fixture, capability.Port, []*Server) {
 		}
 		servers = append(servers, srv)
 	}
+	f.servers = servers
 	t.Cleanup(func() {
 		for _, s := range servers {
 			s.Close()
@@ -79,24 +81,124 @@ func TestTransEcho(t *testing.T) {
 	}
 }
 
-func TestTransUsesThreeMessagesWarm(t *testing.T) {
+// TestTransUsesTwoFramesWarm: back to back, a warm transaction is a
+// REQUEST and a REPLY — each REQUEST acknowledges the previous reply, so
+// no ACK frame goes out (the paper's §3.1 counts three messages).
+func TestTransUsesTwoFramesWarm(t *testing.T) {
 	f, port, servers := newFixture(t, 1)
-	echoWorkers(t, servers[0], 1)
+	// Two workers: one is back in GetRequest before the next request
+	// lands, which would otherwise meet NOTHERE on a slow host.
+	echoWorkers(t, servers[0], 2)
+	f.client.probeFloor = time.Hour // no idle ACK, however slow the host
 
 	// Warm the port cache (pays the locate).
 	if _, err := f.client.Trans(port, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the ACK drain
+	const n = 10
 	before := f.net.Stats().FramesSent
-	if _, err := f.client.Trans(port, []byte("x")); err != nil {
+	for i := 0; i < n; i++ {
+		if _, err := f.client.Trans(port, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A REPLY is counted when it leaves the server, before Trans returns.
+	if got := f.net.Stats().FramesSent - before; got != 2*n {
+		t.Fatalf("%d warm RPCs used %d frames, want %d", n, got, 2*n)
+	}
+	if held := dupEntries(servers[0]); held != 1 {
+		t.Fatalf("server holds %d duplicate entries, want 1: the last reply's", held)
+	}
+}
+
+// dupEntries counts the transactions srv still keeps a duplicate entry for.
+func dupEntries(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return len(srv.dups.entries)
+}
+
+// TestIdleClientAcksWithinProbeFloor: when no request follows, the id
+// owed for the last reply goes out as an ACK frame of its own one probe
+// floor later, and the server drops its entry.
+func TestIdleClientAcksWithinProbeFloor(t *testing.T) {
+	f, port, servers := newFixture(t, 1)
+	echoWorkers(t, servers[0], 1)
+	if _, err := f.client.Trans(port, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	got := f.net.Stats().FramesSent - before
-	// REQUEST + REPLY + ACK = 3 frames (paper §3.1).
-	if got != 3 {
-		t.Fatalf("warm RPC used %d frames, want 3", got)
+	acked := make(chan time.Time, 2) // the one expected, and one too many
+	f.net.SetDropFilter(func(src, dst sim.NodeID, frame []byte) bool {
+		if len(frame) > 7 && frame[0] == 1 /* flip data */ && frame[7] == opAck {
+			select {
+			case acked <- time.Now():
+			default: // never block the transmitter
+			}
+		}
+		return false
+	})
+	start := time.Now()
+	if _, err := f.client.Trans(port, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	floor := f.client.probeFloor
+	select {
+	case at := <-acked:
+		// The warm transaction's id rode the request; only the last one
+		// is owed, and not before it has waited its probe floor. The
+		// slack is the host's scheduling, not the protocol's.
+		if took := at.Sub(start); took < floor || took > 2*floor {
+			t.Fatalf("ACK frame after %v, want one probe floor (%v)", took, floor)
+		}
+	case <-time.After(10 * floor):
+		t.Fatal("an idle client never acknowledged its last reply")
+	}
+	for deadline := time.Now().Add(floor); dupEntries(servers[0]) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server still holds %d duplicate entries after the ACK", dupEntries(servers[0]))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-acked:
+		t.Fatal("more than one ACK frame for one owed id")
+	case <-time.After(2 * floor):
+	}
+}
+
+// TestCloseSendsOwedAcks: Close acknowledges everything the client owes,
+// so a short-lived client leaves no duplicate entries behind. The idle
+// timer is kept out of it by a floor no test outlives.
+func TestCloseSendsOwedAcks(t *testing.T) {
+	f, port, servers := newFixture(t, 1)
+	echoWorkers(t, servers[0], 16)
+	f.client.probeFloor = time.Hour
+	const n = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := f.client.Trans(port, []byte(fmt.Sprint(i))); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if dupEntries(servers[0]) == 0 {
+		t.Fatal("no duplicate entry left before Close: the test tests nothing")
+	}
+	f.client.Close()
+	for deadline := time.Now().Add(5 * time.Second); dupEntries(servers[0]) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server still holds %d duplicate entries after Close", dupEntries(servers[0]))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

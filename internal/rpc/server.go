@@ -26,8 +26,9 @@ type Request struct {
 }
 
 // Reply sends the reply to the client and records it for duplicate
-// suppression until the client's ACK arrives. Reply must be called exactly
-// once per request. payload is copied into the reply frame, which is what
+// suppression until the client acknowledges it, on its next request to
+// this server or in an ACK frame. Reply must be called exactly once per
+// request. payload is copied into the reply frame, which is what
 // the duplicate table keeps: the caller may reuse payload once Reply
 // returns.
 func (r *Request) Reply(payload []byte) error {
@@ -86,7 +87,7 @@ const maxDupEntries = 4096
 
 // dupTable is the duplicate-suppression table: one entry per transaction
 // not yet acknowledged. The bound counts live entries only — an entry the
-// client's ACK deleted stops counting at once, so an unacknowledged
+// client acknowledged stops counting at once, so an unacknowledged
 // request is forgotten after maxDupEntries later unacknowledged ones,
 // never after so many requests.
 type dupTable struct {
@@ -98,19 +99,33 @@ func newDupTable() dupTable {
 	return dupTable{entries: make(map[dupKey]dupEntry)}
 }
 
-// put records e under key. A new key takes the next order, evicting the
-// oldest entry first when the table is full; a known one keeps its order.
-func (d *dupTable) put(key dupKey, e dupEntry) {
-	if old, ok := d.entries[key]; ok {
-		e.order = old.order
-	} else {
-		if len(d.entries) >= maxDupEntries {
-			d.evictOldest()
-		}
-		e.order = d.next
-		d.next++
+// add enters key in progress, evicting the oldest entry first when the
+// table is full.
+func (d *dupTable) add(key dupKey) {
+	if len(d.entries) >= maxDupEntries {
+		d.evictOldest()
 	}
-	d.entries[key] = e
+	d.entries[key] = dupEntry{order: d.next}
+	d.next++
+}
+
+// finish marks key's entry done with its reply. An entry that is gone
+// stays gone: the client acknowledged the transaction before this reply —
+// a hedge loser's, or one an attempt gave up on — and would never
+// acknowledge it again.
+func (d *dupTable) finish(key dupKey, payload []byte) {
+	if e, ok := d.entries[key]; ok {
+		e.done, e.payload = true, payload
+		d.entries[key] = e
+	}
+}
+
+// ack deletes src's entries for the transaction ids packed in ids, eight
+// bytes each.
+func (d *dupTable) ack(src sim.NodeID, ids []byte) {
+	for ; len(ids) >= 8; ids = ids[8:] {
+		delete(d.entries, dupKey{src: src, tx: binary.BigEndian.Uint64(ids)})
+	}
 }
 
 // evictOldest deletes the entry with the lowest order. It scans the whole
@@ -315,14 +330,20 @@ func (s *Server) dispatch() {
 			s.handleRequest(m, tx)
 		case opAck:
 			s.mu.Lock()
-			delete(s.dups.entries, dupKey{src: m.Src, tx: tx})
+			s.dups.ack(m.Src, m.Payload[1:])
 			s.mu.Unlock()
 		}
 	}
 }
 
+// handleRequest parses a request frame (see requestFrame), deletes the
+// entries of the transactions it acknowledges and answers it.
 func (s *Server) handleRequest(m flip.Msg, tx uint64) {
-	if len(m.Payload) < 15 {
+	if len(m.Payload) < requestHeader {
+		return
+	}
+	body := requestHeader + 8*int(m.Payload[requestHeader-1])
+	if len(m.Payload) < body {
 		return
 	}
 	var replyPort capability.Port
@@ -330,6 +351,7 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 	key := dupKey{src: m.Src, tx: tx}
 
 	s.mu.Lock()
+	s.dups.ack(m.Src, m.Payload[requestHeader:body])
 	if e, seen := s.dups.entries[key]; seen {
 		s.mu.Unlock()
 		if e.done {
@@ -349,13 +371,13 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 	select {
 	case s.reqCh <- Request{
 		Src:       m.Src,
-		Payload:   m.Payload[15:],
+		Payload:   m.Payload[body:],
 		srv:       s,
 		tx:        tx,
 		replyPort: replyPort,
 		accepted:  time.Now(),
 	}:
-		s.dups.put(key, dupEntry{})
+		s.dups.add(key)
 		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
@@ -368,7 +390,7 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 
 func (s *Server) recordReply(r *Request, payload []byte) {
 	s.mu.Lock()
-	s.dups.put(dupKey{src: r.Src, tx: r.tx}, dupEntry{done: true, payload: payload})
+	s.dups.finish(dupKey{src: r.Src, tx: r.tx}, payload)
 	s.mu.Unlock()
 }
 

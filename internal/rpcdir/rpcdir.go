@@ -42,10 +42,14 @@ type Config struct {
 }
 
 // pendingIntention is an update the peer has proposed and we have
-// promised to apply.
+// promised to apply. It stays in the pending table until its copy is
+// made, so that a read, or the peer's next intention, waits for an apply
+// already under way instead of overtaking it.
 type pendingIntention struct {
-	seq uint64
-	req *dirsvc.Request
+	seq  uint64
+	req  *dirsvc.Request
+	busy bool          // an apply (or drop) is under way
+	done chan struct{} // closed when it is over
 }
 
 // Server is one of the two RPC directory servers.
@@ -289,6 +293,11 @@ func (s *Server) handleIntention(dreq *dirsvc.Request) *dirsvc.Reply {
 	}
 	obj := inner.Dir.Object
 
+	// An intention still stored is one of the peer's earlier updates —
+	// the peer replicates one update at a time — whose copy has not been
+	// made yet: make it first, so that copies are made in the peer's order
+	// (an append must not overtake the create of its directory).
+	s.applyAllPending()
 	s.mu.Lock()
 	if _, busy := s.pending[obj]; busy {
 		s.mu.Unlock()
@@ -298,7 +307,7 @@ func (s *Server) handleIntention(dreq *dirsvc.Request) *dirsvc.Reply {
 	if s.seq >= agreed {
 		agreed = s.seq + 1
 	}
-	s.pending[obj] = &pendingIntention{seq: agreed, req: inner}
+	s.pending[obj] = &pendingIntention{seq: agreed, req: inner, done: make(chan struct{})}
 	s.mu.Unlock()
 
 	// Store the intentions on disk: one short-seek write to the fixed
@@ -333,27 +342,15 @@ func (s *Server) handleIntention(dreq *dirsvc.Request) *dirsvc.Reply {
 // lazy creation of the second copy.
 func (s *Server) handleApplyLazy(dreq *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
-	var obj uint32
-	var intent *pendingIntention
-	for o, p := range s.pending {
+	for obj, p := range s.pending {
 		if p.seq == dreq.Seq {
-			obj, intent = o, p
-			break
+			s.mu.Unlock()
+			s.settle(obj, p, dreq.Column == 1) // Column 1: the drop marker
+			return &dirsvc.Reply{Status: dirsvc.StatusOK}
 		}
 	}
-	if intent != nil {
-		delete(s.pending, obj)
-	}
 	s.mu.Unlock()
-	if intent == nil {
-		return &dirsvc.Reply{Status: dirsvc.StatusOK} // already applied or dropped
-	}
-	if dreq.Column == 1 { // drop marker
-		_ = s.cfg.Staging.WriteBlockSeq(0, nil)
-		return &dirsvc.Reply{Status: dirsvc.StatusOK}
-	}
-	s.applyIntention(intent)
-	return &dirsvc.Reply{Status: dirsvc.StatusOK}
+	return &dirsvc.Reply{Status: dirsvc.StatusOK} // already applied or dropped
 }
 
 // applyIntention creates this server's copy of an update the peer
@@ -397,18 +394,11 @@ func (s *Server) waitMinSeq(min uint64) bool {
 	for {
 		s.mu.Lock()
 		cur := s.seq
-		var obj uint32
-		found := false
-		for o := range s.pending {
-			obj, found = o, true
-			break
-		}
 		s.mu.Unlock()
 		if cur >= min {
 			return true
 		}
-		if found {
-			s.applyPendingFor(obj)
+		if s.applyAllPending() {
 			continue
 		}
 		if time.Now().After(deadline) {
@@ -418,17 +408,62 @@ func (s *Server) waitMinSeq(min uint64) bool {
 	}
 }
 
-// applyPendingFor applies a pending intention touching obj before a read.
+// applyAllPending applies every pending intention, or waits for the
+// applies under way, and reports whether there was any.
+func (s *Server) applyAllPending() bool {
+	found := false
+	for {
+		s.mu.Lock()
+		var (
+			obj uint32
+			p   *pendingIntention
+		)
+		for obj, p = range s.pending {
+			break
+		}
+		s.mu.Unlock()
+		if p == nil {
+			return found
+		}
+		found = true
+		s.settle(obj, p, false)
+	}
+}
+
+// applyPendingFor applies a pending intention touching obj before a read,
+// or waits for the apply under way.
 func (s *Server) applyPendingFor(obj uint32) {
 	s.mu.Lock()
-	intent := s.pending[obj]
-	if intent != nil {
+	p := s.pending[obj]
+	s.mu.Unlock()
+	if p != nil {
+		s.settle(obj, p, false)
+	}
+}
+
+// settle applies the pending intention p for obj — or discards it, with
+// drop — and then removes it from the table; if another caller is doing
+// so already, it waits for that.
+func (s *Server) settle(obj uint32, p *pendingIntention, drop bool) {
+	s.mu.Lock()
+	if p.busy {
+		s.mu.Unlock()
+		<-p.done
+		return
+	}
+	p.busy = true
+	s.mu.Unlock()
+	if drop {
+		_ = s.cfg.Staging.WriteBlockSeq(0, nil)
+	} else {
+		s.applyIntention(p)
+	}
+	s.mu.Lock()
+	if s.pending[obj] == p {
 		delete(s.pending, obj)
 	}
 	s.mu.Unlock()
-	if intent != nil {
-		s.applyIntention(intent)
-	}
+	close(p.done)
 }
 
 // handleSyncPull ships the full state to a restarting peer as one

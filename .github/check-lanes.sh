@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fails when a `go test -run '<regex>' <packages>` lane of ci.yml — or one
-# alternative of its regex — selects no test. The lanes pick tests by name,
-# so a renamed or deleted test would otherwise empty one silently.
+# alternative of its regex — selects no test or fuzz target. The lanes pick
+# them by name, so a renamed or deleted one would otherwise empty a lane
+# silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 status=0
@@ -9,7 +10,7 @@ while IFS= read -r line; do
 	regex=$(sed -E "s/.*-run '([^']+)'.*/\1/" <<<"$line")
 	pkgs=$(sed -E "s/.*-run '[^']+'//" <<<"$line" | tr ' ' '\n' | grep -E '^\.(/|$)' | tr '\n' ' ')
 	# shellcheck disable=SC2086 # pkgs is a word list
-	names=$(go test -list "$regex" $pkgs | grep '^Test' || true)
+	names=$(go test -list "$regex" $pkgs | grep -E '^(Test|Fuzz)' || true)
 	for alt in ${regex//|/ }; do
 		if ! grep -qE "$alt" <<<"$names"; then
 			echo "ci.yml: -run '$regex' $pkgs: no test matches '$alt'" >&2

@@ -16,19 +16,23 @@ import (
 // test controls which server the P2C picker selects and when the hedge
 // timer fires, without racing the picker's own sampling.
 func seedStat(c *Client, port capability.Port, id sim.NodeID, srtt time.Duration) {
+	p := c.peerOf(port, id)
 	c.mu.Lock()
-	st := c.statLocked(port, id)
-	st.srtt = srtt
-	st.rttvar = 0
-	st.hint = 0
-	st.updated = time.Now()
-	st.samples = 1
+	p.srtt = srtt
+	p.rttvar = 0
+	p.hint = 0
+	p.updated = time.Now()
+	p.samples = 1
 	c.mu.Unlock()
 }
 
 // stallFixture builds two echo servers where servers[0]'s handler can be
 // stalled on demand, and a client with balancing and hedging on that has
-// located (and sampled) both replicas.
+// located (and sampled) both replicas. A locate collects HEREIS answers
+// for one 2 ms window, and on a loaded host one answer can miss it: the
+// client then caches one replica, has nothing to hedge to, and the hedge
+// tests fail for want of a second server. So the fixture locates again
+// until both are cached, and keeps that entry for the rest of the test.
 func stallFixture(t *testing.T) (f *fixture, port capability.Port, slowID, fastID sim.NodeID, stallMS *atomic.Int64) {
 	t.Helper()
 	var servers []*Server
@@ -50,12 +54,26 @@ func stallFixture(t *testing.T) (f *fixture, port capability.Port, slowID, fastI
 
 	f.client.SetReadBalance(true)
 	f.client.SetHedge(true)
-	for i := 0; i < 4; i++ {
+	f.client.SetCacheTTL(time.Hour)
+	for i := 0; i < 4 || len(f.client.CachedServers(port)) < 2; i++ {
+		if i == 100 {
+			t.Fatalf("100 locates cached only %v of two replicas", f.client.CachedServers(port))
+		}
+		if i >= 4 {
+			relocate(f.client, port)
+		}
 		if _, err := f.client.TransRead(port, []byte(fmt.Sprintf("warm%d", i))); err != nil {
 			t.Fatalf("warm read %d: %v", i, err)
 		}
 	}
 	return f, port, slowID, fastID, stallMS
+}
+
+// relocate expires c's port-cache entry for port: its next pick locates.
+func relocate(c *Client, port capability.Port) {
+	c.mu.Lock()
+	c.cache[port].recheckAt = time.Time{}
+	c.mu.Unlock()
 }
 
 // TestHedgedReadWinsOverStalledReplica pins the hedge path end to end:

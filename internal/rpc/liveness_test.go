@@ -82,6 +82,15 @@ func newParkFixture(t *testing.T, n int) *parkFixture {
 	return p
 }
 
+// heardSince reports whether any frame from server arrived at or after t,
+// as a waiting transaction asks its peer's node when a probe timer fires.
+func (c *Client) heardSince(server sim.NodeID, t time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.nodes[server]
+	return n != nil && !n.heard.Before(t)
+}
+
 // detection is the time retransmits+1 silent probes take against a
 // sampled server whose first interval sits at the floor.
 func detection(c *Client) time.Duration {
@@ -307,9 +316,9 @@ func TestExpiredTimerDoesNotBeatReadyReply(t *testing.T) {
 		tx := uint64(1000 + i)
 		ch := make(chan flip.Msg, replyChanDepth)
 		ch <- flip.Msg{Src: id, Payload: append(appendServerHeader(nil, opReply, tx, 0), "ready"...)}
-		aim := target{server: id, down: make(chan struct{}), probe: time.Nanosecond}
+		aim := target{peer: f.client.peerOf(port, id), down: make(chan struct{}), probe: time.Nanosecond}
 		wire := requestFrame(port, tx, f.client.replyPort, nil, []byte("q"))
-		reply, from, _, v := f.client.transactOnce(context.Background(), aim, port, wire, ch, false)
+		reply, from, _, v := f.client.transactOnce(context.Background(), aim, wire, ch, false)
 		if v != verdictReply || string(reply) != "ready" || from != id {
 			t.Fatalf("round %d: verdict %d, reply %q from %v; want the waiting reply", i, v, reply, from)
 		}

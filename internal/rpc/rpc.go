@@ -117,14 +117,7 @@ var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 // portCache is the client's knowledge of one service port: the HEREIS
 // responders of the last locate, in arrival order.
 type portCache struct {
-	servers []sim.NodeID
-	// writable is the subset of servers whose HEREIS did not carry the
-	// read-only flag: updates (and unbalanced picks) route only here,
-	// while balanced reads spread over the full set including
-	// checkpoint-fed secondary instances. Empty means every responder
-	// announced read-only — updates then fall back to the full set and
-	// let the server refuse, rather than failing to route at all.
-	writable []sim.NodeID
+	servers []*peer
 	// recheckAt is when the entry next warrants a fresh locate: one TTL
 	// after a successful fill; immediately when a cached server stopped
 	// answering (so recovered or substitute replicas rejoin the
@@ -134,44 +127,48 @@ type portCache struct {
 	recheckAt time.Time
 }
 
-// replicaStat is the client's adaptive-routing state for one replica of
-// one port: smoothed reply latency (TCP RTO-style SRTT/RTTVAR), the load
-// hint the server last piggybacked, and when the last latency sample
-// landed (stale samples stop counting against a replica — see
-// scoreLocked). probes counts the requests re-sent to it; down is the
-// channel its dead verdict closes, nil until a transaction waits on it
-// and nil again after a verdict (a re-located replica starts afresh).
-type replicaStat struct {
-	srtt    time.Duration
-	rttvar  time.Duration
-	hint    byte
-	updated time.Time
-	samples uint64
-	probes  uint64
-	down    chan struct{}
+// node is one host the client has sent to or heard from: when a frame
+// from it last arrived — liveness is per host, so any frame counts for
+// every port it serves — and its peer records, one per port.
+type node struct {
+	id    sim.NodeID
+	heard time.Time
+	peers []*peer
 }
 
-// ackTo names where an acknowledgement goes: the server's duplicate table
-// for one port.
-type ackTo struct {
-	server sim.NodeID
-	port   capability.Port
+// peer is everything the client knows about one server of one port, the
+// record the port cache points at; an evicted replica that is located
+// again comes back to it. Guarded by the client mutex. srtt/rttvar are
+// the TCP RTO-style smoothed reply latency, updated is when the last of
+// samples landed (stale samples stop counting against a replica — see
+// scoreLocked), hint is the load the server last piggybacked. down is
+// the channel the dead verdict closes: nil until a transaction waits on
+// the server, and nil again after a verdict, so a re-located replica is
+// a fresh incarnation with its old latency history. owed holds the
+// finished transactions the server still keeps duplicate entries for,
+// since the oldest's end; the slice is kept when emptied, so a busy peer
+// owes without allocating.
+type peer struct {
+	at           *node
+	port         capability.Port
+	srtt, rttvar time.Duration
+	hint         byte
+	updated      time.Time
+	samples      uint64
+	probes       uint64 // requests re-sent because a reply was overdue
+	inflight     int
+	down         chan struct{}
+	readOnly     bool // the HEREIS flag of a checkpoint-fed secondary (see chooseLocked)
+	owed         []uint64
+	since        time.Time
 }
 
-// owedAcks holds the finished transactions one server and port still
-// hold duplicate entries for, and since when the oldest has waited. The
-// slice is kept when emptied, so a busy pair owes without allocating.
-type owedAcks struct {
-	ids   []uint64
-	since time.Time
-}
-
-// target is one pick: the server, the channel its dead verdict will close
+// target is one pick: the peer, the channel its dead verdict will close
 // and the wait before the first probe, all read under the pick's mutex.
 type target struct {
-	server sim.NodeID
-	down   chan struct{}
-	probe  time.Duration
+	peer  *peer
+	down  chan struct{}
+	probe time.Duration
 }
 
 // FailoverStats counts the transport's failure-detection events.
@@ -216,15 +213,12 @@ type Client struct {
 	mu       sync.Mutex
 	cache    map[capability.Port]*portCache
 	locating map[capability.Port]chan struct{}
-	load     map[capability.Port]map[sim.NodeID]int          // in-flight requests per server
-	stats    map[capability.Port]map[sim.NodeID]*replicaStat // adaptive-routing state
-	pending  map[uint64]chan flip.Msg                        // reply routing by transaction id
-	free     []chan flip.Msg                                 // drained reply channels of finished transactions
-	heard    map[sim.NodeID]time.Time                        // last frame routed from each node
-	owed     map[ackTo]*owedAcks                             // acknowledgements the next request there carries
-	ackTimer *time.Timer                                     // sends what has been owed for a probeFloor (flushAcks)
-	ackArmed bool                                            // ackTimer is set
-	shut     bool                                            // Close has sent what was owed: owe nothing more
+	nodes    map[sim.NodeID]*node     // every server sent to or heard from, with its peers
+	pending  map[uint64]chan flip.Msg // reply routing by transaction id
+	free     []chan flip.Msg          // drained reply channels of finished transactions
+	ackTimer *time.Timer              // sends what has been owed for a probeFloor (flushAcks)
+	ackArmed bool                     // ackTimer is set
+	shut     bool                     // Close has sent what was owed: owe nothing more
 	failover FailoverStats
 	txid     uint64
 	rng      *rand.Rand // P2C candidate selection; guarded by mu
@@ -270,11 +264,8 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		cacheTTL:     cacheTTL,
 		cache:        make(map[capability.Port]*portCache),
 		locating:     make(map[capability.Port]chan struct{}),
-		load:         make(map[capability.Port]map[sim.NodeID]int),
-		stats:        make(map[capability.Port]map[sim.NodeID]*replicaStat),
+		nodes:        make(map[sim.NodeID]*node),
 		pending:      make(map[uint64]chan flip.Msg),
-		heard:        make(map[sim.NodeID]time.Time),
-		owed:         make(map[ackTo]*owedAcks),
 		rng:          rand.New(rand.NewSource(int64(seq))),
 		tokens:       hedgeBurst,
 		// Transaction ids carry the client sequence number in the high
@@ -360,16 +351,13 @@ func (c *Client) ReplicaStats(port capability.Port) []ReplicaStat {
 	}
 	now := time.Now()
 	out := make([]ReplicaStat, 0, len(e.servers))
-	for _, s := range e.servers {
-		rs := ReplicaStat{Server: s, Inflight: c.load[port][s]}
-		if at, ok := c.heard[s]; ok {
-			rs.Heard = now.Sub(at)
+	for _, p := range e.servers {
+		rs := ReplicaStat{Server: p.at.id, SRTT: p.srtt, RTTVar: p.rttvar, Hint: p.hint, Inflight: p.inflight, Samples: p.samples, Probes: p.probes}
+		if !p.at.heard.IsZero() {
+			rs.Heard = now.Sub(p.at.heard)
 		}
-		if st := c.stats[port][s]; st != nil {
-			rs.SRTT, rs.RTTVar, rs.Hint, rs.Samples, rs.Probes = st.srtt, st.rttvar, st.hint, st.samples, st.probes
-			if !st.updated.IsZero() {
-				rs.Age = now.Sub(st.updated)
-			}
+		if !p.updated.IsZero() {
+			rs.Age = now.Sub(p.updated)
 		}
 		out = append(out, rs)
 	}
@@ -386,7 +374,9 @@ func (c *Client) CachedServers(port capability.Port) []sim.NodeID {
 		return nil
 	}
 	out := make([]sim.NodeID, len(e.servers))
-	copy(out, e.servers)
+	for i, p := range e.servers {
+		out[i] = p.at.id
+	}
 	return out
 }
 
@@ -424,7 +414,7 @@ func (c *Client) demux() {
 		tx := binary.BigEndian.Uint64(m.Payload[1:9])
 		now := time.Now()
 		c.mu.Lock()
-		c.heard[m.Src] = now
+		c.nodeLocked(m.Src).heard = now
 		if m.Payload[0] == opWorking {
 			c.failover.Working++
 		} else if ch := c.pending[tx]; ch != nil {
@@ -512,11 +502,11 @@ func (c *Client) transact(ctx context.Context, port capability.Port, req []byte,
 	c.mu.Unlock()
 	var (
 		wire      []byte
-		reachedAt [4]sim.NodeID
+		reachedAt [4]*peer
 		reached   = reachedAt[:0] // every server a frame went to, once each
 	)
 	defer func() {
-		c.owe(port, s.tx, reached)
+		c.owe(s.tx, reached)
 		switch {
 		case !r.keep:
 			s.recycle()
@@ -548,11 +538,18 @@ loop:
 			continue
 		}
 		if wire == nil {
-			wire = c.request(port, t.server, s.tx, req)
+			wire = c.request(t.peer, s.tx, req)
 		}
-		payload, from, hedgedTo, v := c.transactOnce(ctx, t, port, wire, s.ch, r.balance && c.hedge.Load())
-		c.release(port, t.server)
-		reached = addServer(addServer(reached, t.server), hedgedTo)
+		payload, from, hedgedTo, v := c.transactOnce(ctx, t, wire, s.ch, r.balance && c.hedge.Load())
+		c.release(t.peer)
+		if hedgedTo != t.peer {
+			c.release(hedgedTo)
+		}
+		for _, p := range [...]*peer{t.peer, hedgedTo} {
+			if !slices.Contains(reached, p) {
+				reached = append(reached, p)
+			}
+		}
 		switch v {
 		case verdictReply:
 			s.server = from
@@ -564,27 +561,19 @@ loop:
 		case verdictNotHere:
 			// Busy: drain to the next cached candidate (§4.2), or wait.
 			if !r.fixed {
-				c.evict(port, t, v)
+				c.evict(t, v)
 			} else if err := c.pause(ctx, c.locateWindow); err != nil {
 				return s, nil, err
 			}
 		default:
 			// Silent or stuck: the next pick re-locates, if it may.
-			c.evict(port, t, v)
+			c.evict(t, v)
 			if r.fixed {
 				break loop
 			}
 		}
 	}
 	return s, nil, fmt.Errorf("port %v: %w", port, ErrTimeout)
-}
-
-// addServer appends server to set unless it is there already.
-func addServer(set []sim.NodeID, server sim.NodeID) []sim.NodeID {
-	if slices.Contains(set, server) {
-		return set
-	}
-	return append(set, server)
 }
 
 // pause waits d, or less if the context or the client ends first.
@@ -623,27 +612,23 @@ const (
 // and whichever reply arrives first wins — the demultiplexer already
 // routes both to this channel, and the server-side duplicate-suppression
 // table keys on (src, tx), so the loser is simply a second reply that the
-// winner's return leaves unread. hedgedTo is the hedge's server, or
-// t.server when no hedge went out. Runs without the client mutex.
-func (c *Client) transactOnce(ctx context.Context, t target, port capability.Port, wire []byte, replies <-chan flip.Msg, hedge bool) (reply []byte, from, hedgedTo sim.NodeID, v verdict) {
+// winner's return leaves unread. hedgedTo is the hedge's peer, charged
+// one in-flight request for the caller to release, or t.peer when no
+// hedge went out. Runs without the client mutex.
+func (c *Client) transactOnce(ctx context.Context, t target, wire []byte, replies <-chan flip.Msg, hedge bool) (reply []byte, from sim.NodeID, hedgedTo *peer, v verdict) {
 	var (
 		hedgeCh   <-chan time.Time
-		hedged    bool // a hedge was actually sent (NodeID 0 is valid, so a flag, not the zero id)
 		hedgeSent time.Time
+		server    = t.peer.at.id
 	)
-	hedgedTo = t.server
+	hedgedTo = t.peer
 	if hedge {
-		if d, ok := c.hedgeDelay(port, t.server); ok {
+		if d, ok := c.hedgeDelay(t.peer); ok {
 			hedgeCh = time.After(d)
 		}
 	}
-	defer func() {
-		if hedged {
-			c.release(port, hedgedTo)
-		}
-	}()
 	sentAt := time.Now() // first transmission, for Karn-safe RTT samples
-	if err := c.stack.SendFrame(t.server, wire); err != nil {
+	if err := c.stack.SendFrame(server, wire); err != nil {
 		return nil, 0, hedgedTo, verdictDead
 	}
 	var (
@@ -672,19 +657,21 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			// — the primary's before any probe, or the hedge's (it is
 			// sent once).
 			switch {
-			case hedged && m.Src == hedgedTo:
+			case hedgedTo != t.peer && m.Src == hedgedTo.at.id:
 				c.hedgeWins.Add(1)
-				c.noteReply(port, m.Src, time.Since(hedgeSent), hint)
-			case m.Src == t.server && probeAt.Equal(sentAt):
-				c.noteReply(port, m.Src, time.Since(sentAt), hint)
-			default:
-				c.noteHint(port, m.Src, hint)
+				c.noteReply(hedgedTo, time.Since(hedgeSent), hint)
+			case m.Src == server && probeAt.Equal(sentAt):
+				c.noteReply(t.peer, time.Since(sentAt), hint)
+			case m.Src == server:
+				c.noteHint(t.peer, hint)
+			default: // an earlier attempt's server
+				c.noteHint(c.peerOf(t.peer.port, m.Src), hint)
 			}
 			return payload, verdictReply
-		case op == opNotHere && m.Src == t.server:
+		case op == opNotHere && m.Src == server:
 			// (Not a stale NOTHERE from a server this transaction failed
 			// over from, or from a busy hedge target.)
-			c.noteHint(port, m.Src, hint)
+			c.noteHint(t.peer, hint)
 			return nil, verdictNotHere
 		}
 		return nil, 0
@@ -697,10 +684,10 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			}
 		case <-hedgeCh:
 			hedgeCh = nil
-			if hs, ok := c.takeHedge(port, t.server); ok {
-				hedged, hedgedTo, hedgeSent = true, hs, time.Now()
+			if p, ok := c.takeHedge(t.peer); ok {
+				hedgedTo, hedgeSent = p, time.Now()
 				c.hedgesSent.Add(1)
-				_ = c.stack.SendFrame(hs, wire)
+				_ = c.stack.SendFrame(p.at.id, wire)
 			}
 		case <-timer.C:
 			// select picks at random between a fired timer and a ready
@@ -712,7 +699,10 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 				}
 			}
 			now := time.Now()
-			if c.heardSince(t.server, probeAt) {
+			c.mu.Lock()
+			heard := !t.peer.at.heard.Before(probeAt) // the evidence that the last transmission met a live server
+			c.mu.Unlock()
+			if heard {
 				silent = 0
 			} else if silent++; silent > c.retransmits {
 				return nil, 0, hedgedTo, verdictDead
@@ -722,9 +712,9 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 			}
 			c.mu.Lock()
 			c.failover.Probes++
-			c.statLocked(port, t.server).probes++
+			t.peer.probes++
 			c.mu.Unlock()
-			if err := c.stack.SendFrame(t.server, wire); err != nil {
+			if err := c.stack.SendFrame(server, wire); err != nil {
 				return nil, 0, hedgedTo, verdictDead
 			}
 			probeAt = now
@@ -740,26 +730,18 @@ func (c *Client) transactOnce(ctx context.Context, t target, port capability.Por
 	}
 }
 
-// heardSince reports whether any frame from server arrived at or after t:
-// the evidence that an unanswered probe met a live server.
-func (c *Client) heardSince(server sim.NodeID, t time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.heard[server].Before(t) // never heard is the zero time
-}
-
-// hedgeDelay computes how long a balanced read waits on server before
+// hedgeDelay computes how long a balanced read waits on p before
 // hedging: the replica's rtoLocked. It also refills the hedge token
 // bucket — called once per hedge-eligible read, so the refill rate is
 // hedgeRate tokens per read. No sample yet, or an estimate so large the
 // probe path covers it, disables the hedge for this transaction.
-func (c *Client) hedgeDelay(port capability.Port, server sim.NodeID) (time.Duration, bool) {
+func (c *Client) hedgeDelay(p *peer) (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tokens += hedgeRate; c.tokens > hedgeBurst {
 		c.tokens = hedgeBurst
 	}
-	d, ok := c.rtoLocked(port, server)
+	d, ok := p.rtoLocked()
 	if !ok || d >= c.replyTimeout {
 		return 0, false
 	}
@@ -768,114 +750,119 @@ func (c *Client) hedgeDelay(port capability.Port, server sim.NodeID) (time.Durat
 
 // rtoLocked is the replica's SRTT + 4·RTTVAR (~p95 under the TCP RTO
 // model), or false while it has no sample: the hedge fires after one of
-// these, the first probe after two. Must hold c.mu.
-func (c *Client) rtoLocked(port capability.Port, server sim.NodeID) (time.Duration, bool) {
-	st := c.stats[port][server]
-	if st == nil || st.samples == 0 {
+// these, the first probe after two. Must hold the client mutex.
+func (p *peer) rtoLocked() (time.Duration, bool) {
+	if p.samples == 0 {
 		return 0, false
 	}
-	return st.srtt + 4*st.rttvar, true
+	return p.srtt + 4*p.rttvar, true
 }
 
-// aimLocked charges server one in-flight request and returns the target:
-// the first probe comes after clamp(2·rto, probeFloor, replyTimeout), or
-// 4 × probeFloor for a server never sampled. Must hold c.mu.
-func (c *Client) aimLocked(port capability.Port, server sim.NodeID) target {
-	if c.load[port] == nil {
-		c.load[port] = make(map[sim.NodeID]int)
-	}
-	c.load[port][server]++
-	st := c.statLocked(port, server)
-	if st.down == nil {
-		st.down = make(chan struct{})
+// aimLocked charges p one in-flight request and returns the target: the
+// first probe comes after clamp(2·rto, probeFloor, replyTimeout), or 4 ×
+// probeFloor for a server never sampled. Must hold c.mu.
+func (c *Client) aimLocked(p *peer) target {
+	p.inflight++
+	if p.down == nil {
+		p.down = make(chan struct{})
 	}
 	probe := 4 * c.probeFloor
-	if rto, ok := c.rtoLocked(port, server); ok {
+	if rto, ok := p.rtoLocked(); ok {
 		probe = max(2*rto, c.probeFloor)
 	}
-	return target{server: server, down: st.down, probe: min(probe, c.replyTimeout)}
+	return target{peer: p, down: p.down, probe: min(probe, c.replyTimeout)}
 }
 
 // takeHedge spends one hedge token and picks the best-scored cached
 // replica other than primary, charging it one in-flight request. It
 // fails when the bucket is dry or no other replica is cached.
-func (c *Client) takeHedge(port capability.Port, primary sim.NodeID) (sim.NodeID, bool) {
+func (c *Client) takeHedge(primary *peer) (*peer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.tokens < 1 {
-		return 0, false
-	}
-	e := c.cache[port]
-	if e == nil {
-		return 0, false
+	e := c.cache[primary.port]
+	if c.tokens < 1 || e == nil {
+		return nil, false
 	}
 	var (
-		best      sim.NodeID
+		best      *peer
 		bestScore float64
-		found     bool
 	)
-	for _, s := range e.servers {
-		if s == primary {
+	for _, p := range e.servers {
+		if p == primary {
 			continue
 		}
-		if sc := c.scoreLocked(port, s); !found || sc < bestScore {
-			best, bestScore, found = s, sc, true
+		if sc := c.scoreLocked(p); best == nil || sc < bestScore {
+			best, bestScore = p, sc
 		}
 	}
-	if !found {
-		return 0, false
+	if best == nil {
+		return nil, false
 	}
 	c.tokens--
-	return c.aimLocked(port, best).server, true
+	return c.aimLocked(best).peer, true
 }
 
 // noteReply folds one RTT sample and the piggybacked load hint into the
 // replica's routing state (SRTT/RTTVAR per the TCP RTO estimator).
-func (c *Client) noteReply(port capability.Port, server sim.NodeID, rtt time.Duration, hint byte) {
+func (c *Client) noteReply(p *peer, rtt time.Duration, hint byte) {
 	if rtt < 0 {
 		rtt = 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.statLocked(port, server)
-	if st.samples == 0 {
-		st.srtt = rtt
-		st.rttvar = rtt / 2
+	if p.samples == 0 {
+		p.srtt = rtt
+		p.rttvar = rtt / 2
 	} else {
-		dev := st.srtt - rtt
+		dev := p.srtt - rtt
 		if dev < 0 {
 			dev = -dev
 		}
-		st.rttvar = st.rttvar - st.rttvar/4 + dev/4
-		st.srtt = st.srtt - st.srtt/8 + rtt/8
+		p.rttvar = p.rttvar - p.rttvar/4 + dev/4
+		p.srtt = p.srtt - p.srtt/8 + rtt/8
 	}
-	st.samples++
-	st.hint = hint
-	st.updated = time.Now()
+	p.samples++
+	p.hint = hint
+	p.updated = time.Now()
 }
 
 // noteHint records a piggybacked load hint without an RTT sample (late
-// replies, NOTHERE, HEREIS seeding).
-func (c *Client) noteHint(port capability.Port, server sim.NodeID, hint byte) {
+// replies, NOTHERE).
+func (c *Client) noteHint(p *peer, hint byte) {
 	c.mu.Lock()
-	c.statLocked(port, server).hint = hint
+	p.hint = hint
 	c.mu.Unlock()
 }
 
-// statLocked returns (allocating if needed) the routing state of one
-// replica. Must hold c.mu.
-func (c *Client) statLocked(port capability.Port, server sim.NodeID) *replicaStat {
-	m := c.stats[port]
-	if m == nil {
-		m = make(map[sim.NodeID]*replicaStat)
-		c.stats[port] = m
+// peerOf returns (creating if needed) the record of server on port.
+func (c *Client) peerOf(port capability.Port, server sim.NodeID) *peer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peerLocked(port, server)
+}
+
+// peerLocked is peerOf under c.mu.
+func (c *Client) peerLocked(port capability.Port, server sim.NodeID) *peer {
+	n := c.nodeLocked(server)
+	for _, p := range n.peers {
+		if p.port == port {
+			return p
+		}
 	}
-	st := m[server]
-	if st == nil {
-		st = &replicaStat{}
-		m[server] = st
+	p := &peer{at: n, port: port}
+	n.peers = append(n.peers, p)
+	return p
+}
+
+// nodeLocked returns (creating if needed) the record of one host. Must
+// hold c.mu.
+func (c *Client) nodeLocked(id sim.NodeID) *node {
+	n := c.nodes[id]
+	if n == nil {
+		n = &node{id: id}
+		c.nodes[id] = n
 	}
-	return st
+	return n
 }
 
 // scoreLocked ranks a replica for balanced selection: lower is better.
@@ -884,12 +871,11 @@ func (c *Client) statLocked(port capability.Port, server sim.NodeID) *replicaSta
 // no sample — or whose last sample has gone stale — scores zero, so it
 // is probed rather than shunned forever: that is how a recovered replica
 // re-enters the rotation. Must hold c.mu.
-func (c *Client) scoreLocked(port capability.Port, server sim.NodeID) float64 {
-	st := c.stats[port][server]
-	if st == nil || st.samples == 0 || time.Since(st.updated) > 2*c.replyTimeout {
+func (c *Client) scoreLocked(p *peer) float64 {
+	if p.samples == 0 || time.Since(p.updated) > 2*c.replyTimeout {
 		return 0
 	}
-	return float64(st.srtt) * (1 + float64(st.hint)/64) * float64(1+c.load[port][server])
+	return float64(p.srtt) * (1 + float64(p.hint)/64) * float64(1+p.inflight)
 }
 
 // pickServer returns the route's fixed server or a server for port,
@@ -937,16 +923,14 @@ func (c *Client) pickServer(ctx context.Context, port capability.Port, r route, 
 			}
 			e.recheckAt = time.Now().Add(c.locateWindow)
 		} else {
-			e = &portCache{servers: make([]sim.NodeID, len(found)), recheckAt: time.Now().Add(c.cacheTTL)}
+			e = &portCache{servers: make([]*peer, len(found)), recheckAt: time.Now().Add(c.cacheTTL)}
 			for i, h := range found {
-				e.servers[i] = h.Src
-				if !h.ReadOnly {
-					e.writable = append(e.writable, h.Src)
-				}
 				// Seed each responder's routing state with the hint its
 				// HEREIS piggybacked, so the first balanced picks already
 				// steer away from loaded replicas.
-				c.statLocked(port, h.Src).hint = h.Hint
+				p := c.peerLocked(port, h.Src)
+				p.hint, p.readOnly = h.Hint, h.ReadOnly
+				e.servers[i] = p
 			}
 			c.cache[port] = e
 		}
@@ -985,24 +969,32 @@ func (c *Client) locate(ctx context.Context, port capability.Port, located *bool
 // rotation forever. Must hold c.mu.
 func (c *Client) chooseLocked(port capability.Port, e *portCache, r route) target {
 	if r.fixed {
-		return c.aimLocked(port, r.server)
+		return c.aimLocked(c.peerLocked(port, r.server))
 	}
-	// Unbalanced picks — all updates, plus reads from clients that opted
-	// out of balancing — must land on a writable responder; read-only
-	// secondaries join the pool only for balanced reads.
 	pool := e.servers
-	if !r.balance && len(e.writable) > 0 {
-		pool = e.writable
+	if !r.balance {
+		// Unbalanced picks — all updates, plus reads from clients that
+		// opted out of balancing — land on the first responder without
+		// the read-only bit; read-only secondaries join the pool only for
+		// balanced reads. If every responder announced read-only, the
+		// first one takes the update and may refuse it, rather than the
+		// update failing to route at all.
+		for _, p := range pool {
+			if !p.readOnly {
+				return c.aimLocked(p)
+			}
+		}
+		return c.aimLocked(pool[0])
 	}
 	server := pool[0]
-	if r.balance && len(pool) > 1 {
+	if len(pool) > 1 {
 		i := c.rng.Intn(len(pool))
 		j := c.rng.Intn(len(pool) - 1)
 		if j >= i {
 			j++
 		}
 		best, worst := pool[i], pool[j]
-		sBest, sWorst := c.scoreLocked(port, best), c.scoreLocked(port, worst)
+		sBest, sWorst := c.scoreLocked(best), c.scoreLocked(worst)
 		if sWorst < sBest {
 			best, worst = worst, best
 			sBest, sWorst = sWorst, sBest
@@ -1012,22 +1004,18 @@ func (c *Client) chooseLocked(port capability.Port, e *portCache, r route) targe
 			if c.rng.Intn(2) == 0 {
 				server = worst
 			}
-		} else if st := c.stats[port][worst]; st != nil {
-			st.srtt -= st.srtt / 4
+		} else {
+			worst.srtt -= worst.srtt / 4
 		}
 	}
-	return c.aimLocked(port, server)
+	return c.aimLocked(server)
 }
 
-// release returns one in-flight charge for server.
-func (c *Client) release(port capability.Port, server sim.NodeID) {
+// release returns one in-flight charge for p.
+func (c *Client) release(p *peer) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if load := c.load[port]; load != nil {
-		if load[server]--; load[server] <= 0 {
-			delete(load, server)
-		}
-	}
+	p.inflight--
+	c.mu.Unlock()
 }
 
 // evict removes the server a transaction gave up on from the port cache.
@@ -1035,25 +1023,24 @@ func (c *Client) release(port capability.Port, server sim.NodeID) {
 // the entry so the next selection re-locates (failover refresh) instead
 // of draining the shrinking remainder. verdictDead also closes the down
 // channel: every transaction parked there returns the same verdict.
-func (c *Client) evict(port capability.Port, t target, why verdict) {
+func (c *Client) evict(t target, why verdict) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	p := t.peer
 	if why == verdictDead {
-		st := c.statLocked(port, t.server)
-		if st.down != t.down {
+		if p.down != t.down {
 			c.failover.Released++
 			return
 		}
-		close(st.down)
-		st.down = nil
+		close(p.down)
+		p.down = nil
 		c.failover.Verdicts++
 	}
-	e := c.cache[port]
+	e := c.cache[p.port]
 	if e == nil {
 		return
 	}
-	gone := func(s sim.NodeID) bool { return s == t.server }
-	e.servers, e.writable = slices.DeleteFunc(e.servers, gone), slices.DeleteFunc(e.writable, gone)
+	e.servers = slices.DeleteFunc(e.servers, func(q *peer) bool { return q == p })
 	if why != verdictNotHere {
 		e.recheckAt = time.Time{}
 	}
@@ -1063,23 +1050,18 @@ func (c *Client) evict(port capability.Port, t target, why verdict) {
 // drop its duplicate entry, since the client never sends tx again. The id
 // rides the next request to that server and port, or goes out in an ACK
 // frame once it has waited a probeFloor (flushAcks).
-func (c *Client) owe(port capability.Port, tx uint64, servers []sim.NodeID) {
+func (c *Client) owe(tx uint64, reached []*peer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.shut || len(servers) == 0 {
+	if c.shut || len(reached) == 0 {
 		return
 	}
 	now := time.Now()
-	for _, server := range servers {
-		o := c.owed[ackTo{server, port}]
-		if o == nil {
-			o = &owedAcks{}
-			c.owed[ackTo{server, port}] = o
+	for _, p := range reached {
+		if len(p.owed) == 0 {
+			p.since = now
 		}
-		if len(o.ids) == 0 {
-			o.since = now
-		}
-		o.ids = append(o.ids, tx)
+		p.owed = append(p.owed, tx)
 	}
 	if !c.ackArmed {
 		c.ackArmed = true
@@ -1087,18 +1069,14 @@ func (c *Client) owe(port capability.Port, tx uint64, servers []sim.NodeID) {
 	}
 }
 
-// request builds transaction tx's request frame for server, carrying up
-// to maxAcks of the ids owed to server on port.
-func (c *Client) request(port capability.Port, server sim.NodeID, tx uint64, payload []byte) []byte {
+// request builds transaction tx's request frame for p, carrying up to
+// maxAcks of the ids owed there.
+func (c *Client) request(p *peer, tx uint64, payload []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o := c.owed[ackTo{server, port}]
-	if o == nil {
-		return requestFrame(port, tx, c.replyPort, nil, payload)
-	}
-	acks := o.ids[:min(len(o.ids), maxAcks)]
-	wire := requestFrame(port, tx, c.replyPort, acks, payload)
-	o.ids = o.ids[:copy(o.ids, o.ids[len(acks):])]
+	acks := p.owed[:min(len(p.owed), maxAcks)]
+	wire := requestFrame(p.port, tx, c.replyPort, acks, payload)
+	p.owed = p.owed[:copy(p.owed, p.owed[len(acks):])]
 	return wire
 }
 
@@ -1128,24 +1106,26 @@ type ackFrame struct {
 	frame []byte
 }
 
-// takeAcksLocked removes the ids of every server and port owed since
-// cutoff or before and returns them as ACK frames, along with when the
-// oldest debt left began (zero if none). Must hold c.mu.
+// takeAcksLocked removes the ids of every peer owed since cutoff or
+// before and returns them as ACK frames, along with when the oldest debt
+// left began (zero if none). Must hold c.mu.
 func (c *Client) takeAcksLocked(cutoff time.Time) (frames []ackFrame, oldest time.Time) {
-	for to, o := range c.owed {
-		switch {
-		case len(o.ids) == 0:
-		case o.since.After(cutoff):
-			if oldest.IsZero() || o.since.Before(oldest) {
-				oldest = o.since
+	for _, n := range c.nodes {
+		for _, p := range n.peers {
+			switch {
+			case len(p.owed) == 0:
+			case p.since.After(cutoff):
+				if oldest.IsZero() || p.since.Before(oldest) {
+					oldest = p.since
+				}
+			default:
+				frame := append(flip.NewFrame(p.port, 1+8*len(p.owed)), opAck)
+				for _, id := range p.owed {
+					frame = binary.BigEndian.AppendUint64(frame, id)
+				}
+				frames = append(frames, ackFrame{n.id, frame})
+				p.owed = p.owed[:0]
 			}
-		default:
-			frame := append(flip.NewFrame(to.port, 1+8*len(o.ids)), opAck)
-			for _, id := range o.ids {
-				frame = binary.BigEndian.AppendUint64(frame, id)
-			}
-			frames = append(frames, ackFrame{to.server, frame})
-			delete(c.owed, to)
 		}
 	}
 	return frames, oldest

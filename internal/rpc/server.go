@@ -239,7 +239,7 @@ func NewServer(stack *flip.Stack, port capability.Port) (*Server, error) {
 
 // SetReadOnly marks this server's HEREIS answers with the read-only
 // flag: locating clients then route updates to other responders on the
-// same port (see portCache.writable).
+// same port (see Client.chooseLocked).
 func (s *Server) SetReadOnly(ro bool) {
 	s.listener.SetReadOnly(ro)
 }
@@ -323,11 +323,12 @@ func (s *Server) dispatch() {
 		if len(m.Payload) < 9 {
 			continue
 		}
-		op := m.Payload[0]
-		tx := binary.BigEndian.Uint64(m.Payload[1:9])
-		switch op {
+		switch m.Payload[0] {
 		case opRequest:
-			s.handleRequest(m, tx)
+			if req, acks, ok := parseRequest(m.Payload); ok {
+				req.Src = m.Src
+				s.handleRequest(req, acks)
+			}
 		case opAck:
 			s.mu.Lock()
 			s.dups.ack(m.Src, m.Payload[1:])
@@ -336,30 +337,39 @@ func (s *Server) dispatch() {
 	}
 }
 
-// handleRequest parses a request frame (see requestFrame), deletes the
-// entries of the transactions it acknowledges and answers it.
-func (s *Server) handleRequest(m flip.Msg, tx uint64) {
-	if len(m.Payload) < requestHeader {
-		return
+// parseRequest is requestFrame's inverse over the bytes after the FLIP
+// header, whose op byte the caller has read: the transaction id, reply
+// port and payload, and the acknowledged ids packed eight bytes each. It
+// rejects a frame shorter than its ack count says.
+func parseRequest(buf []byte) (req Request, acks []byte, ok bool) {
+	if len(buf) < requestHeader {
+		return Request{}, nil, false
 	}
-	body := requestHeader + 8*int(m.Payload[requestHeader-1])
-	if len(m.Payload) < body {
-		return
+	body := requestHeader + 8*int(buf[requestHeader-1])
+	if len(buf) < body {
+		return Request{}, nil, false
 	}
-	var replyPort capability.Port
-	copy(replyPort[:], m.Payload[9:15])
-	key := dupKey{src: m.Src, tx: tx}
+	req.tx = binary.BigEndian.Uint64(buf[1:9])
+	copy(req.replyPort[:], buf[9:15])
+	req.Payload = buf[body:]
+	return req, buf[requestHeader:body], true
+}
+
+// handleRequest deletes the entries of the transactions a request
+// acknowledges and answers it.
+func (s *Server) handleRequest(req Request, acks []byte) {
+	key := dupKey{src: req.Src, tx: req.tx}
 
 	s.mu.Lock()
-	s.dups.ack(m.Src, m.Payload[requestHeader:body])
+	s.dups.ack(req.Src, acks)
 	if e, seen := s.dups.entries[key]; seen {
 		s.mu.Unlock()
 		if e.done {
 			// Retransmitted request whose reply was lost: resend it.
-			_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opReply, tx, s.hintByte(), e.payload))
+			_ = s.stack.SendFrame(req.Src, replyFrame(req.replyPort, opReply, req.tx, s.hintByte(), e.payload))
 		} else {
 			// In progress: alive and working on it; Reply will follow.
-			_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opWorking, tx, s.hintByte(), nil))
+			_ = s.stack.SendFrame(req.Src, replyFrame(req.replyPort, opWorking, req.tx, s.hintByte(), nil))
 		}
 		return
 	}
@@ -368,15 +378,9 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 	// replies at once must find the entry there to mark done, not have a
 	// late "in progress" one put over it, nor take the count below zero.
 	s.inflight.Add(1)
+	req.srv, req.accepted = s, time.Now()
 	select {
-	case s.reqCh <- Request{
-		Src:       m.Src,
-		Payload:   m.Payload[body:],
-		srv:       s,
-		tx:        tx,
-		replyPort: replyPort,
-		accepted:  time.Now(),
-	}:
+	case s.reqCh <- req:
 		s.dups.add(key)
 		s.mu.Unlock()
 	default:
@@ -384,7 +388,7 @@ func (s *Server) handleRequest(m flip.Msg, tx uint64) {
 		s.inflight.Add(-1)
 		// No thread blocked in GetRequest: the kernel answers NOTHERE
 		// (paper §4.2), prompting the client to try another server.
-		_ = s.stack.SendFrame(m.Src, replyFrame(replyPort, opNotHere, tx, s.hintByte(), nil))
+		_ = s.stack.SendFrame(req.Src, replyFrame(req.replyPort, opNotHere, req.tx, s.hintByte(), nil))
 	}
 }
 

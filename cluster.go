@@ -97,8 +97,6 @@ type Options struct {
 	ActiveShards int
 	// Workers is the number of server threads per directory server.
 	Workers int
-	// Resilience overrides the group resilience degree r (default N-1).
-	Resilience int
 	// DiskBlocks sizes each machine's disk (default 4096).
 	DiskBlocks int
 	// Seed drives loss injection in the simulated network.
@@ -107,9 +105,6 @@ type Options struct {
 	HeartbeatInterval time.Duration
 	// DisableImprovement switches off the §3.2 recovery refinement.
 	DisableImprovement bool
-	// DisableReadMajorityCheck lets reads bypass the majority rule
-	// (ablation: recreates the §3.1 anomaly).
-	DisableReadMajorityCheck bool
 	// NVRAMSize sizes the NVRAM region (default 24 KB, as in §4.1).
 	NVRAMSize int
 	// DiskEngine puts the disk-backed storage engine under KindGroup:
@@ -174,6 +169,9 @@ type machine struct {
 	mu   sync.Mutex
 	stop func()       // closes the directory server process
 	core *core.Server // set for group kinds (admin operations)
+	// read serves one read at the server below the transport (group and
+	// RPC kinds; tests interrogate one specific server with it).
+	read func(*dirsvc.Request) *dirsvc.Reply
 }
 
 // shardGroup is one independent replica group: a full instance of the
@@ -354,15 +352,13 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		}
 		front.Replicas = c.opts.Servers
 		srv, err := core.NewServer(m.dirStack, core.Config{
-			FrontConfig:              front,
-			Peers:                    peers,
-			NVRAM:                    m.nvram,
-			Engine:                   engine,
-			Resilience:               c.opts.Resilience,
-			DisableImprovement:       c.opts.DisableImprovement,
-			DisableReadMajorityCheck: c.opts.DisableReadMajorityCheck,
-			HeartbeatInterval:        c.opts.HeartbeatInterval,
-			IdleFlush:                c.opts.IdleFlush,
+			FrontConfig:        front,
+			Peers:              peers,
+			NVRAM:              m.nvram,
+			Engine:             engine,
+			DisableImprovement: c.opts.DisableImprovement,
+			HeartbeatInterval:  c.opts.HeartbeatInterval,
+			IdleFlush:          c.opts.IdleFlush,
 		})
 		if err != nil {
 			return fmt.Errorf("boot group server %d (shard %d): %w", m.id, sg.index, err)
@@ -370,6 +366,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.mu.Lock()
 		m.stop = srv.Close
 		m.core = srv
+		m.read = srv.Read
 		m.mu.Unlock()
 	case KindRPC:
 		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{FrontConfig: front, Staging: m.staging})
@@ -378,6 +375,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		}
 		m.mu.Lock()
 		m.stop = srv.Close
+		m.read = srv.Read
 		m.mu.Unlock()
 	case KindLocal:
 		srv, err := localdir.NewServer(m.dirStack, localdir.Config{FrontConfig: front})

@@ -236,13 +236,65 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 			if len(rows) != 1 || rows[0].Name != "leaf" {
 				t.Fatalf("restored dir rows = %+v, want [leaf]", rows)
 			}
-			// The restored shard accepts new updates and stamps sequence
-			// numbers past the snapshot's counters.
+			// The restored shard accepts new updates. (Its counters are
+			// already past the snapshot's; the jump over them is
+			// TestBackupRestoreIntoFreshDeployment's.)
 			if err := client.Append(bgCtx, root, "gamma", d, nil); err != nil {
 				t.Fatalf("Append after restore: %v", err)
 			}
 			if _, err := client.Lookup(bgCtx, root, "gamma"); err != nil {
 				t.Fatalf("Lookup gamma: %v", err)
+			}
+		})
+	}
+}
+
+// TestBackupRestoreIntoFreshDeployment restores a backup into a fresh
+// deployment of the same kind, on every kind. The fresh shard's own
+// sequence numbers trail the backup's, so the first update afterwards
+// commits above every number the backup carries only if the restore
+// moved the shard's number past them.
+func TestBackupRestoreIntoFreshDeployment(t *testing.T) {
+	for _, kind := range []Kind{KindGroup, KindGroupNVRAM, KindRPC, KindLocal} {
+		t.Run(kind.String(), func(t *testing.T) {
+			src := newTestCluster(t, kind)
+			client, cleanup, err := src.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			d, err := client.CreateDir(bgCtx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 29; i++ {
+				if err := client.Append(bgCtx, d, fmt.Sprintf("r%02d", i), d, nil); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			blob, err := client.Backup(bgCtx, 0)
+			if err != nil {
+				t.Fatalf("Backup: %v", err)
+			}
+			snap, err := dirsvc.DecodeSnapshot(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dst := newTestCluster(t, kind)
+			fresh, cleanup2, err := dst.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup2()
+			if err := fresh.RestoreShard(bgCtx, 0, blob); err != nil {
+				t.Fatalf("RestoreShard: %v", err)
+			}
+			if _, err := fresh.CreateDir(bgCtx); err != nil {
+				t.Fatalf("CreateDir after restore: %v", err)
+			}
+			if got, backed := fresh.SessionFloor(0), snap.MaxSeq(); got <= backed {
+				t.Fatalf("first update after the restore committed at %d, not above the backup's %d", got, backed)
 			}
 		})
 	}

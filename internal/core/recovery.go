@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"dirsvc/internal/dirsvc"
@@ -80,7 +79,7 @@ func (s *Server) recover() error {
 	defer rc.Close()
 
 	beat := heartbeat(s.model, s.cfg)
-	for attempt := 0; ; attempt++ {
+	for {
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
@@ -97,12 +96,9 @@ func (s *Server) recover() error {
 			// cut is consistent. A write failure is survivable — the
 			// recovering flag is still set, so a crash before the next
 			// checkpoint resyncs from a peer.
-			_ = s.checkpointNow(0)
+			_ = s.checkpointNow()
 		}
 		if err != nil {
-			if debugRecovery {
-				fmt.Printf("server %d recovery attempt %d: %v\n", s.cfg.ServerID, attempt, err)
-			}
 			// Wait for more servers to come back, then start all over
 			// again (Fig. 6: "try again").
 			time.Sleep(beat)
@@ -128,13 +124,12 @@ func (s *Server) recover() error {
 		s.groupSeq = syncedTo
 		s.appliedGroup.Store(syncedTo)
 		commit := *s.commit
-		applied := s.appliedSeq
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		// The replica's state is current again: restart the event log at
-		// the applied cursor (a fresh identity — surviving subscribers get
-		// a resync push) and resume recording.
-		s.front.StartEvents(applied)
+		// the applied sequence number (a fresh identity — surviving
+		// subscribers get a resync push) and resume recording.
+		s.front.StartEvents()
 		if err := commit.Write(s.cfg.Admin); err != nil {
 			return fmt.Errorf("write commit block: %w", err)
 		}
@@ -320,43 +315,32 @@ func (s *Server) loadLocalState() error {
 	if err := s.front.Applier.FormatRoot(s.nvlog == nil && s.engine == nil); err != nil {
 		return err
 	}
-	maxSeq := s.front.Table.MaxSeq()
-	if ckptSeq > maxSeq {
-		maxSeq = ckptSeq
-	}
 	if s.engine != nil {
 		// Replay the write-ahead suffix. The checkpoint flip already
 		// truncated everything it covers.
 		for _, rec := range s.engine.LogSuffix(ckptSeq) {
-			req, err := dirsvc.DecodeRequest(rec.Payload)
-			if err != nil {
-				continue
-			}
-			if s.front.Applier.Replay(req, rec.Seq) && rec.Seq > maxSeq {
-				maxSeq = rec.Seq
+			if req, err := dirsvc.DecodeRequest(rec.Payload); err == nil {
+				s.front.Applier.Replay(req, rec.Seq)
 			}
 		}
 	}
+	// The applied sequence number now covers the reloaded table, the
+	// checkpoint and every replayed record; the commit block and the NVRAM
+	// log also count the numbers no surviving record carries.
+	s.mu.Lock()
+	floor := s.commit.Seq
+	s.mu.Unlock()
 	if s.nvlog != nil {
 		reqs, seqs, err := s.nvlog.Live()
 		if err != nil {
 			return err
 		}
 		for i, req := range reqs {
-			if s.front.Applier.Replay(req, seqs[i]) && seqs[i] > maxSeq {
-				maxSeq = seqs[i]
-			}
+			s.front.Applier.Replay(req, seqs[i])
 		}
-		if s.nvlog.MaxSeq() > maxSeq {
-			maxSeq = s.nvlog.MaxSeq()
-		}
+		floor = max(floor, s.nvlog.MaxSeq())
 	}
-	s.mu.Lock()
-	if s.commit.Seq > maxSeq {
-		maxSeq = s.commit.Seq
-	}
-	s.appliedSeq = maxSeq
-	s.mu.Unlock()
+	s.front.Applier.Advance(floor)
 	return nil
 }
 
@@ -423,7 +407,6 @@ func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 	}
 	s.mu.Lock()
 	s.commit.Seq = snap.CommitSeq
-	s.appliedSeq = snap.AppliedSeq
 	s.mu.Unlock()
 	return reply.Seq, nil
 }
@@ -456,7 +439,7 @@ func (s *Server) handleRecoveryRPC(req *rpc.Request) []byte {
 // counter once it is back in service.
 func (s *Server) handleExchange(req *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
-	mySeq := s.appliedSeq
+	mySeq := s.front.Applier.AppliedSeq()
 	if s.recovering {
 		mySeq = s.recoverySeq
 	}
@@ -489,11 +472,10 @@ func (s *Server) handleSyncPull() *dirsvc.Reply {
 		s.mu.Unlock()
 		return &dirsvc.Reply{Status: dirsvc.StatusConflict}
 	}
-	appliedSeq := s.appliedSeq
 	commitSeq := s.commit.Seq
 	groupSeq := s.groupSeq
 	s.mu.Unlock()
-	snap := s.front.Applier.SnapshotState(appliedSeq, commitSeq)
+	snap := s.front.Applier.SnapshotState(s.front.Applier.AppliedSeq(), commitSeq)
 	return &dirsvc.Reply{Status: dirsvc.StatusOK, Seq: groupSeq, Blob: snap.Encode()}
 }
 
@@ -552,6 +534,3 @@ func decodeExchange(blob []byte) (lastfail.Set, bool, error) {
 	}
 	return mourned, blob[2+n] == 1, nil
 }
-
-// debugRecovery enables recovery-loop tracing (set via linker or tests).
-var debugRecovery = os.Getenv("CORE_DEBUG_RECOVERY") != ""

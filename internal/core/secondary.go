@@ -45,11 +45,10 @@ type Secondary struct {
 	// refreshes triggered by session floors).
 	refreshMu sync.Mutex
 
-	mu         sync.Mutex
-	appliedSeq uint64
-	ckptGen    uint64
-	haveState  bool
-	closed     bool
+	mu        sync.Mutex
+	ckptGen   uint64
+	haveState bool
+	closed    bool
 
 	refresh time.Duration
 
@@ -113,11 +112,7 @@ func (sec *Secondary) Close() {
 
 // AppliedSeq returns the service sequence number the instance has
 // caught up to (0 before the first checkpoint lands).
-func (sec *Secondary) AppliedSeq() uint64 {
-	sec.mu.Lock()
-	defer sec.mu.Unlock()
-	return sec.appliedSeq
-}
+func (sec *Secondary) AppliedSeq() uint64 { return sec.front.Applier.AppliedSeq() }
 
 // ReadsServed returns the number of reads this instance has answered —
 // the read-tier share in the load-distribution measurements.
@@ -147,7 +142,8 @@ func (sec *Secondary) refreshLoop() {
 
 // refreshNow brings the instance's RAM state up to the primary's engine
 // partition: a checkpoint-generation change installs the new checkpoint
-// wholesale, and the log tail past the applied cursor replays on top.
+// wholesale, and the log tail past the applied sequence number replays on
+// top.
 // Torn reads (racing the primary's checkpoint flip) and missing
 // checkpoints surface as errors; the next poll retries.
 func (sec *Secondary) refreshNow() error {
@@ -161,9 +157,7 @@ func (sec *Secondary) refreshNow() error {
 		return dirsvc.ErrNoCheckpoint
 	}
 	sec.mu.Lock()
-	curGen := sec.ckptGen
-	applied := sec.appliedSeq
-	have := sec.haveState
+	curGen, have := sec.ckptGen, sec.haveState
 	sec.mu.Unlock()
 	if m.CkptGen != curGen || !have {
 		payload, err := sec.cfg.View.Checkpoint(m)
@@ -177,30 +171,17 @@ func (sec *Secondary) refreshNow() error {
 		if err := sec.front.Applier.InstallSnapshot(snap, false); err != nil {
 			return err
 		}
-		applied = snap.AppliedSeq
-		if mx := snap.MaxSeq(); mx > applied {
-			applied = mx
-		}
-		if m.CkptSeq > applied {
-			applied = m.CkptSeq
-		}
 	}
-	recs, err := sec.cfg.View.LogSince(m, applied)
+	recs, err := sec.cfg.View.LogSince(m, sec.front.Applier.AppliedSeq())
 	if err == nil {
 		for _, rec := range recs {
-			req, derr := dirsvc.DecodeRequest(rec.Payload)
-			if derr != nil {
-				continue
-			}
-			sec.front.Applier.Replay(req, rec.Seq)
-			if rec.Seq > applied {
-				applied = rec.Seq
+			if req, derr := dirsvc.DecodeRequest(rec.Payload); derr == nil {
+				sec.front.Applier.Replay(req, rec.Seq)
 			}
 		}
 	}
 	sec.mu.Lock()
 	sec.ckptGen = m.CkptGen
-	sec.appliedSeq = applied
 	sec.haveState = true
 	sec.mu.Unlock()
 	return err
@@ -221,17 +202,16 @@ func (sec *Secondary) Ready(op dirsvc.OpCode) bool {
 	return have || sec.refreshNow() == nil
 }
 
-// WaitFloor answers a session floor above the applied cursor with one
-// on-demand refresh; if the instance is still behind, it refuses and the
-// client fails over to a replica that has the write. Objects locked by a
-// prepared transaction tailed from the primary then hold their readers
-// in the pipeline just like on a primary: the decide arrives with the
-// log tail.
+// WaitFloor answers a session floor above the applied sequence number
+// with one on-demand refresh; if the instance is still behind, it refuses
+// and the client fails over to a replica that has the write. Objects
+// locked by a prepared transaction tailed from the primary then hold
+// their readers in the pipeline just like on a primary: the decide
+// arrives with the log tail.
 func (sec *Secondary) WaitFloor(_ uint32, minSeq uint64) bool {
-	if minSeq <= sec.AppliedSeq() {
-		return true
+	if minSeq > sec.AppliedSeq() {
+		_ = sec.refreshNow()
 	}
-	_ = sec.refreshNow()
 	return minSeq <= sec.AppliedSeq()
 }
 

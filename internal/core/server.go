@@ -59,15 +59,9 @@ type Config struct {
 	// longer written on the update path — the checkpoint is the durable
 	// copy. Mutually exclusive with NVRAM.
 	Engine *dirsvc.Engine
-	// Resilience overrides the group resilience degree (default N-1).
-	Resilience int
 	// DisableImprovement turns off the §3.2 recovery refinement, for the
 	// ablation experiments.
 	DisableImprovement bool
-	// DisableReadMajorityCheck lets reads bypass the majority rule — an
-	// ablation that recreates the §3.1 anomaly where a partitioned
-	// server serves deleted directories.
-	DisableReadMajorityCheck bool
 	// HeartbeatInterval tunes the group failure detector (tests).
 	HeartbeatInterval time.Duration
 	// IdleFlush is how long the NVRAM variant waits for quiet before
@@ -82,9 +76,10 @@ type Server struct {
 	model  *sim.LatencyModel
 	recSrv *rpc.Server
 	// front is the shared request pipeline and the replica state it
-	// serves from (object table, applier, notifier); this server is its
-	// Backend. The notifier is detached from the applier while recovery
-	// replays state and restarted when recovery completes.
+	// serves from (object table, applier with the service update counter
+	// stamped on directories, notifier); this server is its Backend. The
+	// notifier is detached from the applier while recovery replays state
+	// and restarted when recovery completes.
 	front *dirsvc.FrontEnd
 	// nvlog and engine are mutually exclusive: NVRAM log + background
 	// table flush (§4.1), or engine write-ahead log + checkpoints.
@@ -101,7 +96,6 @@ type Server struct {
 	cond        *sync.Cond
 	member      *group.Member
 	commit      *dirsvc.CommitBlock
-	appliedSeq  uint64 // service update counter (stamped on directories)
 	groupSeq    uint64 // last group-stream seq applied (incl. membership)
 	groupResume uint64 // stream position the recovery snapshot covered; older messages are skipped, not re-applied
 	recovering  bool
@@ -144,9 +138,6 @@ type coalesceOp struct {
 // the recovery protocol to (re)join the service before accepting
 // requests.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
-	if cfg.Resilience == 0 {
-		cfg.Resilience = cfg.Replicas - 1
-	}
 	if cfg.Replicas < 1 || cfg.ServerID < 1 || cfg.ServerID > cfg.Replicas {
 		return nil, fmt.Errorf("core: bad server id %d of %d", cfg.ServerID, cfg.Replicas)
 	}
@@ -229,7 +220,7 @@ func heartbeat(model *sim.LatencyModel, cfg Config) time.Duration {
 func (s *Server) groupConfig() group.Config {
 	return group.Config{
 		Port:              dirsvc.GroupPort(s.cfg.Service),
-		Resilience:        s.cfg.Resilience,
+		Resilience:        s.cfg.Replicas - 1,
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 	}
 }
@@ -308,7 +299,7 @@ func (s *Server) Status() Status {
 	st := Status{
 		ID:         s.cfg.ServerID,
 		Recovering: s.recovering,
-		AppliedSeq: s.appliedSeq,
+		AppliedSeq: s.front.Applier.AppliedSeq(),
 	}
 	if s.member != nil {
 		info := s.member.Info()
@@ -331,41 +322,30 @@ func (s *Server) Status() Status {
 	return st
 }
 
-// The five dirsvc.Backend hooks follow: what the group kinds contribute
-// to the shared request pipeline (Fig. 5, left side).
+// The four dirsvc.Backend hooks follow, LagHinter's Lag included: what
+// the group kinds contribute to the shared request pipeline (Fig. 5,
+// left side).
 
-// Ready is the majority gate. Reads, watches and lease renewals may
-// bypass it under the DisableReadMajorityCheck ablation; updates never.
-func (s *Server) Ready(op dirsvc.OpCode) bool {
+// Ready is the majority gate, for reads and updates alike.
+func (s *Server) Ready(dirsvc.OpCode) bool {
 	s.mu.Lock()
-	ok := s.majorityLocked()
-	s.mu.Unlock()
-	return ok || (s.cfg.DisableReadMajorityCheck && !op.IsUpdate())
+	defer s.mu.Unlock()
+	return s.majorityLocked()
 }
 
 // WaitFloor waits until every group message buffered at request arrival
-// has been applied — guaranteeing the read sees all preceding writes
-// (§3.1) — and then until the applied cursor reaches the session floor a
-// read-balancing client stamped, so landing on a lagging replica cannot
-// violate read-your-writes or monotonic reads.
-func (s *Server) WaitFloor(_ uint32, minSeq uint64) bool {
+// has been applied, guaranteeing the read sees all preceding writes
+// (§3.1); the front end then holds a read-balancing client's read until
+// the replica reaches its session floor.
+func (s *Server) WaitFloor(uint32, uint64) bool {
 	member, _ := s.memberHint.Load().(*group.Member)
 	if member == nil {
-		// Past the gate without a member: the ablation, or recovery began
-		// in between and the replica's state is about to be rebuilt.
-		return s.cfg.DisableReadMajorityCheck
-	}
-	if _, _, buffered := member.Summary(); !s.waitApplied(buffered) {
+		// Past the gate without a member: recovery began in between and
+		// the replica's state is about to be rebuilt.
 		return false
 	}
-	return minSeq == 0 || s.waitMinSeq(minSeq)
-}
-
-// AppliedSeq returns the service update counter.
-func (s *Server) AppliedSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appliedSeq
+	_, _, buffered := member.Summary()
+	return s.waitApplied(buffered)
 }
 
 // Lag is the applied-cursor lag behind the load hint: group messages
@@ -392,31 +372,6 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply {
 		return &dirsvc.Reply{Status: dirsvc.StatusBadRequest}
 	}
 	return s.front.Read(req)
-}
-
-// waitMinSeq blocks until the replica's applied sequence number reaches
-// the client's session floor. It gives up — returning false so the
-// client retries elsewhere — after a bounded wait or on shutdown. A
-// recovery (era bump) during the wait is ridden out rather than bailed
-// on: the applied cursor survives recovery and usually reaches the
-// floor the moment the replica has caught up.
-func (s *Server) waitMinSeq(min uint64) bool {
-	deadline := time.Now().Add(s.front.MinSeqWait)
-	wake := time.AfterFunc(s.front.MinSeqWait, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer wake.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.appliedSeq < min {
-		if s.closed || time.Now().After(deadline) {
-			return false
-		}
-		s.cond.Wait()
-	}
-	return true
 }
 
 // Replicate is the group kinds' replication step: hand the update to the
@@ -634,29 +589,21 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 			continue
 		}
 		s.mu.Lock()
-		seq := s.appliedSeq + 1
 		s.lastUpdate = time.Now()
 		s.mu.Unlock()
 
-		reply, advance := s.applyUpdate(req, seq)
-		if advance > seq {
-			// A shard restore installed a snapshot whose own counters run
-			// past this stream position; the service counter jumps with it
-			// so freshly minted sequence numbers stay monotonic.
-			seq = advance
-		}
+		reply := s.applyUpdate(req, s.front.Applier.AppliedSeq()+1)
 
-		s.mu.Lock()
-		s.appliedSeq = seq
 		if req.Server == s.cfg.ServerID {
+			s.mu.Lock()
 			s.results[ent.opID] = reply
 			// Bound the table against abandoned initiators.
 			if len(s.results) > 10000 {
 				s.results = map[uint64]*dirsvc.Reply{ent.opID: reply}
 			}
+			s.cond.Broadcast()
+			s.mu.Unlock()
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
@@ -670,11 +617,8 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 // the object table entry (the commit, Fig. 5); in the NVRAM variant it
 // updates RAM and logs the operation to NVRAM (§4.1); with a storage
 // engine it updates RAM and appends the operation to the engine's
-// write-ahead log (the checkpoint picks the state up later). The second
-// return value is the sequence number the service counter must advance
-// to — above seq only when a shard restore installed a snapshot with
-// higher counters.
-func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, uint64) {
+// write-ahead log (the checkpoint picks the state up later).
+func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 	durable := s.nvlog == nil && s.engine == nil
 	if s.nvlog != nil && s.nvlog.NeedsFlush() {
 		// Live records fill the log (cancelled ones it compacts away by
@@ -687,12 +631,12 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 		// apply; record an empty filler event so the event log's index
 		// stream (and its Seq correspondence) stays gap-free.
 		s.front.Notifier.Record(dirsvc.Event{Seq: seq, Op: req.Op})
-		return dirsvc.ErrorReply(err), seq
+		s.front.Applier.Advance(seq)
+		return dirsvc.ErrorReply(err)
 	}
-	effSeq := seq
-	if res.AdvanceSeq > effSeq {
-		effSeq = res.AdvanceSeq
-	}
+	// Above seq only after a shard restore whose snapshot's own counters
+	// run past this stream position.
+	effSeq := s.front.Applier.AppliedSeq()
 	if res.TopoChanged {
 		// Persist the new shard-map state immediately, NVRAM mode
 		// included: a split is rare (one extra disk write), and recovery
@@ -726,7 +670,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 			// The installed snapshot dwarfs any log budget; flush it
 			// through now so a crash cannot lose the restore.
 			if err := s.flushNVRAM(); err != nil {
-				return dirsvc.ErrorReply(err), effSeq
+				return dirsvc.ErrorReply(err)
 			}
 			break
 		}
@@ -737,40 +681,34 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) (*dirsvc.Reply, ui
 			// update acknowledged with neither a log record nor a flush
 			// would leave a hole under the log's maxSeq after a crash.
 			if err := s.flushNVRAM(); err != nil {
-				return dirsvc.ErrorReply(err), effSeq
+				return dirsvc.ErrorReply(err)
 			}
 		}
 	default: // engine write-ahead log
 		if req.Op == dirsvc.OpRestoreShard {
-			_ = s.checkpointNow(effSeq)
+			_ = s.checkpointNow()
 			break
 		}
 		if err := s.engine.AppendLog(seq, dirsvc.PinAllocation(req, res.Reply).Encode()); err != nil {
 			// Log region full (or write trouble): fold the update into a
 			// fresh checkpoint instead — it covers this apply's effects,
 			// and the flip truncates the log.
-			_ = s.checkpointNow(effSeq)
+			_ = s.checkpointNow()
 		}
 	}
-	return res.Reply, effSeq
+	return res.Reply
 }
 
 // checkpointNow cuts a snapshot of the whole shard state and writes it
 // to the engine's checkpoint area (atomic double-buffer swap), which also
 // truncates the write-ahead log. Callers must hold applyMu — or be the
 // group thread mid-batch, which holds it already — so the snapshot never
-// splits a coalesced packet. minSeq raises the applied counter stamped
-// into the snapshot when the caller is mid-apply and s.appliedSeq has
-// not caught up yet.
-func (s *Server) checkpointNow(minSeq uint64) error {
+// splits a coalesced packet.
+func (s *Server) checkpointNow() error {
 	s.mu.Lock()
-	applied := s.appliedSeq
 	commitSeq := s.commit.Seq
 	s.mu.Unlock()
-	if minSeq > applied {
-		applied = minSeq
-	}
-	snap := s.front.Applier.SnapshotState(applied, commitSeq)
+	snap := s.front.Applier.SnapshotState(s.front.Applier.AppliedSeq(), commitSeq)
 	return s.engine.WriteCheckpoint(snap.MaxSeq(), snap.Encode())
 }
 
@@ -783,7 +721,7 @@ func (s *Server) Checkpoint() error {
 	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	return s.checkpointNow(0)
+	return s.checkpointNow()
 }
 
 // flushLoop is the background flusher: it writes the NVRAM log through
@@ -819,7 +757,7 @@ func (s *Server) flushLoop() {
 			}
 		case s.engine.NeedsCheckpoint() || (idle && s.engine.LogLen() > 0):
 			s.applyMu.Lock()
-			_ = s.checkpointNow(0)
+			_ = s.checkpointNow()
 			s.applyMu.Unlock()
 		}
 	}

@@ -3,6 +3,8 @@ package dirsvc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"dirsvc/internal/bullet"
 	"dirsvc/internal/capability"
@@ -34,11 +36,6 @@ type ApplyResult struct {
 	// where ordinary updates skip the disk: topology changes are rare
 	// and an unpersisted epoch would unfence recovery.
 	TopoChanged bool
-	// AdvanceSeq, when non-zero, tells the caller to advance its applied
-	// sequence counter to at least this value: a restored snapshot may
-	// contain state stamped beyond the sequence number the restore
-	// itself applied under.
-	AdvanceSeq uint64
 }
 
 // Applier executes directory operations against one server's replica
@@ -77,6 +74,14 @@ type Applier struct {
 	// events, when attached, receives one Event per successfully applied
 	// update, in apply order (it is called under a.mu).
 	events *Notifier
+
+	// seq is the replica's applied service sequence number (§3, Fig. 4):
+	// reads are stamped with it and session floors wait for it. It is
+	// written under mu and read without it; seqWake, created by a waiter
+	// and guarded by seqMu, is closed by the next write.
+	seq     atomic.Uint64
+	seqMu   sync.Mutex
+	seqWake chan struct{}
 }
 
 // AttachEvents connects (or, with nil, disconnects) the notifier that
@@ -103,6 +108,64 @@ func NewApplier(port capability.Port, table *ObjectTable, bc *bullet.Client) *Ap
 	}
 	a.txCond = sync.NewCond(&a.mu)
 	return a
+}
+
+// AppliedSeq returns the service sequence number the replica's state
+// reflects.
+func (a *Applier) AppliedSeq() uint64 { return a.seq.Load() }
+
+// Advance raises the applied sequence number to seq: a number the server
+// used up without a successful apply, or a floor recovery read from its
+// logs and commit block.
+func (a *Applier) Advance(seq uint64) {
+	a.mu.Lock()
+	a.advanceLocked(seq)
+	a.mu.Unlock()
+}
+
+func (a *Applier) advanceLocked(seq uint64) {
+	if seq > a.seq.Load() {
+		a.setSeqLocked(seq)
+	}
+}
+
+// setSeqLocked stores the applied sequence number and wakes WaitSeq.
+func (a *Applier) setSeqLocked(seq uint64) {
+	a.seq.Store(seq)
+	a.seqMu.Lock()
+	if a.seqWake != nil {
+		close(a.seqWake)
+		a.seqWake = nil
+	}
+	a.seqMu.Unlock()
+}
+
+// WaitSeq blocks until the applied sequence number reaches min and
+// reports whether it did; it gives up after timeout or once stop closes.
+func (a *Applier) WaitSeq(min uint64, timeout time.Duration, stop <-chan struct{}) bool {
+	if a.seq.Load() >= min {
+		return true
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		a.seqMu.Lock()
+		if a.seqWake == nil {
+			a.seqWake = make(chan struct{})
+		}
+		wake := a.seqWake
+		a.seqMu.Unlock()
+		if a.seq.Load() >= min {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return false
+		case <-stop:
+			return false
+		}
+	}
 }
 
 // rootSecret derives the deterministic secret of the root directory.
@@ -157,10 +220,14 @@ func (a *Applier) LoadAll() error {
 	return nil
 }
 
-// InvalidateCache drops the RAM cache (recovery restart).
+// InvalidateCache drops the RAM cache for a recovery restart, which
+// rebuilds the state from stable storage: the applied sequence number
+// falls back to the highest the object table records until the reload
+// raises it.
 func (a *Applier) InvalidateCache() {
 	a.mu.Lock()
 	a.cache = make(map[uint32]*dirdata.Directory)
+	a.setSeqLocked(a.table.MaxSeq())
 	a.mu.Unlock()
 }
 
@@ -193,9 +260,8 @@ func (a *Applier) verify(c capability.Capability, need capability.Rights) (Objec
 
 // Read executes a read-only operation (no replication, no disk — §3.1).
 // Replies carry the per-object sequence number (ObjSeq) of the directory
-// read; the calling server stamps Reply.Seq with its applied service
-// sequence number, sampled before the read, so client caches get a
-// conservative freshness bound.
+// read; the front end stamps Reply.Seq with AppliedSeq, sampled before
+// the read, so client caches get a conservative freshness bound.
 func (a *Applier) Read(req *Request) *Reply {
 	switch req.Op {
 	case OpGetRoot:
@@ -278,7 +344,8 @@ func (a *Applier) Read(req *Request) *Reply {
 }
 
 // ApplyUpdate executes one update operation, stamping seq as the
-// service-wide sequence number of the change. Every operation that
+// service-wide sequence number of the change; on success the applied
+// sequence number advances to seq. Every operation that
 // changes directories is staged in an overlay and committed by
 // commitOverlayLocked, which alone knows the two modes: durable writes
 // the new images to the Bullet store and the object-table blocks to disk
@@ -289,10 +356,14 @@ func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyRes
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	res, err := a.applyUpdateLocked(req, seq, durable)
-	if err == nil && a.events != nil {
+	if err != nil {
+		return nil, err
+	}
+	a.advanceLocked(seq)
+	if a.events != nil {
 		a.events.Record(Event{Seq: seq, Op: req.Op, Objects: res.DirtyObjects})
 	}
-	return res, err
+	return res, nil
 }
 
 func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
@@ -325,10 +396,12 @@ func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool) (*Ap
 // flushed or checkpointed before the crash — so it restores the
 // remembered outcome, keeping decision queries authoritative, instead of
 // applying. A record that no longer applies was flushed before the crash
-// that kept its log entry; it is skipped.
+// that kept its log entry; it is skipped. Either way the record's
+// sequence number is used up: the applied sequence number advances to it.
 func (a *Applier) Replay(req *Request, seq uint64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	defer a.advanceLocked(seq)
 	if req.Op == OpDecide {
 		if d, err := DecodeDecide(req.Blob); err == nil && a.prepared[d.ID] == nil {
 			a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: seq})

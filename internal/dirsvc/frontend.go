@@ -19,17 +19,18 @@ import (
 // This file is the client-facing request pipeline every server kind
 // runs — the initiator side of the paper's Fig. 5. The stages, in order:
 //
-//	read:   decode → ready gate → wait for floor → 2PC lock wait →
-//	        route check (OpMigRead exempt) → sample applied seq →
+//	read:   decode → ready gate → catch up → wait for floor → 2PC lock
+//	        wait → route check (OpMigRead exempt) → sample applied seq →
 //	        lookup CPU → Applier.Read → stamp Reply.Seq
 //	update: decode → ready gate → lock-wait queue → route check →
 //	        check seeds → stamp Request.Server → update CPU → replicate
 //
 // plus the watch/lease operations, the orphaned-transaction resolver and
-// the superseded-Bullet-file cleaner. A kind contributes only the four
+// the superseded-Bullet-file cleaner. A kind contributes only the three
 // Backend hooks (and optionally LagHinter); everything it does between
 // "replicate" and the reply — group broadcast, intentions RPC, a plain
-// local apply — is invisible here.
+// local apply — is invisible here. The applied sequence number is the
+// Applier's: reads are stamped with it and session floors wait for it.
 
 // Backend is what one server kind contributes to the pipeline.
 type Backend interface {
@@ -37,21 +38,19 @@ type Backend interface {
 	// group kinds require a majority (Fig. 5: "if (!majority) return
 	// failure"); a readonly secondary refuses everything but reads.
 	Ready(op OpCode) bool
-	// WaitFloor blocks until a read of obj carrying the session floor
-	// minSeq (zero: none) would observe every update it has to: the group
-	// kinds wait out the buffered group messages, then the floor; the RPC
-	// kind applies stored intentions, then polls for the floor. False —
-	// the floor is unreachable here — sends the client elsewhere.
+	// WaitFloor is the catch-up step before a read of obj carrying the
+	// session floor minSeq (zero: none): the group kinds apply the group
+	// messages buffered at arrival, the RPC kind applies stored
+	// intentions, a secondary refreshes once if behind. False — the floor
+	// is unreachable here — sends the client elsewhere; otherwise the
+	// front end waits, bounded by MinSeqWait, for the floor.
 	WaitFloor(obj uint32, minSeq uint64) bool
-	// AppliedSeq returns the service sequence number the replica's state
-	// reflects; reads are stamped with it.
-	AppliedSeq() uint64
 	// Replicate carries a gated, routed, seeded update through the kind's
 	// replication step, waits for the local apply, and returns its reply.
 	Replicate(req *Request) *Reply
 }
 
-// LagHinter is the optional fifth hook: a non-blocking measure of how
+// LagHinter is the optional fourth hook: a non-blocking measure of how
 // far the replica's apply cursor trails what it has accepted, folded
 // into the load hint piggybacked on every reply and HEREIS.
 type LagHinter interface {
@@ -193,7 +192,7 @@ func NewFrontEnd(stack *flip.Stack, cfg FrontConfig) (*FrontEnd, error) {
 		return nil, fmt.Errorf("boot nonce: %w", err)
 	}
 	t := modelTimeouts(stack.Model(), cfg.TxAbortTimeout, cfg.LeaseTTL)
-	return &FrontEnd{
+	f := &FrontEnd{
 		Timeouts: t,
 		Table:    table,
 		Applier:  applier,
@@ -207,7 +206,9 @@ func NewFrontEnd(stack *flip.Stack, cfg FrontConfig) (*FrontEnd, error) {
 		// that a file is leaked rather than the commit path blocked.
 		cleanupCh: make(chan capability.Capability, 4096),
 		stop:      make(chan struct{}),
-	}, nil
+	}
+	applier.Advance(f.StoredSeq())
+	return f, nil
 }
 
 // StoredSeq returns the highest sequence number the admin partition
@@ -223,10 +224,11 @@ func (f *FrontEnd) StoredSeq() uint64 {
 }
 
 // StartEvents gives the event log a fresh identity floored at the
-// applied cursor and resumes recording: the replica's state is current,
-// and whatever recovery replayed before this predates every lease.
-func (f *FrontEnd) StartEvents(applied uint64) {
-	f.Notifier.Reset(applied)
+// applied sequence number and resumes recording: the replica's state is
+// current, and whatever recovery replayed before this predates every
+// lease.
+func (f *FrontEnd) StartEvents() {
+	f.Notifier.Reset(f.Applier.AppliedSeq())
 	f.Applier.AttachEvents(f.Notifier)
 }
 
@@ -256,8 +258,9 @@ func (f *FrontEnd) Serve(backend Backend) error {
 // RPC returns the client-facing RPC server (nil before Serve).
 func (f *FrontEnd) RPC() *rpc.Server { return f.rpcSrv }
 
-// Close stops serving. The backend must already refuse new work, so
-// initiators parked inside its hooks return.
+// Close stops serving and releases reads waiting for a floor. The backend
+// must already refuse new work, so initiators parked inside its hooks
+// return.
 func (f *FrontEnd) Close() {
 	close(f.stop)
 	f.Applier.AttachEvents(nil)
@@ -341,7 +344,8 @@ func (f *FrontEnd) forwarded(obj uint32) *Reply {
 // tools can interrogate one specific replica without the RPC transport.
 func (f *FrontEnd) Read(req *Request) *Reply {
 	obj := req.Dir.Object
-	if !f.backend.Ready(req.Op) || !f.backend.WaitFloor(obj, req.MinSeq) {
+	if !f.backend.Ready(req.Op) || !f.backend.WaitFloor(obj, req.MinSeq) ||
+		!f.Applier.WaitSeq(req.MinSeq, f.MinSeqWait, f.stop) {
 		// No majority, or the floor is unreachable here (lagging through
 		// recovery, shutdown): the client fails over to another replica.
 		return status(StatusNoMajority)
@@ -366,7 +370,7 @@ func (f *FrontEnd) Read(req *Request) *Reply {
 	}
 	// Sampled before the read executes: the data returned is at least
 	// this fresh, so the stamp is a safe bound for client read caches.
-	seq := f.backend.AppliedSeq()
+	seq := f.Applier.AppliedSeq()
 	f.reads.Add(1)
 	f.stack.Node().CPU().Charge(f.model.LookupCPU + f.cfg.ExtraLookupCPU)
 	reply := f.Applier.Read(req)
@@ -497,13 +501,13 @@ func (f *FrontEnd) cleanupLoop() {
 	}
 }
 
-// PersistTopology records the current topology and seq in the commit
-// block, for the kinds that write it only when a split, seal or stub
-// drop changes the topology: the stored sequence number keeps the server
-// from regressing past the change on restart (a split at a source shard
-// touches no object-table entry).
-func (f *FrontEnd) PersistTopology(seq uint64) {
+// PersistTopology records the current topology and applied sequence
+// number in the commit block, for the kinds that write it only when a
+// split, seal or stub drop changes the topology: the stored sequence
+// number keeps the server from regressing past the change on restart (a
+// split at a source shard touches no object-table entry).
+func (f *FrontEnd) PersistTopology() {
 	if topo, ok := f.Applier.Topology(); ok {
-		_ = (&CommitBlock{Seq: seq, Topo: &topo}).Write(f.cfg.Admin)
+		_ = (&CommitBlock{Seq: f.Applier.AppliedSeq(), Topo: &topo}).Write(f.cfg.Admin)
 	}
 }

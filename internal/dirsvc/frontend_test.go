@@ -16,7 +16,6 @@ import (
 type fakeBackend struct {
 	front        *FrontEnd
 	ready, floor bool
-	seq          uint64
 	calls        []string
 	got          *Request // last replicated request
 }
@@ -31,16 +30,10 @@ func (b *fakeBackend) WaitFloor(uint32, uint64) bool {
 	return b.floor
 }
 
-func (b *fakeBackend) AppliedSeq() uint64 {
-	b.calls = append(b.calls, "seq")
-	return b.seq
-}
-
 func (b *fakeBackend) Replicate(req *Request) *Reply {
 	b.calls = append(b.calls, "replicate")
 	b.got = req
-	b.seq++
-	res, err := b.front.Applier.ApplyUpdate(req, b.seq, false)
+	res, err := b.front.Applier.ApplyUpdate(req, b.front.Applier.AppliedSeq()+1, false)
 	if err != nil {
 		return ErrorReply(err)
 	}
@@ -78,7 +71,8 @@ func newFrontFixture(t *testing.T) (*FrontEnd, *fakeBackend) {
 	if err := f.Applier.FormatRoot(false); err != nil {
 		t.Fatal(err)
 	}
-	b := &fakeBackend{front: f, ready: true, floor: true, seq: 40}
+	f.Applier.Advance(40)
+	b := &fakeBackend{front: f, ready: true, floor: true}
 	f.backend = b
 	return f, b
 }
@@ -105,8 +99,8 @@ func wantStage(t *testing.T, what string, reply *Reply, status Status, b *fakeBa
 	}
 }
 
-// TestFrontEndReadStages pins the read path's stage order: gate → floor
-// → lock wait → route check (OpMigRead exempt) → sample seq → read.
+// TestFrontEndReadStages pins the read path's stage order: gate → catch
+// up → floor wait → lock wait → route check (OpMigRead exempt) → read.
 func TestFrontEndReadStages(t *testing.T) {
 	f, b := newFrontFixture(t)
 	root, _ := f.Applier.RootCap()
@@ -121,6 +115,9 @@ func TestFrontEndReadStages(t *testing.T) {
 	b.ready, b.floor = true, false
 	wantStage(t, "floor unreachable", f.Read(&Request{Op: OpListDir, Dir: root}), StatusNoMajority, b, "ready", "floor")
 	b.floor = true
+	// The backend caught up, but the applier stays below the floor.
+	f.MinSeqWait = 5 * time.Millisecond
+	wantStage(t, "floor not reached", f.Read(&Request{Op: OpListDir, Dir: root, MinSeq: 41}), StatusNoMajority, b, "ready", "floor")
 	setLock(f.Applier, RootObject, false)
 
 	// Locked and homed elsewhere: the lock wait comes first.
@@ -128,19 +125,56 @@ func TestFrontEndReadStages(t *testing.T) {
 	setLock(f.Applier, foreignObject, true)
 	wantStage(t, "locked+foreign", f.Read(foreign), StatusConflict, b, "ready", "floor")
 	setLock(f.Applier, foreignObject, false)
-	// Homed elsewhere: bounced before the sequence number is sampled.
 	wantStage(t, "foreign", f.Read(foreign), StatusNotMine, b, "ready", "floor")
 	// The migration read skips the route check and reaches the applier.
-	wantStage(t, "mig-read", f.Read(&Request{Op: OpMigRead, Dir: foreign.Dir}), StatusNotFound, b, "ready", "floor", "seq")
+	wantStage(t, "mig-read", f.Read(&Request{Op: OpMigRead, Dir: foreign.Dir}), StatusNotFound, b, "ready", "floor")
 
 	served := f.ReadsServed()
-	reply := f.Read(&Request{Op: OpListDir, Dir: root})
-	wantStage(t, "root", reply, StatusOK, b, "ready", "floor", "seq")
+	reply := f.Read(&Request{Op: OpListDir, Dir: root, MinSeq: 40})
+	wantStage(t, "root", reply, StatusOK, b, "ready", "floor")
 	if reply.Seq != 40 {
-		t.Errorf("read stamped Seq %d, want the backend's 40", reply.Seq)
+		t.Errorf("read stamped Seq %d, want the applier's 40", reply.Seq)
 	}
 	if f.ReadsServed() != served+1 {
 		t.Errorf("ReadsServed = %d, want %d", f.ReadsServed(), served+1)
+	}
+}
+
+// TestApplierWaitSeq: the floor wait returns as soon as an advance
+// reaches the floor, gives up at its deadline, and is released by stop.
+func TestApplierWaitSeq(t *testing.T) {
+	f, _ := newFrontFixture(t)
+	a := f.Applier
+	if !a.WaitSeq(40, 0, nil) {
+		t.Fatal("floor already reached: WaitSeq refused")
+	}
+	if a.WaitSeq(41, 5*time.Millisecond, nil) {
+		t.Fatal("unreached floor: WaitSeq succeeded")
+	}
+
+	wait := func(min uint64, stop chan struct{}) chan bool {
+		done := make(chan bool, 1)
+		go func() { done <- a.WaitSeq(min, time.Hour, stop) }()
+		time.Sleep(5 * time.Millisecond)
+		return done
+	}
+	done := wait(42, nil)
+	a.Advance(41) // short of the floor: still waiting
+	a.Advance(42)
+	if ok := <-done; !ok {
+		t.Fatal("WaitSeq refused a floor an advance reached")
+	}
+
+	stop := make(chan struct{})
+	done = wait(43, stop)
+	close(stop)
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("WaitSeq succeeded below its floor after stop")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop did not release WaitSeq")
 	}
 }
 

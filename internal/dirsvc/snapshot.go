@@ -212,7 +212,8 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 }
 
 // SnapshotState captures the shard's current replica state as a
-// snapshot. appliedSeq and commitSeq are the calling server's counters;
+// snapshot. appliedSeq and commitSeq are stamped as given (a server
+// passes AppliedSeq and its commit block's; a portable backup, zeros);
 // everything else is sampled consistently under the applier lock.
 func (a *Applier) SnapshotState(appliedSeq, commitSeq uint64) *Snapshot {
 	a.mu.RLock()
@@ -273,13 +274,17 @@ func (a *Applier) SnapshotState(appliedSeq, commitSeq uint64) *Snapshot {
 // table, images, stubs, topology, staged prepares, and remembered
 // outcomes. In durable mode every image is written through to the Bullet
 // store and the table blocks reach the disk; otherwise everything lands
-// in RAM, marked dirty. Recovery and the readonly secondary call this
+// in RAM, marked dirty. The applied sequence number becomes the
+// snapshot's MaxSeq. Recovery and the readonly secondary call this
 // directly; OpRestoreShard reaches it through the replicated update path.
 func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, err := a.installSnapshotLocked(snap, durable)
-	return err
+	if _, err := a.installSnapshotLocked(snap, durable); err != nil {
+		return err
+	}
+	a.setSeqLocked(snap.MaxSeq())
+	return nil
 }
 
 // applyRestoreLocked executes OpRestoreShard: decode the snapshot in
@@ -298,7 +303,10 @@ func (a *Applier) applyRestoreLocked(req *Request, seq uint64, durable bool) (*A
 	// floor even when no slot emptied, so recovery cannot regress.
 	res.DeletedDir = true
 	res.TopoChanged = snap.Topo != nil
-	res.AdvanceSeq = max(seq, snap.MaxSeq())
+	// The applied sequence number jumps past every number the backup
+	// published, so post-restore updates never reuse one; ApplyUpdate
+	// then advances it to at least seq.
+	a.advanceLocked(snap.MaxSeq())
 	return res, nil
 }
 

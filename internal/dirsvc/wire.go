@@ -102,8 +102,8 @@ const (
 	OpBackup
 	// OpRestoreShard replaces the shard's state with the snapshot in
 	// Blob. It rides the ordinary replicated update path, so every
-	// replica installs the identical image; the applied sequence number
-	// jumps to at least the snapshot's highest (ApplyResult.AdvanceSeq).
+	// replica installs the identical image; the applier's sequence number
+	// jumps to at least the snapshot's highest (Snapshot.MaxSeq).
 	OpRestoreShard
 )
 

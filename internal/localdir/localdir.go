@@ -37,8 +37,7 @@ type Server struct {
 	// serves from; this server is its Backend.
 	front *dirsvc.FrontEnd
 
-	mu  sync.Mutex
-	seq uint64
+	mu sync.Mutex // serializes updates
 }
 
 // NewServer boots the server on stack.
@@ -63,10 +62,9 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 		front.Close()
 		return nil, err
 	}
-	s.seq = front.StoredSeq()
 	// The unreplicated server never recovers, so its event log keeps one
 	// identity for the server's whole life, floored at the boot cursor.
-	front.StartEvents(s.seq)
+	front.StartEvents()
 	if err := front.Serve(s); err != nil {
 		front.Close()
 		return nil, err
@@ -77,22 +75,15 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 // Close stops the server.
 func (s *Server) Close() { s.front.Close() }
 
-// The four dirsvc.Backend hooks follow.
+// The three dirsvc.Backend hooks follow.
 
 // Ready always admits: there is nobody to form a majority with.
 func (s *Server) Ready(dirsvc.OpCode) bool { return true }
 
-// WaitFloor has nothing to wait for: with a single server, every floor a
-// client session carries came from this server's own replies, so the
-// sequence number is always at or past it.
+// WaitFloor has nothing to catch up on: with a single server, every
+// floor a client session carries came from this server's own replies, so
+// the sequence number is always at or past it.
 func (s *Server) WaitFloor(uint32, uint64) bool { return true }
-
-// AppliedSeq returns the server's update sequence number.
-func (s *Server) AppliedSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
 
 // Replicate applies the operation with exactly one synchronous disk
 // write — the metadata block — like a local Unix filesystem updating a
@@ -101,23 +92,17 @@ func (s *Server) AppliedSeq() uint64 {
 func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.seq + 1
+	seq := s.front.Applier.AppliedSeq() + 1
 	res, err := s.front.Applier.ApplyUpdate(req, seq, false /* RAM apply */)
 	if err != nil {
 		return dirsvc.ErrorReply(err)
-	}
-	s.seq = seq
-	if res.AdvanceSeq > s.seq {
-		// A shard restore installed a snapshot whose counters run past
-		// ours; jump so freshly stamped sequence numbers stay monotonic.
-		s.seq = res.AdvanceSeq
 	}
 	// The one synchronous write: the directory's metadata block.
 	if err := s.front.Table.FlushBlocks(res.DirtyObjects); err != nil {
 		return &dirsvc.Reply{Status: dirsvc.StatusError}
 	}
 	if res.TopoChanged {
-		s.front.PersistTopology(s.seq)
+		s.front.PersistTopology()
 	}
 	return res.Reply
 }

@@ -16,7 +16,6 @@ package rpcdir
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dirsvc/internal/bullet"
 	"dirsvc/internal/capability"
@@ -62,7 +61,6 @@ type Server struct {
 	peerRPC *rpc.Client
 
 	mu       sync.Mutex
-	seq      uint64
 	updateMu sync.Mutex // updates are serialized (paper §4.2)
 	pending  map[uint32]*pendingIntention
 
@@ -103,7 +101,7 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	// applies updates at possibly different times (lazy copies), so the
 	// log index — not the agreed Seq — is the stream cursor here. The
 	// identity is per boot; bootstrap's replayed history is not recorded.
-	front.StartEvents(s.seq)
+	front.StartEvents()
 
 	if s.peerSrv, err = rpc.NewServer(stack, PeerPort(cfg.Service, cfg.ServerID)); err != nil {
 		front.Close()
@@ -124,17 +122,11 @@ func (s *Server) bootstrap() error {
 	if err := applier.LoadAll(); err != nil {
 		return err
 	}
-	s.seq = s.front.StoredSeq()
 
 	// Replay an intention that was promised before a crash.
 	if raw, err := s.cfg.Staging.ReadBlock(0); err == nil {
-		if intent, seq, ok := decodeIntention(raw); ok && seq > s.seq {
-			if res, err := applier.ApplyUpdate(intent, seq, true); err == nil {
-				s.seq = seq
-				if res.AdvanceSeq > s.seq {
-					s.seq = res.AdvanceSeq
-				}
-			}
+		if intent, seq, ok := decodeIntention(raw); ok && seq > applier.AppliedSeq() {
+			_, _ = applier.ApplyUpdate(intent, seq, true)
 			_ = s.cfg.Staging.WriteBlockSeq(0, nil)
 		}
 	}
@@ -143,8 +135,8 @@ func (s *Server) bootstrap() error {
 	peer := 3 - s.cfg.ServerID
 	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ServerID}
 	if raw, err := s.peerRPC.Trans(PeerPort(s.cfg.Service, peer), req.Encode()); err == nil {
-		if reply, err := dirsvc.DecodeReply(raw); err == nil && reply.Status == dirsvc.StatusOK && reply.Seq > s.seq {
-			if err := s.installState(reply.Blob, reply.Seq); err != nil {
+		if reply, err := dirsvc.DecodeReply(raw); err == nil && reply.Status == dirsvc.StatusOK && reply.Seq > applier.AppliedSeq() {
+			if err := s.installState(reply.Blob); err != nil {
 				return err
 			}
 		}
@@ -160,7 +152,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// The five dirsvc.Backend hooks follow.
+// Read serves one read request exactly as a serving thread would, without
+// the RPC transport, so tests and tools can interrogate this server.
+func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply { return s.front.Read(req) }
+
+// The four dirsvc.Backend hooks follow, LagHinter's Lag included.
 
 // Ready always admits: the service assumes partitions do not happen, and
 // a lone survivor keeps serving.
@@ -169,24 +165,20 @@ func (s *Server) Ready(dirsvc.OpCode) bool { return true }
 // WaitFloor applies any intention the peer proposed for the directory
 // that we have not applied yet, so the read observes every acknowledged
 // update; creates and batches pend under object 0, so that slot is
-// always drained. A read carrying a session floor (Request.MinSeq,
-// stamped by read-balancing clients) then drains every stored intention
-// and waits for the peer's lazy applies until the local sequence number
-// reaches the floor, so a read landing on the server that did not
-// originate the write still observes it.
+// always drained. A read whose session floor (Request.MinSeq, stamped by
+// read-balancing clients) is ahead drains every stored intention; the
+// front end then waits for the peer's lazy applies to reach the floor,
+// so a read landing on the server that did not originate the write
+// still observes it.
 func (s *Server) WaitFloor(obj uint32, minSeq uint64) bool {
 	s.applyPendingFor(0)
 	if obj != 0 {
 		s.applyPendingFor(obj)
 	}
-	return minSeq == 0 || s.waitMinSeq(minSeq)
-}
-
-// AppliedSeq returns the server's update sequence number.
-func (s *Server) AppliedSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
+	if minSeq > s.front.Applier.AppliedSeq() {
+		s.applyAllPending()
+	}
+	return true
 }
 
 // Lag is the load hint's lag measure: stored-but-unapplied peer
@@ -202,9 +194,7 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 
-	s.mu.Lock()
-	seq := s.seq + 1
-	s.mu.Unlock()
+	seq := s.front.Applier.AppliedSeq() + 1
 
 	// Phase 1: inform the other server of the intended update; it
 	// stores the intentions on disk and answers OK (§1).
@@ -248,10 +238,7 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 		}
 		return dirsvc.ErrorReply(aerr)
 	}
-	// (The peer's lazy-apply message still carries agreedSeq, whatever
-	// the apply advanced to — that is the key its pending table is
-	// indexed by.)
-	s.applied(res, agreedSeq)
+	s.applied(res)
 
 	// Phase 3 (background): the peer creates its copy lazily.
 	if peerUp {
@@ -303,10 +290,7 @@ func (s *Server) handleIntention(dreq *dirsvc.Request) *dirsvc.Reply {
 		s.mu.Unlock()
 		return &dirsvc.Reply{Status: dirsvc.StatusConflict}
 	}
-	agreed := dreq.Seq
-	if s.seq >= agreed {
-		agreed = s.seq + 1
-	}
+	agreed := max(dreq.Seq, s.front.Applier.AppliedSeq()+1)
 	s.pending[obj] = &pendingIntention{seq: agreed, req: inner, done: make(chan struct{})}
 	s.mu.Unlock()
 
@@ -354,64 +338,29 @@ func (s *Server) handleApplyLazy(dreq *dirsvc.Request) *dirsvc.Reply {
 }
 
 // applyIntention creates this server's copy of an update the peer
-// proposed and clears the staging block. A failed apply still consumes
+// proposed and clears the staging block. A failed apply still uses up
 // the agreed sequence number: the originator's failed the same way.
 func (s *Server) applyIntention(intent *pendingIntention) {
-	res, err := s.front.Applier.ApplyUpdate(intent.req, intent.seq, true)
-	if err != nil {
-		res = &dirsvc.ApplyResult{}
+	if res, err := s.front.Applier.ApplyUpdate(intent.req, intent.seq, true); err != nil {
+		s.front.Applier.Advance(intent.seq)
+	} else {
+		s.applied(res)
 	}
-	s.applied(res, intent.seq)
 	_ = s.cfg.Staging.WriteBlockSeq(0, nil)
 }
 
-// applied folds one apply at seq into the server: the sequence number
-// advances (past seq when a shard restore installed a snapshot whose
-// counters run ahead, so fresh stamps stay monotonic), a changed
-// topology reaches the commit block, and superseded files are queued
-// for deletion.
-func (s *Server) applied(res *dirsvc.ApplyResult, seq uint64) {
-	if res.AdvanceSeq > seq {
-		seq = res.AdvanceSeq
-	}
-	s.mu.Lock()
-	if seq > s.seq {
-		s.seq = seq
-	}
-	s.mu.Unlock()
+// applied finishes one successful apply: a changed topology reaches the
+// commit block, and superseded files are queued for deletion.
+func (s *Server) applied(res *dirsvc.ApplyResult) {
 	if res.TopoChanged {
-		s.front.PersistTopology(seq)
+		s.front.PersistTopology()
 	}
 	s.front.ScheduleCleanup(res.OldBullet)
 }
 
-// waitMinSeq drives the local sequence number up to the client's session
-// floor: it applies every stored intention, then briefly polls for the
-// peer's in-flight lazy applies. It reports whether the floor was
-// reached.
-func (s *Server) waitMinSeq(min uint64) bool {
-	deadline := time.Now().Add(s.front.MinSeqWait)
-	for {
-		s.mu.Lock()
-		cur := s.seq
-		s.mu.Unlock()
-		if cur >= min {
-			return true
-		}
-		if s.applyAllPending() {
-			continue
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // applyAllPending applies every pending intention, or waits for the
-// applies under way, and reports whether there was any.
-func (s *Server) applyAllPending() bool {
-	found := false
+// applies under way.
+func (s *Server) applyAllPending() {
 	for {
 		s.mu.Lock()
 		var (
@@ -423,9 +372,8 @@ func (s *Server) applyAllPending() bool {
 		}
 		s.mu.Unlock()
 		if p == nil {
-			return found
+			return
 		}
-		found = true
 		s.settle(obj, p, false)
 	}
 }
@@ -473,13 +421,13 @@ func (s *Server) settle(obj uint32, p *pendingIntention, drop bool) {
 func (s *Server) handleSyncPull() *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	seq := s.AppliedSeq()
+	seq := s.front.Applier.AppliedSeq()
 	return &dirsvc.Reply{Status: dirsvc.StatusOK, Seq: seq, Blob: s.front.Applier.SnapshotState(seq, 0).Encode()}
 }
 
 // installState replaces local state with a peer snapshot, written
 // through to our own Bullet store and object table.
-func (s *Server) installState(blob []byte, seq uint64) error {
+func (s *Server) installState(blob []byte) error {
 	snap, err := dirsvc.DecodeSnapshot(blob)
 	if err != nil {
 		return err
@@ -487,11 +435,8 @@ func (s *Server) installState(blob []byte, seq uint64) error {
 	if err := s.front.Applier.InstallSnapshot(snap, true); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.seq = seq
-	s.mu.Unlock()
 	if snap.Topo != nil {
-		s.front.PersistTopology(seq)
+		s.front.PersistTopology()
 	}
 	return nil
 }

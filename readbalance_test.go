@@ -3,117 +3,175 @@ package faultdir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"dirsvc/dir"
+	"dirsvc/internal/capability"
+	"dirsvc/internal/dirclient"
 	"dirsvc/internal/dirsvc"
 )
 
-// TestMinSeqBlocksOnLaggingReplica pins the session-consistency floor at
-// one specific replica: a read stamped with a MinSeq the replica has not
-// applied yet must block there — not answer from older state — and
-// complete as soon as the replica's applied cursor reaches the floor.
-// This is exactly the lagging-replica case read balancing exposes: the
-// write was acknowledged through one replica, the read lands on another.
-func TestMinSeqBlocksOnLaggingReplica(t *testing.T) {
-	c := newTestCluster(t, KindGroup)
+// floorKinds are the kinds whose servers can trail each other: group
+// replicas each apply the stream at their own pace, and the RPC pair
+// makes its second copies lazily.
+var floorKinds = []Kind{KindGroup, KindRPC}
+
+// readAt serves reads at server id of shard 0 below the transport.
+func readAt(t *testing.T, c *Cluster, id int) func(*dirsvc.Request) *dirsvc.Reply {
+	t.Helper()
+	m := c.machine(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.read == nil {
+		t.Fatalf("no direct reads at server %d of a %v cluster", id, c.Kind)
+	}
+	return m.read
+}
+
+// newFloorFixture boots a cluster of kind with one directory in it.
+func newFloorFixture(t *testing.T, kind Kind) (*Cluster, *dirclient.Client, capability.Capability) {
+	t.Helper()
+	c := newTestCluster(t, kind)
 	client, cleanup, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
+	t.Cleanup(cleanup)
 	work, err := client.CreateDir(bgCtx)
 	if err != nil {
 		t.Fatalf("CreateDir: %v", err)
 	}
+	return c, client, work
+}
 
-	// Interrogate replica 3 directly, below the RPC transport. Wait for
-	// the create to finish applying on every replica first, so the floor
-	// computed below is genuinely in the future — not a commit still in
-	// flight to a lagging replica.
-	replica := c.machine(3).core
-	if replica == nil {
-		t.Fatal("no core server on machine 3")
-	}
-	applied := replica.Status().AppliedSeq
-	settle := time.Now().Add(10 * time.Second)
-	for {
-		a1 := c.machine(1).core.Status().AppliedSeq
-		a2 := c.machine(2).core.Status().AppliedSeq
-		applied = replica.Status().AppliedSeq
-		if a1 == applied && a2 == applied && applied > 0 {
-			break
-		}
-		if time.Now().After(settle) {
-			t.Fatalf("replicas never quiesced: applied = %d/%d/%d", a1, a2, applied)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	floor := applied + 1 // the next write's sequence number — not yet applied anywhere
+// TestMinSeqBlocksOnLaggingReplica pins the session-consistency floor at
+// one specific server: a read stamped with a MinSeq the server has not
+// applied yet must block there — not answer from older state — and
+// complete as soon as the server's applied sequence number reaches the
+// floor. This is exactly the lagging-replica case read balancing
+// exposes: the write was acknowledged through one server, the read
+// lands on another.
+func TestMinSeqBlocksOnLaggingReplica(t *testing.T) {
+	for _, kind := range floorKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, client, work := newFloorFixture(t, kind)
 
-	done := make(chan *dirsvc.Reply, 1)
-	go func() {
-		done <- replica.Read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work, MinSeq: floor})
-	}()
-	select {
-	case reply := <-done:
-		t.Fatalf("read with MinSeq=%d returned %v before the floor was applied (applied=%d)",
-			floor, reply.Status, applied)
-	case <-time.After(150 * time.Millisecond):
-		// Still blocked: the floor is doing its job.
-	}
-
-	// Commit the write the floor anticipates; the blocked read must now
-	// complete and observe it.
-	if err := client.Append(bgCtx, work, "fresh", work, nil); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	select {
-	case reply := <-done:
-		if reply.Status != dirsvc.StatusOK {
-			t.Fatalf("unblocked read status = %v, want OK", reply.Status)
-		}
-		if reply.Seq < floor {
-			t.Fatalf("unblocked read stamped Seq=%d, below its own floor %d", reply.Seq, floor)
-		}
-		found := false
-		for _, row := range reply.Rows {
-			if row.Name == "fresh" {
-				found = true
+			// Interrogate the last server directly. Wait for the create to
+			// finish applying on every server first, so the floor computed
+			// below is genuinely in the future — not a commit still in
+			// flight to a lagging server.
+			n := c.ServersPerShard()
+			reads := make([]func(*dirsvc.Request) *dirsvc.Reply, n+1)
+			for id := 1; id <= n; id++ {
+				reads[id] = readAt(t, c, id)
 			}
-		}
-		if !found {
-			t.Fatalf("unblocked read missed the write that released it: rows = %+v", reply.Rows)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("read stayed blocked after the floor was applied")
+			list := &dirsvc.Request{Op: dirsvc.OpListDir, Dir: work}
+			var applied []uint64
+			settle := time.Now().Add(10 * time.Second)
+			for {
+				applied = applied[:0]
+				for id := 1; id <= n; id++ {
+					applied = append(applied, reads[id](list).Seq)
+				}
+				if applied[0] > 0 && slices.Min(applied) == slices.Max(applied) {
+					break
+				}
+				if time.Now().After(settle) {
+					t.Fatalf("servers never quiesced: applied = %v", applied)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			floor := applied[0] + 1 // the next write's sequence number — not yet applied anywhere
+
+			done := make(chan *dirsvc.Reply, 1)
+			go func() {
+				done <- reads[n](&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work, MinSeq: floor})
+			}()
+			select {
+			case reply := <-done:
+				t.Fatalf("read with MinSeq=%d returned %v before the floor was applied (applied=%d)",
+					floor, reply.Status, applied[0])
+			case <-time.After(150 * time.Millisecond):
+				// Still blocked: the floor is doing its job.
+			}
+
+			// Commit the write the floor anticipates; the blocked read must
+			// now complete and observe it.
+			if err := client.Append(bgCtx, work, "fresh", work, nil); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			select {
+			case reply := <-done:
+				if reply.Status != dirsvc.StatusOK {
+					t.Fatalf("unblocked read status = %v, want OK", reply.Status)
+				}
+				if reply.Seq < floor {
+					t.Fatalf("unblocked read stamped Seq=%d, below its own floor %d", reply.Seq, floor)
+				}
+				found := false
+				for _, row := range reply.Rows {
+					if row.Name == "fresh" {
+						found = true
+					}
+				}
+				if !found {
+					t.Fatalf("unblocked read missed the write that released it: rows = %+v", reply.Rows)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("read stayed blocked after the floor was applied")
+			}
+		})
 	}
 }
 
-// TestMinSeqUnreachableFloorRefused: a floor the replica cannot reach is
+// TestMinSeqUnreachableFloorRefused: a floor the server cannot reach is
 // refused (no-majority, prompting client failover) after a bounded wait —
 // never answered with data older than the floor.
 func TestMinSeqUnreachableFloorRefused(t *testing.T) {
-	c := newTestCluster(t, KindGroup)
-	client, cleanup, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range floorKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, _, work := newFloorFixture(t, kind)
+			read := readAt(t, c, 1)
+			applied := read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work}).Seq
+			reply := read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work, MinSeq: applied + 1000})
+			if reply.Status != dirsvc.StatusNoMajority {
+				t.Fatalf("unreachable floor: status = %v, want NoMajority (stale data must not leak)", reply.Status)
+			}
+		})
 	}
-	defer cleanup()
-	work, err := client.CreateDir(bgCtx)
-	if err != nil {
-		t.Fatalf("CreateDir: %v", err)
-	}
-	replica := c.machine(1).core
-	reply := replica.Read(&dirsvc.Request{
-		Op:     dirsvc.OpListDir,
-		Dir:    work,
-		MinSeq: replica.Status().AppliedSeq + 1000,
-	})
-	if reply.Status != dirsvc.StatusNoMajority {
-		t.Fatalf("unreachable floor: status = %v, want NoMajority (stale data must not leak)", reply.Status)
+}
+
+// TestMinSeqParkedReadReleasedOnClose: a read parked on a floor its
+// server cannot reach returns as soon as the server shuts down, not when
+// the floor wait (one second under the fast model) runs out — a server
+// closing must not hold its serving threads for the rest of the wait.
+func TestMinSeqParkedReadReleasedOnClose(t *testing.T) {
+	for _, kind := range floorKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, _, work := newFloorFixture(t, kind)
+			read := readAt(t, c, 1)
+			floor := read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work}).Seq + 1000
+			done := make(chan *dirsvc.Reply, 1)
+			go func() { done <- read(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: work, MinSeq: floor}) }()
+			time.Sleep(200 * time.Millisecond) // parked in the floor wait
+
+			start := time.Now()
+			c.CrashServer(1)
+			select {
+			case reply := <-done:
+				if reply.Status != dirsvc.StatusNoMajority {
+					t.Fatalf("parked read released with %v, want NoMajority", reply.Status)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("parked read never returned after its server closed")
+			}
+			if took := time.Since(start); took > 500*time.Millisecond {
+				t.Fatalf("parked read released %v after its server began closing", took)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,16 @@ import (
 // called at boot and whenever the group cannot be rebuilt with a
 // majority.
 func (s *Server) recover() error {
+	if s.engine != nil {
+		// Recovery rebuilds the replica from its disk, and the sequence
+		// number it advertises below comes from there: put the records
+		// this replica applied but has not logged on it first. What still
+		// fails to reach the disk is gone from this replica.
+		s.applyMu.Lock()
+		_ = s.writeRunLocked()
+		s.dropRun()
+		s.applyMu.Unlock()
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -95,8 +105,11 @@ func (s *Server) recover() error {
 			// applies concurrently yet (the member installs below), so the
 			// cut is consistent. A write failure is survivable — the
 			// recovering flag is still set, so a crash before the next
-			// checkpoint resyncs from a peer.
+			// checkpoint resyncs from a peer. The batch lock only fences
+			// the flush loop.
+			s.applyMu.Lock()
 			_ = s.checkpointNow()
+			s.applyMu.Unlock()
 		}
 		if err != nil {
 			// Wait for more servers to come back, then start all over

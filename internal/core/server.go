@@ -91,6 +91,11 @@ type Server struct {
 	// transferred images and the group-stream position it advertises are
 	// always batch-aligned (never half a coalesced packet).
 	applyMu sync.Mutex
+	// run is the engine's pending write-ahead run: the records applied to
+	// RAM but not yet on disk, in stream order; runSince is when the oldest
+	// was queued. Guarded by applyMu.
+	run      []dirsvc.LogRec
+	runSince time.Time
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -118,7 +123,9 @@ type Server struct {
 	memberHint   atomic.Value  // *group.Member (possibly typed nil)
 	appliedGroup atomic.Uint64 // mirror of groupSeq
 
-	entries []groupEntry // processGroupMsg's scratch, the group thread's alone
+	// processGroupMsg's scratch, the group thread's alone.
+	entries []groupEntry
+	local   []localReply
 
 	sendCh  chan coalesceOp
 	stop    chan struct{}
@@ -131,6 +138,13 @@ type coalesceOp struct {
 	opID uint64
 	era  uint64 // server era at submission; stale ops are dropped
 	raw  []byte // encoded dirsvc.Request
+}
+
+// localReply is the result of an update this server initiated, held
+// until its group message is fully applied and, with an engine, logged.
+type localReply struct {
+	opID  uint64
+	reply *dirsvc.Reply
 }
 
 // NewServer boots a directory server replica on stack. It formats fresh
@@ -498,7 +512,7 @@ func (s *Server) handleGroupFailure(member *group.Member) {
 		s.updateConfigVectorLocked(info.Members)
 		commit := *s.commit
 		s.mu.Unlock()
-		_ = commit.Write(s.cfg.Admin)
+		s.writeCommit(commit)
 		return
 	}
 	if err := s.recover(); err != nil {
@@ -547,7 +561,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		commit := *s.commit
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		_ = commit.Write(s.cfg.Admin)
+		s.writeCommit(commit)
 		return
 	case group.KindApp:
 	default:
@@ -583,6 +597,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	// The batch and the cursor bump form one snapshot-atomic unit.
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
+	local := s.local[:0]
 	for _, ent := range entries {
 		req, err := dirsvc.DecodeRequest(ent.raw)
 		if err != nil {
@@ -593,31 +608,45 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		s.mu.Unlock()
 
 		reply := s.applyUpdate(req, s.front.Applier.AppliedSeq()+1)
-
 		if req.Server == s.cfg.ServerID {
-			s.mu.Lock()
-			s.results[ent.opID] = reply
-			// Bound the table against abandoned initiators.
-			if len(s.results) > 10000 {
-				s.results = map[uint64]*dirsvc.Reply{ent.opID: reply}
+			local = append(local, localReply{opID: ent.opID, reply: reply})
+		}
+	}
+	// Group commit: an update this server initiated is answered only once
+	// its record is on this server's disk, and the one write carries every
+	// record queued since the last — the other servers' updates included.
+	// Nothing else waits on those here, so they wait for a local update,
+	// a commit-block write, or a heartbeat (flushLoop), whichever is first.
+	if len(local) > 0 {
+		if err := s.writeRunLocked(); err != nil {
+			for i := range local {
+				local[i].reply = dirsvc.ErrorReply(err)
 			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
 		}
 	}
 
 	s.mu.Lock()
+	for _, l := range local {
+		s.results[l.opID] = l.reply
+		// Bound the table against abandoned initiators.
+		if len(s.results) > 10000 {
+			s.results = map[uint64]*dirsvc.Reply{l.opID: l.reply}
+		}
+	}
 	s.advanceGroupCursorLocked(msg.Seq)
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	clear(local)
+	s.local = local[:0]
 }
 
 // applyUpdate executes the update against the replica: in the durable
 // variant this creates the new directory on the Bullet server and writes
 // the object table entry (the commit, Fig. 5); in the NVRAM variant it
 // updates RAM and logs the operation to NVRAM (§4.1); with a storage
-// engine it updates RAM and appends the operation to the engine's
-// write-ahead log (the checkpoint picks the state up later).
+// engine it updates RAM and queues the operation's record on the pending
+// write-ahead run (processGroupMsg writes it; the checkpoint picks the
+// state up later). Callers hold applyMu.
 func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 	durable := s.nvlog == nil && s.engine == nil
 	if s.nvlog != nil && s.nvlog.NeedsFlush() {
@@ -637,6 +666,15 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 	// Above seq only after a shard restore whose snapshot's own counters
 	// run past this stream position.
 	effSeq := s.front.Applier.AppliedSeq()
+	if s.engine != nil && req.Op != dirsvc.OpRestoreShard {
+		// Queued before the commit-block write below, which writes the
+		// run first: the block's sequence number never runs ahead of the
+		// log.
+		if len(s.run) == 0 {
+			s.runSince = time.Now()
+		}
+		s.run = append(s.run, dirsvc.LogRec{Seq: seq, Payload: dirsvc.PinAllocation(req, res.Reply).Encode()})
+	}
 	if res.TopoChanged {
 		// Persist the new shard-map state immediately, NVRAM mode
 		// included: a split is rare (one extra disk write), and recovery
@@ -651,7 +689,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 		}
 		commit := *s.commit
 		s.mu.Unlock()
-		_ = commit.Write(s.cfg.Admin)
+		_ = s.writeCommitLocked(commit)
 	}
 	switch {
 	case durable:
@@ -662,7 +700,7 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 			s.commit.Seq = effSeq
 			commit := *s.commit
 			s.mu.Unlock()
-			_ = commit.Write(s.cfg.Admin)
+			_ = s.writeCommitLocked(commit)
 		}
 		s.front.ScheduleCleanup(res.OldBullet)
 	case s.nvlog != nil:
@@ -684,32 +722,77 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 				return dirsvc.ErrorReply(err)
 			}
 		}
-	default: // engine write-ahead log
-		if req.Op == dirsvc.OpRestoreShard {
-			_ = s.checkpointNow()
-			break
-		}
-		if err := s.engine.AppendLog(seq, dirsvc.PinAllocation(req, res.Reply).Encode()); err != nil {
-			// Log region full (or write trouble): fold the update into a
-			// fresh checkpoint instead — it covers this apply's effects,
-			// and the flip truncates the log.
-			_ = s.checkpointNow()
+	case req.Op == dirsvc.OpRestoreShard: // engine
+		// The installed snapshot dwarfs the log: checkpoint it now, which
+		// covers the pending run too.
+		if err := s.checkpointNow(); err != nil {
+			return dirsvc.ErrorReply(err)
 		}
 	}
 	return res.Reply
 }
 
+// writeRunLocked writes the pending run to the engine's log in one
+// sequential write. A run the log cannot take (region full, write
+// trouble) is folded into a fresh checkpoint instead: it covers every
+// applied record, and the flip truncates the log. When that fails too,
+// the run stays pending for the next attempt and the error is returned.
+// Callers hold applyMu.
+func (s *Server) writeRunLocked() error {
+	if len(s.run) == 0 {
+		return nil
+	}
+	if err := s.engine.AppendRun(s.run); err != nil {
+		return s.checkpointNow()
+	}
+	s.dropRun()
+	return nil
+}
+
+// dropRun empties the pending run once the log or a checkpoint holds it.
+func (s *Server) dropRun() {
+	clear(s.run)
+	s.run = s.run[:0]
+}
+
+// writeCommitLocked writes the pending run, then the commit block. The
+// order is the durability argument for group commit: a server acknowledges
+// an update only once its record is on its own disk, but the others log it
+// lazily, so no commit block — above all no configuration vector that
+// stops naming a server — may reach a disk ahead of records that server
+// could have acknowledged. Then a last set that recovers without that
+// server holds all of them. If the run cannot be written, the block is
+// not either. Callers hold applyMu.
+func (s *Server) writeCommitLocked(commit dirsvc.CommitBlock) error {
+	if err := s.writeRunLocked(); err != nil {
+		return err
+	}
+	return commit.Write(s.cfg.Admin)
+}
+
+// writeCommit is writeCommitLocked for the group thread outside a batch.
+func (s *Server) writeCommit(commit dirsvc.CommitBlock) {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	_ = s.writeCommitLocked(commit)
+}
+
 // checkpointNow cuts a snapshot of the whole shard state and writes it
 // to the engine's checkpoint area (atomic double-buffer swap), which also
-// truncates the write-ahead log. Callers must hold applyMu — or be the
-// group thread mid-batch, which holds it already — so the snapshot never
-// splits a coalesced packet.
+// truncates the write-ahead log and drops the pending run, which the
+// snapshot covers. Callers must hold applyMu — or be the group thread
+// mid-batch, which holds it already — so the snapshot never splits a
+// coalesced packet.
 func (s *Server) checkpointNow() error {
 	s.mu.Lock()
 	commitSeq := s.commit.Seq
 	s.mu.Unlock()
 	snap := s.front.Applier.SnapshotState(s.front.Applier.AppliedSeq(), commitSeq)
-	return s.engine.WriteCheckpoint(snap.MaxSeq(), snap.Encode())
+	if err := s.engine.WriteCheckpoint(snap.MaxSeq(), snap.Encode()); err != nil {
+		return err
+	}
+	s.dropRun()
+	return nil
 }
 
 // Checkpoint forces one synchronous checkpoint of the storage engine —
@@ -728,14 +811,35 @@ func (s *Server) Checkpoint() error {
 // to disk (§4.1), or cuts an engine checkpoint, when the server is idle
 // or the log passes its threshold — which the NVRAM log, compacting
 // cancelled records away on its own, passes only when bound by live ones.
+// With an engine it also writes a pending run once its oldest record is a
+// heartbeat old.
 func (s *Server) flushLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.IdleFlush / 2)
 	defer ticker.Stop()
+	// With an engine, runTick checks the pending run's age often enough
+	// to write it within 1½ heartbeats of its oldest record.
+	var runTick <-chan time.Time
+	beat := heartbeat(s.model, s.cfg)
+	if s.engine != nil {
+		t := time.NewTicker(beat / 2)
+		defer t.Stop()
+		runTick = t.C
+	}
 	for {
 		select {
 		case <-s.stop:
 			return
+		case <-runTick:
+			s.applyMu.Lock()
+			if len(s.run) > 0 && time.Since(s.runSince) >= beat {
+				// No update of this server's own came along to carry the
+				// run (a replica without clients): write it anyway, so its
+				// disk trails the stream by about a heartbeat at most.
+				_ = s.writeRunLocked()
+			}
+			s.applyMu.Unlock()
+			continue
 		case <-ticker.C:
 		}
 		s.mu.Lock()
@@ -755,9 +859,11 @@ func (s *Server) flushLoop() {
 				_ = s.flushNVRAM() // disk trouble: the log is kept, retry next tick
 				s.applyMu.Unlock()
 			}
-		case s.engine.NeedsCheckpoint() || (idle && s.engine.LogLen() > 0):
+		default:
 			s.applyMu.Lock()
-			_ = s.checkpointNow()
+			if s.engine.NeedsCheckpoint() || (idle && (s.engine.LogLen() > 0 || len(s.run) > 0)) {
+				_ = s.checkpointNow()
+			}
 			s.applyMu.Unlock()
 		}
 	}

@@ -237,31 +237,52 @@ func logRecBlocks(n int) int {
 	return (logRecHeader + n + vdisk.BlockSize - 1) / vdisk.BlockSize
 }
 
-// AppendLog durably appends one operation record. ErrEngineFull means
-// the caller must write a checkpoint (which opens a fresh, empty log
-// generation) and may then drop the record — the checkpoint covers it.
+// AppendLog durably appends one operation record: AppendRun of a copy.
 func (e *Engine) AppendLog(seq uint64, payload []byte) error {
+	return e.AppendRun([]LogRec{{Seq: seq, Payload: append([]byte(nil), payload...)}})
+}
+
+// AppendRun durably appends a run of operation records, in order, with
+// one sequential write. Each record keeps its own block-padded header, so
+// the log format is the same as for single appends and a write torn
+// part-way leaves a prefix of the run behind. The engine keeps the
+// payload slices: the caller must not modify them afterwards.
+// ErrEngineFull means the run does not fit; the caller must write a
+// checkpoint (which opens a fresh, empty log generation) and may then
+// drop the run — the checkpoint covers it.
+func (e *Engine) AppendRun(recs []LogRec) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	span := logRecBlocks(len(payload))
+	span := 0
+	for _, r := range recs {
+		span += logRecBlocks(len(r.Payload))
+	}
 	if e.logTail+span > e.logStart+e.logBlocks {
-		return fmt.Errorf("%w (%d of %d blocks used)", ErrEngineFull, e.logTail-e.logStart, e.logBlocks)
+		return fmt.Errorf("%w (%d of %d blocks used, %d more needed)",
+			ErrEngineFull, e.logTail-e.logStart, e.logBlocks, span)
 	}
 	buf := make([]byte, span*vdisk.BlockSize)
-	copy(buf, logMagic[:])
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.BigEndian.PutUint64(buf[8:16], seq)
-	binary.BigEndian.PutUint64(buf[16:24], e.logGen)
-	binary.BigEndian.PutUint32(buf[24:28], crc32.ChecksumIEEE(payload))
-	copy(buf[logRecHeader:], payload)
+	off := 0
+	for _, r := range recs {
+		rec := buf[off:]
+		copy(rec, logMagic[:])
+		binary.BigEndian.PutUint32(rec[4:8], uint32(len(r.Payload)))
+		binary.BigEndian.PutUint64(rec[8:16], r.Seq)
+		binary.BigEndian.PutUint64(rec[16:24], e.logGen)
+		binary.BigEndian.PutUint32(rec[24:28], crc32.ChecksumIEEE(r.Payload))
+		copy(rec[logRecHeader:], r.Payload)
+		off += logRecBlocks(len(r.Payload)) * vdisk.BlockSize
+	}
 	if err := e.store.WriteRunSeq(e.logTail, buf); err != nil {
 		return err
 	}
 	e.logTail += span
-	rec := LogRec{Seq: seq, Payload: append([]byte(nil), payload...)}
-	e.recs = append(e.recs, rec)
-	if seq > e.maxSeq {
-		e.maxSeq = seq
+	e.recs = append(e.recs, recs...)
+	for _, r := range recs {
+		e.maxSeq = max(e.maxSeq, r.Seq)
 	}
 	return nil
 }

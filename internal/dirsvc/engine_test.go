@@ -120,7 +120,8 @@ func TestEngineFullLog(t *testing.T) {
 // faultStore injects one write failure: the Nth write (1-based, counting
 // WriteBlock/WriteBlockSeq/WriteRun/WriteRunSeq calls) and every write
 // after it fail, simulating a crash mid-sequence — rockyardkv's
-// flush_fault_test pattern.
+// flush_fault_test pattern. The Nth write, if it is a run of several
+// blocks, is torn: its first block lands.
 type faultStore struct {
 	vdisk.Storage
 	writes  int
@@ -155,6 +156,7 @@ func (f *faultStore) WriteBlockSeq(i int, data []byte) error {
 
 func (f *faultStore) WriteRun(start int, data []byte) error {
 	if err := f.note(); err != nil {
+		f.tear(start, data)
 		return err
 	}
 	return f.Storage.WriteRun(start, data)
@@ -162,39 +164,64 @@ func (f *faultStore) WriteRun(start int, data []byte) error {
 
 func (f *faultStore) WriteRunSeq(start int, data []byte) error {
 	if err := f.note(); err != nil {
+		f.tear(start, data)
 		return err
 	}
 	return f.Storage.WriteRunSeq(start, data)
 }
 
+// tear lands the first block of the failing write, if it spans more.
+func (f *faultStore) tear(start int, data []byte) {
+	if f.writes == f.failAt && len(data) > vdisk.BlockSize {
+		_ = f.Storage.WriteBlock(start, data[:vdisk.BlockSize])
+	}
+}
+
+// recs returns records seqs lo..hi with the payloads the crash test
+// expects.
+func recs(lo, hi uint64) []LogRec {
+	var out []LogRec
+	for seq := lo; seq <= hi; seq++ {
+		out = append(out, LogRec{Seq: seq, Payload: []byte(fmt.Sprintf("rec-%d", seq))})
+	}
+	return out
+}
+
 // TestEngineCrashAtEveryStep drives a fixed workload — appends, a
-// checkpoint, more appends, a second checkpoint — killing the disk at
-// write N for every N, then reopens the engine and checks the recovered
-// state is one of the legal prefixes: the engine never recovers a state
-// that mixes a new checkpoint with an old log or loses an acknowledged
-// record.
+// checkpoint, a multi-record run and an append, a second checkpoint —
+// killing the disk at write N for every N, then reopens the engine and
+// checks the recovered state is one of the legal prefixes: the engine
+// never recovers a state that mixes a new checkpoint with an old log,
+// leaves a gap, or loses an acknowledged record.
 func TestEngineCrashAtEveryStep(t *testing.T) {
-	// Workload: append 1..3, checkpoint@3, append 4..6, checkpoint@6.
+	// Workload: append 1..3, checkpoint@3, run 4..6, append 7,
+	// checkpoint@7. acked is the highest seq a call returned success for.
+	var acked uint64
 	workload := func(e *Engine) error {
-		for seq := uint64(1); seq <= 3; seq++ {
-			if err := e.AppendLog(seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
+		for _, r := range recs(1, 3) {
+			if err := e.AppendLog(r.Seq, r.Payload); err != nil {
 				return err
 			}
+			acked = r.Seq
 		}
 		if err := e.WriteCheckpoint(3, []byte("ckpt-3")); err != nil {
 			return err
 		}
-		for seq := uint64(4); seq <= 6; seq++ {
-			if err := e.AppendLog(seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
-				return err
-			}
+		if err := e.AppendRun(recs(4, 6)); err != nil {
+			return err
 		}
-		return e.WriteCheckpoint(6, []byte("ckpt-6"))
+		acked = 6
+		if err := e.AppendLog(7, []byte("rec-7")); err != nil {
+			return err
+		}
+		acked = 7
+		return e.WriteCheckpoint(7, []byte("ckpt-7"))
 	}
 
 	for failAt := 1; ; failAt++ {
 		disk := testEngineDisk(t)
 		fs := &faultStore{Storage: disk, failAt: failAt}
+		acked = 0
 		e, err := OpenEngine(fs)
 		if err != nil {
 			// The failure hit the initial manifest format; a reopen on the
@@ -211,7 +238,7 @@ func TestEngineCrashAtEveryStep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("failAt=%d: reopen: %v", failAt, err)
 			}
-			if seq, blob, err := re.Checkpoint(); err != nil || seq != 6 || string(blob) != "ckpt-6" {
+			if seq, blob, err := re.Checkpoint(); err != nil || seq != 7 || string(blob) != "ckpt-7" {
 				t.Fatalf("failAt=%d: final checkpoint seq %d err %v", failAt, seq, err)
 			}
 			if got := re.LogSuffix(0); len(got) != 0 {
@@ -232,7 +259,7 @@ func TestEngineCrashAtEveryStep(t *testing.T) {
 			if string(blob) != want {
 				t.Fatalf("failAt=%d: checkpoint %d payload %q", failAt, seq, blob)
 			}
-			if seq != 3 && seq != 6 {
+			if seq != 3 && seq != 7 {
 				t.Fatalf("failAt=%d: impossible checkpoint seq %d", failAt, seq)
 			}
 		} else if !errors.Is(cerr, ErrNoCheckpoint) {
@@ -251,8 +278,11 @@ func TestEngineCrashAtEveryStep(t *testing.T) {
 			}
 			last = rec.Seq
 		}
-		if last > 6 {
+		if last > 7 {
 			t.Fatalf("failAt=%d: recovered beyond the workload (%d)", failAt, last)
+		}
+		if last < acked {
+			t.Fatalf("failAt=%d: recovered up to %d, but %d was acknowledged", failAt, last, acked)
 		}
 	}
 }

@@ -216,6 +216,10 @@ type Member struct {
 	curProposal    proposal
 	resetAcks      map[sim.NodeID]uint64
 	resettingSince time.Time
+	// unreported is set when another coordinator's invitation pulls the
+	// member into a reset: the application never called Reset for that
+	// view change, so Receive owes it one ErrGroupFailure.
+	unreported bool
 
 	closed bool
 	stop   chan struct{}
@@ -424,15 +428,19 @@ func (m *Member) infoLocked() Info {
 // Receive blocks until the next message in the total order is available
 // (paper Fig. 1: ReceiveFromGroup). It returns ErrGroupFailure as soon as
 // a failure is detected, even if ordered messages remain queued; after a
-// successful Reset the queued messages are delivered.
+// successful Reset the queued messages are delivered. A view change
+// another member coordinated is reported too, once the new view is in,
+// so every member's application learns of it (and its Reset returns at
+// once).
 func (m *Member) Receive() (Msg, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		switch m.state {
-		case StateFailed:
+		switch {
+		case m.state == StateFailed, m.state == StateNormal && m.unreported:
+			m.unreported = false
 			return Msg{}, ErrGroupFailure
-		case StateLeft:
+		case m.state == StateLeft:
 			if m.closed {
 				return Msg{}, ErrClosed
 			}

@@ -362,6 +362,41 @@ func TestMemberCrashDetectedAndReset(t *testing.T) {
 	}
 }
 
+// TestResetCoordinatedElsewhereIsReported: a member pulled into a reset
+// by another coordinator's invitation, before it noticed a failure
+// itself, reports the view change through Receive once the new view is
+// in, and its own Reset then returns that view at once. Without the
+// report its application would never record the new membership.
+func TestResetCoordinatedElsewhereIsReported(t *testing.T) {
+	c := newCluster(t, 2, 1)
+	coord, m := c.members[0], c.members[1]
+	m.mu.Lock()
+	epoch := ballotEpoch(m.epoch, coord.Me())
+	m.handleInviteLocked(&wireMsg{kind: wireInvite, gid: m.gid, epoch: epoch, from: coord.Me()})
+	m.applyCommitLocked(&wireMsg{
+		kind: wireCommit, gid: m.gid, epoch: epoch, from: coord.Me(), node: coord.Me(),
+		seq2: m.nextSeq - 1, members: []sim.NodeID{coord.Me(), m.Me()},
+	})
+	m.mu.Unlock()
+
+	errs := make(chan error, 1)
+	go func() {
+		_, err := m.Receive()
+		errs <- err
+	}()
+	select {
+	case err := <-errs:
+		if !errors.Is(err, ErrGroupFailure) {
+			t.Fatalf("Receive after a reset coordinated elsewhere: err = %v, want ErrGroupFailure", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Receive did not report a reset coordinated elsewhere")
+	}
+	if info, err := m.Reset(2); err != nil || info.Epoch != epoch {
+		t.Fatalf("Reset = epoch %d, %v; want the coordinated view's epoch %d at once", info.Epoch, err, epoch)
+	}
+}
+
 func TestSequencerCrashNewSequencerTakesOver(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	seqNode := c.members[0].Info().Sequencer

@@ -457,6 +457,7 @@ func (m *Member) handleInviteLocked(w *wireMsg) {
 		if m.state == StateNormal || m.state == StateFailed {
 			m.state = StateResetting
 			m.resettingSince = time.Now()
+			m.unreported = true
 		}
 		m.resetAcks = nil // abandon our own coordination attempt
 		m.cond.Broadcast()

@@ -49,6 +49,7 @@ func (m *Member) Reset(minSize int) (Info, error) {
 		case m.state == StateNormal && len(m.members) >= minSize:
 			// Either our own commit below or another coordinator's
 			// reset already rebuilt the group.
+			m.unreported = false
 			info := m.infoLocked()
 			m.mu.Unlock()
 			return info, nil
@@ -127,6 +128,7 @@ func (m *Member) Reset(minSize int) (Info, error) {
 		// Install locally through the same path members use, then tell
 		// everyone. epoch precondition holds: p.epoch > m.epoch.
 		m.applyCommitLocked(commit)
+		m.unreported = false
 		info := m.infoLocked()
 		m.mu.Unlock()
 

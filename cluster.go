@@ -172,6 +172,26 @@ type machine struct {
 	// read serves one read at the server below the transport (group and
 	// RPC kinds; tests interrogate one specific server with it).
 	read func(*dirsvc.Request) *dirsvc.Reply
+	// tailed counts the secondaries fed from enginePart; while there are
+	// any, the server is booted tailed (core.Server.SetTailed).
+	tailed int
+}
+
+// setTailed records one secondary more (or less) on m's engine partition
+// and tells its running server when that switches tailing on or off.
+func (m *machine) setTailed(delta int) {
+	m.mu.Lock()
+	was := m.tailed > 0
+	m.tailed += delta
+	on := m.tailed > 0
+	srv := m.core
+	if m.stop == nil {
+		srv = nil // crashed: the next boot reads m.tailed
+	}
+	m.mu.Unlock()
+	if srv != nil && on != was {
+		srv.SetTailed(on)
+	}
 }
 
 // shardGroup is one independent replica group: a full instance of the
@@ -367,7 +387,11 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.stop = srv.Close
 		m.core = srv
 		m.read = srv.Read
+		tailed := m.tailed > 0
 		m.mu.Unlock()
+		if tailed {
+			srv.SetTailed(true)
+		}
 	case KindRPC:
 		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{FrontConfig: front, Staging: m.staging})
 		if err != nil {
@@ -482,14 +506,22 @@ func (c *Cluster) StartSecondary(shard, id int) (*core.Secondary, func(), error)
 		stack.Close()
 		return nil, nil, err
 	}
+	// The primary keeps its log current for the secondary from before its
+	// first refresh.
+	m.setTailed(1)
 	sec, err := core.NewSecondary(stack, core.SecondaryConfig{FrontConfig: c.frontConfig(sg, admin), View: view})
 	if err != nil {
+		m.setTailed(-1)
 		stack.Close()
 		return nil, nil, err
 	}
+	var once sync.Once
 	cleanup := func() {
-		sec.Close()
-		stack.Close()
+		once.Do(func() {
+			sec.Close()
+			stack.Close()
+			m.setTailed(-1)
+		})
 	}
 	c.mu.Lock()
 	c.clients = append(c.clients, cleanup)

@@ -17,8 +17,10 @@ import (
 // the other replicas log an update lazily. These schedules check the
 // durability argument on a live cluster: every acknowledged update is on
 // its initiator's disk, every replica's log is a prefix of the one
-// stream, and no commit block stops naming a server before the records
-// that server could have acknowledged are on the disk under it.
+// stream, and no commit block stops naming a server while a record that
+// server could have acknowledged is applied but not on the disk under it
+// (the case of a message still queued at the view change is
+// TestEngineOrphanIsLoggedAtOnce in internal/core).
 
 // clientPins keeps each registered client host hearing one directory
 // server only, so every update the client makes is initiated there.

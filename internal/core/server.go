@@ -92,10 +92,11 @@ type Server struct {
 	// always batch-aligned (never half a coalesced packet).
 	applyMu sync.Mutex
 	// run is the engine's pending write-ahead run: the records applied to
-	// RAM but not yet on disk, in stream order; runSince is when the oldest
-	// was queued. Guarded by applyMu.
-	run      []dirsvc.LogRec
-	runSince time.Time
+	// RAM but not yet on disk, in stream order. tailed is set while a
+	// readonly secondary tails the engine partition (SetTailed): every
+	// record is then written as it is applied. Both guarded by applyMu.
+	run    []dirsvc.LogRec
+	tailed bool
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -598,6 +599,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	local := s.local[:0]
+	orphan := false
 	for _, ent := range entries {
 		req, err := dirsvc.DecodeRequest(ent.raw)
 		if err != nil {
@@ -605,10 +607,12 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		}
 		s.mu.Lock()
 		s.lastUpdate = time.Now()
+		id := req.Server
+		orphan = orphan || id < 1 || id > len(s.commit.Up) || !s.commit.Up[id-1]
 		s.mu.Unlock()
 
 		reply := s.applyUpdate(req, s.front.Applier.AppliedSeq()+1)
-		if req.Server == s.cfg.ServerID {
+		if id == s.cfg.ServerID {
 			local = append(local, localReply{opID: ent.opID, reply: reply})
 		}
 	}
@@ -617,7 +621,14 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	// record queued since the last — the other servers' updates included.
 	// Nothing else waits on those here, so they wait for a local update,
 	// a commit-block write, or a heartbeat (flushLoop), whichever is first.
-	if len(local) > 0 {
+	// Two kinds of record are written at once all the same. An orphan's
+	// initiator is no longer named up in this server's commit block: its
+	// message was still queued in the group layer when the view change
+	// dropped it, so the block is on disk already and the rule that a
+	// block stops naming a server only once that server's records are
+	// under it must be restored now. And a tailed partition feeds a
+	// secondary, which reads only what is on disk.
+	if len(local) > 0 || orphan || s.tailed {
 		if err := s.writeRunLocked(); err != nil {
 			for i := range local {
 				local[i].reply = dirsvc.ErrorReply(err)
@@ -670,9 +681,6 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 		// Queued before the commit-block write below, which writes the
 		// run first: the block's sequence number never runs ahead of the
 		// log.
-		if len(s.run) == 0 {
-			s.runSince = time.Now()
-		}
 		s.run = append(s.run, dirsvc.LogRec{Seq: seq, Payload: dirsvc.PinAllocation(req, res.Reply).Encode()})
 	}
 	if res.TopoChanged {
@@ -759,10 +767,11 @@ func (s *Server) dropRun() {
 // order is the durability argument for group commit: a server acknowledges
 // an update only once its record is on its own disk, but the others log it
 // lazily, so no commit block — above all no configuration vector that
-// stops naming a server — may reach a disk ahead of records that server
-// could have acknowledged. Then a last set that recovers without that
-// server holds all of them. If the run cannot be written, the block is
-// not either. Callers hold applyMu.
+// stops naming a server — may reach a disk ahead of applied records that
+// server could have acknowledged. Its records applied after the block
+// are orphans, which processGroupMsg writes at once. Then a last set that
+// recovers without that server holds all of them. If the run cannot be
+// written, the block is not either. Callers hold applyMu.
 func (s *Server) writeCommitLocked(commit dirsvc.CommitBlock) error {
 	if err := s.writeRunLocked(); err != nil {
 		return err
@@ -807,22 +816,35 @@ func (s *Server) Checkpoint() error {
 	return s.checkpointNow()
 }
 
+// SetTailed tells an engine server whether a readonly secondary tails its
+// partition. While one does, the server writes every record as it applies
+// it rather than when its own update waits, so the secondary's refresh
+// finds the whole applied stream on disk; switching on writes the pending
+// run at once. A no-op without an engine.
+func (s *Server) SetTailed(on bool) {
+	if s.engine == nil {
+		return
+	}
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	s.tailed = on
+	if on {
+		_ = s.writeRunLocked()
+	}
+}
+
 // flushLoop is the background flusher: it writes the NVRAM log through
 // to disk (§4.1), or cuts an engine checkpoint, when the server is idle
 // or the log passes its threshold — which the NVRAM log, compacting
 // cancelled records away on its own, passes only when bound by live ones.
-// With an engine it also writes a pending run once its oldest record is a
-// heartbeat old.
+// With an engine it also writes a pending run every heartbeat.
 func (s *Server) flushLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.IdleFlush / 2)
 	defer ticker.Stop()
-	// With an engine, runTick checks the pending run's age often enough
-	// to write it within 1½ heartbeats of its oldest record.
 	var runTick <-chan time.Time
-	beat := heartbeat(s.model, s.cfg)
 	if s.engine != nil {
-		t := time.NewTicker(beat / 2)
+		t := time.NewTicker(heartbeat(s.model, s.cfg))
 		defer t.Stop()
 		runTick = t.C
 	}
@@ -831,13 +853,11 @@ func (s *Server) flushLoop() {
 		case <-s.stop:
 			return
 		case <-runTick:
+			// No update of this server's own came along to carry the run
+			// (a replica without clients): write it anyway, so its disk
+			// trails the stream by a heartbeat at most.
 			s.applyMu.Lock()
-			if len(s.run) > 0 && time.Since(s.runSince) >= beat {
-				// No update of this server's own came along to carry the
-				// run (a replica without clients): write it anyway, so its
-				// disk trails the stream by about a heartbeat at most.
-				_ = s.writeRunLocked()
-			}
+			_ = s.writeRunLocked()
 			s.applyMu.Unlock()
 			continue
 		case <-ticker.C:

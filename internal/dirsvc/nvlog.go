@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 
 	"dirsvc/internal/vdisk"
@@ -30,6 +31,7 @@ type NVLog struct {
 	recs   []nvRecord // every record in the region, cancelled ones included
 	used   int        // bytes consumed in the NVRAM region
 	dead   int        // bytes of used held by cancelled records
+	gen    uint32     // generation of the header and of every record replay accepts
 	maxSeq uint64     // highest sequence number ever logged (survives cancellation)
 }
 
@@ -48,18 +50,27 @@ type nvRecord struct {
 
 // NVRAM layout:
 //
-//	header:  magic [4]byte "NVL1" | count u32 | maxSeq u64
-//	records: len u32 | alive u8 | seq u64 | payload
+//	header:  magic [4]byte "NVL2" | gen u32 | maxSeq u64
+//	records: len u32 | alive u8 | seq u64 | gen u32 | crc u32 | payload
 //
-// count bounds replay: nothing past the count-th record is ever read, so
-// compaction leaves the bytes behind its new end as they are.
+// Every log operation is one NVRAM write: an append writes its record at
+// the tail, a cancel rewrites the dead record's alive and seq bytes, and
+// only open, Clear and compaction write the header — the last two with
+// a new generation, compaction together with the records it moved and
+// restamped. Replay reads records until one carries another generation
+// or fails its checksum (over len, gen and payload: a cancel changes
+// alive and seq in place), so what lies behind the tail — older
+// generations, or nothing — is never taken for a record. maxSeq is the
+// larger of the header's and every replayed record's seq.
 const (
 	nvHeaderSize    = 4 + 4 + 8
-	nvRecHeaderSize = 4 + 1 + 8
-	nvAliveOffset   = 4 // of the alive byte within a record header
+	nvRecHeaderSize = 4 + 1 + 8 + 4 + 4
+	nvAliveOffset   = 4  // of the alive byte, followed by seq, within a record header
+	nvGenOffset     = 13 // of gen, followed by crc
+	nvCancelSize    = 1 + 8
 )
 
-var nvMagic = [4]byte{'N', 'V', 'L', '1'}
+var nvMagic = [4]byte{'N', 'V', 'L', '2'}
 
 // ErrLogFull is returned when a record does not fit in what is left of
 // the region, compaction included; the caller must flush its state to
@@ -75,37 +86,60 @@ func OpenNVLog(nv *vdisk.NVRAM) (*NVLog, error) {
 		return nil, fmt.Errorf("nvram region too small (%d bytes)", len(raw))
 	}
 	if [4]byte(raw[:4]) != nvMagic {
-		// Fresh region: write an empty header.
+		// Fresh region: write an empty header of generation 1, and a
+		// zero first record header so nothing behind it is replayed.
 		copy(raw, nvMagic[:])
-		if err := l.storeFront(nvHeaderSize); err != nil {
+		l.gen = 1
+		n := min(len(raw), nvHeaderSize+nvRecHeaderSize)
+		clear(raw[nvHeaderSize:n])
+		if err := l.storeFront(n); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
-	count := int(binary.BigEndian.Uint32(raw[4:8]))
+	l.gen = binary.BigEndian.Uint32(raw[4:8])
 	l.maxSeq = binary.BigEndian.Uint64(raw[8:16])
 	off := nvHeaderSize
-	for i := 0; i < count; i++ {
-		if off+nvRecHeaderSize > len(raw) {
-			return nil, errors.New("dirsvc: corrupt NVRAM log")
+	for off+nvRecHeaderSize <= len(raw) {
+		hdr := raw[off : off+nvRecHeaderSize]
+		n := binary.BigEndian.Uint32(hdr[:4])
+		if binary.BigEndian.Uint32(hdr[nvGenOffset:]) != l.gen || uint64(n) > uint64(len(raw)-off-nvRecHeaderSize) {
+			break
 		}
-		size := nvRecHeaderSize + int(binary.BigEndian.Uint32(raw[off:off+4]))
-		if off+size > len(raw) {
-			return nil, errors.New("dirsvc: corrupt NVRAM log record")
+		size := nvRecHeaderSize + int(n)
+		if nvRecordCRC(raw[off:off+size]) != binary.BigEndian.Uint32(hdr[nvGenOffset+4:]) {
+			break
 		}
 		req, err := DecodeRequest(raw[off+nvRecHeaderSize : off+size])
 		if err != nil {
 			return nil, fmt.Errorf("nvram record: %w", err)
 		}
-		rec := newNVRecord(req, binary.BigEndian.Uint64(raw[off+5:off+13]), off, size)
-		if rec.alive = raw[off+nvAliveOffset] == 1; !rec.alive {
+		seq := binary.BigEndian.Uint64(hdr[nvAliveOffset+1:])
+		rec := newNVRecord(req, seq, off, size)
+		if rec.alive = hdr[nvAliveOffset] == 1; !rec.alive {
 			l.dead += size
 		}
+		l.maxSeq = max(l.maxSeq, seq)
 		l.recs = append(l.recs, rec)
 		off += size
 	}
 	l.used = off
 	return l, nil
+}
+
+// nvRecordCRC is the checksum of an encoded record: its len, gen and
+// payload, the bytes no cancel rewrites.
+func nvRecordCRC(rec []byte) uint32 {
+	c := crc32.ChecksumIEEE(rec[:4])
+	c = crc32.Update(c, crc32.IEEETable, rec[nvGenOffset:nvGenOffset+4])
+	return crc32.Update(c, crc32.IEEETable, rec[nvRecHeaderSize:])
+}
+
+// seal stamps an encoded record with the log's generation and its
+// checksum.
+func (l *NVLog) seal(rec []byte) {
+	binary.BigEndian.PutUint32(rec[nvGenOffset:], l.gen)
+	binary.BigEndian.PutUint32(rec[nvGenOffset+4:], nvRecordCRC(rec))
 }
 
 // newNVRecord describes a live record of req at [offset, offset+size).
@@ -122,7 +156,7 @@ func newNVRecord(req *Request, seq uint64, offset, size int) nvRecord {
 // of the region with one NVRAM write: the header alone, or the header
 // with the records compaction has just moved behind it.
 func (l *NVLog) storeFront(n int) error {
-	binary.BigEndian.PutUint32(l.img[4:8], uint32(len(l.recs)))
+	binary.BigEndian.PutUint32(l.img[4:8], l.gen)
 	binary.BigEndian.PutUint64(l.img[8:16], l.maxSeq)
 	return l.nv.Write(0, l.img[:n])
 }
@@ -137,22 +171,16 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 
 	if req.Op == OpDeleteRow {
 		if i := l.cancellableAppendLocked(req.Dir.Object, req.Name); i >= 0 {
-			// Kill the append in NVRAM; the delete is never written.
+			// Kill the append in NVRAM and give it the delete's seq, so
+			// replay still counts the delete; the delete is never written.
 			l.maxSeq = max(l.maxSeq, seq)
 			rec := &l.recs[i]
-			rec.alive = false
+			rec.alive, rec.seq = false, seq
 			l.dead += rec.size
-			alive := rec.offset + nvAliveOffset
-			l.img[alive] = 0
-			if err := l.nv.Write(alive, l.img[alive:alive+1]); err != nil {
-				return false, err
-			}
-			// The header still advances maxSeq so recovery sees that
-			// updates happened here.
-			if err := l.storeFront(nvHeaderSize); err != nil {
-				return false, err
-			}
-			return true, nil
+			at := rec.offset + nvAliveOffset
+			l.img[at] = 0
+			binary.BigEndian.PutUint64(l.img[at+1:], seq)
+			return true, l.nv.Write(at, l.img[at:at+nvCancelSize])
 		}
 	}
 
@@ -163,7 +191,7 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 	buf = req.AppendTo(buf)
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-nvRecHeaderSize))
 	buf[nvAliveOffset] = 1
-	binary.BigEndian.PutUint64(buf[5:13], seq)
+	binary.BigEndian.PutUint64(buf[nvAliveOffset+1:], seq)
 
 	if (l.used+len(buf))*4 > len(l.img)*3 && l.dead*4 >= len(l.img) {
 		// Before maxSeq moves: the compacted image must not claim an
@@ -177,21 +205,25 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 		return false, fmt.Errorf("%w (%d bytes used of %d, record of %d)", ErrLogFull, l.used, len(l.img), len(buf))
 	}
 	// A no-op unless compaction moved used or buf is on the heap.
-	copy(l.img[l.used:], buf)
-	if err := l.nv.Write(l.used, l.img[l.used:l.used+len(buf)]); err != nil {
+	rec := l.img[l.used : l.used+len(buf)]
+	copy(rec, buf)
+	l.seal(rec) // after compaction, which moves to a new generation
+	if err := l.nv.Write(l.used, rec); err != nil {
 		return false, err
 	}
 	l.recs = append(l.recs, newNVRecord(req, seq, l.used, len(buf)))
 	l.used += len(buf)
-	return false, l.storeFront(nvHeaderSize)
+	return false, nil
 }
 
 // compactLocked moves the live records to the front of the region, in
-// order and with their sequence numbers, and stores them together with
-// the new record count in one NVRAM write. That write is the log's
-// atomicity unit: a crash finds either the old image or the compacted
-// one, and both replay to the same live records and maxSeq.
+// order and with their sequence numbers, restamps them with a new
+// generation and stores them together with the new header in one NVRAM
+// write. That write is the log's atomicity unit: a crash finds either
+// the old image or the compacted one — whose generation ends replay at
+// its last record — and both replay to the same live records and maxSeq.
 func (l *NVLog) compactLocked() error {
+	l.gen++
 	live := l.recs[:0]
 	off := nvHeaderSize
 	for _, rec := range l.recs {
@@ -199,6 +231,7 @@ func (l *NVLog) compactLocked() error {
 			continue
 		}
 		copy(l.img[off:], l.img[rec.offset:rec.offset+rec.size])
+		l.seal(l.img[off : off+rec.size])
 		rec.offset = off
 		off += rec.size
 		live = append(live, rec)
@@ -311,10 +344,12 @@ func (l *NVLog) MaxSeq() uint64 {
 	return l.maxSeq
 }
 
-// Clear empties the log after a successful flush, keeping maxSeq.
+// Clear empties the log after a successful flush, keeping maxSeq: one
+// header write whose new generation ends replay before the old records.
 func (l *NVLog) Clear() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.gen++
 	l.recs = nil
 	l.used, l.dead = nvHeaderSize, 0
 	return l.storeFront(nvHeaderSize)

@@ -122,11 +122,9 @@ func TestNVLogCrashImagesMatchModel(t *testing.T) {
 			case after.maxSeq:
 				err = after.holds(crashed)
 			case before.maxSeq:
-				// A cancel's first write kills the append before the
-				// header carries the delete's sequence number.
-				if err = before.holds(crashed); err != nil && after.holds(crashed) == nil {
-					err = nil
-				}
+				// The compacted image an append stores before its own
+				// record: every other write is the whole operation.
+				err = before.holds(crashed)
 			default:
 				err = fmt.Errorf("MaxSeq %d, model %d → %d", crashed.MaxSeq(), before.maxSeq, after.maxSeq)
 			}
@@ -189,6 +187,163 @@ func TestNVLogCrashImagesMatchModel(t *testing.T) {
 				seed, compactions, flushes, images)
 		}
 	}
+}
+
+// TestNVLogOneWritePerOperation counts the NVRAM writes of each log
+// operation: an append, a cancel and a Clear are one write each, and an
+// append that compacts first is two — the compacted front, then its own
+// record.
+func TestNVLogOneWritePerOperation(t *testing.T) {
+	nv := vdisk.NewNVRAM(sim.FastModel(), 2048)
+	log, err := OpenNVLog(nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	nv.ObserveWrites(func() { writes++ })
+	expect := func(what string, want int, op func() error) {
+		t.Helper()
+		writes = 0
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if writes != want {
+			t.Fatalf("%s: %d NVRAM writes, want %d", what, writes, want)
+		}
+	}
+	masks := []capability.Rights{capability.AllRights, 0, 0}
+	seq := uint64(0)
+	appendRow := func(name string) func() error {
+		return func() error {
+			seq++
+			_, err := log.Append(&Request{Op: OpAppendRow, Dir: testCap(1), Name: name, Cap: testCap(5), Masks: masks}, seq)
+			return err
+		}
+	}
+	deleteRow := func(name string) func() error {
+		return func() error {
+			seq++
+			cancelled, err := log.Append(&Request{Op: OpDeleteRow, Dir: testCap(1), Name: name}, seq)
+			if err == nil && !cancelled {
+				err = fmt.Errorf("delete of %q did not cancel", name)
+			}
+			return err
+		}
+	}
+	expect("append", 1, appendRow("a"))
+	expect("cancel", 1, deleteRow("a"))
+	expect("clear", 1, log.Clear)
+
+	expect("append", 1, appendRow("keep"))
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("tmp%d", i)
+		before := log.UsedBytes()
+		writes = 0
+		if err := appendRow(name)(); err != nil {
+			t.Fatal(err)
+		}
+		if log.UsedBytes() < before {
+			if writes != 2 {
+				t.Fatalf("compacting append: %d NVRAM writes, want 2", writes)
+			}
+			break
+		}
+		if writes != 1 {
+			t.Fatalf("append %d: %d NVRAM writes, want 1", i, writes)
+		}
+		expect("cancel", 1, deleteRow(name))
+	}
+}
+
+// TestNVLogReplayBoundary pins where replay stops: at a record of an
+// older generation, which a Clear leaves behind; at a record whose
+// checksum fails; and it finds a cancelled append's record carrying the
+// delete's sequence number.
+func TestNVLogReplayBoundary(t *testing.T) {
+	masks := []capability.Rights{capability.AllRights, 0, 0}
+	row := func(name string) *Request {
+		return &Request{Op: OpAppendRow, Dir: testCap(1), Name: name, Cap: testCap(5), Masks: masks}
+	}
+	open := func(t *testing.T, nv *vdisk.NVRAM) *NVLog {
+		t.Helper()
+		log, err := OpenNVLog(nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	logAll := func(t *testing.T, log *NVLog, reqs ...*Request) {
+		t.Helper()
+		for _, req := range reqs {
+			if _, err := log.Append(req, log.MaxSeq()+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := func(t *testing.T, log *NVLog) string {
+		t.Helper()
+		reqs, seqs, err := log.Live()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for i, req := range reqs {
+			out += fmt.Sprintf("%s@%d ", req.Name, seqs[i])
+		}
+		return out
+	}
+
+	t.Run("older generation after Clear", func(t *testing.T) {
+		nv := vdisk.NewNVRAM(sim.FastModel(), 4096)
+		log := open(t, nv)
+		logAll(t, log, row("a"), row("b"))
+		if err := log.Clear(); err != nil {
+			t.Fatal(err)
+		}
+		if got := live(t, open(t, nv)); got != "" {
+			t.Fatalf("after Clear: live %q", got)
+		}
+		// c overwrites a exactly; b, intact behind it, is of the
+		// generation before the Clear.
+		logAll(t, log, row("c"))
+		reopened := open(t, nv)
+		if got := live(t, reopened); got != "c@3 " || reopened.MaxSeq() != 3 {
+			t.Fatalf("live %q, MaxSeq %d; want c@3 and 3", got, reopened.MaxSeq())
+		}
+	})
+
+	t.Run("bad checksum ends the log", func(t *testing.T) {
+		nv := vdisk.NewNVRAM(sim.FastModel(), 4096)
+		log := open(t, nv)
+		logAll(t, log, row("a"), row("b"))
+		tail := log.UsedBytes()
+		logAll(t, log, row("c"))
+		at := tail + nvRecHeaderSize + 1
+		b, err := nv.Read(at, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nv.Write(at, []byte{b[0] ^ 0x40}); err != nil {
+			t.Fatal(err)
+		}
+		if got := live(t, open(t, nv)); got != "a@1 b@2 " {
+			t.Fatalf("live %q, want a@1 b@2", got)
+		}
+	})
+
+	t.Run("cancel keeps the delete's seq", func(t *testing.T) {
+		nv := vdisk.NewNVRAM(sim.FastModel(), 4096)
+		log := open(t, nv)
+		logAll(t, log, row("a"), row("b"))
+		cancelled, err := log.Append(&Request{Op: OpDeleteRow, Dir: testCap(1), Name: "a"}, 7)
+		if err != nil || !cancelled {
+			t.Fatalf("delete of a: cancelled %v, err %v", cancelled, err)
+		}
+		reopened := open(t, nv)
+		if got := live(t, reopened); got != "b@2 " || reopened.MaxSeq() != 7 {
+			t.Fatalf("live %q, MaxSeq %d; want b@2 and the delete's 7", got, reopened.MaxSeq())
+		}
+	})
 }
 
 // TestNVLogCompactionKeepsLiveRecords pins the reclaim rule on the

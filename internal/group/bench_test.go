@@ -1,9 +1,6 @@
 package group
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // warmSend returns a Send from the sequencer of three members at
 // resilience 2 — the directory service's configuration — after a few
@@ -11,15 +8,7 @@ import (
 func warmSend(tb testing.TB) func() error {
 	tb.Helper()
 	c := newCluster(tb, 3, 2)
-	for _, m := range c.members {
-		go func(m *Member) {
-			for {
-				if _, err := m.Receive(); err != nil && !errors.Is(err, ErrGroupFailure) {
-					return
-				}
-			}
-		}(m)
-	}
+	c.consumeAll()
 	payload := []byte("update")
 	send := func() error {
 		_, err := c.members[0].Send(payload)

@@ -15,11 +15,16 @@
 // Total order comes from a sequencer (the PB method): a member sends its
 // message point-to-point to the sequencer, which assigns the next sequence
 // number and multicasts it to the group in a single Ethernet frame. With
-// resilience degree r, Send returns only once the sequencer has collected
-// ACCEPTs from r members besides itself, so the message survives r
-// processor failures. For a triplicated service with r = 2 this costs five
-// messages — REQUEST, ORD multicast, two ACCEPTs, DONE — matching the
-// paper's §3.1 count.
+// resilience degree r, Send returns only once r members besides the
+// sequencer hold the message, so it survives r processor failures. The
+// sequencer's own sends count its members' ACCEPTs. Any other member's
+// send counts itself, once it has delivered its own ORD, and the
+// ACCEPTs the remaining members send it directly, next to the one each
+// sends the sequencer; the sequencer's DONE only answers a retried send
+// request. For a triplicated service with r = 2 a member's send costs
+// five messages — REQUEST, ORD multicast, the sender's ACCEPT, the third
+// member's ACCEPT to the sequencer and to the sender — matching the
+// paper's §3.1 count, one hop shorter than waiting for a DONE.
 //
 // All protocol bookkeeping runs synchronously in the FLIP dispatcher (the
 // analogue of Amoeba's kernel processing packets at interrupt time), so
@@ -148,23 +153,36 @@ type Config struct {
 
 var gidCounter atomic.Uint64
 
-// doneState tracks resilience acknowledgements for one sequenced message.
+// doneState tracks resilience acknowledgements for one sequenced message
+// at the sequencer, until every member's ACCEPT is in.
 type doneState struct {
 	sender   sim.NodeID
 	msgID    uint64
 	needed   int
 	acked    []sim.NodeID // members whose ACCEPT counted; backed by ackedBuf up to four
 	ackedBuf [4]sim.NodeID
-	doneSent bool
 }
 
-// timers and sendDones recycle what a Send call owns while it waits: its
+// sendCall is what a Send call registers while it waits: the channel its
+// sequence number arrives on once the send is stable, and at a member
+// other than the sequencer what makes it so — its own ORD's delivery and
+// the direct ACCEPTs of the other non-sequencer members.
+type sendCall struct {
+	done     chan uint64
+	seq      uint64       // the own ORD's sequence number once delivered here, else 0
+	epoch    uint64       // the epoch acked was counted in
+	acked    []sim.NodeID // backed by ackedBuf up to four
+	ackedBuf [4]sim.NodeID
+}
+
+// timers and sendCalls recycle what a Send call owns while it waits: its
 // retry timer (since Go 1.23 a stopped timer's channel holds no stale
-// tick) and the channel its DONE arrives on, drained once the call has
-// unregistered it under the member mutex every DONE is delivered under.
+// tick) and its sendCall, whose channel is drained once the call has
+// unregistered it under the member mutex every completion is delivered
+// under.
 var (
 	timers    = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
-	sendDones = sync.Pool{New: func() any { return make(chan uint64, 1) }}
+	sendCalls = sync.Pool{New: func() any { return &sendCall{done: make(chan uint64, 1)} }}
 )
 
 // Member is one process's membership in a group.
@@ -207,8 +225,8 @@ type Member struct {
 	sequenced   map[sim.NodeID]map[uint64]uint64 // sender → msgID → seq
 	syncedSeq   uint64                           // seqs ≤ syncedSeq are at all members (last reset)
 
-	msgCounter uint64                 // last msgID used; starts at the incarnation's start time
-	waiting    map[uint64]chan uint64 // Send calls by msgID: each gets its seq once the send commits
+	msgCounter uint64               // last msgID used; starts at the incarnation's start time
+	waiting    map[uint64]*sendCall // Send calls by msgID: each gets its seq once the send is stable
 
 	lastSeen      map[sim.NodeID]time.Time
 	lastRetransAt time.Time
@@ -326,7 +344,7 @@ func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
 		history:     make(map[uint64]*wireMsg),
 		pendingDone: make(map[uint64]*doneState),
 		sequenced:   make(map[sim.NodeID]map[uint64]uint64),
-		waiting:     make(map[uint64]chan uint64),
+		waiting:     make(map[uint64]*sendCall),
 		lastSeen:    make(map[sim.NodeID]time.Time),
 		stop:        make(chan struct{}),
 	}
@@ -461,7 +479,10 @@ func (m *Member) Receive() (Msg, error) {
 
 // Send multicasts payload to the group in total order (paper Fig. 1:
 // SendToGroup). It returns the assigned sequence number once the
-// configured resilience degree is satisfied. During failures it blocks
+// configured resilience degree is satisfied: at the sequencer once enough
+// members' ACCEPTs are in, anywhere else once this member has delivered
+// the message and enough other members have ACCEPTed it here, or once a
+// retry's DONE says so. During failures it blocks
 // until the group is reset (by the application's group thread) and then
 // completes against the new view.
 func (m *Member) Send(payload []byte) (uint64, error) {
@@ -476,8 +497,9 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 	}
 	m.msgCounter++
 	msgID := m.msgCounter
-	done := sendDones.Get().(chan uint64)
-	m.waiting[msgID] = done
+	call := sendCalls.Get().(*sendCall)
+	call.seq, call.epoch, call.acked = 0, 0, call.ackedBuf[:0]
+	m.waiting[msgID] = call
 	m.mu.Unlock()
 
 	timer := timers.Get().(*time.Timer)
@@ -488,10 +510,10 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 		delete(m.waiting, msgID)
 		m.mu.Unlock()
 		select {
-		case <-done: // a DONE for a retry that lost the race with the first
+		case <-call.done: // a completion that lost the race with the first
 		default:
 		}
-		sendDones.Put(done)
+		sendCalls.Put(call)
 	}()
 
 	for {
@@ -519,10 +541,10 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 				return 0, err
 			}
 		}
-		// Wait for the DONE (or a state change that warrants a resend).
+		// Wait for stability (or a state change that warrants a resend).
 		timer.Reset(m.retryEvery)
 		select {
-		case seq := <-done:
+		case seq := <-call.done:
 			return seq, nil
 		case <-m.stop:
 			return 0, ErrClosed

@@ -77,6 +77,19 @@ func newCluster(t testing.TB, n, resilience int) *cluster {
 	return c
 }
 
+// consumeAll keeps every member's Receive drained for the test's life.
+func (c *cluster) consumeAll() {
+	for _, m := range c.members {
+		go func(m *Member) {
+			for {
+				if _, err := m.Receive(); err != nil && !errors.Is(err, ErrGroupFailure) {
+					return
+				}
+			}
+		}(m)
+	}
+}
+
 // receiveApp receives messages until an application message arrives.
 func receiveApp(t *testing.T, m *Member) Msg {
 	t.Helper()
@@ -198,8 +211,9 @@ func TestTotalOrderUnderConcurrency(t *testing.T) {
 }
 
 func TestResilienceMessageCount(t *testing.T) {
-	// SendToGroup with r=2 from a non-sequencer member costs 5 frames:
-	// REQ, ORD multicast, 2 ACCEPTs, DONE (paper §3.1).
+	// SendToGroup with r=2 from a non-sequencer member costs 5 frames
+	// (paper §3.1): REQ, ORD multicast, the sender's ACCEPT, and the
+	// third member's ACCEPT to the sequencer and to the sender.
 	c := newCluster(t, 3, 2)
 	sender := c.members[1] // member 0 created the group and is sequencer
 	if sender.Info().Sequencer == sender.Me() {

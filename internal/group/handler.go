@@ -92,22 +92,26 @@ func (m *Member) sequencerHandleSendLocked(w *wireMsg) {
 	}
 	m.seqCounter++
 	s := m.seqCounter
-	ord := &wireMsg{
-		kind:    wireOrd,
-		gid:     m.gid,
-		epoch:   m.epoch,
-		seq:     s,
-		from:    w.from,
-		msgID:   w.msgID,
-		ordKind: w.ordKind,
-		node:    w.node,
-		payload: w.payload,
+	// One allocation for the ORD the history keeps and the
+	// acknowledgement record, which never outlives it.
+	both := &struct {
+		ord wireMsg
+		pd  doneState
+	}{
+		ord: wireMsg{
+			kind:    wireOrd,
+			gid:     m.gid,
+			epoch:   m.epoch,
+			seq:     s,
+			from:    w.from,
+			msgID:   w.msgID,
+			ordKind: w.ordKind,
+			node:    w.node,
+			payload: w.payload,
+		},
+		pd: doneState{sender: w.from, msgID: w.msgID, needed: m.neededLocked()},
 	}
-	needed := m.cfg.Resilience
-	if max := len(m.members) - 1; needed > max {
-		needed = max
-	}
-	pd := &doneState{sender: w.from, msgID: w.msgID, needed: needed}
+	ord, pd := &both.ord, &both.pd
 	pd.acked = pd.ackedBuf[:0]
 	m.pendingDone[s] = pd
 	frame := m.mcastFrame(ord)
@@ -118,9 +122,14 @@ func (m *Member) sequencerHandleSendLocked(w *wireMsg) {
 		ord.payload = frame[len(frame)-len(ord.payload):]
 	}
 	m.processOrdLocked(ord) // multicast does not loop back
-	if needed == 0 {
-		m.sendDoneLocked(s)
-	}
+	m.settleLocked(s, pd)
+}
+
+// neededLocked is the number of members besides the sequencer that must
+// hold a message before its send completes: the resilience degree,
+// capped by the view.
+func (m *Member) neededLocked() int {
+	return min(m.cfg.Resilience, len(m.members)-1)
 }
 
 // answerDuplicateLocked handles a retried send request whose message was
@@ -132,7 +141,7 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 		return
 	}
 	pd := m.pendingDone[s]
-	if pd == nil || pd.doneSent {
+	if pd == nil || len(pd.acked) >= pd.needed {
 		m.replyDoneLocked(w.from, w.msgID, s)
 		return
 	}
@@ -165,26 +174,32 @@ func (m *Member) handleOrdLocked(w *wireMsg) {
 	if w.seq < m.nextSeq {
 		// Duplicate of something already processed: the sequencer may
 		// have lost our ACCEPT, so acknowledge again.
-		m.acceptLocked(w.seq)
+		m.acceptLocked(w)
 		return
 	}
 	if _, dup := m.pending[w.seq]; !dup {
 		kept := *w
 		m.pending[w.seq] = &kept
 	}
-	m.acceptLocked(w.seq)
+	m.acceptLocked(w)
 	m.drainPendingLocked()
 	if w.seq >= m.nextSeq && m.pending[m.nextSeq] == nil {
 		m.maybeRequestRetransLocked(w.seq - 1)
 	}
 }
 
-// acceptLocked acknowledges receipt of seq to the sequencer.
-func (m *Member) acceptLocked(seq uint64) {
+// acceptLocked acknowledges receipt of ord to the sequencer and, for an
+// application message another non-sequencer member sent, to that sender
+// as well, which counts it towards its send's resilience degree.
+func (m *Member) acceptLocked(ord *wireMsg) {
 	if m.sequencer == m.me {
 		return
 	}
-	_ = m.send(m.sequencer, &wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: seq, from: m.me})
+	accept := wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: ord.seq, from: m.me, msgID: ord.msgID, node: ord.from}
+	_ = m.send(m.sequencer, &accept)
+	if ord.ordKind == ordApp && ord.from != m.me && ord.from != m.sequencer {
+		_ = m.send(ord.from, &accept)
+	}
 }
 
 // drainPendingLocked promotes contiguous pending messages into the
@@ -210,6 +225,7 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 	}
 	for s-m.histLo >= historyWindow {
 		delete(m.history, m.histLo)
+		delete(m.pendingDone, m.histLo)
 		m.histLo++
 	}
 	if seqs := m.sequenced[ord.from]; seqs == nil {
@@ -226,6 +242,10 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 	case ordApp:
 		msg.Kind = KindApp
 		msg.Payload = ord.payload
+		if call := m.waiting[ord.msgID]; ord.from == m.me && call != nil && m.sequencer != m.me {
+			call.seq = s // this member's own send: it holds the message now
+			m.completeIfStableLocked(call)
+		}
 	case ordJoin:
 		msg.Kind = KindJoin
 		msg.Node = ord.node
@@ -267,10 +287,13 @@ func (m *Member) removeMemberLocked(nd sim.NodeID) {
 	}
 }
 
-// handleAcceptLocked counts resilience acknowledgements (sequencer only).
+// handleAcceptLocked counts resilience acknowledgements: at the
+// sequencer for every message it sequenced, elsewhere for this member's
+// own sends.
 func (m *Member) handleAcceptLocked(w *wireMsg) {
 	m.lastSeen[w.from] = time.Now()
 	if m.sequencer != m.me {
+		m.countDirectAcceptLocked(w)
 		return
 	}
 	pd := m.pendingDone[w.seq]
@@ -278,20 +301,58 @@ func (m *Member) handleAcceptLocked(w *wireMsg) {
 		return
 	}
 	pd.acked = append(pd.acked, w.from)
-	if !pd.doneSent && len(pd.acked) >= pd.needed {
-		m.sendDoneLocked(w.seq)
+	m.settleLocked(w.seq, pd)
+}
+
+// settleLocked completes the sequencer's own send of seq once it holds
+// the resilience degree, and forgets seq once every member has
+// acknowledged it; a retried send request is answered with a DONE from
+// then on.
+func (m *Member) settleLocked(seq uint64, pd *doneState) {
+	if len(pd.acked) < pd.needed {
+		return
+	}
+	if len(pd.acked) == pd.needed && pd.sender == m.me {
+		m.completeSendLocked(pd.msgID, seq)
+	}
+	if len(pd.acked) >= len(m.members)-1 {
+		delete(m.pendingDone, seq)
 	}
 }
 
-// sendDoneLocked notifies the original sender that its message reached
-// the configured resilience degree.
-func (m *Member) sendDoneLocked(seq uint64) {
-	pd := m.pendingDone[seq]
-	if pd == nil {
+// countDirectAcceptLocked counts an ACCEPT another non-sequencer member
+// of the current view sent for one of this member's sends, in the
+// current epoch and once per member.
+func (m *Member) countDirectAcceptLocked(w *wireMsg) {
+	call := m.waiting[w.msgID]
+	if call == nil || w.node != m.me || w.epoch != m.epoch || w.from == m.sequencer || !contains(m.members, w.from) {
 		return
 	}
-	pd.doneSent = true
-	m.replyDoneLocked(pd.sender, pd.msgID, seq)
+	if call.epoch != m.epoch {
+		call.epoch, call.acked = m.epoch, call.ackedBuf[:0]
+	}
+	if contains(call.acked, w.from) {
+		return
+	}
+	call.acked = append(call.acked, w.from)
+	m.completeIfStableLocked(call)
+}
+
+// completeIfStableLocked completes a send of this member, not the
+// sequencer, once the message is held by the sequencer, by this member
+// and by enough others that the three together make the resilience
+// degree.
+func (m *Member) completeIfStableLocked(call *sendCall) {
+	acked := 0
+	if call.epoch == m.epoch {
+		acked = len(call.acked)
+	}
+	if call.seq != 0 && acked+1 >= m.neededLocked() {
+		select {
+		case call.done <- call.seq:
+		default:
+		}
+	}
 }
 
 func (m *Member) replyDoneLocked(sender sim.NodeID, msgID, seq uint64) {
@@ -307,9 +368,9 @@ func (m *Member) handleDoneLocked(w *wireMsg) { m.completeSendLocked(w.msgID, w.
 
 // completeSendLocked hands seq to the Send call waiting on msgID, if any.
 func (m *Member) completeSendLocked(msgID, seq uint64) {
-	if done := m.waiting[msgID]; done != nil {
+	if call := m.waiting[msgID]; call != nil {
 		select {
-		case done <- seq:
+		case call.done <- seq:
 		default:
 		}
 	}

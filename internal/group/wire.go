@@ -12,8 +12,8 @@ import (
 const (
 	wireSendReq  = 1  // member → sequencer: please sequence this payload
 	wireOrd      = 2  // sequencer → multicast: sequenced message
-	wireAccept   = 3  // member → sequencer: I buffered ORD seq
-	wireDone     = 4  // sequencer → sender: resilience degree satisfied
+	wireAccept   = 3  // member → sequencer, and → sender of an app ORD: I buffered ORD seq
+	wireDone     = 4  // sequencer → sender: answers a retried SEND_REQ once stable
 	wireJoinReq  = 5  // joiner → multicast: who runs this group?
 	wireWelcome  = 6  // sequencer → joiner: group state snapshot
 	wireRetrans  = 7  // member → sequencer: resend seqs [from, to]
@@ -58,9 +58,9 @@ type wireMsg struct {
 	epoch   uint64
 	seq     uint64 // ORD/ACCEPT: sequence number; WELCOME: join seq
 	from    sim.NodeID
-	msgID   uint64 // SEND_REQ/ORD/DONE: per-sender id for dedup
-	ordKind byte   // ORD: app/join/leave
-	node    sim.NodeID
+	msgID   uint64       // SEND_REQ/ORD/ACCEPT/DONE: per-sender id for dedup and direct acks
+	ordKind byte         // ORD: app/join/leave
+	node    sim.NodeID   // ORD: member joining/leaving; ACCEPT: the ORD's sender; COMMIT: sequencer
 	seq2    uint64       // RETRANS: end of range; COMMIT: maxSeq
 	members []sim.NodeID // WELCOME/COMMIT
 	payload []byte

@@ -13,7 +13,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 	tests := []*wireMsg{
 		{kind: wireSendReq, gid: 7, from: 2, msgID: 9, ordKind: ordApp, payload: []byte("op")},
 		{kind: wireOrd, gid: 7, epoch: 3, seq: 100, from: 1, msgID: 9, ordKind: ordJoin, node: 4},
-		{kind: wireAccept, gid: 7, epoch: 3, seq: 100, from: 2},
+		{kind: wireAccept, gid: 7, epoch: 3, seq: 100, from: 2, msgID: 9, node: 1},
 		{kind: wireDone, gid: 7, seq: 100, msgID: 9, from: 0},
 		{kind: wireWelcome, gid: 7, epoch: 3, seq: 55, from: 0, members: []sim.NodeID{0, 2, 4}},
 		{kind: wireRetrans, gid: 7, epoch: 3, seq: 10, seq2: 20, from: 2},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -706,6 +707,49 @@ func TestNVRAMOversizedBatchSurvivesCrash(t *testing.T) {
 	crashAndRestartAll(t, c)
 	if got := listNames(t, client, d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d rows after whole-cluster crash, want %d (100 of them from the batch)", len(got), len(want))
+	}
+}
+
+// TestNVRAMOversizedPrepareSurvivesCrash is the cross-shard counterpart:
+// a prepare whose record does not fit even the cleared log must be
+// refused. Its record is the only durable trace of the staged steps, so
+// an acknowledged vote without one would vanish in a whole-cluster crash
+// while the other shard kept its half of the committed batch.
+func TestNVRAMOversizedPrepareSurvivesCrash(t *testing.T) {
+	c := newCrashCluster(t, KindGroupNVRAM, 2)
+	f := newTxFixture(t, c, "small")
+	batch := dir.NewBatch()
+	batch.Append(f.dirs[0], f.name, f.dirs[0], nil)
+	names := []map[string]bool{{f.name: true}, {}}
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("%03d-%s", i, strings.Repeat("x", 240))
+		batch.Append(f.dirs[1], name, f.dirs[1], nil)
+		names[1][name] = true
+	}
+	_, err := f.coordinator.Apply(bgCtx, batch)
+	committed := err == nil
+	t.Logf("Apply: %v", err)
+
+	for shard := range names {
+		for id := 1; id <= c.ServersPerShard(); id++ {
+			c.CrashShardServer(shard, id)
+		}
+	}
+	for shard := range names {
+		restartShard(t, c, shard)
+	}
+	for shard, want := range names {
+		if !committed {
+			want = map[string]bool{}
+		}
+		if err := retryFor(crashSettleWait, func() error {
+			if got := listNames(t, f.probe, f.dirs[shard]); !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("%d of %d rows", len(got), len(want))
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("shard %d after whole-cluster crash (batch committed %v): %v", shard, committed, err)
+		}
 	}
 }
 

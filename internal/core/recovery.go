@@ -17,16 +17,9 @@ import (
 // called at boot and whenever the group cannot be rebuilt with a
 // majority.
 func (s *Server) recover() error {
-	if s.engine != nil {
-		// Recovery rebuilds the replica from its disk, and the sequence
-		// number it advertises below comes from there: put the records
-		// this replica applied but has not logged on it first. What still
-		// fails to reach the disk is gone from this replica.
-		s.applyMu.Lock()
-		_ = s.writeRunLocked()
-		s.dropRun()
-		s.applyMu.Unlock()
-	}
+	s.applyMu.Lock()
+	logged := s.persist.settle()
+	s.applyMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -48,17 +41,11 @@ func (s *Server) recover() error {
 	s.member = nil
 	s.memberHint.Store((*group.Member)(nil))
 	// Derive the recovery sequence number before touching anything:
-	// max over per-directory seqnos, the commit block, and the NVRAM
-	// log (§3). If the recovering flag was already set, a previous
+	// max over per-directory seqnos, the commit block, and the NVRAM or
+	// engine log (§3). If the recovering flag was already set, a previous
 	// recovery was interrupted and our state may be inconsistent —
 	// force the sequence number to zero so nobody syncs from us (§3).
-	mySeq := s.front.StoredSeq()
-	if s.nvlog != nil && s.nvlog.MaxSeq() > mySeq {
-		mySeq = s.nvlog.MaxSeq()
-	}
-	if s.engine != nil && s.engine.MaxSeq() > mySeq {
-		mySeq = s.engine.MaxSeq()
-	}
+	mySeq := max(s.front.StoredSeq(), logged)
 	if s.commit.Recovering {
 		mySeq = 0
 	}
@@ -88,7 +75,6 @@ func (s *Server) recover() error {
 	}
 	defer rc.Close()
 
-	beat := heartbeat(s.model, s.cfg)
 	for {
 		s.mu.Lock()
 		closed := s.closed
@@ -97,26 +83,19 @@ func (s *Server) recover() error {
 			return errors.New("core: server closed during recovery")
 		}
 
-		member, syncedTo, err := s.recoverOnce(rc, mySeq, mourned, stayedUp, beat)
-		if err == nil && s.engine != nil {
-			// Seal the recovered state into a fresh checkpoint before
-			// serving: a pulled snapshot obsoletes whatever the engine held,
-			// and replayed suffixes should not be replayed twice. Nothing
-			// applies concurrently yet (the member installs below), so the
-			// cut is consistent. A write failure is survivable — the
-			// recovering flag is still set, so a crash before the next
-			// checkpoint resyncs from a peer. The batch lock only fences
-			// the flush loop.
-			s.applyMu.Lock()
-			_ = s.checkpointNow()
-			s.applyMu.Unlock()
-		}
+		member, syncedTo, err := s.recoverOnce(rc, mySeq, mourned, stayedUp, s.beat)
 		if err != nil {
 			// Wait for more servers to come back, then start all over
 			// again (Fig. 6: "try again").
-			time.Sleep(beat)
+			time.Sleep(s.beat)
 			continue
 		}
+		// Seal the recovered state into a fresh engine checkpoint: a
+		// pulled snapshot obsoletes what the engine held, and a replayed
+		// suffix must not replay twice. Nothing applies yet, so the cut is
+		// consistent; on a write failure the recovering flag still set
+		// makes a crash before the next checkpoint resync from a peer.
+		_ = s.Checkpoint()
 
 		// Success: install the new member and resume normal operation.
 		// The applied cursor starts at the stream position our state
@@ -291,76 +270,26 @@ func (s *Server) recoverOnce(
 	return member, syncedTo, nil
 }
 
-// loadLocalState rebuilds the replica from its own stable storage. With
-// a storage engine the base image is the last checkpoint (installed
-// wholesale — object table, topology, in-doubt transactions, remembered
-// outcomes) and only the log records past the checkpoint's sequence
-// number replay on top: the suffix, not the full history. Without one,
-// the directory cache reloads from the Bullet store and the whole NVRAM
-// log replays. Replayed OpPrepare records re-stage the in-doubt
-// transaction (locks and all) exactly as it stood before the crash; a
-// following OpDecide record then resolves it, and one still undecided
-// is left for the resolution loop.
+// loadLocalState rebuilds the replica from its own stable storage.
+// Replayed OpPrepare records re-stage the in-doubt transaction (locks and
+// all) as it stood before the crash; a following OpDecide record then
+// resolves it, and one still undecided is left for the resolution loop.
 func (s *Server) loadLocalState() error {
 	s.front.Applier.ResetTx()
 	s.front.Applier.InvalidateCache()
-	var ckptSeq uint64
-	if s.engine != nil {
-		seq, payload, err := s.engine.Checkpoint()
-		switch {
-		case err == nil:
-			snap, derr := dirsvc.DecodeSnapshot(payload)
-			if derr != nil {
-				return derr
-			}
-			if err := s.installSnapshot(snap, false); err != nil {
-				return err
-			}
-			ckptSeq = seq
-		case errors.Is(err, dirsvc.ErrNoCheckpoint):
-			// Fresh engine: nothing checkpointed yet, start empty.
-		default:
-			return err
-		}
-	} else if err := s.front.Applier.LoadAll(); err != nil {
+	if err := s.persist.load(); err != nil {
 		return err
 	}
-	if err := s.front.Applier.FormatRoot(s.nvlog == nil && s.engine == nil); err != nil {
-		return err
-	}
-	if s.engine != nil {
-		// Replay the write-ahead suffix. The checkpoint flip already
-		// truncated everything it covers.
-		for _, rec := range s.engine.LogSuffix(ckptSeq) {
-			if req, err := dirsvc.DecodeRequest(rec.Payload); err == nil {
-				s.front.Applier.Replay(req, rec.Seq)
-			}
-		}
-	}
-	// The applied sequence number now covers the reloaded table, the
-	// checkpoint and every replayed record; the commit block and the NVRAM
-	// log also count the numbers no surviving record carries.
+	// The commit block also counts numbers no surviving record carries.
 	s.mu.Lock()
 	floor := s.commit.Seq
 	s.mu.Unlock()
-	if s.nvlog != nil {
-		reqs, seqs, err := s.nvlog.Live()
-		if err != nil {
-			return err
-		}
-		for i, req := range reqs {
-			s.front.Applier.Replay(req, seqs[i])
-		}
-		floor = max(floor, s.nvlog.MaxSeq())
-	}
 	s.front.Applier.Advance(floor)
 	return nil
 }
 
-// installSnapshot replaces the replica's state with snap — a peer's
-// state transfer or our own last checkpoint — and adopts its shard-map
-// state into the commit block, which the write at recovery completion
-// persists.
+// installSnapshot replaces the replica's state with snap and adopts its
+// shard-map state into the commit block, which recovery's end persists.
 func (s *Server) installSnapshot(snap *dirsvc.Snapshot, durable bool) error {
 	if err := s.front.Applier.InstallSnapshot(snap, durable); err != nil {
 		return err
@@ -375,11 +304,9 @@ func (s *Server) installSnapshot(snap *dirsvc.Snapshot, durable bool) error {
 }
 
 // pullState transfers the full replica state from server src as one
-// snapshot (dirsvc.Snapshot): object table entries with secrets, every
-// directory image, stubs, topology, in-doubt transactions and remembered
-// outcomes — so this replica holds the same votes and can answer the
-// same decision queries as the rest of the group. It returns the
-// group-stream position the snapshot was cut at.
+// snapshot — in-doubt transactions and remembered outcomes included, so
+// this replica holds the same votes and answers the same decision
+// queries — and returns the group-stream position it was cut at.
 func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 	req := &dirsvc.Request{Op: dirsvc.OpSyncPull, Server: s.cfg.ServerID}
 	raw, err := rc.Trans(dirsvc.RecoveryPort(s.cfg.Service, src), req.Encode())
@@ -403,20 +330,9 @@ func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 		return 0, errors.New("core: source returned an empty state snapshot")
 	}
 
-	// Discard stale local state, then install the transferred images:
-	// written through to our own Bullet store and object table, except
-	// under an engine, where the install is RAM-only and recover() seals
-	// it into a fresh checkpoint before the replica serves anything.
-	if s.nvlog != nil {
-		if err := s.nvlog.Clear(); err != nil {
-			return 0, err
-		}
-	}
-	if err := s.installSnapshot(snap, s.engine == nil); err != nil {
+	// Discard stale local state, then install the transferred images.
+	if err := s.persist.install(snap); err != nil {
 		return 0, err
-	}
-	if s.nvlog != nil {
-		s.relogTxState()
 	}
 	s.mu.Lock()
 	s.commit.Seq = snap.CommitSeq
@@ -467,14 +383,10 @@ func (s *Server) handleExchange(req *dirsvc.Request) *dirsvc.Reply {
 }
 
 // handleSyncPull answers a full state transfer with a snapshot in the
-// reply Blob and the group-stream position it was cut at in Seq: every
-// message at or below that position is reflected in the snapshot, so the
-// recovering server must not re-apply those — and must not accept a cut
-// before its own join point, or the gap in between would be lost. A
-// server that is itself still recovering must refuse: its directory
-// cache is not loaded yet, and shipping a half-built state would hand
-// the puller an empty (or stale) replica that it would then serve as
-// current.
+// reply Blob and the group-stream position it was cut at in Seq, which
+// the puller must neither re-apply below nor accept short of its own join
+// point. A server still recovering refuses: its half-built state would
+// hand the puller an empty or stale replica to serve as current.
 func (s *Server) handleSyncPull() *dirsvc.Reply {
 	// Hold the batch lock while cutting the snapshot so the images and
 	// the advertised stream position are consistent.
@@ -525,12 +437,11 @@ func encodeExchange(mourned lastfail.Set, stayedUp bool) []byte {
 	for _, id := range ids {
 		buf = append(buf, byte(id))
 	}
+	var up byte
 	if stayedUp {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		up = 1
 	}
-	return buf
+	return append(buf, up)
 }
 
 func decodeExchange(blob []byte) (lastfail.Set, bool, error) {

@@ -173,13 +173,7 @@ func (sec *Secondary) refreshNow() error {
 		}
 	}
 	recs, err := sec.cfg.View.LogSince(m, sec.front.Applier.AppliedSeq())
-	if err == nil {
-		for _, rec := range recs {
-			if req, derr := dirsvc.DecodeRequest(rec.Payload); derr == nil {
-				sec.front.Applier.Replay(req, rec.Seq)
-			}
-		}
-	}
+	replayLog(sec.front.Applier, recs) // none on error
 	sec.mu.Lock()
 	sec.ckptGen = m.CkptGen
 	sec.haveState = true

@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,12 +53,10 @@ type Config struct {
 	// background.
 	NVRAM *vdisk.NVRAM
 	// Engine, when non-nil, enables the disk-backed storage engine:
-	// applies go to RAM, the engine's write-ahead log carries the
-	// critical-path durability, and a background checkpoint of the whole
-	// shard state bounds recovery to checkpoint + log suffix instead of a
-	// full replay. With an engine the object table and Bullet store are no
-	// longer written on the update path — the checkpoint is the durable
-	// copy. Mutually exclusive with NVRAM.
+	// applies go to RAM, its write-ahead log carries the critical-path
+	// durability, and background checkpoints of the shard state, not the
+	// object table and Bullet store, are the durable copy. Mutually
+	// exclusive with NVRAM.
 	Engine *dirsvc.Engine
 	// DisableImprovement turns off the §3.2 recovery refinement, for the
 	// ablation experiments.
@@ -73,30 +72,24 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	stack  *flip.Stack
-	model  *sim.LatencyModel
+	beat   time.Duration // the group's heartbeat
 	recSrv *rpc.Server
 	// front is the shared request pipeline and the replica state it
-	// serves from (object table, applier with the service update counter
-	// stamped on directories, notifier); this server is its Backend. The
-	// notifier is detached from the applier while recovery replays state
-	// and restarted when recovery completes.
+	// serves from (object table, applier, notifier); this server is its
+	// Backend. Recovery detaches the notifier while it replays state.
 	front *dirsvc.FrontEnd
-	// nvlog and engine are mutually exclusive: NVRAM log + background
-	// table flush (§4.1), or engine write-ahead log + checkpoints.
-	nvlog  *dirsvc.NVLog
-	engine *dirsvc.Engine
+	// persist makes applied updates durable: write-through, NVRAM log or
+	// storage engine, chosen once by NewServer.
+	persist persister
 
 	// applyMu serializes whole group-message batches against state
 	// snapshots: handleSyncPull holds it while cutting one, so the
 	// transferred images and the group-stream position it advertises are
-	// always batch-aligned (never half a coalesced packet).
+	// always batch-aligned (never half a coalesced packet). It also guards
+	// persist and tailed, which is set while a readonly secondary tails
+	// the server's disk (SetTailed): every batch then syncs as it applies.
 	applyMu sync.Mutex
-	// run is the engine's pending write-ahead run: the records applied to
-	// RAM but not yet on disk, in stream order. tailed is set while a
-	// readonly secondary tails the engine partition (SetTailed): every
-	// record is then written as it is applied. Both guarded by applyMu.
-	run    []dirsvc.LogRec
-	tailed bool
+	tailed  bool
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -159,9 +152,9 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if cfg.NVRAM != nil && cfg.Engine != nil {
 		return nil, errors.New("core: the NVRAM log and the storage engine are mutually exclusive")
 	}
-	model := stack.Model()
+	beat := group.HeartbeatFor(stack.Model(), group.Config{HeartbeatInterval: cfg.HeartbeatInterval})
 	if cfg.IdleFlush <= 0 {
-		cfg.IdleFlush = 20 * heartbeat(model, cfg)
+		cfg.IdleFlush = 20 * beat
 	}
 
 	rc, err := rpc.NewClient(stack)
@@ -176,21 +169,28 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		stack:     stack,
-		model:     model,
+		beat:      beat,
 		front:     front,
 		commit:    front.Commit,
-		engine:    cfg.Engine,
 		results:   make(map[uint64]*dirsvc.Reply),
 		sendAcked: make(map[uint64]bool),
 		sendCh:    make(chan coalesceOp, 4*maxCoalesce),
 		stop:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.NVRAM != nil {
-		if s.nvlog, err = dirsvc.OpenNVLog(cfg.NVRAM); err != nil {
+	var every time.Duration // the persister's tick; write-through has none
+	switch {
+	case cfg.NVRAM != nil:
+		log, err := dirsvc.OpenNVLog(cfg.NVRAM)
+		if err != nil {
 			front.Close()
 			return nil, fmt.Errorf("open nvram log: %w", err)
 		}
+		s.persist, every = &nvramLog{s: s, log: log}, cfg.IdleFlush/2
+	case cfg.Engine != nil:
+		s.persist, every = &engineLog{s: s, eng: cfg.Engine, ckptTicks: max(1, int(cfg.IdleFlush/2/beat))}, beat
+	default:
+		s.persist = writeThrough{s}
 	}
 
 	// Recovery servers answer even while we recover ourselves.
@@ -214,22 +214,11 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	s.wg.Add(2)
 	go s.groupThread()
 	go s.sendLoop()
-	if s.nvlog != nil || s.engine != nil {
+	if every > 0 {
 		s.wg.Add(1)
-		go s.flushLoop()
+		go s.flushLoop(every)
 	}
 	return s, nil
-}
-
-func heartbeat(model *sim.LatencyModel, cfg Config) time.Duration {
-	if cfg.HeartbeatInterval > 0 {
-		return cfg.HeartbeatInterval
-	}
-	base := model.Timeout(150 * time.Millisecond)
-	if base < 15*time.Millisecond {
-		base = 15 * time.Millisecond
-	}
-	return base
 }
 
 func (s *Server) groupConfig() group.Config {
@@ -321,13 +310,7 @@ func (s *Server) Status() Status {
 		st.Members = len(info.Members)
 		st.Epoch = info.Epoch
 	}
-	if s.nvlog != nil {
-		st.NVRAMUsed = s.nvlog.UsedBytes()
-	}
-	if s.engine != nil {
-		st.CheckpointSeq = s.engine.CheckpointSeq()
-		st.EngineLog = s.engine.LogLen()
-	}
+	s.persist.status(&st)
 	if topo, ok := s.front.Applier.Topology(); ok {
 		st.ShardEpoch = topo.Epoch
 	}
@@ -516,25 +499,14 @@ func (s *Server) handleGroupFailure(member *group.Member) {
 		s.writeCommit(commit)
 		return
 	}
-	if err := s.recover(); err != nil {
-		// Unrecoverable (shutdown); groupThread exits via closed check.
-		return
-	}
+	_ = s.recover() // fails only on shutdown: groupThread sees closed
 }
 
 // updateConfigVectorLocked rewrites the Up bits from a group member list.
 func (s *Server) updateConfigVectorLocked(members []sim.NodeID) {
-	nodeToServer := make(map[sim.NodeID]int, len(s.cfg.Peers))
+	clear(s.commit.Up)
 	for id, nd := range s.cfg.Peers {
-		nodeToServer[nd] = id
-	}
-	for i := range s.commit.Up {
-		s.commit.Up[i] = false
-	}
-	for _, nd := range members {
-		if id, ok := nodeToServer[nd]; ok {
-			s.commit.Up[id-1] = true
-		}
+		s.commit.Up[id-1] = slices.Contains(members, nd)
 	}
 }
 
@@ -571,20 +543,12 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	s.mu.Lock()
 	resume := s.groupResume
 	s.mu.Unlock()
-	if msg.Seq <= resume {
-		// Already reflected in the snapshot this replica pulled during
-		// recovery: the state transfer was cut at or past this stream
-		// position, so re-applying would double-apply. Just advance.
-		s.mu.Lock()
-		s.advanceGroupCursorLocked(msg.Seq)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
-	}
 	entries, err := unpackGroupEntries(s.entries[:0], msg.Payload)
-	if err != nil {
-		// Unparseable payload: still advance the group cursor so reads
-		// waiting on buffered messages are not stuck forever.
+	if msg.Seq <= resume || err != nil {
+		// Already reflected in the snapshot this replica pulled during
+		// recovery (the state transfer was cut at or past this stream
+		// position, so re-applying would double-apply), or unparseable:
+		// just advance, so reads waiting on buffered messages go on.
 		s.mu.Lock()
 		s.advanceGroupCursorLocked(msg.Seq)
 		s.cond.Broadcast()
@@ -616,20 +580,17 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 			local = append(local, localReply{opID: ent.opID, reply: reply})
 		}
 	}
-	// Group commit: an update this server initiated is answered only once
-	// its record is on this server's disk, and the one write carries every
-	// record queued since the last — the other servers' updates included.
-	// Nothing else waits on those here, so they wait for a local update,
-	// a commit-block write, or a heartbeat (flushLoop), whichever is first.
-	// Two kinds of record are written at once all the same. An orphan's
-	// initiator is no longer named up in this server's commit block: its
-	// message was still queued in the group layer when the view change
-	// dropped it, so the block is on disk already and the rule that a
-	// block stops naming a server only once that server's records are
-	// under it must be restored now. And a tailed partition feeds a
-	// secondary, which reads only what is on disk.
+	// Group commit (the engine's; record made the others durable): an
+	// update this server initiated is answered once it is on this disk,
+	// and the one sync carries every record queued since the last. Others
+	// wait for a local update, a commit-block write or a tick, but two
+	// kinds. An orphan's initiator is no longer named up in this server's
+	// commit block (its message was still queued when the view change
+	// dropped it), so the rule that a block stops naming a server only once
+	// that server's records are under it must be restored now. And a
+	// tailed disk feeds a secondary, which reads only what is on disk.
 	if len(local) > 0 || orphan || s.tailed {
-		if err := s.writeRunLocked(); err != nil {
+		if err := s.persist.sync(); err != nil {
 			for i := range local {
 				local[i].reply = dirsvc.ErrorReply(err)
 			}
@@ -651,21 +612,10 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	s.local = local[:0]
 }
 
-// applyUpdate executes the update against the replica: in the durable
-// variant this creates the new directory on the Bullet server and writes
-// the object table entry (the commit, Fig. 5); in the NVRAM variant it
-// updates RAM and logs the operation to NVRAM (§4.1); with a storage
-// engine it updates RAM and queues the operation's record on the pending
-// write-ahead run (processGroupMsg writes it; the checkpoint picks the
-// state up later). Callers hold applyMu.
+// applyUpdate executes the update against the replica (the commit,
+// Fig. 5) and hands it to the persister. Callers hold applyMu.
 func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
-	durable := s.nvlog == nil && s.engine == nil
-	if s.nvlog != nil && s.nvlog.NeedsFlush() {
-		// Live records fill the log (cancelled ones it compacts away by
-		// itself): make room first.
-		_ = s.flushNVRAM() // on disk trouble the log stays and Append below decides
-	}
-	res, err := s.front.Applier.ApplyUpdate(req, seq, durable)
+	res, err := s.front.Applier.ApplyUpdate(req, seq, s.persist.beforeApply())
 	if err != nil {
 		// The group backend consumes a sequence number even for a failed
 		// apply; record an empty filler event so the event log's index
@@ -674,106 +624,39 @@ func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
 		s.front.Applier.Advance(seq)
 		return dirsvc.ErrorReply(err)
 	}
-	// Above seq only after a shard restore whose snapshot's own counters
-	// run past this stream position.
-	effSeq := s.front.Applier.AppliedSeq()
-	if s.engine != nil && req.Op != dirsvc.OpRestoreShard {
-		// Queued before the commit-block write below, which writes the
-		// run first: the block's sequence number never runs ahead of the
-		// log.
-		s.run = append(s.run, dirsvc.LogRec{Seq: seq, Payload: dirsvc.PinAllocation(req, res.Reply).Encode()})
-	}
-	if res.TopoChanged {
-		// Persist the new shard-map state immediately, NVRAM mode
-		// included: a split is rare (one extra disk write), and recovery
-		// must never come back up routing under the old epoch. The seq
-		// also advances, covering sequence numbers dropped with stubs.
-		topo, ok := s.front.Applier.Topology()
-		s.mu.Lock()
-		s.commit.Seq = effSeq
-		if ok {
-			t := topo
-			s.commit.Topo = &t
-		}
-		commit := *s.commit
-		s.mu.Unlock()
-		_ = s.writeCommitLocked(commit)
-	}
-	switch {
-	case durable:
-		if res.DeletedDir && !res.TopoChanged {
-			// The deletion removed the per-directory record; remember
-			// the update in the commit block (§3, Fig. 4).
-			s.mu.Lock()
-			s.commit.Seq = effSeq
-			commit := *s.commit
-			s.mu.Unlock()
-			_ = s.writeCommitLocked(commit)
-		}
-		s.front.ScheduleCleanup(res.OldBullet)
-	case s.nvlog != nil:
-		if req.Op == dirsvc.OpRestoreShard {
-			// The installed snapshot dwarfs any log budget; flush it
-			// through now so a crash cannot lose the restore.
-			if err := s.flushNVRAM(); err != nil {
-				return dirsvc.ErrorReply(err)
-			}
-			break
-		}
-		if _, err := s.nvlog.Append(dirsvc.PinAllocation(req, res.Reply), seq); err != nil {
-			// The record does not fit below the region's end (a large
-			// batch, or live records up to the brim). RAM already holds
-			// the update, so flushing it through makes it durable; an
-			// update acknowledged with neither a log record nor a flush
-			// would leave a hole under the log's maxSeq after a crash.
-			if err := s.flushNVRAM(); err != nil {
-				return dirsvc.ErrorReply(err)
-			}
-		}
-	case req.Op == dirsvc.OpRestoreShard: // engine
-		// The installed snapshot dwarfs the log: checkpoint it now, which
-		// covers the pending run too.
-		if err := s.checkpointNow(); err != nil {
-			return dirsvc.ErrorReply(err)
-		}
+	if err := s.persist.record(req, res, seq); err != nil {
+		return dirsvc.ErrorReply(err)
 	}
 	return res.Reply
 }
 
-// writeRunLocked writes the pending run to the engine's log in one
-// sequential write. A run the log cannot take (region full, write
-// trouble) is folded into a fresh checkpoint instead: it covers every
-// applied record, and the flip truncates the log. When that fails too,
-// the run stays pending for the next attempt and the error is returned.
-// Callers hold applyMu.
-func (s *Server) writeRunLocked() error {
-	if len(s.run) == 0 {
-		return nil
+// commitAppliedLocked writes the commit block at the applied sequence
+// number (past the update's own only after a shard restore), adopting the
+// shard-map state when topo is set. Every mode persists a topology change
+// at once: splits are rare, and recovery must never come back up routing
+// under the old epoch. Callers hold applyMu.
+func (s *Server) commitAppliedLocked(topo bool) {
+	seq := s.front.Applier.AppliedSeq()
+	t, ok := s.front.Applier.Topology()
+	s.mu.Lock()
+	s.commit.Seq = seq
+	if topo && ok {
+		s.commit.Topo = &t
 	}
-	if err := s.engine.AppendRun(s.run); err != nil {
-		return s.checkpointNow()
-	}
-	s.dropRun()
-	return nil
+	commit := *s.commit
+	s.mu.Unlock()
+	_ = s.writeCommitLocked(commit)
 }
 
-// dropRun empties the pending run once the log or a checkpoint holds it.
-func (s *Server) dropRun() {
-	clear(s.run)
-	s.run = s.run[:0]
-}
-
-// writeCommitLocked writes the pending run, then the commit block. The
-// order is the durability argument for group commit: a server acknowledges
-// an update only once its record is on its own disk, but the others log it
-// lazily, so no commit block — above all no configuration vector that
-// stops naming a server — may reach a disk ahead of applied records that
-// server could have acknowledged. Its records applied after the block
-// are orphans, which processGroupMsg writes at once. Then a last set that
-// recovers without that server holds all of them. If the run cannot be
-// written, the block is not either. Callers hold applyMu.
+// writeCommitLocked syncs the persister, then writes the commit block:
+// the one place of the run-before-block rule group commit rests on. A
+// server acknowledges an update once its record is on its own disk, but
+// others log it lazily, so no block — above all no configuration vector
+// that stops naming a server — may reach a disk ahead of records that
+// server could have acknowledged (ones applied after it are orphans,
+// synced at once). A failed sync writes no block. Callers hold applyMu.
 func (s *Server) writeCommitLocked(commit dirsvc.CommitBlock) error {
-	if err := s.writeRunLocked(); err != nil {
+	if err := s.persist.sync(); err != nil {
 		return err
 	}
 	return commit.Write(s.cfg.Admin)
@@ -786,159 +669,49 @@ func (s *Server) writeCommit(commit dirsvc.CommitBlock) {
 	_ = s.writeCommitLocked(commit)
 }
 
-// checkpointNow cuts a snapshot of the whole shard state and writes it
-// to the engine's checkpoint area (atomic double-buffer swap), which also
-// truncates the write-ahead log and drops the pending run, which the
-// snapshot covers. Callers must hold applyMu — or be the group thread
-// mid-batch, which holds it already — so the snapshot never splits a
-// coalesced packet.
-func (s *Server) checkpointNow() error {
-	s.mu.Lock()
-	commitSeq := s.commit.Seq
-	s.mu.Unlock()
-	snap := s.front.Applier.SnapshotState(s.front.Applier.AppliedSeq(), commitSeq)
-	if err := s.engine.WriteCheckpoint(snap.MaxSeq(), snap.Encode()); err != nil {
-		return err
-	}
-	s.dropRun()
-	return nil
-}
-
 // Checkpoint forces one synchronous checkpoint of the storage engine —
-// for tests, tools and benchmarks; the flush loop cuts them
-// in the background. A no-op (nil) without an engine.
+// for tests, tools and benchmarks; the flush loop cuts them in the
+// background. A no-op (nil) without an engine.
 func (s *Server) Checkpoint() error {
-	if s.engine == nil {
-		return nil
-	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	return s.checkpointNow()
+	return s.persist.checkpoint()
 }
 
-// SetTailed tells an engine server whether a readonly secondary tails its
-// partition. While one does, the server writes every record as it applies
-// it rather than when its own update waits, so the secondary's refresh
-// finds the whole applied stream on disk; switching on writes the pending
-// run at once. A no-op without an engine.
+// SetTailed tells the server whether a readonly secondary tails its
+// engine partition. While one does, every batch syncs as it applies, not
+// when an update of the server's own waits, so the secondary finds the
+// whole applied stream on disk; switching on syncs at once.
 func (s *Server) SetTailed(on bool) {
-	if s.engine == nil {
-		return
-	}
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.tailed = on
 	if on {
-		_ = s.writeRunLocked()
+		_ = s.persist.sync()
 	}
 }
 
-// flushLoop is the background flusher: it writes the NVRAM log through
-// to disk (§4.1), or cuts an engine checkpoint, when the server is idle
-// or the log passes its threshold — which the NVRAM log, compacting
-// cancelled records away on its own, passes only when bound by live ones.
-// With an engine it also writes a pending run every heartbeat.
-func (s *Server) flushLoop() {
+// flushLoop runs the persister's background work every tick: the NVRAM
+// log's flush (§4.1), or the engine's run write and checkpoint, when the
+// server is idle or the log passes its threshold.
+func (s *Server) flushLoop(every time.Duration) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.IdleFlush / 2)
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
-	var runTick <-chan time.Time
-	if s.engine != nil {
-		t := time.NewTicker(heartbeat(s.model, s.cfg))
-		defer t.Stop()
-		runTick = t.C
-	}
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-runTick:
-			// No update of this server's own came along to carry the run
-			// (a replica without clients): write it anyway, so its disk
-			// trails the stream by a heartbeat at most.
-			s.applyMu.Lock()
-			_ = s.writeRunLocked()
-			s.applyMu.Unlock()
-			continue
 		case <-ticker.C:
 		}
 		s.mu.Lock()
 		idle := time.Since(s.lastUpdate) >= s.cfg.IdleFlush
 		recovering := s.recovering
 		s.mu.Unlock()
-		if recovering {
-			continue
-		}
-		// The batch lock keeps the flush or checkpoint snapshot-atomic
-		// against the group thread. The loop runs with exactly one of
-		// nvlog and engine.
-		switch {
-		case s.nvlog != nil:
-			if s.nvlog.NeedsFlush() || (idle && s.nvlog.Len() > 0) {
-				s.applyMu.Lock()
-				_ = s.flushNVRAM() // disk trouble: the log is kept, retry next tick
-				s.applyMu.Unlock()
-			}
-		default:
+		if !recovering {
 			s.applyMu.Lock()
-			if s.engine.NeedsCheckpoint() || (idle && (s.engine.LogLen() > 0 || len(s.run) > 0)) {
-				_ = s.checkpointNow()
-			}
+			s.persist.tick(idle)
 			s.applyMu.Unlock()
 		}
 	}
 }
-
-// flushNVRAM writes every dirty directory through to Bullet and the
-// object table, then clears the log. It runs when live records fill the
-// log (space held by cancelled records the log reclaims itself, with no
-// disk write), when a record does not fit at all, and when the server
-// idles with live records logged. The work list comes from the object
-// table's RAM-dirty set, which — unlike parsing the logged requests —
-// also covers created directories (object numbers assigned at apply
-// time), batch steps, and deletions. On disk trouble the log is kept, so
-// a later round can retry.
-func (s *Server) flushNVRAM() error {
-	for _, obj := range s.front.Table.RAMDirtyObjects() {
-		olds, err := s.front.Applier.FlushObject(obj)
-		if err != nil {
-			return err
-		}
-		s.front.ScheduleCleanup(olds)
-	}
-	if err := s.nvlog.Clear(); err != nil {
-		return err
-	}
-	s.relogTxState()
-	return nil
-}
-
-// relogTxState re-appends the two-phase-commit state to a just-cleared
-// NVRAM log (after a flush, after a state transfer). Prepare records of
-// still-undecided transactions are the only durable trace of the staged
-// state: a whole-shard crash must find them so Fig. 6 recovery
-// reinstates the in-doubt transaction instead of silently dropping a
-// vote. Recent decisions ride along: a whole-shard crash right after a
-// flushed commit must still answer an orphaned peer's decision query
-// with "committed", or the peer would presume abort a transaction
-// another shard already exposed.
-func (s *Server) relogTxState() {
-	for _, tx := range s.front.Applier.InDoubtTxs() {
-		_, _ = s.nvlog.Append(tx.Req, tx.Seq)
-	}
-	// An orphaned peer resolves an in-doubt transaction within one
-	// presumed-abort horizon plus two strike ticks, so outcomes three
-	// horizons old can no longer be asked about — without the age limit
-	// the log would re-append every decision it ever saw on every flush.
-	for _, d := range s.front.Applier.RecentDecided(recentDecidedKept, 3*s.front.TxAbort) {
-		req := &dirsvc.Request{
-			Op:   dirsvc.OpDecide,
-			Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit}),
-		}
-		_, _ = s.nvlog.Append(req, d.Seq)
-	}
-}
-
-// recentDecidedKept bounds how many decided outcomes are re-logged to
-// NVRAM across flushes (each record is ~40 bytes of the 24 KB region).
-const recentDecidedKept = 32

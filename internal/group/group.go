@@ -305,7 +305,7 @@ func Join(stack *flip.Stack, cfg Config, timeout time.Duration) (*Member, error)
 // reachable server creates, everyone else finds it.
 func JoinOrCreate(stack *flip.Stack, cfg Config) (*Member, error) {
 	model := stack.Model()
-	base := heartbeatFor(model, cfg)
+	base := HeartbeatFor(model, cfg)
 	joinWait := 2*base + time.Duration(stack.Node().ID())*base
 	if m, err := Join(stack, cfg, joinWait); err == nil {
 		return m, nil
@@ -323,7 +323,7 @@ func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
 		return nil, errors.New("group: negative resilience degree")
 	}
 	model := stack.Model()
-	base := heartbeatFor(model, cfg)
+	base := HeartbeatFor(model, cfg)
 	m := &Member{
 		stack:       stack,
 		cfg:         cfg,
@@ -357,7 +357,10 @@ func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
 	return m, nil
 }
 
-func heartbeatFor(model *sim.LatencyModel, cfg Config) time.Duration {
+// HeartbeatFor is the failure detector's heartbeat period for cfg:
+// HeartbeatInterval if set, else the model's scaled 150 ms, at least
+// 15 ms. Services on top of the group pace their own timers with it.
+func HeartbeatFor(model *sim.LatencyModel, cfg Config) time.Duration {
 	if cfg.HeartbeatInterval > 0 {
 		return cfg.HeartbeatInterval
 	}

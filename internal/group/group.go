@@ -271,18 +271,28 @@ func Join(stack *flip.Stack, cfg Config, timeout time.Duration) (*Member, error)
 	if err != nil {
 		return nil, err
 	}
+	return m.join(timeout, m.ackWindow, m.ackWindow)
+}
+
+// join multicasts a join request at once, again after first, then every
+// `every`, until a sequencer's welcome lands or timeout has passed.
+func (m *Member) join(timeout, first, every time.Duration) (*Member, error) {
 	m.mu.Lock()
 	m.state = StateJoining
 	m.mu.Unlock()
 
 	deadline := time.Now().Add(timeout)
+	next := time.Now().Add(first)
 	for {
 		if err := m.multicast(&wireMsg{kind: wireJoinReq, from: m.me}); err != nil {
 			m.destroy()
 			return nil, err
 		}
+		windowEnd := next
+		if windowEnd.After(deadline) {
+			windowEnd = deadline
+		}
 		m.mu.Lock()
-		windowEnd := time.Now().Add(m.ackWindow)
 		for m.state == StateJoining && time.Now().Before(windowEnd) {
 			m.waitLocked(windowEnd)
 		}
@@ -296,18 +306,25 @@ func Join(stack *flip.Stack, cfg Config, timeout time.Duration) (*Member, error)
 			m.destroy()
 			return nil, ErrNoGroup
 		}
+		next = next.Add(every)
 	}
 }
 
 // JoinOrCreate joins the group if one exists, otherwise creates it. To
 // avoid dueling creators after a total failure, a member delays its
 // creation candidacy in proportion to its node id: the lowest-numbered
-// reachable server creates, everyone else finds it.
+// reachable server creates, everyone else finds it. Node k creates at
+// (2+k) beats, and probes at once and then every beat from 2½ beats on:
+// half a beat after each lower node's creation time, never at it, so a
+// welcome has half a beat to arrive before k would create a rival group.
 func JoinOrCreate(stack *flip.Stack, cfg Config) (*Member, error) {
-	model := stack.Model()
-	base := HeartbeatFor(model, cfg)
-	joinWait := 2*base + time.Duration(stack.Node().ID())*base
-	if m, err := Join(stack, cfg, joinWait); err == nil {
+	m, err := newMember(stack, cfg)
+	if err != nil {
+		return nil, err
+	}
+	beat := m.heartbeat
+	creation := 2*beat + time.Duration(stack.Node().ID())*beat
+	if m, err := m.join(creation, 2*beat+beat/2, beat); err == nil {
 		return m, nil
 	} else if !errors.Is(err, ErrNoGroup) {
 		return nil, err

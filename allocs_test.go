@@ -21,7 +21,7 @@ type warmPath struct {
 
 func newWarmPath(tb testing.TB) *warmPath {
 	tb.Helper()
-	c := newSettledCluster(tb, KindGroupNVRAM, Options{
+	c := bootCluster(tb, KindGroupNVRAM, Options{
 		Model:             sim.FastModel(),
 		HeartbeatInterval: 50 * time.Millisecond,
 	})

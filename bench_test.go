@@ -49,12 +49,12 @@ var benchKinds = []struct {
 	{"group_nvram", KindGroupNVRAM},
 }
 
-// paperCluster boots a cluster on the paper's hardware and waits for
-// every group to reach its full view before anything is measured.
+// paperCluster boots a cluster on the paper's hardware. New returns once
+// every replica has recovered into its shard's one group.
 func paperCluster(b *testing.B, kind Kind, opts Options) *Cluster {
 	b.Helper()
 	opts.Model = sim.PaperModel()
-	return newSettledCluster(b, kind, opts)
+	return bootCluster(b, kind, opts)
 }
 
 // benchClients creates n clients; Cluster.Close releases them.

@@ -609,10 +609,15 @@ func (c *Cluster) CrashShardServer(shard, id int) {
 // Fig. 6 recovery protocol before the server accepts requests again.
 func (c *Cluster) RestartServer(id int) error { return c.RestartShardServer(0, id) }
 
-// RestartShardServer reboots directory server id of the given shard.
+// RestartShardServer reboots directory server id of the given shard. A
+// server still running is crashed first: left running, it would share
+// its disk with the new incarnation and heartbeat for its old group.
 func (c *Cluster) RestartShardServer(shard, id int) error {
 	sg := c.shard(shard)
 	m := c.shardMachine(shard, id)
+	if !m.dirNode.Crashed() {
+		c.CrashShardServer(shard, id)
+	}
 	if m.bulletNode.Crashed() {
 		if err := c.restartBullet(sg, m); err != nil {
 			return err

@@ -41,26 +41,7 @@ func newMigCluster(t *testing.T, kind Kind, shards, active int) *Cluster {
 		t.Fatalf("New(%v, shards=%d, active=%d): %v", kind, shards, active, err)
 	}
 	t.Cleanup(c.Close)
-	_ = awaitFullMembership(c) // a cluster that never settles is left to the scenario's own retries
 	return c
-}
-
-// awaitFullMembership rides out boot churn: group bootstrap can take a
-// few recovery rounds to merge every replica into one view, and a fixture
-// built meanwhile sees refused reads, doubled creates (a lost ack
-// retried) and replicas that have not pulled state yet. The error says
-// the cluster did not settle: two groups that never merge (ROADMAP 1a).
-func awaitFullMembership(c *Cluster) error {
-	return retryFor(10*time.Second, func() error {
-		for s := 0; s < c.Shards(); s++ {
-			for id := 1; id <= c.ServersPerShard(); id++ {
-				if st, ok := c.ShardServerStatus(s, id); ok && (st.Recovering || st.Members != c.ServersPerShard()) {
-					return errors.New("group still forming")
-				}
-			}
-		}
-		return nil
-	})
 }
 
 // migFixture is one migration scenario: a coordinator, an independent
@@ -541,7 +522,6 @@ func TestMigrationSplitThenCrashKeepsCreatedNumbers(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			_ = awaitFullMembership(c)
 			client, cleanup, err := c.NewClient()
 			if err != nil {
 				t.Fatal(err)

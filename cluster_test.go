@@ -32,11 +32,17 @@ func testOptions() Options {
 
 func newTestCluster(t *testing.T, kind Kind) *Cluster {
 	t.Helper()
-	c, err := New(kind, testOptions())
+	return bootCluster(t, kind, testOptions())
+}
+
+// bootCluster boots a cluster the test closes at its end.
+func bootCluster(tb testing.TB, kind Kind, opts Options) *Cluster {
+	tb.Helper()
+	c, err := New(kind, opts)
 	if err != nil {
-		t.Fatalf("New(%v): %v", kind, err)
+		tb.Fatalf("New(%v): %v", kind, err)
 	}
-	t.Cleanup(c.Close)
+	tb.Cleanup(c.Close)
 	return c
 }
 
@@ -229,7 +235,7 @@ func TestGroupSurvivesOneServerCrash(t *testing.T) {
 // survivors' group reset and one locate.
 func TestBoundClientFailoverBounded(t *testing.T) {
 	// A thread per lookup: a NOTHERE would move the client by itself.
-	c := newSettledCluster(t, KindGroup, Options{Model: sim.ScaledPaperModel(0.2), DiskEngine: true, Workers: 32})
+	c := bootCluster(t, KindGroup, Options{Model: sim.ScaledPaperModel(0.2), DiskEngine: true, Workers: 32})
 	writer, cleanupW, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -425,36 +431,19 @@ func TestMinorityPartitionRefusesReads(t *testing.T) {
 const nvramFlushMark = vdisk.DefaultNVRAMSize * 3 / 4
 
 // newNVRAMCluster boots the NVRAM kind with the idle flush off, so only a
-// full log ever reaches the disk, and waits for all three replicas: one
-// that joins late — or is expelled and rejoins — pulls its state onto its
-// disk and starts an empty log. The heartbeat is 50 ms because unpaced
-// writers saturate a small host, and the 15 ms floor then declares a
-// starved replica dead after 90 ms (bench/README.md, "Heartbeat floor").
+// full log ever reaches the disk. New returns once all three replicas
+// are in the group: one that joins late — or is expelled and rejoins —
+// pulls its state onto its disk and starts an empty log. The heartbeat
+// is 50 ms because unpaced writers saturate a small host, and the 15 ms
+// floor then declares a starved replica dead after 90 ms
+// (bench/README.md, "Heartbeat floor").
 func newNVRAMCluster(t *testing.T) *Cluster {
 	t.Helper()
-	return newSettledCluster(t, KindGroupNVRAM, Options{
+	return bootCluster(t, KindGroupNVRAM, Options{
 		Model:             sim.FastModel(),
 		HeartbeatInterval: 50 * time.Millisecond,
 		IdleFlush:         time.Hour,
 	})
-}
-
-// newSettledCluster boots until every replica is in one full view, at
-// most three times (ROADMAP 1a: a boot can split into two groups).
-func newSettledCluster(t testing.TB, kind Kind, opts Options) *Cluster {
-	t.Helper()
-	for attempt := 1; ; attempt++ {
-		c, err := New(kind, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := awaitFullMembership(c); err != nil && attempt < 3 {
-			c.Close()
-			continue
-		}
-		t.Cleanup(c.Close)
-		return c
-	}
 }
 
 // nvramUsed returns the NVRAM log fill of replica id.

@@ -62,7 +62,7 @@ func pinnedClient(t *testing.T, c *Cluster, p *clientPins, id int) *dirclient.Cl
 // test, so every update goes through the log.
 func newGroupCommitCluster(t *testing.T) (*Cluster, [2]*dirclient.Client) {
 	t.Helper()
-	c := newSettledCluster(t, KindGroup, Options{
+	c := bootCluster(t, KindGroup, Options{
 		Model:             sim.FastModel(),
 		HeartbeatInterval: testHeartbeat,
 		IdleFlush:         time.Hour,

@@ -56,7 +56,9 @@ func (s *Server) recover() error {
 	s.mu.Unlock()
 
 	if old != nil {
-		old.Leave()
+		// Never normal here (failed, excluded or dissolved), so no
+		// sequencer would order a leave: just close it.
+		old.Close()
 	}
 
 	// Mark that recovery is in progress, so a crash mid-recovery is
@@ -75,19 +77,34 @@ func (s *Server) recover() error {
 	}
 	defer rc.Close()
 
+	// One member serves every round while it stays normal: a round that
+	// fails waits a third of a beat for more servers and tries again in
+	// the same group (Fig. 6: "try again"); a whole beat would hold up
+	// every boot that much. Only a member that dissolved into a larger
+	// group, was excluded from a view or failed is replaced.
+	var member *group.Member
 	for {
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
+		if member != nil {
+			if st := member.Info().State; closed || st == group.StateLeft || st == group.StateFailed {
+				member.Close()
+				member = nil
+			}
+		}
 		if closed {
 			return errors.New("core: server closed during recovery")
 		}
-
-		member, syncedTo, err := s.recoverOnce(rc, mySeq, mourned, stayedUp, s.beat)
+		if member == nil {
+			if member, err = group.JoinOrCreate(s.stack, s.groupConfig()); err != nil {
+				time.Sleep(s.beat)
+				continue
+			}
+		}
+		syncedTo, err := s.recoverRound(rc, member, mySeq, mourned, stayedUp)
 		if err != nil {
-			// Wait for more servers to come back, then start all over
-			// again (Fig. 6: "try again").
-			time.Sleep(s.beat)
+			time.Sleep(s.beat / 3)
 			continue
 		}
 		// Seal the recovered state into a fresh engine checkpoint: a
@@ -129,41 +146,22 @@ func (s *Server) recover() error {
 	}
 }
 
-// recoverOnce performs one round of Fig. 6: join or create the group,
-// wait for a majority, run Skeen's exchange, verify the last set, fetch
-// the latest state, and return the live group member. Any failure tears
-// the attempt down and returns an error for retry.
-func (s *Server) recoverOnce(
+// recoverRound performs one round of Fig. 6 on member: check that a
+// majority has joined, run Skeen's exchange, verify the last set and
+// fetch the latest state. It returns the stream position the state
+// covers, or an error when the round must be tried again.
+func (s *Server) recoverRound(
 	rc *rpc.Client,
+	member *group.Member,
 	mySeq uint64,
 	myMourned lastfail.Set,
 	stayedUp bool,
-	beat time.Duration,
-) (*group.Member, uint64, error) {
-	member, err := group.JoinOrCreate(s.stack, s.groupConfig())
-	if err != nil {
-		return nil, 0, fmt.Errorf("join or create group: %w", err)
-	}
-	abort := func() { member.Leave() }
-
-	// Wait until the group holds a majority, or give up and retry
-	// (Fig. 6: "while (minority && !timeout) wait").
-	deadline := time.Now().Add(6 * beat)
-	for {
-		info := member.Info()
-		if info.State == group.StateNormal && len(info.Members) >= s.majorityNeeded() {
-			break
-		}
-		if time.Now().After(deadline) {
-			abort()
-			return nil, 0, errors.New("no majority joined")
-		}
-		time.Sleep(beat / 3)
-	}
-
-	// Drain membership events so the group thread starts clean later;
-	// also gives us the current member set.
+) (uint64, error) {
+	// Fig. 6: "while (minority && !timeout) wait" — the caller waits.
 	info := member.Info()
+	if info.State != group.StateNormal || len(info.Members) < s.majorityNeeded() {
+		return 0, errors.New("no majority joined")
+	}
 
 	// Exchange mourned sets and sequence numbers with every other
 	// member over RPC (Fig. 6).
@@ -214,8 +212,7 @@ func (s *Server) recoverOnce(
 		recoverable = true
 	}
 	if !recoverable {
-		abort()
-		return nil, 0, fmt.Errorf("last set %v not in new group %v",
+		return 0, fmt.Errorf("last set %v not in new group %v",
 			state.LastSet().Sorted(), state.NewGroup().Sorted())
 	}
 
@@ -231,43 +228,27 @@ func (s *Server) recoverOnce(
 	// member's queue buffers everything after it, nothing before it.
 	// (Nothing Receives from the member until recovery installs it, so
 	// Delivered still reads the welcome position.)
-	joinSeq := member.Info().Delivered
-	syncedTo := joinSeq
-	if src != s.cfg.ServerID && srcSeq > mySeq {
-		// The snapshot must be cut at or past our join point: a source
-		// whose apply cursor lags the stream would hand us images
-		// missing messages our member never buffered — a silent gap. A
-		// member's cursor always catches up (our own join is in its
-		// stream), so re-pull until it passes joinSeq.
-		pullDeadline := time.Now().Add(6 * beat)
-		for {
-			cutSeq, err := s.pullState(rc, src)
-			if err != nil {
-				abort()
-				return nil, 0, fmt.Errorf("pull state from server %d: %w", src, err)
-			}
-			if cutSeq >= joinSeq {
-				syncedTo = cutSeq
-				break
-			}
-			if time.Now().After(pullDeadline) {
-				abort()
-				return nil, 0, fmt.Errorf("state source %d stuck at stream position %d before our join point %d",
-					src, cutSeq, joinSeq)
-			}
-			time.Sleep(beat / 3)
-		}
-	} else {
+	joinSeq := info.Delivered
+	if srcSeq <= mySeq {
 		// Even with the highest seq we must have our cache loaded. Our
 		// state covers exactly the stream up to our join point: no peer
 		// holds an update we lack (srcSeq <= mySeq), so no application
 		// message sits in the gap between our crash and our join.
-		if err := s.loadLocalState(); err != nil {
-			abort()
-			return nil, 0, err
-		}
+		return joinSeq, s.loadLocalState()
 	}
-	return member, syncedTo, nil
+	// The snapshot must be cut at or past our join point: a source whose
+	// apply cursor lags the stream would hand us images missing messages
+	// our member never buffered — a silent gap. A member's cursor always
+	// catches up (our own join is in its stream), so a later round pulls
+	// again.
+	cutSeq, err := s.pullState(rc, src)
+	if err != nil {
+		return 0, fmt.Errorf("pull state from server %d: %w", src, err)
+	}
+	if cutSeq < joinSeq {
+		return 0, fmt.Errorf("state source %d at stream position %d, before our join point %d", src, cutSeq, joinSeq)
+	}
+	return cutSeq, nil
 }
 
 // loadLocalState rebuilds the replica from its own stable storage.

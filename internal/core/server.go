@@ -476,8 +476,8 @@ func (s *Server) groupThread() {
 			if closed {
 				return
 			}
-			// The member dissolved under us (e.g. excluded from a
-			// view): run recovery to rejoin.
+			// The member left under us (its group yielded to a larger
+			// one on the port): run recovery to rejoin.
 			if err := s.recover(); err != nil {
 				return
 			}

@@ -538,8 +538,7 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 
 	for {
 		m.mu.Lock()
-		state := m.state
-		seqNode := m.sequencer
+		state, seqNode, gid := m.state, m.sequencer, m.gid
 		m.mu.Unlock()
 		switch state {
 		case StateLeft:
@@ -547,7 +546,7 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 		case StateNormal:
 			req := wireMsg{
 				kind:    wireSendReq,
-				gid:     m.gidSnapshot(),
+				gid:     gid,
 				from:    m.me,
 				msgID:   msgID,
 				ordKind: ordApp,
@@ -573,12 +572,6 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 	}
 }
 
-func (m *Member) gidSnapshot() groupID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gid
-}
-
 // Leave removes this member from the group via a sequenced leave message
 // (paper Fig. 1: LeaveGroup), then shuts the member down.
 func (m *Member) Leave() error {
@@ -590,8 +583,7 @@ func (m *Member) Leave() error {
 			m.Close()
 			return nil
 		}
-		state := m.state
-		seqNode := m.sequencer
+		state, seqNode, gid := m.state, m.sequencer, m.gid
 		single := len(m.members) <= 1
 		m.mu.Unlock()
 
@@ -600,7 +592,7 @@ func (m *Member) Leave() error {
 				// Last member (or the sequencer itself): dissolve. A
 				// leaving sequencer hands the group over by sequencing
 				// its own leave below; a singleton simply vanishes.
-				req := &wireMsg{kind: wireLeave, gid: m.gidSnapshot(), from: m.me, node: m.me}
+				req := &wireMsg{kind: wireLeave, gid: gid, from: m.me, node: m.me}
 				m.mu.Lock()
 				if m.sequencer == m.me {
 					m.sequencerHandleLeaveLocked(req)
@@ -611,7 +603,7 @@ func (m *Member) Leave() error {
 				}
 				m.mu.Unlock()
 			} else {
-				_ = m.send(seqNode, &wireMsg{kind: wireLeave, gid: m.gidSnapshot(), from: m.me, node: m.me})
+				_ = m.send(seqNode, &wireMsg{kind: wireLeave, gid: gid, from: m.me, node: m.me})
 			}
 		}
 		m.mu.Lock()
@@ -677,6 +669,7 @@ func (m *Member) heartbeatLoop() {
 			gid:   m.gid,
 			epoch: m.epoch,
 			seq:   m.nextSeq - 1,
+			seq2:  uint64(len(m.members)),
 			from:  m.me,
 		}
 		now := time.Now()

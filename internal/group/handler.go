@@ -45,7 +45,18 @@ func (m *Member) handle(fm flip.Msg) {
 		m.handleWelcomeLocked(w)
 		return
 	}
-	if w.gid != m.gid || m.state == StateJoining {
+	if w.gid != m.gid {
+		if w.kind == wireAlive && m.state == StateNormal && m.outrankedLocked(w) {
+			// Yield to the larger group without a sequenced leave: its
+			// heartbeats reach every member here. Receive and Send return
+			// ErrLeft; the application rejoins through JoinOrCreate.
+			m.state = StateLeft
+			m.cond.Broadcast()
+			gtrace("node %d gid=%x YIELD to gid=%x of %d members", m.me, uint64(m.gid), uint64(w.gid), w.seq2)
+		}
+		return
+	}
+	if m.state == StateJoining {
 		return
 	}
 
@@ -237,6 +248,7 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 		}
 	}
 
+	m.nextSeq = s + 1 // first: a successor to a leaving sequencer numbers on past the leave
 	msg := Msg{Seq: s, Sender: ord.from}
 	switch ord.ordKind {
 	case ordApp:
@@ -260,7 +272,6 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 		m.removeMemberLocked(ord.node)
 	}
 	m.queue = append(m.queue, msg)
-	m.nextSeq = s + 1
 	m.cond.Broadcast()
 }
 
@@ -491,6 +502,15 @@ func (m *Member) handleAliveLocked(w *wireMsg) {
 	if w.epoch == m.epoch && w.seq > m.nextSeq-1 && w.from == m.sequencer {
 		m.maybeRequestRetransLocked(w.seq)
 	}
+}
+
+// outrankedLocked reports whether the group whose heartbeat w is ranks
+// above this member's: a larger view first, then the lower gid, so one
+// group per port survives. A rival disjoint from a majority is smaller
+// than it, so a serving group never yields, whatever the epochs.
+func (m *Member) outrankedLocked(w *wireMsg) bool {
+	mine := uint64(len(m.members))
+	return w.seq2 > mine || w.seq2 == mine && w.gid < m.gid
 }
 
 // maybeRequestRetransLocked asks the sequencer for missing messages,

@@ -90,6 +90,10 @@ func (m *Member) Reset(minSize int) (Info, error) {
 		}
 
 		m.mu.Lock()
+		if m.state == StateLeft {
+			m.mu.Unlock()
+			continue // closed meanwhile: a commit would revive it
+		}
 		if m.curProposal != p {
 			// A higher proposal took over; wait for its commit.
 			m.waitLocked(time.Now().Add(m.ackWindow))

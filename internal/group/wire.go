@@ -33,7 +33,8 @@ const (
 
 // groupID distinguishes independent incarnations of a group on the same
 // port (e.g. two groups created on both sides of a partition). Messages
-// carrying a foreign groupID are ignored.
+// carrying a foreign groupID are ignored, except that a foreign ALIVE
+// dissolves the group it outranks (outrankedLocked).
 type groupID uint64
 
 // proposal orders concurrent resets: higher epoch wins, ties broken by
@@ -61,7 +62,7 @@ type wireMsg struct {
 	msgID   uint64       // SEND_REQ/ORD/ACCEPT/DONE: per-sender id for dedup and direct acks
 	ordKind byte         // ORD: app/join/leave
 	node    sim.NodeID   // ORD: member joining/leaving; ACCEPT: the ORD's sender; COMMIT: sequencer
-	seq2    uint64       // RETRANS: end of range; COMMIT: maxSeq
+	seq2    uint64       // RETRANS: end of range; COMMIT: maxSeq; ALIVE: view size
 	members []sim.NodeID // WELCOME/COMMIT
 	payload []byte
 }

@@ -10,7 +10,8 @@ import (
 // message it accepts encodes back to exactly the bytes it came from. The
 // seed corpus, in testdata/fuzz/FuzzDecodeWire, holds the encodings of
 // TestWireRoundTripAllKinds's messages — an ACCEPT carrying its ORD's
-// msgID and sender among them — and a truncated frame.
+// msgID and sender and an ALIVE carrying its view size among them — and
+// a truncated frame.
 func FuzzDecodeWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var w wireMsg

@@ -17,6 +17,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		{kind: wireDone, gid: 7, seq: 100, msgID: 9, from: 0},
 		{kind: wireWelcome, gid: 7, epoch: 3, seq: 55, from: 0, members: []sim.NodeID{0, 2, 4}},
 		{kind: wireRetrans, gid: 7, epoch: 3, seq: 10, seq2: 20, from: 2},
+		{kind: wireAlive, gid: 7, epoch: 3, seq: 42, seq2: 3, from: 2}, // seq2: view size
 		{kind: wireCommit, gid: 7, epoch: 4, from: 2, node: 0, seq2: 99, members: []sim.NodeID{0, 2}},
 	}
 	for _, in := range tests {

@@ -61,15 +61,20 @@ func (w *warmPath) pair(tb testing.TB) {
 }
 
 // Allocation ceilings of the warm request path, whole process (client,
-// simulated network, three replicas), as this commit measured them (33
-// and 203 before each layer appended into one frame buffer and group state
-// stopped being copied per request, 18 and 111 while an ACK frame
-// followed every reply). A heartbeat landing inside the
-// measured window adds a small fraction of an allocation per call, which
-// AllocsPerRun's whole-number average drops.
+// simulated network, three replicas). A warm lookup allocates its four
+// frames, the name the server decodes and the capabilities it answers
+// with, 6 as this commit measured it; the pair measured 83 and keeps the
+// 4 of headroom its ceiling had (33 and 203 before each layer appended
+// into one frame buffer and group state stopped being copied per
+// request, 18 and 111 while an ACK frame followed every reply, 16 and 103
+// while every decode allocated its message, a lookup answered with its
+// rows too and every member ACCEPTed every ORD to the sequencer). A
+// heartbeat landing inside the measured window adds a small fraction of
+// an allocation per call, which AllocsPerRun's whole-number average
+// drops.
 const (
-	lookupAllocs = 16
-	pairAllocs   = 107
+	lookupAllocs = 6
+	pairAllocs   = 87
 )
 
 // raceBuild is set under the race detector (race_test.go), where

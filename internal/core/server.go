@@ -117,9 +117,11 @@ type Server struct {
 	memberHint   atomic.Value  // *group.Member (possibly typed nil)
 	appliedGroup atomic.Uint64 // mirror of groupSeq
 
-	// processGroupMsg's scratch, the group thread's alone.
+	// processGroupMsg's scratch, the group thread's alone. req is each
+	// entry's decode target; the applier copies what it keeps of one.
 	entries []groupEntry
 	local   []localReply
+	req     dirsvc.Request
 
 	sendCh  chan coalesceOp
 	stop    chan struct{}
@@ -564,9 +566,9 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	defer s.applyMu.Unlock()
 	local := s.local[:0]
 	orphan := false
+	req := &s.req
 	for _, ent := range entries {
-		req, err := dirsvc.DecodeRequest(ent.raw)
-		if err != nil {
+		if dirsvc.DecodeRequestInto(req, ent.raw) != nil {
 			continue
 		}
 		s.mu.Lock()

@@ -343,19 +343,18 @@ func (c *Client) floor(shard int) uint64 {
 	return c.seqs[shard].Load()
 }
 
-// decodeNoted decodes a raw transaction result and feeds the reply's
+// decodeNoted decodes a raw transaction result into reply and feeds its
 // sequence number into the session floor — the one reply pipeline both
 // the pinned and balanced paths share.
-func (c *Client) decodeNoted(shard int, raw []byte, err error) (*dirsvc.Reply, error) {
+func (c *Client) decodeNoted(shard int, raw []byte, err error, reply *dirsvc.Reply) error {
 	if err != nil {
-		return nil, err
+		return err
 	}
-	reply, err := dirsvc.DecodeReply(raw)
-	if err != nil {
-		return nil, err
+	if err := dirsvc.DecodeReplyInto(reply, raw); err != nil {
+		return err
 	}
 	c.noteSeq(shard, reply.Seq)
-	return reply, nil
+	return nil
 }
 
 // statusErr converts a reply's non-OK status to an error. Even a failed
@@ -394,24 +393,21 @@ func (c *Client) bounce(reply *dirsvc.Reply, shard, hop int) (int, bool) {
 	return owner, true
 }
 
-// trans performs an update transaction, chasing NOTMINE bounces to the
-// object's current home. It returns the shard that finally served the
-// request, which callers must use for cache and session bookkeeping —
-// after a migration it differs from the shard the request started at.
-func (c *Client) trans(ctx context.Context, shard int, req *dirsvc.Request) (*dirsvc.Reply, int, error) {
+// trans performs an update transaction into reply, chasing NOTMINE
+// bounces to the object's current home. It returns the shard that
+// finally served the request, which callers must use for cache and
+// session bookkeeping — after a migration it differs from the shard the
+// request started at.
+func (c *Client) trans(ctx context.Context, shard int, req *dirsvc.Request, reply *dirsvc.Reply) (int, error) {
 	for hop := 0; ; hop++ {
-		reply, err := c.transRaw(ctx, shard, req)
-		if err != nil {
-			return nil, shard, err
+		if err := c.transRaw(ctx, shard, req, reply); err != nil {
+			return shard, err
 		}
 		if next, ok := c.bounce(reply, shard, hop); ok {
 			shard = next
 			continue
 		}
-		if err := c.statusErr(shard, reply); err != nil {
-			return nil, shard, err
-		}
-		return reply, shard, nil
+		return shard, c.statusErr(shard, reply)
 	}
 }
 
@@ -425,13 +421,12 @@ func (c *Client) trans(ctx context.Context, shard int, req *dirsvc.Request) (*di
 // recovering or below its floor, and a sibling can usually serve the
 // read. A service-wide majority loss still surfaces after the bounded
 // retries.
-func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request) (*dirsvc.Reply, int, error) {
+func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request, reply *dirsvc.Reply) (int, error) {
 	hops := 0
 	for attempt := 0; ; attempt++ {
 		req.MinSeq = c.floor(shard)
-		reply, err := c.call(ctx, shard, req, true)
-		if err != nil {
-			return nil, shard, err
+		if err := c.call(ctx, shard, req, true, reply); err != nil {
+			return shard, err
 		}
 		if next, ok := c.bounce(reply, shard, hops); ok {
 			// The object lives elsewhere: chase. The retry budget resets —
@@ -444,16 +439,13 @@ func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request) 
 			continue
 		}
 		serr := c.statusErr(shard, reply)
-		if serr == nil {
-			return reply, shard, nil
-		}
-		if !c.balance || attempt >= 3 || !errors.Is(serr, dirsvc.ErrNoMajority) {
-			return nil, shard, serr
+		if serr == nil || !c.balance || attempt >= 3 || !errors.Is(serr, dirsvc.ErrNoMajority) {
+			return shard, serr
 		}
 		select {
 		case <-time.After(time.Duration(attempt+1) * 5 * time.Millisecond):
 		case <-ctx.Done():
-			return nil, shard, ctx.Err()
+			return shard, ctx.Err()
 		}
 	}
 }
@@ -461,8 +453,8 @@ func (c *Client) transRead(ctx context.Context, shard int, req *dirsvc.Request) 
 // transRaw performs the transaction against one shard and decodes the
 // reply without converting a non-OK status to an error (the batch path
 // needs the reply's blob alongside the status).
-func (c *Client) transRaw(ctx context.Context, shard int, req *dirsvc.Request) (*dirsvc.Reply, error) {
-	return c.call(ctx, shard, req, false)
+func (c *Client) transRaw(ctx context.Context, shard int, req *dirsvc.Request, reply *dirsvc.Reply) error {
+	return c.call(ctx, shard, req, false, reply)
 }
 
 // encodeBufs are the request encoders of calls in progress: the transport
@@ -471,8 +463,11 @@ func (c *Client) transRaw(ctx context.Context, shard int, req *dirsvc.Request) (
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // call is one transaction against shard — a read (server selection may
-// balance) or an update — decoded through decodeNoted.
-func (c *Client) call(ctx context.Context, shard int, req *dirsvc.Request, read bool) (*dirsvc.Reply, error) {
+// balance) or an update — decoded through decodeNoted into reply, which
+// the caller owns: a call site keeps it on its stack, so a warm call
+// allocates only what the answer hands on (its capabilities, rows or
+// blob).
+func (c *Client) call(ctx context.Context, shard int, req *dirsvc.Request, read bool, reply *dirsvc.Reply) error {
 	cn := c.conns[shard]
 	buf := encodeBufs.Get().(*[]byte)
 	*buf = req.AppendTo((*buf)[:0])
@@ -486,7 +481,7 @@ func (c *Client) call(ctx context.Context, shard int, req *dirsvc.Request, read 
 	if cap(*buf) <= maxPooledEncode {
 		encodeBufs.Put(buf)
 	}
-	return c.decodeNoted(shard, raw, err)
+	return c.decodeNoted(shard, raw, err, reply)
 }
 
 // maxPooledEncode is the largest encoder kept for reuse; a restore's
@@ -502,7 +497,8 @@ func (c *Client) Root(ctx context.Context) (capability.Capability, error) {
 	if !root.IsZero() {
 		return root, nil
 	}
-	reply, _, err := c.transRead(ctx, 0, &dirsvc.Request{Op: dirsvc.OpGetRoot})
+	var reply dirsvc.Reply
+	_, err := c.transRead(ctx, 0, &dirsvc.Request{Op: dirsvc.OpGetRoot}, &reply)
 	if err != nil {
 		return capability.Capability{}, err
 	}
@@ -526,7 +522,8 @@ func (c *Client) CreateDirOn(ctx context.Context, shard int, columns ...string) 
 	if shard < 0 || shard >= len(c.conns) {
 		return capability.Capability{}, fmt.Errorf("shard %d of %d: %w", shard, len(c.conns), dirsvc.ErrBadRequest)
 	}
-	reply, shard, err := c.trans(ctx, shard, &dirsvc.Request{Op: dirsvc.OpCreateDir, Columns: columns})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, shard, &dirsvc.Request{Op: dirsvc.OpCreateDir, Columns: columns}, &reply)
 	if err != nil {
 		return capability.Capability{}, err
 	}
@@ -536,7 +533,8 @@ func (c *Client) CreateDirOn(ctx context.Context, shard int, columns ...string) 
 
 // DeleteDir deletes a directory (Fig. 2: Delete dir).
 func (c *Client) DeleteDir(ctx context.Context, dir capability.Capability) error {
-	reply, shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpDeleteDir, Dir: dir})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpDeleteDir, Dir: dir}, &reply)
 	if err != nil {
 		return err
 	}
@@ -553,7 +551,8 @@ func (c *Client) List(ctx context.Context, dir capability.Capability, col int) (
 		return rows, nil
 	}
 	epoch := c.cache.epochOf(shard)
-	reply, served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpListDir, Dir: dir, Column: col})
+	var reply dirsvc.Reply
+	served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpListDir, Dir: dir, Column: col}, &reply)
 	if err != nil {
 		return nil, err
 	}
@@ -575,13 +574,14 @@ func (c *Client) Append(ctx context.Context, dir capability.Capability, name str
 	if masks == nil {
 		masks = []capability.Rights{capability.AllRights, capability.AllRights, capability.AllRights}
 	}
-	reply, shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{
 		Op:    dirsvc.OpAppendRow,
 		Dir:   dir,
 		Name:  name,
 		Cap:   target,
 		Masks: masks,
-	})
+	}, &reply)
 	if err != nil {
 		return err
 	}
@@ -591,7 +591,8 @@ func (c *Client) Append(ctx context.Context, dir capability.Capability, name str
 
 // Delete removes the named row (Fig. 2: Delete row).
 func (c *Client) Delete(ctx context.Context, dir capability.Capability, name string) error {
-	reply, shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpDeleteRow, Dir: dir, Name: name})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpDeleteRow, Dir: dir, Name: name}, &reply)
 	if err != nil {
 		return err
 	}
@@ -601,7 +602,8 @@ func (c *Client) Delete(ctx context.Context, dir capability.Capability, name str
 
 // Chmod replaces the rights masks of the named row (Fig. 2: Chmod row).
 func (c *Client) Chmod(ctx context.Context, dir capability.Capability, name string, masks []capability.Rights) error {
-	reply, shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpChmodRow, Dir: dir, Name: name, Masks: masks})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpChmodRow, Dir: dir, Name: name, Masks: masks}, &reply)
 	if err != nil {
 		return err
 	}
@@ -653,7 +655,8 @@ func (c *Client) LookupSet(ctx context.Context, dir capability.Capability, names
 	for _, n := range names {
 		set = append(set, dirsvc.SetItem{Name: n})
 	}
-	reply, served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpLookupSet, Dir: dir, Set: set})
+	var reply dirsvc.Reply
+	served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpLookupSet, Dir: dir, Set: set}, &reply)
 	if err != nil {
 		return nil, err
 	}
@@ -668,7 +671,8 @@ func (c *Client) LookupSet(ctx context.Context, dir capability.Capability, names
 // ReplaceSet atomically replaces the capabilities of several rows
 // (Fig. 2: Replace set), returning the previous capabilities.
 func (c *Client) ReplaceSet(ctx context.Context, dir capability.Capability, items []dirsvc.SetItem) ([]capability.Capability, error) {
-	reply, shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpReplaceSet, Dir: dir, Set: items})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, c.shardOf(dir), &dirsvc.Request{Op: dirsvc.OpReplaceSet, Dir: dir, Set: items}, &reply)
 	if err != nil {
 		return nil, err
 	}
@@ -688,7 +692,8 @@ func (c *Client) Backup(ctx context.Context, shard int) ([]byte, error) {
 	if shard < 0 || shard >= len(c.conns) {
 		return nil, fmt.Errorf("shard %d of %d: %w", shard, len(c.conns), dirsvc.ErrBadRequest)
 	}
-	reply, _, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpBackup})
+	var reply dirsvc.Reply
+	_, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpBackup}, &reply)
 	if err != nil {
 		return nil, err
 	}
@@ -705,7 +710,8 @@ func (c *Client) RestoreShard(ctx context.Context, shard int, snapshot []byte) e
 	if shard < 0 || shard >= len(c.conns) {
 		return fmt.Errorf("shard %d of %d: %w", shard, len(c.conns), dirsvc.ErrBadRequest)
 	}
-	reply, shard, err := c.trans(ctx, shard, &dirsvc.Request{Op: dirsvc.OpRestoreShard, Blob: snapshot})
+	var reply dirsvc.Reply
+	shard, err := c.trans(ctx, shard, &dirsvc.Request{Op: dirsvc.OpRestoreShard, Blob: snapshot}, &reply)
 	if err != nil {
 		return err
 	}
@@ -747,8 +753,8 @@ func (c *Client) Apply(ctx context.Context, b *dir.Batch) (*dir.BatchResult, err
 	} else {
 		shard = c.nextCreateShard() // all-create batch: no home, place round-robin
 	}
-	reply, err := c.transRaw(ctx, shard, b.Request())
-	if err != nil {
+	var reply dirsvc.Reply
+	if err := c.transRaw(ctx, shard, b.Request(), &reply); err != nil {
 		return nil, err
 	}
 	if serr := reply.Status.Err(); serr != nil {

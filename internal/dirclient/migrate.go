@@ -43,7 +43,8 @@ func (c *Client) ShardMap(ctx context.Context, shard int) (*dirsvc.ShardMapInfo,
 	if shard < 0 || shard >= len(c.conns) {
 		return nil, fmt.Errorf("shard %d out of range: %w", shard, dirsvc.ErrBadRequest)
 	}
-	reply, _, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpShardMap})
+	var reply dirsvc.Reply
+	_, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpShardMap}, &reply)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +81,8 @@ func (c *Client) Split(ctx context.Context) (uint64, error) {
 	// the class that is leaving.
 	floors := make([]uint32, oldActive)
 	for s := 0; s < oldActive; s++ {
-		reply, _, err := c.trans(ctx, s, &dirsvc.Request{Op: dirsvc.OpSplit, Seq: target})
+		var reply dirsvc.Reply
+		_, err := c.trans(ctx, s, &dirsvc.Request{Op: dirsvc.OpSplit, Seq: target}, &reply)
 		if err != nil {
 			return 0, fmt.Errorf("split source %d: %w", s, err)
 		}
@@ -90,7 +92,7 @@ func (c *Client) Split(ctx context.Context) (uint64, error) {
 	// to the source until the seal; numbers below it are never re-minted.
 	for s := 0; s < oldActive; s++ {
 		t := s + oldActive
-		_, _, err := c.trans(ctx, t, &dirsvc.Request{Op: dirsvc.OpSplit, Seq: target, Column: int(floors[s])})
+		_, err := c.trans(ctx, t, &dirsvc.Request{Op: dirsvc.OpSplit, Seq: target, Column: int(floors[s])}, new(dirsvc.Reply))
 		if err != nil {
 			return 0, fmt.Errorf("split target %d: %w", t, err)
 		}
@@ -185,10 +187,10 @@ func (c *Client) drainSource(ctx context.Context, src, dst int, epoch uint64) er
 		// or below the floor become authoritative there — then drop the
 		// source's stubs (refused, and retried here, if a straggler
 		// somehow remains).
-		if _, _, err := c.trans(ctx, dst, &dirsvc.Request{Op: dirsvc.OpSealMigration}); err != nil {
+		if _, err := c.trans(ctx, dst, &dirsvc.Request{Op: dirsvc.OpSealMigration}, new(dirsvc.Reply)); err != nil {
 			return fmt.Errorf("seal target %d: %w", dst, err)
 		}
-		if _, _, err := c.trans(ctx, src, &dirsvc.Request{Op: dirsvc.OpDropStubs}); err != nil {
+		if _, err := c.trans(ctx, src, &dirsvc.Request{Op: dirsvc.OpDropStubs}, new(dirsvc.Reply)); err != nil {
 			if errors.Is(err, dirsvc.ErrConflict) {
 				continue
 			}
@@ -212,10 +214,11 @@ func (c *Client) MigrateObject(ctx context.Context, src, dst int, obj uint32) er
 	}
 	var lastErr error
 	for attempt := 0; attempt < 8; attempt++ {
-		reply, _, err := c.transRead(ctx, src, &dirsvc.Request{
+		var reply dirsvc.Reply
+		_, err := c.transRead(ctx, src, &dirsvc.Request{
 			Op:  dirsvc.OpMigRead,
 			Dir: capability.Capability{Object: obj},
-		})
+		}, &reply)
 		if errors.Is(err, dirsvc.ErrNotFound) {
 			return nil // deleted, or a previous flip already committed
 		}

@@ -143,7 +143,8 @@ func (c *Client) runTwoPhase(ctx context.Context, nSteps int, plan *txPlan) (*di
 				Participants: participants,
 				Steps:        dirsvc.EncodeBatchSteps(plan.steps[s]),
 			})}
-			reply, err := c.transRaw(ctx, s, req)
+			reply := new(dirsvc.Reply)
+			err := c.transRaw(ctx, s, req, reply)
 			votes <- vote{shard: s, reply: reply, err: err}
 		}(s)
 	}
@@ -294,8 +295,8 @@ func (c *Client) decide(ctx context.Context, shard int, id dirsvc.TxID, commit b
 				return nil, ctx.Err()
 			}
 		}
-		reply, err := c.transRaw(ctx, shard, req)
-		if err != nil {
+		reply := new(dirsvc.Reply)
+		if err := c.transRaw(ctx, shard, req, reply); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}

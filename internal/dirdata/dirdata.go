@@ -127,6 +127,16 @@ func (d *Directory) Lookup(name string) (Row, error) {
 	return d.Rows[i].clone(), nil
 }
 
+// Cap returns the capability stored under name, copying nothing: what a
+// lookup set answers with.
+func (d *Directory) Cap(name string) (capability.Capability, bool) {
+	i := d.find(name)
+	if i < 0 {
+		return capability.Capability{}, false
+	}
+	return d.Rows[i].Cap, true
+}
+
 // Append adds a new row (paper Fig. 2: "Append row"). The number of masks
 // must equal the number of columns.
 func (d *Directory) Append(name string, cap capability.Capability, masks []capability.Rights) error {

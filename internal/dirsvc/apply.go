@@ -258,34 +258,44 @@ func (a *Applier) verify(c capability.Capability, need capability.Rights) (Objec
 	return e, nil
 }
 
-// Read executes a read-only operation (no replication, no disk — §3.1).
+// Read executes a read-only operation (no replication, no disk — §3.1)
+// into a fresh reply; see ReadInto.
+func (a *Applier) Read(req *Request) *Reply {
+	reply := &Reply{}
+	a.ReadInto(req, reply)
+	return reply
+}
+
+// ReadInto executes a read-only operation into reply, which the caller
+// owns and may reuse: it is reset, and its Caps keep their backing array.
 // Replies carry the per-object sequence number (ObjSeq) of the directory
 // read; the front end stamps Reply.Seq with AppliedSeq, sampled before
-// the read, so client caches get a conservative freshness bound.
-func (a *Applier) Read(req *Request) *Reply {
+// the read, so client caches get a conservative freshness bound. A lookup
+// set is answered with capabilities alone, a zero one for a missing name;
+// rows are what a listing answers with.
+func (a *Applier) ReadInto(req *Request, reply *Reply) {
+	*reply = Reply{Status: StatusOK, Caps: reply.Caps[:0]}
 	switch req.Op {
 	case OpGetRoot:
-		cap, err := a.RootCap()
-		if err != nil {
-			return &Reply{Status: StatusOf(err)}
-		}
-		return &Reply{Status: StatusOK, Cap: cap}
+		c, err := a.RootCap()
+		reply.Status, reply.Cap = StatusOf(err), c
 	case OpTxQuery:
 		var id TxID
 		if len(req.Blob) != len(id) {
-			return &Reply{Status: StatusBadRequest}
+			reply.Status = StatusBadRequest
+			return
 		}
 		copy(id[:], req.Blob)
 		state, seq := a.TxStateOf(id)
-		return &Reply{Status: StatusOK, Seq: seq, Blob: []byte{byte(state)}}
+		reply.Seq, reply.Blob = seq, []byte{byte(state)}
 	case OpShardMap:
-		return &Reply{Status: StatusOK, Blob: EncodeShardMapInfo(a.ShardMapInfo())}
+		reply.Blob = EncodeShardMapInfo(a.ShardMapInfo())
 	case OpBackup:
 		// The blob's applied/commit counters stay zero here — a restored
 		// backup derives its floor from the content (Snapshot.MaxSeq).
 		// Going through Read keeps the op on every backend's generic
 		// dispatch path.
-		return &Reply{Status: StatusOK, Blob: a.SnapshotState(0, 0).Encode()}
+		reply.Blob = a.SnapshotState(0, 0).Encode()
 	case OpMigRead:
 		// Internal migration read: the whole object image plus its
 		// secret, keyed by object number alone (the migrator coordinates
@@ -299,47 +309,38 @@ func (a *Applier) Read(req *Request) *Reply {
 		e, ok := a.table.Get(obj)
 		a.mu.RUnlock()
 		if !ok || d == nil {
-			return &Reply{Status: StatusNotFound}
+			reply.Status = StatusNotFound
+			return
 		}
-		return &Reply{Status: StatusOK, ObjSeq: e.Seq, Blob: MigImageBlob(e.Secret, d.Encode())}
-	case OpListDir:
+		reply.ObjSeq, reply.Blob = e.Seq, MigImageBlob(e.Secret, d.Encode())
+	case OpListDir, OpLookupSet:
 		if _, err := a.verify(req.Dir, capability.RightRead); err != nil {
-			return &Reply{Status: StatusOf(err)}
+			reply.Status = StatusOf(err)
+			return
 		}
 		a.mu.RLock()
 		d := a.cache[req.Dir.Object]
 		a.mu.RUnlock()
 		if d == nil {
-			return &Reply{Status: StatusNotFound}
+			reply.Status = StatusNotFound
+			return
 		}
-		rows, err := d.List(req.Column)
-		if err != nil {
-			return &Reply{Status: StatusOf(err)}
-		}
-		return &Reply{Status: StatusOK, Rows: rows, ObjSeq: d.Seq}
-	case OpLookupSet:
-		if _, err := a.verify(req.Dir, capability.RightRead); err != nil {
-			return &Reply{Status: StatusOf(err)}
-		}
-		a.mu.RLock()
-		d := a.cache[req.Dir.Object]
-		a.mu.RUnlock()
-		if d == nil {
-			return &Reply{Status: StatusNotFound}
-		}
-		reply := &Reply{Status: StatusOK, ObjSeq: d.Seq}
-		for _, it := range req.Set {
-			row, err := d.Lookup(it.Name)
-			if err != nil {
-				reply.Caps = append(reply.Caps, capability.Capability{})
-				continue
+		if req.Op == OpLookupSet {
+			for _, it := range req.Set {
+				c, _ := d.Cap(it.Name)
+				reply.Caps = append(reply.Caps, c)
 			}
-			reply.Caps = append(reply.Caps, row.Cap)
-			reply.Rows = append(reply.Rows, row)
+		} else {
+			rows, err := d.List(req.Column)
+			if err != nil {
+				reply.Status = StatusOf(err)
+				return
+			}
+			reply.Rows = rows
 		}
-		return reply
+		reply.ObjSeq = d.Seq
 	default:
-		return &Reply{Status: StatusBadRequest}
+		reply.Status = StatusBadRequest
 	}
 }
 

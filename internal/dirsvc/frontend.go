@@ -280,11 +280,25 @@ func (f *FrontEnd) ReadsServed() uint64 { return f.reads.Load() }
 
 func status(s Status) *Reply { return &Reply{Status: s} }
 
+// scratch is one initiator thread's decode target and read answer. A
+// request does not outlive handleRPC — a backend encodes an update or
+// applies it, and the applier copies what it keeps (a prepare) — and a
+// read's reply is encoded into the worker's buffer before the scratch
+// goes back to the pool.
+type scratch struct {
+	req   Request
+	reply Reply
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
 // handleRPC is the initiator thread body (Fig. 5, left side); the reply
 // is appended to the RPC worker's own buffer.
 func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
-	req, err := DecodeRequest(rreq.Payload)
-	if err != nil {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	req := &sc.req
+	if err := DecodeRequestInto(req, rreq.Payload); err != nil {
 		return status(StatusBadRequest).AppendTo(dst)
 	}
 	switch {
@@ -295,7 +309,7 @@ func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 	case req.Op.IsUpdate():
 		return f.Update(req).AppendTo(dst)
 	default:
-		return f.Read(req).AppendTo(dst)
+		return f.readInto(req, &sc.reply).AppendTo(dst)
 	}
 }
 
@@ -342,7 +356,12 @@ func (f *FrontEnd) forwarded(obj uint32) *Reply {
 
 // Read runs one read through the pipeline; it is exported so tests and
 // tools can interrogate one specific replica without the RPC transport.
-func (f *FrontEnd) Read(req *Request) *Reply {
+func (f *FrontEnd) Read(req *Request) *Reply { return f.readInto(req, &Reply{}) }
+
+// readInto is Read answering into reply, the caller's (see
+// Applier.ReadInto); a refused or bounced read returns a reply of its
+// own instead.
+func (f *FrontEnd) readInto(req *Request, reply *Reply) *Reply {
 	obj := req.Dir.Object
 	if !f.backend.Ready(req.Op) || !f.backend.WaitFloor(obj, req.MinSeq) ||
 		!f.Applier.WaitSeq(req.MinSeq, f.MinSeqWait, f.stop) {
@@ -373,7 +392,7 @@ func (f *FrontEnd) Read(req *Request) *Reply {
 	seq := f.Applier.AppliedSeq()
 	f.reads.Add(1)
 	f.stack.Node().CPU().Charge(f.model.LookupCPU + f.cfg.ExtraLookupCPU)
-	reply := f.Applier.Read(req)
+	f.Applier.ReadInto(req, reply)
 	reply.Seq = seq
 	return reply
 }

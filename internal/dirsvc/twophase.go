@@ -484,8 +484,9 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, er
 	tx := &preparedTx{
 		id: p.ID,
 		// The kept request is what a flush re-logs and a snapshot ships: it
-		// has to re-stage under whatever topology it meets there.
-		req:          PinAllocation(req, reply),
+		// has to re-stage under whatever topology it meets there. It is a
+		// copy: req may be decode scratch its caller reuses.
+		req:          PinAllocation(req, reply).Clone(),
 		seq:          seq,
 		resolver:     p.Resolver,
 		participants: append([]int(nil), p.Participants...),

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirdata"
@@ -363,32 +364,46 @@ func (r *Request) AppendTo(dst []byte) []byte {
 	return w.buf
 }
 
-// DecodeRequest parses a request.
+// DecodeRequest parses a request into a fresh Request.
 func DecodeRequest(buf []byte) (*Request, error) {
-	rd := &byteReader{buf: buf}
 	r := &Request{}
+	if err := DecodeRequestInto(r, buf); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeRequestInto parses a request into r, which the caller owns and
+// may reuse from call to call: r is reset, and its Masks, Columns and Set
+// keep their backing arrays, so a warm decode allocates only the strings
+// and the CheckSeed and Blob bytes. Whatever outlives the caller's use of
+// r must be copied out of those three slices (Request.Clone); the strings
+// and byte slices are the request's own.
+func DecodeRequestInto(r *Request, buf []byte) error {
+	rd := byteReader{buf: buf}
+	*r = Request{Masks: r.Masks[:0], Columns: r.Columns[:0], Set: r.Set[:0]}
 	r.Op = OpCode(rd.u8())
 	r.Dir = rd.cap()
 	r.Name = rd.str()
 	r.Cap = rd.cap()
 	nm := int(rd.u16())
-	if nm > 64 {
-		return nil, ErrBadRequest
+	if nm > 64 || !rd.holds(nm, 1) {
+		return ErrBadRequest
 	}
 	for i := 0; i < nm; i++ {
 		r.Masks = append(r.Masks, capability.Rights(rd.u8()))
 	}
 	nc := int(rd.u16())
-	if nc > 64 {
-		return nil, ErrBadRequest
+	if nc > 64 || !rd.holds(nc, 2) {
+		return ErrBadRequest
 	}
 	for i := 0; i < nc; i++ {
 		r.Columns = append(r.Columns, rd.str())
 	}
 	r.Column = int(rd.u32())
 	ns := int(rd.u16())
-	if ns > 4096 {
-		return nil, ErrBadRequest
+	if ns > 4096 || !rd.holds(ns, 2+capability.Size) {
+		return ErrBadRequest
 	}
 	for i := 0; i < ns; i++ {
 		var it SetItem
@@ -402,9 +417,22 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	r.Blob = rd.lenBytes()
 	r.MinSeq = rd.u64()
 	if rd.failed {
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	}
-	return r, nil
+	return nil
+}
+
+// Clone returns a copy of r that shares no slice with it: what a holder
+// of decode scratch keeps beyond its use of the scratch (a prepared
+// transaction's request).
+func (r *Request) Clone() *Request {
+	c := *r
+	c.Masks = slices.Clone(r.Masks)
+	c.Columns = slices.Clone(r.Columns)
+	c.Set = slices.Clone(r.Set)
+	c.CheckSeed = slices.Clone(r.CheckSeed)
+	c.Blob = slices.Clone(r.Blob)
+	return &c
 }
 
 // Encode serializes the reply.
@@ -437,23 +465,34 @@ func (r *Reply) AppendTo(dst []byte) []byte {
 	return w.buf
 }
 
-// DecodeReply parses a reply.
+// DecodeReply parses a reply into a fresh Reply.
 func DecodeReply(buf []byte) (*Reply, error) {
-	rd := &byteReader{buf: buf}
 	r := &Reply{}
+	if err := DecodeReplyInto(r, buf); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeReplyInto parses a reply into r, the twin of DecodeRequestInto:
+// r is reset, and its Rows and Caps keep their backing arrays. Rows'
+// names, their masks and the Blob are the reply's own.
+func DecodeReplyInto(r *Reply, buf []byte) error {
+	rd := byteReader{buf: buf}
+	*r = Reply{Rows: r.Rows[:0], Caps: r.Caps[:0]}
 	r.Status = Status(rd.u8())
 	r.Cap = rd.cap()
 	nrows := int(rd.u32())
-	if nrows > 1<<20 {
-		return nil, ErrBadRequest
+	if nrows > 1<<20 || !rd.holds(nrows, 2+capability.Size+2) {
+		return ErrBadRequest
 	}
 	for i := 0; i < nrows; i++ {
 		var row dirdata.Row
 		row.Name = rd.str()
 		row.Cap = rd.cap()
 		nm := int(rd.u16())
-		if nm > 64 {
-			return nil, ErrBadRequest
+		if nm > 64 || !rd.holds(nm, 1) {
+			return ErrBadRequest
 		}
 		for j := 0; j < nm; j++ {
 			row.ColMasks = append(row.ColMasks, capability.Rights(rd.u8()))
@@ -461,8 +500,8 @@ func DecodeReply(buf []byte) (*Reply, error) {
 		r.Rows = append(r.Rows, row)
 	}
 	ncaps := int(rd.u32())
-	if ncaps > 1<<20 {
-		return nil, ErrBadRequest
+	if ncaps > 1<<20 || !rd.holds(ncaps, capability.Size) {
+		return ErrBadRequest
 	}
 	for i := 0; i < ncaps; i++ {
 		r.Caps = append(r.Caps, rd.cap())
@@ -471,9 +510,9 @@ func DecodeReply(buf []byte) (*Reply, error) {
 	r.ObjSeq = rd.u64()
 	r.Blob = rd.lenBytes()
 	if rd.failed {
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	}
-	return r, nil
+	return nil
 }
 
 // writer builds length-prefixed binary messages.
@@ -506,12 +545,25 @@ type byteReader struct {
 
 func (r *byteReader) take(n int) []byte {
 	if r.failed || n < 0 || r.off+n > len(r.buf) {
+		// Zeros stand in for what is not there, the message is refused,
+		// and a length field of a short message costs no allocation.
 		r.failed = true
-		return make([]byte, max(n, 0))
+		return noBytes[:min(max(n, 0), len(noBytes))]
 	}
 	out := r.buf[r.off : r.off+n]
 	r.off += n
 	return out
+}
+
+// noBytes is what a failed read returns: zeros, never written, as long
+// as the longest fixed-size field.
+var noBytes [capability.Size]byte
+
+// holds reports whether the unread bytes can hold n items of at least
+// size bytes each: a count is checked before it sizes a loop, so a short
+// message claiming many items allocates nothing for them.
+func (r *byteReader) holds(n, size int) bool {
+	return !r.failed && n <= (len(r.buf)-r.off)/size
 }
 
 func (r *byteReader) u8() uint8   { return r.take(1)[0] }

@@ -1,0 +1,94 @@
+package dirsvc
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// decodeAllocBound is what a decode of n wire bytes may allocate: the
+// message, its lists at twice their length (append growth) and its
+// strings and byte slices, each bounded by the bytes that carry it.
+func decodeAllocBound(n int) uint64 { return 1024 + 16*uint64(n) }
+
+// allocated returns the bytes fn allocates, whole process: the least of
+// three calls, since the fuzzing worker's own goroutines allocate now and
+// then under the measurement, and a decode allocates the same each time.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzDecodeRequest: arbitrary bytes never panic DecodeRequest, which
+// allocates in proportion to the input; a request it accepts encodes to
+// one that decodes the same; and decoding b into scratch that last held
+// a is decoding b fresh, with nothing of a left over. The seed corpus, in
+// testdata/fuzz/FuzzDecodeRequest, holds the encodings of
+// TestRequestEncodeDecodeRoundTrip's requests, each after another.
+func FuzzDecodeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var fresh *Request
+		var err error
+		if grew := allocated(func() { fresh, err = DecodeRequest(b) }); grew > decodeAllocBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
+		}
+		var scratch Request
+		_ = DecodeRequestInto(&scratch, a)
+		if serr := DecodeRequestInto(&scratch, b); (serr == nil) != (err == nil) {
+			t.Fatalf("fresh decode: %v; into scratch: %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := scratch.Encode(), fresh.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("into scratch that held %x: %+v, fresh: %+v", a, scratch, *fresh)
+		}
+		again, err := DecodeRequest(fresh.Encode())
+		if err != nil {
+			t.Fatalf("decoded %+v, but not its encoding: %v", *fresh, err)
+		}
+		if !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("decoded %+v, then %+v from its encoding", *fresh, *again)
+		}
+	})
+}
+
+// FuzzDecodeReply is FuzzDecodeRequest for replies. The seed corpus, in
+// testdata/fuzz/FuzzDecodeReply, holds TestReplyEncodeDecodeRoundTrip's
+// reply, the lookup and listing answers and a bare status, each after
+// another.
+func FuzzDecodeReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var fresh *Reply
+		var err error
+		if grew := allocated(func() { fresh, err = DecodeReply(b) }); grew > decodeAllocBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
+		}
+		var scratch Reply
+		_ = DecodeReplyInto(&scratch, a)
+		if serr := DecodeReplyInto(&scratch, b); (serr == nil) != (err == nil) {
+			t.Fatalf("fresh decode: %v; into scratch: %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := scratch.Encode(), fresh.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("into scratch that held %x: %+v, fresh: %+v", a, scratch, *fresh)
+		}
+		again, err := DecodeReply(fresh.Encode())
+		if err != nil {
+			t.Fatalf("decoded %+v, but not its encoding: %v", *fresh, err)
+		}
+		if !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("decoded %+v, then %+v from its encoding", *fresh, *again)
+		}
+	})
+}

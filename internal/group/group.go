@@ -19,12 +19,14 @@
 // sequencer hold the message, so it survives r processor failures. The
 // sequencer's own sends count its members' ACCEPTs. Any other member's
 // send counts itself, once it has delivered its own ORD, and the
-// ACCEPTs the remaining members send it directly, next to the one each
-// sends the sequencer; the sequencer's DONE only answers a retried send
-// request. For a triplicated service with r = 2 a member's send costs
-// five messages — REQUEST, ORD multicast, the sender's ACCEPT, the third
-// member's ACCEPT to the sequencer and to the sender — matching the
-// paper's §3.1 count, one hop shorter than waiting for a DONE.
+// ACCEPTs the remaining members send it directly; nobody ACCEPTs it to
+// the sequencer unless the sender retries. The sequencer then re-sends
+// the ORD, every member that receives it again ACCEPTs it to the
+// sequencer, and the sequencer answers with a DONE once r are in. For a
+// triplicated service with r = 2 a member's send costs three messages —
+// REQUEST, ORD multicast, the third member's ACCEPT to the sender —
+// where the paper's §3.1 count is five: it also sends both members'
+// ACCEPTs to the sequencer, which no send waits on.
 //
 // All protocol bookkeeping runs synchronously in the FLIP dispatcher (the
 // analogue of Amoeba's kernel processing packets at interrupt time), so
@@ -154,11 +156,15 @@ type Config struct {
 var gidCounter atomic.Uint64
 
 // doneState tracks resilience acknowledgements for one sequenced message
-// at the sequencer, until every member's ACCEPT is in.
+// at the sequencer, until every member's ACCEPT is in or the history
+// window passes it. Members ACCEPT to the sequencer only its own sends
+// and ORDs it re-sent, so for another member's send acked stays empty
+// unless that sender retried.
 type doneState struct {
 	sender   sim.NodeID
 	msgID    uint64
 	needed   int
+	retried  bool         // the sender asked again: DONE it once needed is in
 	acked    []sim.NodeID // members whose ACCEPT counted; backed by ackedBuf up to four
 	ackedBuf [4]sim.NodeID
 }

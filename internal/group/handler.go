@@ -156,9 +156,12 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 		m.replyDoneLocked(w.from, w.msgID, s)
 		return
 	}
-	// Still waiting for ACCEPTs: some may have been lost. Re-send the
-	// ORD to members that have not acknowledged; their duplicate
-	// handling re-ACCEPTs.
+	// Not known to be stable: a member's send is acknowledged to its
+	// sender alone, and that ACCEPT may have been lost. Re-send the ORD to
+	// the members that have not acknowledged it here; they hold it now,
+	// so they ACCEPT it to the sequencer, and the sender gets a DONE once
+	// the resilience degree is in (settleLocked).
+	pd.retried = true
 	if ord := m.history[s]; ord != nil {
 		frame := ord.appendTo(flip.NewFrame(m.cfg.Port, ord.size()))
 		for _, nd := range m.members {
@@ -183,31 +186,36 @@ func (m *Member) handleOrdLocked(w *wireMsg) {
 		return
 	}
 	if w.seq < m.nextSeq {
-		// Duplicate of something already processed: the sequencer may
-		// have lost our ACCEPT, so acknowledge again.
-		m.acceptLocked(w)
+		// Duplicate of something already processed: the sequencer re-sent
+		// it for a retried send, or lost our ACCEPT of its own.
+		m.acceptLocked(w, true)
 		return
 	}
-	if _, dup := m.pending[w.seq]; !dup {
+	_, again := m.pending[w.seq]
+	if !again {
 		kept := *w
 		m.pending[w.seq] = &kept
 	}
-	m.acceptLocked(w)
+	m.acceptLocked(w, again)
 	m.drainPendingLocked()
 	if w.seq >= m.nextSeq && m.pending[m.nextSeq] == nil {
 		m.maybeRequestRetransLocked(w.seq - 1)
 	}
 }
 
-// acceptLocked acknowledges receipt of ord to the sequencer and, for an
-// application message another non-sequencer member sent, to that sender
-// as well, which counts it towards its send's resilience degree.
-func (m *Member) acceptLocked(ord *wireMsg) {
+// acceptLocked acknowledges receipt of ord where a send waits on it. An
+// application message another non-sequencer member sent is acknowledged
+// to that sender, which counts it towards its send's resilience degree.
+// The sequencer hears only of its own sends, and of an ORD received again
+// (again): it re-sends one only to answer a retried send request.
+func (m *Member) acceptLocked(ord *wireMsg, again bool) {
 	if m.sequencer == m.me {
 		return
 	}
 	accept := wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: ord.seq, from: m.me, msgID: ord.msgID, node: ord.from}
-	_ = m.send(m.sequencer, &accept)
+	if again || ord.ordKind == ordApp && ord.from == m.sequencer {
+		_ = m.send(m.sequencer, &accept)
+	}
 	if ord.ordKind == ordApp && ord.from != m.me && ord.from != m.sequencer {
 		_ = m.send(ord.from, &accept)
 	}
@@ -299,8 +307,8 @@ func (m *Member) removeMemberLocked(nd sim.NodeID) {
 }
 
 // handleAcceptLocked counts resilience acknowledgements: at the
-// sequencer for every message it sequenced, elsewhere for this member's
-// own sends.
+// sequencer for its own sends and for ORDs it re-sent, elsewhere for this
+// member's own sends.
 func (m *Member) handleAcceptLocked(w *wireMsg) {
 	m.lastSeen[w.from] = time.Now()
 	if m.sequencer != m.me {
@@ -316,15 +324,20 @@ func (m *Member) handleAcceptLocked(w *wireMsg) {
 }
 
 // settleLocked completes the sequencer's own send of seq once it holds
-// the resilience degree, and forgets seq once every member has
-// acknowledged it; a retried send request is answered with a DONE from
-// then on.
+// the resilience degree, or answers a member that retried its send with a
+// DONE then, and forgets seq once every member has acknowledged it; a
+// retried send request is answered with a DONE from then on.
 func (m *Member) settleLocked(seq uint64, pd *doneState) {
 	if len(pd.acked) < pd.needed {
 		return
 	}
-	if len(pd.acked) == pd.needed && pd.sender == m.me {
-		m.completeSendLocked(pd.msgID, seq)
+	if len(pd.acked) == pd.needed {
+		switch {
+		case pd.sender == m.me:
+			m.completeSendLocked(pd.msgID, seq)
+		case pd.retried:
+			m.replyDoneLocked(pd.sender, pd.msgID, seq)
+		}
 	}
 	if len(pd.acked) >= len(m.members)-1 {
 		delete(m.pendingDone, seq)

@@ -12,7 +12,7 @@ import (
 const (
 	wireSendReq  = 1  // member → sequencer: please sequence this payload
 	wireOrd      = 2  // sequencer → multicast: sequenced message
-	wireAccept   = 3  // member → sequencer, and → sender of an app ORD: I buffered ORD seq
+	wireAccept   = 3  // member → sender of an app ORD, or → sequencer for its own sends and re-sent ORDs: I buffered ORD seq
 	wireDone     = 4  // sequencer → sender: answers a retried SEND_REQ once stable
 	wireJoinReq  = 5  // joiner → multicast: who runs this group?
 	wireWelcome  = 6  // sequencer → joiner: group state snapshot

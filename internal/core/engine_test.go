@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,11 +124,12 @@ func TestEngineWriteFailureIsNotAcknowledged(t *testing.T) {
 
 // TestEngineOrphanIsLoggedAtOnce: the initiator of an acknowledged update
 // crashes while the other replicas still hold its message queued in the
-// group layer, undelivered. Their view change rewrites the commit block
-// without the initiator first, and the message is applied after. Its
-// record is written as soon as it is applied, not with the next run: once
-// a survivor has applied it, a crash of the survivors leaves it on the
-// disks of a last set that recovers without the initiator.
+// group layer, undelivered. Delivery is view-synchronous, so each
+// survivor applies the message first and then the reset's new view, whose
+// commit-block write drops the initiator. That write syncs the record
+// first: once a survivor's block no longer names the initiator, a crash of
+// the survivors leaves the update on the disks of a last set that
+// recovers without the initiator.
 func TestEngineOrphanIsLoggedAtOnce(t *testing.T) {
 	g := bootEngineGroup(t, 3)
 	s1, survivors := g.servers[1], g.servers[2:]
@@ -184,16 +186,116 @@ func TestEngineOrphanIsLoggedAtOnce(t *testing.T) {
 	for _, s := range survivors {
 		id := s.cfg.ServerID
 		g.awaitApplied(t, id, seq)
-		cb, err := dirsvc.ReadCommitBlock(g.admins[id], 3)
-		if err != nil {
+		if err := waitUntil(5*time.Second, func() error {
+			cb, err := dirsvc.ReadCommitBlock(g.admins[id], 3)
+			if err == nil && cb.Up[0] {
+				err = fmt.Errorf("server %d's commit block still names server 1 up", id)
+			}
+			return err
+		}); err != nil {
 			t.Fatal(err)
-		}
-		if cb.Up[0] {
-			t.Fatalf("server %d's commit block still names server 1 up", id)
 		}
 		if !g.onDisk(t, id, seq) {
 			t.Fatalf("server %d applied seq %d from an initiator its commit block dropped, but its disk lacks it", id, seq)
 		}
+	}
+}
+
+// TestEngineViewChangeWritesItsOwnView: a survivor whose group thread
+// lags holds two view changes queued, with an update of server 1 between
+// them, and the second drops server 1. Each view change's commit-block
+// write names the view at its own place in the stream, not the view the
+// survivor's group layer is in by then. So the first still names server 1
+// up, and no block drops server 1 before its update is applied and, by
+// the write's sync, on disk.
+func TestEngineViewChangeWritesItsOwnView(t *testing.T) {
+	const lagging = 2
+	var orphan atomic.Uint64 // server 1's update between the view changes
+	var parts []*vdisk.Partition
+	early := make(chan string, 1)
+	g := bootWatchedEngineGroup(t, 5, func(id int, cb *dirsvc.CommitBlock) {
+		seq := orphan.Load()
+		if id != lagging || seq == 0 || cb.Up[0] {
+			return
+		}
+		if held, err := engineHolds(parts[id], seq); err != nil || !held {
+			select {
+			case early <- fmt.Sprintf("server %d wrote a block dropping server 1 while its disk lacked seq %d (%v)", id, seq, err):
+			default:
+			}
+		}
+	})
+	parts = g.parts
+	s1, s2 := g.servers[1], g.servers[lagging]
+	root, err := s1.front.Applier.RootCap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply := appendRowAt(s1, root, "warm"); reply.Status != dirsvc.StatusOK {
+		t.Fatalf("append: %v", reply.Status.Err())
+	}
+
+	s2.applyMu.Lock()
+	stalled := true
+	release := func() {
+		if stalled {
+			s2.applyMu.Unlock()
+			stalled = false
+		}
+	}
+	defer release()
+	if reply := appendRowAt(s1, root, "stall"); reply.Status != dirsvc.StatusOK {
+		t.Fatalf("append stall: %v", reply.Status.Err())
+	}
+	s2.mu.Lock()
+	member := s2.member
+	s2.mu.Unlock()
+	// crash stops server id and waits until the lagging survivor's group
+	// layer has installed the view without it, and server 1 serves in it.
+	crash := func(id, members int) {
+		t.Helper()
+		gone := g.stacks[id].Node().ID()
+		g.stacks[id].Node().Crash()
+		g.servers[id].Close()
+		if err := waitUntil(5*time.Second, func() error {
+			info := member.Info()
+			if info.State != group.StateNormal || len(info.Members) != members || slices.Contains(info.Members, gone) {
+				return fmt.Errorf("server %d's member: %+v, want a view of %d without node %d", lagging, info, members, gone)
+			}
+			if id != 1 && !s1.Ready(dirsvc.OpAppendRow) {
+				return errors.New("server 1 cannot serve")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(5, 4)
+	if reply := appendRowAt(s1, root, "orphan"); reply.Status != dirsvc.StatusOK {
+		t.Fatalf("append orphan: %v", reply.Status.Err())
+	}
+	seq := s1.front.Applier.AppliedSeq()
+	orphan.Store(seq)
+	crash(1, 3)
+	release()
+
+	g.awaitApplied(t, lagging, seq)
+	if err := waitUntil(5*time.Second, func() error {
+		cb, err := dirsvc.ReadCommitBlock(g.admins[lagging], 5)
+		if err == nil && cb.Up[0] {
+			err = fmt.Errorf("server %d's commit block still names server 1 up", lagging)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-early:
+		t.Fatal(msg)
+	default:
+	}
+	if !g.onDisk(t, lagging, seq) {
+		t.Fatalf("server %d's commit block dropped server 1, but its disk lacks seq %d", lagging, seq)
 	}
 }
 
@@ -253,15 +355,40 @@ func (g *engineGroup) awaitApplied(t *testing.T, id int, seq uint64) {
 // checkpoint or its log.
 func (g *engineGroup) onDisk(t *testing.T, id int, seq uint64) bool {
 	t.Helper()
-	disk, err := dirsvc.OpenEngine(g.parts[id])
+	logged, err := engineHolds(g.parts[id], seq)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return logged
+}
+
+// engineHolds reports whether an engine partition holds seq, in its
+// checkpoint or its log.
+func engineHolds(part *vdisk.Partition, seq uint64) (bool, error) {
+	disk, err := dirsvc.OpenEngine(part)
+	if err != nil {
+		return false, err
 	}
 	logged := disk.CheckpointSeq() >= seq
 	for _, rec := range disk.LogSuffix(0) {
 		logged = logged || rec.Seq == seq
 	}
-	return logged
+	return logged, nil
+}
+
+// blockWatch is an admin partition that shows every commit block written
+// to it to watch before the write lands.
+type blockWatch struct {
+	vdisk.Storage
+	replicas int
+	watch    func(cb *dirsvc.CommitBlock)
+}
+
+func (b *blockWatch) WriteBlock(i int, data []byte) error {
+	if cb, err := dirsvc.DecodeCommitBlock(data, b.replicas); i == 0 && err == nil {
+		b.watch(cb)
+	}
+	return b.Storage.WriteBlock(i, data)
 }
 
 func (g *engineGroup) close() {
@@ -279,8 +406,15 @@ func (g *engineGroup) close() {
 // them form one group. A boot that splits into two groups is retried.
 func bootEngineGroup(t *testing.T, n int) *engineGroup {
 	t.Helper()
+	return bootWatchedEngineGroup(t, n, nil)
+}
+
+// bootWatchedEngineGroup is bootEngineGroup, and shows every commit block
+// a server writes to watch, if set, with the server's id.
+func bootWatchedEngineGroup(t *testing.T, n int, watch func(id int, cb *dirsvc.CommitBlock)) *engineGroup {
+	t.Helper()
 	for attempt := 1; ; attempt++ {
-		g, err := tryBootEngineGroup(t, n)
+		g, err := tryBootEngineGroup(t, n, watch)
 		if err == nil {
 			t.Cleanup(g.close)
 			return g
@@ -292,7 +426,7 @@ func bootEngineGroup(t *testing.T, n int) *engineGroup {
 	}
 }
 
-func tryBootEngineGroup(t *testing.T, n int) (*engineGroup, error) {
+func tryBootEngineGroup(t *testing.T, n int, watch func(id int, cb *dirsvc.CommitBlock)) (*engineGroup, error) {
 	model := sim.FastModel()
 	net := sim.NewNetwork(model, 1)
 	g := &engineGroup{
@@ -315,8 +449,12 @@ func tryBootEngineGroup(t *testing.T, n int) (*engineGroup, error) {
 				errs <- err
 				return
 			}
+			var admin vdisk.Storage = g.admins[id]
+			if watch != nil {
+				admin = &blockWatch{Storage: admin, replicas: n, watch: func(cb *dirsvc.CommitBlock) { watch(id, cb) }}
+			}
 			g.servers[id], err = NewServer(g.stacks[id], Config{
-				FrontConfig:       dirsvc.FrontConfig{Service: "engine-group", ServerID: id, Replicas: n, Admin: g.admins[id]},
+				FrontConfig:       dirsvc.FrontConfig{Service: "engine-group", ServerID: id, Replicas: n, Admin: admin},
 				Peers:             peers,
 				Engine:            engine,
 				HeartbeatInterval: 30 * time.Millisecond,

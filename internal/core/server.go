@@ -470,7 +470,13 @@ func (s *Server) groupThread() {
 		case err == nil:
 			s.processGroupMsg(msg)
 		case errors.Is(err, group.ErrGroupFailure):
-			s.handleGroupFailure(member)
+			// Rebuild the group; the new view arrives in the stream as a
+			// KindView. Without a majority, enter recovery (Fig. 5: "if
+			// (group rebuild failed) enter recovery"); it fails only on
+			// shutdown, which the next turn sees.
+			if _, err := member.Reset(s.majorityNeeded()); err != nil {
+				_ = s.recover()
+			}
 		case errors.Is(err, group.ErrClosed), errors.Is(err, group.ErrLeft):
 			s.mu.Lock()
 			closed := s.closed
@@ -485,23 +491,6 @@ func (s *Server) groupThread() {
 			}
 		}
 	}
-}
-
-// handleGroupFailure rebuilds the group; when no majority can be
-// assembled, the server falls back to full recovery (Fig. 5: "if (group
-// rebuild failed) enter recovery").
-func (s *Server) handleGroupFailure(member *group.Member) {
-	info, err := member.Reset(s.majorityNeeded())
-	if err == nil {
-		// Majority rebuilt: update the configuration vector on disk.
-		s.mu.Lock()
-		s.updateConfigVectorLocked(info.Members)
-		commit := *s.commit
-		s.mu.Unlock()
-		s.writeCommit(commit)
-		return
-	}
-	_ = s.recover() // fails only on shutdown: groupThread sees closed
 }
 
 // updateConfigVectorLocked rewrites the Up bits from a group member list.
@@ -524,19 +513,24 @@ func (s *Server) advanceGroupCursorLocked(seq uint64) {
 	}
 }
 
-// processGroupMsg applies one totally-ordered message.
+// processGroupMsg applies one totally-ordered message. A view change —
+// a join, a leave or a reset's new view — rewrites the configuration
+// vector on disk from the members it carries, the view at its place in
+// the stream. Delivery is view-synchronous, so every message of the old
+// view is applied by then, and the block's write syncs their records
+// first: no block stops naming a server ahead of that server's records.
 func (s *Server) processGroupMsg(msg group.Msg) {
 	switch msg.Kind {
-	case group.KindJoin, group.KindLeave:
+	case group.KindJoin, group.KindLeave, group.KindView:
+		s.applyMu.Lock()
+		defer s.applyMu.Unlock()
 		s.mu.Lock()
-		if s.member != nil {
-			s.updateConfigVectorLocked(s.member.Info().Members)
-		}
+		s.updateConfigVectorLocked(msg.Members)
 		s.advanceGroupCursorLocked(msg.Seq)
 		commit := *s.commit
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		s.writeCommit(commit)
+		_ = s.writeCommitLocked(commit)
 		return
 	case group.KindApp:
 	default:
@@ -544,6 +538,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	}
 	s.mu.Lock()
 	resume := s.groupResume
+	s.lastUpdate = time.Now()
 	s.mu.Unlock()
 	entries, err := unpackGroupEntries(s.entries[:0], msg.Payload)
 	if msg.Seq <= resume || err != nil {
@@ -565,33 +560,22 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	local := s.local[:0]
-	orphan := false
 	req := &s.req
 	for _, ent := range entries {
 		if dirsvc.DecodeRequestInto(req, ent.raw) != nil {
 			continue
 		}
-		s.mu.Lock()
-		s.lastUpdate = time.Now()
-		id := req.Server
-		orphan = orphan || id < 1 || id > len(s.commit.Up) || !s.commit.Up[id-1]
-		s.mu.Unlock()
-
 		reply := s.applyUpdate(req, s.front.Applier.AppliedSeq()+1)
-		if id == s.cfg.ServerID {
+		if req.Server == s.cfg.ServerID {
 			local = append(local, localReply{opID: ent.opID, reply: reply})
 		}
 	}
 	// Group commit (the engine's; record made the others durable): an
 	// update this server initiated is answered once it is on this disk,
 	// and the one sync carries every record queued since the last. Others
-	// wait for a local update, a commit-block write or a tick, but two
-	// kinds. An orphan's initiator is no longer named up in this server's
-	// commit block (its message was still queued when the view change
-	// dropped it), so the rule that a block stops naming a server only once
-	// that server's records are under it must be restored now. And a
-	// tailed disk feeds a secondary, which reads only what is on disk.
-	if len(local) > 0 || orphan || s.tailed {
+	// wait for a local update, a commit-block write or a tick, except on a
+	// tailed disk, which feeds a secondary that reads only what is on disk.
+	if len(local) > 0 || s.tailed {
 		if err := s.persist.sync(); err != nil {
 			for i := range local {
 				local[i].reply = dirsvc.ErrorReply(err)
@@ -655,20 +639,14 @@ func (s *Server) commitAppliedLocked(topo bool) {
 // server acknowledges an update once its record is on its own disk, but
 // others log it lazily, so no block — above all no configuration vector
 // that stops naming a server — may reach a disk ahead of records that
-// server could have acknowledged (ones applied after it are orphans,
-// synced at once). A failed sync writes no block. Callers hold applyMu.
+// server could have acknowledged. View-synchronous delivery applies all of
+// them before the view change that drops the server. A failed sync writes
+// no block. Callers hold applyMu.
 func (s *Server) writeCommitLocked(commit dirsvc.CommitBlock) error {
 	if err := s.persist.sync(); err != nil {
 		return err
 	}
 	return commit.Write(s.cfg.Admin)
-}
-
-// writeCommit is writeCommitLocked for the group thread outside a batch.
-func (s *Server) writeCommit(commit dirsvc.CommitBlock) {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	_ = s.writeCommitLocked(commit)
 }
 
 // Checkpoint forces one synchronous checkpoint of the storage engine —

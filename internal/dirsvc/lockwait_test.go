@@ -79,44 +79,47 @@ func TestAwaitLockFreeTimeout(t *testing.T) {
 	}
 }
 
-// TestAwaitLockFreeFIFO: waiters admitted in arrival order — the queue
-// is fair, not a broadcast stampede.
+// TestAwaitLockFreeFIFO: waiters are admitted in arrival order — the
+// queue is fair, not a broadcast stampede. Admission happens under the
+// applier lock, when a waiter's ticket heads the queue and it leaves it,
+// so a waiter that returns finds no earlier ticket still queued. (The
+// order the calls return in is not the promise: two back-to-back
+// admissions race to return.)
 func TestAwaitLockFreeFIFO(t *testing.T) {
 	f, id, _, _ := preparedFixture(t)
 	root, _ := f.applier.RootCap()
+	a := f.applier
 
 	const waiters = 4
-	var mu sync.Mutex
-	var order []int
+	var tickets [waiters]uint64
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := f.applier.AwaitLockFree([]uint32{root.Object}, 10*time.Second); err != nil {
+			if err := a.AwaitLockFree([]uint32{root.Object}, 10*time.Second); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
+			a.mu.RLock()
+			defer a.mu.RUnlock()
+			if q := a.waiters[root.Object]; len(q) > 0 && q[0] < tickets[i] {
+				t.Errorf("waiter %d (ticket %d) admitted ahead of ticket %d", i, tickets[i], q[0])
+			}
 		}()
 		// Let each waiter queue before starting the next, so arrival
-		// order is the ticket order.
-		waitFor(t, "waiter to queue", func() bool { return f.applier.LockWaiters(root.Object) == i+1 })
+		// order is the ticket order; the decide below publishes tickets.
+		waitFor(t, "waiter to queue", func() bool { return a.LockWaiters(root.Object) == i+1 })
+		a.mu.RLock()
+		tickets[i] = a.waiters[root.Object][i]
+		a.mu.RUnlock()
 	}
 
 	decide := &Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: id, Commit: false})}
-	if _, err := f.applier.ApplyUpdate(decide, 6, true); err != nil {
+	if _, err := a.ApplyUpdate(decide, 6, true); err != nil {
 		t.Fatalf("decide: %v", err)
 	}
 	wg.Wait()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("wake order %v, want FIFO", order)
-		}
-	}
 }
 
 // TestAwaitLockFreeFullQueueSheds: the 17th waiter on one object is

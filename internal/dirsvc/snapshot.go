@@ -2,6 +2,7 @@ package dirsvc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dirsvc/internal/capability"
@@ -160,10 +161,13 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		}
 		s.Topo = t
 	}
+	// Each count is checked against the bytes left before it sizes a
+	// list: a short blob claiming millions of entries allocates nothing.
 	nobj := int(rd.u32())
-	if rd.failed || nobj > 1<<22 {
+	if nobj > 1<<22 || !rd.holds(nobj, 4+8+len(capability.Secret{})+4) {
 		return nil, fmt.Errorf("snapshot: object count: %w", ErrBadRequest)
 	}
+	s.Objects = slices.Grow(s.Objects, nobj)
 	for i := 0; i < nobj; i++ {
 		var o SnapObject
 		o.Object = rd.u32()
@@ -173,9 +177,10 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		s.Objects = append(s.Objects, o)
 	}
 	nstub := int(rd.u32())
-	if rd.failed || nstub > 1<<22 {
+	if nstub > 1<<22 || !rd.holds(nstub, 4+4+8) {
 		return nil, fmt.Errorf("snapshot: stub count: %w", ErrBadRequest)
 	}
+	s.Stubs = slices.Grow(s.Stubs, nstub)
 	for i := 0; i < nstub; i++ {
 		var st SnapStub
 		st.Object = rd.u32()
@@ -184,9 +189,10 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		s.Stubs = append(s.Stubs, st)
 	}
 	ntx := int(rd.u32())
-	if rd.failed || ntx > 1<<20 {
+	if ntx > 1<<20 || !rd.holds(ntx, 8+4) {
 		return nil, fmt.Errorf("snapshot: tx count: %w", ErrBadRequest)
 	}
+	s.InDoubt = slices.Grow(s.InDoubt, ntx)
 	for i := 0; i < ntx; i++ {
 		var tx SnapTx
 		tx.Seq = rd.u64()
@@ -194,9 +200,10 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		s.InDoubt = append(s.InDoubt, tx)
 	}
 	ndec := int(rd.u32())
-	if rd.failed || ndec > 1<<20 {
+	if ndec > 1<<20 || !rd.holds(ndec, len(TxID{})+1+8+4) {
 		return nil, fmt.Errorf("snapshot: decided count: %w", ErrBadRequest)
 	}
+	s.Decided = slices.Grow(s.Decided, ndec)
 	for i := 0; i < ndec; i++ {
 		var d DecidedTx
 		copy(d.ID[:], rd.take(len(d.ID)))

@@ -28,6 +28,15 @@
 // where the paper's §3.1 count is five: it also sends both members'
 // ACCEPTs to the sequencer, which no send waits on.
 //
+// Views change in the stream. A join or leave is sequenced like a
+// message; a reset commits a new view, which every member of it receives
+// as one KindView after the old view's messages the reset kept and before
+// the new view's own — virtual synchrony. Every view change carries the
+// member list in force from its place in the stream. A member that has
+// reported its position to a reset's coordinator takes in no message
+// until a commit; a commit keeping fewer messages than the member holds
+// fails it, as one that excludes it does.
+//
 // All protocol bookkeeping runs synchronously in the FLIP dispatcher (the
 // analogue of Amoeba's kernel processing packets at interrupt time), so
 // Info's buffered sequence number is always current with respect to
@@ -39,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,20 +116,26 @@ func (s State) String() string {
 type MsgKind int
 
 // Delivered message kinds. Join and Leave are membership changes woven
-// into the total order.
+// into the total order; View is a committed reset's new view, delivered
+// after the last old-view message the reset kept.
 const (
 	KindApp MsgKind = iota + 1
 	KindJoin
 	KindLeave
+	KindView
 )
 
 // Msg is one message delivered in the group's total order.
 type Msg struct {
-	Seq     uint64
+	Seq     uint64 // KindView: the last old-view message's, as it takes none
 	Kind    MsgKind
-	Sender  sim.NodeID // originating member
+	Sender  sim.NodeID // originating member; KindView: the reset's coordinator
 	Node    sim.NodeID // KindJoin/KindLeave: the member joining/leaving
 	Payload []byte     // KindApp only
+	// Members is the view in force from this message on (KindJoin,
+	// KindLeave and KindView): where it sits in the stream, not where
+	// the member is now.
+	Members []sim.NodeID
 }
 
 // Info is a snapshot of the member's group state (GetInfoGroup).
@@ -240,10 +254,9 @@ type Member struct {
 	curProposal    proposal
 	resetAcks      map[sim.NodeID]uint64
 	resettingSince time.Time
-	// unreported is set when another coordinator's invitation pulls the
-	// member into a reset: the application never called Reset for that
-	// view change, so Receive owes it one ErrGroupFailure.
-	unreported bool
+	// view is the last committed reset's KindView until it is queued,
+	// right after view.Seq, the last old-view message the commit kept.
+	view *Msg
 
 	closed bool
 	stop   chan struct{}
@@ -470,19 +483,17 @@ func (m *Member) infoLocked() Info {
 }
 
 // Receive blocks until the next message in the total order is available
-// (paper Fig. 1: ReceiveFromGroup). It returns ErrGroupFailure as soon as
-// a failure is detected, even if ordered messages remain queued; after a
-// successful Reset the queued messages are delivered. A view change
-// another member coordinated is reported too, once the new view is in,
-// so every member's application learns of it (and its Reset returns at
-// once).
+// (paper Fig. 1: ReceiveFromGroup). Delivery is view-synchronous: every
+// member of a reset's new view receives the old-view messages the reset
+// kept, then one KindView, then the new view's messages, whoever
+// coordinated the reset. A member that detected the failure itself gets
+// ErrGroupFailure first, so its application calls Reset.
 func (m *Member) Receive() (Msg, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		switch {
-		case m.state == StateFailed, m.state == StateNormal && m.unreported:
-			m.unreported = false
+		case m.state == StateFailed:
 			return Msg{}, ErrGroupFailure
 		case m.state == StateLeft:
 			if m.closed {
@@ -727,16 +738,6 @@ func (m *Member) failLocked(reason string) {
 	m.state = StateFailed
 	m.cond.Broadcast()
 	gtrace("node %d gid=%x epoch=%d FAIL: %s", m.me, uint64(m.gid), m.epoch, reason)
-}
-
-// membersSorted returns a sorted copy.
-func membersSorted(in map[sim.NodeID]uint64) []sim.NodeID {
-	out := make([]sim.NodeID, 0, len(in))
-	for nd := range in {
-		out = append(out, nd)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func contains(list []sim.NodeID, nd sim.NodeID) bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -380,36 +381,247 @@ func TestMemberCrashDetectedAndReset(t *testing.T) {
 
 // TestResetCoordinatedElsewhereIsReported: a member pulled into a reset
 // by another coordinator's invitation, before it noticed a failure
-// itself, reports the view change through Receive once the new view is
-// in, and its own Reset then returns that view at once. Without the
-// report its application would never record the new membership.
+// itself, learns the new view from the KindView Receive delivers once the
+// view is in, and its own Reset then returns that view at once. Without
+// the KindView its application would never record the new membership.
 func TestResetCoordinatedElsewhereIsReported(t *testing.T) {
 	c := newCluster(t, 2, 1)
 	coord, m := c.members[0], c.members[1]
 	m.mu.Lock()
 	epoch := ballotEpoch(m.epoch, coord.Me())
+	seq2 := m.nextSeq - 1
 	m.handleInviteLocked(&wireMsg{kind: wireInvite, gid: m.gid, epoch: epoch, from: coord.Me()})
 	m.applyCommitLocked(&wireMsg{
 		kind: wireCommit, gid: m.gid, epoch: epoch, from: coord.Me(), node: coord.Me(),
-		seq2: m.nextSeq - 1, members: []sim.NodeID{coord.Me(), m.Me()},
+		seq2: seq2, members: []sim.NodeID{coord.Me(), m.Me()},
 	})
 	m.mu.Unlock()
 
-	errs := make(chan error, 1)
-	go func() {
-		_, err := m.Receive()
-		errs <- err
-	}()
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrGroupFailure) {
-			t.Fatalf("Receive after a reset coordinated elsewhere: err = %v, want ErrGroupFailure", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Receive did not report a reset coordinated elsewhere")
+	msg, err := receiveWithin(m, 2*time.Second)
+	if err != nil || msg.Kind != KindView || msg.Seq != seq2 || msg.Sender != coord.Me() {
+		t.Fatalf("Receive after a reset coordinated elsewhere: %+v, %v; want the KindView at seq %d from %d", msg, err, seq2, coord.Me())
 	}
 	if info, err := m.Reset(2); err != nil || info.Epoch != epoch {
 		t.Fatalf("Reset = epoch %d, %v; want the coordinated view's epoch %d at once", info.Epoch, err, epoch)
+	}
+}
+
+// TestCommitDropsOldViewMessagesPastTheCut: a commit keeps the old view's
+// stream up to seq2 and nothing after it. An ORD of the old sequencer
+// that arrives after the member acknowledged the invitation is not taken
+// in, nor is one of a view whose commit a higher invitation then
+// supersedes. The new view numbers its own messages from seq2+1;
+// delivering the stale one there, and dropping the new one as its
+// duplicate, would fork the stream.
+func TestCommitDropsOldViewMessagesPastTheCut(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		superseded bool // the stale ORD belongs to a view a second commit replaces
+	}{{"acked invite", false}, {"superseded view", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 2, 1)
+			coord, m := c.members[0], c.members[1]
+			m.mu.Lock()
+			k := m.nextSeq - 1
+			ord := func(epoch, msgID uint64, payload string) {
+				m.handleOrdLocked(&wireMsg{
+					kind: wireOrd, gid: m.gid, epoch: epoch, seq: k + 1, from: coord.Me(),
+					msgID: msgID, ordKind: ordApp, payload: []byte(payload),
+				})
+			}
+			reset := func() uint64 {
+				epoch := ballotEpoch(max(m.epoch, m.curProposal.epoch), coord.Me())
+				m.handleInviteLocked(&wireMsg{kind: wireInvite, gid: m.gid, epoch: epoch, from: coord.Me()})
+				return epoch
+			}
+			commit := func(epoch uint64) {
+				m.applyCommitLocked(&wireMsg{
+					kind: wireCommit, gid: m.gid, epoch: epoch, from: coord.Me(), node: coord.Me(),
+					seq2: k, members: []sim.NodeID{coord.Me(), m.Me()},
+				})
+			}
+			epoch := reset()
+			if tc.superseded {
+				commit(epoch)
+				epoch = reset()
+			}
+			ord(m.epoch, 1, "stale")
+			commit(epoch)
+			buffered := m.nextSeq - 1
+			ord(epoch, 2, "new view")
+			m.mu.Unlock()
+			if buffered != k {
+				t.Fatalf("buffered %d after a commit keeping %d", buffered, k)
+			}
+
+			for {
+				msg, err := receiveWithin(m, 2*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg.Kind == KindApp {
+					if msg.Seq != k+1 || string(msg.Payload) != "new view" {
+						t.Fatalf("first message past the cut: %q at seq %d, want the new view's at %d", msg.Payload, msg.Seq, k+1)
+					}
+					return
+				}
+				if msg.Kind != KindView || msg.Seq != k {
+					t.Fatalf("before the new view's first message: %+v, want KindViews at seq %d", msg, k)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitBelowHeldMessagesFailsMember: a member acknowledges
+// invitation A, then the higher B, and installs A's commit, which lifts
+// its hold on the position it reported; it takes in view A's message k+1.
+// B's commit then keeps the stream only up to k. The member cannot rewind
+// a message it may have delivered, so it fails, as an excluded member
+// does, rather than take the new view's k+1 as well.
+func TestCommitBelowHeldMessagesFailsMember(t *testing.T) {
+	c := newCluster(t, 2, 1)
+	coord, m := c.members[0], c.members[1]
+	m.mu.Lock()
+	k := m.nextSeq - 1
+	invite := func(after uint64) uint64 {
+		epoch := ballotEpoch(after, coord.Me())
+		m.handleInviteLocked(&wireMsg{kind: wireInvite, gid: m.gid, epoch: epoch, from: coord.Me()})
+		return epoch
+	}
+	commit := func(epoch uint64) {
+		m.applyCommitLocked(&wireMsg{
+			kind: wireCommit, gid: m.gid, epoch: epoch, from: coord.Me(), node: coord.Me(),
+			seq2: k, members: []sim.NodeID{coord.Me(), m.Me()},
+		})
+	}
+	a := invite(m.epoch)
+	b := invite(a)
+	commit(a)
+	m.handleOrdLocked(&wireMsg{
+		kind: wireOrd, gid: m.gid, epoch: a, seq: k + 1, from: coord.Me(),
+		msgID: 1, ordKind: ordApp, payload: []byte("view A"),
+	})
+	held := m.nextSeq - 1
+	commit(b)
+	m.mu.Unlock()
+	if held != k+1 {
+		t.Fatalf("held %d in view A, want %d", held, k+1)
+	}
+	if info := m.Info(); info.State != StateFailed || info.Epoch != a || info.Buffered != k+1 {
+		t.Fatalf("after a commit keeping %d of the %d held: %+v, want failed in epoch %d", k, k+1, info, a)
+	}
+	if _, err := m.Receive(); !errors.Is(err, ErrGroupFailure) {
+		t.Fatalf("Receive: err = %v, want ErrGroupFailure", err)
+	}
+}
+
+// TestViewChangesCarryTheirMembers: each KindView names the members of
+// its own view, not those of the member's view when the application
+// reads it. A view that drops x is queued behind x's message of the view
+// before; an application recording membership from the live view would
+// drop x ahead of that message.
+func TestViewChangesCarryTheirMembers(t *testing.T) {
+	c := newCluster(t, 3, 1)
+	coord, m, x := c.members[0], c.members[1], c.members[2]
+	m.mu.Lock()
+	k := m.nextSeq - 1
+	reset := func(seq2 uint64, members ...sim.NodeID) uint64 {
+		epoch := ballotEpoch(m.epoch, coord.Me())
+		m.handleInviteLocked(&wireMsg{kind: wireInvite, gid: m.gid, epoch: epoch, from: coord.Me()})
+		m.applyCommitLocked(&wireMsg{
+			kind: wireCommit, gid: m.gid, epoch: epoch, from: coord.Me(), node: coord.Me(),
+			seq2: seq2, members: members,
+		})
+		return epoch
+	}
+	all, kept := []sim.NodeID{coord.Me(), m.Me(), x.Me()}, []sim.NodeID{coord.Me(), m.Me()}
+	a := reset(k, all...)
+	m.handleOrdLocked(&wireMsg{
+		kind: wireOrd, gid: m.gid, epoch: a, seq: k + 1, from: x.Me(),
+		msgID: 1, ordKind: ordApp, payload: []byte("from x"),
+	})
+	reset(k+1, kept...)
+	m.mu.Unlock()
+
+	for i, want := range []Msg{
+		{Seq: k, Kind: KindView, Members: all},
+		{Seq: k + 1, Kind: KindApp, Sender: x.Me()},
+		{Seq: k + 1, Kind: KindView, Members: kept},
+	} {
+		msg, err := receiveWithin(m, 2*time.Second)
+		if err != nil || msg.Seq != want.Seq || msg.Kind != want.Kind || !slices.Equal(msg.Members, want.Members) ||
+			want.Kind == KindApp && msg.Sender != want.Sender {
+			t.Fatalf("message %d: %+v, %v; want %+v", i, msg, err, want)
+		}
+	}
+}
+
+// TestViewSynchronousDelivery: the sequencer crashes while k ordered
+// messages wait undelivered at a survivor. That survivor's Receive
+// reports the failure, and after the reset delivers all k messages, then
+// the new view's KindView, and only then the new view's first message.
+func TestViewSynchronousDelivery(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	seqNode := c.members[0].Info().Sequencer
+	var survivors []*Member
+	for _, m := range c.members {
+		if m.Me() != seqNode {
+			survivors = append(survivors, m)
+		}
+	}
+	stalled, other := survivors[0], survivors[1]
+	const k = 5
+	var sent []uint64
+	for i := 0; i < k; i++ {
+		seq, err := other.Send([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, seq)
+	}
+	c.net.Node(seqNode).Crash()
+	if info := stalled.Info(); info.Buffered < sent[k-1] || info.Delivered >= sent[0] {
+		t.Fatalf("stalled survivor %+v, want messages %v queued undelivered", info, sent)
+	}
+
+	for deadline := time.Now().Add(2 * time.Second); stalled.Info().State != StateFailed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled survivor never noticed the sequencer's crash: %+v", stalled.Info())
+		}
+	}
+	if _, err := stalled.Receive(); !errors.Is(err, ErrGroupFailure) {
+		t.Fatalf("stalled survivor: err = %v, want ErrGroupFailure first", err)
+	}
+	// Its application resets (paper Fig. 1); the invitation pulls the
+	// other survivor into the new view.
+	if _, err := stalled.Reset(2); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	newSeq, err := other.Send([]byte("new view"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var old []uint64
+	for {
+		msg, err := receiveWithin(stalled, 2*time.Second)
+		if err != nil {
+			t.Fatalf("after %v: %v", old, err)
+		}
+		if msg.Kind == KindView {
+			break
+		}
+		if msg.Kind != KindApp || int(msg.Payload[0]) != len(old) {
+			t.Fatalf("after %v: %+v, want the old view's message %d", old, msg, len(old))
+		}
+		old = append(old, msg.Seq)
+	}
+	if !slices.Equal(old, sent) {
+		t.Fatalf("delivered %v before the KindView, want all of %v", old, sent)
+	}
+	if msg := receiveApp(t, stalled); msg.Seq != newSeq || string(msg.Payload) != "new view" {
+		t.Fatalf("after the KindView: %q at seq %d, want the new view's at %d", msg.Payload, msg.Seq, newSeq)
 	}
 }
 
@@ -475,12 +687,14 @@ func TestSequencerCrashNewSequencerTakesOver(t *testing.T) {
 	}
 }
 
-// drainUntilFailure consumes messages until ErrGroupFailure surfaces.
+// drainUntilFailure consumes messages until the failure surfaces:
+// ErrGroupFailure, or the KindView of a reset another member coordinated
+// before this one noticed.
 func drainUntilFailure(t *testing.T, m *Member) {
 	t.Helper()
 	for {
-		_, err := m.Receive()
-		if errors.Is(err, ErrGroupFailure) {
+		msg, err := m.Receive()
+		if errors.Is(err, ErrGroupFailure) || err == nil && msg.Kind == KindView {
 			return
 		}
 		if err != nil {

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -175,6 +176,12 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 // handleOrdLocked buffers a sequenced message and delivers everything
 // that has become contiguous.
 func (m *Member) handleOrdLocked(w *wireMsg) {
+	if m.curProposal.epoch > m.epoch {
+		// This member reported its position to a reset coordinator and
+		// holds it until a commit: a message it took in now could be cut
+		// by that commit after its sender had counted it held.
+		return
+	}
 	if w.epoch > m.epoch {
 		// We missed a view change; the application must reset.
 		m.failLocked("saw ord from newer epoch")
@@ -222,9 +229,15 @@ func (m *Member) acceptLocked(ord *wireMsg, again bool) {
 }
 
 // drainPendingLocked promotes contiguous pending messages into the
-// delivery queue, applying membership changes as they pass.
+// delivery queue, applying membership changes as they pass, and queues a
+// committed reset's KindView once the member holds every old-view message
+// the commit kept.
 func (m *Member) drainPendingLocked() {
 	for {
+		if m.view != nil && m.nextSeq-1 == m.view.Seq {
+			m.queue = append(m.queue, *m.view)
+			m.view = nil
+		}
 		ord := m.pending[m.nextSeq]
 		if ord == nil {
 			return
@@ -274,10 +287,12 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 			sort.Slice(m.members, func(i, j int) bool { return m.members[i] < m.members[j] })
 			m.lastSeen[ord.node] = time.Now()
 		}
+		msg.Members = slices.Clone(m.members)
 	case ordLeave:
 		msg.Kind = KindLeave
 		msg.Node = ord.node
 		m.removeMemberLocked(ord.node)
+		msg.Members = slices.Clone(m.members)
 	}
 	m.queue = append(m.queue, msg)
 	m.cond.Broadcast()
@@ -551,7 +566,6 @@ func (m *Member) handleInviteLocked(w *wireMsg) {
 		if m.state == StateNormal || m.state == StateFailed {
 			m.state = StateResetting
 			m.resettingSince = time.Now()
-			m.unreported = true
 		}
 		m.resetAcks = nil // abandon our own coordination attempt
 		m.cond.Broadcast()
@@ -581,9 +595,12 @@ func (m *Member) applyCommitLocked(w *wireMsg) {
 	// simply supersedes this view; refusing here would strand us
 	// viewless if that coordinator gave up, forcing a needless full
 	// recovery.
-	if !contains(w.members, m.me) {
-		// Excluded from the new view: force the application into
-		// recovery (it will leave and re-join).
+	if !contains(w.members, m.me) || w.seq2+1 < m.nextSeq {
+		// Excluded from the new view, or holding old-view messages past
+		// the last one it keeps (a lower commit lifted the hold on the
+		// position this member reported, and the stream moved on): the
+		// view numbers its own messages from seq2+1, so force the
+		// application into recovery (it will leave and re-join).
 		m.state = StateFailed
 		m.cond.Broadcast()
 		return
@@ -596,9 +613,7 @@ func (m *Member) applyCommitLocked(w *wireMsg) {
 	if w.seq2 > m.syncedSeq {
 		m.syncedSeq = w.seq2
 	}
-	if m.seqCounter < w.seq2 {
-		m.seqCounter = w.seq2
-	}
+	m.seqCounter = w.seq2 // the new sequencer numbers on from seq2, also below an earlier commit's
 	// Messages sequenced beyond the stabilized point in the old view may
 	// exist nowhere in this view; their senders will re-send them. Drop
 	// buffered copies so they cannot be delivered twice under two
@@ -608,6 +623,8 @@ func (m *Member) applyCommitLocked(w *wireMsg) {
 			delete(m.pending, s)
 		}
 	}
+	m.view = &Msg{Seq: w.seq2, Kind: KindView, Sender: w.from, Members: slices.Clone(w.members)}
+	m.drainPendingLocked()
 	m.pendingDone = make(map[uint64]*doneState)
 	now := time.Now()
 	for _, nd := range m.members {

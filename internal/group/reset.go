@@ -2,6 +2,8 @@ package group
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"dirsvc/internal/sim"
@@ -28,7 +30,8 @@ func ballotEpoch(after uint64, node sim.NodeID) uint64 {
 // proposal wins and the losers adopt its commit.
 //
 // On success the member is back in StateNormal and the returned Info
-// describes the new view. If no view of minSize could be assembled before
+// describes the new view; Receive delivers the old view's kept messages,
+// then the view's KindView. If no view of minSize could be assembled before
 // the deadline, Reset returns ErrResetFailed with the best information it
 // has; the member stays failed, and the application is expected to leave
 // and run its recovery protocol (paper §3.2).
@@ -49,7 +52,6 @@ func (m *Member) Reset(minSize int) (Info, error) {
 		case m.state == StateNormal && len(m.members) >= minSize:
 			// Either our own commit below or another coordinator's
 			// reset already rebuilt the group.
-			m.unreported = false
 			info := m.infoLocked()
 			m.mu.Unlock()
 			return info, nil
@@ -126,13 +128,12 @@ func (m *Member) Reset(minSize int) (Info, error) {
 			from:    m.me,
 			node:    seqr,
 			seq2:    maxSeq,
-			members: membersSorted(m.resetAcks),
+			members: slices.Sorted(maps.Keys(m.resetAcks)),
 		}
 		m.resetAcks = nil
 		// Install locally through the same path members use, then tell
 		// everyone. epoch precondition holds: p.epoch > m.epoch.
 		m.applyCommitLocked(commit)
-		m.unreported = false
 		info := m.infoLocked()
 		m.mu.Unlock()
 

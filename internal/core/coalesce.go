@@ -24,14 +24,16 @@ type groupEntry struct {
 	raw  []byte // encoded dirsvc.Request
 }
 
-// packGroupEntries appends the packed payload of ops to dst.
+// packGroupEntries appends the packed payload of ops to dst, encoding
+// each request in place.
 func packGroupEntries(dst []byte, ops []coalesceOp) []byte {
 	dst = append(dst, groupPayloadVersion)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ops)))
 	for _, op := range ops {
 		dst = binary.BigEndian.AppendUint64(dst, op.opID)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(op.raw)))
-		dst = append(dst, op.raw...)
+		at := len(dst)
+		dst = op.w.req.AppendTo(append(dst, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
 	return dst
 }
@@ -70,7 +72,10 @@ func unpackGroupEntries(entries []groupEntry, payload []byte) ([]groupEntry, err
 // updates and ships them to the group in packed broadcasts — one
 // broadcast per drain — so N concurrent updates cost ~1 totally-ordered
 // group message instead of N. The batch and the packed payload are the
-// loop's own scratch: Send copies the payload into its frames.
+// loop's own scratch: Send copies the payload into its frames. Each
+// request is encoded straight into the payload, under s.mu, while its
+// initiator waits for it: an initiator deletes its record under that lock
+// before it returns.
 func (s *Server) sendLoop() {
 	defer s.wg.Done()
 	var (
@@ -87,20 +92,22 @@ func (s *Server) sendLoop() {
 		}
 		batch = drainCoalesce(batch[:0], first, s.sendCh)
 
-		s.mu.Lock()
-		member := s.member
-		era := s.era
-		s.mu.Unlock()
 		// Drop updates queued before the last recovery: their initiators
 		// already answered NoMajority and the client may have retried, so
 		// broadcasting them now would apply the operation twice.
+		s.mu.Lock()
+		member := s.member
 		live := batch[:0]
 		for _, op := range batch {
-			if op.era == era {
+			if s.waiterLocked(op) != nil {
 				live = append(live, op)
 			}
 		}
 		batch = live
+		if len(batch) > 0 && member != nil {
+			packed = packGroupEntries(packed[:0], batch)
+		}
+		s.mu.Unlock()
 		if len(batch) == 0 {
 			continue
 		}
@@ -109,7 +116,6 @@ func (s *Server) sendLoop() {
 			s.failPending(batch)
 			continue
 		}
-		packed = packGroupEntries(packed[:0], batch)
 		if _, err := member.Send(packed); err != nil {
 			s.failPending(batch)
 			continue
@@ -119,14 +125,9 @@ func (s *Server) sendLoop() {
 		// the waiting initiators.
 		s.mu.Lock()
 		for _, op := range batch {
-			s.sendAcked[op.opID] = true
-		}
-		if len(s.sendAcked) > 10000 {
-			acked := make(map[uint64]bool, len(batch))
-			for _, op := range batch {
-				acked[op.opID] = true
+			if w := s.waiterLocked(op); w != nil {
+				w.acked = true
 			}
-			s.sendAcked = acked
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -150,14 +151,16 @@ func drainCoalesce(batch []coalesceOp, first coalesceOp, ch <-chan coalesceOp) [
 	return batch
 }
 
-// failPending answers every queued initiator with NoMajority after a
-// failed broadcast; the client retries elsewhere.
+// failPending answers every initiator of batch still waiting with
+// NoMajority after a failed broadcast; the client retries elsewhere.
 func (s *Server) failPending(batch []coalesceOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, op := range batch {
-		s.results[op.opID] = &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
-		s.sendAcked[op.opID] = true
+		if w := s.waiterLocked(op); w != nil {
+			w.reply = dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+			w.applied, w.acked = true, true
+		}
 	}
 	s.cond.Broadcast()
 }

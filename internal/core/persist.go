@@ -197,6 +197,9 @@ type engineLog struct {
 	s   *Server
 	eng *dirsvc.Engine
 	run []dirsvc.LogRec // applied but not yet on disk, in stream order
+	// buf holds the run's payloads back to back; the engine copies what
+	// it keeps, so buf is reused once the run is written.
+	buf []byte
 	// Every ckptTicks-th heartbeat tick (IdleFlush/2) may checkpoint.
 	ticks, ckptTicks int
 }
@@ -207,8 +210,11 @@ func (e *engineLog) record(req *dirsvc.Request, res *dirsvc.ApplyResult, seq uin
 	restore := req.Op == dirsvc.OpRestoreShard
 	if !restore {
 		// Queued before the commit-block write below, which syncs first:
-		// the block's sequence number never runs ahead of the log.
-		e.run = append(e.run, dirsvc.LogRec{Seq: seq, Payload: dirsvc.PinAllocation(req, res.Reply).Encode()})
+		// the block's sequence number never runs ahead of the log. Should
+		// buf grow, earlier payloads stay in the array they were written to.
+		at := len(e.buf)
+		e.buf = dirsvc.PinAllocation(req, res.Reply).AppendTo(e.buf)
+		e.run = append(e.run, dirsvc.LogRec{Seq: seq, Payload: e.buf[at:len(e.buf):len(e.buf)]})
 	}
 	if res.TopoChanged {
 		e.s.commitAppliedLocked(true)
@@ -239,7 +245,7 @@ func (e *engineLog) sync() error {
 // drop empties the pending run once the log or a checkpoint holds it.
 func (e *engineLog) drop() {
 	clear(e.run)
-	e.run = e.run[:0]
+	e.run, e.buf = e.run[:0], e.buf[:0]
 }
 
 // checkpoint writes a snapshot of the shard state to the checkpoint area

@@ -12,6 +12,17 @@ import (
 	"dirsvc/internal/sim"
 )
 
+// beginEraLocked starts a recovery era: waiting initiators exit on the
+// era change, answering NoMajority, and their records go with it, so
+// nothing fills them later — not the sender failing a broadcast, nor the
+// group thread applying an update of the old era that is still in the
+// stream. An update still queued for the sender has no record now and is
+// dropped. Callers hold s.mu.
+func (s *Server) beginEraLocked() {
+	s.era++
+	clear(s.waiters)
+}
+
 // recover runs the Fig. 6 recovery protocol until this server is a
 // member of a majority group holding the latest directory state. It is
 // called at boot and whenever the group cannot be rebuilt with a
@@ -26,17 +37,12 @@ func (s *Server) recover() error {
 		return errors.New("core: server closed")
 	}
 	s.recovering = true
-	s.era++
+	s.beginEraLocked()
 	// Stop recording events while recovery replays or pulls state: the
 	// replayed history predates every live subscription, and the applied
 	// cursor may jump. Subscribers are told to resync (best effort) and
 	// the log gets a fresh identity when recovery completes.
 	s.front.Applier.AttachEvents(nil)
-	// Waiting initiators exit on the era change; whatever they left in
-	// the result/ack tables is abandoned, and any update still queued
-	// for the sender belongs to the old era (the sender drops it).
-	s.results = make(map[uint64]*dirsvc.Reply)
-	s.sendAcked = make(map[uint64]bool)
 	old := s.member
 	s.member = nil
 	s.memberHint.Store((*group.Member)(nil))

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"slices"
 	"testing"
-	"time"
 
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
-	"dirsvc/internal/sim"
 )
 
 // TestGroupScratchNotRetained: the group thread decodes every update into
@@ -18,24 +16,7 @@ import (
 // directory's capability are as they were. A replica that kept the
 // scratch request, or the slices decoded into it, sees them change.
 func TestGroupScratchNotRetained(t *testing.T) {
-	model := sim.FastModel()
-	admin, part := engineDisk(t, model)
-	engine, err := dirsvc.OpenEngine(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack := newStack(t, sim.NewNetwork(model, 1))
-	srv, err := NewServer(stack, Config{
-		FrontConfig:       dirsvc.FrontConfig{Service: "scratch", ServerID: 1, Replicas: 1, Admin: admin},
-		Peers:             map[int]sim.NodeID{1: stack.Node().ID()},
-		Engine:            engine,
-		HeartbeatInterval: 15 * time.Millisecond,
-		IdleFlush:         time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newLoneServer(t, "scratch")
 	a := srv.front.Applier
 	root, err := a.RootCap()
 	if err != nil {

@@ -102,10 +102,13 @@ type Server struct {
 	era         uint64 // bumped on every recovery, wakes stuck initiators
 	neverDown   bool   // true while this process has been up since its last recovery
 	lastUpdate  time.Time
-	results     map[uint64]*dirsvc.Reply
-	sendAcked   map[uint64]bool // broadcast reached its resilience degree
-	opCounter   uint64
-	closed      bool
+	// waiters holds the record of every initiator waiting in Replicate,
+	// by opID: registered before its update is queued, deleted when
+	// Replicate returns, cleared by recovery's era bump. sendLoop and the
+	// group thread fill only a registered record.
+	waiters   map[uint64]*waiter
+	opCounter uint64
+	closed    bool
 
 	forced atomic.Bool // ForceRecover invoked: serve without a majority
 
@@ -118,10 +121,12 @@ type Server struct {
 	appliedGroup atomic.Uint64 // mirror of groupSeq
 
 	// processGroupMsg's scratch, the group thread's alone. req is each
-	// entry's decode target; the applier copies what it keeps of one.
+	// entry's decode target and res its apply's outcome; the applier
+	// copies what it keeps of one, and local what it keeps of the other.
 	entries []groupEntry
 	local   []localReply
 	req     dirsvc.Request
+	res     dirsvc.ApplyResult
 
 	sendCh  chan coalesceOp
 	stop    chan struct{}
@@ -129,18 +134,27 @@ type Server struct {
 	stopRec func() // waits for the recovery-port workers
 }
 
+// waiter is one initiator's record in Server.waiters. req is read only
+// under Server.mu while the record is registered: the initiator deletes
+// it under that lock before Replicate returns and its caller reuses req.
+type waiter struct {
+	req     *dirsvc.Request
+	reply   dirsvc.Reply // the local apply's reply, or a failure
+	applied bool         // reply is final
+	acked   bool         // the broadcast reached its resilience degree
+}
+
 // coalesceOp is one client update queued for the coalescing sender.
 type coalesceOp struct {
 	opID uint64
-	era  uint64 // server era at submission; stale ops are dropped
-	raw  []byte // encoded dirsvc.Request
+	w    *waiter
 }
 
 // localReply is the result of an update this server initiated, held
 // until its group message is fully applied and, with an engine, logged.
 type localReply struct {
 	opID  uint64
-	reply *dirsvc.Reply
+	reply dirsvc.Reply
 }
 
 // NewServer boots a directory server replica on stack. It formats fresh
@@ -169,15 +183,14 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		stack:     stack,
-		beat:      beat,
-		front:     front,
-		commit:    front.Commit,
-		results:   make(map[uint64]*dirsvc.Reply),
-		sendAcked: make(map[uint64]bool),
-		sendCh:    make(chan coalesceOp, 4*maxCoalesce),
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		stack:   stack,
+		beat:    beat,
+		front:   front,
+		commit:  front.Commit,
+		waiters: make(map[uint64]*waiter),
+		sendCh:  make(chan coalesceOp, 4*maxCoalesce),
+		stop:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	var every time.Duration // the persister's tick; write-through has none
@@ -380,16 +393,10 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply {
 // wait until our own group thread has applied the operation, and return
 // its result (Fig. 5).
 func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
-	s.mu.Lock()
-	era := s.era
-	s.opCounter++
-	opID := uint64(s.cfg.ServerID)<<48 | s.opCounter
-	s.mu.Unlock()
-
+	op := s.register(req)
 	select {
-	case s.sendCh <- coalesceOp{opID: opID, era: era, raw: req.Encode()}:
-	case <-s.stop:
-		return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+	case s.sendCh <- op:
+	case <-s.stop: // closed is set: the wait below returns at once
 	}
 
 	// Wait until the group thread has received and executed the request
@@ -398,20 +405,36 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	// acknowledge an update that might not survive this server (§3).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if reply, ok := s.results[opID]; ok && s.sendAcked[opID] {
-			delete(s.results, opID)
-			delete(s.sendAcked, opID)
-			return reply
-		}
-		if s.closed || s.era != era {
-			// Recovery intervened; the client must retry elsewhere.
-			delete(s.results, opID)
-			delete(s.sendAcked, opID)
-			return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+	defer delete(s.waiters, op.opID)
+	w := op.w
+	for s.waiters[op.opID] == w && !s.closed {
+		if w.applied && w.acked {
+			return &w.reply
 		}
 		s.cond.Wait()
 	}
+	// Recovery intervened (its era bump dropped the record), or shutdown:
+	// the client must retry elsewhere.
+	return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+}
+
+// register gives req an opID and registers its initiator's record.
+func (s *Server) register(req *dirsvc.Request) coalesceOp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.opCounter++
+	op := coalesceOp{opID: uint64(s.cfg.ServerID)<<48 | s.opCounter, w: &waiter{req: req}}
+	s.waiters[op.opID] = op.w
+	return op
+}
+
+// waiterLocked returns op's record while its initiator still waits, else
+// nil. Callers hold s.mu.
+func (s *Server) waiterLocked(op coalesceOp) *waiter {
+	if w := s.waiters[op.opID]; w == op.w {
+		return w
+	}
+	return nil
 }
 
 // GroupSends returns the number of group broadcasts this server has
@@ -567,7 +590,7 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 		}
 		reply := s.applyUpdate(req, s.front.Applier.AppliedSeq()+1)
 		if req.Server == s.cfg.ServerID {
-			local = append(local, localReply{opID: ent.opID, reply: reply})
+			local = append(local, localReply{opID: ent.opID, reply: *reply})
 		}
 	}
 	// Group commit (the engine's; record made the others durable): an
@@ -578,17 +601,17 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	if len(local) > 0 || s.tailed {
 		if err := s.persist.sync(); err != nil {
 			for i := range local {
-				local[i].reply = dirsvc.ErrorReply(err)
+				local[i].reply = *dirsvc.ErrorReply(err)
 			}
 		}
 	}
 
 	s.mu.Lock()
 	for _, l := range local {
-		s.results[l.opID] = l.reply
-		// Bound the table against abandoned initiators.
-		if len(s.results) > 10000 {
-			s.results = map[uint64]*dirsvc.Reply{l.opID: l.reply}
+		// An update of an earlier era has no record any more: its
+		// initiator was answered at the era bump.
+		if w := s.waiters[l.opID]; w != nil {
+			w.reply, w.applied = l.reply, true
 		}
 	}
 	s.advanceGroupCursorLocked(msg.Seq)
@@ -599,9 +622,12 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 }
 
 // applyUpdate executes the update against the replica (the commit,
-// Fig. 5) and hands it to the persister. Callers hold applyMu.
+// Fig. 5) and hands it to the persister. A successful apply's reply is
+// the group thread's scratch, good until the next apply. Callers hold
+// applyMu.
 func (s *Server) applyUpdate(req *dirsvc.Request, seq uint64) *dirsvc.Reply {
-	res, err := s.front.Applier.ApplyUpdate(req, seq, s.persist.beforeApply())
+	res := &s.res
+	err := s.front.Applier.ApplyUpdateInto(req, seq, s.persist.beforeApply(), res)
 	if err != nil {
 		// The group backend consumes a sequence number even for a failed
 		// apply; record an empty filler event so the event log's index

@@ -95,17 +95,25 @@ func (d *Directory) Clone() *Directory {
 	return out
 }
 
-// Fork returns a copy of d to stage an update in. It has a row list of
-// its own, with room for the row an append adds, but shares with d the
-// column names and every row's mask array: no method writes into either
-// (Append and Chmod install fresh masks), so whatever the fork goes
-// through leaves d as it was — which is what lets readers keep using d
-// while an update is staged beside it. Clone is the copy for callers
-// that may write into a row.
-func (d *Directory) Fork() *Directory {
-	rows := make([]Row, len(d.Rows), len(d.Rows)+1)
-	copy(rows, d.Rows)
-	return &Directory{Columns: d.Columns, Rows: rows, Seq: d.Seq}
+// Fork returns a copy of d to stage an update in. It is built in into's
+// storage when into is non-nil — an image no one reads any more, whose
+// row array the copy reuses — and in fresh storage otherwise. The copy
+// has a row list of its own, with room for the row an append adds, but
+// shares with d the column names and every row's mask array: no method
+// writes into either (Append and Chmod install fresh masks), so whatever
+// the fork goes through leaves d as it was — which is what lets readers
+// keep using d while an update is staged beside it. Clone is the copy
+// for callers that may write into a row.
+func (d *Directory) Fork(into *Directory) *Directory {
+	if into == nil {
+		into = new(Directory)
+	}
+	rows := into.Rows[:0]
+	if cap(rows) <= len(d.Rows) {
+		rows = make([]Row, 0, len(d.Rows)+1)
+	}
+	*into = Directory{Columns: d.Columns, Rows: append(rows, d.Rows...), Seq: d.Seq}
+	return into
 }
 
 // find returns the index of the named row, or -1.

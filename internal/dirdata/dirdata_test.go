@@ -184,7 +184,7 @@ func TestForkLeavesOriginal(t *testing.T) {
 		_ = d.Append(name, mkCap(uint32(i+1)), threeMasks(capability.RightRead))
 	}
 	before := d.Encode()
-	f := d.Fork()
+	f := d.Fork(nil)
 	steps := []error{
 		f.Append("d", mkCap(9), threeMasks(capability.RightWrite)),
 		f.Chmod("a", threeMasks(capability.RightDelete)),
@@ -203,6 +203,28 @@ func TestForkLeavesOriginal(t *testing.T) {
 	}
 	if names := f.Names(); !reflect.DeepEqual(names, []string{"a", "c", "d"}) {
 		t.Fatalf("fork rows = %v", names)
+	}
+}
+
+// TestForkIntoRecycles: a fork built in a retired image is an exact
+// copy of the source whatever the retired image held, and reuses its row
+// array instead of allocating once the array has room for one more row.
+func TestForkIntoRecycles(t *testing.T) {
+	src := New()
+	for i, name := range []string{"a", "b"} {
+		_ = src.Append(name, mkCap(uint32(i+1)), threeMasks(capability.RightRead))
+	}
+	src.Seq = 7
+	retired := New("x")
+	for i, name := range []string{"p", "q", "r", "s"} {
+		_ = retired.Append(name, mkCap(uint32(10+i)), []capability.Rights{capability.RightWrite})
+	}
+	f := src.Fork(retired)
+	if f != retired || !bytes.Equal(f.Encode(), src.Encode()) {
+		t.Fatalf("fork into a retired image = %v, want a copy of %v", f.Names(), src.Names())
+	}
+	if got := testing.AllocsPerRun(100, func() { src.Fork(retired) }); got != 0 {
+		t.Fatalf("fork into a roomy image allocates %.0f times", got)
 	}
 }
 

@@ -38,6 +38,18 @@ type ApplyResult struct {
 	TopoChanged bool
 }
 
+// reset readies r for an apply stamped seq: an OK reply, in the reply r
+// already points at if it has one, and empty lists that keep their
+// backing arrays.
+func (r *ApplyResult) reset(seq uint64) {
+	reply := r.Reply
+	if reply == nil {
+		reply = new(Reply)
+	}
+	*reply = Reply{Status: StatusOK, Seq: seq}
+	*r = ApplyResult{Reply: reply, OldBullet: r.OldBullet[:0], DirtyObjects: r.DirtyObjects[:0]}
+}
+
 // Applier executes directory operations against one server's replica
 // state: the RAM directory cache, the object table, and the server's own
 // Bullet store. Because every replica applies the same updates in the
@@ -48,13 +60,22 @@ type Applier struct {
 	table  *ObjectTable
 	bullet *bullet.Client
 
+	// mu guards the cache, and every reader of a cached image finishes
+	// with it before releasing mu: a commit recycles the image it
+	// replaces (spare), which it could not while a reader held it.
 	mu    sync.RWMutex
 	cache map[uint32]*dirdata.Directory
+	// spare is the image the last commit took out of the cache; the next
+	// row op forks into it instead of into fresh storage.
+	spare *dirdata.Directory
 	// topo is the shard's elastic-topology state (nil when the
 	// deployment never called ConfigureTopology); see applytopo.go.
 	topo *TopoState
-	// scratch is the staging overlay single updates and batches reuse.
+	// scratch is the staging overlay single updates and batches reuse;
+	// unseen is the result of an apply no caller sees (Replay,
+	// FormatRoot, InstallSnapshot).
 	scratch overlay
+	unseen  ApplyResult
 
 	// Two-phase-commit participant state: staged transactions, the
 	// per-object locks they hold, and remembered outcomes. txCond wakes
@@ -184,7 +205,8 @@ func (a *Applier) FormatRoot(durable bool) error {
 	var ov overlay
 	s := ov.stage(RootObject)
 	s.dir, s.entry = dirdata.New(), ObjectEntry{Secret: rootSecret(a.port)}
-	if _, err := a.commitOverlayLocked(&ov, 0, durable); err != nil {
+	a.unseen.reset(0)
+	if err := a.commitOverlayLocked(&ov, durable, &a.unseen); err != nil {
 		return fmt.Errorf("format root: %w", err)
 	}
 	return nil
@@ -300,14 +322,14 @@ func (a *Applier) ReadInto(req *Request, reply *Reply) {
 		// Internal migration read: the whole object image plus its
 		// secret, keyed by object number alone (the migrator coordinates
 		// shards, it does not hold per-object capabilities). Entry and
-		// image are sampled together under the applier lock so the
-		// returned ObjSeq matches the image exactly — the flip's
+		// image are sampled, and the image encoded, under the applier lock
+		// so the returned ObjSeq matches the image exactly — the flip's
 		// expected-sequence check depends on it.
 		obj := req.Dir.Object
 		a.mu.RLock()
+		defer a.mu.RUnlock()
 		d := a.cache[obj]
 		e, ok := a.table.Get(obj)
-		a.mu.RUnlock()
 		if !ok || d == nil {
 			reply.Status = StatusNotFound
 			return
@@ -319,8 +341,8 @@ func (a *Applier) ReadInto(req *Request, reply *Reply) {
 			return
 		}
 		a.mu.RLock()
+		defer a.mu.RUnlock()
 		d := a.cache[req.Dir.Object]
-		a.mu.RUnlock()
 		if d == nil {
 			reply.Status = StatusNotFound
 			return
@@ -344,49 +366,66 @@ func (a *Applier) ReadInto(req *Request, reply *Reply) {
 	}
 }
 
-// ApplyUpdate executes one update operation, stamping seq as the
+// ApplyUpdate is ApplyUpdateInto a result of its own, for callers off
+// the hot path (the RPC and local kinds, tests and probes).
+func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+	res := new(ApplyResult)
+	if err := a.ApplyUpdateInto(req, seq, durable, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ApplyUpdateInto executes one update operation, stamping seq as the
 // service-wide sequence number of the change; on success the applied
-// sequence number advances to seq. Every operation that
-// changes directories is staged in an overlay and committed by
+// sequence number advances to seq. Every operation that changes
+// directories is staged in an overlay and committed by
 // commitOverlayLocked, which alone knows the two modes: durable writes
 // the new images to the Bullet store and the object-table blocks to disk
 // before returning (the commit point of Fig. 5); otherwise only RAM
 // changes, and the caller makes the update durable its own way — an NVRAM
 // or engine log record now, FlushObject or a checkpoint later.
-func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+//
+// The outcome goes into res, which the caller owns and may reuse: it is
+// reset, its Reply is filled in place (allocated if nil), and its lists
+// keep their backing arrays. Nothing the applier keeps points into res;
+// the reply's Caps and Blob are the apply's own, never res's earlier ones.
+func (a *Applier) ApplyUpdateInto(req *Request, seq uint64, durable bool, res *ApplyResult) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	res, err := a.applyUpdateLocked(req, seq, durable)
-	if err != nil {
-		return nil, err
+	if err := a.applyUpdateLocked(req, seq, durable, res); err != nil {
+		return err
 	}
 	a.advanceLocked(seq)
 	if a.events != nil {
 		a.events.Record(Event{Seq: seq, Op: req.Op, Objects: res.DirtyObjects})
 	}
-	return res, nil
+	return nil
 }
 
-func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+// applyUpdateLocked resets res for seq and hands the update to its op's
+// apply, which fills res in. Called with a.mu held.
+func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool, res *ApplyResult) error {
+	res.reset(seq)
 	switch req.Op {
 	case OpCreateDir, OpDeleteDir, OpAppendRow, OpChmodRow, OpDeleteRow, OpReplaceSet:
-		return a.applySingleLocked(req, seq, durable)
+		return a.applySingleLocked(req, seq, durable, res)
 	case OpBatch:
-		return a.applyBatchLocked(req, seq, durable)
+		return a.applyBatchLocked(req, seq, durable, res)
 	case OpPrepare:
-		return a.applyPrepareLocked(req, seq)
+		return a.applyPrepareLocked(req, seq, res)
 	case OpDecide:
-		return a.applyDecideLocked(req, seq, durable)
+		return a.applyDecideLocked(req, seq, durable, res)
 	case OpSplit:
-		return a.applySplitLocked(req, seq)
+		return a.applySplitLocked(req, seq, res)
 	case OpSealMigration:
-		return a.applySealLocked(req, seq)
+		return a.applySealLocked(res)
 	case OpDropStubs:
-		return a.applyDropStubsLocked(req, seq, durable)
+		return a.applyDropStubsLocked(durable, res)
 	case OpRestoreShard:
-		return a.applyRestoreLocked(req, seq, durable)
+		return a.applyRestoreLocked(req, durable, res)
 	default:
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	}
 }
 
@@ -409,8 +448,7 @@ func (a *Applier) Replay(req *Request, seq uint64) bool {
 			return true
 		}
 	}
-	_, err := a.applyUpdateLocked(req, seq, false)
-	return err == nil
+	return a.applyUpdateLocked(req, seq, false, &a.unseen) == nil
 }
 
 // FlushObject writes the current image of obj through to Bullet and its

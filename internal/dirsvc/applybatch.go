@@ -91,43 +91,41 @@ func (ov *overlay) verify(a *Applier, c capability.Capability, need capability.R
 // one-step batch: the same staging and the same commit, with the step's
 // result in the reply's own fields and its error unwrapped. Called with
 // a.mu held.
-func (a *Applier) applySingleLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+func (a *Applier) applySingleLocked(req *Request, seq uint64, durable bool, res *ApplyResult) error {
 	ov := a.scratchOverlayLocked()
 	var result BatchStepResult
 	if err := a.batchStepLocked(ov, req, seq, TxID{}, &result); err != nil {
-		return nil, err
+		return err
 	}
-	res, err := a.commitOverlayLocked(ov, seq, durable)
-	if err != nil {
-		return nil, err
+	if err := a.commitOverlayLocked(ov, durable, res); err != nil {
+		return err
 	}
 	res.Reply.Cap, res.Reply.Caps = result.Cap, result.Caps
-	return res, nil
+	return nil
 }
 
 // applyBatchLocked executes an OpBatch atomically: a validation pass
 // computes the post-batch state in an overlay (any step error leaves the
 // replica untouched), then the commit writes the overlay through in one
 // go. Called with a.mu held.
-func (a *Applier) applyBatchLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+func (a *Applier) applyBatchLocked(req *Request, seq uint64, durable bool, res *ApplyResult) error {
 	steps, err := DecodeBatchSteps(req.Blob)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The zero TxID means "no transaction": any prepared lock conflicts.
 	ov := a.scratchOverlayLocked()
 	results := make([]BatchStepResult, len(steps))
 	for i, st := range steps {
 		if err := a.batchStepLocked(ov, st, seq, TxID{}, &results[i]); err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
 	}
-	res, err := a.commitOverlayLocked(ov, seq, durable)
-	if err != nil {
-		return nil, err
+	if err := a.commitOverlayLocked(ov, durable, res); err != nil {
+		return err
 	}
 	res.Reply.Blob = EncodeBatchResults(results)
-	return res, nil
+	return nil
 }
 
 // commitOverlayLocked is the one place an update reaches the replica
@@ -145,8 +143,10 @@ func (a *Applier) applyBatchLocked(req *Request, seq uint64, durable bool) (*App
 //
 // The persistence modes differ only in when step 3 happens: now, on the
 // NVRAM flush (FlushObject), or never (an engine checkpoint carries the
-// RAM state instead). Called with a.mu held.
-func (a *Applier) commitOverlayLocked(ov *overlay, seq uint64, durable bool) (*ApplyResult, error) {
+// RAM state instead). The outcome goes into res, which the caller has
+// reset. Every image the commit takes out of the cache becomes the
+// applier's spare. Called with a.mu held.
+func (a *Applier) commitOverlayLocked(ov *overlay, durable bool, res *ApplyResult) error {
 	if durable {
 		for i := range ov.objs {
 			s := &ov.objs[i]
@@ -160,18 +160,17 @@ func (a *Applier) commitOverlayLocked(ov *overlay, seq uint64, durable bool) (*A
 						_ = a.bullet.Delete(stored.entry.Cap)
 					}
 				}
-				return nil, fmt.Errorf("store directory %d: %w", s.obj, err)
+				return fmt.Errorf("store directory %d: %w", s.obj, err)
 			}
 		}
 	}
 
-	res := &ApplyResult{
-		Reply:        &Reply{Status: StatusOK, Seq: seq},
-		DirtyObjects: make([]uint32, 0, len(ov.objs)),
-	}
 	for i := range ov.objs {
 		s := &ov.objs[i]
 		prior, known := a.table.Get(s.obj)
+		if old := a.cache[s.obj]; old != nil && old != s.dir {
+			a.spare = old
+		}
 		switch {
 		case s.stub != nil:
 			a.table.SetStubRAM(s.obj, *s.stub)
@@ -200,11 +199,9 @@ func (a *Applier) commitOverlayLocked(ov *overlay, seq uint64, durable bool) (*A
 		}
 	}
 	if durable {
-		if err := a.table.FlushBlocks(res.DirtyObjects); err != nil {
-			return nil, err
-		}
+		return a.table.FlushBlocks(res.DirtyObjects)
 	}
-	return res, nil
+	return nil
 }
 
 // batchStepLocked validates and stages one step in the overlay. self is
@@ -279,8 +276,8 @@ func (a *Applier) batchStepLocked(ov *overlay, st *Request, seq uint64, self TxI
 		if err != nil {
 			return err
 		}
-		// First touch forks the cached image, so the cache — and every read
-		// still holding it — stays as it is until the commit.
+		// First touch forks the cached image into the spare, so the cache
+		// stays as it is until the commit.
 		s := ov.find(st.Dir.Object)
 		if s == nil {
 			cached := a.cache[st.Dir.Object]
@@ -288,7 +285,7 @@ func (a *Applier) batchStepLocked(ov *overlay, st *Request, seq uint64, self TxI
 				return ErrNotFound
 			}
 			s = ov.stage(st.Dir.Object)
-			s.dir, s.entry = cached.Fork(), e
+			s.dir, s.entry, a.spare = cached.Fork(a.spare), e, nil
 		}
 		d := s.dir
 		switch st.Op {

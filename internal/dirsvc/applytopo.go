@@ -173,25 +173,25 @@ func (a *Applier) ShardMapInfo() *ShardMapInfo {
 // Splits at or below the current epoch are idempotent no-ops, so
 // recovery replay and coordinator retries are harmless. Called with
 // a.mu held.
-func (a *Applier) applySplitLocked(req *Request, seq uint64) (*ApplyResult, error) {
+func (a *Applier) applySplitLocked(req *Request, seq uint64, res *ApplyResult) error {
 	t := a.topo
 	if t == nil {
-		return nil, fmt.Errorf("split without topology: %w", ErrBadRequest)
+		return fmt.Errorf("split without topology: %w", ErrBadRequest)
 	}
 	target := req.Seq
 	if target <= t.Epoch {
-		return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq, ObjSeq: uint64(t.MigFloor)}}, nil
+		res.Reply.ObjSeq = uint64(t.MigFloor)
+		return nil
 	}
 	if t.MigPhase != MigNone {
-		return nil, fmt.Errorf("previous split still migrating: %w", ErrConflict)
+		return fmt.Errorf("previous split still migrating: %w", ErrConflict)
 	}
 	oldActive := ActiveShardsAt(target-1, t.Base, t.Total)
 	newActive := ActiveShardsAt(target, t.Base, t.Total)
 	if newActive != oldActive*2 {
-		return nil, fmt.Errorf("no spare shards for epoch %d (active %d of %d): %w",
+		return fmt.Errorf("no spare shards for epoch %d (active %d of %d): %w",
 			target, oldActive, t.Total, ErrBadRequest)
 	}
-	res := &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}, TopoChanged: true}
 	switch {
 	case t.Shard < oldActive:
 		twin := t.Shard + oldActive
@@ -216,30 +216,32 @@ func (a *Applier) applySplitLocked(req *Request, seq uint64) (*ApplyResult, erro
 		a.table.SetAllocFloor(t.AllocFloor)
 		res.Reply.ObjSeq = uint64(floor)
 	default:
-		return nil, fmt.Errorf("shard %d inactive at epoch %d: %w", t.Shard, target, ErrBadRequest)
+		return fmt.Errorf("shard %d inactive at epoch %d: %w", t.Shard, target, ErrBadRequest)
 	}
-	return res, nil
+	res.TopoChanged = true
+	return nil
 }
 
 // applySealLocked executes OpSealMigration at a split target: every
 // moving-class object has arrived, so misses below the floor stop
 // chasing to the source. Idempotent when no split is in progress.
 // Called with a.mu held.
-func (a *Applier) applySealLocked(req *Request, seq uint64) (*ApplyResult, error) {
+func (a *Applier) applySealLocked(res *ApplyResult) error {
 	t := a.topo
 	if t == nil {
-		return nil, fmt.Errorf("seal without topology: %w", ErrBadRequest)
+		return fmt.Errorf("seal without topology: %w", ErrBadRequest)
 	}
 	if t.MigPhase == MigNone {
-		return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}}, nil
+		return nil
 	}
 	if t.MigPhase != MigTarget {
-		return nil, fmt.Errorf("seal on a split source: %w", ErrConflict)
+		return fmt.Errorf("seal on a split source: %w", ErrConflict)
 	}
 	t.MigPhase = MigNone
 	t.MigPeer = 0
 	t.MigFloor = 0
-	return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}, TopoChanged: true}, nil
+	res.TopoChanged = true
+	return nil
 }
 
 // applyDropStubsLocked executes OpDropStubs at a split source: refuse
@@ -248,22 +250,22 @@ func (a *Applier) applySealLocked(req *Request, seq uint64) (*ApplyResult, error
 // unusable at this shard — the residue class belongs to the twin now).
 // Replay after a crash re-drops whatever stubs the flush missed.
 // Called with a.mu held.
-func (a *Applier) applyDropStubsLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+func (a *Applier) applyDropStubsLocked(durable bool, res *ApplyResult) error {
 	t := a.topo
 	if t == nil {
-		return nil, fmt.Errorf("drop-stubs without topology: %w", ErrBadRequest)
+		return fmt.Errorf("drop-stubs without topology: %w", ErrBadRequest)
 	}
 	if t.MigPhase == MigSource {
 		for obj := range a.table.All() {
 			if obj != RootObject && t.Home(obj) != t.Shard {
-				return nil, fmt.Errorf("object %d not yet migrated: %w", obj, ErrConflict)
+				return fmt.Errorf("object %d not yet migrated: %w", obj, ErrConflict)
 			}
 		}
 		t.MigPhase = MigNone
 		t.MigPeer = 0
 		t.MigFloor = 0
 	} else if t.MigPhase == MigTarget {
-		return nil, fmt.Errorf("drop-stubs on a split target: %w", ErrConflict)
+		return fmt.Errorf("drop-stubs on a split target: %w", ErrConflict)
 	}
 	// Clearing a stub slot is a delete like any other: it sets DeletedDir,
 	// so the commit block remembers the sequence numbers the stubs carried
@@ -272,12 +274,11 @@ func (a *Applier) applyDropStubsLocked(req *Request, seq uint64, durable bool) (
 	for obj := range a.table.Stubs() {
 		ov.stage(obj)
 	}
-	res, err := a.commitOverlayLocked(&ov, seq, durable)
-	if err != nil {
-		return nil, err
+	if err := a.commitOverlayLocked(&ov, durable, res); err != nil {
+		return err
 	}
 	res.TopoChanged = true
-	return res, nil
+	return nil
 }
 
 // migOutStepLocked validates and stages an OpMigOut step: the source

@@ -237,16 +237,17 @@ func logRecBlocks(n int) int {
 	return (logRecHeader + n + vdisk.BlockSize - 1) / vdisk.BlockSize
 }
 
-// AppendLog durably appends one operation record: AppendRun of a copy.
+// AppendLog durably appends one operation record: a run of one.
 func (e *Engine) AppendLog(seq uint64, payload []byte) error {
-	return e.AppendRun([]LogRec{{Seq: seq, Payload: append([]byte(nil), payload...)}})
+	return e.AppendRun([]LogRec{{Seq: seq, Payload: payload}})
 }
 
 // AppendRun durably appends a run of operation records, in order, with
 // one sequential write. Each record keeps its own block-padded header, so
 // the log format is the same as for single appends and a write torn
-// part-way leaves a prefix of the run behind. The engine keeps the
-// payload slices: the caller must not modify them afterwards.
+// part-way leaves a prefix of the run behind. The engine keeps its own
+// copy of each payload, in the block image it writes, so the caller may
+// reuse the payload slices once AppendRun returns.
 // ErrEngineFull means the run does not fit; the caller must write a
 // checkpoint (which opens a fresh, empty log generation) and may then
 // drop the run — the checkpoint covers it.
@@ -280,9 +281,13 @@ func (e *Engine) AppendRun(recs []LogRec) error {
 		return err
 	}
 	e.logTail += span
-	e.recs = append(e.recs, recs...)
+	// The kept records point into buf, which nothing writes to again.
+	off = 0
 	for _, r := range recs {
+		n := len(r.Payload)
+		e.recs = append(e.recs, LogRec{Seq: r.Seq, Payload: buf[off+logRecHeader : off+logRecHeader+n : off+logRecHeader+n]})
 		e.maxSeq = max(e.maxSeq, r.Seq)
+		off += logRecBlocks(n) * vdisk.BlockSize
 	}
 	return nil
 }

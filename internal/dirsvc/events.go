@@ -123,9 +123,17 @@ var logIDSeq atomic.Uint64
 type eventLog struct {
 	id       uint64
 	size     int
-	firstIdx uint64 // index of events[0]
-	events   []Event
+	firstIdx uint64 // index of the oldest event held, events[head]
+	// events holds up to size events, oldest first from head on. Each
+	// event's object list is the log's own copy: in the storage of the
+	// event it evicted, or carved from chunk.
+	events []Event
+	head   int
+	chunk  []uint32
 }
+
+// eventChunk is how many object numbers one carving chunk holds.
+const eventChunk = 256
 
 func newEventLog(size int, floor uint64) *eventLog {
 	if size <= 0 {
@@ -137,29 +145,60 @@ func newEventLog(size int, floor uint64) *eventLog {
 // next returns the index the next appended event will get.
 func (l *eventLog) next() uint64 { return l.firstIdx + uint64(len(l.events)) }
 
-// append stores ev and returns its index, evicting the oldest entry
-// when the ring is full.
+// append stores a copy of ev and returns its index, evicting the oldest
+// entry when the ring is full. ev.Objects is copied, not kept: the
+// applier hands over a list it reuses.
 func (l *eventLog) append(ev Event) uint64 {
 	idx := l.next()
-	l.events = append(l.events, ev)
-	if len(l.events) > l.size {
-		drop := len(l.events) - l.size
-		l.events = append(l.events[:0], l.events[drop:]...)
-		l.firstIdx += uint64(drop)
+	full := len(l.events) == l.size
+	if n := len(ev.Objects); n == 0 {
+		ev.Objects = nil // not the applier's empty list, whose array it reuses
+	} else {
+		var keep []uint32
+		if full {
+			keep = l.events[l.head].Objects[:0]
+		}
+		if cap(keep) < n {
+			if len(l.chunk) < n {
+				l.chunk = make([]uint32, max(n, eventChunk))
+			}
+			keep, l.chunk = l.chunk[:0:n], l.chunk[n:]
+		}
+		ev.Objects = append(keep, ev.Objects...)
 	}
+	if !full {
+		l.events = append(l.events, ev)
+		return idx
+	}
+	l.events[l.head] = ev
+	l.head = (l.head + 1) % l.size
+	l.firstIdx++
 	return idx
 }
 
-// since returns the events from index `from` on. ok is false when the
-// bounded log no longer holds `from` (the subscriber fell behind) or
-// `from` lies beyond the log (a cursor from another incarnation).
+// since returns a copy of the events from index `from` on. ok is false
+// when the bounded log no longer holds `from` (the subscriber fell
+// behind) or `from` lies beyond the log (a cursor from another
+// incarnation).
 func (l *eventLog) since(from uint64) ([]Event, bool) {
 	if from < l.firstIdx || from > l.next() {
 		return nil, false
 	}
-	evs := l.events[from-l.firstIdx:]
-	out := make([]Event, len(evs))
-	copy(out, evs)
+	out := make([]Event, 0, l.next()-from)
+	objs := 0
+	for i := from; i < l.next(); i++ {
+		ev := l.events[(l.head+int(i-l.firstIdx))%len(l.events)]
+		out = append(out, ev)
+		objs += len(ev.Objects)
+	}
+	// The log reuses its object lists: the copy gets one list of its own.
+	flat := make([]uint32, 0, objs)
+	for i := range out {
+		if o := out[i].Objects; o != nil {
+			flat = append(flat, o...)
+			out[i].Objects = flat[len(flat)-len(o) : len(flat) : len(flat)]
+		}
+	}
 	return out, true
 }
 

@@ -58,6 +58,50 @@ func TestEventLogSinceAndOverflow(t *testing.T) {
 	}
 }
 
+// TestEventLogOwnsObjectLists: the log copies each event's object list —
+// the applier hands over a list it reuses — and recycles an evicted
+// event's storage for the next, so a suffix handed out earlier has to
+// be a copy of its own.
+func TestEventLogOwnsObjectLists(t *testing.T) {
+	l := newEventLog(3, 0)
+	objs := []uint32{0, 0}
+	var out []Event
+	for i := uint32(1); i <= 8; i++ {
+		objs[0], objs[1] = i, 100+i
+		l.append(Event{Seq: uint64(i), Objects: objs})
+		if i == 5 {
+			evs, ok := l.since(3)
+			if !ok || len(evs) != 3 {
+				t.Fatalf("since(3) = %v, %v", evs, ok)
+			}
+			out = evs
+		}
+	}
+	for i, ev := range out {
+		if want := []uint32{uint32(3 + i), uint32(103 + i)}; !reflect.DeepEqual(ev.Objects, want) {
+			t.Fatalf("suffix event %d objects = %v after later appends, want %v", i, ev.Objects, want)
+		}
+	}
+	evs, _ := l.since(6)
+	for i, ev := range evs {
+		if want := []uint32{uint32(6 + i), uint32(106 + i)}; ev.Seq != uint64(6+i) || !reflect.DeepEqual(ev.Objects, want) {
+			t.Fatalf("event %d = %+v, want seq %d objects %v", i, ev, 6+i, want)
+		}
+	}
+	// An event without objects keeps no part of the list it was handed,
+	// so the list's array is never written when its slot is recycled.
+	l.append(Event{Seq: 9, Objects: objs[:0]})
+	for range 3 {
+		l.append(Event{Seq: 10, Objects: []uint32{7, 7}})
+	}
+	if objs[0] != 8 || objs[1] != 108 {
+		t.Fatalf("the log wrote into a list it was handed: %v", objs)
+	}
+	if got := testing.AllocsPerRun(100, func() { l.append(Event{Seq: 11, Objects: objs}) }); got != 0 {
+		t.Fatalf("append to a full log allocates %.0f times", got)
+	}
+}
+
 func TestNotifierSubscribeRenewAndPush(t *testing.T) {
 	n := NewNotifier(64, 0, time.Hour)
 	defer n.Close()

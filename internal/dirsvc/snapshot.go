@@ -287,7 +287,8 @@ func (a *Applier) SnapshotState(appliedSeq, commitSeq uint64) *Snapshot {
 func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, err := a.installSnapshotLocked(snap, durable); err != nil {
+	a.unseen.reset(0)
+	if err := a.installSnapshotLocked(snap, durable, &a.unseen); err != nil {
 		return err
 	}
 	a.setSeqLocked(snap.MaxSeq())
@@ -296,16 +297,14 @@ func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 
 // applyRestoreLocked executes OpRestoreShard: decode the snapshot in
 // the request Blob and install it wholesale. Called with a.mu held.
-func (a *Applier) applyRestoreLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+func (a *Applier) applyRestoreLocked(req *Request, durable bool, res *ApplyResult) error {
 	snap, err := DecodeSnapshot(req.Blob)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := a.installSnapshotLocked(snap, durable)
-	if err != nil {
-		return nil, err
+	if err := a.installSnapshotLocked(snap, durable, res); err != nil {
+		return err
 	}
-	res.Reply.Seq = seq
 	// Restored seqs may exceed the stream seq; advance the commit-block
 	// floor even when no slot emptied, so recovery cannot regress.
 	res.DeletedDir = true
@@ -314,7 +313,7 @@ func (a *Applier) applyRestoreLocked(req *Request, seq uint64, durable bool) (*A
 	// published, so post-restore updates never reuse one; ApplyUpdate
 	// then advances it to at least seq.
 	a.advanceLocked(snap.MaxSeq())
-	return res, nil
+	return nil
 }
 
 // installSnapshotLocked is InstallSnapshot under a.mu: one overlay that
@@ -322,7 +321,7 @@ func (a *Applier) applyRestoreLocked(req *Request, seq uint64, durable bool) (*A
 // the commit's DirtyObjects is the union of objects present before or
 // after — a deferred flush writes every changed slot through, including
 // the ones the install removed. Called with a.mu held.
-func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) (*ApplyResult, error) {
+func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool, res *ApplyResult) error {
 	var ov overlay
 	for _, obj := range a.table.Objects() {
 		ov.stage(obj)
@@ -336,24 +335,23 @@ func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) (*ApplyRes
 	for _, o := range snap.Objects {
 		d, err := dirdata.Decode(o.Image)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot image of object %d: %w", o.Object, err)
+			return fmt.Errorf("snapshot image of object %d: %w", o.Object, err)
 		}
 		if !a.table.Holds(o.Object) {
-			return nil, fmt.Errorf("snapshot object %d outside the table: %w", o.Object, ErrBadRequest)
+			return fmt.Errorf("snapshot object %d outside the table: %w", o.Object, ErrBadRequest)
 		}
 		s := ov.stage(o.Object)
 		s.dir, s.entry, s.stub = d, ObjectEntry{Seq: o.Seq, Secret: o.Secret}, nil
 	}
 	for _, st := range snap.Stubs {
 		if !a.table.Holds(st.Object) {
-			return nil, fmt.Errorf("snapshot stub %d outside the table: %w", st.Object, ErrBadRequest)
+			return fmt.Errorf("snapshot stub %d outside the table: %w", st.Object, ErrBadRequest)
 		}
 		s := ov.stage(st.Object)
 		s.dir, s.stub = nil, &StubEntry{Target: st.Target, Seq: st.Seq}
 	}
-	res, err := a.commitOverlayLocked(&ov, 0, durable)
-	if err != nil {
-		return nil, err
+	if err := a.commitOverlayLocked(&ov, durable, res); err != nil {
+		return err
 	}
 
 	// Adopt the snapshot's shard-map state before re-staging anything, so
@@ -379,18 +377,20 @@ func (a *Applier) installSnapshotLocked(snap *Snapshot, durable bool) (*ApplyRes
 	for _, tx := range snap.InDoubt {
 		req, err := DecodeRequest(tx.Raw)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot prepare record: %w", err)
+			return fmt.Errorf("snapshot prepare record: %w", err)
 		}
 		if req.Op != OpPrepare {
-			return nil, fmt.Errorf("snapshot in-doubt record op %v: %w", req.Op, ErrBadRequest)
+			return fmt.Errorf("snapshot in-doubt record op %v: %w", req.Op, ErrBadRequest)
 		}
-		if _, err := a.applyPrepareLocked(req, tx.Seq); err != nil {
-			return nil, fmt.Errorf("snapshot re-prepare: %w", err)
+		var staged ApplyResult
+		staged.reset(tx.Seq)
+		if err := a.applyPrepareLocked(req, tx.Seq, &staged); err != nil {
+			return fmt.Errorf("snapshot re-prepare: %w", err)
 		}
 	}
 	for _, d := range snap.Decided {
 		a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: d.Seq, results: d.Results})
 	}
 
-	return res, nil
+	return nil
 }

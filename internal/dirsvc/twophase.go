@@ -454,33 +454,33 @@ func (a *Applier) lockedByOtherLocked(obj uint32, self TxID) bool {
 // disk — durability of the prepared state comes from replication (the
 // prepare rides the backend's replicated update path) and, in the NVRAM
 // variant, from the logged request. Called with a.mu held.
-func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, error) {
+func (a *Applier) applyPrepareLocked(req *Request, seq uint64, res *ApplyResult) error {
 	p, err := DecodePrepare(req.Blob)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tx, ok := a.prepared[p.ID]; ok {
 		// Duplicate delivery (recovery replay): vote yes again with the
 		// originally staged results.
-		return &ApplyResult{Reply: &Reply{
-			Status: StatusOK, Seq: tx.seq, Blob: EncodeBatchResults(tx.results),
-		}}, nil
+		*res.Reply = Reply{Status: StatusOK, Seq: tx.seq, Blob: EncodeBatchResults(tx.results)}
+		return nil
 	}
 	if _, ok := a.decided[p.ID]; ok {
-		return nil, ErrConflict
+		return ErrConflict
 	}
 	steps, err := DecodeBatchSteps(p.Steps)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ov := &overlay{}
 	results := make([]BatchStepResult, len(steps))
 	for i, st := range steps {
 		if err := a.batchStepLocked(ov, st, seq, p.ID, &results[i]); err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
 	}
-	reply := &Reply{Status: StatusOK, Seq: seq, Blob: EncodeBatchResults(results)}
+	reply := res.Reply
+	reply.Blob = EncodeBatchResults(results)
 	tx := &preparedTx{
 		id: p.ID,
 		// The kept request is what a flush re-logs and a snapshot ships: it
@@ -500,7 +500,7 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, er
 		a.locks[s.obj] = p.ID
 	}
 	a.prepared[p.ID] = tx
-	return &ApplyResult{Reply: reply}, nil
+	return nil
 }
 
 // applyDecideLocked resolves a prepared transaction: commit writes the
@@ -509,36 +509,36 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64) (*ApplyResult, er
 // never advances the visible state); abort discards it. Both release
 // the locks and remember the outcome for idempotent retries and orphan
 // queries. Called with a.mu held.
-func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool) (*ApplyResult, error) {
+func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool, res *ApplyResult) error {
 	d, err := DecodeDecide(req.Blob)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if prior, ok := a.decided[d.ID]; ok {
 		if d.Commit != prior.commit {
 			// A commit racing a presumed abort (or vice versa): first
 			// decision in the stream wins, the loser learns it conflicted.
-			return nil, ErrConflict
+			return ErrConflict
 		}
-		reply := &Reply{Status: StatusOK, Seq: prior.seq}
+		res.Reply.Seq = prior.seq
 		if prior.commit {
-			reply.Blob = prior.results
+			res.Reply.Blob = prior.results
 		}
-		return &ApplyResult{Reply: reply}, nil
+		return nil
 	}
 	tx, ok := a.prepared[d.ID]
 	if !ok {
 		if !d.Commit {
 			// Presumed abort: aborting a transaction nobody prepared (or
 			// one already resolved and forgotten) is a no-op.
-			return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}}, nil
+			return nil
 		}
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	if !d.Commit {
 		a.releaseTxLocked(tx)
 		a.rememberDecidedLocked(d.ID, decidedTx{commit: false, seq: seq})
-		return &ApplyResult{Reply: &Reply{Status: StatusOK, Seq: seq}}, nil
+		return nil
 	}
 
 	// Commit: the staged images were stamped with the prepare's sequence
@@ -553,16 +553,15 @@ func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool) (*Ap
 			s.stub.Seq = seq
 		}
 	}
-	res, err := a.commitOverlayLocked(tx.overlay, seq, durable)
-	if err != nil {
+	if err := a.commitOverlayLocked(tx.overlay, durable, res); err != nil {
 		// Disk trouble: the transaction stays prepared so a decide retry
 		// can complete it; nothing partial became visible.
-		return nil, err
+		return err
 	}
 	res.Reply.Blob = EncodeBatchResults(tx.results)
 	a.releaseTxLocked(tx)
 	a.rememberDecidedLocked(d.ID, decidedTx{commit: true, seq: seq, results: res.Reply.Blob})
-	return res, nil
+	return nil
 }
 
 // releaseTxLocked drops a transaction's locks and prepared record.

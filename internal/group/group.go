@@ -170,17 +170,25 @@ type Config struct {
 var gidCounter atomic.Uint64
 
 // doneState tracks resilience acknowledgements for one sequenced message
-// at the sequencer, until every member's ACCEPT is in or the history
-// window passes it. Members ACCEPT to the sequencer only its own sends
-// and ORDs it re-sent, so for another member's send acked stays empty
-// unless that sender retried.
+// at the sequencer, while open: until every member's ACCEPT is in or the
+// history window passes it. Members ACCEPT to the sequencer only its own
+// sends and ORDs it re-sent, so for another member's send acked stays
+// empty unless that sender retried.
 type doneState struct {
+	open     bool
 	sender   sim.NodeID
 	msgID    uint64
 	needed   int
 	retried  bool         // the sender asked again: DONE it once needed is in
 	acked    []sim.NodeID // members whose ACCEPT counted; backed by ackedBuf up to four
 	ackedBuf [4]sim.NodeID
+}
+
+// histSlot is one message of a member's history, kept by value, with the
+// sequencer's acknowledgement record of it.
+type histSlot struct {
+	ord  wireMsg
+	done doneState
 }
 
 // sendCall is what a Send call registers while it waits: the channel its
@@ -237,13 +245,14 @@ type Member struct {
 
 	// Sequencer / supplier state. Every member maintains history and the
 	// sequenced table so that any member can take over as sequencer
-	// after a reset.
-	history     map[uint64]*wireMsg
-	histLo      uint64
-	seqCounter  uint64
-	pendingDone map[uint64]*doneState
-	sequenced   map[sim.NodeID]map[uint64]uint64 // sender → msgID → seq
-	syncedSeq   uint64                           // seqs ≤ syncedSeq are at all members (last reset)
+	// after a reset. history is a ring holding the messages histLo up to
+	// nextSeq-1 (none while histLo is 0), seq s in slot s mod its length,
+	// a power of two that doubles up to historyWindow as it fills.
+	history    []histSlot
+	histLo     uint64
+	seqCounter uint64
+	sequenced  map[sim.NodeID]map[uint64]uint64 // sender → msgID → seq
+	syncedSeq  uint64                           // seqs ≤ syncedSeq are at all members (last reset)
 
 	msgCounter uint64               // last msgID used; starts at the incarnation's start time
 	waiting    map[uint64]*sendCall // Send calls by msgID: each gets its seq once the send is stable
@@ -375,14 +384,12 @@ func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
 		// than a nanosecond), so the group's duplicate table never takes
 		// a restarted process's sends for retries of its old ones —
 		// whether or not its crash was noticed before it joined again.
-		msgCounter:  uint64(time.Now().UnixNano()),
-		pending:     make(map[uint64]*wireMsg),
-		history:     make(map[uint64]*wireMsg),
-		pendingDone: make(map[uint64]*doneState),
-		sequenced:   make(map[sim.NodeID]map[uint64]uint64),
-		waiting:     make(map[uint64]*sendCall),
-		lastSeen:    make(map[sim.NodeID]time.Time),
-		stop:        make(chan struct{}),
+		msgCounter: uint64(time.Now().UnixNano()),
+		pending:    make(map[uint64]*wireMsg),
+		sequenced:  make(map[sim.NodeID]map[uint64]uint64),
+		waiting:    make(map[uint64]*sendCall),
+		lastSeen:   make(map[sim.NodeID]time.Time),
+		stop:       make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	l, err := stack.RegisterFunc(cfg.Port, m.handle)

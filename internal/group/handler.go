@@ -21,7 +21,8 @@ const retransBatch = 512
 // the FLIP dispatcher of this node (the analogue of Amoeba's kernel
 // protocol processing), so it must never block on the network or sleep.
 // The message is decoded onto the dispatcher's stack; the handlers copy
-// what they keep (an ORD, into the pending set or the history).
+// what they keep (an ORD, into the history ring, or onto the heap when it
+// arrives out of order).
 func (m *Member) handle(fm flip.Msg) {
 	var msg wireMsg
 	if decodeWire(fm.Payload, &msg) != nil {
@@ -104,36 +105,28 @@ func (m *Member) sequencerHandleSendLocked(w *wireMsg) {
 	}
 	m.seqCounter++
 	s := m.seqCounter
-	// One allocation for the ORD the history keeps and the
-	// acknowledgement record, which never outlives it.
-	both := &struct {
-		ord wireMsg
-		pd  doneState
-	}{
-		ord: wireMsg{
-			kind:    wireOrd,
-			gid:     m.gid,
-			epoch:   m.epoch,
-			seq:     s,
-			from:    w.from,
-			msgID:   w.msgID,
-			ordKind: w.ordKind,
-			node:    w.node,
-			payload: w.payload,
-		},
-		pd: doneState{sender: w.from, msgID: w.msgID, needed: m.neededLocked()},
+	ord := wireMsg{
+		kind:    wireOrd,
+		gid:     m.gid,
+		epoch:   m.epoch,
+		seq:     s,
+		from:    w.from,
+		msgID:   w.msgID,
+		ordKind: w.ordKind,
+		node:    w.node,
+		payload: w.payload,
 	}
-	ord, pd := &both.ord, &both.pd
-	pd.acked = pd.ackedBuf[:0]
-	m.pendingDone[s] = pd
-	frame := m.mcastFrame(ord)
+	frame := m.mcastFrame(&ord)
 	_ = m.stack.MulticastFrame(frame)
 	if len(ord.payload) > 0 {
 		// What the history and the local delivery keep is the sent frame's
 		// copy, not the sender's buffer: Send's caller may reuse that.
 		ord.payload = frame[len(frame)-len(ord.payload):]
 	}
-	m.processOrdLocked(ord) // multicast does not loop back
+	m.processOrdLocked(&ord) // multicast does not loop back
+	pd := &m.historyAt(s).done
+	*pd = doneState{open: true, sender: w.from, msgID: w.msgID, needed: m.neededLocked()}
+	pd.acked = pd.ackedBuf[:0]
 	m.settleLocked(s, pd)
 }
 
@@ -152,7 +145,7 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 		m.replyDoneLocked(w.from, w.msgID, s)
 		return
 	}
-	pd := m.pendingDone[s]
+	pd := m.pendingDoneAt(s)
 	if pd == nil || len(pd.acked) >= pd.needed {
 		m.replyDoneLocked(w.from, w.msgID, s)
 		return
@@ -163,7 +156,8 @@ func (m *Member) answerDuplicateLocked(w *wireMsg, s uint64) {
 	// so they ACCEPT it to the sequencer, and the sender gets a DONE once
 	// the resilience degree is in (settleLocked).
 	pd.retried = true
-	if ord := m.history[s]; ord != nil {
+	if h := m.historyAt(s); h != nil {
+		ord := &h.ord
 		frame := ord.appendTo(flip.NewFrame(m.cfg.Port, ord.size()))
 		for _, nd := range m.members {
 			if nd != m.me && !contains(pd.acked, nd) {
@@ -199,11 +193,19 @@ func (m *Member) handleOrdLocked(w *wireMsg) {
 		return
 	}
 	_, again := m.pending[w.seq]
-	if !again {
-		kept := *w
+	inOrder := false
+	switch {
+	case again:
+	case w.seq == m.nextSeq && (m.view == nil || m.view.Seq >= w.seq):
+		inOrder = true // processed below, straight into the history
+	default:
+		kept := *w // held on the heap until it is next in order
 		m.pending[w.seq] = &kept
 	}
 	m.acceptLocked(w, again)
+	if inOrder {
+		m.processOrdLocked(w)
+	}
 	m.drainPendingLocked()
 	if w.seq >= m.nextSeq && m.pending[m.nextSeq] == nil {
 		m.maybeRequestRetransLocked(w.seq - 1)
@@ -247,19 +249,20 @@ func (m *Member) drainPendingLocked() {
 	}
 }
 
-// processOrdLocked records and delivers one in-order message. ord.seq must
-// equal m.nextSeq.
+// processOrdLocked records and delivers one in-order message, copying
+// it into the history. ord.seq must equal m.nextSeq.
 func (m *Member) processOrdLocked(ord *wireMsg) {
 	s := ord.seq
-	m.history[s] = ord
 	if m.histLo == 0 {
 		m.histLo = s
 	}
-	for s-m.histLo >= historyWindow {
-		delete(m.history, m.histLo)
-		delete(m.pendingDone, m.histLo)
-		m.histLo++
+	if s-m.histLo >= historyWindow {
+		m.histLo = s - historyWindow + 1 // the window passes the oldest
 	}
+	if s-m.histLo >= uint64(len(m.history)) {
+		m.growHistoryLocked(s)
+	}
+	m.history[s&uint64(len(m.history)-1)] = histSlot{ord: *ord}
 	if seqs := m.sequenced[ord.from]; seqs == nil {
 		m.sequenced[ord.from] = map[uint64]uint64{ord.msgID: s}
 	} else {
@@ -298,6 +301,50 @@ func (m *Member) processOrdLocked(ord *wireMsg) {
 	m.cond.Broadcast()
 }
 
+// historyAt returns the history slot of seq, or nil when the history
+// does not hold seq.
+func (m *Member) historyAt(seq uint64) *histSlot {
+	if m.histLo == 0 || seq < m.histLo || seq >= m.nextSeq {
+		return nil
+	}
+	if h := &m.history[seq&uint64(len(m.history)-1)]; h.ord.seq == seq {
+		return h
+	}
+	return nil
+}
+
+// pendingDoneAt returns the open acknowledgement record of seq, or nil.
+func (m *Member) pendingDoneAt(seq uint64) *doneState {
+	if h := m.historyAt(seq); h != nil && h.done.open {
+		return &h.done
+	}
+	return nil
+}
+
+// growHistoryLocked doubles the history ring until it holds histLo
+// through seq, moving the slots it holds. historyWindow is a power of
+// two, so the ring never outgrows it.
+func (m *Member) growHistoryLocked(seq uint64) {
+	n := max(len(m.history), 32)
+	for seq-m.histLo >= uint64(n) {
+		n *= 2
+	}
+	ring := make([]histSlot, n)
+	for i := range m.history {
+		old := &m.history[i]
+		if m.historyAt(old.ord.seq) != old {
+			continue
+		}
+		h := &ring[old.ord.seq&uint64(n-1)]
+		*h = *old
+		// acked may point into the old slot's buffer.
+		if len(old.done.acked) <= len(h.done.ackedBuf) {
+			h.done.acked = append(h.done.ackedBuf[:0], old.done.acked...)
+		}
+	}
+	m.history = ring
+}
+
 func (m *Member) removeMemberLocked(nd sim.NodeID) {
 	kept := m.members[:0]
 	for _, x := range m.members {
@@ -330,7 +377,7 @@ func (m *Member) handleAcceptLocked(w *wireMsg) {
 		m.countDirectAcceptLocked(w)
 		return
 	}
-	pd := m.pendingDone[w.seq]
+	pd := m.pendingDoneAt(w.seq)
 	if pd == nil || contains(pd.acked, w.from) || !contains(m.members, w.from) {
 		return
 	}
@@ -355,7 +402,7 @@ func (m *Member) settleLocked(seq uint64, pd *doneState) {
 		}
 	}
 	if len(pd.acked) >= len(m.members)-1 {
-		delete(m.pendingDone, seq)
+		pd.open = false
 	}
 }
 
@@ -505,13 +552,13 @@ func (m *Member) handleRetransLocked(w *wireMsg) {
 		to = from + retransBatch
 	}
 	for s := from; s <= to; s++ {
-		ord := m.history[s]
-		if ord == nil {
+		h := m.historyAt(s)
+		if h == nil {
 			continue
 		}
 		// Re-stamp with the current epoch: retransmitted messages are
 		// valid in the view that inherited them.
-		copyOrd := *ord
+		copyOrd := h.ord
 		copyOrd.epoch = m.epoch
 		_ = m.send(w.from, &copyOrd)
 	}
@@ -625,7 +672,9 @@ func (m *Member) applyCommitLocked(w *wireMsg) {
 	}
 	m.view = &Msg{Seq: w.seq2, Kind: KindView, Sender: w.from, Members: slices.Clone(w.members)}
 	m.drainPendingLocked()
-	m.pendingDone = make(map[uint64]*doneState)
+	for i := range m.history {
+		m.history[i].done.open = false
+	}
 	now := time.Now()
 	for _, nd := range m.members {
 		m.lastSeen[nd] = now

@@ -68,9 +68,15 @@ func (w *warmPath) pair(tb testing.TB) {
 }
 
 // Allocation ceilings of the warm request path, whole process (client,
-// simulated network, three replicas). A warm lookup allocates its four
-// frames, the name the server decodes and the capabilities it answers
-// with, 6 as this commit measured it. The pair measured 47 — its frames,
+// simulated network, three replicas). A warm lookup allocates 6, as this
+// commit measured it: its two frames, request and reply (2.08 a lookup
+// in flip.newFrame), the simulator's inbox growing again behind its
+// front (2.17 in sim.(*Node).enqueue; ROADMAP 2e), the capabilities the
+// answer carries (1.01 in DecodeReplyInto) and the name the server
+// decodes (0.27 in a memory profile, which misses most allocations under
+// 16 bytes; AllocsPerRun counts them all). Those are per-lookup counts
+// from BenchmarkLookup with -memprofilerate 1 over 20 000 lookups. The
+// pair measured 47 — its frames,
 // the simulated network's queues, the names each replica decodes, the
 // appended row's masks and one waiter record at the initiator — and 51
 // over the storage engine, whose write-ahead runs add a block image each;

@@ -84,10 +84,13 @@ func (s *Server) recover() error {
 	defer rc.Close()
 
 	// One member serves every round while it stays normal: a round that
-	// fails waits a third of a beat for more servers and tries again in
-	// the same group (Fig. 6: "try again"); a whole beat would hold up
-	// every boot that much. Only a member that dissolved into a larger
-	// group, was excluded from a view or failed is replaced.
+	// fails tries again in the same group (Fig. 6: "try again") once the
+	// member's view changes — a server joins or leaves, the group resets
+	// or dissolves. A round that failed on the view itself waits for that
+	// alone (a beat at most, to notice Close); one that failed on a peer,
+	// whose state may come good without a view change, a third of a beat
+	// at most. Only a member that dissolved into a larger group, was
+	// excluded from a view or failed is replaced.
 	var member *group.Member
 	for {
 		s.mu.Lock()
@@ -108,9 +111,14 @@ func (s *Server) recover() error {
 				continue
 			}
 		}
-		syncedTo, err := s.recoverRound(rc, member, mySeq, mourned, stayedUp)
+		view := member.Info()
+		syncedTo, err := s.recoverRound(rc, view, mySeq, mourned, stayedUp)
 		if err != nil {
-			time.Sleep(s.beat / 3)
+			wait := s.beat / 3
+			if errors.Is(err, errAwaitView) {
+				wait = s.beat
+			}
+			member.AwaitChange(view, wait)
 			continue
 		}
 		// Seal the recovered state into a fresh engine checkpoint: a
@@ -152,21 +160,24 @@ func (s *Server) recover() error {
 	}
 }
 
-// recoverRound performs one round of Fig. 6 on member: check that a
-// majority has joined, run Skeen's exchange, verify the last set and
-// fetch the latest state. It returns the stream position the state
-// covers, or an error when the round must be tried again.
+// errAwaitView marks a recovery round that only another view can let
+// pass: too few members joined, or the last set is not among them.
+var errAwaitView = errors.New("core: recovery waits for the view to change")
+
+// recoverRound performs one round of Fig. 6 on the member's view info:
+// check that a majority has joined, run Skeen's exchange, verify the last
+// set and fetch the latest state. It returns the stream position the
+// state covers, or an error when the round must be tried again.
 func (s *Server) recoverRound(
 	rc *rpc.Client,
-	member *group.Member,
+	info group.Info,
 	mySeq uint64,
 	myMourned lastfail.Set,
 	stayedUp bool,
 ) (uint64, error) {
 	// Fig. 6: "while (minority && !timeout) wait" — the caller waits.
-	info := member.Info()
 	if info.State != group.StateNormal || len(info.Members) < s.majorityNeeded() {
-		return 0, errors.New("no majority joined")
+		return 0, fmt.Errorf("%w: no majority joined", errAwaitView)
 	}
 
 	// Exchange mourned sets and sequence numbers with every other
@@ -218,7 +229,7 @@ func (s *Server) recoverRound(
 		recoverable = true
 	}
 	if !recoverable {
-		return 0, fmt.Errorf("last set %v not in new group %v",
+		return 0, fmt.Errorf("%w: last set %v not in new group %v", errAwaitView,
 			state.LastSet().Sorted(), state.NewGroup().Sorted())
 	}
 

@@ -190,18 +190,36 @@ func (e *Engine) writeManifestLocked() error {
 	return e.store.WriteBlockSeq(0, buf)
 }
 
+// scanRunBlocks is how many log blocks one read of scanLog takes in: a
+// log of N one-block records is read in ⌈(N+1)/scanRunBlocks⌉ runs, one
+// seek each.
+const scanRunBlocks = 64
+
 // scanLog reads the log region sequentially, collecting the records of
 // generation gen. The current generation's records form a prefix of the
-// region; the scan stops at the first stale, torn, or empty record.
+// region; the scan stops at the first stale, torn, or empty record. It
+// reads the region in runs of scanRunBlocks blocks, and a record that
+// runs past the run in hand starts the next one. The records' payloads
+// point into the runs, which nothing writes to again.
 func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec, int, error) {
 	var recs []LogRec
-	b := logStart
-	end := logStart + logBlocks
+	var run []byte // the blocks from runLo on, as last read
+	runLo, b, end := logStart, logStart, logStart+logBlocks
+	// hold makes sure the run in hand covers blocks b up to b+k.
+	hold := func(k int) error {
+		if (b-runLo+k)*vdisk.BlockSize <= len(run) {
+			return nil
+		}
+		var err error
+		runLo = b
+		run, err = store.ReadRun(b, min(max(k, scanRunBlocks), end-b)*vdisk.BlockSize)
+		return err
+	}
 	for b < end {
-		hdr, err := store.ReadBlock(b)
-		if err != nil {
+		if err := hold(1); err != nil {
 			return nil, 0, err
 		}
+		hdr := run[(b-runLo)*vdisk.BlockSize:]
 		if [4]byte(hdr[:4]) != logMagic {
 			break
 		}
@@ -216,17 +234,15 @@ func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec
 		if n < 0 || b+span > end {
 			break
 		}
-		raw, err := store.ReadRun(b, logRecHeader+n)
-		if err != nil {
+		if err := hold(span); err != nil {
 			return nil, 0, err
 		}
-		payload := raw[logRecHeader : logRecHeader+n]
+		off := (b-runLo)*vdisk.BlockSize + logRecHeader
+		payload := run[off : off+n : off+n]
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // torn append: the record never committed
 		}
-		out := make([]byte, n)
-		copy(out, payload)
-		recs = append(recs, LogRec{Seq: seq, Payload: out})
+		recs = append(recs, LogRec{Seq: seq, Payload: payload})
 		b += span
 	}
 	return recs, b, nil

@@ -2,8 +2,11 @@ package dirsvc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"dirsvc/internal/sim"
@@ -370,4 +373,149 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			t.Fatalf("prefix of %d/%d bytes decoded", n, len(raw))
 		}
 	}
+}
+
+// logImage lays out engine log records of generation gen as AppendRun
+// writes them — header, payload, zero padding to whole blocks — and
+// returns the image with each record's first block.
+func logImage(gen uint64, recs []LogRec) (img []byte, at []int) {
+	for _, r := range recs {
+		at = append(at, len(img)/vdisk.BlockSize)
+		rec := make([]byte, logRecBlocks(len(r.Payload))*vdisk.BlockSize)
+		copy(rec, logMagic[:])
+		binary.BigEndian.PutUint32(rec[4:8], uint32(len(r.Payload)))
+		binary.BigEndian.PutUint64(rec[8:16], r.Seq)
+		binary.BigEndian.PutUint64(rec[16:24], gen)
+		binary.BigEndian.PutUint32(rec[24:28], crc32.ChecksumIEEE(r.Payload))
+		copy(rec[logRecHeader:], r.Payload)
+		img = append(img, rec...)
+	}
+	return img, at
+}
+
+// TestEngineScanReadsRuns: opening an engine reads its log in runs of
+// scanRunBlocks blocks — at most ⌈N/64⌉ + 2 reads for N one-block
+// records, the manifest's included — and stops at a torn record, a
+// record of another generation, and a record running past the region's
+// end, each behind a record that straddles two runs.
+func TestEngineScanReadsRuns(t *testing.T) {
+	const blocks = 1024
+	_, logStart, logBlocks, err := engineLayout(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// records returns n records of payload size each, seqs from 1.
+	records := func(n, size int) []LogRec {
+		out := make([]LogRec, n)
+		for i := range out {
+			p := bytes.Repeat([]byte{byte(i)}, size)
+			copy(p, fmt.Sprintf("rec-%d", i+1))
+			out[i] = LogRec{Seq: uint64(i + 1), Payload: p}
+		}
+		return out
+	}
+	// open formats a fresh partition (log generation 0), writes img at
+	// the log's start and opens the engine on it, returning it with the
+	// reads the open issued.
+	open := func(img []byte) (*Engine, uint64) {
+		disk := vdisk.New(sim.FastModel(), blocks)
+		if _, err := OpenEngine(disk); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.WriteRun(logStart, img); err != nil {
+			t.Fatal(err)
+		}
+		before := disk.Stats().Reads
+		e, err := OpenEngine(disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, disk.Stats().Reads - before
+	}
+	same := func(t *testing.T, got, want []LogRec) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("record %d: seq %d %q, want seq %d %q", i, got[i].Seq, got[i].Payload, want[i].Seq, want[i].Payload)
+			}
+		}
+	}
+
+	t.Run("reads", func(t *testing.T) {
+		const n = 150
+		want := records(n, 100)
+		img, _ := logImage(0, want)
+		e, reads := open(img)
+		same(t, e.LogSuffix(0), want)
+		if limit := uint64((n+scanRunBlocks-1)/scanRunBlocks + 2); reads > limit {
+			t.Fatalf("open of %d one-block records took %d reads, want at most %d", n, reads, limit)
+		}
+		if e.logTail != logStart+n {
+			t.Fatalf("tail at block %d, want %d", e.logTail, logStart+n)
+		}
+	})
+
+	// Every stop case puts a four-block record across the first run's
+	// end, then one-block records up to the bad one, the fifth after it.
+	straddle := append(records(scanRunBlocks-2, 10), LogRec{Seq: scanRunBlocks - 1, Payload: bytes.Repeat([]byte("s"), 3*vdisk.BlockSize)})
+	for i := range 5 {
+		straddle = append(straddle, LogRec{Seq: uint64(scanRunBlocks + i), Payload: []byte(fmt.Sprintf("after-%d", i))})
+	}
+	good := straddle[:len(straddle)-1]
+	stops := []struct {
+		name  string
+		image func() (img []byte, want []LogRec)
+	}{
+		{"torn", func() ([]byte, []LogRec) {
+			img, at := logImage(0, straddle)
+			img[at[len(at)-1]*vdisk.BlockSize+logRecHeader] ^= 0xff
+			return img, good
+		}},
+		{"other generation", func() ([]byte, []LogRec) {
+			img, _ := logImage(0, good)
+			stale, _ := logImage(1, straddle[len(straddle)-1:])
+			return append(img, stale...), good
+		}},
+		{"past the region's end", func() ([]byte, []LogRec) {
+			// One-block records fill the region up to its last block,
+			// where a two-block record starts.
+			want := slices.Clone(good)
+			for seq := uint64(1000); logImageBlocks(want) < logBlocks-1; seq++ {
+				want = append(want, LogRec{Seq: seq, Payload: []byte("pad")})
+			}
+			img, _ := logImage(0, append(want, LogRec{Seq: 5000, Payload: make([]byte, vdisk.BlockSize)}))
+			return img[:logBlocks*vdisk.BlockSize], want
+		}},
+	}
+	for _, c := range stops {
+		t.Run(c.name, func(t *testing.T) {
+			img, want := c.image()
+			disk := vdisk.New(sim.FastModel(), blocks)
+			if err := disk.WriteRun(logStart, img); err != nil {
+				t.Fatal(err)
+			}
+			recs, tail, err := scanLog(disk, logStart, logBlocks, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, recs, want)
+			if wantTail := logStart + logImageBlocks(want); tail != wantTail {
+				t.Fatalf("tail at block %d, want %d", tail, wantTail)
+			}
+			e, _ := open(img)
+			same(t, e.LogSuffix(0), want)
+		})
+	}
+}
+
+// logImageBlocks is the blocks recs take in the log.
+func logImageBlocks(recs []LogRec) int {
+	n := 0
+	for _, r := range recs {
+		n += logRecBlocks(len(r.Payload))
+	}
+	return n
 }

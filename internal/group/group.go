@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,6 +260,11 @@ type Member struct {
 
 	lastSeen      map[sim.NodeID]time.Time
 	lastRetransAt time.Time
+	// heardAt is, while joining, a beat before JoinOrCreate may create:
+	// when it started, last heard a lower prober's join request, or a
+	// beat after it last heard a group's heartbeat. Past it, no group has
+	// been heard for a beat.
+	heardAt time.Time
 
 	curProposal    proposal
 	resetAcks      map[sim.NodeID]uint64
@@ -280,15 +286,25 @@ func Create(stack *flip.Stack, cfg Config) (*Member, error) {
 		return nil, err
 	}
 	m.mu.Lock()
+	announce := m.foundLocked()
+	m.mu.Unlock()
+	m.start()
+	_ = m.multicast(announce)
+	return m, nil
+}
+
+// foundLocked makes m the only member and the sequencer of a new group.
+// It returns the heartbeat that announces the group at once, a beat
+// before the first tick, to the servers still probing for one.
+func (m *Member) foundLocked() *wireMsg {
 	m.gid = newGID(m.me)
 	m.epoch = 1
 	m.members = []sim.NodeID{m.me}
 	m.sequencer = m.me
 	m.state = StateNormal
 	m.curProposal = proposal{epoch: 1, node: m.me}
-	m.mu.Unlock()
-	m.start()
-	return m, nil
+	gtrace("node %d gid=%x CREATE", m.me, uint64(m.gid))
+	return m.aliveLocked()
 }
 
 // Join joins an existing group on cfg.Port, retrying the join request
@@ -299,65 +315,86 @@ func Join(stack *flip.Stack, cfg Config, timeout time.Duration) (*Member, error)
 	if err != nil {
 		return nil, err
 	}
-	return m.join(timeout, m.ackWindow, m.ackWindow)
+	return m.join(timeout, false)
 }
 
-// join multicasts a join request at once, again after first, then every
-// `every`, until a sequencer's welcome lands or timeout has passed.
-func (m *Member) join(timeout, first, every time.Duration) (*Member, error) {
-	m.mu.Lock()
-	m.state = StateJoining
-	m.mu.Unlock()
-
-	deadline := time.Now().Add(timeout)
-	next := time.Now().Add(first)
-	for {
-		if err := m.multicast(&wireMsg{kind: wireJoinReq, from: m.me}); err != nil {
-			m.destroy()
-			return nil, err
-		}
-		windowEnd := next
-		if windowEnd.After(deadline) {
-			windowEnd = deadline
-		}
-		m.mu.Lock()
-		for m.state == StateJoining && time.Now().Before(windowEnd) {
-			m.waitLocked(windowEnd)
-		}
-		joined := m.state == StateNormal
-		m.mu.Unlock()
-		if joined {
-			m.start()
-			return m, nil
-		}
-		if !time.Now().Before(deadline) {
-			m.destroy()
-			return nil, ErrNoGroup
-		}
-		next = next.Add(every)
-	}
-}
-
-// JoinOrCreate joins the group if one exists, otherwise creates it. To
-// avoid dueling creators after a total failure, a member delays its
-// creation candidacy in proportion to its node id: the lowest-numbered
-// reachable server creates, everyone else finds it. Node k creates at
-// (2+k) beats, and probes at once and then every beat from 2½ beats on:
-// half a beat after each lower node's creation time, never at it, so a
-// welcome has half a beat to arrive before k would create a rival group.
+// JoinOrCreate joins the group on cfg.Port if one exists, otherwise
+// creates it — as an MSCS node tries to join its cluster before it forms
+// one. It probes at once and every quarter beat, and creates the group
+// after one quiet beat: at least a beat after it started, a beat after
+// the last join request of a prober with a lower node id, and two beats
+// after it last heard a group. Every member of a group answers a probe
+// with its heartbeat, so a prober hears a group that exists within a
+// round trip, whether or not the sequencer's welcome arrives. A lower
+// prober keeps it waiting while it probes, so of the servers that start
+// together the lowest creates, a beat after it started, and the others
+// defer to it. A new group announces itself at once (its first
+// heartbeat), and a prober that had heard no group for a beat asks to
+// join on that heartbeat, without waiting for its next probe. A lower
+// prober that stops probing without creating holds the others up one
+// beat past its last probe. Probes lost on the way can still leave two
+// groups; the smaller then yields to the larger (outrankedLocked).
 func JoinOrCreate(stack *flip.Stack, cfg Config) (*Member, error) {
 	m, err := newMember(stack, cfg)
 	if err != nil {
 		return nil, err
 	}
-	beat := m.heartbeat
-	creation := 2*beat + time.Duration(stack.Node().ID())*beat
-	if m, err := m.join(creation, 2*beat+beat/2, beat); err == nil {
-		return m, nil
-	} else if !errors.Is(err, ErrNoGroup) {
-		return nil, err
+	return m.join(0, true)
+}
+
+// join multicasts a join request at once and every quarter beat until a
+// sequencer's welcome lands. Join gives up once timeout has passed;
+// JoinOrCreate (orCreate) founds the group once heardAt is a beat past,
+// at a probe slot it reached on time or right after one it did not.
+func (m *Member) join(timeout time.Duration, orCreate bool) (*Member, error) {
+	start := time.Now()
+	deadline := start.Add(timeout)
+	m.mu.Lock()
+	m.state = StateJoining
+	m.heardAt = start
+	m.mu.Unlock()
+	skipped := false
+	for {
+		if err := m.multicast(&wireMsg{kind: wireJoinReq, from: m.me}); err != nil {
+			m.destroy()
+			return nil, err
+		}
+		probed := time.Now()
+		m.mu.Lock()
+		next := probed.Add(m.heartbeat / 4)
+		if !orCreate && deadline.Before(next) {
+			next = deadline
+		}
+		for m.state == StateJoining && time.Now().Before(next) {
+			m.waitLocked(next)
+		}
+		// A prober that overslept its slot (the host stalled it) probes
+		// once more before it decides: what arrived meanwhile may not be
+		// dispatched yet. Only once: a host late at every slot still
+		// decides at every other one.
+		now := time.Now()
+		skipped = !skipped && now.Sub(probed) >= m.heartbeat/2
+		var announce *wireMsg
+		if orCreate && !skipped && m.state == StateJoining && now.Sub(m.heardAt) >= m.heartbeat {
+			announce = m.foundLocked()
+		}
+		// Welcomed or founded — or welcomed and already out again (it
+		// yielded or failed before this loop looked): the caller handles
+		// that member as it handles any other that leaves its group.
+		joined := m.state != StateJoining
+		m.mu.Unlock()
+		if joined {
+			m.start()
+			if announce != nil {
+				_ = m.multicast(announce)
+			}
+			return m, nil
+		}
+		if !orCreate && !now.Before(deadline) {
+			m.destroy()
+			return nil, ErrNoGroup
+		}
 	}
-	return Create(stack, cfg)
 }
 
 func newMember(stack *flip.Stack, cfg Config) (*Member, error) {
@@ -473,6 +510,27 @@ func (m *Member) Summary() (state State, members int, buffered uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.state, len(m.members), m.nextSeq - 1
+}
+
+// AwaitChange blocks until the member's view — its group, epoch, state
+// or members — is no longer prev's, or until d has passed, and returns
+// the view then. Recovery waits on it for a view its next round can use.
+func (m *Member) AwaitChange(prev Info, d time.Duration) Info {
+	// The deadline is taken first, so the wake-up never fires before it.
+	deadline := time.Now().Add(d)
+	wake := time.AfterFunc(d, func() {
+		m.mu.Lock()
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	})
+	defer wake.Stop()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.closed && time.Now().Before(deadline) &&
+		uint64(m.gid) == prev.GID && m.epoch == prev.Epoch && m.state == prev.State && slices.Equal(m.members, prev.Members) {
+		m.cond.Wait()
+	}
+	return m.infoLocked()
 }
 
 func (m *Member) infoLocked() Info {
@@ -688,14 +746,7 @@ func (m *Member) heartbeatLoop() {
 			m.mu.Unlock()
 			continue
 		}
-		alive := &wireMsg{
-			kind:  wireAlive,
-			gid:   m.gid,
-			epoch: m.epoch,
-			seq:   m.nextSeq - 1,
-			seq2:  uint64(len(m.members)),
-			from:  m.me,
-		}
+		alive := m.aliveLocked()
 		now := time.Now()
 		m.lastSeen[m.me] = now
 		var suspect sim.NodeID = -1
@@ -721,6 +772,12 @@ func (m *Member) heartbeatLoop() {
 		m.mu.Unlock()
 		_ = m.multicast(alive)
 	}
+}
+
+// aliveLocked is the member's heartbeat: its group, epoch, buffered
+// position and view size.
+func (m *Member) aliveLocked() *wireMsg {
+	return &wireMsg{kind: wireAlive, gid: m.gid, epoch: m.epoch, seq: m.nextSeq - 1, seq2: uint64(len(m.members)), from: m.me}
 }
 
 // send unicasts w to dst in a frame of its own, and multicast multicasts

@@ -39,12 +39,39 @@ func (m *Member) handle(fm flip.Msg) {
 	// welcomes establish it. Everything else must match our instance.
 	switch w.kind {
 	case wireJoinReq:
-		if m.state == StateNormal && m.sequencer == m.me {
-			m.sequencerHandleJoinLocked(w)
+		switch {
+		case m.state == StateNormal:
+			// Every member answers with its heartbeat, the view as it was
+			// before this join: a prober that hears a group does not
+			// create one, even while its welcome is lost.
+			alive := m.aliveLocked()
+			if m.sequencer == m.me {
+				m.sequencerHandleJoinLocked(w)
+			}
+			_ = m.send(w.from, alive)
+		case m.state == StateJoining && w.from < m.me:
+			// A lower prober: let it create.
+			if now := time.Now(); now.After(m.heardAt) {
+				m.heardAt = now
+			}
 		}
 		return
 	case wireWelcome:
 		m.handleWelcomeLocked(w)
+		return
+	}
+	if m.state == StateJoining {
+		if w.kind == wireAlive {
+			// A group: hold off creating for two beats. A group not heard
+			// for a beat is news, a new one announcing itself: ask to join
+			// now rather than at the next probe. (The answers to that
+			// request are not news, so they do not ask again.)
+			now := time.Now()
+			if !m.heardAt.After(now) {
+				_ = m.multicast(&wireMsg{kind: wireJoinReq, from: m.me})
+			}
+			m.heardAt = now.Add(m.heartbeat)
+		}
 		return
 	}
 	if w.gid != m.gid {
@@ -56,9 +83,6 @@ func (m *Member) handle(fm flip.Msg) {
 			m.cond.Broadcast()
 			gtrace("node %d gid=%x YIELD to gid=%x of %d members", m.me, uint64(m.gid), uint64(w.gid), w.seq2)
 		}
-		return
-	}
-	if m.state == StateJoining {
 		return
 	}
 
@@ -505,6 +529,13 @@ func (m *Member) sendWelcomeLocked(node sim.NodeID, joinSeq uint64) {
 // handleWelcomeLocked installs the group snapshot at a joining member.
 func (m *Member) handleWelcomeLocked(w *wireMsg) {
 	if m.state != StateJoining {
+		if w.gid != m.gid {
+			// The answer to a join request this member sent before it
+			// joined another group: leave that one at once. Until failure
+			// detection dropped it, that group's view would count a
+			// member that is not there, and outrank the group it is in.
+			_ = m.send(w.from, &wireMsg{kind: wireLeave, gid: w.gid, from: m.me, node: m.me})
+		}
 		return
 	}
 	m.gid = w.gid

@@ -3,11 +3,13 @@ package faultdir
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
+	"dirsvc/internal/group"
 	"dirsvc/internal/sim"
 )
 
@@ -139,6 +141,37 @@ func TestSkewedWholeShardRestartConverges(t *testing.T) {
 			}
 		}
 		t.Logf("gap %v: worst %v (%.1f beats) from the last restart to one full view", gap, worst, float64(worst)/float64(beat))
+	}
+}
+
+// TestFourShardBootWithinTwoBeatsOfOne: shards form their groups on
+// ports of their own, side by side, so a four-shard cluster boots within
+// two beats of a one-shard one, though shard s's first replica sits on
+// node 6s+1. Each size boots three times and keeps its fastest boot, so
+// one slow schedule of the host does not decide. Under the race detector
+// the boots must still complete, but their times are not the program's,
+// so the bound is not checked.
+func TestFourShardBootWithinTwoBeatsOfOne(t *testing.T) {
+	model := sim.FastModel()
+	beat := group.HeartbeatFor(model, group.Config{})
+	fastest := func(shards int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			c, err := New(KindGroupNVRAM, Options{Model: model, Shards: shards})
+			took := time.Since(start)
+			if err != nil {
+				t.Fatalf("New with %d shards: %v", shards, err)
+			}
+			c.Close()
+			best = min(best, took)
+		}
+		return best
+	}
+	one, four := fastest(1), fastest(4)
+	t.Logf("boot: 1 shard %v, 4 shards %v (beat %v)", one, four, beat)
+	if !raceBuild && four > one+2*beat {
+		t.Fatalf("4 shards boot in %v, 1 shard in %v: more than two beats (%v) apart", four, one, 2*beat)
 	}
 }
 

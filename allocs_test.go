@@ -68,31 +68,33 @@ func (w *warmPath) pair(tb testing.TB) {
 }
 
 // Allocation ceilings of the warm request path, whole process (client,
-// simulated network, three replicas). A warm lookup allocates 6, as this
+// simulated network, three replicas). A warm lookup allocates 4, as this
 // commit measured it: its two frames, request and reply (2.08 a lookup
-// in flip.newFrame), the simulator's inbox growing again behind its
-// front (2.17 in sim.(*Node).enqueue; ROADMAP 2e), the capabilities the
-// answer carries (1.01 in DecodeReplyInto) and the name the server
-// decodes (0.27 in a memory profile, which misses most allocations under
-// 16 bytes; AllocsPerRun counts them all). Those are per-lookup counts
+// in flip.newFrame), and the simulator's inbox growing again behind its
+// front (2.16 in sim.(*Node).enqueue; ROADMAP 2e) — per-lookup counts
 // from BenchmarkLookup with -memprofilerate 1 over 20 000 lookups. The
-// pair measured 47 — its frames,
-// the simulated network's queues, the names each replica decodes, the
-// appended row's masks and one waiter record at the initiator — and 51
-// over the storage engine, whose write-ahead runs add a block image each;
-// both keep 4 of headroom. (83 and 95 while every apply allocated its
-// result and forked into fresh storage, the group thread copied every ORD
-// to the heap and the sequencer its acknowledgement record, and the
-// initiator encoded its request and the engine its records one by one;
-// 203 before each layer appended into one frame buffer and group state
-// stopped being copied per request, 111 while an ACK frame followed every
-// reply, 103 while every decode allocated its message.) A heartbeat
-// landing inside the measured window adds a small fraction of an
-// allocation per call, which AllocsPerRun's whole-number average drops.
+// server decodes the name in place in the request frame, and the client
+// the capability into a buffer it reuses. The pair measured 35: its
+// frames (10.6 a pair), the simulated network's queues (21.1, and 2.1 in
+// sim.(*Network).Nodes for its broadcasts), and the appended row on each
+// of three replicas, its name and masks in one allocation — and 39 over
+// the storage engine, whose write-ahead runs add a block image each;
+// both keep 4 of headroom. (6 and 47, 51 over the engine, while every
+// decode copied its names, the initiator allocated a waiter record and a
+// lock-wait target list per update, and the client a Caps slice per
+// lookup; 83 and 95 while every apply allocated its result and forked
+// into fresh storage, the group thread copied every ORD to the heap and
+// the sequencer its acknowledgement record, and the initiator encoded
+// its request and the engine its records one by one; 203 before each
+// layer appended into one frame buffer and group state stopped being
+// copied per request, 111 while an ACK frame followed every reply, 103
+// while every decode allocated its message.) A heartbeat landing inside
+// the measured window adds a small fraction of an allocation per call,
+// which AllocsPerRun's whole-number average drops.
 const (
-	lookupAllocs     = 6
-	pairAllocs       = 51
-	pairAllocsEngine = 55
+	lookupAllocs     = 4
+	pairAllocs       = 39
+	pairAllocsEngine = 43
 )
 
 // raceBuild is set under the race detector (race_test.go), where

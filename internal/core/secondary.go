@@ -210,6 +210,6 @@ func (sec *Secondary) WaitFloor(_ uint32, minSeq uint64) bool {
 }
 
 // Replicate is never reached: Ready refuses every update.
-func (sec *Secondary) Replicate(*dirsvc.Request) *dirsvc.Reply {
-	return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+func (sec *Secondary) Replicate(_ *dirsvc.Request, reply *dirsvc.Reply) {
+	*reply = dirsvc.Reply{Status: dirsvc.StatusNoMajority}
 }

@@ -105,8 +105,12 @@ type Server struct {
 	// waiters holds the record of every initiator waiting in Replicate,
 	// by opID: registered before its update is queued, deleted when
 	// Replicate returns, cleared by recovery's era bump. sendLoop and the
-	// group thread fill only a registered record.
+	// group thread fill only a registered record. A record Replicate is
+	// done with goes to retired, for the next register to reuse: a stale
+	// coalesceOp still pointing at it names another opID, which
+	// waiterLocked tells apart.
 	waiters   map[uint64]*waiter
+	retired   []*waiter
 	opCounter uint64
 	closed    bool
 
@@ -390,9 +394,9 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply {
 // Replicate is the group kinds' replication step: hand the update to the
 // coalescing sender (which packs it — alone or with concurrent updates —
 // into one totally-ordered group broadcast with resilience degree r),
-// wait until our own group thread has applied the operation, and return
-// its result (Fig. 5).
-func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
+// wait until our own group thread has applied the operation, and copy
+// its result into reply (Fig. 5).
+func (s *Server) Replicate(req *dirsvc.Request, reply *dirsvc.Reply) {
 	op := s.register(req)
 	select {
 	case s.sendCh <- op:
@@ -405,27 +409,43 @@ func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
 	// acknowledge an update that might not survive this server (§3).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer delete(s.waiters, op.opID)
+	defer s.retireLocked(op)
 	w := op.w
 	for s.waiters[op.opID] == w && !s.closed {
 		if w.applied && w.acked {
-			return &w.reply
+			*reply = w.reply
+			return
 		}
 		s.cond.Wait()
 	}
 	// Recovery intervened (its era bump dropped the record), or shutdown:
 	// the client must retry elsewhere.
-	return &dirsvc.Reply{Status: dirsvc.StatusNoMajority}
+	*reply = dirsvc.Reply{Status: dirsvc.StatusNoMajority}
 }
 
-// register gives req an opID and registers its initiator's record.
+// register gives req an opID and registers its initiator's record, a
+// retired one if there is one.
 func (s *Server) register(req *dirsvc.Request) coalesceOp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.opCounter++
-	op := coalesceOp{opID: uint64(s.cfg.ServerID)<<48 | s.opCounter, w: &waiter{req: req}}
+	op := coalesceOp{opID: uint64(s.cfg.ServerID)<<48 | s.opCounter}
+	if n := len(s.retired); n > 0 {
+		op.w, s.retired = s.retired[n-1], s.retired[:n-1]
+	} else {
+		op.w = new(waiter)
+	}
+	*op.w = waiter{req: req}
 	s.waiters[op.opID] = op.w
 	return op
+}
+
+// retireLocked deletes op's record, if recovery has not, and keeps it for
+// reuse. Callers hold s.mu.
+func (s *Server) retireLocked(op coalesceOp) {
+	delete(s.waiters, op.opID)
+	*op.w = waiter{}
+	s.retired = append(s.retired, op.w)
 }
 
 // waiterLocked returns op's record while its initiator still waits, else

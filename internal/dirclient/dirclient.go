@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,8 +466,9 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // call is one transaction against shard — a read (server selection may
 // balance) or an update — decoded through decodeNoted into reply, which
 // the caller owns: a call site keeps it on its stack, so a warm call
-// allocates only what the answer hands on (its capabilities, rows or
-// blob).
+// allocates only the lists the answer hands on (its capabilities or
+// rows). Strings and the blob point into the reply frame, which no one
+// changes.
 func (c *Client) call(ctx context.Context, shard int, req *dirsvc.Request, read bool, reply *dirsvc.Reply) error {
 	cn := c.conns[shard]
 	buf := encodeBufs.Get().(*[]byte)
@@ -614,7 +616,9 @@ func (c *Client) Chmod(ctx context.Context, dir capability.Capability, name stri
 // Lookup returns the capability stored under name (a one-element
 // Fig. 2 Lookup set).
 func (c *Client) Lookup(ctx context.Context, dir capability.Capability, name string) (capability.Capability, error) {
-	caps, err := c.LookupSet(ctx, dir, []string{name})
+	one := lookupAnswers.Get().(*[1]capability.Capability)
+	defer lookupAnswers.Put(one)
+	caps, err := c.lookupSet(ctx, dir, []string{name}, one[:0])
 	if err != nil {
 		return capability.Capability{}, err
 	}
@@ -624,14 +628,25 @@ func (c *Client) Lookup(ctx context.Context, dir capability.Capability, name str
 	return caps[0], nil
 }
 
+// lookupAnswers hold one Lookup's answer while it is decoded and read:
+// an array on Lookup's stack would move to the heap, since the decode
+// leaks what its reply's lists point to.
+var lookupAnswers = sync.Pool{New: func() any { return new([1]capability.Capability) }}
+
 // LookupSet looks up several names at once (Fig. 2: Lookup set). Missing
 // names yield zero capabilities. The set is answered from the cache only
 // when every name is cached (including cached negatives); otherwise the
 // whole set goes to the server and every name is cached from the reply.
 func (c *Client) LookupSet(ctx context.Context, dir capability.Capability, names []string) ([]capability.Capability, error) {
+	return c.lookupSet(ctx, dir, names, nil)
+}
+
+// lookupSet is LookupSet answering into dst's backing array, which it
+// outgrows only for more names than dst has room for.
+func (c *Client) lookupSet(ctx context.Context, dir capability.Capability, names []string, dst []capability.Capability) ([]capability.Capability, error) {
 	shard := c.shardOf(dir)
 	if c.cache != nil {
-		caps := make([]capability.Capability, len(names))
+		caps := slices.Grow(dst[:0], len(names))[:len(names)]
 		allCached := true
 		for i, n := range names {
 			cp, ok := c.cache.getLookup(shard, dir, n)
@@ -655,7 +670,7 @@ func (c *Client) LookupSet(ctx context.Context, dir capability.Capability, names
 	for _, n := range names {
 		set = append(set, dirsvc.SetItem{Name: n})
 	}
-	var reply dirsvc.Reply
+	reply := dirsvc.Reply{Caps: dst}
 	served, err := c.transRead(ctx, shard, &dirsvc.Request{Op: dirsvc.OpLookupSet, Dir: dir, Set: set}, &reply)
 	if err != nil {
 		return nil, err
@@ -697,7 +712,9 @@ func (c *Client) Backup(ctx context.Context, shard int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return reply.Blob, nil
+	// The blob is a slice of the reply frame, which the server's duplicate
+	// table may still resend from: the caller gets bytes it may change.
+	return slices.Clone(reply.Blob), nil
 }
 
 // RestoreShard replaces one shard's state with a snapshot previously

@@ -19,7 +19,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"dirsvc/internal/capability"
 )
@@ -71,13 +74,16 @@ type Directory struct {
 }
 
 // New creates an empty directory with the given columns (DefaultColumns
-// when none are given).
+// when none are given). The directory keeps copies of the names: a
+// caller's may point into a message buffer.
 func New(columns ...string) *Directory {
 	if len(columns) == 0 {
-		columns = DefaultColumns
+		return &Directory{Columns: slices.Clone(DefaultColumns)}
 	}
 	cols := make([]string, len(columns))
-	copy(cols, columns)
+	for i, c := range columns {
+		cols[i] = strings.Clone(c)
+	}
 	return &Directory{Columns: cols}
 }
 
@@ -157,10 +163,20 @@ func (d *Directory) Append(name string, cap capability.Capability, masks []capab
 	if d.find(name) >= 0 {
 		return fmt.Errorf("%q: %w", name, ErrExists)
 	}
-	ms := make([]capability.Rights, len(masks))
-	copy(ms, masks)
-	d.Rows = append(d.Rows, Row{Name: name, Cap: cap, ColMasks: ms})
+	d.Rows = append(d.Rows, newRow(name, cap, masks))
 	return nil
+}
+
+// newRow builds a row that owns its name and masks, both in one
+// allocation: the caller's may point into a message buffer.
+func newRow(name string, cap capability.Capability, masks []capability.Rights) Row {
+	buf := make([]byte, len(masks)+len(name))
+	for i, m := range masks {
+		buf[i] = byte(m)
+	}
+	copy(buf[len(masks):], name)
+	ms := unsafe.Slice((*capability.Rights)(unsafe.SliceData(buf)), len(masks))
+	return Row{Name: unsafe.String(&buf[len(masks)], len(name)), Cap: cap, ColMasks: ms}
 }
 
 // Delete removes the named row (paper Fig. 2: "Delete row").

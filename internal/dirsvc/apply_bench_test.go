@@ -57,9 +57,11 @@ func BenchmarkApplyPair(b *testing.B) {
 }
 
 // TestApplierPairAllocs guards the pair's allocation count (ROADMAP 5c):
-// the appended row's masks, and nothing else — the forks go into the
-// image each commit retires, result and reply into the caller's scratch,
-// the event's object list into the event log's own storage. Every
+// the appended row — its own copy of the name, which may point into a
+// frame, and its masks, in one allocation — and nothing else: the forks
+// go into the image each commit retires, result and reply into the
+// caller's scratch, the event's object list into the event log's own
+// storage. Every
 // allocation the apply did add would be paid once per update on each of
 // three replicas, in the benchmark's allocs_per_op. (11 while each update
 // forked into fresh storage and allocated its result and reply, 25 while

@@ -66,7 +66,9 @@ func DecodeBatchSteps(blob []byte) ([]*Request, error) {
 	if blob[0] != BatchVersion {
 		return nil, ErrBatchVersion
 	}
-	rd := &byteReader{buf: blob, off: 1}
+	// Each step's bytes are read in place: DecodeRequest copies what the
+	// step keeps.
+	rd := &byteReader{buf: blob, off: 1, alias: true}
 	n := int(rd.u16())
 	if rd.failed || n == 0 || n > MaxBatchSteps {
 		return nil, ErrBadRequest

@@ -46,8 +46,9 @@ type Backend interface {
 	// front end waits, bounded by MinSeqWait, for the floor.
 	WaitFloor(obj uint32, minSeq uint64) bool
 	// Replicate carries a gated, routed, seeded update through the kind's
-	// replication step, waits for the local apply, and returns its reply.
-	Replicate(req *Request) *Reply
+	// replication step, waits for the local apply, and fills reply, which
+	// the caller owns, with its outcome.
+	Replicate(req *Request, reply *Reply)
 }
 
 // LagHinter is the optional fourth hook: a non-blocking measure of how
@@ -280,14 +281,16 @@ func (f *FrontEnd) ReadsServed() uint64 { return f.reads.Load() }
 
 func status(s Status) *Reply { return &Reply{Status: s} }
 
-// scratch is one initiator thread's decode target and read answer. A
+// scratch is one initiator thread's decode target and answers. A
 // request does not outlive handleRPC — a backend encodes an update or
 // applies it, and the applier copies what it keeps (a prepare) — and a
-// read's reply is encoded into the worker's buffer before the scratch
-// goes back to the pool.
+// reply is encoded into the worker's buffer before the scratch goes back
+// to the pool. A read's and an update's reply are kept apart, so the
+// update's does not take the backing array of the read's Caps.
 type scratch struct {
-	req   Request
-	reply Reply
+	req    Request
+	reply  Reply
+	update Reply
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
@@ -307,7 +310,7 @@ func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 	case req.Op == OpLeaseRenew:
 		return f.renew(req).AppendTo(dst)
 	case req.Op.IsUpdate():
-		return f.Update(req).AppendTo(dst)
+		return f.updateInto(req, &sc.update).AppendTo(dst)
 	default:
 		return f.readInto(req, &sc.reply).AppendTo(dst)
 	}
@@ -399,7 +402,12 @@ func (f *FrontEnd) readInto(req *Request, reply *Reply) *Reply {
 
 // Update runs one update through the pipeline up to, and including, the
 // backend's replicate step.
-func (f *FrontEnd) Update(req *Request) *Reply {
+func (f *FrontEnd) Update(req *Request) *Reply { return f.updateInto(req, new(Reply)) }
+
+// updateInto is Update with the backend's outcome filled into reply,
+// which the caller owns; a refusal before the replicate step answers
+// with a reply of its own.
+func (f *FrontEnd) updateInto(req *Request, reply *Reply) *Reply {
 	if !f.backend.Ready(req.Op) {
 		return status(StatusNoMajority)
 	}
@@ -407,7 +415,8 @@ func (f *FrontEnd) Update(req *Request) *Reply {
 	// its turn in the lock-wait queue instead of being refused outright.
 	// The wait happens before replication, so the decide that releases
 	// the lock is never behind it; OpDecide itself has no wait targets.
-	if err := f.Applier.AwaitLockFree(LockWaitTargets(req, f.cfg.Shard), f.LockWait); err != nil {
+	var one [1]uint32
+	if err := f.Applier.AwaitLockFree(LockWaitTargets(one[:0], req, f.cfg.Shard), f.LockWait); err != nil {
 		return ErrorReply(err)
 	}
 	// An update addressing an object this shard no longer (or does not
@@ -424,7 +433,8 @@ func (f *FrontEnd) Update(req *Request) *Reply {
 	}
 	req.Server = f.cfg.ServerID
 	f.stack.Node().CPU().Charge(f.model.UpdateCPU)
-	return f.backend.Replicate(req)
+	f.backend.Replicate(req, reply)
+	return reply
 }
 
 // ensureSeeds chooses the check-field material of every directory the

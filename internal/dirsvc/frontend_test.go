@@ -30,14 +30,14 @@ func (b *fakeBackend) WaitFloor(uint32, uint64) bool {
 	return b.floor
 }
 
-func (b *fakeBackend) Replicate(req *Request) *Reply {
+func (b *fakeBackend) Replicate(req *Request, reply *Reply) {
 	b.calls = append(b.calls, "replicate")
 	b.got = req
 	res, err := b.front.Applier.ApplyUpdate(req, b.front.Applier.AppliedSeq()+1, false)
 	if err != nil {
-		return ErrorReply(err)
+		res = &ApplyResult{Reply: ErrorReply(err)}
 	}
-	return res.Reply
+	*reply = *res.Reply
 }
 
 // took returns the hooks called since the last took.

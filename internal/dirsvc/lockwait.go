@@ -2,6 +2,7 @@ package dirsvc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -42,57 +43,58 @@ func (a *Applier) SetLockWaitSlots(n int) {
 	a.mu.Unlock()
 }
 
-// LockWaitTargets returns the objects an update request would need
-// unlocked at this shard: the target directory of a plain mutation, or
-// every step target of a batch or prepare. OpDecide — and anything else
-// that never takes lock conflicts — returns nil: a decide *releases*
-// locks, and queuing it behind them would deadlock the release.
+// LockWaitTargets appends to dst, and returns, the objects an update
+// request would need unlocked at this shard: the target directory of a
+// plain mutation, or every step target of a batch or prepare. OpDecide —
+// and anything else that never takes lock conflicts — appends nothing: a
+// decide *releases* locks, and queuing it behind them would deadlock the
+// release. dst is the caller's storage (a single update's one target
+// fits in an array on its stack).
 //
 // A PREPARE queues only at the transaction's resolver shard (its lowest
-// participant); everywhere else it returns nil and a conflicting
+// participant); everywhere else it appends nothing and a conflicting
 // prepare fails fast. Plain updates and batches hold no locks while
 // parked, so only prepares can hold-and-wait — and a parked prepare
 // then waits at a shard strictly lower than any shard it holds locks
 // on, which makes a wait-for cycle (and so distributed deadlock between
 // concurrent coordinators) impossible: around any would-be cycle the
 // waited-on shard index would have to decrease forever.
-func LockWaitTargets(req *Request, shard int) []uint32 {
+func LockWaitTargets(dst []uint32, req *Request, shard int) []uint32 {
 	switch req.Op {
 	case OpDeleteDir, OpAppendRow, OpChmodRow, OpDeleteRow, OpReplaceSet:
 		if req.Dir.Object != 0 {
-			return []uint32{req.Dir.Object}
+			return append(dst, req.Dir.Object)
 		}
 	case OpBatch:
 		steps, err := DecodeBatchSteps(req.Blob)
 		if err != nil {
-			return nil
+			return dst
 		}
-		return stepTargets(steps)
+		return appendStepTargets(dst, steps)
 	case OpPrepare:
 		p, err := DecodePrepare(req.Blob)
 		if err != nil || p.Resolver != shard {
-			return nil
+			return dst
 		}
 		steps, err := DecodeBatchSteps(p.Steps)
 		if err != nil {
-			return nil
+			return dst
 		}
-		return stepTargets(steps)
+		return appendStepTargets(dst, steps)
 	}
-	return nil
+	return dst
 }
 
-// stepTargets collects the distinct nonzero target objects of a batch.
-func stepTargets(steps []*Request) []uint32 {
-	seen := make(map[uint32]bool, len(steps))
-	var objs []uint32
+// appendStepTargets appends the distinct nonzero target objects of a
+// batch to dst.
+func appendStepTargets(dst []uint32, steps []*Request) []uint32 {
+	first := len(dst)
 	for _, st := range steps {
-		if st.Dir.Object != 0 && !seen[st.Dir.Object] {
-			seen[st.Dir.Object] = true
-			objs = append(objs, st.Dir.Object)
+		if st.Dir.Object != 0 && !slices.Contains(dst[first:], st.Dir.Object) {
+			dst = append(dst, st.Dir.Object)
 		}
 	}
-	return objs
+	return dst
 }
 
 // AwaitLockFree blocks until none of objs is locked by a prepared

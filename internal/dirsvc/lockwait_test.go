@@ -201,29 +201,29 @@ func TestLockWaitTargetsResolverOnly(t *testing.T) {
 		ID: NewTxID(), Resolver: 1, Participants: []int{1, 3}, Steps: steps,
 	})}
 
-	if got := LockWaitTargets(prep, 1); len(got) != 2 || got[0] != 7 || got[1] != 9 {
+	if got := LockWaitTargets(nil, prep, 1); len(got) != 2 || got[0] != 7 || got[1] != 9 {
 		t.Fatalf("prepare at resolver shard: targets = %v, want [7 9]", got)
 	}
-	if got := LockWaitTargets(prep, 3); got != nil {
+	if got := LockWaitTargets(nil, prep, 3); got != nil {
 		t.Fatalf("prepare at non-resolver shard must not park: targets = %v", got)
 	}
 
 	// Decide never queues — it is what releases the locks.
 	dec := &Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: NewTxID(), Commit: true})}
-	if got := LockWaitTargets(dec, 1); got != nil {
+	if got := LockWaitTargets(nil, dec, 1); got != nil {
 		t.Fatalf("decide queued behind the locks it releases: %v", got)
 	}
 
 	// Plain updates and batches park at any shard: they hold nothing.
 	upd := &Request{Op: OpAppendRow, Dir: root, Name: "x"}
-	if got := LockWaitTargets(upd, 3); len(got) != 1 || got[0] != 7 {
+	if got := LockWaitTargets(nil, upd, 3); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("plain update targets = %v, want [7]", got)
 	}
 	batch := &Request{Op: OpBatch, Blob: steps}
-	if got := LockWaitTargets(batch, 3); len(got) != 2 {
+	if got := LockWaitTargets(nil, batch, 3); len(got) != 2 {
 		t.Fatalf("batch targets = %v, want both step objects", got)
 	}
-	if got := LockWaitTargets(&Request{Op: OpListDir, Dir: root}, 0); got != nil {
+	if got := LockWaitTargets(nil, &Request{Op: OpListDir, Dir: root}, 0); got != nil {
 		t.Fatalf("read op queued: %v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"sync"
 
 	"dirsvc/internal/vdisk"
@@ -41,10 +42,10 @@ type nvRecord struct {
 	offset int // start of the record header in the region
 	size   int // record header + payload (an encoded Request)
 
-	// Fields for cancellation matching.
+	// Fields for cancellation matching. A row op's name is read from the
+	// record itself (nameIn); a replace set's names are copied here.
 	op     OpCode
 	dirObj uint32
-	name   string
 	set    []string
 }
 
@@ -145,11 +146,16 @@ func (l *NVLog) seal(rec []byte) {
 // newNVRecord describes a live record of req at [offset, offset+size).
 func newNVRecord(req *Request, seq uint64, offset, size int) nvRecord {
 	rec := nvRecord{seq: seq, alive: true, offset: offset, size: size,
-		op: req.Op, dirObj: req.Dir.Object, name: req.Name}
+		op: req.Op, dirObj: req.Dir.Object}
 	for _, it := range req.Set {
-		rec.set = append(rec.set, it.Name)
+		rec.set = append(rec.set, strings.Clone(it.Name))
 	}
 	return rec
+}
+
+// nameIn returns the record's Name field as it lies in the region image.
+func (r *nvRecord) nameIn(img []byte) []byte {
+	return requestName(img[r.offset+nvRecHeaderSize : r.offset+r.size])
 }
 
 // storeFront brings the header up to date and stores the first n bytes
@@ -246,7 +252,7 @@ func (l *NVLog) compactLocked() error {
 func (l *NVLog) cancellableAppendLocked(dirObj uint32, name string) int {
 	for i := len(l.recs) - 1; i >= 0; i-- {
 		rec := &l.recs[i]
-		if !rec.alive || !rec.touches(dirObj, name) {
+		if !rec.alive || !rec.touches(l.img, dirObj, name) {
 			continue
 		}
 		if rec.op == OpAppendRow {
@@ -257,8 +263,9 @@ func (l *NVLog) cancellableAppendLocked(dirObj uint32, name string) int {
 	return -1
 }
 
-// touches reports whether the record affects (dirObj, name).
-func (r *nvRecord) touches(dirObj uint32, name string) bool {
+// touches reports whether the record, in the region image img, affects
+// (dirObj, name).
+func (r *nvRecord) touches(img []byte, dirObj uint32, name string) bool {
 	if r.op == OpBatch || r.op == OpPrepare || r.op == OpDecide {
 		// A batch — or a two-phase prepare/decide, whose staged steps are
 		// opaque here — may touch any directory and name; be conservative
@@ -276,7 +283,7 @@ func (r *nvRecord) touches(dirObj uint32, name string) bool {
 	case OpCreateDir, OpDeleteDir:
 		return true
 	case OpAppendRow, OpChmodRow, OpDeleteRow:
-		return r.name == name
+		return string(r.nameIn(img)) == name
 	case OpReplaceSet:
 		for _, n := range r.set {
 			if n == name {

@@ -348,7 +348,7 @@ func (t *ObjectTable) encodeBlockLocked(block int) []byte {
 		off := s * entrySlot
 		if e, ok := t.entries[obj]; ok {
 			raw[off] = slotUsed
-			copy(raw[off+1:off+1+capability.Size], e.Cap.Encode(nil))
+			e.Cap.Encode(raw[off+1 : off+1]) // in place: the slot has room
 			binary.BigEndian.PutUint64(raw[off+1+capability.Size:], e.Seq)
 			copy(raw[off+1+capability.Size+8:], e.Secret[:])
 			continue

@@ -5,10 +5,13 @@
 package dirsvc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
+	"unsafe"
 
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirdata"
@@ -364,23 +367,31 @@ func (r *Request) AppendTo(dst []byte) []byte {
 	return w.buf
 }
 
-// DecodeRequest parses a request into a fresh Request.
+// DecodeRequest parses a request into a fresh Request that shares no
+// memory with buf: what a caller decodes from a buffer that may change
+// (a log region, a record run, a batch blob) or keeps.
 func DecodeRequest(buf []byte) (*Request, error) {
 	r := &Request{}
-	if err := DecodeRequestInto(r, buf); err != nil {
+	if err := decodeRequest(r, byteReader{buf: buf}); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // DecodeRequestInto parses a request into r, which the caller owns and
-// may reuse from call to call: r is reset, and its Masks, Columns and Set
-// keep their backing arrays, so a warm decode allocates only the strings
-// and the CheckSeed and Blob bytes. Whatever outlives the caller's use of
-// r must be copied out of those three slices (Request.Clone); the strings
-// and byte slices are the request's own.
+// may reuse from call to call, without copying: buf must be a received
+// frame, which no one changes (see "Buffer ownership on the wire" in
+// ARCHITECTURE.md). r is reset and its Masks, Columns and Set keep their
+// backing arrays; its strings, CheckSeed and Blob point into buf — the
+// byte slices capped at their own length, so an append never writes into
+// the frame. A warm decode allocates nothing. Whatever outlives the
+// caller's use of r is copied out (Request.Clone, or the keeper's own
+// copy of the field it keeps).
 func DecodeRequestInto(r *Request, buf []byte) error {
-	rd := byteReader{buf: buf}
+	return decodeRequest(r, byteReader{buf: buf, alias: true})
+}
+
+func decodeRequest(r *Request, rd byteReader) error {
 	*r = Request{Masks: r.Masks[:0], Columns: r.Columns[:0], Set: r.Set[:0]}
 	r.Op = OpCode(rd.u8())
 	r.Dir = rd.cap()
@@ -422,14 +433,35 @@ func DecodeRequestInto(r *Request, buf []byte) error {
 	return nil
 }
 
-// Clone returns a copy of r that shares no slice with it: what a holder
-// of decode scratch keeps beyond its use of the scratch (a prepared
+// requestName returns the Name field of an encoded request without
+// decoding the rest: a slice of raw, nil when raw is too short to hold it.
+func requestName(raw []byte) []byte {
+	const at = 1 + capability.Size // Op, Dir
+	if len(raw) < at+2 {
+		return nil
+	}
+	n := int(binary.BigEndian.Uint16(raw[at:]))
+	if len(raw) < at+2+n {
+		return nil
+	}
+	return raw[at+2 : at+2+n]
+}
+
+// Clone returns a deep copy of r, strings included: what a holder of a
+// scratch decode keeps beyond its use of the scratch (a prepared
 // transaction's request).
 func (r *Request) Clone() *Request {
 	c := *r
+	c.Name = strings.Clone(r.Name)
 	c.Masks = slices.Clone(r.Masks)
 	c.Columns = slices.Clone(r.Columns)
+	for i, col := range c.Columns {
+		c.Columns[i] = strings.Clone(col)
+	}
 	c.Set = slices.Clone(r.Set)
+	for i := range c.Set {
+		c.Set[i].Name = strings.Clone(c.Set[i].Name)
+	}
 	c.CheckSeed = slices.Clone(r.CheckSeed)
 	c.Blob = slices.Clone(r.Blob)
 	return &c
@@ -465,20 +497,25 @@ func (r *Reply) AppendTo(dst []byte) []byte {
 	return w.buf
 }
 
-// DecodeReply parses a reply into a fresh Reply.
+// DecodeReply parses a reply into a fresh Reply that shares no memory
+// with buf.
 func DecodeReply(buf []byte) (*Reply, error) {
 	r := &Reply{}
-	if err := DecodeReplyInto(r, buf); err != nil {
+	if err := decodeReply(r, byteReader{buf: buf}); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// DecodeReplyInto parses a reply into r, the twin of DecodeRequestInto:
-// r is reset, and its Rows and Caps keep their backing arrays. Rows'
-// names, their masks and the Blob are the reply's own.
+// DecodeReplyInto parses a reply frame into r, the twin of
+// DecodeRequestInto: r is reset, its Rows and Caps keep their backing
+// arrays, and rows' names and the Blob point into buf. Rows' masks are
+// the reply's own.
 func DecodeReplyInto(r *Reply, buf []byte) error {
-	rd := byteReader{buf: buf}
+	return decodeReply(r, byteReader{buf: buf, alias: true})
+}
+
+func decodeReply(r *Reply, rd byteReader) error {
 	*r = Reply{Rows: r.Rows[:0], Caps: r.Caps[:0]}
 	r.Status = Status(rd.u8())
 	r.Cap = rd.cap()
@@ -536,11 +573,14 @@ func (w *writer) bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// byteReader is a bounds-checked cursor.
+// byteReader is a bounds-checked cursor. Its strings and byte fields are
+// copies of buf, or with alias set slices of it: buf must then never
+// change while what was read from it is in use.
 type byteReader struct {
 	buf    []byte
 	off    int
 	failed bool
+	alias  bool
 }
 
 func (r *byteReader) take(n int) []byte {
@@ -570,15 +610,22 @@ func (r *byteReader) u8() uint8   { return r.take(1)[0] }
 func (r *byteReader) u16() uint16 { return binary.BigEndian.Uint16(r.take(2)) }
 func (r *byteReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
 func (r *byteReader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
-func (r *byteReader) str() string { return string(r.take(int(r.u16()))) }
+func (r *byteReader) str() string {
+	b := r.take(int(r.u16()))
+	if r.alias && len(b) > 0 {
+		return unsafe.String(&b[0], len(b))
+	}
+	return string(b)
+}
 func (r *byteReader) lenBytes() []byte {
 	b := r.take(int(r.u32()))
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0 || r.failed:
 		return nil
+	case r.alias:
+		return b[:len(b):len(b)]
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return bytes.Clone(b)
 }
 func (r *byteReader) cap() capability.Capability {
 	c, err := capability.Decode(r.take(capability.Size))

@@ -89,7 +89,9 @@ func (s *Server) WaitFloor(uint32, uint64) bool { return true }
 // write — the metadata block — like a local Unix filesystem updating a
 // directory block. The directory contents stay in RAM (the OS buffer
 // cache); there is no second copy to make.
-func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
+func (s *Server) Replicate(req *dirsvc.Request, reply *dirsvc.Reply) { *reply = *s.replicate(req) }
+
+func (s *Server) replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.front.Applier.AppliedSeq() + 1

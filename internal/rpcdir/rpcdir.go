@@ -190,7 +190,9 @@ func (s *Server) Lag() int {
 }
 
 // Replicate is the paper's §1 write protocol.
-func (s *Server) Replicate(req *dirsvc.Request) *dirsvc.Reply {
+func (s *Server) Replicate(req *dirsvc.Request, reply *dirsvc.Reply) { *reply = *s.replicate(req) }
+
+func (s *Server) replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 

@@ -112,8 +112,7 @@ type Options struct {
 	// log) from its disk, applies go to RAM with the log as the
 	// critical-path durability, and recovery is checkpoint + log suffix
 	// instead of a full replay. This also closes the whole-shard-crash 2PC
-	// window (prepares and decides hit the log before the reply). Engine
-	// partitions also feed readonly secondaries (StartSecondary). New
+	// window (prepares and decides hit the log before the reply). New
 	// rejects it on KindGroupNVRAM, whose NVRAM log is that kind's
 	// critical-path durability; the RPC and local kinds ignore it.
 	DiskEngine bool
@@ -172,26 +171,6 @@ type machine struct {
 	// read serves one read at the server below the transport (group and
 	// RPC kinds; tests interrogate one specific server with it).
 	read func(*dirsvc.Request) *dirsvc.Reply
-	// tailed counts the secondaries fed from enginePart; while there are
-	// any, the server is booted tailed (core.Server.SetTailed).
-	tailed int
-}
-
-// setTailed records one secondary more (or less) on m's engine partition
-// and tells its running server when that switches tailing on or off.
-func (m *machine) setTailed(delta int) {
-	m.mu.Lock()
-	was := m.tailed > 0
-	m.tailed += delta
-	on := m.tailed > 0
-	srv := m.core
-	if m.stop == nil {
-		srv = nil // crashed: the next boot reads m.tailed
-	}
-	m.mu.Unlock()
-	if srv != nil && on != was {
-		srv.SetTailed(on)
-	}
 }
 
 // shardGroup is one independent replica group: a full instance of the
@@ -387,11 +366,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.stop = srv.Close
 		m.core = srv
 		m.read = srv.Read
-		tailed := m.tailed > 0
 		m.mu.Unlock()
-		if tailed {
-			srv.SetTailed(true)
-		}
 	case KindRPC:
 		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{FrontConfig: front, Staging: m.staging})
 		if err != nil {
@@ -415,8 +390,8 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 	return nil
 }
 
-// frontConfig is what every server kind — and a secondary — of shard sg
-// is told about its place in the deployment and its pipeline sizing.
+// frontConfig is what every server kind of shard sg is told about its
+// place in the deployment and its pipeline sizing.
 func (c *Cluster) frontConfig(sg *shardGroup, admin vdisk.Storage) dirsvc.FrontConfig {
 	return dirsvc.FrontConfig{
 		Service:        sg.service,
@@ -478,55 +453,6 @@ func (c *Cluster) NewBalancedClient(cache dir.CacheOptions, balance bool) (*dirc
 // sharded.
 func (c *Cluster) NewFileClient(dc *dirclient.Client) *bullet.Client {
 	return bullet.NewClient(dc.RPC(), dirsvc.PublicBulletPort(c.Service))
-}
-
-// StartSecondary boots a readonly secondary instance for one shard, fed
-// from replica id's storage-engine partition (checkpoint + log tail): it
-// answers balanced reads on the shard's service port — announcing itself
-// read-only on HEREIS, so clients route updates elsewhere — but holds no
-// vote and grants no leases. Requires Options.DiskEngine. The returned
-// cleanup shuts the instance down; Cluster.Close also covers it.
-func (c *Cluster) StartSecondary(shard, id int) (*core.Secondary, func(), error) {
-	sg := c.shard(shard)
-	m := c.shardMachine(shard, id)
-	if m.enginePart == nil {
-		return nil, nil, errors.New("faultdir: secondaries need Options.DiskEngine")
-	}
-	view, err := dirsvc.NewEngineView(m.enginePart)
-	if err != nil {
-		return nil, nil, err
-	}
-	node := c.Net.AddNode(c.nodeName("sec", shard, id))
-	stack := flip.NewStack(node)
-	// The scratch disk backs only the object-table mirror; it is never a
-	// durability source.
-	scratch := vdisk.New(c.opts.Model, adminBlocks)
-	admin, err := vdisk.NewPartition(scratch, 0, adminBlocks)
-	if err != nil {
-		stack.Close()
-		return nil, nil, err
-	}
-	// The primary keeps its log current for the secondary from before its
-	// first refresh.
-	m.setTailed(1)
-	sec, err := core.NewSecondary(stack, core.SecondaryConfig{FrontConfig: c.frontConfig(sg, admin), View: view})
-	if err != nil {
-		m.setTailed(-1)
-		stack.Close()
-		return nil, nil, err
-	}
-	var once sync.Once
-	cleanup := func() {
-		once.Do(func() {
-			sec.Close()
-			stack.Close()
-			m.setTailed(-1)
-		})
-	}
-	c.mu.Lock()
-	c.clients = append(c.clients, cleanup)
-	c.mu.Unlock()
-	return sec, cleanup, nil
 }
 
 // CheckpointShard forces a synchronous storage-engine checkpoint on

@@ -19,10 +19,8 @@
 // replica served. With -engine (-kind group only) every replica runs the
 // disk-backed storage engine — checkpoints plus a write-ahead log
 // instead of per-update object-table writes; status then shows each
-// server's checkpoint seq and log length, the checkpoint command cuts
-// a checkpoint by hand, and secondary <shard>/<id> boots a readonly
-// secondary that serves balanced reads off the primary's engine
-// partition (pair it with -read-balance).
+// server's checkpoint seq and log length, and the checkpoint command
+// cuts a checkpoint by hand.
 //
 // Commands (type "help" at the prompt):
 //
@@ -37,8 +35,6 @@
 //	crash <id> | restart <id> | partition <id...> | heal
 //	                       (sharded: address servers as <shard>/<id>)
 //	checkpoint [shard]     cut a storage-engine checkpoint (default: all shards)
-//	secondary <shard>/<id> start a readonly secondary off that replica's
-//	                       engine partition (requires -engine)
 //	split                  online shard split: bump the shard-map epoch and
 //	                       live-migrate the departing objects (boot with
 //	                       -active < -shards to have reserve shards)
@@ -60,7 +56,6 @@ import (
 	faultdir "dirsvc"
 
 	"dirsvc/dir"
-	"dirsvc/internal/core"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
 )
@@ -157,11 +152,6 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 	files := cluster.NewFileClient(client)
 	stopWatch := func() {} // cancels the active "watch" tail, if any
 	defer func() { stopWatch() }()
-	type secEntry struct {
-		shard, id int
-		sec       *core.Secondary
-	}
-	var secs []secEntry // readonly secondaries started from the shell
 	fmt.Println("ready. type \"help\".")
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -178,7 +168,7 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 			fmt.Println("ls [name] | mkdir <name> [shard] | rm <name> | put <name> | cat <name>")
 			fmt.Println("watch [name|*] | unwatch | crash <id> | restart <id> | partition <id...> | heal | split | status | quit")
 			if engine {
-				fmt.Println("engine: checkpoint [shard] | secondary [shard/]<id>")
+				fmt.Println("engine: checkpoint [shard]")
 			}
 			if cluster.Shards() > 1 {
 				fmt.Println("sharded: address servers as <shard>/<id>, e.g. crash 2/1")
@@ -370,38 +360,6 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 				}
 				fmt.Printf("shard %d checkpointed\n", s)
 			}
-		case "secondary":
-			if !engine {
-				fmt.Println("secondary: boot with -engine")
-				continue
-			}
-			if len(args) != 1 {
-				fmt.Println("usage: secondary [shard/]<server-id>")
-				continue
-			}
-			shard, id, err := parseServer(args[0], cluster.Shards(), cluster.ServersPerShard())
-			if err != nil {
-				fmt.Println(err)
-				continue
-			}
-			// A secondary installs the primary's checkpoint first; make
-			// sure one exists so it can serve immediately.
-			if err := cluster.CheckpointShard(shard); err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			sec, _, err := cluster.StartSecondary(shard, id)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			if err := sec.Refresh(); err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			secs = append(secs, secEntry{shard, id, sec})
-			fmt.Printf("readonly secondary on shard %d replica %d's engine partition (applied seq %d); balanced reads will spread to it\n",
-				shard, id, sec.AppliedSeq())
 		case "split":
 			epoch, err := client.SplitAndMigrate(bgCtx)
 			if err != nil {
@@ -444,10 +402,6 @@ func run(kindName string, scale float64, shards, active int, cache, leases, bala
 					}
 					fmt.Println()
 				}
-			}
-			for _, e := range secs {
-				fmt.Printf("secondary %d/%d: applied seq %d, %d reads served\n",
-					e.shard, e.id, e.sec.AppliedSeq(), e.sec.ReadsServed())
 			}
 			// The transport's adaptive-routing view: per-replica smoothed
 			// RTT, the server's last piggybacked load hint, and how the

@@ -15,8 +15,8 @@ import (
 // The storage-engine test schedule: whole-cluster crashes of the
 // plain-durable deployment with a prepared two-phase transaction (the
 // crash window the engine's write-ahead log closes), checkpoint +
-// log-suffix recovery, the backup/restore round trip on every backend
-// kind, and the readonly secondary tier's session-floor consistency.
+// log-suffix recovery and the backup/restore round trip on every backend
+// kind.
 
 // newEngineCluster boots a KindGroup deployment with the disk-backed
 // storage engine under every replica. The background checkpoint is
@@ -347,13 +347,13 @@ func TestBackupRestoreSurvivesRestart(t *testing.T) {
 }
 
 // TestOutcomeRecordsReplayAsOutcomes drives dirsvc.Applier.Replay from
-// both of its callers — a restarted primary's checkpoint + log-suffix
-// load and a secondary's log tail. The write-ahead log past the
-// checkpoint holds two decide records whose transactions are staged
-// nowhere: a coordinator's retried commit (the checkpoint already carries
-// its effects) and the presumed abort of a transaction nobody prepared.
-// Neither may apply as an update; both must leave the outcome answerable,
-// on the secondary and on every primary after a whole-cluster crash.
+// its caller, a restarted replica's checkpoint + log-suffix load. The
+// write-ahead log past the checkpoint holds two decide records whose
+// transactions are staged nowhere: a coordinator's retried commit (the
+// checkpoint already carries its effects) and the presumed abort of a
+// transaction nobody prepared. Neither may apply as an update; both must
+// leave the outcome answerable on every replica after a whole-cluster
+// crash.
 func TestOutcomeRecordsReplayAsOutcomes(t *testing.T) {
 	c := newEngineCluster(t, 1)
 	client, cleanup, err := c.NewClient()
@@ -403,134 +403,8 @@ func TestOutcomeRecordsReplayAsOutcomes(t *testing.T) {
 		}
 	}
 
-	sec, secCleanup, err := c.StartSecondary(0, 1)
-	if err != nil {
-		t.Fatalf("StartSecondary: %v", err)
-	}
-	defer secCleanup()
-	if err := sec.Refresh(); err != nil {
-		t.Fatalf("secondary refresh: %v", err)
-	}
-	check("secondary", sec.Read)
-
 	crashAndRestartAll(t, c)
 	for id := 1; id <= c.ServersPerShard(); id++ {
 		check(fmt.Sprintf("restarted server %d", id), c.machine(id).core.Read)
-	}
-}
-
-// TestSecondaryReadConsistency boots a readonly secondary fed from a
-// primary's engine partition and drives a balanced client through
-// write-then-read pairs: the session floor (Request.MinSeq) must keep
-// read-your-writes intact even when the balanced read lands on the
-// secondary — it either catches up past the floor or refuses so the
-// client fails over. The secondary must end up serving a share of the
-// reads, and must never accept an update.
-func TestSecondaryReadConsistency(t *testing.T) {
-	c := newEngineCluster(t, 1)
-
-	// Seed state and cut the first checkpoint so the secondary has a
-	// base image to install.
-	seed, seedCleanup, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seedCleanup()
-	root, err := seed.Root(bgCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := seed.CreateDir(bgCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Append(bgCtx, root, "seed", d, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckpointShard(0); err != nil {
-		t.Fatal(err)
-	}
-
-	sec, secCleanup, err := c.StartSecondary(0, 1)
-	if err != nil {
-		t.Fatalf("StartSecondary: %v", err)
-	}
-	defer secCleanup()
-	if err := sec.Refresh(); err != nil {
-		t.Fatalf("secondary refresh: %v", err)
-	}
-	if sec.AppliedSeq() == 0 {
-		t.Fatal("secondary installed no state from the checkpoint")
-	}
-
-	// A balanced client booted after the secondary joined sees all four
-	// responders on the shard port.
-	client, cleanup, err := c.NewBalancedClient(dir.CacheOptions{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-
-	// Write-then-read: every read must observe the write that precedes
-	// it, wherever it lands.
-	for i := 0; i < 25; i++ {
-		name := fmt.Sprintf("rw%02d", i)
-		if err := client.Append(bgCtx, d, name, d, nil); err != nil {
-			t.Fatalf("append %s: %v", name, err)
-		}
-		got, err := client.Lookup(bgCtx, d, name)
-		if err != nil {
-			t.Fatalf("read-your-write %s: %v", name, err)
-		}
-		if got != d {
-			t.Fatalf("read-your-write %s = %v, want %v", name, got, d)
-		}
-	}
-
-	// Drive floor-free reads until the secondary has demonstrably served
-	// some of the balanced load (it tails the log continuously, so it
-	// catches up within a refresh tick).
-	deadline := time.Now().Add(30 * time.Second)
-	for sec.ReadsServed() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("secondary never served a balanced read")
-		}
-		if _, err := client.Lookup(bgCtx, root, "seed"); err != nil {
-			t.Fatalf("balanced lookup: %v", err)
-		}
-	}
-
-	// The secondary keeps pace with the primaries' applied sequence.
-	if err := sec.Refresh(); err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
-	primary := c.machine(2).core.Status().AppliedSeq
-	if got := sec.AppliedSeq(); got < primary {
-		t.Fatalf("secondary applied %d lags primary %d after refresh", got, primary)
-	}
-
-	// Causal-token handoff: a second session that adopts the writer's
-	// floor must observe each write at once, also when its read lands on
-	// the secondary (which refuses below the floor until it has tailed
-	// that far). Its own floor would let the secondary serve a miss.
-	reader, readerCleanup, err := c.NewBalancedClient(dir.CacheOptions{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer readerCleanup()
-	served := sec.ReadsServed()
-	deadline = time.Now().Add(30 * time.Second)
-	for i := 0; sec.ReadsServed() == served || i < 25; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("secondary never served a read under an adopted floor")
-		}
-		name := fmt.Sprintf("handoff%03d", i)
-		if err := client.Append(bgCtx, d, name, d, nil); err != nil {
-			t.Fatalf("append %s: %v", name, err)
-		}
-		reader.AdoptFloor(0, client.SessionFloor(0))
-		if got, err := reader.Lookup(bgCtx, d, name); err != nil || got != d {
-			t.Fatalf("read of %s under the writer's floor = %v, %v; want %v", name, got, err, d)
-		}
 	}
 }

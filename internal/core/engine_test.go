@@ -262,7 +262,7 @@ func TestEngineViewChangeWritesItsOwnView(t *testing.T) {
 			if info.State != group.StateNormal || len(info.Members) != members || slices.Contains(info.Members, gone) {
 				return fmt.Errorf("server %d's member: %+v, want a view of %d without node %d", lagging, info, members, gone)
 			}
-			if id != 1 && !s1.Ready(dirsvc.OpAppendRow) {
+			if id != 1 && !s1.Ready() {
 				return errors.New("server 1 cannot serve")
 			}
 			return nil
@@ -296,31 +296,6 @@ func TestEngineViewChangeWritesItsOwnView(t *testing.T) {
 	}
 	if !g.onDisk(t, lagging, seq) {
 		t.Fatalf("server %d's commit block dropped server 1, but its disk lacks seq %d", lagging, seq)
-	}
-}
-
-// TestEngineTailedServerLogsAsItApplies: a server whose partition feeds a
-// secondary writes the pending run when tailing starts, and from then on
-// every record as it applies it, although no update of its own waits.
-func TestEngineTailedServerLogsAsItApplies(t *testing.T) {
-	g := bootEngineGroup(t, 3)
-	s1, s3 := g.servers[1], g.servers[3]
-	root, err := s1.front.Applier.RootCap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range []string{"before", "after"} {
-		if reply := appendRowAt(s1, root, name); reply.Status != dirsvc.StatusOK {
-			t.Fatalf("append %s: %v", name, reply.Status.Err())
-		}
-		seq := s1.front.Applier.AppliedSeq()
-		g.awaitApplied(t, 3, seq)
-		if i == 0 {
-			s3.SetTailed(true)
-		}
-		if !g.onDisk(t, 3, seq) {
-			t.Fatalf("tailed server 3 applied %q (seq %d) but its disk lacks it", name, seq)
-		}
 	}
 }
 

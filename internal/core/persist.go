@@ -307,7 +307,11 @@ func (e *engineLog) load() error {
 	if err := e.s.front.Applier.FormatRoot(false); err != nil {
 		return err
 	}
-	replayLog(e.s.front.Applier, e.eng.LogSuffix(ckptSeq))
+	for _, rec := range e.eng.LogSuffix(ckptSeq) {
+		if req, err := dirsvc.DecodeRequest(rec.Payload); err == nil {
+			e.s.front.Applier.Replay(req, rec.Seq)
+		}
+	}
 	return nil
 }
 
@@ -315,13 +319,4 @@ func (e *engineLog) load() error {
 // before the replica serves anything.
 func (e *engineLog) install(snap *dirsvc.Snapshot) error {
 	return e.s.installSnapshot(snap, false)
-}
-
-// replayLog applies engine log records on top of the replica's state.
-func replayLog(a *dirsvc.Applier, recs []dirsvc.LogRec) {
-	for _, rec := range recs {
-		if req, err := dirsvc.DecodeRequest(rec.Payload); err == nil {
-			a.Replay(req, rec.Seq)
-		}
-	}
 }

@@ -86,10 +86,8 @@ type Server struct {
 	// snapshots: handleSyncPull holds it while cutting one, so the
 	// transferred images and the group-stream position it advertises are
 	// always batch-aligned (never half a coalesced packet). It also guards
-	// persist and tailed, which is set while a readonly secondary tails
-	// the server's disk (SetTailed): every batch then syncs as it applies.
+	// persist.
 	applyMu sync.Mutex
-	tailed  bool
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -344,7 +342,7 @@ func (s *Server) Status() Status {
 // left side).
 
 // Ready is the majority gate, for reads and updates alike.
-func (s *Server) Ready(dirsvc.OpCode) bool {
+func (s *Server) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.majorityLocked()
@@ -616,9 +614,8 @@ func (s *Server) processGroupMsg(msg group.Msg) {
 	// Group commit (the engine's; record made the others durable): an
 	// update this server initiated is answered once it is on this disk,
 	// and the one sync carries every record queued since the last. Others
-	// wait for a local update, a commit-block write or a tick, except on a
-	// tailed disk, which feeds a secondary that reads only what is on disk.
-	if len(local) > 0 || s.tailed {
+	// wait for a local update, a commit-block write or a tick.
+	if len(local) > 0 {
 		if err := s.persist.sync(); err != nil {
 			for i := range local {
 				local[i].reply = *dirsvc.ErrorReply(err)
@@ -702,19 +699,6 @@ func (s *Server) Checkpoint() error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	return s.persist.checkpoint()
-}
-
-// SetTailed tells the server whether a readonly secondary tails its
-// engine partition. While one does, every batch syncs as it applies, not
-// when an update of the server's own waits, so the secondary finds the
-// whole applied stream on disk; switching on syncs at once.
-func (s *Server) SetTailed(on bool) {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	s.tailed = on
-	if on {
-		_ = s.persist.sync()
-	}
 }
 
 // flushLoop runs the persister's background work every tick: the NVRAM

@@ -271,7 +271,10 @@ func (c *Client) Geometry() (base, total int) { return c.base, c.total }
 
 // noteEpoch adopts a later shard-map epoch learned from a NOTMINE
 // bounce (or a shard-map read) and rehomes object-scoped Watch
-// subscriptions whose directory moved in the split.
+// subscriptions whose directory moved in the split. A moved
+// subscription's resync marker waits for the new home's first lease, as
+// Watch does: an update committed after the marker then reaches the
+// stream.
 func (c *Client) noteEpoch(epoch uint64) {
 	for {
 		cur := c.epoch.Load()
@@ -282,8 +285,18 @@ func (c *Client) noteEpoch(epoch uint64) {
 			break
 		}
 	}
-	for _, shard := range c.hub.rehome(c.homeOf) {
-		c.ensureWatcher(shard)
+	for shard, ids := range c.hub.rehome(c.homeOf) {
+		w := c.ensureWatcher(shard)
+		if w == nil {
+			return // closed
+		}
+		go func() {
+			select {
+			case <-w.ready:
+				c.hub.resync(shard, ids)
+			case <-c.watchStop:
+			}
+		}()
 	}
 }
 
@@ -325,8 +338,8 @@ func (c *Client) SessionFloor(shard int) uint64 {
 // externally learned sequence number — causal-token handoff: a client
 // that adopts another session's SessionFloor is guaranteed to observe
 // everything that session observed, even when its balanced reads land
-// on a readonly secondary that is still catching up (the secondary
-// refuses below the floor and the read fails over).
+// on a replica that is still catching up (the replica waits for the
+// floor, or refuses and the read fails over).
 func (c *Client) AdoptFloor(shard int, seq uint64) {
 	if shard < 0 || shard >= len(c.seqs) {
 		return
@@ -701,8 +714,7 @@ func (c *Client) ReplaceSet(ctx context.Context, dir capability.Capability, item
 // transactions and remembered decisions). The snapshot is the same
 // encoding the storage engine checkpoints, so it restores into any
 // backend kind via RestoreShard. Backups go through the read path —
-// with read balancing they may be served by a readonly secondary, which
-// is exactly the off-primary backup use case.
+// with read balancing they may be served by any replica of the shard.
 func (c *Client) Backup(ctx context.Context, shard int) ([]byte, error) {
 	if shard < 0 || shard >= len(c.conns) {
 		return nil, fmt.Errorf("shard %d of %d: %w", shard, len(c.conns), dirsvc.ErrBadRequest)

@@ -85,12 +85,13 @@ func (h *watchHub) remove(id uint64) {
 // after a shard-map epoch advance. A subscription whose directory moved
 // in a split switches to the new home's stream and owes its consumer a
 // resync marker — events committed at the new home before the switch
-// may have been missed. The returned shards need a running watcher
-// (ensureWatcher, called by the client outside the hub lock).
-func (h *watchHub) rehome(homeOf func(uint32) int) []int {
+// may have been missed. The returned subscriptions, keyed by new home,
+// get that marker from resync once the home's watcher holds a lease
+// (started by the client outside the hub lock).
+func (h *watchHub) rehome(homeOf func(uint32) int) map[int][]uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var need []int
+	var moved map[int][]uint64
 	for _, sub := range h.subs {
 		if sub.shard == -1 || sub.obj == 0 {
 			continue
@@ -100,14 +101,30 @@ func (h *watchHub) rehome(homeOf func(uint32) int) []int {
 			continue
 		}
 		sub.shard = home
-		need = append(need, home)
+		if moved == nil {
+			moved = make(map[int][]uint64)
+		}
+		moved[home] = append(moved[home], sub.id)
+	}
+	return moved
+}
+
+// resync sends shard's resync marker to the subscriptions ids that
+// still watch it, or owes it to those whose channel is full.
+func (h *watchHub) resync(shard int, ids []uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, id := range ids {
+		sub := h.subs[id]
+		if sub == nil || sub.shard != shard {
+			continue // gone, or rehomed again
+		}
 		select {
-		case sub.ch <- dir.Event{Shard: home, Type: dir.EventResync}:
+		case sub.ch <- dir.Event{Shard: shard, Type: dir.EventResync}:
 		default:
-			sub.owedResync[home] = true
+			sub.owedResync[shard] = true
 		}
 	}
-	return need
 }
 
 // closeAll closes every subscriber channel (client shutdown).

@@ -429,15 +429,15 @@ func (a *Applier) applyUpdateLocked(req *Request, seq uint64, durable bool, res 
 	}
 }
 
-// Replay re-applies one record of a recovery log (NVRAM log, engine
-// write-ahead log or its tail at a secondary) to the RAM state and
-// reports whether the state now reflects it. A decide whose transaction
-// is not staged here is a re-logged outcome record — the effects were
-// flushed or checkpointed before the crash — so it restores the
-// remembered outcome, keeping decision queries authoritative, instead of
-// applying. A record that no longer applies was flushed before the crash
-// that kept its log entry; it is skipped. Either way the record's
-// sequence number is used up: the applied sequence number advances to it.
+// Replay re-applies one record of a recovery log (NVRAM log or engine
+// write-ahead log) to the RAM state and reports whether the state now
+// reflects it. A decide whose transaction is not staged here is a
+// re-logged outcome record — the effects were flushed or checkpointed
+// before the crash — so it restores the remembered outcome, keeping
+// decision queries authoritative, instead of applying. A record that no
+// longer applies was flushed before the crash that kept its log entry;
+// it is skipped. Either way the record's sequence number is used up: the
+// applied sequence number advances to it.
 func (a *Applier) Replay(req *Request, seq uint64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()

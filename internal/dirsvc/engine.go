@@ -41,7 +41,7 @@ type Engine struct {
 	ckptSeq uint64 // applied sequence number the checkpoint covers
 	ckptLen uint32 // checkpoint payload length in bytes
 	ckptCRC uint32 // checkpoint payload CRC
-	ckptGen uint64 // bumped on every checkpoint (secondaries watch this)
+	ckptGen uint64 // bumped on every checkpoint; 0 until the first
 	logGen  uint64 // current log generation; records from others are stale
 	logTail int    // next free log block
 	recs    []LogRec
@@ -52,17 +52,6 @@ type Engine struct {
 type LogRec struct {
 	Seq     uint64
 	Payload []byte
-}
-
-// Manifest is the engine's root metadata block, decoded.
-type Manifest struct {
-	Active  byte
-	CkptSeq uint64
-	CkptLen uint32
-	CkptCRC uint32
-	CkptGen uint64
-	LogGen  uint64
-	MaxSeq  uint64
 }
 
 var engMagic = [4]byte{'E', 'N', 'G', '1'}
@@ -86,8 +75,8 @@ var (
 	ErrEngineFull = errors.New("dirsvc: engine log full")
 	// ErrNoCheckpoint is returned when no checkpoint has been written.
 	ErrNoCheckpoint = errors.New("dirsvc: no checkpoint")
-	// errTornManifest reports a manifest whose CRC does not match —
-	// retried by secondary readers racing a manifest flip.
+	// errTornManifest reports a manifest or checkpoint whose CRC does
+	// not match.
 	errTornManifest = errors.New("dirsvc: torn manifest")
 )
 
@@ -119,24 +108,15 @@ func OpenEngine(store vdisk.Storage) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{store: store, areaBlocks: areaBlocks, logStart: logStart, logBlocks: logBlocks, logTail: logStart}
-	m, err := readManifest(store)
-	switch {
+	switch err := e.readManifest(); {
 	case errors.Is(err, ErrNoCheckpoint):
-		// Fresh partition: write an empty manifest so a secondary can
-		// attach before the first checkpoint.
+		// Fresh partition: format it with an empty manifest, so every
+		// later open finds one.
 		if err := e.writeManifestLocked(); err != nil {
 			return nil, err
 		}
 	case err != nil:
 		return nil, err
-	default:
-		e.active = m.Active
-		e.ckptSeq = m.CkptSeq
-		e.ckptLen = m.CkptLen
-		e.ckptCRC = m.CkptCRC
-		e.ckptGen = m.CkptGen
-		e.logGen = m.LogGen
-		e.maxSeq = m.MaxSeq
 	}
 	recs, tail, err := scanLog(store, logStart, logBlocks, e.logGen)
 	if err != nil {
@@ -152,26 +132,28 @@ func OpenEngine(store vdisk.Storage) (*Engine, error) {
 	return e, nil
 }
 
-func readManifest(store vdisk.Storage) (*Manifest, error) {
-	raw, err := store.ReadBlock(0)
+// readManifest loads the root metadata block into e (before the engine
+// is shared). ErrNoCheckpoint means the partition was never formatted.
+func (e *Engine) readManifest() error {
+	raw, err := e.store.ReadBlock(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if [4]byte(raw[:4]) != engMagic {
-		return nil, ErrNoCheckpoint
+		return ErrNoCheckpoint
 	}
 	sum := binary.BigEndian.Uint32(raw[manifestLen-4 : manifestLen])
 	if crc32.ChecksumIEEE(raw[:manifestLen-4]) != sum {
-		return nil, errTornManifest
+		return errTornManifest
 	}
-	m := &Manifest{Active: raw[4]}
-	m.CkptSeq = binary.BigEndian.Uint64(raw[5:13])
-	m.CkptLen = binary.BigEndian.Uint32(raw[13:17])
-	m.CkptCRC = binary.BigEndian.Uint32(raw[17:21])
-	m.CkptGen = binary.BigEndian.Uint64(raw[21:29])
-	m.LogGen = binary.BigEndian.Uint64(raw[29:37])
-	m.MaxSeq = binary.BigEndian.Uint64(raw[37:45])
-	return m, nil
+	e.active = raw[4]
+	e.ckptSeq = binary.BigEndian.Uint64(raw[5:13])
+	e.ckptLen = binary.BigEndian.Uint32(raw[13:17])
+	e.ckptCRC = binary.BigEndian.Uint32(raw[17:21])
+	e.ckptGen = binary.BigEndian.Uint64(raw[21:29])
+	e.logGen = binary.BigEndian.Uint64(raw[29:37])
+	e.maxSeq = binary.BigEndian.Uint64(raw[37:45])
+	return nil
 }
 
 // writeManifestLocked persists the engine's root metadata. Must hold
@@ -410,64 +392,4 @@ func (e *Engine) MaxSeq() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.maxSeq
-}
-
-// EngineView is a read-only attachment to an engine partition, used by
-// readonly secondary instances that tail a primary's checkpoints and log
-// without ever writing. Every call re-reads the manifest, so a view
-// observes checkpoint flips as they commit; torn reads (racing a flip)
-// surface as errors the caller retries.
-type EngineView struct {
-	store      vdisk.Storage
-	areaBlocks int
-	logStart   int
-	logBlocks  int
-}
-
-// NewEngineView attaches a read-only view to an engine partition.
-func NewEngineView(store vdisk.Storage) (*EngineView, error) {
-	areaBlocks, logStart, logBlocks, err := engineLayout(store.Blocks())
-	if err != nil {
-		return nil, err
-	}
-	return &EngineView{store: store, areaBlocks: areaBlocks, logStart: logStart, logBlocks: logBlocks}, nil
-}
-
-// Manifest reads the current manifest. ErrNoCheckpoint means the
-// primary has not formatted the partition yet.
-func (v *EngineView) Manifest() (*Manifest, error) {
-	return readManifest(v.store)
-}
-
-// Checkpoint reads and verifies the checkpoint payload named by m.
-// A CRC mismatch (the primary flipped mid-read) returns an error; the
-// caller re-reads the manifest and retries.
-func (v *EngineView) Checkpoint(m *Manifest) ([]byte, error) {
-	if m.CkptGen == 0 {
-		return nil, ErrNoCheckpoint
-	}
-	raw, err := v.store.ReadRun(1+int(m.Active)*v.areaBlocks, int(m.CkptLen))
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(raw) != m.CkptCRC {
-		return nil, errTornManifest
-	}
-	return raw, nil
-}
-
-// LogSince scans the log generation named by m and returns the records
-// with sequence numbers beyond after.
-func (v *EngineView) LogSince(m *Manifest, after uint64) ([]LogRec, error) {
-	recs, _, err := scanLog(v.store, v.logStart, v.logBlocks, m.LogGen)
-	if err != nil {
-		return nil, err
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		if r.Seq > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }

@@ -290,43 +290,6 @@ func TestEngineCrashAtEveryStep(t *testing.T) {
 	}
 }
 
-func TestEngineViewFollowsPrimary(t *testing.T) {
-	disk := testEngineDisk(t)
-	e, err := OpenEngine(disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewEngineView(disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := v.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Checkpoint(m); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("view checkpoint before first flush: %v", err)
-	}
-	if err := e.WriteCheckpoint(7, []byte("view-ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendLog(8, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	m, err = v.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := v.Checkpoint(m)
-	if err != nil || string(blob) != "view-ckpt" {
-		t.Fatalf("view checkpoint = %q, %v", blob, err)
-	}
-	recs, err := v.LogSince(m, m.CkptSeq)
-	if err != nil || len(recs) != 1 || recs[0].Seq != 8 {
-		t.Fatalf("view log = %+v, %v", recs, err)
-	}
-}
-
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	snap := &Snapshot{
 		AppliedSeq: 11,

@@ -34,16 +34,16 @@ import (
 
 // Backend is what one server kind contributes to the pipeline.
 type Backend interface {
-	// Ready is the ready gate: may this server answer op right now? The
-	// group kinds require a majority (Fig. 5: "if (!majority) return
-	// failure"); a readonly secondary refuses everything but reads.
-	Ready(op OpCode) bool
+	// Ready is the ready gate: may this server answer a request right
+	// now? The group kinds require a majority (Fig. 5: "if (!majority)
+	// return failure").
+	Ready() bool
 	// WaitFloor is the catch-up step before a read of obj carrying the
 	// session floor minSeq (zero: none): the group kinds apply the group
 	// messages buffered at arrival, the RPC kind applies stored
-	// intentions, a secondary refreshes once if behind. False — the floor
-	// is unreachable here — sends the client elsewhere; otherwise the
-	// front end waits, bounded by MinSeqWait, for the floor.
+	// intentions. False — the floor is unreachable here — sends the
+	// client elsewhere; otherwise the front end waits, bounded by
+	// MinSeqWait, for the floor.
 	WaitFloor(obj uint32, minSeq uint64) bool
 	// Replicate carries a gated, routed, seeded update through the kind's
 	// replication step, waits for the local apply, and fills reply, which
@@ -74,8 +74,7 @@ type FrontConfig struct {
 	Shard, Shards, ActiveShards int
 	// Admin holds the commit block and the object table (Fig. 4).
 	Admin vdisk.Storage
-	// Bullet is the server's own file store; nil for instances that never
-	// write images through (readonly secondaries).
+	// Bullet is the server's own file store; each server kind sets it.
 	Bullet *bullet.Client
 	// Workers is the number of initiator threads (default 3).
 	Workers int
@@ -256,9 +255,6 @@ func (f *FrontEnd) Serve(backend Backend) error {
 	return nil
 }
 
-// RPC returns the client-facing RPC server (nil before Serve).
-func (f *FrontEnd) RPC() *rpc.Server { return f.rpcSrv }
-
 // Close stops serving and releases reads waiting for a floor. The backend
 // must already refuse new work, so initiators parked inside its hooks
 // return.
@@ -322,7 +318,7 @@ func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 // replica's log stops advancing, so a lease there would silently mask
 // foreign commits.
 func (f *FrontEnd) watch(rreq *rpc.Request, req *Request) *Reply {
-	if !f.backend.Ready(req.Op) {
+	if !f.backend.Ready() {
 		return status(StatusNoMajority)
 	}
 	addr := rreq.PushAddr()
@@ -336,7 +332,7 @@ func (f *FrontEnd) watch(rreq *rpc.Request, req *Request) *Reply {
 // renewal interval, bounding how long pushed invalidations can lag
 // commits on the majority side.
 func (f *FrontEnd) renew(req *Request) *Reply {
-	if !f.backend.Ready(req.Op) {
+	if !f.backend.Ready() {
 		return status(StatusNoMajority)
 	}
 	batch, ok := f.Notifier.Renew(req.Seq, req.MinSeq)
@@ -366,7 +362,7 @@ func (f *FrontEnd) Read(req *Request) *Reply { return f.readInto(req, &Reply{}) 
 // own instead.
 func (f *FrontEnd) readInto(req *Request, reply *Reply) *Reply {
 	obj := req.Dir.Object
-	if !f.backend.Ready(req.Op) || !f.backend.WaitFloor(obj, req.MinSeq) ||
+	if !f.backend.Ready() || !f.backend.WaitFloor(obj, req.MinSeq) ||
 		!f.Applier.WaitSeq(req.MinSeq, f.MinSeqWait, f.stop) {
 		// No majority, or the floor is unreachable here (lagging through
 		// recovery, shutdown): the client fails over to another replica.
@@ -408,7 +404,7 @@ func (f *FrontEnd) Update(req *Request) *Reply { return f.updateInto(req, new(Re
 // which the caller owns; a refusal before the replicate step answers
 // with a reply of its own.
 func (f *FrontEnd) updateInto(req *Request, reply *Reply) *Reply {
-	if !f.backend.Ready(req.Op) {
+	if !f.backend.Ready() {
 		return status(StatusNoMajority)
 	}
 	// An update aimed at objects locked by a prepared transaction waits
@@ -501,7 +497,7 @@ func (f *FrontEnd) txResolveLoop() {
 			return
 		case <-ticker.C:
 		}
-		if f.backend.Ready(OpDecide) {
+		if f.backend.Ready() {
 			ResolveOrphanTxs(f.Applier, f.cfg.Shard, f.cfg.Shards, f.TxAbort, strikes, decide, query)
 		}
 	}

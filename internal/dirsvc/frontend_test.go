@@ -20,7 +20,7 @@ type fakeBackend struct {
 	got          *Request // last replicated request
 }
 
-func (b *fakeBackend) Ready(OpCode) bool {
+func (b *fakeBackend) Ready() bool {
 	b.calls = append(b.calls, "ready")
 	return b.ready
 }

@@ -282,8 +282,8 @@ func (a *Applier) SnapshotState(appliedSeq, commitSeq uint64) *Snapshot {
 // outcomes. In durable mode every image is written through to the Bullet
 // store and the table blocks reach the disk; otherwise everything lands
 // in RAM, marked dirty. The applied sequence number becomes the
-// snapshot's MaxSeq. Recovery and the readonly secondary call this
-// directly; OpRestoreShard reaches it through the replicated update path.
+// snapshot's MaxSeq. Recovery calls this directly; OpRestoreShard
+// reaches it through the replicated update path.
 func (a *Applier) InstallSnapshot(snap *Snapshot, durable bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

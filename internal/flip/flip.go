@@ -28,17 +28,11 @@ type Msg struct {
 
 // HereIs is one HEREIS response to a locate: the responding host plus
 // the load hint it piggybacked (see Listener.SetHint). Hint is 0 for
-// responders that advertise none. ReadOnly marks responders that serve
-// only reads (a checkpoint-fed secondary instance); writers must be
-// routed to a responder without the flag.
+// responders that advertise none.
 type HereIs struct {
-	Src      sim.NodeID
-	Hint     byte
-	ReadOnly bool
+	Src  sim.NodeID
+	Hint byte
 }
-
-// HEREIS flag bits (the optional byte after the load hint).
-const hereIsReadOnly = 1 << 0
 
 // Frame kinds on the wire.
 const (
@@ -73,8 +67,6 @@ type Listener struct {
 	// hint, when set, supplies the load byte piggybacked on every HEREIS
 	// this port answers. It runs on the dispatcher and must not block.
 	hint func() byte
-	// readOnly marks this port's HEREIS answers with the read-only flag.
-	readOnly bool
 }
 
 // SetHint installs the load-hint source piggybacked on this port's
@@ -83,15 +75,6 @@ type Listener struct {
 func (l *Listener) SetHint(fn func() byte) {
 	l.mu.Lock()
 	l.hint = fn
-	l.mu.Unlock()
-}
-
-// SetReadOnly marks (or unmarks) the port as a read-only responder:
-// every HEREIS it answers carries the flag, so locating clients route
-// updates elsewhere.
-func (l *Listener) SetReadOnly(ro bool) {
-	l.mu.Lock()
-	l.readOnly = ro
 	l.mu.Unlock()
 }
 
@@ -104,17 +87,6 @@ func (l *Listener) hintByte() byte {
 		return 0
 	}
 	return fn()
-}
-
-// flagByte assembles the listener's HEREIS flag byte.
-func (l *Listener) flagByte() byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var f byte
-	if l.readOnly {
-		f |= hereIsReadOnly
-	}
-	return f
 }
 
 // Port returns the port the listener is bound to.
@@ -425,10 +397,9 @@ func (s *Stack) dispatch() {
 			s.mu.Unlock()
 			if l != nil {
 				// Echo the locate id back so the requester can correlate
-				// the reply, and piggyback the listener's load hint plus
-				// its flag byte (read-only responders announce themselves).
-				reply := append(newFrame(kindHereIs, port, 10), payload...)
-				reply = append(reply, l.hintByte(), l.flagByte())
+				// the reply, and piggyback the listener's load hint.
+				reply := append(newFrame(kindHereIs, port, 9), payload...)
+				reply = append(reply, l.hintByte())
 				_ = s.node.Unicast(frame.Src, reply)
 			}
 		case kindHereIs:
@@ -437,19 +408,16 @@ func (s *Stack) dispatch() {
 				continue
 			}
 			id := binary.BigEndian.Uint64(payload[:8])
-			var hint, flags byte
+			var hint byte
 			if len(payload) >= 9 {
 				hint = payload[8]
-			}
-			if len(payload) >= 10 {
-				flags = payload[9]
 			}
 			s.mu.Lock()
 			ch := s.locates[id]
 			s.mu.Unlock()
 			if ch != nil {
 				select {
-				case ch <- HereIs{Src: frame.Src, Hint: hint, ReadOnly: flags&hereIsReadOnly != 0}:
+				case ch <- HereIs{Src: frame.Src, Hint: hint}:
 				default:
 				}
 			}

@@ -78,7 +78,7 @@ func (s *Server) Close() { s.front.Close() }
 // The three dirsvc.Backend hooks follow.
 
 // Ready always admits: there is nobody to form a majority with.
-func (s *Server) Ready(dirsvc.OpCode) bool { return true }
+func (s *Server) Ready() bool { return true }
 
 // WaitFloor has nothing to catch up on: with a single server, every
 // floor a client session carries came from this server's own replies, so

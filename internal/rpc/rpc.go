@@ -158,7 +158,6 @@ type peer struct {
 	probes       uint64 // requests re-sent because a reply was overdue
 	inflight     int
 	down         chan struct{}
-	readOnly     bool // the HEREIS flag of a checkpoint-fed secondary (see chooseLocked)
 	owed         []uint64
 	since        time.Time
 }
@@ -929,7 +928,7 @@ func (c *Client) pickServer(ctx context.Context, port capability.Port, r route, 
 				// HEREIS piggybacked, so the first balanced picks already
 				// steer away from loaded replicas.
 				p := c.peerLocked(port, h.Src)
-				p.hint, p.readOnly = h.Hint, h.ReadOnly
+				p.hint = h.Hint
 				e.servers[i] = p
 			}
 			c.cache[port] = e
@@ -974,16 +973,7 @@ func (c *Client) chooseLocked(port capability.Port, e *portCache, r route) targe
 	pool := e.servers
 	if !r.balance {
 		// Unbalanced picks — all updates, plus reads from clients that
-		// opted out of balancing — land on the first responder without
-		// the read-only bit; read-only secondaries join the pool only for
-		// balanced reads. If every responder announced read-only, the
-		// first one takes the update and may refuse it, rather than the
-		// update failing to route at all.
-		for _, p := range pool {
-			if !p.readOnly {
-				return c.aimLocked(p)
-			}
-		}
+		// opted out of balancing — land on the first responder.
 		return c.aimLocked(pool[0])
 	}
 	server := pool[0]

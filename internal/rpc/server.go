@@ -237,13 +237,6 @@ func NewServer(stack *flip.Stack, port capability.Port) (*Server, error) {
 	return s, nil
 }
 
-// SetReadOnly marks this server's HEREIS answers with the read-only
-// flag: locating clients then route updates to other responders on the
-// same port (see Client.chooseLocked).
-func (s *Server) SetReadOnly(ro bool) {
-	s.listener.SetReadOnly(ro)
-}
-
 // Port returns the service port.
 func (s *Server) Port() capability.Port { return s.port }
 

@@ -160,7 +160,7 @@ func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply { return s.front.Read(r
 
 // Ready always admits: the service assumes partitions do not happen, and
 // a lone survivor keeps serving.
-func (s *Server) Ready(dirsvc.OpCode) bool { return true }
+func (s *Server) Ready() bool { return true }
 
 // WaitFloor applies any intention the peer proposed for the directory
 // that we have not applied yet, so the read observes every acknowledged

@@ -237,6 +237,9 @@ func TestReadBalanceLoadDistribution(t *testing.T) {
 // this work: each client sees the queue depth its peer is causing and
 // steers away from it, where inflight-only accounting (each client
 // counting only its own requests) would let both dogpile one replica.
+// The two sessions then hand a causal token over: one appends, the other
+// adopts its floor, and must read each write at once, wherever its
+// balanced read lands.
 func TestTwoClientsSpreadLoad(t *testing.T) {
 	c := newTestCluster(t, KindGroup)
 	const lookupsEach = 60
@@ -256,12 +259,14 @@ func TestTwoClientsSpreadLoad(t *testing.T) {
 	before := c.ShardReadCounts(0)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
+	var sessions [clients]*dirclient.Client
 	for n := 0; n < clients; n++ {
 		client, cl, err := c.NewBalancedClient(dir.CacheOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl()
+		sessions[n] = client
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
@@ -291,6 +296,20 @@ func TestTwoClientsSpreadLoad(t *testing.T) {
 				id, 100*share, total, perServer)
 		}
 	}
+
+	// Causal-token handoff: a replica behind the adopted floor waits for
+	// it, or refuses and the read fails over; it never answers a miss.
+	writer, reader := sessions[0], sessions[1]
+	for i := 0; i < 25; i++ {
+		name := fmt.Sprintf("handoff%02d", i)
+		if err := writer.Append(bgCtx, work, name, work, nil); err != nil {
+			t.Fatalf("append %s: %v", name, err)
+		}
+		reader.AdoptFloor(0, writer.SessionFloor(0))
+		if got, err := reader.Lookup(bgCtx, work, name); err != nil || got != work {
+			t.Fatalf("read of %s under the writer's floor = %v, %v; want %v", name, got, err, work)
+		}
+	}
 }
 
 // TestHedgingPreservesSessionFloor pins the interaction between hedged
@@ -300,6 +319,13 @@ func TestTwoClientsSpreadLoad(t *testing.T) {
 // own preceding write. A hedge that reached a lagging replica and let
 // it answer below the floor would surface here as ErrNotFound for a
 // name the same session just appended.
+//
+// What makes the hedge fire is a balanced read picked onto the cut-off
+// replica while it is still cached, with a latency sample to arm the
+// hedge timer. So the warm-up runs until every replica has a sample, and
+// the replica cut off is not the client's write target: updates go to
+// the first HEREIS responder, and an append sent to the cut-off replica
+// would evict it on a dead verdict before any read landed there.
 func TestHedgingPreservesSessionFloor(t *testing.T) {
 	c := newTestCluster(t, KindGroup)
 	client, cleanup, err := c.NewBalancedClient(dir.CacheOptions{}, true)
@@ -312,17 +338,34 @@ func TestHedgingPreservesSessionFloor(t *testing.T) {
 		t.Fatalf("CreateDir: %v", err)
 	}
 	appendWithRetry(t, client, work, "seed", work, 30*time.Second)
-	// Warm the picker so every replica has a latency sample; the hedge
+	// Warm the picker until every replica has a latency sample; the hedge
 	// timer arms off these.
-	for i := 0; i < 6; i++ {
+	for i := 0; ; i++ {
+		sampled := 0
+		for _, rs := range client.ReplicaStats(0) {
+			if rs.Samples > 0 {
+				sampled++
+			}
+		}
+		if sampled == c.ServersPerShard() {
+			break
+		}
+		if i == 200 {
+			t.Fatalf("warm-up left replicas unsampled: %+v", client.ReplicaStats(0))
+		}
 		if _, err := client.Lookup(bgCtx, work, "seed"); err != nil {
 			t.Fatalf("warm lookup %d: %v", i, err)
 		}
 	}
 
-	// Cut one replica off. The majority keeps committing; reads picked
-	// onto the dead replica go unanswered until the hedge fires.
-	c.PartitionShardServers(0, 2)
+	// Cut off one replica other than the write target. The majority keeps
+	// committing; reads picked onto the dead replica go unanswered until
+	// the hedge fires.
+	cut := 2
+	if c.machine(cut).dirNode.ID() == client.ReplicaStats(0)[0].Server {
+		cut = 3
+	}
+	c.PartitionShardServers(0, cut)
 	defer c.Heal()
 
 	for i := 0; i < 20; i++ {

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
 )
 
@@ -53,33 +53,19 @@ func (s *Store) encodeTableLocked() []byte {
 }
 
 func decodeTable(raw []byte) (map[uint32]*fileEntry, uint32, error) {
-	if len(raw) < 12 {
-		return nil, 0, ErrCorruptTable
-	}
-	var m [4]byte
-	copy(m[:], raw[:4])
-	if m != tableMagic {
+	rd := codec.NewReader(raw)
+	if [4]byte(rd.Take(4)) != tableMagic {
 		return nil, 0, fmt.Errorf("bad magic: %w", ErrCorruptTable)
 	}
-	nextObj := binary.BigEndian.Uint32(raw[4:8])
-	count := int(binary.BigEndian.Uint32(raw[8:12]))
-	if count < 0 || 12+count*entrySize > len(raw) {
-		return nil, 0, fmt.Errorf("entry count %d: %w", count, ErrCorruptTable)
+	nextObj, count := rd.U32(), rd.Count32(entrySize)
+	if rd.Failed() {
+		return nil, 0, fmt.Errorf("entry count: %w", ErrCorruptTable)
 	}
 	files := make(map[uint32]*fileEntry, count)
-	off := 12
-	for i := 0; i < count; i++ {
-		e := &fileEntry{
-			object: binary.BigEndian.Uint32(raw[off : off+4]),
-			start:  int(binary.BigEndian.Uint32(raw[off+4 : off+8])),
-			blocks: int(binary.BigEndian.Uint32(raw[off+8 : off+12])),
-			length: int(binary.BigEndian.Uint32(raw[off+12 : off+16])),
-		}
-		var sec capability.Secret
-		copy(sec[:], raw[off+16:off+22])
-		e.secret = sec
+	for range count {
+		e := &fileEntry{object: rd.U32(), start: int(rd.U32()), blocks: int(rd.U32()), length: int(rd.U32())}
+		copy(e.secret[:], rd.Take(len(e.secret)))
 		files[e.object] = e
-		off += entrySize
 	}
 	return files, nextObj, nil
 }

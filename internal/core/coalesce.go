@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirsvc"
 )
 
@@ -41,28 +42,15 @@ func packGroupEntries(dst []byte, ops []coalesceOp) []byte {
 // unpackGroupEntries appends the entries of a packed payload to entries,
 // each raw request a slice of payload; a malformed payload yields none.
 func unpackGroupEntries(entries []groupEntry, payload []byte) ([]groupEntry, error) {
-	if len(payload) < 3 || payload[0] != groupPayloadVersion {
+	rd := codec.NewAliasReader(payload)
+	version, n := rd.U8(), rd.Count16(8+4)
+	if version != groupPayloadVersion || n == 0 || n > maxCoalesce {
 		return nil, dirsvc.ErrBadRequest
 	}
-	n := int(binary.BigEndian.Uint16(payload[1:3]))
-	if n == 0 || n > maxCoalesce {
-		return nil, dirsvc.ErrBadRequest
+	for range n {
+		entries = append(entries, groupEntry{opID: rd.U64(), raw: rd.Bytes()})
 	}
-	off := 3
-	for i := 0; i < n; i++ {
-		if off+12 > len(payload) {
-			return nil, dirsvc.ErrBadRequest
-		}
-		opID := binary.BigEndian.Uint64(payload[off : off+8])
-		l := int(binary.BigEndian.Uint32(payload[off+8 : off+12]))
-		off += 12
-		if l < 0 || off+l > len(payload) {
-			return nil, dirsvc.ErrBadRequest
-		}
-		entries = append(entries, groupEntry{opID: opID, raw: payload[off : off+l]})
-		off += l
-	}
-	if off != len(payload) {
+	if !rd.Done() {
 		return nil, dirsvc.ErrBadRequest
 	}
 	return entries, nil

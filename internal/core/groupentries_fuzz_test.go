@@ -2,26 +2,11 @@ package core
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
+	"dirsvc/internal/codec/codectest"
 	"dirsvc/internal/dirsvc"
 )
-
-// allocatedBytes returns the bytes fn allocates, whole process: the least
-// of three calls, since the fuzzing worker's own goroutines allocate now
-// and then under the measurement, and fn allocates the same each time.
-func allocatedBytes(fn func()) uint64 {
-	least := ^uint64(0)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // repack decodes every entry's request and packs them again, as the
 // coalescing sender packs queued requests; false when an entry does not
@@ -48,7 +33,7 @@ func FuzzUnpackGroupEntries(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var entries []groupEntry
 		var err error
-		if grew := allocatedBytes(func() { entries, err = unpackGroupEntries(nil, payload) }); grew > 1024+16*uint64(len(payload)) {
+		if grew := codectest.Allocated(func() { entries, err = unpackGroupEntries(nil, payload) }); grew > codectest.AllocBound(len(payload)) {
 			t.Fatalf("unpacking %d bytes allocated %d", len(payload), grew)
 		}
 		if err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/group"
 	"dirsvc/internal/lastfail"
@@ -430,29 +432,22 @@ func upSet(c *dirsvc.CommitBlock) lastfail.Set {
 // Exchange blob: count u16, ids…, stayedUp u8.
 func encodeExchange(mourned lastfail.Set, stayedUp bool) []byte {
 	ids := mourned.Sorted()
-	buf := make([]byte, 0, 3+len(ids))
-	buf = append(buf, byte(len(ids)>>8), byte(len(ids)))
+	buf := binary.BigEndian.AppendUint16(make([]byte, 0, 3+len(ids)), uint16(len(ids)))
 	for _, id := range ids {
 		buf = append(buf, byte(id))
 	}
-	var up byte
-	if stayedUp {
-		up = 1
-	}
-	return append(buf, up)
+	return codec.AppendBool(buf, stayedUp)
 }
 
 func decodeExchange(blob []byte) (lastfail.Set, bool, error) {
-	if len(blob) < 3 {
-		return nil, false, errors.New("core: short exchange blob")
+	rd := codec.NewReader(blob)
+	mourned := lastfail.NewSet()
+	for range rd.Count16(1) {
+		mourned[int(rd.U8())] = true
 	}
-	n := int(blob[0])<<8 | int(blob[1])
-	if len(blob) != 3+n {
+	stayedUp := rd.Bool()
+	if !rd.Done() {
 		return nil, false, errors.New("core: bad exchange blob")
 	}
-	mourned := lastfail.NewSet()
-	for i := 0; i < n; i++ {
-		mourned[int(blob[2+i])] = true
-	}
-	return mourned, blob[2+n] == 1, nil
+	return mourned, stayedUp, nil
 }

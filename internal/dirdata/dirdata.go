@@ -25,6 +25,7 @@ import (
 	"unsafe"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 )
 
 var (
@@ -300,66 +301,29 @@ func (d *Directory) Encode() []byte {
 
 // Decode parses a directory image produced by Encode.
 func Decode(buf []byte) (*Directory, error) {
-	r := reader{buf: buf}
-	var m [4]byte
-	r.bytes(m[:])
-	if m != magic {
+	rd := codec.NewReader(buf)
+	if [4]byte(rd.Take(4)) != magic {
 		return nil, fmt.Errorf("bad magic: %w", ErrCorrupt)
 	}
-	d := &Directory{Seq: r.uint64()}
-	ncols := int(r.uint16())
+	d := &Directory{Seq: rd.U64()}
+	ncols := rd.Count16(1)
 	if ncols > 64 {
 		return nil, fmt.Errorf("%d columns: %w", ncols, ErrCorrupt)
 	}
 	d.Columns = make([]string, 0, ncols)
-	for i := 0; i < ncols; i++ {
-		d.Columns = append(d.Columns, string(r.lenBytes()))
+	for range ncols {
+		d.Columns = append(d.Columns, string(rd.Take(int(rd.U8()))))
 	}
-	nrows := int(r.uint32())
-	if nrows > 1<<20 {
-		return nil, fmt.Errorf("%d rows: %w", nrows, ErrCorrupt)
-	}
-	for i := 0; i < nrows; i++ {
-		row := Row{Name: string(r.lenBytes())}
-		var capBuf [capability.Size]byte
-		r.bytes(capBuf[:])
-		c, err := capability.Decode(capBuf[:])
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, ErrCorrupt)
-		}
-		row.Cap = c
-		row.ColMasks = make([]capability.Rights, ncols)
-		for j := 0; j < ncols; j++ {
-			row.ColMasks[j] = capability.Rights(r.uint8())
+	for range rd.Count32(1 + capability.Size + ncols) {
+		row := Row{Name: string(rd.Take(int(rd.U8()))), ColMasks: make([]capability.Rights, ncols)}
+		row.Cap, _ = capability.Decode(rd.Take(capability.Size)) // Take holds Size bytes, or as many zeros
+		for j := range row.ColMasks {
+			row.ColMasks[j] = capability.Rights(rd.U8())
 		}
 		d.Rows = append(d.Rows, row)
 	}
-	if r.failed || r.off != len(buf) {
+	if !rd.Done() {
 		return nil, ErrCorrupt
 	}
 	return d, nil
 }
-
-// reader is a bounds-checked cursor over an encoded image.
-type reader struct {
-	buf    []byte
-	off    int
-	failed bool
-}
-
-func (r *reader) take(n int) []byte {
-	if r.failed || r.off+n > len(r.buf) {
-		r.failed = true
-		return make([]byte, n)
-	}
-	out := r.buf[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) bytes(dst []byte) { copy(dst, r.take(len(dst))) }
-func (r *reader) uint8() uint8     { return r.take(1)[0] }
-func (r *reader) uint16() uint16   { return binary.BigEndian.Uint16(r.take(2)) }
-func (r *reader) uint32() uint32   { return binary.BigEndian.Uint32(r.take(4)) }
-func (r *reader) uint64() uint64   { return binary.BigEndian.Uint64(r.take(8)) }
-func (r *reader) lenBytes() []byte { return r.take(int(r.uint8())) }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 )
 
 // BatchVersion is the wire version of the OpBatch payload. Decoders
@@ -48,38 +49,29 @@ func NewBatchRequest(steps []*Request) *Request {
 
 // EncodeBatchSteps serializes batch steps as the versioned OpBatch blob.
 func EncodeBatchSteps(steps []*Request) []byte {
-	w := newWriter()
-	w.u8(BatchVersion)
-	w.u16(uint16(len(steps)))
+	b := binary.BigEndian.AppendUint16(append(make([]byte, 0, 128), BatchVersion), uint16(len(steps)))
 	for _, st := range steps {
-		w.bytes(st.Encode())
+		b = codec.AppendBytes(b, st.Encode())
 	}
-	return w.buf
+	return b
 }
 
 // DecodeBatchSteps parses an OpBatch blob. Every step must itself be an
 // update operation; nested batches and reads are rejected.
 func DecodeBatchSteps(blob []byte) ([]*Request, error) {
-	if len(blob) < 1 {
-		return nil, ErrBadRequest
-	}
-	if blob[0] != BatchVersion {
-		return nil, ErrBatchVersion
-	}
 	// Each step's bytes are read in place: DecodeRequest copies what the
 	// step keeps.
-	rd := &byteReader{buf: blob, off: 1, alias: true}
-	n := int(rd.u16())
-	if rd.failed || n == 0 || n > MaxBatchSteps {
+	rd := codec.NewAliasReader(blob)
+	if v := rd.U8(); !rd.Failed() && v != BatchVersion {
+		return nil, ErrBatchVersion
+	}
+	n := rd.Count16(4)
+	if n == 0 || n > MaxBatchSteps {
 		return nil, ErrBadRequest
 	}
 	steps := make([]*Request, 0, n)
-	for i := 0; i < n; i++ {
-		raw := rd.lenBytes()
-		if rd.failed {
-			return nil, ErrBadRequest
-		}
-		st, err := DecodeRequest(raw)
+	for i := range n {
+		st, err := DecodeRequest(rd.Bytes())
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +80,7 @@ func DecodeBatchSteps(blob []byte) ([]*Request, error) {
 		}
 		steps = append(steps, st)
 	}
-	if rd.off != len(blob) {
+	if !rd.Done() {
 		return nil, ErrBadRequest
 	}
 	return steps, nil
@@ -97,46 +89,39 @@ func DecodeBatchSteps(blob []byte) ([]*Request, error) {
 // EncodeBatchResults serializes the per-step results of an applied batch
 // (the reply blob).
 func EncodeBatchResults(results []BatchStepResult) []byte {
-	w := newWriter()
-	w.u8(BatchVersion)
-	w.u16(uint16(len(results)))
+	b := binary.BigEndian.AppendUint16(append(make([]byte, 0, 128), BatchVersion), uint16(len(results)))
 	for _, res := range results {
-		w.cap(res.Cap)
-		w.u16(uint16(len(res.Caps)))
+		b = binary.BigEndian.AppendUint16(res.Cap.Encode(b), uint16(len(res.Caps)))
 		for _, c := range res.Caps {
-			w.cap(c)
+			b = c.Encode(b)
 		}
 	}
-	return w.buf
+	return b
 }
 
 // DecodeBatchResults parses a batch reply blob.
 func DecodeBatchResults(blob []byte) ([]BatchStepResult, error) {
-	if len(blob) < 1 {
-		return nil, ErrBadRequest
-	}
-	if blob[0] != BatchVersion {
+	rd := codec.NewReader(blob)
+	if v := rd.U8(); !rd.Failed() && v != BatchVersion {
 		return nil, ErrBatchVersion
 	}
-	rd := &byteReader{buf: blob, off: 1}
-	n := int(rd.u16())
-	if rd.failed || n > MaxBatchSteps {
+	n := rd.Count16(capability.Size + 2)
+	if n > MaxBatchSteps {
 		return nil, ErrBadRequest
 	}
 	results := make([]BatchStepResult, 0, n)
-	for i := 0; i < n; i++ {
-		var res BatchStepResult
-		res.Cap = rd.cap()
-		nc := int(rd.u16())
-		if rd.failed || nc > MaxBatchSteps {
+	for range n {
+		res := BatchStepResult{Cap: readCap(&rd)}
+		nc := rd.Count16(capability.Size)
+		if nc > MaxBatchSteps {
 			return nil, ErrBadRequest
 		}
-		for j := 0; j < nc; j++ {
-			res.Caps = append(res.Caps, rd.cap())
+		for range nc {
+			res.Caps = append(res.Caps, readCap(&rd))
 		}
 		results = append(results, res)
 	}
-	if rd.failed || rd.off != len(blob) {
+	if !rd.Done() {
 		return nil, ErrBadRequest
 	}
 	return results, nil
@@ -151,10 +136,9 @@ func EncodeBatchFailIndex(idx int) []byte {
 // DecodeBatchFailIndex recovers the failing step index from an error
 // reply's blob; ok is false when the blob does not carry one.
 func DecodeBatchFailIndex(blob []byte) (int, bool) {
-	if len(blob) != 4 {
-		return 0, false
-	}
-	return int(binary.BigEndian.Uint32(blob)), true
+	rd := codec.NewReader(blob)
+	idx := int(rd.U32())
+	return idx, rd.Done()
 }
 
 // EnsureBatchSeeds fills the CheckSeed of every create-dir step that has

@@ -3,7 +3,9 @@ package dirsvc
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
 )
 
@@ -42,24 +44,13 @@ var ErrCorruptCommit = errors.New("dirsvc: corrupt commit block")
 // Encode serializes the commit block into one disk block.
 func (c *CommitBlock) Encode() []byte {
 	buf := make([]byte, 0, 32+len(c.Up))
-	buf = append(buf, commitMagic[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
-	if c.Recovering {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = append(buf, uint8(len(c.Up)))
+	buf = binary.BigEndian.AppendUint64(append(buf, commitMagic[:]...), c.Seq)
+	buf = append(codec.AppendBool(buf, c.Recovering), uint8(len(c.Up)))
 	for _, up := range c.Up {
-		if up {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = codec.AppendBool(buf, up)
 	}
 	if c.Topo != nil {
-		buf = append(buf, 1)
-		buf = append(buf, EncodeTopoState(c.Topo)...)
+		buf = append(codec.AppendBool(buf, true), EncodeTopoState(c.Topo)...)
 	}
 	return buf
 }
@@ -68,47 +59,29 @@ func (c *CommitBlock) Encode() []byte {
 // decodes as a fresh commit block for n servers with every bit down and
 // sequence number zero.
 func DecodeCommitBlock(raw []byte, n int) (*CommitBlock, error) {
-	zero := true
-	for _, b := range raw {
-		if b != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
+	if !slices.ContainsFunc(raw, func(b byte) bool { return b != 0 }) {
 		return &CommitBlock{Up: make([]bool, n)}, nil
 	}
-	if len(raw) < 14 {
+	rd := codec.NewReader(raw)
+	magic := [4]byte(rd.Take(4))
+	c := &CommitBlock{Seq: rd.U64(), Recovering: rd.Bool()}
+	count := rd.Count8(1)
+	if rd.Failed() || magic != commitMagic || count > 64 {
 		return nil, ErrCorruptCommit
 	}
-	var m [4]byte
-	copy(m[:], raw[:4])
-	if m != commitMagic {
-		return nil, ErrCorruptCommit
+	c.Up = make([]bool, count, max(count, n))
+	for i := range c.Up {
+		c.Up[i] = rd.Bool()
 	}
-	c := &CommitBlock{
-		Seq:        binary.BigEndian.Uint64(raw[4:12]),
-		Recovering: raw[12] == 1,
-	}
-	count := int(raw[13])
-	if count > 64 || 14+count > len(raw) {
-		return nil, ErrCorruptCommit
-	}
-	c.Up = make([]bool, count)
-	for i := 0; i < count; i++ {
-		c.Up[i] = raw[14+i] == 1
-	}
-	if off := 14 + count; off < len(raw) && raw[off] == 1 {
-		topo, err := DecodeTopoState(raw[off+1:])
+	if rd.Bool() {
+		topo, err := DecodeTopoState(rd.Rest())
 		if err != nil {
 			return nil, ErrCorruptCommit
 		}
 		c.Topo = topo
 	}
-	if count < n {
-		// Service grew; extend with down bits.
-		c.Up = append(c.Up, make([]bool, n-count)...)
-	}
+	// A service that grew extends the vector with down bits.
+	c.Up = c.Up[:max(count, n)]
 	return c, nil
 }
 

@@ -1,9 +1,12 @@
 package dirsvc
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dirsvc/internal/codec"
 )
 
 // This file is the server half of the push-based coherence subsystem:
@@ -57,50 +60,32 @@ type EventBatch struct {
 
 // EncodeEventBatch serializes a batch (Reply.Blob, push payloads).
 func EncodeEventBatch(b *EventBatch) []byte {
-	w := newWriter()
-	w.u64(b.LogID)
-	w.u64(b.FirstIdx)
-	w.u32(b.TTLMillis)
-	if b.Resync {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u32(uint32(len(b.Events)))
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 128), b.LogID)
+	buf = binary.BigEndian.AppendUint64(buf, b.FirstIdx)
+	buf = binary.BigEndian.AppendUint32(buf, b.TTLMillis)
+	buf = binary.BigEndian.AppendUint32(codec.AppendBool(buf, b.Resync), uint32(len(b.Events)))
 	for _, ev := range b.Events {
-		w.u64(ev.Seq)
-		w.u8(uint8(ev.Op))
-		w.u16(uint16(len(ev.Objects)))
+		buf = append(binary.BigEndian.AppendUint64(buf, ev.Seq), uint8(ev.Op))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(ev.Objects)))
 		for _, obj := range ev.Objects {
-			w.u32(obj)
+			buf = binary.BigEndian.AppendUint32(buf, obj)
 		}
 	}
-	return w.buf
+	return buf
 }
 
 // DecodeEventBatch parses a batch.
 func DecodeEventBatch(buf []byte) (*EventBatch, error) {
-	rd := &byteReader{buf: buf}
-	b := &EventBatch{}
-	b.LogID = rd.u64()
-	b.FirstIdx = rd.u64()
-	b.TTLMillis = rd.u32()
-	b.Resync = rd.u8() == 1
-	n := int(rd.u32())
-	if n > 1<<20 {
-		return nil, ErrBadRequest
-	}
-	for i := 0; i < n; i++ {
-		var ev Event
-		ev.Seq = rd.u64()
-		ev.Op = OpCode(rd.u8())
-		nobj := int(rd.u16())
-		for j := 0; j < nobj; j++ {
-			ev.Objects = append(ev.Objects, rd.u32())
+	rd := codec.NewReader(buf)
+	b := &EventBatch{LogID: rd.U64(), FirstIdx: rd.U64(), TTLMillis: rd.U32(), Resync: rd.Bool()}
+	for range rd.Count32(8 + 1 + 2) {
+		ev := Event{Seq: rd.U64(), Op: OpCode(rd.U8())}
+		for range rd.Count16(4) {
+			ev.Objects = append(ev.Objects, rd.U32())
 		}
 		b.Events = append(b.Events, ev)
 	}
-	if rd.failed {
+	if rd.Failed() {
 		return nil, ErrBadRequest
 	}
 	return b, nil

@@ -1,9 +1,11 @@
 package dirsvc
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 )
 
 // Shard-map epochs layer elastic topology over the residue rule. A
@@ -103,15 +105,12 @@ func (t *TopoState) Clone() TopoState { return *t }
 // peer u32 | floor u32 | allocfloor u32. Fixed size (TopoStateLen); a
 // decoder may be handed a longer buffer and ignores the tail.
 func EncodeTopoState(t *TopoState) []byte {
-	var w writer
-	w.u64(t.Epoch)
-	w.u32(uint32(t.Base))
-	w.u32(uint32(t.Total))
-	w.u8(t.MigPhase)
-	w.u32(uint32(t.MigPeer))
-	w.u32(t.MigFloor)
-	w.u32(t.AllocFloor)
-	return w.buf
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, TopoStateLen), t.Epoch)
+	b = binary.BigEndian.AppendUint32(b, uint32(t.Base))
+	b = append(binary.BigEndian.AppendUint32(b, uint32(t.Total)), t.MigPhase)
+	b = binary.BigEndian.AppendUint32(b, uint32(t.MigPeer))
+	b = binary.BigEndian.AppendUint32(b, t.MigFloor)
+	return binary.BigEndian.AppendUint32(b, t.AllocFloor)
 }
 
 // TopoStateLen is the encoded size of a TopoState.
@@ -120,16 +119,17 @@ const TopoStateLen = 8 + 4 + 4 + 1 + 4 + 4 + 4
 // DecodeTopoState parses an EncodeTopoState blob (extra trailing bytes
 // are ignored, so it can decode in place from a block tail).
 func DecodeTopoState(raw []byte) (*TopoState, error) {
-	r := byteReader{buf: raw}
-	t := &TopoState{}
-	t.Epoch = r.u64()
-	t.Base = int(r.u32())
-	t.Total = int(r.u32())
-	t.MigPhase = r.u8()
-	t.MigPeer = int(r.u32())
-	t.MigFloor = r.u32()
-	t.AllocFloor = r.u32()
-	if r.failed {
+	rd := codec.NewReader(raw)
+	t := &TopoState{
+		Epoch:      rd.U64(),
+		Base:       int(rd.U32()),
+		Total:      int(rd.U32()),
+		MigPhase:   rd.U8(),
+		MigPeer:    int(rd.U32()),
+		MigFloor:   rd.U32(),
+		AllocFloor: rd.U32(),
+	}
+	if rd.Failed() {
 		return nil, errors.New("dirsvc: bad topo state")
 	}
 	return t, nil
@@ -138,18 +138,14 @@ func DecodeTopoState(raw []byte) (*TopoState, error) {
 // EncodeNotMine renders the StatusNotMine reply blob: the replying
 // shard's epoch and the shard it believes owns the object.
 func EncodeNotMine(epoch uint64, shard int) []byte {
-	var w writer
-	w.u64(epoch)
-	w.u32(uint32(shard))
-	return w.buf
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, epoch), uint32(shard))
 }
 
 // DecodeNotMine parses a StatusNotMine reply blob.
 func DecodeNotMine(raw []byte) (epoch uint64, shard int, err error) {
-	r := byteReader{buf: raw}
-	epoch = r.u64()
-	shard = int(r.u32())
-	if r.failed {
+	rd := codec.NewReader(raw)
+	epoch, shard = rd.U64(), int(rd.U32())
+	if rd.Failed() {
 		return 0, 0, errors.New("dirsvc: bad notmine blob")
 	}
 	return epoch, shard, nil
@@ -167,39 +163,28 @@ type ShardMapInfo struct {
 
 // EncodeShardMapInfo renders an OpShardMap reply blob.
 func EncodeShardMapInfo(info *ShardMapInfo) []byte {
-	var w writer
-	w.bytes(EncodeTopoState(&info.Topo))
-	w.u32(uint32(info.Objects))
-	w.u32(uint32(info.Stubs))
-	w.u32(uint32(len(info.Moving)))
+	b := codec.AppendBytes(nil, EncodeTopoState(&info.Topo))
+	b = binary.BigEndian.AppendUint32(b, uint32(info.Objects))
+	b = binary.BigEndian.AppendUint32(b, uint32(info.Stubs))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(info.Moving)))
 	for _, obj := range info.Moving {
-		w.u32(obj)
+		b = binary.BigEndian.AppendUint32(b, obj)
 	}
-	return w.buf
+	return b
 }
 
 // DecodeShardMapInfo parses an OpShardMap reply blob.
 func DecodeShardMapInfo(raw []byte) (*ShardMapInfo, error) {
-	r := byteReader{buf: raw}
-	topoRaw := r.lenBytes()
-	if r.failed {
-		return nil, errors.New("dirsvc: bad shard map blob")
-	}
-	topo, err := DecodeTopoState(topoRaw)
+	rd := codec.NewReader(raw)
+	topo, err := DecodeTopoState(rd.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	info := &ShardMapInfo{Topo: *topo}
-	info.Objects = int(r.u32())
-	info.Stubs = int(r.u32())
-	n := int(r.u32())
-	if r.failed || n < 0 || n > 1<<20 {
-		return nil, errors.New("dirsvc: bad shard map blob")
+	info := &ShardMapInfo{Topo: *topo, Objects: int(rd.U32()), Stubs: int(rd.U32())}
+	for range rd.Count32(4) {
+		info.Moving = append(info.Moving, rd.U32())
 	}
-	for i := 0; i < n; i++ {
-		info.Moving = append(info.Moving, r.u32())
-	}
-	if r.failed {
+	if rd.Failed() {
 		return nil, errors.New("dirsvc: bad shard map blob")
 	}
 	return info, nil

@@ -1,11 +1,13 @@
 package dirsvc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirdata"
 )
 
@@ -99,120 +101,83 @@ func (s *Snapshot) MaxSeq() uint64 {
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
-	w := newWriter()
-	w.buf = append(w.buf, snapMagic[:]...)
-	w.u8(SnapVersion)
-	w.u64(s.AppliedSeq)
-	w.u64(s.CommitSeq)
+	b := append(append(make([]byte, 0, 128), snapMagic[:]...), SnapVersion)
+	b = binary.BigEndian.AppendUint64(b, s.AppliedSeq)
+	b = binary.BigEndian.AppendUint64(b, s.CommitSeq)
+	b = codec.AppendBool(b, s.Topo != nil)
 	if s.Topo != nil {
-		w.u8(1)
-		w.buf = append(w.buf, EncodeTopoState(s.Topo)...)
-	} else {
-		w.u8(0)
+		b = append(b, EncodeTopoState(s.Topo)...)
 	}
-	w.u32(uint32(len(s.Objects)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Objects)))
 	for _, o := range s.Objects {
-		w.u32(o.Object)
-		w.u64(o.Seq)
-		w.buf = append(w.buf, o.Secret[:]...)
-		w.bytes(o.Image)
+		b = binary.BigEndian.AppendUint32(b, o.Object)
+		b = append(binary.BigEndian.AppendUint64(b, o.Seq), o.Secret[:]...)
+		b = codec.AppendBytes(b, o.Image)
 	}
-	w.u32(uint32(len(s.Stubs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Stubs)))
 	for _, st := range s.Stubs {
-		w.u32(st.Object)
-		w.u32(uint32(st.Target))
-		w.u64(st.Seq)
+		b = binary.BigEndian.AppendUint32(b, st.Object)
+		b = binary.BigEndian.AppendUint32(b, uint32(st.Target))
+		b = binary.BigEndian.AppendUint64(b, st.Seq)
 	}
-	w.u32(uint32(len(s.InDoubt)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.InDoubt)))
 	for _, tx := range s.InDoubt {
-		w.u64(tx.Seq)
-		w.bytes(tx.Raw)
+		b = codec.AppendBytes(binary.BigEndian.AppendUint64(b, tx.Seq), tx.Raw)
 	}
-	w.u32(uint32(len(s.Decided)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Decided)))
 	for _, d := range s.Decided {
-		w.buf = append(w.buf, d.ID[:]...)
-		if d.Commit {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u64(d.Seq)
-		w.bytes(d.Results)
+		b = codec.AppendBool(append(b, d.ID[:]...), d.Commit)
+		b = codec.AppendBytes(binary.BigEndian.AppendUint64(b, d.Seq), d.Results)
 	}
-	return w.buf
+	return b
 }
 
-// DecodeSnapshot parses a snapshot blob.
+// DecodeSnapshot parses a snapshot blob. Each count is checked against
+// the bytes left before it sizes a list: a short blob claiming millions
+// of entries allocates nothing.
 func DecodeSnapshot(buf []byte) (*Snapshot, error) {
-	if len(buf) < 5 || [4]byte(buf[:4]) != snapMagic {
+	rd := codec.NewReader(buf)
+	if [4]byte(rd.Take(4)) != snapMagic {
 		return nil, fmt.Errorf("snapshot: bad magic: %w", ErrBadRequest)
 	}
-	if buf[4] != SnapVersion {
-		return nil, fmt.Errorf("snapshot: unsupported version %d: %w", buf[4], ErrBadRequest)
+	if v := rd.U8(); v != SnapVersion {
+		return nil, fmt.Errorf("snapshot: unsupported version %d: %w", v, ErrBadRequest)
 	}
-	rd := &byteReader{buf: buf, off: 5}
-	s := &Snapshot{}
-	s.AppliedSeq = rd.u64()
-	s.CommitSeq = rd.u64()
-	if rd.u8() == 1 {
-		t, err := DecodeTopoState(rd.take(TopoStateLen))
+	s := &Snapshot{AppliedSeq: rd.U64(), CommitSeq: rd.U64()}
+	if rd.Bool() {
+		t, err := DecodeTopoState(rd.Take(TopoStateLen))
 		if err != nil {
 			return nil, err
 		}
 		s.Topo = t
 	}
-	// Each count is checked against the bytes left before it sizes a
-	// list: a short blob claiming millions of entries allocates nothing.
-	nobj := int(rd.u32())
-	if nobj > 1<<22 || !rd.holds(nobj, 4+8+len(capability.Secret{})+4) {
-		return nil, fmt.Errorf("snapshot: object count: %w", ErrBadRequest)
-	}
-	s.Objects = slices.Grow(s.Objects, nobj)
-	for i := 0; i < nobj; i++ {
-		var o SnapObject
-		o.Object = rd.u32()
-		o.Seq = rd.u64()
-		copy(o.Secret[:], rd.take(len(o.Secret)))
-		o.Image = rd.lenBytes()
+	n := rd.Count32(4 + 8 + len(capability.Secret{}) + 4)
+	s.Objects = slices.Grow(s.Objects, n)
+	for range n {
+		o := SnapObject{Object: rd.U32(), Seq: rd.U64()}
+		copy(o.Secret[:], rd.Take(len(o.Secret)))
+		o.Image = rd.Bytes()
 		s.Objects = append(s.Objects, o)
 	}
-	nstub := int(rd.u32())
-	if nstub > 1<<22 || !rd.holds(nstub, 4+4+8) {
-		return nil, fmt.Errorf("snapshot: stub count: %w", ErrBadRequest)
+	n = rd.Count32(4 + 4 + 8)
+	s.Stubs = slices.Grow(s.Stubs, n)
+	for range n {
+		s.Stubs = append(s.Stubs, SnapStub{Object: rd.U32(), Target: int(rd.U32()), Seq: rd.U64()})
 	}
-	s.Stubs = slices.Grow(s.Stubs, nstub)
-	for i := 0; i < nstub; i++ {
-		var st SnapStub
-		st.Object = rd.u32()
-		st.Target = int(rd.u32())
-		st.Seq = rd.u64()
-		s.Stubs = append(s.Stubs, st)
+	n = rd.Count32(8 + 4)
+	s.InDoubt = slices.Grow(s.InDoubt, n)
+	for range n {
+		s.InDoubt = append(s.InDoubt, SnapTx{Seq: rd.U64(), Raw: rd.Bytes()})
 	}
-	ntx := int(rd.u32())
-	if ntx > 1<<20 || !rd.holds(ntx, 8+4) {
-		return nil, fmt.Errorf("snapshot: tx count: %w", ErrBadRequest)
-	}
-	s.InDoubt = slices.Grow(s.InDoubt, ntx)
-	for i := 0; i < ntx; i++ {
-		var tx SnapTx
-		tx.Seq = rd.u64()
-		tx.Raw = rd.lenBytes()
-		s.InDoubt = append(s.InDoubt, tx)
-	}
-	ndec := int(rd.u32())
-	if ndec > 1<<20 || !rd.holds(ndec, len(TxID{})+1+8+4) {
-		return nil, fmt.Errorf("snapshot: decided count: %w", ErrBadRequest)
-	}
-	s.Decided = slices.Grow(s.Decided, ndec)
-	for i := 0; i < ndec; i++ {
+	n = rd.Count32(len(TxID{}) + 1 + 8 + 4)
+	s.Decided = slices.Grow(s.Decided, n)
+	for range n {
 		var d DecidedTx
-		copy(d.ID[:], rd.take(len(d.ID)))
-		d.Commit = rd.u8() == 1
-		d.Seq = rd.u64()
-		d.Results = rd.lenBytes()
+		copy(d.ID[:], rd.Take(len(d.ID)))
+		d.Commit, d.Seq, d.Results = rd.Bool(), rd.U64(), rd.Bytes()
 		s.Decided = append(s.Decided, d)
 	}
-	if rd.failed {
+	if rd.Failed() {
 		return nil, fmt.Errorf("snapshot: truncated: %w", ErrBadRequest)
 	}
 	return s, nil

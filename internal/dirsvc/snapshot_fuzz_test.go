@@ -1,8 +1,9 @@
 package dirsvc
 
 import (
-	"reflect"
 	"testing"
+
+	"dirsvc/internal/codec/codectest"
 )
 
 // FuzzDecodeSnapshot: arbitrary bytes never panic DecodeSnapshot, which
@@ -13,22 +14,4 @@ import (
 // testdata/fuzz/FuzzDecodeSnapshot, holds TestSnapshotCodecRoundTrip's
 // snapshot, one cut short, one without topology or transactions, an empty
 // one, and one claiming more objects than it carries.
-func FuzzDecodeSnapshot(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var snap *Snapshot
-		var err error
-		if grew := allocated(func() { snap, err = DecodeSnapshot(raw) }); grew > decodeAllocBound(len(raw)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(raw), grew)
-		}
-		if err != nil {
-			return
-		}
-		again, err := DecodeSnapshot(snap.Encode())
-		if err != nil {
-			t.Fatalf("decoded %+v, but not its encoding: %v", *snap, err)
-		}
-		if !reflect.DeepEqual(again, snap) {
-			t.Fatalf("decoded %+v, then %+v from its encoding", *snap, *again)
-		}
-	})
-}
+func FuzzDecodeSnapshot(f *testing.F) { codectest.Fuzz(f, DecodeSnapshot, (*Snapshot).Encode) }

@@ -2,11 +2,13 @@ package dirsvc
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"time"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/rpc"
 )
 
@@ -58,39 +60,33 @@ type Prepare struct {
 
 // EncodePrepare serializes a prepare payload.
 func EncodePrepare(p *Prepare) []byte {
-	w := newWriter()
-	w.u8(TxVersion)
-	w.buf = append(w.buf, p.ID[:]...)
-	w.u32(uint32(p.Resolver))
-	w.u16(uint16(len(p.Participants)))
+	b := append(append(make([]byte, 0, 128), TxVersion), p.ID[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(p.Resolver))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Participants)))
 	for _, s := range p.Participants {
-		w.u32(uint32(s))
+		b = binary.BigEndian.AppendUint32(b, uint32(s))
 	}
-	w.bytes(p.Steps)
-	return w.buf
+	return codec.AppendBytes(b, p.Steps)
 }
 
 // DecodePrepare parses an OpPrepare payload.
 func DecodePrepare(blob []byte) (*Prepare, error) {
-	if len(blob) < 1 {
-		return nil, ErrBadRequest
+	rd := codec.NewReader(blob)
+	if v := rd.U8(); !rd.Failed() && v != TxVersion {
+		return nil, fmt.Errorf("unsupported tx version %d: %w", v, ErrBadRequest)
 	}
-	if blob[0] != TxVersion {
-		return nil, fmt.Errorf("unsupported tx version %d: %w", blob[0], ErrBadRequest)
-	}
-	rd := &byteReader{buf: blob, off: 1}
 	p := &Prepare{}
-	copy(p.ID[:], rd.take(len(p.ID)))
-	p.Resolver = int(rd.u32())
-	n := int(rd.u16())
-	if rd.failed || n == 0 || n > 4096 {
+	copy(p.ID[:], rd.Take(len(p.ID)))
+	p.Resolver = int(rd.U32())
+	n := rd.Count16(4)
+	if n == 0 || n > 4096 {
 		return nil, ErrBadRequest
 	}
-	for i := 0; i < n; i++ {
-		p.Participants = append(p.Participants, int(rd.u32()))
+	for range n {
+		p.Participants = append(p.Participants, int(rd.U32()))
 	}
-	p.Steps = rd.lenBytes()
-	if rd.failed || rd.off != len(blob) || len(p.Steps) == 0 {
+	p.Steps = rd.Bytes()
+	if !rd.Done() || len(p.Steps) == 0 {
 		return nil, ErrBadRequest
 	}
 	return p, nil
@@ -125,15 +121,7 @@ type Decide struct {
 
 // EncodeDecide serializes a decide payload.
 func EncodeDecide(d *Decide) []byte {
-	w := newWriter()
-	w.u8(TxVersion)
-	w.buf = append(w.buf, d.ID[:]...)
-	if d.Commit {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	return w.buf
+	return codec.AppendBool(append(append(make([]byte, 0, 128), TxVersion), d.ID[:]...), d.Commit)
 }
 
 // DecodeDecide parses an OpDecide payload.

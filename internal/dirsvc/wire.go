@@ -5,15 +5,14 @@
 package dirsvc
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
-	"unsafe"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirdata"
 )
 
@@ -340,31 +339,26 @@ func (r *Request) Encode() []byte {
 // encode for callers that own a reusable buffer (the NVRAM log's record,
 // a client's per-call scratch).
 func (r *Request) AppendTo(dst []byte) []byte {
-	w := writer{buf: dst}
-	w.u8(uint8(r.Op))
-	w.cap(r.Dir)
-	w.str(r.Name)
-	w.cap(r.Cap)
-	w.u16(uint16(len(r.Masks)))
+	b := r.Dir.Encode(append(dst, uint8(r.Op)))
+	b = r.Cap.Encode(codec.AppendStr(b, r.Name))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Masks)))
 	for _, m := range r.Masks {
-		w.u8(uint8(m))
+		b = append(b, uint8(m))
 	}
-	w.u16(uint16(len(r.Columns)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Columns)))
 	for _, c := range r.Columns {
-		w.str(c)
+		b = codec.AppendStr(b, c)
 	}
-	w.u32(uint32(r.Column))
-	w.u16(uint16(len(r.Set)))
+	b = binary.BigEndian.AppendUint32(b, uint32(r.Column))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Set)))
 	for _, it := range r.Set {
-		w.str(it.Name)
-		w.cap(it.Cap)
+		b = it.Cap.Encode(codec.AppendStr(b, it.Name))
 	}
-	w.bytes(r.CheckSeed)
-	w.u64(r.Seq)
-	w.u32(uint32(r.Server))
-	w.bytes(r.Blob)
-	w.u64(r.MinSeq)
-	return w.buf
+	b = codec.AppendBytes(b, r.CheckSeed)
+	b = binary.BigEndian.AppendUint64(b, r.Seq)
+	b = binary.BigEndian.AppendUint32(b, uint32(r.Server))
+	b = codec.AppendBytes(b, r.Blob)
+	return binary.BigEndian.AppendUint64(b, r.MinSeq)
 }
 
 // DecodeRequest parses a request into a fresh Request that shares no
@@ -372,7 +366,7 @@ func (r *Request) AppendTo(dst []byte) []byte {
 // (a log region, a record run, a batch blob) or keeps.
 func DecodeRequest(buf []byte) (*Request, error) {
 	r := &Request{}
-	if err := decodeRequest(r, byteReader{buf: buf}); err != nil {
+	if err := decodeRequest(r, codec.NewReader(buf)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -388,63 +382,65 @@ func DecodeRequest(buf []byte) (*Request, error) {
 // caller's use of r is copied out (Request.Clone, or the keeper's own
 // copy of the field it keeps).
 func DecodeRequestInto(r *Request, buf []byte) error {
-	return decodeRequest(r, byteReader{buf: buf, alias: true})
+	return decodeRequest(r, codec.NewAliasReader(buf))
 }
 
-func decodeRequest(r *Request, rd byteReader) error {
+func decodeRequest(r *Request, rd codec.Reader) error {
 	*r = Request{Masks: r.Masks[:0], Columns: r.Columns[:0], Set: r.Set[:0]}
-	r.Op = OpCode(rd.u8())
-	r.Dir = rd.cap()
-	r.Name = rd.str()
-	r.Cap = rd.cap()
-	nm := int(rd.u16())
-	if nm > 64 || !rd.holds(nm, 1) {
+	r.Op = OpCode(rd.U8())
+	r.Dir = readCap(&rd)
+	r.Name = rd.Str()
+	r.Cap = readCap(&rd)
+	nm := rd.Count16(1)
+	if nm > 64 {
 		return ErrBadRequest
 	}
-	for i := 0; i < nm; i++ {
-		r.Masks = append(r.Masks, capability.Rights(rd.u8()))
+	for range nm {
+		r.Masks = append(r.Masks, capability.Rights(rd.U8()))
 	}
-	nc := int(rd.u16())
-	if nc > 64 || !rd.holds(nc, 2) {
+	nc := rd.Count16(2)
+	if nc > 64 {
 		return ErrBadRequest
 	}
-	for i := 0; i < nc; i++ {
-		r.Columns = append(r.Columns, rd.str())
+	for range nc {
+		r.Columns = append(r.Columns, rd.Str())
 	}
-	r.Column = int(rd.u32())
-	ns := int(rd.u16())
-	if ns > 4096 || !rd.holds(ns, 2+capability.Size) {
+	r.Column = int(rd.U32())
+	ns := rd.Count16(2 + capability.Size)
+	if ns > 4096 {
 		return ErrBadRequest
 	}
-	for i := 0; i < ns; i++ {
-		var it SetItem
-		it.Name = rd.str()
-		it.Cap = rd.cap()
-		r.Set = append(r.Set, it)
+	for range ns {
+		r.Set = append(r.Set, SetItem{Name: rd.Str(), Cap: readCap(&rd)})
 	}
-	r.CheckSeed = rd.lenBytes()
-	r.Seq = rd.u64()
-	r.Server = int(rd.u32())
-	r.Blob = rd.lenBytes()
-	r.MinSeq = rd.u64()
-	if rd.failed {
+	r.CheckSeed = rd.Bytes()
+	r.Seq = rd.U64()
+	r.Server = int(rd.U32())
+	r.Blob = rd.Bytes()
+	r.MinSeq = rd.U64()
+	if rd.Failed() {
 		return ErrBadRequest
 	}
 	return nil
 }
 
+// readCap reads a capability. A successful Take holds capability.Size
+// bytes and a failed one as many zeros, so Decode cannot fail.
+func readCap(rd *codec.Reader) capability.Capability {
+	c, _ := capability.Decode(rd.Take(capability.Size))
+	return c
+}
+
 // requestName returns the Name field of an encoded request without
 // decoding the rest: a slice of raw, nil when raw is too short to hold it.
 func requestName(raw []byte) []byte {
-	const at = 1 + capability.Size // Op, Dir
-	if len(raw) < at+2 {
+	rd := codec.NewAliasReader(raw)
+	rd.Take(1 + capability.Size) // Op, Dir
+	name := rd.Take(int(rd.U16()))
+	if rd.Failed() {
 		return nil
 	}
-	n := int(binary.BigEndian.Uint16(raw[at:]))
-	if len(raw) < at+2+n {
-		return nil
-	}
-	return raw[at+2 : at+2+n]
+	return name
 }
 
 // Clone returns a deep copy of r, strings included: what a holder of a
@@ -475,33 +471,29 @@ func (r *Reply) Encode() []byte {
 // AppendTo appends the serialized reply to dst (see Request.AppendTo):
 // a server's initiator threads encode into the RPC worker's buffer.
 func (r *Reply) AppendTo(dst []byte) []byte {
-	w := writer{buf: dst}
-	w.u8(uint8(r.Status))
-	w.cap(r.Cap)
-	w.u32(uint32(len(r.Rows)))
+	b := r.Cap.Encode(append(dst, uint8(r.Status)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Rows)))
 	for _, row := range r.Rows {
-		w.str(row.Name)
-		w.cap(row.Cap)
-		w.u16(uint16(len(row.ColMasks)))
+		b = row.Cap.Encode(codec.AppendStr(b, row.Name))
+		b = binary.BigEndian.AppendUint16(b, uint16(len(row.ColMasks)))
 		for _, m := range row.ColMasks {
-			w.u8(uint8(m))
+			b = append(b, uint8(m))
 		}
 	}
-	w.u32(uint32(len(r.Caps)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Caps)))
 	for _, c := range r.Caps {
-		w.cap(c)
+		b = c.Encode(b)
 	}
-	w.u64(r.Seq)
-	w.u64(r.ObjSeq)
-	w.bytes(r.Blob)
-	return w.buf
+	b = binary.BigEndian.AppendUint64(b, r.Seq)
+	b = binary.BigEndian.AppendUint64(b, r.ObjSeq)
+	return codec.AppendBytes(b, r.Blob)
 }
 
 // DecodeReply parses a reply into a fresh Reply that shares no memory
 // with buf.
 func DecodeReply(buf []byte) (*Reply, error) {
 	r := &Reply{}
-	if err := decodeReply(r, byteReader{buf: buf}); err != nil {
+	if err := decodeReply(r, codec.NewReader(buf)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -512,125 +504,32 @@ func DecodeReply(buf []byte) (*Reply, error) {
 // arrays, and rows' names and the Blob point into buf. Rows' masks are
 // the reply's own.
 func DecodeReplyInto(r *Reply, buf []byte) error {
-	return decodeReply(r, byteReader{buf: buf, alias: true})
+	return decodeReply(r, codec.NewAliasReader(buf))
 }
 
-func decodeReply(r *Reply, rd byteReader) error {
+func decodeReply(r *Reply, rd codec.Reader) error {
 	*r = Reply{Rows: r.Rows[:0], Caps: r.Caps[:0]}
-	r.Status = Status(rd.u8())
-	r.Cap = rd.cap()
-	nrows := int(rd.u32())
-	if nrows > 1<<20 || !rd.holds(nrows, 2+capability.Size+2) {
-		return ErrBadRequest
-	}
-	for i := 0; i < nrows; i++ {
-		var row dirdata.Row
-		row.Name = rd.str()
-		row.Cap = rd.cap()
-		nm := int(rd.u16())
-		if nm > 64 || !rd.holds(nm, 1) {
+	r.Status = Status(rd.U8())
+	r.Cap = readCap(&rd)
+	for range rd.Count32(2 + capability.Size + 2) {
+		row := dirdata.Row{Name: rd.Str(), Cap: readCap(&rd)}
+		nm := rd.Count16(1)
+		if nm > 64 {
 			return ErrBadRequest
 		}
-		for j := 0; j < nm; j++ {
-			row.ColMasks = append(row.ColMasks, capability.Rights(rd.u8()))
+		for range nm {
+			row.ColMasks = append(row.ColMasks, capability.Rights(rd.U8()))
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	ncaps := int(rd.u32())
-	if ncaps > 1<<20 || !rd.holds(ncaps, capability.Size) {
-		return ErrBadRequest
+	for range rd.Count32(capability.Size) {
+		r.Caps = append(r.Caps, readCap(&rd))
 	}
-	for i := 0; i < ncaps; i++ {
-		r.Caps = append(r.Caps, rd.cap())
-	}
-	r.Seq = rd.u64()
-	r.ObjSeq = rd.u64()
-	r.Blob = rd.lenBytes()
-	if rd.failed {
+	r.Seq = rd.U64()
+	r.ObjSeq = rd.U64()
+	r.Blob = rd.Bytes()
+	if rd.Failed() {
 		return ErrBadRequest
 	}
 	return nil
-}
-
-// writer builds length-prefixed binary messages.
-type writer struct{ buf []byte }
-
-func newWriter() *writer { return &writer{buf: make([]byte, 0, 128)} }
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *writer) cap(c capability.Capability) {
-	w.buf = c.Encode(w.buf)
-}
-func (w *writer) str(s string) {
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// byteReader is a bounds-checked cursor. Its strings and byte fields are
-// copies of buf, or with alias set slices of it: buf must then never
-// change while what was read from it is in use.
-type byteReader struct {
-	buf    []byte
-	off    int
-	failed bool
-	alias  bool
-}
-
-func (r *byteReader) take(n int) []byte {
-	if r.failed || n < 0 || r.off+n > len(r.buf) {
-		// Zeros stand in for what is not there, the message is refused,
-		// and a length field of a short message costs no allocation.
-		r.failed = true
-		return noBytes[:min(max(n, 0), len(noBytes))]
-	}
-	out := r.buf[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-// noBytes is what a failed read returns: zeros, never written, as long
-// as the longest fixed-size field.
-var noBytes [capability.Size]byte
-
-// holds reports whether the unread bytes can hold n items of at least
-// size bytes each: a count is checked before it sizes a loop, so a short
-// message claiming many items allocates nothing for them.
-func (r *byteReader) holds(n, size int) bool {
-	return !r.failed && n <= (len(r.buf)-r.off)/size
-}
-
-func (r *byteReader) u8() uint8   { return r.take(1)[0] }
-func (r *byteReader) u16() uint16 { return binary.BigEndian.Uint16(r.take(2)) }
-func (r *byteReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
-func (r *byteReader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
-func (r *byteReader) str() string {
-	b := r.take(int(r.u16()))
-	if r.alias && len(b) > 0 {
-		return unsafe.String(&b[0], len(b))
-	}
-	return string(b)
-}
-func (r *byteReader) lenBytes() []byte {
-	b := r.take(int(r.u32()))
-	switch {
-	case len(b) == 0 || r.failed:
-		return nil
-	case r.alias:
-		return b[:len(b):len(b)]
-	}
-	return bytes.Clone(b)
-}
-func (r *byteReader) cap() capability.Capability {
-	c, err := capability.Decode(r.take(capability.Size))
-	if err != nil {
-		r.failed = true
-	}
-	return c
 }

@@ -3,29 +3,10 @@ package dirsvc
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
+
+	"dirsvc/internal/codec/codectest"
 )
-
-// decodeAllocBound is what a decode of n wire bytes may allocate: the
-// message, its lists at twice their length (append growth) and its
-// strings and byte slices, each bounded by the bytes that carry it.
-func decodeAllocBound(n int) uint64 { return 1024 + 16*uint64(n) }
-
-// allocated returns the bytes fn allocates, whole process: the least of
-// three calls, since the fuzzing worker's own goroutines allocate now and
-// then under the measurement, and a decode allocates the same each time.
-func allocated(fn func()) uint64 {
-	least := ^uint64(0)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // FuzzDecodeRequest: arbitrary bytes never panic DecodeRequest, which
 // allocates in proportion to the input; a request it accepts encodes to
@@ -40,7 +21,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		owned, heldA := bytes.Clone(b), bytes.Clone(a)
 		var fresh *Request
 		var err error
-		if grew := allocated(func() { fresh, err = DecodeRequest(owned) }); grew > decodeAllocBound(len(b)) {
+		if grew := codectest.Allocated(func() { fresh, err = DecodeRequest(owned) }); grew > codectest.AllocBound(len(b)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
 		}
 		var scratch Request
@@ -83,7 +64,7 @@ func FuzzDecodeReply(f *testing.F) {
 		owned, heldA := bytes.Clone(b), bytes.Clone(a)
 		var fresh *Reply
 		var err error
-		if grew := allocated(func() { fresh, err = DecodeReply(owned) }); grew > decodeAllocBound(len(b)) {
+		if grew := codectest.Allocated(func() { fresh, err = DecodeReply(owned) }); grew > codectest.AllocBound(len(b)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
 		}
 		var scratch Reply

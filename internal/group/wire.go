@@ -3,8 +3,8 @@ package group
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/sim"
 )
 
@@ -96,34 +96,27 @@ const wireFixed = 1 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 1 + 2
 // decodes onto its stack and copies only what it keeps). w.payload is a
 // slice of buf: a received frame is never changed, so it may be kept.
 func decodeWire(buf []byte, w *wireMsg) error {
-	if len(buf) < wireFixed {
-		return errShortMsg
-	}
+	rd := codec.NewAliasReader(buf)
 	*w = wireMsg{
-		kind:    buf[0],
-		gid:     groupID(binary.BigEndian.Uint64(buf[1:9])),
-		epoch:   binary.BigEndian.Uint64(buf[9:17]),
-		seq:     binary.BigEndian.Uint64(buf[17:25]),
-		seq2:    binary.BigEndian.Uint64(buf[25:33]),
-		msgID:   binary.BigEndian.Uint64(buf[33:41]),
-		from:    sim.NodeID(binary.BigEndian.Uint32(buf[41:45])),
-		node:    sim.NodeID(binary.BigEndian.Uint32(buf[45:49])),
-		ordKind: buf[49],
+		kind:    rd.U8(),
+		gid:     groupID(rd.U64()),
+		epoch:   rd.U64(),
+		seq:     rd.U64(),
+		seq2:    rd.U64(),
+		msgID:   rd.U64(),
+		from:    sim.NodeID(rd.U32()),
+		node:    sim.NodeID(rd.U32()),
+		ordKind: rd.U8(),
 	}
-	n := int(binary.BigEndian.Uint16(buf[50:52]))
-	off := wireFixed
-	if len(buf) < off+4*n {
-		return fmt.Errorf("members: %w", errShortMsg)
-	}
-	if n > 0 {
+	if n := rd.Count16(4); n > 0 {
 		w.members = make([]sim.NodeID, n)
-		for i := 0; i < n; i++ {
-			w.members[i] = sim.NodeID(binary.BigEndian.Uint32(buf[off : off+4]))
-			off += 4
+		for i := range w.members {
+			w.members[i] = sim.NodeID(rd.U32())
 		}
 	}
-	if off < len(buf) {
-		w.payload = buf[off:]
+	if rd.Failed() {
+		return errShortMsg
 	}
+	w.payload = rd.Rest()
 	return nil
 }

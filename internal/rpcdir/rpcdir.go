@@ -14,11 +14,13 @@
 package rpcdir
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"dirsvc/internal/bullet"
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/flip"
 	"dirsvc/internal/rpc"
@@ -446,32 +448,16 @@ func (s *Server) installState(blob []byte) error {
 // Intention staging-block codec: seq u64 | len u32 | request bytes.
 func encodeIntention(req *dirsvc.Request, seq uint64) []byte {
 	raw := req.Encode()
-	buf := make([]byte, 0, 12+len(raw))
-	for i := 7; i >= 0; i-- {
-		buf = append(buf, byte(seq>>(8*i)))
-	}
-	for i := 3; i >= 0; i-- {
-		buf = append(buf, byte(len(raw)>>(8*i)))
-	}
-	return append(buf, raw...)
+	return codec.AppendBytes(binary.BigEndian.AppendUint64(make([]byte, 0, 12+len(raw)), seq), raw)
 }
 
 func decodeIntention(raw []byte) (*dirsvc.Request, uint64, bool) {
-	if len(raw) < 12 {
+	rd := codec.NewAliasReader(raw)
+	seq, body := rd.U64(), rd.Bytes()
+	if seq == 0 || body == nil {
 		return nil, 0, false
 	}
-	var seq uint64
-	for i := 0; i < 8; i++ {
-		seq = seq<<8 | uint64(raw[i])
-	}
-	var n int
-	for i := 8; i < 12; i++ {
-		n = n<<8 | int(raw[i])
-	}
-	if seq == 0 || n <= 0 || 12+n > len(raw) {
-		return nil, 0, false
-	}
-	req, err := dirsvc.DecodeRequest(raw[12 : 12+n])
+	req, err := dirsvc.DecodeRequest(body)
 	if err != nil {
 		return nil, 0, false
 	}

@@ -28,6 +28,9 @@ func FuzzDecodeBatchResults(f *testing.F) {
 // FuzzDecodePrepare covers the OpPrepare payload.
 func FuzzDecodePrepare(f *testing.F) { codectest.Fuzz(f, DecodePrepare, EncodePrepare) }
 
+// FuzzDecodeDecide covers the OpDecide payload.
+func FuzzDecodeDecide(f *testing.F) { codectest.Fuzz(f, DecodeDecide, EncodeDecide) }
+
 // notMine is the StatusNotMine blob's content, as one value.
 type notMine struct {
 	epoch uint64

@@ -37,6 +37,13 @@
 // until a commit; a commit keeping fewer messages than the member holds
 // fails it, as one that excludes it does.
 //
+// Failure detection is a star around the sequencer. The sequencer
+// multicasts its heartbeat every beat and watches every member; any
+// other member watches the sequencer alone and unicasts its heartbeat to
+// it, unless it sent the sequencer another frame that beat. Any frame
+// from a member is its heartbeat. A member silent for six beats fails
+// the view at the watcher's next tick: detection takes at most seven.
+//
 // All protocol bookkeeping runs synchronously in the FLIP dispatcher (the
 // analogue of Amoeba's kernel processing packets at interrupt time), so
 // Info's buffered sequence number is always current with respect to
@@ -259,6 +266,7 @@ type Member struct {
 	waiting    map[uint64]*sendCall // Send calls by msgID: each gets its seq once the send is stable
 
 	lastSeen      map[sim.NodeID]time.Time
+	spoke         atomic.Bool // a frame went to the sequencer since the last beat
 	lastRetransAt time.Time
 	// heardAt is, while joining, a beat before JoinOrCreate may create:
 	// when it started, last heard a lower prober's join request, or a
@@ -458,10 +466,7 @@ func newGID(node sim.NodeID) groupID {
 // start launches the heartbeat/failure-detection loop.
 func (m *Member) start() {
 	m.mu.Lock()
-	now := time.Now()
-	for _, nd := range m.members {
-		m.lastSeen[nd] = now
-	}
+	m.seenAllLocked()
 	m.mu.Unlock()
 	m.wg.Add(1)
 	go m.heartbeatLoop()
@@ -638,7 +643,7 @@ func (m *Member) Send(payload []byte) (uint64, error) {
 				m.mu.Lock()
 				m.sequencerHandleSendLocked(&req)
 				m.mu.Unlock()
-			} else if err := m.send(seqNode, &req); err != nil {
+			} else if err := m.sendSeq(seqNode, &req); err != nil {
 				return 0, err
 			}
 		}
@@ -685,7 +690,7 @@ func (m *Member) Leave() error {
 				}
 				m.mu.Unlock()
 			} else {
-				_ = m.send(seqNode, &wireMsg{kind: wireLeave, gid: gid, from: m.me, node: m.me})
+				_ = m.sendSeq(seqNode, &wireMsg{kind: wireLeave, gid: gid, from: m.me, node: m.me})
 			}
 		}
 		m.mu.Lock()
@@ -722,7 +727,8 @@ func (m *Member) waitLocked(deadline time.Time) {
 	m.mu.Lock()
 }
 
-// heartbeatLoop multicasts liveness and detects member failures.
+// heartbeatLoop beats and detects failures, in the star the package
+// comment describes.
 func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(m.heartbeat)
@@ -742,35 +748,33 @@ func (m *Member) heartbeatLoop() {
 			m.resettingSince = time.Time{}
 			m.cond.Broadcast()
 		}
+		now, seq := time.Now(), m.sequencer
+		for _, nd := range m.members {
+			if m.state == StateNormal && nd != m.me && (seq == m.me || nd == seq) && now.Sub(m.lastSeen[nd]) > m.failTimeout {
+				m.failLocked(fmt.Sprintf("member %d silent for %v", nd, m.failTimeout))
+			}
+		}
 		if m.state != StateNormal {
 			m.mu.Unlock()
 			continue
 		}
 		alive := m.aliveLocked()
-		now := time.Now()
-		m.lastSeen[m.me] = now
-		var suspect sim.NodeID = -1
-		for _, nd := range m.members {
-			if nd == m.me {
-				continue
-			}
-			seen, ok := m.lastSeen[nd]
-			if !ok {
-				m.lastSeen[nd] = now
-				continue
-			}
-			if now.Sub(seen) > m.failTimeout {
-				suspect = nd
-				break
-			}
-		}
-		if suspect >= 0 {
-			m.failLocked(fmt.Sprintf("member %d silent for %v", suspect, m.failTimeout))
-			m.mu.Unlock()
-			continue
-		}
 		m.mu.Unlock()
-		_ = m.multicast(alive)
+		switch {
+		case seq == m.me:
+			_ = m.multicast(alive)
+		case !m.spoke.Swap(false):
+			_ = m.send(seq, alive)
+		}
+	}
+}
+
+// seenAllLocked restarts the failure detector's clock for every member
+// as a view or a sequencer begins: until then their frames went elsewhere.
+func (m *Member) seenAllLocked() {
+	now := time.Now()
+	for _, nd := range m.members {
+		m.lastSeen[nd] = now
 	}
 }
 
@@ -784,6 +788,12 @@ func (m *Member) aliveLocked() *wireMsg {
 // it: one buffer from the FLIP header to the payload.
 func (m *Member) send(dst sim.NodeID, w *wireMsg) error {
 	return m.stack.SendFrame(dst, w.appendTo(flip.NewFrame(m.cfg.Port, w.size())))
+}
+
+// sendSeq sends w to seq, the sequencer, in place of this beat's heartbeat.
+func (m *Member) sendSeq(seq sim.NodeID, w *wireMsg) error {
+	m.spoke.Store(true)
+	return m.send(seq, w)
 }
 
 func (m *Member) multicast(w *wireMsg) error {

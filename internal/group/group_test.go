@@ -35,8 +35,13 @@ type cluster struct {
 // newCluster creates n members: the first creates the group, the rest join.
 func newCluster(t testing.TB, n, resilience int) *cluster {
 	t.Helper()
+	return newClusterWith(t, n, testConfig(resilience))
+}
+
+// newClusterWith is newCluster with the members' configuration given.
+func newClusterWith(t testing.TB, n int, cfg Config) *cluster {
+	t.Helper()
 	c := &cluster{net: sim.NewNetwork(sim.FastModel(), 1)}
-	cfg := testConfig(resilience)
 	for i := 0; i < n; i++ {
 		c.stacks = append(c.stacks, flip.NewStack(c.net.AddNode(fmt.Sprintf("m%d", i))))
 	}
@@ -656,8 +661,12 @@ func TestSequencerCrashNewSequencerTakesOver(t *testing.T) {
 		}
 	}
 
-	for _, m := range survivors {
-		drainUntilFailure(t, m)
+	// Each survivor's whole history of app messages, from the first: a
+	// survivor may take the pre-crash messages before it notices the
+	// failure or after its reset, but it takes all of them either way.
+	var got [2][]string
+	for mi, m := range survivors {
+		got[mi] = drainUntilFailure(t, m)
 	}
 	var wg sync.WaitGroup
 	for _, m := range survivors {
@@ -679,7 +688,6 @@ func TestSequencerCrashNewSequencerTakesOver(t *testing.T) {
 	if _, err := survivors[1].Send([]byte("post-crash")); err != nil {
 		t.Fatal(err)
 	}
-	var got [2][]string
 	for mi, m := range survivors {
 		for {
 			msg := receiveAppAllowingReset(t, m, 2)
@@ -689,28 +697,30 @@ func TestSequencerCrashNewSequencerTakesOver(t *testing.T) {
 			}
 		}
 	}
-	if len(got[0]) != len(got[1]) {
-		t.Fatalf("different delivery counts: %v vs %v", got[0], got[1])
-	}
-	for i := range got[0] {
-		if got[0][i] != got[1][i] {
-			t.Fatalf("divergent order at %d: %v vs %v", i, got[0], got[1])
+	want := []string{"\x00", "\x01", "\x02", "\x03", "\x04", "post-crash"}
+	for mi := range got {
+		if !slices.Equal(got[mi], want) {
+			t.Fatalf("survivor %d delivered %q, want %q", survivors[mi].Me(), got[mi], want)
 		}
 	}
 }
 
 // drainUntilFailure consumes messages until the failure surfaces:
 // ErrGroupFailure, or the KindView of a reset another member coordinated
-// before this one noticed.
-func drainUntilFailure(t *testing.T, m *Member) {
+// before this one noticed. It returns the app payloads it consumed.
+func drainUntilFailure(t *testing.T, m *Member) []string {
 	t.Helper()
+	var app []string
 	for {
 		msg, err := m.Receive()
 		if errors.Is(err, ErrGroupFailure) || err == nil && msg.Kind == KindView {
-			return
+			return app
 		}
 		if err != nil {
 			t.Fatalf("member %d: %v", m.Me(), err)
+		}
+		if msg.Kind == KindApp {
+			app = append(app, string(msg.Payload))
 		}
 	}
 }

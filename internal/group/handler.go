@@ -77,13 +77,17 @@ func (m *Member) handle(fm flip.Msg) {
 	if w.gid != m.gid {
 		if w.kind == wireAlive && m.state == StateNormal && m.outrankedLocked(w) {
 			// Yield to the larger group without a sequenced leave: its
-			// heartbeats reach every member here. Receive and Send return
-			// ErrLeft; the application rejoins through JoinOrCreate.
+			// sequencer's heartbeat reaches every member here. Receive and
+			// Send return ErrLeft; the application rejoins through
+			// JoinOrCreate.
 			m.state = StateLeft
 			m.cond.Broadcast()
 			gtrace("node %d gid=%x YIELD to gid=%x of %d members", m.me, uint64(m.gid), uint64(w.gid), w.seq2)
 		}
 		return
+	}
+	if contains(m.members, fm.Src) {
+		m.lastSeen[fm.Src] = time.Now() // any frame of a member is its heartbeat
 	}
 
 	switch w.kind {
@@ -247,7 +251,7 @@ func (m *Member) acceptLocked(ord *wireMsg, again bool) {
 	}
 	accept := wireMsg{kind: wireAccept, gid: m.gid, epoch: m.epoch, seq: ord.seq, from: m.me, msgID: ord.msgID, node: ord.from}
 	if again || ord.ordKind == ordApp && ord.from == m.sequencer {
-		_ = m.send(m.sequencer, &accept)
+		_ = m.sendSeq(m.sequencer, &accept)
 	}
 	if ord.ordKind == ordApp && ord.from != m.me && ord.from != m.sequencer {
 		_ = m.send(ord.from, &accept)
@@ -389,6 +393,7 @@ func (m *Member) removeMemberLocked(nd sim.NodeID) {
 		if m.sequencer == m.me {
 			m.seqCounter = m.nextSeq - 1
 		}
+		m.seenAllLocked()
 	}
 }
 
@@ -396,7 +401,6 @@ func (m *Member) removeMemberLocked(nd sim.NodeID) {
 // sequencer for its own sends and for ORDs it re-sent, elsewhere for this
 // member's own sends.
 func (m *Member) handleAcceptLocked(w *wireMsg) {
-	m.lastSeen[w.from] = time.Now()
 	if m.sequencer != m.me {
 		m.countDirectAcceptLocked(w)
 		return
@@ -548,10 +552,7 @@ func (m *Member) handleWelcomeLocked(w *wireMsg) {
 	m.syncedSeq = w.seq
 	m.curProposal = proposal{epoch: w.epoch, node: w.from}
 	m.state = StateNormal
-	now := time.Now()
-	for _, nd := range m.members {
-		m.lastSeen[nd] = now
-	}
+	m.seenAllLocked()
 	gtrace("node %d gid=%x WELCOME epoch=%d seq=%d members=%v sequencer=%d", m.me, uint64(m.gid), m.epoch, w.seq, m.members, m.sequencer)
 	m.cond.Broadcast()
 }
@@ -595,15 +596,12 @@ func (m *Member) handleRetransLocked(w *wireMsg) {
 	}
 }
 
-// handleAliveLocked refreshes liveness and triggers gap repair when the
-// heartbeat shows the group is ahead of us.
+// handleAliveLocked triggers gap repair when the sequencer's heartbeat
+// shows the group is ahead of us.
 func (m *Member) handleAliveLocked(w *wireMsg) {
 	if w.epoch > m.epoch {
 		m.failLocked("saw heartbeat from newer epoch")
 		return
-	}
-	if contains(m.members, w.from) {
-		m.lastSeen[w.from] = time.Now()
 	}
 	if w.epoch == m.epoch && w.seq > m.nextSeq-1 && w.from == m.sequencer {
 		m.maybeRequestRetransLocked(w.seq)
@@ -630,7 +628,7 @@ func (m *Member) maybeRequestRetransLocked(upTo uint64) {
 		return
 	}
 	m.lastRetransAt = now
-	_ = m.send(m.sequencer, &wireMsg{kind: wireRetrans, gid: m.gid, epoch: m.epoch, seq: m.nextSeq, seq2: upTo, from: m.me})
+	_ = m.sendSeq(m.sequencer, &wireMsg{kind: wireRetrans, gid: m.gid, epoch: m.epoch, seq: m.nextSeq, seq2: upTo, from: m.me})
 }
 
 // handleInviteLocked reacts to a reset proposal: higher proposals win.
@@ -706,10 +704,7 @@ func (m *Member) applyCommitLocked(w *wireMsg) {
 	for i := range m.history {
 		m.history[i].done.open = false
 	}
-	now := time.Now()
-	for _, nd := range m.members {
-		m.lastSeen[nd] = now
-	}
+	m.seenAllLocked()
 	m.state = StateNormal
 	m.resettingSince = time.Time{}
 	gtrace("node %d gid=%x COMMIT epoch=%d members=%v sequencer=%d seq2=%d nextSeq=%d", m.me, uint64(m.gid), m.epoch, m.members, m.sequencer, w.seq2, m.nextSeq)

@@ -44,9 +44,11 @@ func pinnedClient(t *testing.T, c *Cluster, p *clientPins, id int) *dirclient.Cl
 		t.Fatal(err)
 	}
 	t.Cleanup(cleanup)
-	server := c.machine(id).dirNode.ID()
+	// The network calls drop under its own lock: take the client's node
+	// before p.mu, not under it.
+	server, client := c.machine(id).dirNode.ID(), lastNodeID(c)
 	p.mu.Lock()
-	p.only[lastNodeID(c)] = server
+	p.only[client] = server
 	p.mu.Unlock()
 	if _, err := cl.Root(bgCtx); err != nil {
 		t.Fatalf("bind to replica %d: %v", id, err)
@@ -180,7 +182,7 @@ func TestEngineGroupCommitDurability(t *testing.T) {
 					return err
 				}
 				if cb.Up[0] || !cb.Up[1] || !cb.Up[2] {
-					return fmt.Errorf("replica %d's commit block names %v up", id, cb.UpServers())
+					return fmt.Errorf("replica %d's commit block has up bits %v", id, cb.Up)
 				}
 				return nil
 			}); err != nil {

@@ -123,6 +123,10 @@ func (s *Store) Create(data []byte) (capability.Capability, error) {
 		return capability.Capability{}, fmt.Errorf("%d bytes: %w", len(data), ErrTooBig)
 	}
 	s.mu.Lock()
+	if len(s.files) >= maxFiles {
+		s.mu.Unlock()
+		return capability.Capability{}, fmt.Errorf("file table holds %d files: %w", maxFiles, ErrNoSpace)
+	}
 	object := s.nextObj
 	s.nextObj++
 	nblocks := blocksFor(len(data))

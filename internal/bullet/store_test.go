@@ -108,6 +108,41 @@ func TestTooBig(t *testing.T) {
 	}
 }
 
+// TestFullFileTableRefusesCreate: once the file table region holds all
+// the entries it can, Create fails with ErrNoSpace and changes nothing,
+// so every acknowledged file is in the table OpenStore reads back.
+func TestFullFileTableRefusesCreate(t *testing.T) {
+	port := capability.PortFromString("full")
+	disk := vdisk.New(sim.FastModel(), tableBlocks+1600)
+	s, err := NewStore(port, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []capability.Capability
+	for range 1600 {
+		c, err := s.Create([]byte("x"))
+		if errors.Is(err, ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, c)
+	}
+	if len(acked) != maxFiles || s.Objects() != maxFiles {
+		t.Fatalf("%d creates acknowledged, %d files; the table holds %d", len(acked), s.Objects(), maxFiles)
+	}
+	reopened, err := OpenStore(port, disk)
+	if err != nil {
+		t.Fatalf("OpenStore after filling the table: %v", err)
+	}
+	for _, c := range acked {
+		if data, err := reopened.Read(c); err != nil || string(data) != "x" {
+			t.Fatalf("acknowledged file %d: %q, %v", c.Object, data, err)
+		}
+	}
+}
+
 func TestOutOfSpaceAndReuse(t *testing.T) {
 	disk := vdisk.New(sim.FastModel(), tableBlocks+8)
 	s, err := NewStore(capability.PortFromString("tiny"), disk)

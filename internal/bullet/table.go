@@ -2,7 +2,6 @@ package bullet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -10,18 +9,18 @@ import (
 	"dirsvc/internal/vdisk"
 )
 
-// ErrCorruptTable is returned when the on-disk file table cannot be parsed.
-var ErrCorruptTable = errors.New("bullet: corrupt file table")
-
-// On-disk file table layout (big endian):
+// On-disk file table: a sealed frame (codec.Seal) whose body is, big
+// endian,
 //
-//	magic   [4]byte "BLT1"
 //	nextObj uint32
 //	count   uint32
 //	entries count × (object u32, start u32, blocks u32, length u32, secret [6]byte)
-var tableMagic = [4]byte{'B', 'L', 'T', '1'}
+var tableMagic = [4]byte{'B', 'L', 'T', '2'}
 
 const entrySize = 4 + 4 + 4 + 4 + 6
+
+// maxFiles is how many entries the tableBlocks region holds.
+const maxFiles = (tableBlocks*vdisk.BlockSize - codec.Header - 8) / entrySize
 
 // encodeTableLocked serializes the file table. Must hold s.mu. Entries are
 // sorted by object number for deterministic images.
@@ -32,8 +31,7 @@ func (s *Store) encodeTableLocked() []byte {
 	}
 	sort.Slice(objects, func(i, j int) bool { return objects[i] < objects[j] })
 
-	buf := make([]byte, 0, 12+len(objects)*entrySize)
-	buf = append(buf, tableMagic[:]...)
+	buf := make([]byte, codec.Header, codec.Header+8+len(objects)*entrySize)
 	buf = binary.BigEndian.AppendUint32(buf, s.nextObj)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(objects)))
 	for _, o := range objects {
@@ -44,22 +42,15 @@ func (s *Store) encodeTableLocked() []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.length))
 		buf = append(buf, e.secret[:]...)
 	}
-	if len(buf) > tableBlocks*vdisk.BlockSize {
-		// The table region is sized for thousands of directories; treat
-		// overflow as a hard configuration error surfaced at write time.
-		return buf[:tableBlocks*vdisk.BlockSize]
-	}
-	return buf
+	return codec.Seal(buf[:0], tableMagic, 0, buf[codec.Header:])
 }
 
 func decodeTable(raw []byte) (map[uint32]*fileEntry, uint32, error) {
-	rd := codec.NewReader(raw)
-	if [4]byte(rd.Take(4)) != tableMagic {
-		return nil, 0, fmt.Errorf("bad magic: %w", ErrCorruptTable)
-	}
+	body, err := codec.Open(raw, tableMagic, 0)
+	rd := codec.NewReader(body)
 	nextObj, count := rd.U32(), rd.Count32(entrySize)
-	if rd.Failed() {
-		return nil, 0, fmt.Errorf("entry count: %w", ErrCorruptTable)
+	if err != nil || rd.Failed() {
+		return nil, 0, fmt.Errorf("bullet: file table: %w", codec.ErrCorrupt)
 	}
 	files := make(map[uint32]*fileEntry, count)
 	for range count {

@@ -1,12 +1,16 @@
 // Package codec reads fields from bytes the program did not write — group
 // messages, state transfer, 2PC and Watch traffic from peers, and after a
-// crash the commit block, intention block and directory images read back
-// from disk — and appends the length-prefixed forms it reads.
+// crash every structure read back from disk or NVRAM — and appends the
+// length-prefixed forms it reads.
 //
 // Its one rule is that a malformed input costs no more than its own size:
 // a failed read allocates nothing, and a count is handed out only after
 // the unread bytes are shown to hold that many items, so a short input
 // claiming millions of items sizes no loop and no list.
+//
+// It also frames every durable structure (Seal, Open), so a torn or
+// bit-flipped one, or one of another generation, is refused as ErrCorrupt
+// rather than decoded into a plausible wrong value.
 package codec
 
 import (

@@ -16,10 +16,10 @@ import (
 // codectest.AllocBound of its length. The same inputs seed the decoders'
 // fuzz corpora.
 func TestCountBombs(t *testing.T) {
-	// magic, seq, 64 columns of empty names, 2^20 rows: 82 bytes.
-	image := append([]byte("ADr1"), make([]byte, 8)...)
-	image = append(binary.BigEndian.AppendUint16(image, 64), make([]byte, 64)...)
-	image = binary.BigEndian.AppendUint32(image, 1<<20)
+	// seq, 64 columns of empty names, 2^20 rows, sealed as a directory
+	// image: 90 bytes.
+	image := append(binary.BigEndian.AppendUint16(make([]byte, 8), 64), make([]byte, 64)...)
+	image = codec.Seal(nil, [4]byte{'A', 'D', 'r', '2'}, 0, binary.BigEndian.AppendUint32(image, 1<<20))
 	// LogID, FirstIdx, TTL, Resync, 2^20 events: 25 bytes.
 	events := binary.BigEndian.AppendUint32(make([]byte, 8+8+4+1), 1<<20)
 	// A topology state, its objects and stubs, 2^20 moving objects: 45 bytes.

@@ -115,6 +115,19 @@ func (s *Server) recover() error {
 		}
 		view := member.Info()
 		syncedTo, err := s.recoverRound(rc, view, mySeq, mourned, stayedUp)
+		if errors.Is(err, codec.ErrCorrupt) {
+			// Our own state does not open: like an interrupted recovery's
+			// it is no one's source (§3), and a peer's replaces it.
+			if mySeq == 0 {
+				member.Close()
+				return err
+			}
+			mySeq = 0
+			s.mu.Lock()
+			s.recoverySeq = 0
+			s.mu.Unlock()
+			continue
+		}
 		if err != nil {
 			wait := s.beat / 3
 			if errors.Is(err, errAwaitView) {
@@ -423,8 +436,10 @@ func allServerIDs(n int) []int {
 
 func upSet(c *dirsvc.CommitBlock) lastfail.Set {
 	up := lastfail.NewSet()
-	for _, id := range c.UpServers() {
-		up[id] = true
+	for i, on := range c.Up {
+		if on {
+			up[i+1] = true
+		}
 	}
 	return up
 }

@@ -37,8 +37,9 @@ var (
 	ErrBadName = errors.New("dirdata: invalid name")
 	// ErrColumns is returned when rights masks do not match the column count.
 	ErrColumns = errors.New("dirdata: wrong number of column masks")
-	// ErrCorrupt is returned when decoding an invalid directory image.
-	ErrCorrupt = errors.New("dirdata: corrupt directory image")
+	// ErrCorrupt is returned when decoding an invalid directory image;
+	// it wraps codec.ErrCorrupt.
+	ErrCorrupt = fmt.Errorf("dirdata: directory image: %w", codec.ErrCorrupt)
 )
 
 // MaxName is the longest permitted row name.
@@ -258,20 +259,19 @@ func checkName(name string) error {
 	return nil
 }
 
-// Encoding layout (all integers big endian):
+// Encoding: a sealed frame (codec.Seal) whose body is, big endian,
 //
-//	magic   [4]byte "ADr1"
 //	seq     uint64
 //	ncols   uint16
 //	cols    ncols × (len uint8, bytes)
 //	nrows   uint32
 //	rows    nrows × (nameLen uint8, name, cap [16]byte, ncols × mask uint8)
-var magic = [4]byte{'A', 'D', 'r', '1'}
+var magic = [4]byte{'A', 'D', 'r', '2'}
 
 // Encode produces the deterministic binary image of the directory, as
 // stored in a Bullet file.
 func (d *Directory) Encode() []byte {
-	size := 4 + 8 + 2
+	size := codec.Header + 8 + 2
 	for _, c := range d.Columns {
 		size += 1 + len(c)
 	}
@@ -279,8 +279,7 @@ func (d *Directory) Encode() []byte {
 	for _, r := range d.Rows {
 		size += 1 + len(r.Name) + capability.Size + len(d.Columns)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, magic[:]...)
+	buf := make([]byte, codec.Header, size)
 	buf = binary.BigEndian.AppendUint64(buf, d.Seq)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Columns)))
 	for _, c := range d.Columns {
@@ -296,15 +295,16 @@ func (d *Directory) Encode() []byte {
 			buf = append(buf, uint8(m))
 		}
 	}
-	return buf
+	return codec.Seal(buf[:0], magic, 0, buf[codec.Header:])
 }
 
 // Decode parses a directory image produced by Encode.
 func Decode(buf []byte) (*Directory, error) {
-	rd := codec.NewReader(buf)
-	if [4]byte(rd.Take(4)) != magic {
-		return nil, fmt.Errorf("bad magic: %w", ErrCorrupt)
+	body, err := codec.Open(buf, magic, 0)
+	if err != nil || body == nil || codec.Header+len(body) != len(buf) {
+		return nil, ErrCorrupt
 	}
+	rd := codec.NewReader(body)
 	d := &Directory{Seq: rd.U64()}
 	ncols := rd.Count16(1)
 	if ncols > 64 {

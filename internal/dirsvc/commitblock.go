@@ -2,8 +2,7 @@ package dirsvc
 
 import (
 	"encoding/binary"
-	"errors"
-	"slices"
+	"fmt"
 
 	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
@@ -36,54 +35,55 @@ type CommitBlock struct {
 	Topo *TopoState
 }
 
-var commitMagic = [4]byte{'C', 'M', 'T', '1'}
+var commitMagic = [4]byte{'C', 'M', 'T', '2'}
 
-// ErrCorruptCommit is returned when block 0 cannot be parsed.
-var ErrCorruptCommit = errors.New("dirsvc: corrupt commit block")
-
-// Encode serializes the commit block into one disk block.
+// Encode serializes the commit block into one disk block: a sealed frame
+// (codec.Seal) whose body is seq u64 | recovering u8 | count u8 |
+// count × up u8 | topology marker u8 [| topology].
 func (c *CommitBlock) Encode() []byte {
-	buf := make([]byte, 0, 32+len(c.Up))
-	buf = binary.BigEndian.AppendUint64(append(buf, commitMagic[:]...), c.Seq)
-	buf = append(codec.AppendBool(buf, c.Recovering), uint8(len(c.Up)))
+	buf := make([]byte, codec.Header, codec.Header+32+len(c.Up))
+	buf = append(codec.AppendBool(binary.BigEndian.AppendUint64(buf, c.Seq), c.Recovering), uint8(len(c.Up)))
 	for _, up := range c.Up {
 		buf = codec.AppendBool(buf, up)
 	}
 	if c.Topo != nil {
 		buf = append(codec.AppendBool(buf, true), EncodeTopoState(c.Topo)...)
 	}
-	return buf
+	return codec.Seal(buf[:0], commitMagic, 0, buf[codec.Header:])
 }
 
 // DecodeCommitBlock parses block 0. An all-zero (never written) block
 // decodes as a fresh commit block for n servers with every bit down and
-// sequence number zero.
+// sequence number zero; a block that does not open, or whose body does
+// not parse, is an error wrapping codec.ErrCorrupt.
 func DecodeCommitBlock(raw []byte, n int) (*CommitBlock, error) {
-	if !slices.ContainsFunc(raw, func(b byte) bool { return b != 0 }) {
+	body, err := codec.Open(raw, commitMagic, 0)
+	if body == nil && err == nil {
 		return &CommitBlock{Up: make([]bool, n)}, nil
 	}
-	rd := codec.NewReader(raw)
-	magic := [4]byte(rd.Take(4))
+	rd := codec.NewReader(body)
 	c := &CommitBlock{Seq: rd.U64(), Recovering: rd.Bool()}
 	count := rd.Count8(1)
-	if rd.Failed() || magic != commitMagic || count > 64 {
-		return nil, ErrCorruptCommit
+	if err != nil || rd.Failed() || count > 64 {
+		return nil, corrupt("commit block")
 	}
 	c.Up = make([]bool, count, max(count, n))
 	for i := range c.Up {
 		c.Up[i] = rd.Bool()
 	}
 	if rd.Bool() {
-		topo, err := DecodeTopoState(rd.Rest())
-		if err != nil {
-			return nil, ErrCorruptCommit
+		if c.Topo, err = DecodeTopoState(rd.Rest()); err != nil {
+			return nil, corrupt("commit block")
 		}
-		c.Topo = topo
 	}
 	// A service that grew extends the vector with down bits.
 	c.Up = c.Up[:max(count, n)]
 	return c, nil
 }
+
+// corrupt is the error of a durable structure that does not open
+// (codec.Open) or whose body does not parse.
+func corrupt(what string) error { return fmt.Errorf("dirsvc: %s: %w", what, codec.ErrCorrupt) }
 
 // ReadCommitBlock loads block 0 of the admin partition.
 func ReadCommitBlock(admin vdisk.Storage, n int) (*CommitBlock, error) {
@@ -97,26 +97,4 @@ func ReadCommitBlock(admin vdisk.Storage, n int) (*CommitBlock, error) {
 // Write stores the commit block to block 0 (one random disk access).
 func (c *CommitBlock) Write(admin vdisk.Storage) error {
 	return admin.WriteBlock(0, c.Encode())
-}
-
-// UpCount returns the number of servers marked up.
-func (c *CommitBlock) UpCount() int {
-	n := 0
-	for _, up := range c.Up {
-		if up {
-			n++
-		}
-	}
-	return n
-}
-
-// UpServers returns the 1-based ids of servers marked up.
-func (c *CommitBlock) UpServers() []int {
-	var out []int
-	for i, up := range c.Up {
-		if up {
-			out = append(out, i+1)
-		}
-	}
-	return out
 }

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
 )
 
@@ -24,9 +24,10 @@ import (
 // flips the active pointer, bumps the checkpoint generation, and opens a
 // fresh log generation — the block-device equivalent of write-temp,
 // fsync, rename: a crash at any point leaves either the old checkpoint
-// with its full log, or the new checkpoint with an empty log. Log
-// records are CRC-guarded and tagged with the log generation, so replay
-// stops at the first torn or stale record. Every write is synchronous
+// with its full log, or the new checkpoint with an empty log. Manifest,
+// checkpoint and log records are sealed frames (codec.Seal); a record is
+// sealed for its log generation, so replay stops at the first torn or
+// stale one. Every write is synchronous
 // (vdisk models raw-partition writes), so nothing here needs an explicit
 // sync step.
 type Engine struct {
@@ -36,15 +37,21 @@ type Engine struct {
 	logStart   int // first log block
 	logBlocks  int // blocks in the log region
 
-	mu      sync.Mutex
+	mu       sync.Mutex
+	manifest     // as on disk, but for maxSeq, which every append raises
+	logTail  int // next free log block
+	recs     []LogRec
+}
+
+// manifest is the engine's root metadata: block 0 holds these fields in
+// order, big endian, sealed for generation 0. The active area holds the
+// checkpoint sealed for ckptGen, ckptLen bytes long: reading it is one run.
+type manifest struct {
 	active  byte   // which checkpoint area the manifest points at
 	ckptSeq uint64 // applied sequence number the checkpoint covers
-	ckptLen uint32 // checkpoint payload length in bytes
-	ckptCRC uint32 // checkpoint payload CRC
+	ckptLen uint32 // length of the checkpoint's sealed frame in bytes
 	ckptGen uint64 // bumped on every checkpoint; 0 until the first
 	logGen  uint64 // current log generation; records from others are stale
-	logTail int    // next free log block
-	recs    []LogRec
 	maxSeq  uint64 // highest seq ever logged or checkpointed (recovery floor)
 }
 
@@ -54,20 +61,16 @@ type LogRec struct {
 	Payload []byte
 }
 
-var engMagic = [4]byte{'E', 'N', 'G', '1'}
+var (
+	engMagic  = [4]byte{'E', 'N', 'G', '2'}
+	ckptMagic = [4]byte{'C', 'K', 'P', '2'}
+	logMagic  = [4]byte{'E', 'L', 'G', '2'}
+)
 
-// Manifest block layout:
-//
-//	magic[4] | active u8 | ckptSeq u64 | ckptLen u32 | ckptCRC u32 |
-//	ckptGen u64 | logGen u64 | maxSeq u64 | crc u32 (of all preceding)
-const manifestLen = 4 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 4
-
-// Log record header: magic[4] | len u32 | seq u64 | gen u64 | crc u32
-// (of the payload). Records are padded to a whole number of blocks so
-// each append is one sequential run.
-const logRecHeader = 4 + 4 + 8 + 8 + 4
-
-var logMagic = [4]byte{'E', 'L', 'O', 'G'}
+// A log record is a frame sealed for its log generation of seq u64 |
+// payload, padded to a whole number of blocks so each append is one
+// sequential run; logRecHeader is what precedes the payload.
+const logRecHeader = codec.Header + 8
 
 var (
 	// ErrEngineFull is returned when a record does not fit in the log
@@ -75,9 +78,6 @@ var (
 	ErrEngineFull = errors.New("dirsvc: engine log full")
 	// ErrNoCheckpoint is returned when no checkpoint has been written.
 	ErrNoCheckpoint = errors.New("dirsvc: no checkpoint")
-	// errTornManifest reports a manifest or checkpoint whose CRC does
-	// not match.
-	errTornManifest = errors.New("dirsvc: torn manifest")
 )
 
 // engineLayout computes the region split for a partition: a quarter of
@@ -112,22 +112,17 @@ func OpenEngine(store vdisk.Storage) (*Engine, error) {
 	case errors.Is(err, ErrNoCheckpoint):
 		// Fresh partition: format it with an empty manifest, so every
 		// later open finds one.
-		if err := e.writeManifestLocked(); err != nil {
+		if err := e.manifest.write(store); err != nil {
 			return nil, err
 		}
 	case err != nil:
 		return nil, err
 	}
-	recs, tail, err := scanLog(store, logStart, logBlocks, e.logGen)
-	if err != nil {
+	if e.recs, e.logTail, err = scanLog(store, logStart, logBlocks, e.logGen); err != nil {
 		return nil, err
 	}
-	e.recs = recs
-	e.logTail = tail
-	for _, r := range recs {
-		if r.Seq > e.maxSeq {
-			e.maxSeq = r.Seq
-		}
+	for _, r := range e.recs {
+		e.maxSeq = max(e.maxSeq, r.Seq)
 	}
 	return e, nil
 }
@@ -139,37 +134,27 @@ func (e *Engine) readManifest() error {
 	if err != nil {
 		return err
 	}
-	if [4]byte(raw[:4]) != engMagic {
+	body, err := codec.Open(raw, engMagic, 0)
+	if body == nil && err == nil {
 		return ErrNoCheckpoint
 	}
-	sum := binary.BigEndian.Uint32(raw[manifestLen-4 : manifestLen])
-	if crc32.ChecksumIEEE(raw[:manifestLen-4]) != sum {
-		return errTornManifest
+	rd := codec.NewReader(body)
+	e.active, e.ckptSeq, e.ckptLen = rd.U8(), rd.U64(), rd.U32()
+	e.ckptGen, e.logGen, e.maxSeq = rd.U64(), rd.U64(), rd.U64()
+	if err != nil || !rd.Done() {
+		return corrupt("engine manifest")
 	}
-	e.active = raw[4]
-	e.ckptSeq = binary.BigEndian.Uint64(raw[5:13])
-	e.ckptLen = binary.BigEndian.Uint32(raw[13:17])
-	e.ckptCRC = binary.BigEndian.Uint32(raw[17:21])
-	e.ckptGen = binary.BigEndian.Uint64(raw[21:29])
-	e.logGen = binary.BigEndian.Uint64(raw[29:37])
-	e.maxSeq = binary.BigEndian.Uint64(raw[37:45])
 	return nil
 }
 
-// writeManifestLocked persists the engine's root metadata. Must hold
-// e.mu (or run before the engine is shared).
-func (e *Engine) writeManifestLocked() error {
-	buf := make([]byte, manifestLen)
-	copy(buf, engMagic[:])
-	buf[4] = e.active
-	binary.BigEndian.PutUint64(buf[5:13], e.ckptSeq)
-	binary.BigEndian.PutUint32(buf[13:17], e.ckptLen)
-	binary.BigEndian.PutUint32(buf[17:21], e.ckptCRC)
-	binary.BigEndian.PutUint64(buf[21:29], e.ckptGen)
-	binary.BigEndian.PutUint64(buf[29:37], e.logGen)
-	binary.BigEndian.PutUint64(buf[37:45], e.maxSeq)
-	binary.BigEndian.PutUint32(buf[manifestLen-4:manifestLen], crc32.ChecksumIEEE(buf[:manifestLen-4]))
-	return e.store.WriteBlockSeq(0, buf)
+// write stores m as the manifest block.
+func (m *manifest) write(store vdisk.Storage) error {
+	buf := make([]byte, codec.Header, vdisk.BlockSize)
+	buf = binary.BigEndian.AppendUint64(append(buf, m.active), m.ckptSeq)
+	buf = binary.BigEndian.AppendUint32(buf, m.ckptLen)
+	buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(buf, m.ckptGen), m.logGen)
+	buf = binary.BigEndian.AppendUint64(buf, m.maxSeq)
+	return store.WriteBlockSeq(0, codec.Seal(buf[:0], engMagic, 0, buf[codec.Header:]))
 }
 
 // scanRunBlocks is how many log blocks one read of scanLog takes in: a
@@ -201,30 +186,18 @@ func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec
 		if err := hold(1); err != nil {
 			return nil, 0, err
 		}
-		hdr := run[(b-runLo)*vdisk.BlockSize:]
-		if [4]byte(hdr[:4]) != logMagic {
-			break
-		}
-		n := int(binary.BigEndian.Uint32(hdr[4:8]))
-		seq := binary.BigEndian.Uint64(hdr[8:16])
-		rgen := binary.BigEndian.Uint64(hdr[16:24])
-		sum := binary.BigEndian.Uint32(hdr[24:28])
-		if rgen != gen {
-			break
-		}
-		span := logRecBlocks(n)
-		if n < 0 || b+span > end {
+		span := (codec.FrameLen(run[(b-runLo)*vdisk.BlockSize:]) + vdisk.BlockSize - 1) / vdisk.BlockSize
+		if b+span > end {
 			break
 		}
 		if err := hold(span); err != nil {
 			return nil, 0, err
 		}
-		off := (b-runLo)*vdisk.BlockSize + logRecHeader
-		payload := run[off : off+n : off+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn append: the record never committed
+		body, err := codec.Open(run[(b-runLo)*vdisk.BlockSize:], logMagic, gen)
+		if err != nil || len(body) < 8 {
+			break // torn, stale or never written: the log ends here
 		}
-		recs = append(recs, LogRec{Seq: seq, Payload: payload})
+		recs = append(recs, LogRec{Seq: binary.BigEndian.Uint64(body), Payload: body[8:]})
 		b += span
 	}
 	return recs, b, nil
@@ -266,13 +239,8 @@ func (e *Engine) AppendRun(recs []LogRec) error {
 	buf := make([]byte, span*vdisk.BlockSize)
 	off := 0
 	for _, r := range recs {
-		rec := buf[off:]
-		copy(rec, logMagic[:])
-		binary.BigEndian.PutUint32(rec[4:8], uint32(len(r.Payload)))
-		binary.BigEndian.PutUint64(rec[8:16], r.Seq)
-		binary.BigEndian.PutUint64(rec[16:24], e.logGen)
-		binary.BigEndian.PutUint32(rec[24:28], crc32.ChecksumIEEE(r.Payload))
-		copy(rec[logRecHeader:], r.Payload)
+		body := binary.BigEndian.AppendUint64(buf[off+codec.Header:off+codec.Header], r.Seq)
+		codec.Seal(buf[off:off], logMagic, e.logGen, append(body, r.Payload...))
 		off += logRecBlocks(len(r.Payload)) * vdisk.BlockSize
 	}
 	if err := e.store.WriteRunSeq(e.logTail, buf); err != nil {
@@ -297,33 +265,22 @@ func (e *Engine) AppendRun(recs []LogRec) error {
 func (e *Engine) WriteCheckpoint(seq uint64, payload []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(payload) > e.areaBlocks*vdisk.BlockSize {
+	next := e.manifest
+	next.active, next.ckptSeq = 1-e.active, seq
+	next.ckptGen, next.logGen, next.maxSeq = e.ckptGen+1, e.logGen+1, max(e.maxSeq, seq)
+	frame := codec.Seal(make([]byte, 0, codec.Header+len(payload)), ckptMagic, next.ckptGen, payload)
+	if next.ckptLen = uint32(len(frame)); len(frame) > e.areaBlocks*vdisk.BlockSize {
 		return fmt.Errorf("checkpoint %d bytes exceeds area (%d blocks): %w",
-			len(payload), e.areaBlocks, vdisk.ErrTooLarge)
+			len(frame), e.areaBlocks, vdisk.ErrTooLarge)
 	}
-	inactive := 1 - e.active
-	if err := e.store.WriteRun(e.areaStart(inactive), payload); err != nil {
+	if err := e.store.WriteRun(e.areaStart(next.active), frame); err != nil {
 		return err
 	}
-	prevActive, prevSeq, prevLen, prevCRC := e.active, e.ckptSeq, e.ckptLen, e.ckptCRC
-	prevCkptGen, prevLogGen, prevMax := e.ckptGen, e.logGen, e.maxSeq
-	e.active = inactive
-	e.ckptSeq = seq
-	e.ckptLen = uint32(len(payload))
-	e.ckptCRC = crc32.ChecksumIEEE(payload)
-	e.ckptGen++
-	e.logGen++
-	if seq > e.maxSeq {
-		e.maxSeq = seq
-	}
-	if err := e.writeManifestLocked(); err != nil {
-		// The flip never committed: the old checkpoint + log still rule.
-		e.active, e.ckptSeq, e.ckptLen, e.ckptCRC = prevActive, prevSeq, prevLen, prevCRC
-		e.ckptGen, e.logGen, e.maxSeq = prevCkptGen, prevLogGen, prevMax
+	// Until the flip commits, the old checkpoint and its log still rule.
+	if err := next.write(e.store); err != nil {
 		return err
 	}
-	e.logTail = e.logStart
-	e.recs = nil
+	e.manifest, e.logTail, e.recs = next, e.logStart, nil
 	return nil
 }
 
@@ -342,10 +299,10 @@ func (e *Engine) Checkpoint() (seq uint64, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if crc32.ChecksumIEEE(raw) != e.ckptCRC {
-		return 0, nil, fmt.Errorf("checkpoint area %d: %w", e.active, errTornManifest)
+	if payload, err = codec.Open(raw, ckptMagic, e.ckptGen); payload == nil || err != nil {
+		return 0, nil, corrupt(fmt.Sprintf("checkpoint area %d", e.active))
 	}
-	return e.ckptSeq, raw, nil
+	return e.ckptSeq, payload, nil
 }
 
 // CheckpointSeq returns the sequence number the current checkpoint

@@ -3,10 +3,11 @@ package dirsvc
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"runtime"
+	"slices"
 	"testing"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
 )
@@ -19,10 +20,13 @@ const fuzzEngineBlocks = 64
 // region hold arbitrary bytes — a crash image, torn or bit-flipped —
 // never panics OpenEngine, which allocates at most a small multiple of
 // the partition's size, and an engine that opens once opens again to the
-// same checkpoint, records and maximum sequence number. With seal set the
-// manifest's CRC is stamped before the open, so mutated manifest fields
-// get past the checksum. The seed corpus, in testdata/fuzz/FuzzOpenEngine,
-// holds images of the engine tests' workloads.
+// same checkpoint, records and maximum sequence number. With seal set,
+// manifest is the manifest's body and is sealed, and every record frame
+// the log holds is resealed for the log generation that body names, so
+// mutated fields get past the checksums to the body decoders. The seed
+// corpus, in testdata/fuzz/FuzzOpenEngine, holds images of the engine
+// tests' workloads: sealed bodies, whole blocks, and images of the
+// format before sealing, which no longer open.
 func FuzzOpenEngine(f *testing.F) {
 	_, logStart, logBlocks, err := engineLayout(fuzzEngineBlocks)
 	if err != nil {
@@ -31,16 +35,23 @@ func FuzzOpenEngine(f *testing.F) {
 	const allocBound = 4 * fuzzEngineBlocks * vdisk.BlockSize
 	f.Fuzz(func(t *testing.T, manifest, log []byte, seal bool) {
 		disk := vdisk.New(sim.FastModel(), fuzzEngineBlocks)
+		log = log[:min(len(log), logBlocks*vdisk.BlockSize)]
+		if seal {
+			manifest = manifest[:min(len(manifest), vdisk.BlockSize-codec.Header)]
+			var gen uint64 // logGen: the manifest body's fifth field
+			if len(manifest) >= 1+8+4+8+8 {
+				gen = binary.BigEndian.Uint64(manifest[1+8+4+8:])
+			}
+			manifest = codec.Seal(nil, engMagic, 0, manifest)
+			log = resealFrames(slices.Clone(log), logMagic, gen)
+		}
 		block := make([]byte, vdisk.BlockSize)
 		copy(block, manifest)
-		if seal {
-			binary.BigEndian.PutUint32(block[manifestLen-4:], crc32.ChecksumIEEE(block[:manifestLen-4]))
-		}
 		if err := disk.WriteBlock(0, block); err != nil {
 			t.Fatal(err)
 		}
-		if n := min(len(log), logBlocks*vdisk.BlockSize); n > 0 {
-			if err := disk.WriteRun(logStart, log[:n]); err != nil {
+		if len(log) > 0 {
+			if err := disk.WriteRun(logStart, log); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -78,4 +89,19 @@ func FuzzOpenEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// resealFrames walks img as a run of block-padded sealed frames, as
+// scanLog reads the log, and seals each again for gen with the length its
+// header claims, until a frame runs past img's end.
+func resealFrames(img []byte, magic [4]byte, gen uint64) []byte {
+	for off := 0; off < len(img); {
+		n := codec.FrameLen(img[off:])
+		if off+n > len(img) {
+			break
+		}
+		codec.Seal(img[:off], magic, gen, img[off+codec.Header:off+n])
+		off += (n + vdisk.BlockSize - 1) / vdisk.BlockSize * vdisk.BlockSize
+	}
+	return img
 }

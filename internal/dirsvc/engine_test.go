@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"testing"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
 )
@@ -345,12 +345,8 @@ func logImage(gen uint64, recs []LogRec) (img []byte, at []int) {
 	for _, r := range recs {
 		at = append(at, len(img)/vdisk.BlockSize)
 		rec := make([]byte, logRecBlocks(len(r.Payload))*vdisk.BlockSize)
-		copy(rec, logMagic[:])
-		binary.BigEndian.PutUint32(rec[4:8], uint32(len(r.Payload)))
-		binary.BigEndian.PutUint64(rec[8:16], r.Seq)
-		binary.BigEndian.PutUint64(rec[16:24], gen)
-		binary.BigEndian.PutUint32(rec[24:28], crc32.ChecksumIEEE(r.Payload))
-		copy(rec[logRecHeader:], r.Payload)
+		body := append(binary.BigEndian.AppendUint64(nil, r.Seq), r.Payload...)
+		codec.Seal(rec[:0], logMagic, gen, body)
 		img = append(img, rec...)
 	}
 	return img, at

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 	"sync"
 
+	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
 )
 
@@ -51,27 +51,28 @@ type nvRecord struct {
 
 // NVRAM layout:
 //
-//	header:  magic [4]byte "NVL2" | gen u32 | maxSeq u64
-//	records: len u32 | alive u8 | seq u64 | gen u32 | crc u32 | payload
+//	header:  sealed frame (codec.Seal, generation 0) of gen u32 | maxSeq u64
+//	records: alive u8 | seq u64 | sealed frame (the log's gen) of payload
 //
 // Every log operation is one NVRAM write: an append writes its record at
-// the tail, a cancel rewrites the dead record's alive and seq bytes, and
-// only open, Clear and compaction write the header — the last two with
-// a new generation, compaction together with the records it moved and
-// restamped. Replay reads records until one carries another generation
-// or fails its checksum (over len, gen and payload: a cancel changes
-// alive and seq in place), so what lies behind the tail — older
-// generations, or nothing — is never taken for a record. maxSeq is the
-// larger of the header's and every replayed record's seq.
+// the tail, a cancel rewrites the dead record's alive and seq bytes —
+// outside its seal — and only open, Clear and compaction write the
+// header, the last two with a new generation, compaction together with
+// the records it moved and resealed. Replay reads records until one does
+// not open: a torn one, another generation's, or none, so what lies
+// behind the tail is never taken for a record. maxSeq is the larger of
+// the header's and every replayed record's seq. A header that does not
+// open is an error: the records' generation is unknown.
 const (
-	nvHeaderSize    = 4 + 4 + 8
-	nvRecHeaderSize = 4 + 1 + 8 + 4 + 4
-	nvAliveOffset   = 4  // of the alive byte, followed by seq, within a record header
-	nvGenOffset     = 13 // of gen, followed by crc
-	nvCancelSize    = 1 + 8
+	nvHeaderSize    = codec.Header + 4 + 8
+	nvRecHeaderSize = 1 + 8 + codec.Header
+	nvFrameOffset   = 1 + 8 // alive and seq, which a cancel rewrites, precede the frame
 )
 
-var nvMagic = [4]byte{'N', 'V', 'L', '2'}
+var (
+	nvMagic    = [4]byte{'N', 'V', 'L', '3'}
+	nvRecMagic = [4]byte{'N', 'V', 'R', '3'}
+)
 
 // ErrLogFull is returned when a record does not fit in what is left of
 // the region, compaction included; the caller must flush its state to
@@ -86,10 +87,13 @@ func OpenNVLog(nv *vdisk.NVRAM) (*NVLog, error) {
 	if len(raw) < nvHeaderSize {
 		return nil, fmt.Errorf("nvram region too small (%d bytes)", len(raw))
 	}
-	if [4]byte(raw[:4]) != nvMagic {
+	hdr, err := codec.Open(raw[:nvHeaderSize], nvMagic, 0)
+	if err != nil {
+		return nil, corrupt("nvram log header")
+	}
+	if hdr == nil {
 		// Fresh region: write an empty header of generation 1, and a
 		// zero first record header so nothing behind it is replayed.
-		copy(raw, nvMagic[:])
 		l.gen = 1
 		n := min(len(raw), nvHeaderSize+nvRecHeaderSize)
 		clear(raw[nvHeaderSize:n])
@@ -98,26 +102,21 @@ func OpenNVLog(nv *vdisk.NVRAM) (*NVLog, error) {
 		}
 		return l, nil
 	}
-	l.gen = binary.BigEndian.Uint32(raw[4:8])
-	l.maxSeq = binary.BigEndian.Uint64(raw[8:16])
+	l.gen, l.maxSeq = binary.BigEndian.Uint32(hdr), binary.BigEndian.Uint64(hdr[4:])
 	off := nvHeaderSize
 	for off+nvRecHeaderSize <= len(raw) {
-		hdr := raw[off : off+nvRecHeaderSize]
-		n := binary.BigEndian.Uint32(hdr[:4])
-		if binary.BigEndian.Uint32(hdr[nvGenOffset:]) != l.gen || uint64(n) > uint64(len(raw)-off-nvRecHeaderSize) {
+		payload, err := codec.Open(raw[off+nvFrameOffset:], nvRecMagic, uint64(l.gen))
+		if err != nil || payload == nil {
 			break
 		}
-		size := nvRecHeaderSize + int(n)
-		if nvRecordCRC(raw[off:off+size]) != binary.BigEndian.Uint32(hdr[nvGenOffset+4:]) {
-			break
-		}
-		req, err := DecodeRequest(raw[off+nvRecHeaderSize : off+size])
+		req, err := DecodeRequest(payload)
 		if err != nil {
 			return nil, fmt.Errorf("nvram record: %w", err)
 		}
-		seq := binary.BigEndian.Uint64(hdr[nvAliveOffset+1:])
+		size := nvRecHeaderSize + len(payload)
+		seq := binary.BigEndian.Uint64(raw[off+1:])
 		rec := newNVRecord(req, seq, off, size)
-		if rec.alive = hdr[nvAliveOffset] == 1; !rec.alive {
+		if rec.alive = raw[off] == 1; !rec.alive {
 			l.dead += size
 		}
 		l.maxSeq = max(l.maxSeq, seq)
@@ -128,19 +127,10 @@ func OpenNVLog(nv *vdisk.NVRAM) (*NVLog, error) {
 	return l, nil
 }
 
-// nvRecordCRC is the checksum of an encoded record: its len, gen and
-// payload, the bytes no cancel rewrites.
-func nvRecordCRC(rec []byte) uint32 {
-	c := crc32.ChecksumIEEE(rec[:4])
-	c = crc32.Update(c, crc32.IEEETable, rec[nvGenOffset:nvGenOffset+4])
-	return crc32.Update(c, crc32.IEEETable, rec[nvRecHeaderSize:])
-}
-
-// seal stamps an encoded record with the log's generation and its
-// checksum.
+// seal stamps an encoded record — alive, seq and room for the seal, then
+// its payload — with the log's generation.
 func (l *NVLog) seal(rec []byte) {
-	binary.BigEndian.PutUint32(rec[nvGenOffset:], l.gen)
-	binary.BigEndian.PutUint32(rec[nvGenOffset+4:], nvRecordCRC(rec))
+	codec.Seal(rec[:nvFrameOffset], nvRecMagic, uint64(l.gen), rec[nvRecHeaderSize:])
 }
 
 // newNVRecord describes a live record of req at [offset, offset+size).
@@ -162,8 +152,8 @@ func (r *nvRecord) nameIn(img []byte) []byte {
 // of the region with one NVRAM write: the header alone, or the header
 // with the records compaction has just moved behind it.
 func (l *NVLog) storeFront(n int) error {
-	binary.BigEndian.PutUint32(l.img[4:8], l.gen)
-	binary.BigEndian.PutUint64(l.img[8:16], l.maxSeq)
+	body := binary.BigEndian.AppendUint32(l.img[codec.Header:codec.Header], l.gen)
+	codec.Seal(l.img[:0], nvMagic, 0, binary.BigEndian.AppendUint64(body, l.maxSeq))
 	return l.nv.Write(0, l.img[:n])
 }
 
@@ -183,10 +173,9 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 			rec := &l.recs[i]
 			rec.alive, rec.seq = false, seq
 			l.dead += rec.size
-			at := rec.offset + nvAliveOffset
-			l.img[at] = 0
-			binary.BigEndian.PutUint64(l.img[at+1:], seq)
-			return true, l.nv.Write(at, l.img[at:at+nvCancelSize])
+			l.img[rec.offset] = 0
+			binary.BigEndian.PutUint64(l.img[rec.offset+1:], seq)
+			return true, l.nv.Write(rec.offset, l.img[rec.offset:rec.offset+nvFrameOffset])
 		}
 	}
 
@@ -195,9 +184,8 @@ func (l *NVLog) Append(req *Request, seq uint64) (cancelled bool, err error) {
 	// moved to the heap by append instead of overrunning.
 	buf := append(l.img[l.used:l.used:len(l.img)], make([]byte, nvRecHeaderSize)...)
 	buf = req.AppendTo(buf)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-nvRecHeaderSize))
-	buf[nvAliveOffset] = 1
-	binary.BigEndian.PutUint64(buf[nvAliveOffset+1:], seq)
+	buf[0] = 1 // alive
+	binary.BigEndian.PutUint64(buf[1:], seq)
 
 	if (l.used+len(buf))*4 > len(l.img)*3 && l.dead*4 >= len(l.img) {
 		// Before maxSeq moves: the compacted image must not claim an

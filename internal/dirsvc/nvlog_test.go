@@ -108,10 +108,13 @@ func TestNVLogCrashImagesMatchModel(t *testing.T) {
 		var before, after nvModel
 		var images, compactions, flushes int
 		lastUsed := log.UsedBytes()
-		nv.ObserveWrites(func() {
+		nv.SetWriteHook(func(off int, data []byte) int {
+			// The image this write leaves, examined before it is stored.
 			images++
+			img := nv.Snapshot()
+			copy(img[off:], data)
 			image := vdisk.NewNVRAM(sim.FastModel(), region)
-			if err := image.Write(0, nv.Snapshot()); err != nil {
+			if err := image.Write(0, img); err != nil {
 				t.Fatal(err)
 			}
 			crashed, err := OpenNVLog(image)
@@ -135,6 +138,7 @@ func TestNVLogCrashImagesMatchModel(t *testing.T) {
 				compactions++ // a Clear also shrinks the log, to nothing
 			}
 			lastUsed = crashed.UsedBytes()
+			return len(data)
 		})
 
 		// As the service would issue them: a name is appended when absent
@@ -200,7 +204,7 @@ func TestNVLogOneWritePerOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	writes := 0
-	nv.ObserveWrites(func() { writes++ })
+	nv.SetWriteHook(func(_ int, data []byte) int { writes++; return len(data) })
 	expect := func(what string, want int, op func() error) {
 		t.Helper()
 		writes = 0
@@ -319,11 +323,7 @@ func TestNVLogReplayBoundary(t *testing.T) {
 		tail := log.UsedBytes()
 		logAll(t, log, row("c"))
 		at := tail + nvRecHeaderSize + 1
-		b, err := nv.Read(at, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nv.Write(at, []byte{b[0] ^ 0x40}); err != nil {
+		if err := nv.Write(at, []byte{nv.Snapshot()[at] ^ 0x40}); err != nil {
 			t.Fatal(err)
 		}
 		if got := live(t, open(t, nv)); got != "a@1 b@2 " {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/vdisk"
 )
 
@@ -42,8 +43,13 @@ const (
 	slotStub byte = 2
 )
 
-// entriesPerBlock slots fit one 512-byte block.
-const entriesPerBlock = vdisk.BlockSize / entrySlot
+// entriesPerBlock slots fit one 512-byte block behind its seal. A table
+// block is a sealed frame (codec.Seal, generation = block number, so a
+// block written to the wrong place does not open) whose body is its
+// slots, in object order.
+const entriesPerBlock = (vdisk.BlockSize - codec.Header) / entrySlot
+
+var tableMagic = [4]byte{'O', 'B', 'T', '1'}
 
 // ObjectTable maps directory object numbers to their entries. The table
 // occupies blocks 1..k of the admin partition. Every mutator changes RAM
@@ -87,19 +93,23 @@ func OpenObjectTable(admin vdisk.Storage) (*ObjectTable, error) {
 		return nil, fmt.Errorf("object table scan: %w", err)
 	}
 	for b := 1; b <= blocks; b++ {
-		blk := raw[(b-1)*vdisk.BlockSize : b*vdisk.BlockSize]
-		for s := 0; s < entriesPerBlock; s++ {
-			off := s * entrySlot
+		blk, err := codec.Open(raw[(b-1)*vdisk.BlockSize:b*vdisk.BlockSize], tableMagic, uint64(b))
+		if err != nil {
+			return nil, corrupt(fmt.Sprintf("object table block %d", b))
+		}
+		for s := range len(blk) / entrySlot {
+			slot := blk[s*entrySlot : (s+1)*entrySlot]
 			obj := uint32((b-1)*entriesPerBlock + s + 1)
-			switch blk[off] {
-			case slotUsed:
-				e, err := decodeEntry(blk[off:])
-				if err != nil {
-					return nil, fmt.Errorf("object %d: %w", obj, err)
+			seq := binary.BigEndian.Uint64(slot[1+capability.Size:])
+			switch slot[0] {
+			case slotUsed: // written only with its Bullet file
+				e := ObjectEntry{Seq: seq, Secret: capability.Secret(slot[1+capability.Size+8:])}
+				if e.Cap, err = capability.Decode(slot[1 : 1+capability.Size]); err != nil || e.Cap.IsZero() {
+					return nil, corrupt(fmt.Sprintf("object table slot %d", obj))
 				}
 				t.entries[obj] = e
-			case slotStub:
-				t.stubs[obj] = decodeStub(blk[off:])
+			case slotStub: // the target shard in the capability's first bytes
+				t.stubs[obj] = StubEntry{Target: int(binary.BigEndian.Uint32(slot[1:])), Seq: seq}
 			}
 		}
 	}
@@ -341,12 +351,14 @@ func blockOf(obj uint32) int {
 
 // encodeBlockLocked renders one table block. Must hold t.mu.
 func (t *ObjectTable) encodeBlockLocked(block int) []byte {
-	raw := make([]byte, vdisk.BlockSize)
+	raw := make([]byte, codec.Header+entriesPerBlock*entrySlot)
 	first := uint32((block-1)*entriesPerBlock + 1)
 	for s := 0; s < entriesPerBlock; s++ {
 		obj := first + uint32(s)
-		off := s * entrySlot
-		if e, ok := t.entries[obj]; ok {
+		off := codec.Header + s*entrySlot
+		// An entry with no Bullet file yet (NVRAM mode; its log records
+		// recreate it) stays free, lest a crash mid-flush strand it.
+		if e, ok := t.entries[obj]; ok && !e.Cap.IsZero() {
 			raw[off] = slotUsed
 			e.Cap.Encode(raw[off+1 : off+1]) // in place: the slot has room
 			binary.BigEndian.PutUint64(raw[off+1+capability.Size:], e.Seq)
@@ -359,26 +371,5 @@ func (t *ObjectTable) encodeBlockLocked(block int) []byte {
 			binary.BigEndian.PutUint64(raw[off+1+capability.Size:], st.Seq)
 		}
 	}
-	return raw
-}
-
-// decodeStub parses a slotStub slot: target shard in the first four cap
-// bytes, seq in the usual seq field.
-func decodeStub(raw []byte) StubEntry {
-	return StubEntry{
-		Target: int(binary.BigEndian.Uint32(raw[1:])),
-		Seq:    binary.BigEndian.Uint64(raw[1+capability.Size:]),
-	}
-}
-
-func decodeEntry(raw []byte) (ObjectEntry, error) {
-	var e ObjectEntry
-	c, err := capability.Decode(raw[1 : 1+capability.Size])
-	if err != nil {
-		return e, err
-	}
-	e.Cap = c
-	e.Seq = binary.BigEndian.Uint64(raw[1+capability.Size:])
-	copy(e.Secret[:], raw[1+capability.Size+8:])
-	return e, nil
+	return codec.Seal(raw[:0], tableMagic, uint64(block), raw[codec.Header:])
 }

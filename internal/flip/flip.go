@@ -360,7 +360,8 @@ func (s *Stack) LocateHints(port capability.Port, window time.Duration, max int)
 
 // dispatch routes incoming frames to listeners and answers locates. It
 // charges the per-packet receive CPU cost, which is part of what limits a
-// single server's throughput in Fig. 8.
+// single server's throughput in Fig. 8; Amoeba's interface drops a
+// multicast to a group no one here joined before it costs any.
 func (s *Stack) dispatch() {
 	defer close(s.done)
 	for {
@@ -379,12 +380,15 @@ func (s *Stack) dispatch() {
 		if err != nil {
 			continue // malformed frame: drop
 		}
+		s.mu.Lock()
+		l := s.listeners[port]
+		s.mu.Unlock()
+		if kind == kindMcast && l == nil {
+			continue
+		}
 		s.node.CPU().Charge(s.Model().PacketCPU)
 		switch kind {
 		case kindData, kindMcast:
-			s.mu.Lock()
-			l := s.listeners[port]
-			s.mu.Unlock()
 			if l != nil {
 				l.deliver(Msg{Src: frame.Src, Payload: payload})
 			}
@@ -392,9 +396,6 @@ func (s *Stack) dispatch() {
 			if len(payload) != 8 {
 				continue
 			}
-			s.mu.Lock()
-			l := s.listeners[port]
-			s.mu.Unlock()
 			if l != nil {
 				// Echo the locate id back so the requester can correlate
 				// the reply, and piggyback the listener's load hint.

@@ -2,6 +2,7 @@ package flip
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,6 +114,52 @@ func TestMulticastReachesAllListeners(t *testing.T) {
 	}
 	if got := net.Stats().FramesSent - before; got != 1 {
 		t.Fatalf("multicast used %d transmissions, want 1", got)
+	}
+}
+
+// TestUnheardMulticastCostsNoCPU: multicasts to a port no listener on a
+// host has joined are dropped before the host's packet CPU is charged, so
+// a burst of them does not delay a frame for the host's own listener. A
+// unicast still pays its packet.
+func TestUnheardMulticastCostsNoCPU(t *testing.T) {
+	const burst = 20
+	model := &sim.LatencyModel{PacketCPU: 20 * time.Millisecond, Scale: 1}
+	net := sim.NewNetwork(model, 1)
+	a, b := NewStack(net.AddNode("a")), NewStack(net.AddNode("b"))
+	stacks := []*Stack{a, b}
+	for range burst { // one sender each: a host's own sends pay its CPU
+		stacks = append(stacks, NewStack(net.AddNode("m")))
+	}
+	t.Cleanup(func() {
+		for _, s := range stacks {
+			s.Close()
+		}
+	})
+	port := capability.PortFromString("svc")
+	l, err := b.Register(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, m := range stacks[2:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = m.MulticastFrame(append(NewMcastFrame(capability.PortFromString("group"), 1), 'h'))
+		}()
+	}
+	wg.Wait() // the burst is in b's queue, ahead of the unicast
+	start := time.Now()
+	if err := a.Send(b.Node().ID(), port, []byte("req")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, timedOut := l.RecvTimeout(5 * time.Second); !ok || timedOut {
+		t.Fatalf("RecvTimeout: ok=%v timedOut=%v", ok, timedOut)
+	}
+	// Charged for the burst, b would take the unicast after 20 more
+	// packets (400 ms); a's send and b's receive cost 40 ms.
+	if waited := time.Since(start); waited > 8*model.PacketCPU {
+		t.Fatalf("unicast delivered after %v behind %d unheard multicasts", waited, burst)
 	}
 }
 

@@ -127,7 +127,11 @@ func (s *Server) bootstrap() error {
 
 	// Replay an intention that was promised before a crash.
 	if raw, err := s.cfg.Staging.ReadBlock(0); err == nil {
-		if intent, seq, ok := decodeIntention(raw); ok && seq > applier.AppliedSeq() {
+		intent, seq, err := decodeIntention(raw)
+		if err != nil {
+			return err
+		}
+		if intent != nil && seq > applier.AppliedSeq() {
 			_, _ = applier.ApplyUpdate(intent, seq, true)
 			_ = s.cfg.Staging.WriteBlockSeq(0, nil)
 		}
@@ -445,21 +449,24 @@ func (s *Server) installState(blob []byte) error {
 	return nil
 }
 
-// Intention staging-block codec: seq u64 | len u32 | request bytes.
+// The intention block is a sealed frame of seq u64 | request bytes.
+var intentionMagic = [4]byte{'I', 'N', 'T', '1'}
+
 func encodeIntention(req *dirsvc.Request, seq uint64) []byte {
-	raw := req.Encode()
-	return codec.AppendBytes(binary.BigEndian.AppendUint64(make([]byte, 0, 12+len(raw)), seq), raw)
+	buf := binary.BigEndian.AppendUint64(make([]byte, codec.Header, codec.Header+64), seq)
+	return codec.Seal(buf[:0], intentionMagic, 0, req.AppendTo(buf)[codec.Header:])
 }
 
-func decodeIntention(raw []byte) (*dirsvc.Request, uint64, bool) {
-	rd := codec.NewAliasReader(raw)
-	seq, body := rd.U64(), rd.Bytes()
-	if seq == 0 || body == nil {
-		return nil, 0, false
+// decodeIntention returns the stored intention, none for a zeroed block,
+// or an error wrapping codec.ErrCorrupt.
+func decodeIntention(raw []byte) (*dirsvc.Request, uint64, error) {
+	switch body, err := codec.Open(raw, intentionMagic, 0); {
+	case body == nil && err == nil:
+		return nil, 0, nil
+	case err == nil && len(body) > 8:
+		if req, err := dirsvc.DecodeRequest(body[8:]); err == nil {
+			return req, binary.BigEndian.Uint64(body), nil
+		}
 	}
-	req, err := dirsvc.DecodeRequest(body)
-	if err != nil {
-		return nil, 0, false
-	}
-	return req, seq, true
+	return nil, 0, fmt.Errorf("rpcdir: intention block: %w", codec.ErrCorrupt)
 }

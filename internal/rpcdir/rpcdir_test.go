@@ -1,9 +1,11 @@
 package rpcdir
 
 import (
+	"errors"
 	"testing"
 
 	"dirsvc/internal/capability"
+	"dirsvc/internal/codec"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
 )
@@ -15,9 +17,9 @@ func TestIntentionCodecRoundTrip(t *testing.T) {
 		Name:  "pending",
 		Masks: []capability.Rights{capability.AllRights},
 	}
-	got, seq, ok := decodeIntention(encodeIntention(req, 42))
-	if !ok {
-		t.Fatal("decodeIntention failed")
+	got, seq, err := decodeIntention(encodeIntention(req, 42))
+	if err != nil || got == nil {
+		t.Fatalf("decodeIntention: %v", err)
 	}
 	if seq != 42 || got.Op != dirsvc.OpAppendRow || got.Name != "pending" {
 		t.Fatalf("got seq=%d req=%+v", seq, got)
@@ -25,15 +27,14 @@ func TestIntentionCodecRoundTrip(t *testing.T) {
 }
 
 func TestIntentionCodecRejectsEmptyAndGarbage(t *testing.T) {
-	if _, _, ok := decodeIntention(nil); ok {
-		t.Fatal("decoded nil")
-	}
-	if _, _, ok := decodeIntention(make([]byte, 12)); ok {
-		t.Fatal("decoded zero block (must read as no intention)")
+	for _, empty := range [][]byte{nil, make([]byte, 512)} {
+		if req, _, err := decodeIntention(empty); req != nil || err != nil {
+			t.Fatalf("%d zero bytes: %+v, %v (must read as no intention)", len(empty), req, err)
+		}
 	}
 	raw := encodeIntention(&dirsvc.Request{Op: dirsvc.OpDeleteRow, Name: "x"}, 7)
-	if _, _, ok := decodeIntention(raw[:len(raw)-2]); ok {
-		t.Fatal("decoded truncated intention")
+	if _, _, err := decodeIntention(raw[:len(raw)-2]); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("truncated intention: %v", err)
 	}
 }
 

@@ -17,9 +17,9 @@ const DefaultNVRAMSize = 24 * 1024
 type NVRAM struct {
 	model *sim.LatencyModel
 
-	mu      sync.Mutex
-	buf     []byte
-	onWrite func()
+	mu   sync.Mutex
+	buf  []byte
+	hook WriteHook
 }
 
 // NewNVRAM creates an NVRAM region of size bytes.
@@ -40,39 +40,31 @@ func (n *NVRAM) Size() int {
 // Write stores data at offset off, charging one NVRAM write.
 func (n *NVRAM) Write(off int, data []byte) error {
 	n.mu.Lock()
-	if off < 0 || off+len(data) > len(n.buf) {
-		n.mu.Unlock()
+	hook, size := n.hook, len(n.buf)
+	n.mu.Unlock()
+	if off < 0 || off+len(data) > size {
 		return fmt.Errorf("nvram write [%d,%d): %w", off, off+len(data), ErrTooLarge)
 	}
-	copy(n.buf[off:], data)
-	onWrite := n.onWrite
-	n.mu.Unlock()
-	if onWrite != nil {
-		onWrite()
+	keep := len(data)
+	if hook != nil {
+		keep = hook(off, data)
 	}
+	n.mu.Lock()
+	copy(n.buf[off:], data[:keep])
+	n.mu.Unlock()
 	n.model.Sleep(n.model.NVRAMWrite)
+	if keep < len(data) {
+		return ErrTorn
+	}
 	return nil
 }
 
-// ObserveWrites makes every later Write call fn once its bytes are in the
-// region. Crash tests use it to examine, through Snapshot, the image a
-// power cut at that point would leave behind.
-func (n *NVRAM) ObserveWrites(fn func()) {
+// SetWriteHook passes every later Write through hook (nil removes it),
+// which may read the region.
+func (n *NVRAM) SetWriteHook(hook WriteHook) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.onWrite = fn
-}
-
-// Read returns a copy of the region [off, off+length).
-func (n *NVRAM) Read(off, length int) ([]byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if off < 0 || length < 0 || off+length > len(n.buf) {
-		return nil, fmt.Errorf("nvram read [%d,%d): %w", off, off+length, ErrTooLarge)
-	}
-	out := make([]byte, length)
-	copy(out, n.buf[off:])
-	return out, nil
+	n.hook = hook
 }
 
 // Snapshot returns a copy of the whole region.

@@ -28,7 +28,16 @@ var (
 	ErrOutOfRange = errors.New("vdisk: block out of range")
 	// ErrTooLarge is returned when data exceeds the target block or region.
 	ErrTooLarge = errors.New("vdisk: data too large")
+	// ErrTorn is returned by a write its WriteHook cut short.
+	ErrTorn = errors.New("vdisk: torn write")
 )
+
+// WriteHook sees each write to a Disk or an NVRAM before it is stored
+// (off is its byte offset in the device) and returns how many of its
+// bytes to store, 0 to len(data). Fewer tears the write, as a power cut
+// would: the prefix is stored over the old bytes and the write fails
+// with ErrTorn. Tests flip a stored bit with the device's own writes.
+type WriteHook func(off int, data []byte) int
 
 // Stats counts disk activity.
 type Stats struct {
@@ -53,6 +62,7 @@ type Disk struct {
 	blocks [][]byte
 	failed bool
 	stats  Stats
+	hook   WriteHook
 }
 
 // New creates a disk with nblocks zeroed blocks.
@@ -129,26 +139,7 @@ func (d *Disk) write(i int, data []byte, sequential bool) error {
 	if len(data) > BlockSize {
 		return fmt.Errorf("write block %d: %w (%d bytes)", i, ErrTooLarge, len(data))
 	}
-	d.arm.Lock()
-	defer d.arm.Unlock()
-	d.mu.Lock()
-	if err := d.check(i, 1); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	blk := make([]byte, BlockSize)
-	copy(blk, data)
-	d.blocks[i] = blk
-	cost := d.model.DiskOp
-	if sequential {
-		cost = d.model.DiskSeqOp
-		d.stats.SeqWrites++
-	} else {
-		d.stats.Writes++
-	}
-	d.mu.Unlock()
-	d.model.Sleep(cost)
-	return nil
+	return d.writeRun(i, data, sequential)
 }
 
 // WriteRun writes data across consecutive blocks starting at block start,
@@ -164,11 +155,16 @@ func (d *Disk) WriteRunSeq(start int, data []byte) error {
 	return d.writeRun(start, data, true)
 }
 
+// SetWriteHook passes every later write, as whole blocks, through hook
+// (nil removes it), which must not call the disk.
+func (d *Disk) SetWriteHook(hook WriteHook) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.hook = hook
+}
+
 func (d *Disk) writeRun(start int, data []byte, sequential bool) error {
-	n := blocksFor(len(data))
-	if n == 0 {
-		n = 1
-	}
+	n := max(blocksFor(len(data)), 1)
 	d.arm.Lock()
 	defer d.arm.Unlock()
 	d.mu.Lock()
@@ -176,14 +172,23 @@ func (d *Disk) writeRun(start int, data []byte, sequential bool) error {
 		d.mu.Unlock()
 		return err
 	}
-	for b := 0; b < n; b++ {
-		blk := make([]byte, BlockSize)
+	img := make([]byte, n*BlockSize)
+	copy(img, data)
+	keep := len(img)
+	if d.hook != nil {
+		keep = d.hook(start*BlockSize, img)
+	}
+	for b := range n {
 		lo := b * BlockSize
-		hi := min(lo+BlockSize, len(data))
-		if lo < len(data) {
-			copy(blk, data[lo:hi])
+		switch {
+		case keep >= lo+BlockSize:
+			d.blocks[start+b] = img[lo : lo+BlockSize : lo+BlockSize]
+		case keep > lo: // the block the write was torn in: new bytes, then old
+			blk := make([]byte, BlockSize)
+			copy(blk, d.blocks[start+b])
+			copy(blk, img[lo:keep])
+			d.blocks[start+b] = blk
 		}
-		d.blocks[start+b] = blk
 	}
 	seek := d.model.DiskOp
 	if sequential {
@@ -195,6 +200,9 @@ func (d *Disk) writeRun(start int, data []byte, sequential bool) error {
 	cost := seek + time.Duration(n-1)*d.model.DiskBlockXfer
 	d.mu.Unlock()
 	d.model.Sleep(cost)
+	if keep < len(img) {
+		return ErrTorn
+	}
 	return nil
 }
 

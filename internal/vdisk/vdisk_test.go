@@ -145,11 +145,7 @@ func TestNVRAMReadWrite(t *testing.T) {
 	if err := n.Write(10, []byte("journal")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := n.Read(10, 7)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if string(got) != "journal" {
+	if got := n.Snapshot()[10:17]; string(got) != "journal" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -159,11 +155,8 @@ func TestNVRAMBounds(t *testing.T) {
 	if err := n.Write(10, make([]byte, 7)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("overflowing write: %v", err)
 	}
-	if _, err := n.Read(-1, 4); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("negative read: %v", err)
-	}
-	if _, err := n.Read(0, 17); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("long read: %v", err)
+	if err := n.Write(-1, make([]byte, 4)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("negative write: %v", err)
 	}
 }
 
@@ -172,8 +165,52 @@ func TestNVRAMSnapshotIsCopy(t *testing.T) {
 	_ = n.Write(0, []byte{1})
 	snap := n.Snapshot()
 	snap[0] = 99
-	got, _ := n.Read(0, 1)
-	if got[0] != 1 {
+	if got := n.Snapshot(); got[0] != 1 {
 		t.Fatal("Snapshot aliases internal buffer")
+	}
+}
+
+// TestWriteHookTears: a write its hook cuts short stores the prefix and
+// keeps the old bytes behind it, on a disk run (across a block boundary
+// and at one) and on NVRAM, and fails with ErrTorn.
+func TestWriteHookTears(t *testing.T) {
+	for _, keep := range []int{0, 100, BlockSize, BlockSize + 7} {
+		d := newDisk(t, 4)
+		old := bytes.Repeat([]byte{0xaa}, 2*BlockSize)
+		if err := d.WriteRun(1, old); err != nil {
+			t.Fatal(err)
+		}
+		d.SetWriteHook(func(off int, data []byte) int {
+			if off != BlockSize || len(data) != 2*BlockSize {
+				t.Fatalf("hook saw %d bytes at %d", len(data), off)
+			}
+			return keep
+		})
+		fresh := bytes.Repeat([]byte{0x55}, 2*BlockSize)
+		if err := d.WriteRun(1, fresh); !errors.Is(err, ErrTorn) {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		d.SetWriteHook(nil)
+		got, err := d.ReadRun(1, 2*BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(fresh[:keep:keep], old[keep:]...); !bytes.Equal(got, want) {
+			t.Fatalf("keep %d: stored %x", keep, got)
+		}
+	}
+
+	nv := NewNVRAM(sim.FastModel(), 64)
+	if err := nv.Write(0, bytes.Repeat([]byte{1}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	nv.SetWriteHook(func(off int, data []byte) int { return 3 })
+	if err := nv.Write(10, bytes.Repeat([]byte{2}, 8)); !errors.Is(err, ErrTorn) {
+		t.Fatalf("nvram: %v", err)
+	}
+	want := bytes.Repeat([]byte{1}, 64)
+	copy(want[10:], []byte{2, 2, 2})
+	if got := nv.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("nvram holds %x", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dirsvc/internal/capability"
 	"dirsvc/internal/codec"
 	"dirsvc/internal/dirclient"
+	"dirsvc/internal/dirdata"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
 	"dirsvc/internal/vdisk"
@@ -319,4 +320,84 @@ func differs(c *Cluster, dirs []capability.Capability) string {
 		}
 	}
 	return ""
+}
+
+// TestCorruptReplicaAheadWaits: a replica whose checkpoint does not open
+// may alone hold the latest updates, and must not take an older peer's
+// state in its place. Server 3 misses an update that {1,2} make; 2
+// crashes, 1 enters recovery (so its next boot advertises sequence
+// number zero, §3) and crashes too; a bit of 2's checkpoint is flipped.
+// Rebooted together, the three cover the last set {1,2} and 2 holds the
+// highest sequence number: no replica may serve until 2's own state
+// opens. Once the bit is flipped back, 2 loads it and every replica
+// serves the update 3 missed.
+func TestCorruptReplicaAheadWaits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a stalled recovery")
+	}
+	opts := testOptions()
+	opts.DiskEngine = true
+	c := bootCluster(t, KindGroup, opts)
+	client, cleanup, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	root, _ := client.Root(bgCtx)
+	dir, err := client.CreateDir(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Append(bgCtx, root, "f1", dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.CrashServer(3)
+	appendWithRetry(t, client, root, "f2", dir, 30*time.Second) // 3 misses this
+	time.Sleep(5 * testHeartbeat)                               // on 2's disk
+	c.CrashServer(2)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(testHeartbeat) {
+		if st, ok := c.ShardServerStatus(0, 1); ok && st.Recovering {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server 1 never entered recovery")
+		}
+	}
+	time.Sleep(5 * testHeartbeat) // its recovering flag on its disk
+	c.CrashServer(1)
+	ckpt := durable{name: "engine checkpoint", magic: "CKP2"}
+	if flipStored(t, c.machine(2), ckpt, codec.Header) == 0 {
+		t.Fatal("no checkpoint stored")
+	}
+
+	booted := make(chan error, 3)
+	for id := 1; id <= 3; id++ {
+		go func() { booted <- c.RestartServer(id) }()
+	}
+	select {
+	case err := <-booted:
+		t.Fatalf("a replica booted (%v) while the freshest state does not open", err)
+	case <-time.After(3 * time.Second):
+	}
+	flipStored(t, c.machine(2), ckpt, codec.Header) // the bit back
+	for range 3 {
+		select {
+		case err := <-booted:
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("recovery did not finish once the checkpoint opened")
+		}
+	}
+	for id := 1; id <= 3; id++ {
+		m := c.machine(id)
+		m.mu.Lock()
+		rd := m.read
+		m.mu.Unlock()
+		reply := rd(&dirsvc.Request{Op: dirsvc.OpListDir, Dir: root})
+		if !slices.ContainsFunc(reply.Rows, func(r dirdata.Row) bool { return r.Name == "f2" }) {
+			t.Fatalf("replica %d lists %v without f2", id, reply.Rows)
+		}
+	}
 }

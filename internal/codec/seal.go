@@ -30,11 +30,11 @@ func Seal(dst []byte, magic [4]byte, gen uint64, body []byte) []byte {
 }
 
 // Open returns the body of the frame at the start of buf, a sub-slice of
-// buf capped at its end; bytes past the frame are not read. A frame never
-// written, whose header is all zeros, opens as a nil body and no error.
+// buf capped at its end; bytes past the frame are not read. A buffer of
+// zeros, never written, opens as a nil body and no error.
 func Open(buf []byte, magic [4]byte, gen uint64) ([]byte, error) {
 	if len(buf) < Header || [4]byte(buf[:4]) != magic {
-		if n := min(len(buf), Header); bytes.Equal(buf[:n], zeros[:n]) {
+		if len(bytes.TrimLeft(buf, "\x00")) == 0 {
 			return nil, nil
 		}
 		return nil, ErrCorrupt

@@ -56,15 +56,20 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// TestOpenEmpty: a header of zeros is a frame never written, and opens
-// as nothing; so does a buffer too short for a header, if it is zeros.
+// TestOpenEmpty: a buffer of zeros was never written, and opens as
+// nothing, whatever its length; a zeroed header with any other byte
+// behind it is corrupt.
 func TestOpenEmpty(t *testing.T) {
 	for _, buf := range [][]byte{nil, make([]byte, 5), make([]byte, 512)} {
 		if body, err := codec.Open(buf, testMagic, 3); body != nil || err != nil {
 			t.Fatalf("Open(%d zeros) = %x, %v", len(buf), body, err)
 		}
 	}
-	if _, err := codec.Open([]byte{0, 0, 1}, testMagic, 3); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("short non-zero buffer: %v", err)
+	for _, at := range []int{2, codec.Header, 511} {
+		buf := make([]byte, 512)
+		buf[at] = 1
+		if _, err := codec.Open(buf, testMagic, 3); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("zeros but byte %d: %v", at, err)
+		}
 	}
 }

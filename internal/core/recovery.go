@@ -115,19 +115,6 @@ func (s *Server) recover() error {
 		}
 		view := member.Info()
 		syncedTo, err := s.recoverRound(rc, view, mySeq, mourned, stayedUp)
-		if errors.Is(err, codec.ErrCorrupt) {
-			// Our own state does not open: like an interrupted recovery's
-			// it is no one's source (§3), and a peer's replaces it.
-			if mySeq == 0 {
-				member.Close()
-				return err
-			}
-			mySeq = 0
-			s.mu.Lock()
-			s.recoverySeq = 0
-			s.mu.Unlock()
-			continue
-		}
 		if err != nil {
 			wait := s.beat / 3
 			if errors.Is(err, errAwaitView) {
@@ -266,7 +253,21 @@ func (s *Server) recoverRound(
 		// state covers exactly the stream up to our join point: no peer
 		// holds an update we lack (srcSeq <= mySeq), so no application
 		// message sits in the gap between our crash and our join.
-		return joinSeq, s.loadLocalState()
+		err := s.loadLocalState()
+		if !errors.Is(err, codec.ErrCorrupt) {
+			return joinSeq, err
+		}
+		// Our images or checkpoint do not open, but mySeq did: only a peer
+		// as fresh may replace them; an older one would lose updates.
+		src = 0
+		for id, seq := range seqnos {
+			if id != s.cfg.ServerID && seq == mySeq && (src == 0 || id < src) {
+				src = id
+			}
+		}
+		if src == 0 {
+			return 0, fmt.Errorf("%w: %w, and no peer is at sequence number %d", errAwaitView, err, mySeq)
+		}
 	}
 	// The snapshot must be cut at or past our join point: a source whose
 	// apply cursor lags the stream would hand us images missing messages

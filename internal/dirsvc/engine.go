@@ -166,8 +166,9 @@ const scanRunBlocks = 64
 // generation gen. The current generation's records form a prefix of the
 // region; the scan stops at the first stale, torn, or empty record. It
 // reads the region in runs of scanRunBlocks blocks, and a record that
-// runs past the run in hand starts the next one. The records' payloads
-// point into the runs, which nothing writes to again.
+// runs past the run in hand starts the next one (a stale one too: only
+// its CRC tells it). The records' payloads point into the runs, which
+// nothing writes to again.
 func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec, int, error) {
 	var recs []LogRec
 	var run []byte // the blocks from runLo on, as last read
@@ -186,16 +187,17 @@ func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec
 		if err := hold(1); err != nil {
 			return nil, 0, err
 		}
-		span := (codec.FrameLen(run[(b-runLo)*vdisk.BlockSize:]) + vdisk.BlockSize - 1) / vdisk.BlockSize
-		if b+span > end {
-			break
+		hdr := run[(b-runLo)*vdisk.BlockSize:]
+		span := (codec.FrameLen(hdr) + vdisk.BlockSize - 1) / vdisk.BlockSize
+		if [4]byte(hdr) != logMagic || b+span > end {
+			break // never written, or not a record that fits
 		}
 		if err := hold(span); err != nil {
 			return nil, 0, err
 		}
 		body, err := codec.Open(run[(b-runLo)*vdisk.BlockSize:], logMagic, gen)
 		if err != nil || len(body) < 8 {
-			break // torn, stale or never written: the log ends here
+			break // torn or stale: the log ends here
 		}
 		recs = append(recs, LogRec{Seq: binary.BigEndian.Uint64(body), Payload: body[8:]})
 		b += span

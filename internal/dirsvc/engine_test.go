@@ -417,6 +417,19 @@ func TestEngineScanReadsRuns(t *testing.T) {
 		}
 	})
 
+	t.Run("stale record past the run", func(t *testing.T) {
+		// A record of another generation is told by its CRC alone: one
+		// that runs past the run in hand is read whole, one read more.
+		want := records(scanRunBlocks-2, 10)
+		img, _ := logImage(0, want)
+		stale, _ := logImage(1, []LogRec{{Seq: 99, Payload: make([]byte, 8*vdisk.BlockSize)}})
+		e, reads := open(append(img, stale...))
+		same(t, e.LogSuffix(0), want)
+		if reads != 3 { // the manifest, the first run, the stale record
+			t.Fatalf("open took %d reads, want 3", reads)
+		}
+	})
+
 	// Every stop case puts a four-block record across the first run's
 	// end, then one-block records up to the bad one, the fifth after it.
 	straddle := append(records(scanRunBlocks-2, 10), LogRec{Seq: scanRunBlocks - 1, Payload: bytes.Repeat([]byte("s"), 3*vdisk.BlockSize)})

@@ -172,23 +172,19 @@ func (d *Disk) writeRun(start int, data []byte, sequential bool) error {
 		d.mu.Unlock()
 		return err
 	}
-	img := make([]byte, n*BlockSize)
-	copy(img, data)
-	keep := len(img)
+	keep := n * BlockSize
 	if d.hook != nil {
+		img := make([]byte, keep)
+		copy(img, data)
 		keep = d.hook(start*BlockSize, img)
 	}
-	for b := range n {
-		lo := b * BlockSize
-		switch {
-		case keep >= lo+BlockSize:
-			d.blocks[start+b] = img[lo : lo+BlockSize : lo+BlockSize]
-		case keep > lo: // the block the write was torn in: new bytes, then old
-			blk := make([]byte, BlockSize)
-			copy(blk, d.blocks[start+b])
-			copy(blk, img[lo:keep])
-			d.blocks[start+b] = blk
+	for lo := 0; lo < keep; lo += BlockSize {
+		blk := make([]byte, BlockSize)
+		if old := d.blocks[start+lo/BlockSize]; keep < lo+BlockSize && old != nil {
+			copy(blk[keep-lo:], old[keep-lo:]) // torn in this block: new bytes, then old
 		}
+		copy(blk, data[min(lo, len(data)):min(keep, lo+BlockSize, len(data))])
+		d.blocks[start+lo/BlockSize] = blk
 	}
 	seek := d.model.DiskOp
 	if sequential {
@@ -200,7 +196,7 @@ func (d *Disk) writeRun(start int, data []byte, sequential bool) error {
 	cost := seek + time.Duration(n-1)*d.model.DiskBlockXfer
 	d.mu.Unlock()
 	d.model.Sleep(cost)
-	if keep < len(img) {
+	if keep < n*BlockSize {
 		return ErrTorn
 	}
 	return nil

@@ -3,6 +3,7 @@ package vdisk
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +201,20 @@ func TestWriteHookTears(t *testing.T) {
 		}
 	}
 
+	// A write shorter than its block is padded with zeros up to the tear.
+	d := newDisk(t, 2)
+	if err := d.WriteBlock(1, bytes.Repeat([]byte{0xaa}, BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	d.SetWriteHook(func(int, []byte) int { return 300 })
+	if err := d.WriteBlock(1, bytes.Repeat([]byte{0x55}, 100)); !errors.Is(err, ErrTorn) {
+		t.Fatalf("short write: %v", err)
+	}
+	want := slices.Concat(bytes.Repeat([]byte{0x55}, 100), make([]byte, 200), bytes.Repeat([]byte{0xaa}, BlockSize-300))
+	if got, _ := d.ReadBlock(1); !bytes.Equal(got, want) {
+		t.Fatalf("short write stored %x", got)
+	}
+
 	nv := NewNVRAM(sim.FastModel(), 64)
 	if err := nv.Write(0, bytes.Repeat([]byte{1}, 64)); err != nil {
 		t.Fatal(err)
@@ -208,7 +223,7 @@ func TestWriteHookTears(t *testing.T) {
 	if err := nv.Write(10, bytes.Repeat([]byte{2}, 8)); !errors.Is(err, ErrTorn) {
 		t.Fatalf("nvram: %v", err)
 	}
-	want := bytes.Repeat([]byte{1}, 64)
+	want = bytes.Repeat([]byte{1}, 64)
 	copy(want[10:], []byte{2, 2, 2})
 	if got := nv.Snapshot(); !bytes.Equal(got, want) {
 		t.Fatalf("nvram holds %x", got)

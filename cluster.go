@@ -131,12 +131,6 @@ type Options struct {
 	// Off — the default — preserves the paper's §4.2 selection heuristic
 	// and Fig. 8's load skew.
 	ReadBalance bool
-	// TxAbortTimeout is the presumed-abort horizon for cross-shard
-	// transactions: a prepared transaction left undecided this long is
-	// resolved by the shards themselves, whatever the cluster kind
-	// (fault injection tests shrink it). Zero means a model-scaled
-	// default.
-	TxAbortTimeout time.Duration
 	// LeaseTTL bounds a client's watch/cache lease without renewal
 	// (tests shrink it). Zero means a model-scaled default.
 	LeaseTTL time.Duration
@@ -165,9 +159,10 @@ type machine struct {
 	bulletStack *flip.Stack
 	bulletSrv   *bullet.Server
 
-	mu   sync.Mutex
-	stop func()       // closes the directory server process
-	core *core.Server // set for group kinds (admin operations)
+	mu    sync.Mutex
+	stop  func()           // closes the directory server process
+	core  *core.Server     // set for group kinds (admin operations)
+	front *dirsvc.FrontEnd // the running server's request pipeline
 	// read serves one read at the server below the transport (group and
 	// RPC kinds; tests interrogate one specific server with it).
 	read func(*dirsvc.Request) *dirsvc.Reply
@@ -366,6 +361,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.stop = srv.Close
 		m.core = srv
 		m.read = srv.Read
+		m.front = srv.Front()
 		m.mu.Unlock()
 	case KindRPC:
 		srv, err := rpcdir.NewServer(m.dirStack, rpcdir.Config{FrontConfig: front, Staging: m.staging})
@@ -375,6 +371,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		m.mu.Lock()
 		m.stop = srv.Close
 		m.read = srv.Read
+		m.front = srv.Front()
 		m.mu.Unlock()
 	case KindLocal:
 		srv, err := localdir.NewServer(m.dirStack, localdir.Config{FrontConfig: front})
@@ -383,6 +380,7 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		}
 		m.mu.Lock()
 		m.stop = srv.Close
+		m.front = srv.Front()
 		m.mu.Unlock()
 	default:
 		return errors.New("faultdir: unknown cluster kind")
@@ -394,16 +392,32 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 // place in the deployment and its pipeline sizing.
 func (c *Cluster) frontConfig(sg *shardGroup, admin vdisk.Storage) dirsvc.FrontConfig {
 	return dirsvc.FrontConfig{
-		Service:        sg.service,
-		BaseService:    c.Service,
-		Shard:          sg.index,
-		Shards:         c.opts.Shards,
-		ActiveShards:   c.opts.ActiveShards,
-		Admin:          admin,
-		Workers:        c.opts.Workers,
-		TxAbortTimeout: c.opts.TxAbortTimeout,
-		LeaseTTL:       c.opts.LeaseTTL,
-		EventLogSize:   c.opts.EventLogSize,
+		Service:      sg.service,
+		BaseService:  c.Service,
+		Shard:        sg.index,
+		Shards:       c.opts.Shards,
+		ActiveShards: c.opts.ActiveShards,
+		Admin:        admin,
+		Workers:      c.opts.Workers,
+		LeaseTTL:     c.opts.LeaseTTL,
+		EventLogSize: c.opts.EventLogSize,
+	}
+}
+
+// SetTxHook installs fn on the front end of every directory server that
+// has booted (dirsvc.FrontEnd.SetTxHook), told the server's shard and
+// id; a server booted later starts without it. A server's shutdown waits
+// for its hooks, so a hook that crashes its own server does so from
+// another goroutine, and halts. A nil fn removes the hook.
+func (c *Cluster) SetTxHook(fn func(shard, server int, stage dirsvc.TxStage) (halt bool)) {
+	for _, sg := range c.shards {
+		for _, m := range sg.machines {
+			m.mu.Lock()
+			if shard, id := sg.index, m.id; m.front != nil {
+				m.front.SetTxHook(func(stage dirsvc.TxStage) bool { return fn != nil && fn(shard, id, stage) })
+			}
+			m.mu.Unlock()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package faultdir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,7 +35,6 @@ func newMigCluster(t *testing.T, kind Kind, shards, active int) *Cluster {
 		Shards:            shards,
 		ActiveShards:      active,
 		Workers:           8,
-		TxAbortTimeout:    crashTxTimeout,
 		IdleFlush:         time.Hour, // deterministic crash points (no background NVRAM flush)
 	})
 	if err != nil {
@@ -306,25 +306,28 @@ func TestSplitMigrationIfHot(t *testing.T) {
 	}
 }
 
-// TestMigrationCoordinatorCrashAtEveryStep halts the migration
-// coordinator at every stage of the per-object copy → flip protocol —
-// after the copy, before the flip's prepare, while both shards are
-// prepared, and after the resolver's partial commit — and proves the
-// half-done migration harms nothing: every object stays reachable
-// through exactly one home, and a fresh coordinator finishes the split.
+// TestMigrationCoordinatorCrashAtEveryStep stops the migration at
+// every stage of the per-object copy → flip protocol, on the third
+// object: the migrator halts after the copy, and the flip's initiating
+// replica at the resolver (the source shard, the lower of the two)
+// crashes before the flip's prepare, while both shards are prepared,
+// and after the resolver's commit. The half-done migration harms
+// nothing: every object stays reachable through exactly one home, and a
+// fresh migrator finishes the split.
 func TestMigrationCoordinatorCrashAtEveryStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated migration CI lane")
 	}
 	stages := []struct {
 		name  string
-		stage dirclient.TxStage
+		stage dirsvc.TxStage // zero: the migrator's hook after the copy
 	}{
-		{"AfterCopy", dirclient.TxAfterMigCopy},
-		{"BeforeFlipPrepare", dirclient.TxBeforePrepare},
-		{"WhileFlipPrepared", dirclient.TxAfterPrepare},
-		{"AfterPartialFlipCommit", dirclient.TxAfterResolverDecide},
+		{"AfterCopy", 0},
+		{"BeforeFlipPrepare", dirsvc.TxBeforePrepare},
+		{"WhileFlipPrepared", dirsvc.TxAfterPrepare},
+		{"AfterPartialFlipCommit", dirsvc.TxAfterResolverDecide},
 	}
+	errHalt := errors.New("migrator halted")
 	for _, sc := range stages {
 		t.Run(sc.name, func(t *testing.T) {
 			c := newMigCluster(t, KindGroup, 2, 1)
@@ -333,43 +336,52 @@ func TestMigrationCoordinatorCrashAtEveryStep(t *testing.T) {
 			if _, err := f.coordinator.Split(bgCtx); err != nil {
 				t.Fatalf("Split: %v", err)
 			}
-			// Halt the coordinator at the scheduled stage of the third
-			// object's migration: some objects moved, one is mid-flight.
-			fired := 0
-			f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-				if s == sc.stage {
-					fired++
-					if fired == 3 {
-						return dirclient.ErrTxHalt
-					}
+			// Stop at the scheduled stage of the third object's migration:
+			// some objects moved, one is mid-flight.
+			var fired atomic.Int32
+			crashed := make(chan (<-chan struct{}), 1)
+			f.coordinator.SetMigrateHook(func() error {
+				if sc.stage == 0 && fired.Add(1) == 3 {
+					return errHalt
 				}
 				return nil
 			})
+			c.SetTxHook(func(shard, server int, s dirsvc.TxStage) bool {
+				if s != sc.stage || sc.stage == 0 || fired.Add(1) != 3 {
+					return false
+				}
+				crashed <- crashAsync(c, shard, server)
+				return true
+			})
 			err := f.coordinator.CompleteSplit(bgCtx)
-			f.coordinator.SetTxHook(nil)
-			if !errors.Is(err, dirclient.ErrTxHalt) {
-				t.Fatalf("halted CompleteSplit: err = %v, want ErrTxHalt", err)
+			f.coordinator.SetMigrateHook(nil)
+			c.SetTxHook(nil)
+			if sc.stage == 0 && !errors.Is(err, errHalt) {
+				t.Fatalf("halted CompleteSplit: err = %v, want the hook's error", err)
 			}
-			if fired < 3 {
-				t.Fatalf("halt hook fired %d times, want 3", fired)
+			if n := fired.Load(); n < 3 {
+				t.Fatalf("hook fired %d times, want 3", n)
+			}
+			if sc.stage != 0 {
+				awaitCrash(t, crashed)
 			}
 
-			// Mid-split, coordinator dead: every object still has exactly
-			// one authoritative home (an undecided flip resolves via the
-			// participants' presumed-abort machinery).
+			// Mid-split: every object still has exactly one authoritative
+			// home (an undecided flip is settled by its resolver).
 			f.assertReachable(t, "halted-"+sc.name)
 
-			// A fresh coordinator finishes the job.
+			// A fresh migrator finishes the job: the split itself is done,
+			// and the migration may have finished through the resolver
+			// replica that took over the crashed one's request.
 			coord2, cleanup, err := c.NewClient()
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(cleanup)
 			if err := retryFor(crashRetryWait, func() error {
-				_, merr := coord2.SplitAndMigrate(bgCtx)
-				return merr
+				return coord2.CompleteSplit(bgCtx)
 			}); err != nil {
-				t.Fatalf("resumed SplitAndMigrate: %v", err)
+				t.Fatalf("resumed CompleteSplit: %v", err)
 			}
 			f.assertReachable(t, "resumed-"+sc.name)
 			f.assertConverged(t, 1)
@@ -380,18 +392,18 @@ func TestMigrationCoordinatorCrashAtEveryStep(t *testing.T) {
 // TestMigrationReplicaCrashAtEveryStep crashes one replica of the
 // source shard, then of the target shard, at every stage of the flip;
 // the remaining majority carries the migration through with no
-// coordinator restart needed.
+// migrator restart needed.
 func TestMigrationReplicaCrashAtEveryStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated migration CI lane")
 	}
 	stages := []struct {
 		name  string
-		stage dirclient.TxStage
+		stage dirsvc.TxStage // zero: the migrator's hook after the copy
 	}{
-		{"AfterCopy", dirclient.TxAfterMigCopy},
-		{"WhileFlipPrepared", dirclient.TxAfterPrepare},
-		{"AfterPartialFlipCommit", dirclient.TxAfterResolverDecide},
+		{"AfterCopy", 0},
+		{"WhileFlipPrepared", dirsvc.TxAfterPrepare},
+		{"AfterPartialFlipCommit", dirsvc.TxAfterResolverDecide},
 	}
 	for _, side := range []struct {
 		name  string
@@ -402,25 +414,42 @@ func TestMigrationReplicaCrashAtEveryStep(t *testing.T) {
 				c := newMigCluster(t, KindGroup, 2, 1)
 				f := newMigFixture(t, c, 5)
 
-				crashed := false
-				f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-					if s == sc.stage && !crashed {
-						crashed = true
+				// The victim is crashed once, by whichever hook reaches the
+				// stage first; a hook running on the victim itself halts it.
+				crashed := make(chan (<-chan struct{}), 1)
+				var once sync.Once
+				crash := func(shard, server int) (halt bool) {
+					once.Do(func() {
+						if halt = shard == side.shard && server == 2; halt {
+							crashed <- crashAsync(c, side.shard, 2)
+							return
+						}
+						done := make(chan struct{})
 						c.CrashShardServer(side.shard, 2)
+						close(done)
+						crashed <- done
+					})
+					return halt
+				}
+				f.coordinator.SetMigrateHook(func() error {
+					if sc.stage == 0 {
+						crash(-1, 0)
 					}
 					return nil
+				})
+				c.SetTxHook(func(shard, server int, s dirsvc.TxStage) bool {
+					return s == sc.stage && crash(shard, server)
 				})
 				err := retryFor(crashRetryWait, func() error {
 					_, merr := f.coordinator.SplitAndMigrate(bgCtx)
 					return merr
 				})
-				f.coordinator.SetTxHook(nil)
+				f.coordinator.SetMigrateHook(nil)
+				c.SetTxHook(nil)
 				if err != nil {
 					t.Fatalf("SplitAndMigrate with %s minority crash: %v", side.name, err)
 				}
-				if !crashed {
-					t.Fatal("crash hook never fired")
-				}
+				awaitCrash(t, crashed)
 				f.assertReachable(t, "minority")
 				f.assertConverged(t, 1)
 
@@ -457,20 +486,27 @@ func TestMigrationWholeShardCrash(t *testing.T) {
 				if _, err := f.coordinator.Split(bgCtx); err != nil {
 					t.Fatalf("Split: %v", err)
 				}
-				f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-					if s == dirclient.TxAfterPrepare {
-						for id := 1; id <= c.ServersPerShard(); id++ {
-							c.CrashShardServer(side.shard, id)
-						}
-						return dirclient.ErrTxHalt
+				// The flip's initiating replica halts with the crash, so
+				// no coordinator is left running but the resolver's takeover.
+				crashed := make(chan (<-chan struct{}), 1)
+				var once sync.Once
+				c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
+					if s == dirsvc.TxAfterPrepare {
+						once.Do(func() {
+							crashed <- crashAsync(c, side.shard, allServers(c)...)
+							halt = true
+						})
 					}
-					return nil
+					return halt
 				})
-				err := f.coordinator.CompleteSplit(bgCtx)
-				f.coordinator.SetTxHook(nil)
+				ctx, cancel := context.WithTimeout(bgCtx, 5*time.Second)
+				err := f.coordinator.CompleteSplit(ctx)
+				cancel()
+				c.SetTxHook(nil)
 				if err == nil {
 					t.Fatal("CompleteSplit succeeded through a whole-shard crash")
 				}
+				awaitCrash(t, crashed)
 
 				restartShard(t, c, side.shard)
 
@@ -541,7 +577,7 @@ func TestMigrationSplitThenCrashKeepsCreatedNumbers(t *testing.T) {
 			send := rawSender(t, c)
 			id := dirsvc.NewTxID()
 			vote := send(0, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
-				ID: id, Resolver: 0, Participants: []int{0},
+				ID: id, Participants: []int{0},
 				Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{{Op: dirsvc.OpCreateDir}}),
 			})})
 			results, err := dirsvc.DecodeBatchResults(vote.Blob)

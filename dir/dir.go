@@ -142,9 +142,10 @@ type Directory interface {
 	// replicated update — on the group backends, one totally-ordered
 	// broadcast regardless of the number of steps — under one service
 	// sequence number. A batch naming directories on several shards
-	// commits through a two-phase protocol: every home shard stages and
-	// locks its steps (PREPARE), then the decision is ratified by the
-	// lowest participant shard and propagated (COMMIT/ABORT). The batch
+	// commits through a two-phase protocol the lowest participant shard
+	// coordinates: every home shard stages and locks its steps
+	// (PREPARE), then the decision is ordered on the coordinating
+	// shard's stream and propagated (COMMIT/ABORT). The batch
 	// is still all-or-nothing deployment-wide; each shard commits it
 	// under its own sequence number, and readers of a staged directory
 	// are held until the decision, so no reader observes one shard's
@@ -152,11 +153,10 @@ type Directory interface {
 	// distributed path: a spanning batch then fails fast with
 	// ErrCrossShardBatch before anything is sent.
 	//
-	// A cross-shard Apply that is cancelled after the decision has been
-	// ratified may still commit: the shards finish the transaction among
-	// themselves. An Apply abandoned before the decision aborts after
-	// the deployment's presumed-abort horizon. Batches of only CreateDir
-	// steps have no home and are placed like single CreateDir calls.
+	// A cross-shard Apply that is cancelled once the batch was sent may
+	// still commit: the resolver shard finishes the transaction whatever
+	// becomes of the caller. Batches of only CreateDir steps have no home
+	// and are placed like single CreateDir calls.
 	Apply(ctx context.Context, b *Batch) (*BatchResult, error)
 }
 

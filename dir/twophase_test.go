@@ -1,13 +1,15 @@
 // Two-phase-commit tests at the public API: the cross-shard lane of the
 // conformance matrix, the lock/visibility semantics of a prepared
-// transaction, and the coordinator-crash schedule — the client killed
-// at every stage of the protocol, with the shards left to resolve the
-// orphaned transaction themselves.
+// transaction, and the halt schedule — the resolver's coordinator
+// stopped at every stage of the protocol on every kind, with the
+// resolver's takeover left to settle the transaction.
 package dir_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,23 +17,13 @@ import (
 
 	"dirsvc/dir"
 	"dirsvc/internal/dirclient"
+	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
 )
 
-// txAbortTimeout is the presumed-abort horizon the 2PC tests run with:
-// short enough that orphan resolution is observable in test time.
-const txAbortTimeout = 300 * time.Millisecond
-
 // newTxCluster builds a cluster tuned for two-phase fault injection.
-// A non-zero horizon overrides the default short presumed-abort
-// timeout — tests that hold a transaction prepared on purpose (rather
-// than testing orphan resolution) need one that outlasts the hold.
-func newTxCluster(t *testing.T, kind faultdir.Kind, shards int, cache dir.CacheOptions, balance bool, horizon ...time.Duration) (*faultdir.Cluster, *dirclient.Client) {
+func newTxCluster(t *testing.T, kind faultdir.Kind, shards int, cache dir.CacheOptions, balance bool) (*faultdir.Cluster, *dirclient.Client) {
 	t.Helper()
-	timeout := txAbortTimeout
-	if len(horizon) > 0 {
-		timeout = horizon[0]
-	}
 	c, err := faultdir.New(kind, faultdir.Options{
 		Model:             sim.FastModel(),
 		HeartbeatInterval: 15 * time.Millisecond,
@@ -39,7 +31,6 @@ func newTxCluster(t *testing.T, kind faultdir.Kind, shards int, cache dir.CacheO
 		Workers:           8,
 		ClientCache:       cache,
 		ReadBalance:       balance,
-		TxAbortTimeout:    timeout,
 		IdleFlush:         time.Hour, // NVRAM flushes only when forced: crash points stay deterministic
 	})
 	if err != nil {
@@ -112,8 +103,8 @@ func TestCrossShardConformance(t *testing.T) {
 
 // applyRetrying applies a batch, riding out the cross-shard lane's load
 // transients: the no-majority windows retryDir covers, plus short-lived
-// ErrConflict — a previous attempt's aborted transaction can hold its
-// locks until the presumed-abort horizon clears them. A retry can also
+// ErrConflict — a previous attempt's transaction can hold its locks
+// until its resolver settles it. A retry can also
 // discover its predecessor actually committed (the reply was lost):
 // ErrExists after the first attempt reports success with a nil result,
 // and the caller verifies through reads. Other sentinel errors (the
@@ -209,12 +200,14 @@ func scenarioCrossShardBatch(t *testing.T, client *dirclient.Client, shards int)
 	}
 }
 
-// TestTwoPhaseCoordinatorCrash kills the coordinator at every stage of
-// the protocol and asserts the shards converge to all-or-nothing on
-// their own: before any prepare nothing ever existed; between prepare
-// and decide the presumed-abort timeout rolls every shard back and
-// releases the locks; after the resolver ratified the commit the
-// orphaned shard learns the outcome from the resolver and applies it.
+// TestTwoPhaseCoordinatorCrash halts the resolver's coordinator — the
+// replica that received the batch — at every stage of the protocol,
+// with its server left running, so the client's request goes
+// unanswered. The resolver's takeover drives whatever was prepared to a
+// decision on every kind: before any prepare nothing ever exists; from
+// the resolver's prepare on, the takeover finishes the transaction;
+// after the resolver ordered the commit, the other shard learns it from
+// the resolver. Every outcome is all-or-nothing and releases the locks.
 func TestTwoPhaseCoordinatorCrash(t *testing.T) {
 	skipShardedInShortLane(t)
 	const shards = 2
@@ -230,42 +223,44 @@ func TestTwoPhaseCoordinatorCrash(t *testing.T) {
 
 			stages := []struct {
 				name      string
-				stage     dirclient.TxStage
+				stage     dirsvc.TxStage
 				committed bool // the transaction's eventual outcome
 			}{
-				{"BeforePrepare", dirclient.TxBeforePrepare, false},
-				{"AfterPrepare", dirclient.TxAfterPrepare, false},
-				{"AfterResolverDecide", dirclient.TxAfterResolverDecide, true},
+				{"BeforePrepare", dirsvc.TxBeforePrepare, false},
+				{"AfterResolverPrepare", dirsvc.TxAfterResolverPrepare, true},
+				{"AfterPrepare", dirsvc.TxAfterPrepare, true},
+				{"AfterResolverDecide", dirsvc.TxAfterResolverDecide, true},
 			}
 			for i, sc := range stages {
 				t.Run(sc.name, func(t *testing.T) {
 					d0 := createDirOn(t, client, 0)
 					d1 := createDirOn(t, client, 1)
-					name := fmt.Sprintf("crash%d", i)
+					name := fmt.Sprintf("halt%d", i)
 
-					client.SetTxHook(func(stage dirclient.TxStage) error {
+					var once sync.Once
+					c.SetTxHook(func(_, _ int, stage dirsvc.TxStage) (halt bool) {
 						if stage == sc.stage {
-							return dirclient.ErrTxHalt
+							once.Do(func() { halt = true })
 						}
-						return nil
+						return halt
 					})
-					_, err := client.Apply(bgCtx, dir.NewBatch().
+					ctx, cancel := context.WithTimeout(bgCtx, 500*time.Millisecond)
+					_, err := client.Apply(ctx, dir.NewBatch().
 						Append(d0, name, d0, nil).
 						Append(d1, name, d1, nil))
-					client.SetTxHook(nil)
-					if !errors.Is(err, dirclient.ErrTxHalt) {
-						t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
+					cancel()
+					if err == nil {
+						t.Fatal("Apply answered from a halted coordinator")
 					}
 
-					// The shards must settle to the stage's outcome on their
-					// own — through an independent client, so no coordinator
-					// state helps.
-					settle := 10*txAbortTimeout + 5*time.Second
+					// The shards must settle to the stage's outcome — read
+					// through an independent client.
 					for s, cap := range []dir.Capability{d0, d1} {
-						if err := lookupEventually(probe, cap, name, sc.committed, settle); err != nil {
+						if err := lookupEventually(probe, cap, name, sc.committed, 30*time.Second); err != nil {
 							t.Fatalf("shard %d: %v", s, err)
 						}
 					}
+					c.SetTxHook(nil)
 					// The locks are gone: both directories accept updates.
 					for _, cap := range []dir.Capability{d0, d1} {
 						if err := retryErr(func() error {
@@ -366,9 +361,7 @@ func TestTwoPhaseAtomicVisibility(t *testing.T) {
 // decision — it then observes the committed batch, never a mix.
 func TestTwoPhaseLocksAndReaders(t *testing.T) {
 	skipShardedInShortLane(t)
-	// A long presumed-abort horizon: this test holds the transaction
-	// prepared on purpose, and the shards must not resolve it meanwhile.
-	c, client := newTxCluster(t, faultdir.KindGroup, 2, dir.CacheOptions{}, false, time.Minute)
+	c, client := newTxCluster(t, faultdir.KindGroup, 2, dir.CacheOptions{}, false)
 	other, cleanup, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -378,16 +371,19 @@ func TestTwoPhaseLocksAndReaders(t *testing.T) {
 	d0 := createDirOn(t, client, 0)
 	d1 := createDirOn(t, client, 1)
 
+	// Every coordinator of the transaction — the initiator, and a
+	// takeover should the hold outlast Takeover — waits for the release.
 	hold := make(chan struct{})
 	released := make(chan struct{})
-	client.SetTxHook(func(stage dirclient.TxStage) error {
-		if stage == dirclient.TxAfterPrepare {
-			close(released)
+	var once sync.Once
+	c.SetTxHook(func(_, _ int, stage dirsvc.TxStage) bool {
+		if stage == dirsvc.TxAfterPrepare {
+			once.Do(func() { close(released) })
 			<-hold
 		}
-		return nil
+		return false
 	})
-	defer client.SetTxHook(nil)
+	defer c.SetTxHook(nil)
 
 	applyDone := make(chan error, 1)
 	go func() {

@@ -3,11 +3,11 @@ package faultdir
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"dirsvc/dir"
-	"dirsvc/internal/dirclient"
 	"dirsvc/internal/dirsvc"
 	"dirsvc/internal/sim"
 )
@@ -28,7 +28,6 @@ func newEngineCluster(t *testing.T, shards int) *Cluster {
 		HeartbeatInterval: testHeartbeat,
 		Shards:            shards,
 		Workers:           8,
-		TxAbortTimeout:    crashTxTimeout,
 		IdleFlush:         time.Hour,
 		DiskEngine:        true,
 	})
@@ -49,8 +48,10 @@ func newEngineCluster(t *testing.T, shards int) *Cluster {
 // replica of both shards — crashes with the transaction prepared, and
 // after reboot the outcome must still settle exactly once:
 //
-//   - NoDecision: no shard ratified anything before the crash, so
-//     presumed abort wins and nothing may surface.
+//   - NoDecision: no decision was ordered before the crash. The
+//     resolver's logged prepare carries the whole plan, so after the
+//     reboot its takeover drives the transaction to a decision, which
+//     the other shard learns from the resolver.
 //   - AfterPartialCommit: the resolver shard committed its half; the
 //     restarted participant must find its own prepare in the log,
 //     re-stage the transaction, and learn the commit from the
@@ -61,33 +62,38 @@ func TestPlainDurableWholeClusterCrashPrepared(t *testing.T) {
 	}
 	cases := []struct {
 		name      string
-		stage     dirclient.TxStage
-		committed bool
+		stage     dirsvc.TxStage
+		committed bool // the outcome is fixed before the crash
 	}{
-		{"NoDecision", dirclient.TxAfterPrepare, false},
-		{"AfterPartialCommit", dirclient.TxAfterResolverDecide, true},
+		{"NoDecision", dirsvc.TxAfterPrepare, false},
+		{"AfterPartialCommit", dirsvc.TxAfterResolverDecide, true},
 	}
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
 			c := newEngineCluster(t, 2)
 			f := newTxFixture(t, c, "wholecluster")
 
-			f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
+			crashed := make(chan (<-chan struct{}), 1)
+			var once sync.Once
+			c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
 				if s == sc.stage {
-					for shard := 0; shard < c.Shards(); shard++ {
-						for id := 1; id <= c.ServersPerShard(); id++ {
-							c.CrashShardServer(shard, id)
-						}
-					}
-					return dirclient.ErrTxHalt
+					once.Do(func() {
+						done := make(chan struct{})
+						go func() {
+							defer close(done)
+							for shard := 0; shard < c.Shards(); shard++ {
+								<-crashAsync(c, shard, allServers(c)...)
+							}
+						}()
+						crashed <- done
+						halt = true
+					})
 				}
-				return nil
+				return halt
 			})
-			_, err := f.coordinator.Apply(bgCtx, f.batch())
-			f.coordinator.SetTxHook(nil)
-			if !errors.Is(err, dirclient.ErrTxHalt) {
-				t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
-			}
+			err := f.applyFor(crashRetryWait)
+			c.SetTxHook(nil)
+			awaitCrash(t, crashed)
 
 			// Reboot the whole cluster concurrently, as a power cycle
 			// would: every replica's recovery replays its checkpoint +
@@ -103,7 +109,9 @@ func TestPlainDurableWholeClusterCrashPrepared(t *testing.T) {
 					t.Fatalf("whole-cluster reboot: %v", err)
 				}
 			}
-			f.assertSettles(t, sc.committed)
+			if committed := f.assertAtomic(t, err); sc.committed && !committed {
+				t.Fatal("a commit in the resolver's stream was lost")
+			}
 		})
 	}
 }
@@ -349,9 +357,9 @@ func TestBackupRestoreSurvivesRestart(t *testing.T) {
 // TestOutcomeRecordsReplayAsOutcomes drives dirsvc.Applier.Replay from
 // its caller, a restarted replica's checkpoint + log-suffix load. The
 // write-ahead log past the checkpoint holds two decide records whose
-// transactions are staged nowhere: a coordinator's retried commit (the
-// checkpoint already carries its effects) and the presumed abort of a
-// transaction nobody prepared. Neither may apply as an update; both must
+// transactions are staged nowhere: a retried commit (the checkpoint
+// already carries its effects) and the abort of a transaction nobody
+// prepared. Neither may apply as an update; both must
 // leave the outcome answerable on every replica after a whole-cluster
 // crash.
 func TestOutcomeRecordsReplayAsOutcomes(t *testing.T) {
@@ -372,7 +380,7 @@ func TestOutcomeRecordsReplayAsOutcomes(t *testing.T) {
 	committed, ghost := dirsvc.NewTxID(), dirsvc.NewTxID()
 	masks := []dir.Rights{dir.AllRights, dir.AllRights, dir.AllRights}
 	send(0, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
-		ID: committed, Resolver: 0, Participants: []int{0},
+		ID: committed, Participants: []int{0},
 		Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{
 			{Op: dirsvc.OpAppendRow, Dir: d, Name: "tx", Cap: d, Masks: masks},
 		}),

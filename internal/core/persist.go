@@ -128,9 +128,9 @@ func (n *nvramLog) flush() error {
 // and returns the error of a record that does not fit. Undecided prepares
 // must survive a whole-shard crash, so Fig. 6 recovery reinstates the
 // in-doubt transaction instead of dropping a vote. Recent decisions ride
-// along, so an orphaned peer asking after such a crash still hears
-// "committed" rather than presuming abort a transaction another shard
-// already exposed.
+// along, so a participant asking a resolver after such a crash still
+// hears "committed", not "unknown" (which it reads as abort), about a
+// transaction another shard already exposed.
 func (n *nvramLog) relogTxState() (err error) {
 	relog := func(req *dirsvc.Request, seq uint64) {
 		if _, aerr := n.log.Append(req, seq); aerr != nil {
@@ -141,11 +141,7 @@ func (n *nvramLog) relogTxState() (err error) {
 	for _, tx := range a.InDoubtTxs() {
 		relog(tx.Req, tx.Seq)
 	}
-	// An orphaned peer resolves an in-doubt transaction within one
-	// presumed-abort horizon plus two strike ticks, so outcomes three
-	// horizons old can no longer be asked about — without the age limit
-	// the log would re-append every decision it ever saw on every flush.
-	for _, d := range a.RecentDecided(recentDecidedKept, 3*n.s.front.TxAbort) {
+	for _, d := range a.RecentDecided(recentDecidedKept) {
 		relog(&dirsvc.Request{
 			Op:   dirsvc.OpDecide,
 			Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit}),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dirsvc/internal/codec"
@@ -288,11 +289,21 @@ func (s *Server) recoverRound(
 // Replayed OpPrepare records re-stage the in-doubt transaction (locks and
 // all) as it stood before the crash; a following OpDecide record then
 // resolves it, and one still undecided is left for the resolution loop.
+// A replica that lost its majority without crashing replays its RAM 2PC
+// ledger over the load, which the plain kind's storage does not keep.
 func (s *Server) loadLocalState() error {
-	s.front.Applier.ResetTx()
-	s.front.Applier.InvalidateCache()
+	a := s.front.Applier
+	held, decided := a.InDoubtTxs(), a.RecentDecided(math.MaxInt)
+	a.ResetTx()
+	a.InvalidateCache()
 	if err := s.persist.load(); err != nil {
 		return err
+	}
+	for _, d := range decided {
+		a.Replay(&dirsvc.Request{Op: dirsvc.OpDecide, Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit})}, d.Seq)
+	}
+	for _, tx := range held {
+		a.Replay(tx.Req, tx.Seq)
 	}
 	// The commit block also counts numbers no surviving record carries.
 	s.mu.Lock()

@@ -378,6 +378,9 @@ func (s *Server) Lag() int {
 	return 0
 }
 
+// Front returns the server's request pipeline (fault-injection hooks).
+func (s *Server) Front() *dirsvc.FrontEnd { return s.front }
+
 // Read serves one read request exactly as an initiator thread would —
 // majority check, buffered-stream wait, session floor — without going
 // through the RPC transport. Fault-injection tests and monitoring tools

@@ -19,9 +19,9 @@
 // load spread. Each shard has its own rpc.Client — its own port cache
 // and transaction slot — so operations on different shards proceed in
 // parallel. A batch homed on one shard commits as a single replicated
-// update; a batch spanning shards makes this client a two-phase-commit
-// coordinator (see twophase.go), unless the batch opted out with
-// dir.Batch.SingleShard (dir.ErrCrossShardBatch then).
+// update; a spanning batch goes, as one request, to its resolver shard,
+// which runs the two-phase commit (see twophase.go), unless the batch
+// opted out with dir.Batch.SingleShard (dir.ErrCrossShardBatch then).
 //
 // The client can also cache reads (Options.Cache): List rows and
 // looked-up capabilities are kept in a per-shard LRU cache and repeat
@@ -88,9 +88,9 @@ type Client struct {
 	// as Request.MinSeq.
 	seqs []atomic.Uint64
 
-	mu     sync.Mutex
-	root   capability.Capability     // cached root capability
-	txHook func(stage TxStage) error // fault-injection hook (SetTxHook)
+	mu      sync.Mutex
+	root    capability.Capability        // cached root capability
+	migHook atomic.Pointer[func() error] // fault-injection hook (SetMigrateHook)
 
 	// Watch/lease state (see watch.go): the fan-out hub for dir.Watch
 	// subscribers, one lease watcher per shard (started eagerly in
@@ -753,14 +753,14 @@ func (c *Client) RestoreShard(ctx context.Context, shard int, snapshot []byte) e
 // Apply executes an atomic batch. A batch homed on one shard goes out
 // as one wire request — on the group backends, one totally-ordered
 // group broadcast regardless of the number of steps. A batch naming
-// directories on several shards runs the client-coordinated two-phase
-// commit (see applyTwoPhase): PREPARE to every home shard, the decision
-// ratified by the lowest participant shard, COMMIT/ABORT propagated to
-// the rest — unless the batch opted out with dir.Batch.SingleShard, in
-// which case it fails fast with dir.ErrCrossShardBatch before anything
-// is sent. Either every step takes effect or none do; a rejected batch
-// returns a *dir.BatchError naming the failing step. A batch of only
-// CreateDir steps is placed round-robin, like single CreateDir calls.
+// directories on several shards also goes out as one request, to its
+// resolver shard (the lowest participant), whose replica group runs the
+// two-phase commit (see applyTx) whatever becomes of this client —
+// unless the batch opted out with dir.Batch.SingleShard, in which case
+// it fails fast with dir.ErrCrossShardBatch before anything is sent.
+// Either every step takes effect or none do; a rejected batch returns a
+// *dir.BatchError naming the failing step. A batch of only CreateDir
+// steps is placed round-robin, like single CreateDir calls.
 func (c *Client) Apply(ctx context.Context, b *dir.Batch) (*dir.BatchResult, error) {
 	if b.Len() == 0 {
 		return &dir.BatchResult{}, nil
@@ -774,7 +774,7 @@ func (c *Client) Apply(ctx context.Context, b *dir.Batch) (*dir.BatchResult, err
 		if b.SingleShardOnly() {
 			return nil, dir.ErrCrossShardBatch
 		}
-		return c.applyTwoPhase(ctx, b, plan)
+		return c.applyTx(ctx, b.Len(), plan)
 	}
 	var shard int
 	if len(plan.shards) == 1 {

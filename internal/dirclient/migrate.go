@@ -18,10 +18,10 @@ package dirclient
 // stubs — is what keeps routing loop-free for clients at any epoch.
 //
 // The flip itself rides the same two-phase commit as cross-shard
-// batches, so a coordinator that dies mid-flip leaves the outcome to
-// participant recovery exactly like any other transaction: either both
-// shards commit (entry becomes a stub at the source, image lands at the
-// target) or neither does.
+// batches, run by the lower of the two shards, so a migrator that dies
+// mid-flip leaves the outcome to that shard exactly like any other
+// transaction: either both shards commit (entry becomes a stub at the
+// source, image lands at the target) or neither does.
 
 import (
 	"context"
@@ -34,6 +34,10 @@ import (
 	"dirsvc/internal/capability"
 	"dirsvc/internal/dirsvc"
 )
+
+// SetMigrateHook installs fn (nil: none), called by MigrateObject between
+// the copy and the flip; an error from fn is MigrateObject's.
+func (c *Client) SetMigrateHook(fn func() error) { c.migHook.Store(&fn) }
 
 // ShardMap reads one shard's topology snapshot: its shard-map epoch
 // state, table occupancy, and the migration work list (owned objects
@@ -203,11 +207,13 @@ func (c *Client) drainSource(ctx context.Context, src, dst int, epoch uint64) er
 
 // MigrateObject moves one object from src to dst while the service
 // stays live: copy the image at the source, then atomically flip
-// ownership with a two-shard transaction — OpMigOut replaces the source
-// entry with a forwarding stub if and only if the entry still carries
-// the copied sequence number, OpMigIn installs the image at the target.
-// A writer racing the flip makes it vote no, and the object is
-// re-copied; an object deleted (or already moved) mid-flight is skipped.
+// ownership with a two-shard transaction, sent like a cross-shard batch
+// to the lower of the two shards, which coordinates it — OpMigOut
+// replaces the source entry with a forwarding stub if and only if the
+// entry still carries the copied sequence number, OpMigIn installs the
+// image at the target. A writer racing the flip makes it vote no, and
+// the object is re-copied; an object deleted (or already moved)
+// mid-flight is skipped.
 func (c *Client) MigrateObject(ctx context.Context, src, dst int, obj uint32) error {
 	if src == dst || obj == 0 || obj == dirsvc.RootObject {
 		return fmt.Errorf("migrate object %d from %d to %d: %w", obj, src, dst, dirsvc.ErrBadRequest)
@@ -225,8 +231,10 @@ func (c *Client) MigrateObject(ctx context.Context, src, dst int, obj uint32) er
 		if err != nil {
 			return err
 		}
-		if err := c.txHookCall(TxAfterMigCopy); err != nil {
-			return err
+		if hook := c.migHook.Load(); hook != nil && *hook != nil {
+			if err := (*hook)(); err != nil {
+				return err
+			}
 		}
 		shards := []int{src, dst}
 		sort.Ints(shards)
@@ -238,11 +246,11 @@ func (c *Client) MigrateObject(ctx context.Context, src, dst int, obj uint32) er
 			},
 			index: map[int][]int{src: {0}, dst: {1}},
 		}
-		_, err = c.runTwoPhase(ctx, 2, plan)
+		_, err = c.applyTx(ctx, 2, plan)
 		if err == nil {
 			return nil
 		}
-		if errors.Is(err, ErrTxHalt) || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return err
 		}
 		if errors.Is(err, dirsvc.ErrConflict) || errors.Is(err, dirsvc.ErrNotFound) {

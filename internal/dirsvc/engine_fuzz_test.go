@@ -13,8 +13,8 @@ import (
 )
 
 // fuzzEngineBlocks sizes the partition FuzzOpenEngine opens: a manifest,
-// two 23-block checkpoint areas and a 17-block log.
-const fuzzEngineBlocks = 64
+// two 11-block checkpoint areas and a 9-block log.
+const fuzzEngineBlocks = 32
 
 // FuzzOpenEngine: an engine partition whose manifest block and log
 // region hold arbitrary bytes — a crash image, torn or bit-flipped —

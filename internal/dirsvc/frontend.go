@@ -25,8 +25,9 @@ import (
 //	update: decode → ready gate → lock-wait queue → route check →
 //	        check seeds → stamp Request.Server → update CPU → replicate
 //
-// plus the watch/lease operations, the orphaned-transaction resolver and
-// the superseded-Bullet-file cleaner. A kind contributes only the three
+// plus the watch/lease operations, the cross-shard transaction
+// coordinator (coordinator.go) with its takeover loop, and the
+// superseded-Bullet-file cleaner. A kind contributes only the three
 // Backend hooks (and optionally LagHinter); everything it does between
 // "replicate" and the reply — group broadcast, intentions RPC, a plain
 // local apply — is invisible here. The applied sequence number is the
@@ -78,8 +79,8 @@ type FrontConfig struct {
 	Bullet *bullet.Client
 	// Workers is the number of initiator threads (default 3).
 	Workers int
-	// TxAbortTimeout and LeaseTTL override the model-derived defaults.
-	TxAbortTimeout, LeaseTTL time.Duration
+	// LeaseTTL overrides the model-derived default.
+	LeaseTTL time.Duration
 	// EventLogSize bounds the event log (zero: DefaultEventLogSize).
 	EventLogSize int
 	// ExtraLookupCPU is charged per read on top of the model's LookupCPU
@@ -96,13 +97,15 @@ type Timeouts struct {
 	// LockWait bounds how long a read or update waits on an object locked
 	// by a prepared transaction before refusing with conflict.
 	LockWait time.Duration
-	// TxAbort is the presumed-abort horizon for prepared transactions.
-	TxAbort time.Duration
+	// Takeover is how long a transaction stays in doubt before another
+	// replica takes over from its initiator (txResolveLoop). No outcome
+	// depends on it; it is well past LockWait to spare duplicate work.
+	Takeover time.Duration
 	// LeaseTTL is how long a watch lease survives without renewal.
 	LeaseTTL time.Duration
 }
 
-func modelTimeouts(model *sim.LatencyModel, txAbort, leaseTTL time.Duration) Timeouts {
+func modelTimeouts(model *sim.LatencyModel, leaseTTL time.Duration) Timeouts {
 	atLeast := func(d, floor time.Duration) time.Duration {
 		if d = model.Timeout(d); d < floor {
 			return floor
@@ -112,11 +115,8 @@ func modelTimeouts(model *sim.LatencyModel, txAbort, leaseTTL time.Duration) Tim
 	t := Timeouts{
 		MinSeqWait: atLeast(15*time.Second, time.Second),
 		LockWait:   atLeast(5*time.Second, time.Second),
-		TxAbort:    txAbort,
+		Takeover:   atLeast(30*time.Second, 3*time.Second),
 		LeaseTTL:   leaseTTL,
-	}
-	if t.TxAbort <= 0 {
-		t.TxAbort = atLeast(30*time.Second, 3*time.Second)
 	}
 	if t.LeaseTTL <= 0 {
 		t.LeaseTTL = atLeast(60*time.Second, 2*time.Second)
@@ -141,7 +141,8 @@ type FrontEnd struct {
 	model   *sim.LatencyModel
 	backend Backend
 	rpcSrv  *rpc.Server
-	txRPC   *rpc.Client // decision queries to sibling shards
+	txRPC   *rpc.Client // prepares, decides and decision queries to sibling shards
+	txHook  atomic.Pointer[func(TxStage) bool]
 
 	boot  uint64        // random per boot; part of every check seed
 	ops   atomic.Uint64 // seeded operations so far
@@ -176,11 +177,10 @@ func NewFrontEnd(stack *flip.Stack, cfg FrontConfig) (*FrontEnd, error) {
 	if base <= 0 || base > cfg.Shards {
 		base = cfg.Shards
 	}
-	capService := cfg.BaseService
-	if capService == "" {
-		capService = cfg.Service
+	if cfg.BaseService == "" {
+		cfg.BaseService = cfg.Service
 	}
-	applier := NewApplier(ServicePort(capService), table, cfg.Bullet)
+	applier := NewApplier(ServicePort(cfg.BaseService), table, cfg.Bullet)
 	applier.SetLockWaitSlots(cfg.Workers - 1)
 	applier.ConfigureTopology(cfg.Shard, base, cfg.Shards)
 	// A commit block written after a split carries the topology tail;
@@ -191,7 +191,7 @@ func NewFrontEnd(stack *flip.Stack, cfg FrontConfig) (*FrontEnd, error) {
 	if _, err := rand.Read(boot[:]); err != nil {
 		return nil, fmt.Errorf("boot nonce: %w", err)
 	}
-	t := modelTimeouts(stack.Model(), cfg.TxAbortTimeout, cfg.LeaseTTL)
+	t := modelTimeouts(stack.Model(), cfg.LeaseTTL)
 	f := &FrontEnd{
 		Timeouts: t,
 		Table:    table,
@@ -233,7 +233,7 @@ func (f *FrontEnd) StartEvents() {
 }
 
 // Serve opens the service port and starts the initiator threads, the
-// transaction resolver and the file cleaner on top of backend. On error
+// transaction takeover loop and the file cleaner on top of backend. On error
 // the caller still owes a Close.
 func (f *FrontEnd) Serve(backend Backend) error {
 	f.backend = backend
@@ -305,6 +305,8 @@ func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 		return f.watch(rreq, req).AppendTo(dst)
 	case req.Op == OpLeaseRenew:
 		return f.renew(req).AppendTo(dst)
+	case req.Op == OpTx:
+		return f.coordinate(req).AppendTo(dst)
 	case req.Op.IsUpdate():
 		return f.updateInto(req, &sc.update).AppendTo(dst)
 	default:
@@ -372,8 +374,8 @@ func (f *FrontEnd) readInto(req *Request, reply *Reply) *Reply {
 	// readers until the decision: they then see exactly the pre- or
 	// post-batch state, never the pre-state of one shard after another
 	// shard exposed the commit. The wait is bounded so worker threads do
-	// not starve — the refused client retries while orphan resolution
-	// unwedges the lock.
+	// not starve — the refused client retries while the transaction is
+	// settled.
 	if obj != 0 && !f.Applier.WaitUnlocked(obj, f.LockWait) {
 		return status(StatusConflict)
 	}
@@ -466,39 +468,35 @@ func (f *FrontEnd) checkSeed(op uint64, step int) []byte {
 	return binary.BigEndian.AppendUint32(seed, uint32(step))
 }
 
-// txResolveLoop is the participant side of coordinator recovery: a
-// prepared transaction whose decision has not arrived within the
-// presumed-abort horizon is resolved without the (possibly dead)
-// coordinating client. The transaction's resolver shard aborts it
-// through its own update path — so a late client commit loses cleanly —
-// and every other shard asks the resolver how the transaction ended and
-// applies that decision locally (ResolveOrphanTxs has the full rules,
-// including the two-strike treatment of TxUnknown answers).
+// txResolveLoop settles the transactions left in doubt longer than
+// Takeover. At the resolver a replica drives such a transaction as its
+// initiator would (coordinate): whatever the initiator got done is kept,
+// and the decision lands on the resolver's stream. At any other
+// participant the loop asks the resolver how the transaction ended and
+// applies the answer through this shard's own update path.
 func (f *FrontEnd) txResolveLoop() {
 	defer f.wg.Done()
-	tick := f.TxAbort / 4
-	if tick < 25*time.Millisecond {
-		tick = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(f.Takeover / 4)
 	defer ticker.Stop()
-	strikes := make(map[TxID]int)
-	// decide injects a decision into this shard's own update path; a
-	// failure is retried on the next tick.
-	decide := func(id TxID, commit bool) {
-		f.Update(&Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: id, Commit: commit})})
-	}
-	query := func(resolver int, id TxID) TxState {
-		return QueryTxState(f.txRPC, f.cfg.BaseService, f.cfg.Shards, resolver, id)
-	}
 	for {
 		select {
 		case <-f.stop:
 			return
 		case <-ticker.C:
 		}
-		if f.backend.Ready() {
-			ResolveOrphanTxs(f.Applier, f.cfg.Shard, f.cfg.Shards, f.TxAbort, strikes, decide, query)
+		if !f.backend.Ready() {
+			continue
+		}
+		for _, tx := range f.Applier.InDoubtTxs() {
+			switch {
+			case tx.Age < f.Takeover:
+			case tx.Resolver == f.cfg.Shard:
+				f.coordinate(tx.Req)
+			default:
+				if state := f.outcome(tx); state == TxCommitted || state == TxAborted {
+					f.Update(&Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: tx.ID, Commit: state == TxCommitted})})
+				}
+			}
 		}
 	}
 }

@@ -232,7 +232,7 @@ func TestFrontEndUpdateStages(t *testing.T) {
 	f.LockWait = time.Hour
 	id := NewTxID()
 	prepare := &Request{Op: OpPrepare, Blob: EncodePrepare(&Prepare{
-		ID: id, Resolver: 0, Participants: []int{0, 1},
+		ID: id, Participants: []int{0, 1},
 		Steps: EncodeBatchSteps([]*Request{appendTo(root)}),
 	})}
 	wantStage(t, "prepare", f.Update(prepare), StatusOK, b, "ready", "replicate")

@@ -39,7 +39,8 @@ func TestGoldenEncodings(t *testing.T) {
 		{Cap: batchCap(3, "new")}, {}, {Caps: []capability.Capability{batchCap(4, "old"), {}}},
 	})
 	id := TxID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	enc["prepare"] = EncodePrepare(&Prepare{ID: id, Resolver: 1, Participants: []int{1, 3}, Steps: steps})
+	enc["prepare"] = EncodePrepare(&Prepare{ID: id, ResolverSeq: 9, Participants: []int{1, 3}, Steps: steps, Others: [][]byte{steps}})
+	enc["tx-outcome"] = EncodeTxOutcome(&TxOutcome{Seqs: []uint64{12, 0}, Results: []BatchStepResult{{Cap: batchCap(3, "new")}, {}}})
 	enc["decide"] = EncodeDecide(&Decide{ID: id, Commit: true})
 	enc["event-batch"] = EncodeEventBatch(&EventBatch{
 		LogID: 42, FirstIdx: 7, TTLMillis: 1500, Resync: true,

@@ -73,7 +73,7 @@ func LockWaitTargets(dst []uint32, req *Request, shard int) []uint32 {
 		return appendStepTargets(dst, steps)
 	case OpPrepare:
 		p, err := DecodePrepare(req.Blob)
-		if err != nil || p.Resolver != shard {
+		if err != nil || p.Resolver() != shard {
 			return dst
 		}
 		steps, err := DecodeBatchSteps(p.Steps)

@@ -198,7 +198,7 @@ func TestLockWaitTargetsResolverOnly(t *testing.T) {
 		{Op: OpDeleteRow, Dir: capability.Capability{Object: 9}, Name: "b"},
 	})
 	prep := &Request{Op: OpPrepare, Blob: EncodePrepare(&Prepare{
-		ID: NewTxID(), Resolver: 1, Participants: []int{1, 3}, Steps: steps,
+		ID: NewTxID(), Participants: []int{1, 3}, Steps: steps,
 	})}
 
 	if got := LockWaitTargets(nil, prep, 1); len(got) != 2 || got[0] != 7 || got[1] != 9 {

@@ -9,26 +9,24 @@ import (
 	"time"
 
 	"dirsvc/internal/codec"
-	"dirsvc/internal/rpc"
 )
 
 // This file holds the two-phase-commit machinery shared by every
 // backend: the OpPrepare/OpDecide wire payloads and the prepared-
 // transaction table that turns one replica group into a single logical
-// 2PC participant. A cross-shard batch is split by the coordinating
-// client into one OpPrepare per home shard; each shard stages the steps
-// in a batch overlay (nothing visible), locks the touched objects, and
-// votes. The coordinator then drives OpDecide(commit|abort); commit
-// writes the staged overlay through under the decide's own sequence
-// number, abort discards it. Both ops ride the backend's normal update
-// path, so the prepared state is replicated (group kinds), mirrored via
-// intentions (rpc kind), or trivially local (local kind).
+// 2PC participant. The transaction's resolver shard coordinates it
+// (coordinator.go); each participant stages its steps in a batch overlay
+// (nothing visible), locks the touched objects, and votes. OpDecide
+// commit writes the staged overlay through under the decide's own
+// sequence number, abort discards it. Both ops ride the backend's normal
+// update path, so the prepared state is replicated (group kinds),
+// mirrored via intentions (rpc kind), or trivially local (local kind).
 
 // TxVersion is the wire version of the OpPrepare/OpDecide payloads.
-const TxVersion = 1
+const TxVersion = 2
 
-// TxID names one distributed transaction, minted by the coordinating
-// client. Replicas only ever compare it for equality.
+// TxID names one distributed transaction, minted by the client that
+// sends it. Replicas only ever compare it for equality.
 type TxID [16]byte
 
 // NewTxID mints a fresh transaction id.
@@ -43,30 +41,38 @@ func NewTxID() TxID {
 // String implements fmt.Stringer (diagnostics).
 func (id TxID) String() string { return hex.EncodeToString(id[:]) }
 
-// Prepare is the decoded OpPrepare payload: the transaction identity,
-// the participant set (so an orphaned shard can find its resolver), and
-// this shard's slice of the batch.
+// Prepare is the decoded OpPrepare payload. The resolver's own record —
+// also the OpTx request a client sends it — carries the whole plan.
 type Prepare struct {
 	ID TxID
-	// Resolver is the shard whose replica group ratifies the decision:
-	// the coordinator's commit becomes final only when this shard's
-	// stream applies it, and in-doubt participants query it.
-	Resolver int
-	// Participants lists every shard the transaction spans (sorted).
+	// ResolverSeq is the sequence number the resolver's prepare applied
+	// under (zero in its own record): the floor a participant asks at.
+	ResolverSeq uint64
+	// Participants lists every shard the transaction spans, sorted; the
+	// first is the resolver.
 	Participants []int
-	// Steps is the EncodeBatchSteps blob of this shard's steps.
-	Steps []byte
+	// Steps is the EncodeBatchSteps blob of this shard's steps; Others,
+	// in the resolver's record only, those of the other participants.
+	Steps  []byte
+	Others [][]byte
 }
+
+// Resolver returns the shard that coordinates the transaction.
+func (p *Prepare) Resolver() int { return p.Participants[0] }
 
 // EncodePrepare serializes a prepare payload.
 func EncodePrepare(p *Prepare) []byte {
 	b := append(append(make([]byte, 0, 128), TxVersion), p.ID[:]...)
-	b = binary.BigEndian.AppendUint32(b, uint32(p.Resolver))
+	b = binary.BigEndian.AppendUint64(b, p.ResolverSeq)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Participants)))
 	for _, s := range p.Participants {
 		b = binary.BigEndian.AppendUint32(b, uint32(s))
 	}
-	return codec.AppendBytes(b, p.Steps)
+	b = binary.BigEndian.AppendUint16(codec.AppendBytes(b, p.Steps), uint16(len(p.Others)))
+	for _, o := range p.Others {
+		b = codec.AppendBytes(b, o)
+	}
+	return b
 }
 
 // DecodePrepare parses an OpPrepare payload.
@@ -77,7 +83,7 @@ func DecodePrepare(blob []byte) (*Prepare, error) {
 	}
 	p := &Prepare{}
 	copy(p.ID[:], rd.Take(len(p.ID)))
-	p.Resolver = int(rd.U32())
+	p.ResolverSeq = rd.U64()
 	n := rd.Count16(4)
 	if n == 0 || n > 4096 {
 		return nil, ErrBadRequest
@@ -86,6 +92,13 @@ func DecodePrepare(blob []byte) (*Prepare, error) {
 		p.Participants = append(p.Participants, int(rd.U32()))
 	}
 	p.Steps = rd.Bytes()
+	others := rd.Count16(2)
+	if others != 0 && others != n-1 {
+		return nil, ErrBadRequest
+	}
+	for range others {
+		p.Others = append(p.Others, rd.Bytes())
+	}
 	if !rd.Done() || len(p.Steps) == 0 {
 		return nil, ErrBadRequest
 	}
@@ -138,14 +151,42 @@ func DecodeDecide(blob []byte) (*Decide, error) {
 	return d, nil
 }
 
+// TxOutcome answers a committed OpTx: each participant's commit
+// sequence number (zero while undelivered) and the whole plan's step
+// results, in Participants order.
+type TxOutcome struct {
+	Seqs    []uint64
+	Results []BatchStepResult
+}
+
+// EncodeTxOutcome serializes a transaction outcome.
+func EncodeTxOutcome(o *TxOutcome) []byte {
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 128), uint16(len(o.Seqs)))
+	for _, s := range o.Seqs {
+		b = binary.BigEndian.AppendUint64(b, s)
+	}
+	return append(b, EncodeBatchResults(o.Results)...)
+}
+
+// DecodeTxOutcome parses an OpTx reply blob.
+func DecodeTxOutcome(blob []byte) (*TxOutcome, error) {
+	rd := codec.NewReader(blob)
+	o := &TxOutcome{Seqs: make([]uint64, rd.Count16(8))}
+	for i := range o.Seqs {
+		o.Seqs[i] = rd.U64()
+	}
+	var err error // a failed read leaves no results to decode
+	o.Results, err = DecodeBatchResults(rd.Rest())
+	return o, err
+}
+
 // TxState is a participant's knowledge of one transaction, answered to
 // OpTxQuery (the decision-query read).
 type TxState uint8
 
-// Transaction states. TxUnknown from the resolver shard means "presume
-// abort": the resolver either never prepared (so the coordinator can
-// never have decided commit) or resolved the transaction as an abort
-// long enough ago to have forgotten it.
+// Transaction states. TxUnknown from the resolver shard, read at or past
+// the resolver's prepare, means the resolver holds no record of the
+// transaction any more — presumed abort.
 const (
 	TxUnknown TxState = iota
 	TxPrepared
@@ -167,124 +208,45 @@ func (s TxState) String() string {
 	}
 }
 
-// ResolveOrphanTxs performs one round of participant-side coordinator
-// recovery over the applier's in-doubt transactions: for each one past
-// the presumed-abort horizon, the transaction's resolver shard aborts
-// it outright (decide is expected to route through the backend's
-// ordinary, totally-ordered update path, so a late client commit loses
-// cleanly), and every other shard queries the resolver and applies its
-// answer. TxUnknown — "presume abort" — is only acted on after two
-// consecutive strikes, so a single answer from an unusually placed
-// replica cannot abort a transaction the resolver is about to commit;
-// strikes carries that count between rounds and is pruned here.
-func ResolveOrphanTxs(
-	a *Applier,
-	shard, shards int,
-	timeout time.Duration,
-	strikes map[TxID]int,
-	decide func(id TxID, commit bool),
-	query func(resolver int, id TxID) TxState,
-) {
-	inDoubt := a.InDoubtTxs()
-	live := make(map[TxID]bool, len(inDoubt))
-	for _, tx := range inDoubt {
-		live[tx.ID] = true
-	}
-	for id := range strikes {
-		if !live[id] {
-			delete(strikes, id)
-		}
-	}
-	for _, tx := range inDoubt {
-		if tx.Age < timeout {
-			continue
-		}
-		if tx.Resolver == shard || shards <= 1 {
-			decide(tx.ID, false)
-			continue
-		}
-		switch query(tx.Resolver, tx.ID) {
-		case TxCommitted:
-			delete(strikes, tx.ID)
-			decide(tx.ID, true)
-		case TxAborted:
-			delete(strikes, tx.ID)
-			decide(tx.ID, false)
-		case TxUnknown:
-			// The resolver either never prepared (the coordinator died
-			// before reaching it, so no commit can ever have been decided)
-			// or resolved an abort long ago. Demand a second opinion a
-			// tick later before presuming abort.
-			strikes[tx.ID]++
-			if strikes[tx.ID] >= 2 {
-				delete(strikes, tx.ID)
-				decide(tx.ID, false)
-			}
-		default: // TxPrepared: the resolver's own timeout will settle it
-			delete(strikes, tx.ID)
-		}
-	}
-}
-
-// QueryTxState asks one shard of a deployment how a transaction ended
-// (the decision query). Unreachable or malformed answers map to
-// TxPrepared — "keep waiting" — never to an abort.
-func QueryTxState(rc *rpc.Client, baseService string, shards, resolver int, id TxID) TxState {
-	if baseService == "" {
-		return TxPrepared
-	}
-	port := ServicePort(ShardService(baseService, resolver, shards))
-	req := &Request{Op: OpTxQuery, Blob: id[:]}
-	raw, err := rc.Trans(port, req.Encode())
-	if err != nil {
-		return TxPrepared
-	}
-	reply, err := DecodeReply(raw)
-	if err != nil || reply.Status != StatusOK || len(reply.Blob) != 1 {
-		return TxPrepared
-	}
-	return TxState(reply.Blob[0])
-}
-
 // maxDecided bounds the decided-transaction memory per replica; the
-// oldest outcomes are forgotten first (presumed abort covers forgotten
-// aborts; a forgotten commit is only reachable through the documented
-// double-fault window).
+// oldest outcomes are forgotten first (a participant that asks about a
+// forgotten one is told unknown, which it reads as abort: a forgotten
+// commit is the documented double-fault window).
 const maxDecided = 4096
 
 // preparedTx is one staged, undecided transaction: the validated batch
 // overlay, the per-object locks, and everything needed to re-log or
 // ship the prepare record during recovery.
 type preparedTx struct {
-	id           TxID
-	req          *Request // the OpPrepare request, allocations pinned (re-log, snapshots)
-	seq          uint64   // sequence number the prepare applied under
-	resolver     int
-	participants []int
-	overlay      *overlay
-	results      []BatchStepResult
-	objs         []uint32 // locked objects (targets plus staged creations)
-	preparedAt   time.Time
+	id          TxID
+	req         *Request // the OpPrepare request, allocations pinned (re-log, snapshots)
+	seq         uint64   // sequence number the prepare applied under
+	resolver    int
+	resolverSeq uint64
+	overlay     *overlay
+	results     []BatchStepResult
+	objs        []uint32 // locked objects (targets plus staged creations)
+	preparedAt  time.Time
 }
 
 // decidedTx is a remembered outcome, kept so decide retries are
-// idempotent and orphaned peers can query the resolution.
+// idempotent and participants can query the resolution.
 type decidedTx struct {
-	commit    bool
-	seq       uint64
-	results   []byte    // encoded BatchStepResults (commit only)
-	decidedAt time.Time // when this replica learned the outcome
+	commit  bool
+	seq     uint64
+	results []byte // encoded BatchStepResults (commit only)
 }
 
 // InDoubtTx is a snapshot of one prepared-but-undecided transaction
-// (the resolution loop, NVRAM re-logging).
+// (the takeover loop, NVRAM re-logging), with its Prepare's resolver
+// fields.
 type InDoubtTx struct {
-	ID           TxID
-	Req          *Request
-	Seq          uint64
-	Resolver     int
-	Participants []int
-	Age          time.Duration
+	ID          TxID
+	Req         *Request
+	Seq         uint64
+	Resolver    int
+	ResolverSeq uint64
+	Age         time.Duration
 }
 
 // DecidedTx is one remembered outcome (snapshots, NVRAM re-logging).
@@ -304,43 +266,28 @@ func (a *Applier) InDoubtTxs() []InDoubtTx {
 	now := time.Now()
 	for _, tx := range a.prepared {
 		out = append(out, InDoubtTx{
-			ID:           tx.id,
-			Req:          tx.req,
-			Seq:          tx.seq,
-			Resolver:     tx.resolver,
-			Participants: append([]int(nil), tx.participants...),
-			Age:          now.Sub(tx.preparedAt),
+			ID:          tx.id,
+			Req:         tx.req,
+			Seq:         tx.seq,
+			Resolver:    tx.resolver,
+			ResolverSeq: tx.resolverSeq,
+			Age:         now.Sub(tx.preparedAt),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Age > out[j].Age })
 	return out
 }
 
-// RecentDecided returns the newest n remembered outcomes, oldest first,
-// skipping outcomes older than maxAge (zero = no age limit). The NVRAM
-// re-logging path keeps these durable across flushes so a whole-shard
-// crash cannot forget a commit an orphaned peer still has to learn
-// about — but only until every orphan must have resolved: past the
-// resolver's two-strike horizon a decided outcome is dead weight, and
-// re-appending it on every flush forever would grow each flush (and
-// recovery replay) without bound on a long-lived shard.
-func (a *Applier) RecentDecided(n int, maxAge time.Duration) []DecidedTx {
+// RecentDecided returns the newest n remembered outcomes, oldest first
+// (NVRAM re-logging, recovery).
+func (a *Applier) RecentDecided(n int) []DecidedTx {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var out []DecidedTx
-	now := time.Now()
-	for _, id := range a.decidedOrder {
-		d, ok := a.decided[id]
-		if !ok {
-			continue
+	for _, id := range a.decidedOrder[max(0, len(a.decidedOrder)-n):] {
+		if d, ok := a.decided[id]; ok {
+			out = append(out, DecidedTx{ID: id, Commit: d.commit, Seq: d.seq, Results: d.results})
 		}
-		if maxAge > 0 && !d.decidedAt.IsZero() && now.Sub(d.decidedAt) > maxAge {
-			continue
-		}
-		out = append(out, DecidedTx{ID: id, Commit: d.commit, Seq: d.seq, Results: d.results})
-	}
-	if len(out) > n {
-		out = out[len(out)-n:]
 	}
 	return out
 }
@@ -413,9 +360,6 @@ func (a *Applier) TxStateOf(id TxID) (TxState, uint64) {
 // rememberDecidedLocked records an outcome, evicting the oldest past
 // maxDecided. Must hold a.mu.
 func (a *Applier) rememberDecidedLocked(id TxID, d decidedTx) {
-	if d.decidedAt.IsZero() {
-		d.decidedAt = time.Now()
-	}
 	if _, ok := a.decided[id]; !ok {
 		a.decidedOrder = append(a.decidedOrder, id)
 		if len(a.decidedOrder) > maxDecided {
@@ -448,8 +392,8 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64, res *ApplyResult)
 		return err
 	}
 	if tx, ok := a.prepared[p.ID]; ok {
-		// Duplicate delivery (recovery replay): vote yes again with the
-		// originally staged results.
+		// Duplicate delivery (recovery replay, a retried OpTx, a takeover):
+		// vote yes again with the originally staged results.
 		*res.Reply = Reply{Status: StatusOK, Seq: tx.seq, Blob: EncodeBatchResults(tx.results)}
 		return nil
 	}
@@ -474,13 +418,13 @@ func (a *Applier) applyPrepareLocked(req *Request, seq uint64, res *ApplyResult)
 		// The kept request is what a flush re-logs and a snapshot ships: it
 		// has to re-stage under whatever topology it meets there. It is a
 		// copy: req may be decode scratch its caller reuses.
-		req:          PinAllocation(req, reply).Clone(),
-		seq:          seq,
-		resolver:     p.Resolver,
-		participants: append([]int(nil), p.Participants...),
-		overlay:      ov,
-		results:      results,
-		preparedAt:   time.Now(),
+		req:         PinAllocation(req, reply).Clone(),
+		seq:         seq,
+		resolver:    p.Resolver(),
+		resolverSeq: p.ResolverSeq,
+		overlay:     ov,
+		results:     results,
+		preparedAt:  time.Now(),
 	}
 	// Every step stages its target, creations included.
 	for _, s := range ov.objs {
@@ -504,8 +448,9 @@ func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool, res 
 	}
 	if prior, ok := a.decided[d.ID]; ok {
 		if d.Commit != prior.commit {
-			// A commit racing a presumed abort (or vice versa): first
-			// decision in the stream wins, the loser learns it conflicted.
+			// Two replicas of the resolver raced opposite decisions (an
+			// initiator and a takeover): the first in the stream wins, the
+			// loser learns it conflicted.
 			return ErrConflict
 		}
 		res.Reply.Seq = prior.seq
@@ -517,8 +462,8 @@ func (a *Applier) applyDecideLocked(req *Request, seq uint64, durable bool, res 
 	tx, ok := a.prepared[d.ID]
 	if !ok {
 		if !d.Commit {
-			// Presumed abort: aborting a transaction nobody prepared (or
-			// one already resolved and forgotten) is a no-op.
+			// Aborting a transaction never prepared here (its prepare was
+			// refused or never arrived) is a no-op.
 			return nil
 		}
 		return ErrNotFound

@@ -10,14 +10,14 @@ import (
 // truncations and foreign versions.
 func TestPrepareDecideCodecs(t *testing.T) {
 	steps := EncodeBatchSteps([]*Request{{Op: OpAppendRow, Name: "x"}})
-	p := &Prepare{ID: NewTxID(), Resolver: 1, Participants: []int{1, 3}, Steps: steps}
+	p := &Prepare{ID: NewTxID(), ResolverSeq: 9, Participants: []int{1, 3}, Steps: steps, Others: [][]byte{steps}}
 	blob := EncodePrepare(p)
 	got, err := DecodePrepare(blob)
 	if err != nil {
 		t.Fatalf("DecodePrepare: %v", err)
 	}
-	if got.ID != p.ID || got.Resolver != 1 || len(got.Participants) != 2 ||
-		got.Participants[0] != 1 || got.Participants[1] != 3 {
+	if got.ID != p.ID || got.Resolver() != 1 || got.ResolverSeq != 9 || len(got.Participants) != 2 ||
+		got.Participants[0] != 1 || got.Participants[1] != 3 || len(got.Others) != 1 {
 		t.Fatalf("round trip = %+v", got)
 	}
 	if _, err := DecodeBatchSteps(got.Steps); err != nil {
@@ -55,7 +55,7 @@ func preparedFixture(t *testing.T) (*applierFixture, TxID, *Request, []BatchStep
 	}
 	id := NewTxID()
 	req := &Request{Op: OpPrepare, Blob: EncodePrepare(&Prepare{
-		ID: id, Resolver: 0, Participants: []int{0, 1},
+		ID: id, Participants: []int{0, 1},
 		Steps: EncodeBatchSteps([]*Request{
 			{Op: OpAppendRow, Dir: root, Name: "staged", Cap: root, Masks: ownerMasks()},
 			{Op: OpCreateDir, CheckSeed: []byte("tx-seed")},
@@ -105,7 +105,7 @@ func TestPrepareStagesAndLocks(t *testing.T) {
 	// A second transaction touching the same object votes no.
 	id2 := NewTxID()
 	_, err = f.applier.ApplyUpdate(&Request{Op: OpPrepare, Blob: EncodePrepare(&Prepare{
-		ID: id2, Resolver: 0, Participants: []int{0, 1},
+		ID: id2, Participants: []int{0, 1},
 		Steps: EncodeBatchSteps([]*Request{
 			{Op: OpDeleteRow, Dir: root, Name: "whatever"},
 		}),

@@ -51,8 +51,9 @@ const (
 	// OpDecide is phase two: commit writes the staged overlay through
 	// under the decide's own sequence number; abort discards it.
 	OpDecide
-	// OpTxQuery is the decision query (a read): a participant orphaned by
-	// a dead coordinator asks the resolver shard how a transaction ended.
+	// OpTxQuery is the decision query (a read): a participant left in
+	// doubt asks the resolver shard how a transaction ended, with the
+	// resolver's prepare as the read's MinSeq floor.
 	OpTxQuery
 
 	// OpWatch registers (or resumes) an event-stream lease. The request
@@ -108,6 +109,11 @@ const (
 	// replica installs the identical image; the applier's sequence number
 	// jumps to at least the snapshot's highest (Snapshot.MaxSeq).
 	OpRestoreShard
+
+	// OpTx is a cross-shard batch sent to its resolver shard: Blob is the
+	// resolver's EncodePrepare record, the whole plan. The receiving
+	// replica coordinates (coordinator.go) and answers an EncodeTxOutcome.
+	OpTx
 )
 
 // IsUpdate reports whether the op modifies directories (requires the
@@ -186,6 +192,8 @@ func (op OpCode) String() string {
 		return "backup"
 	case OpRestoreShard:
 		return "restore-shard"
+	case OpTx:
+		return "tx"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op))
 	}

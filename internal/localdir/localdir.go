@@ -72,6 +72,9 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// Front returns the server's request pipeline (fault-injection hooks).
+func (s *Server) Front() *dirsvc.FrontEnd { return s.front }
+
 // Close stops the server.
 func (s *Server) Close() { s.front.Close() }
 

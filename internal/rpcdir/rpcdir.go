@@ -158,6 +158,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// Front returns the server's request pipeline (fault-injection hooks).
+func (s *Server) Front() *dirsvc.FrontEnd { return s.front }
+
 // Read serves one read request exactly as a serving thread would, without
 // the RPC transport, so tests and tools can interrogate this server.
 func (s *Server) Read(req *dirsvc.Request) *dirsvc.Reply { return s.front.Read(req) }

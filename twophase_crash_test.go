@@ -1,8 +1,10 @@
 package faultdir
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,17 +14,15 @@ import (
 	"dirsvc/internal/sim"
 )
 
-// The crash-at-every-step schedule for cross-shard two-phase commit:
-// each test kills the coordinator and/or participant replicas at one
-// step of the protocol — before prepare, after prepare / before decide,
-// after the resolver's partial commit — and asserts all-or-nothing
-// visibility once the survivors (plus restarted or force-recovered
-// replicas) resolve the transaction. The NVRAM kind additionally proves
-// a whole-shard crash reinstates the in-doubt transaction from the
-// logged prepare record through the Fig. 6 recovery path.
-
-// crashTxTimeout is the presumed-abort horizon for the crash schedules.
-const crashTxTimeout = 300 * time.Millisecond
+// The crash-at-every-step schedule for cross-shard two-phase commit,
+// which the resolver shard (the lowest participant) coordinates: each
+// test crashes the resolver's initiating replica, participant replicas
+// or whole shards at one stage of the protocol (Cluster.SetTxHook) and
+// asserts all-or-nothing visibility once the survivors, plus restarted
+// or force-recovered replicas, settle the transaction. The NVRAM kind
+// additionally proves a whole-shard crash reinstates the in-doubt
+// transaction from the logged prepare record through the Fig. 6
+// recovery path.
 
 // Crash-schedule deadlines. Generous on purpose: every test here is
 // skipped under -short (the quick tier-1 lane) and runs only in the
@@ -41,7 +41,6 @@ func newCrashCluster(t *testing.T, kind Kind, shards int) *Cluster {
 		HeartbeatInterval: testHeartbeat,
 		Shards:            shards,
 		Workers:           8,
-		TxAbortTimeout:    crashTxTimeout,
 		IdleFlush:         time.Hour, // no background NVRAM flush: crash points stay deterministic
 	})
 	if err != nil {
@@ -51,9 +50,9 @@ func newCrashCluster(t *testing.T, kind Kind, shards int) *Cluster {
 	return c
 }
 
-// txFixture is one cross-shard transaction under fault injection: a
-// coordinator client with a hook, one directory per shard, and an
-// independent probe client for visibility checks.
+// txFixture is one cross-shard transaction under fault injection: the
+// client that sends it, one directory per shard, and an independent
+// probe client for visibility checks.
 type txFixture struct {
 	c           *Cluster
 	coordinator *dirclient.Client
@@ -121,6 +120,75 @@ func (f *txFixture) batch() *dir.Batch {
 	return b
 }
 
+// applyFor sends the fixture's batch with a deadline: a coordinator a
+// hook halted without crashing its server never answers.
+func (f *txFixture) applyFor(d time.Duration) error {
+	ctx, cancel := context.WithTimeout(bgCtx, d)
+	defer cancel()
+	_, err := f.coordinator.Apply(ctx, f.batch())
+	return err
+}
+
+// crashAsync crashes servers ids of one shard on another goroutine and
+// returns a channel closed once they are down. A transaction hook runs
+// inside a server, and a server's shutdown waits for its hooks, so a
+// hook crashing its own server must do it this way, and halt.
+func crashAsync(c *Cluster, shard int, ids ...int) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, id := range ids {
+			c.CrashShardServer(shard, id)
+		}
+	}()
+	return done
+}
+
+// awaitCrash waits for the crash a hook started (crashAsync) to finish.
+func awaitCrash(t *testing.T, crashed <-chan (<-chan struct{})) {
+	t.Helper()
+	select {
+	case done := <-crashed:
+		<-done
+	default:
+		t.Fatal("crash hook never fired")
+	}
+}
+
+// allServers lists the server ids of one shard.
+func allServers(c *Cluster) []int {
+	ids := make([]int, c.ServersPerShard())
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	return ids
+}
+
+// assertAtomic waits for the transaction to settle and asserts it is
+// all-or-nothing and agrees with what Apply returned. The outcome is
+// read at the resolver (shard 0), which prepares first and decides: a
+// read there succeeds once its lock is gone — decided, or never
+// prepared anywhere, which nothing left running can change once Apply
+// has returned. It returns the outcome.
+func (f *txFixture) assertAtomic(t *testing.T, applyErr error) bool {
+	t.Helper()
+	var committed bool
+	if err := retryFor(crashSettleWait, func() error {
+		caps, err := f.probe.LookupSet(bgCtx, f.dirs[0], []string{f.name})
+		if err == nil {
+			committed = !caps[0].IsZero()
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("resolver shard never settled: %v", err)
+	}
+	if applyErr == nil && !committed {
+		t.Fatal("Apply returned nil, but the resolver shard did not commit")
+	}
+	f.assertSettles(t, committed)
+	return committed
+}
+
 // assertSettles polls every shard through the probe until the
 // transaction's row settles to the expected outcome — and asserts that
 // no successful read ever exposes the other outcome on any shard once
@@ -178,7 +246,7 @@ func (f *txFixture) assertSettles(t *testing.T, committed bool) {
 }
 
 // TestTwoPhaseParticipantMinorityCrash crashes one replica of the
-// non-resolver shard at each step of the protocol; the shard's
+// non-resolver shard at each stage of the protocol; the shard's
 // remaining majority carries the transaction through in every case.
 func TestTwoPhaseParticipantMinorityCrash(t *testing.T) {
 	if testing.Short() {
@@ -186,38 +254,43 @@ func TestTwoPhaseParticipantMinorityCrash(t *testing.T) {
 	}
 	steps := []struct {
 		name  string
-		stage dirclient.TxStage // crash fires when this stage is reached; 0 = before Apply
+		stage dirsvc.TxStage // crash fires when this stage is reached; 0 = before Apply
 	}{
 		{"BeforePrepare", 0},
-		{"WhilePrepared", dirclient.TxAfterPrepare},
-		{"AfterPartialCommit", dirclient.TxAfterResolverDecide},
+		{"WhilePrepared", dirsvc.TxAfterPrepare},
+		{"AfterPartialCommit", dirsvc.TxAfterResolverDecide},
 	}
 	for i, sc := range steps {
 		t.Run(sc.name, func(t *testing.T) {
 			c := newCrashCluster(t, KindGroup, 2)
 			f := newTxFixture(t, c, fmt.Sprintf("minority%d", i))
-			crashed := false
+			crashed := make(chan struct{})
 			if sc.stage == 0 {
 				c.CrashShardServer(1, 2)
-				crashed = true
+				close(crashed)
 			} else {
-				f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-					if s == sc.stage && !crashed {
-						crashed = true
-						c.CrashShardServer(1, 2)
+				var once sync.Once
+				c.SetTxHook(func(_, _ int, s dirsvc.TxStage) bool {
+					if s == sc.stage {
+						once.Do(func() {
+							c.CrashShardServer(1, 2)
+							close(crashed)
+						})
 					}
-					return nil
+					return false
 				})
 			}
 			err := retryFor(crashRetryWait, func() error {
 				_, aerr := f.coordinator.Apply(bgCtx, f.batch())
 				return aerr
 			})
-			f.coordinator.SetTxHook(nil)
+			c.SetTxHook(nil)
 			if err != nil {
 				t.Fatalf("Apply with minority crash: %v", err)
 			}
-			if !crashed {
+			select {
+			case <-crashed:
+			default:
 				t.Fatal("crash hook never fired")
 			}
 			f.assertSettles(t, true)
@@ -230,66 +303,160 @@ func TestTwoPhaseParticipantMinorityCrash(t *testing.T) {
 	}
 }
 
+// TestTwoPhaseResolverInitiatorCrash crashes the resolver replica that
+// received the transaction — its initiating replica — at every stage of
+// the protocol, on every group kind, and separately lets the client go
+// away once it has sent the batch. The client's transport re-sends the
+// request to another replica of the resolver, which finishes the
+// transaction: the repeated prepare votes again, and a decision already
+// in the stream holds. Whatever the outcome, it is all-or-nothing, and
+// no lock outlives it.
+func TestTwoPhaseResolverInitiatorCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
+	}
+	stages := []struct {
+		name  string
+		stage dirsvc.TxStage
+	}{
+		{"BeforePrepare", dirsvc.TxBeforePrepare},
+		{"AfterResolverPrepare", dirsvc.TxAfterResolverPrepare},
+		{"AfterPrepare", dirsvc.TxAfterPrepare},
+		{"AfterResolverDecide", dirsvc.TxAfterResolverDecide},
+	}
+	for _, kind := range []Kind{KindGroup, KindGroupNVRAM, KindRPC} {
+		for _, sc := range stages {
+			t.Run(kind.String()+"/"+sc.name, func(t *testing.T) {
+				c := newCrashCluster(t, kind, 2)
+				f := newTxFixture(t, c, "initiator")
+				crashed := make(chan (<-chan struct{}), 1)
+				var once sync.Once
+				c.SetTxHook(func(shard, server int, s dirsvc.TxStage) (halt bool) {
+					if s == sc.stage {
+						once.Do(func() { crashed <- crashAsync(c, shard, server); halt = true })
+					}
+					return halt
+				})
+				err := f.applyFor(crashRetryWait)
+				c.SetTxHook(nil)
+				awaitCrash(t, crashed)
+				committed := f.assertAtomic(t, err)
+				if sc.stage == dirsvc.TxAfterResolverDecide && !committed {
+					t.Fatal("a commit in the resolver's stream was lost")
+				}
+			})
+		}
+	}
+	t.Run("ClientGoneAfterSending", func(t *testing.T) {
+		c := newCrashCluster(t, KindGroup, 2)
+		f := newTxFixture(t, c, "orphan")
+		gone, cleanup, err := c.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.coordinator = gone
+		var once sync.Once
+		c.SetTxHook(func(_, _ int, s dirsvc.TxStage) bool {
+			if s == dirsvc.TxAfterResolverPrepare {
+				once.Do(cleanup)
+			}
+			return false
+		})
+		err = f.applyFor(crashRetryWait)
+		c.SetTxHook(nil)
+		if err == nil {
+			t.Fatal("Apply answered a client that was closed")
+		}
+		f.assertSettles(t, true)
+	})
+}
+
+// TestTwoPhaseSlowResolverPrepare replays the schedule that split a
+// batch under the client-coordinated commit: one server of resolver
+// shard 0 is down before Apply, so shard 0's prepare is slow — on the
+// RPC kind every update there first waits out the dead peer's intention
+// RPC, on the NVRAM kind the group first has to notice the crash. Shard 1
+// used to prepare at once, find no record at the resolver when it asked,
+// presume abort, and lose the row shard 0 then committed. Now shard 1 is
+// prepared only after the resolver's prepare is in the resolver's
+// stream, and asks about it only at or past that point.
+func TestTwoPhaseSlowResolverPrepare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
+	}
+	for _, kind := range []Kind{KindRPC, KindGroupNVRAM} {
+		t.Run(kind.String(), func(t *testing.T) {
+			// Half the paper's latencies and a 100 ms heartbeat: the crash
+			// takes the transport and the group hundreds of milliseconds
+			// to notice.
+			c, err := New(kind, Options{Model: sim.ScaledPaperModel(0.5), HeartbeatInterval: 100 * time.Millisecond, Shards: 2, Workers: 8, IdleFlush: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			f := newTxFixture(t, c, "slow")
+			c.CrashShardServer(0, 2)
+			_, err = f.coordinator.Apply(bgCtx, f.batch())
+			f.assertAtomic(t, err)
+		})
+	}
+}
+
 // TestTwoPhaseWholeShardCrashPrepared is the Fig. 6 reinstatement test:
 // the whole non-resolver shard (all replicas) crashes while the
-// transaction is prepared. With the coordinator dead too, the restarted
-// shard must replay the NVRAM-logged prepare record, re-stage the
-// transaction, and resolve it by querying the resolver — commit when
-// the resolver ratified it before the crash, abort otherwise.
+// transaction is prepared, and the resolver's initiating replica halts
+// with it. The restarted shard must replay the NVRAM-logged prepare
+// record, re-stage the transaction, and settle it by asking the
+// resolver — whose takeover drives the transaction to a decision when
+// none was ordered yet.
 func TestTwoPhaseWholeShardCrashPrepared(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
 	}
 	cases := []struct {
 		name      string
-		stage     dirclient.TxStage
-		committed bool
+		stage     dirsvc.TxStage
+		committed bool // the outcome is fixed before the crash
 	}{
-		// Coordinator dies after prepare, before any decide: the
-		// resolver presumes abort; the restarted shard learns the abort.
-		{"NoDecision", dirclient.TxAfterPrepare, false},
-		// The resolver ratified the commit but the other shard crashed
-		// before its decide arrived: the restarted shard must find the
-		// commit through the decision query — the in-doubt vote survives
-		// the whole-shard crash in the NVRAM log.
-		{"AfterPartialCommit", dirclient.TxAfterResolverDecide, true},
+		{"NoDecision", dirsvc.TxAfterPrepare, false},
+		{"AfterPartialCommit", dirsvc.TxAfterResolverDecide, true},
 	}
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
 			c := newCrashCluster(t, KindGroupNVRAM, 2)
 			f := newTxFixture(t, c, "wholeshard")
-
-			f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
+			var once sync.Once
+			c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
 				if s == sc.stage {
-					for id := 1; id <= c.ServersPerShard(); id++ {
-						c.CrashShardServer(1, id)
-					}
-					return dirclient.ErrTxHalt
+					once.Do(func() {
+						for _, id := range allServers(c) {
+							c.CrashShardServer(1, id)
+						}
+						halt = true
+					})
 				}
-				return nil
+				return halt
 			})
-			_, err := f.coordinator.Apply(bgCtx, f.batch())
-			f.coordinator.SetTxHook(nil)
-			if !errors.Is(err, dirclient.ErrTxHalt) {
-				t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
-			}
+			err := f.applyFor(2 * time.Second)
+			c.SetTxHook(nil)
 
 			// Restart the whole shard — concurrently, as a real reboot
 			// would: each replica's Fig. 6 recovery blocks until a
-			// majority reassembles. Recovery replays the NVRAM prepare
-			// records and the resolution loop finishes the job.
+			// majority reassembles, then replays the NVRAM prepare records.
 			restartShard(t, c, 1)
-			f.assertSettles(t, sc.committed)
+			if committed := f.assertAtomic(t, err); sc.committed && !committed {
+				t.Fatal("a commit in the resolver's stream was lost")
+			}
 		})
 	}
 }
 
 // TestTwoPhaseForceRecoverShard loses a majority of the non-resolver
-// shard while the transaction is prepared, with the coordinator dead
-// after the resolver's partial commit. The surviving replica cannot
-// assemble a majority; after the administrator's ForceRecoverShard it
-// serves alone — still holding the prepared transaction — queries the
-// resolver, and completes the commit.
+// shard while the transaction is prepared, with the resolver's
+// initiating replica halted after its commit. The surviving replica
+// cannot assemble a majority; after the administrator's
+// ForceRecoverShard it serves alone — still holding the prepared
+// transaction — asks the resolver, and completes the commit.
 func TestTwoPhaseForceRecoverShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
@@ -297,20 +464,22 @@ func TestTwoPhaseForceRecoverShard(t *testing.T) {
 	c := newCrashCluster(t, KindGroup, 2)
 	f := newTxFixture(t, c, "forced")
 
-	f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-		if s == dirclient.TxAfterResolverDecide {
-			// Majority of shard 1 gone; replica 3 survives, in doubt.
-			c.CrashShardServer(1, 1)
-			c.CrashShardServer(1, 2)
-			return dirclient.ErrTxHalt
+	var once sync.Once
+	c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
+		if s == dirsvc.TxAfterResolverDecide {
+			once.Do(func() {
+				// Majority of shard 1 gone; replica 3 survives, in doubt.
+				c.CrashShardServer(1, 1)
+				c.CrashShardServer(1, 2)
+				halt = true
+			})
 		}
-		return nil
+		return halt
 	})
-	_, err := f.coordinator.Apply(bgCtx, f.batch())
-	f.coordinator.SetTxHook(nil)
-	if !errors.Is(err, dirclient.ErrTxHalt) {
-		t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
-	}
+	// Another replica of the resolver may answer the client's re-sent
+	// request meanwhile; shard 1 learns the outcome either way.
+	_ = f.applyFor(2 * time.Second)
+	c.SetTxHook(nil)
 
 	if err := c.ForceRecoverShard(1, 3); err != nil {
 		t.Fatalf("ForceRecoverShard: %v", err)
@@ -318,45 +487,42 @@ func TestTwoPhaseForceRecoverShard(t *testing.T) {
 	f.assertSettles(t, true)
 }
 
-// TestTwoPhaseResolverWholeShardAbort crashes the RESOLVER shard whole
-// while both shards are prepared and the coordinator is dead: no
-// decision was ever ratified, so after the restart the resolver
-// presumes abort and the other shard follows — nothing may surface on
-// either shard.
-func TestTwoPhaseResolverWholeShardAbort(t *testing.T) {
+// TestTwoPhaseResolverWholeShardCrash crashes the RESOLVER shard whole
+// while both shards are prepared and no decision is ordered. The NVRAM
+// log reinstates the resolver's prepare, which carries the whole plan,
+// and after the restart the resolver's takeover drives the transaction
+// to a decision the other shard follows.
+func TestTwoPhaseResolverWholeShardCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
 	}
 	c := newCrashCluster(t, KindGroupNVRAM, 2)
 	f := newTxFixture(t, c, "resolverdown")
 
-	f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-		if s == dirclient.TxAfterPrepare {
-			for id := 1; id <= c.ServersPerShard(); id++ {
-				c.CrashShardServer(0, id)
-			}
-			return dirclient.ErrTxHalt
+	crashed := make(chan (<-chan struct{}), 1)
+	var once sync.Once
+	c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
+		if s == dirsvc.TxAfterPrepare {
+			once.Do(func() { crashed <- crashAsync(c, 0, allServers(c)...); halt = true })
 		}
-		return nil
+		return halt
 	})
-	_, err := f.coordinator.Apply(bgCtx, f.batch())
-	f.coordinator.SetTxHook(nil)
-	if !errors.Is(err, dirclient.ErrTxHalt) {
-		t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
-	}
+	err := f.applyFor(crashRetryWait)
+	c.SetTxHook(nil)
+	awaitCrash(t, crashed)
 
 	restartShard(t, c, 0)
-	f.assertSettles(t, false)
+	f.assertAtomic(t, err)
 }
 
 // TestTwoPhaseCrashDuringLockWait parks a plain update in the resolver
 // shard's lock-wait queue — behind a prepared transaction whose
-// coordinator has died — then crashes a replica of that shard while the
-// waiter is parked. The waiter must come back within a bound: either
-// admitted once the presumed-abort releases the locks, or refused with
-// a conflict-classified error — never a hang. Reads of the locked
-// directory (Applier.WaitUnlocked path) must keep flowing throughout,
-// and the orphaned transaction still settles to a clean abort.
+// initiating replica halted — then crashes a replica of that shard while
+// the waiter is parked. The waiter must come back within a bound: either
+// admitted once the takeover settles the transaction and releases the
+// locks, or refused with a conflict-classified error — never a hang.
+// Reads of the locked directory (Applier.WaitUnlocked path) must keep
+// flowing throughout, and the transaction still settles all-or-nothing.
 func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
@@ -364,20 +530,18 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 	c := newCrashCluster(t, KindGroup, 2)
 	f := newTxFixture(t, c, "lockwait")
 
-	// Leave the transaction prepared on both shards, coordinator dead:
-	// the resolver (shard 0) holds locks on f.dirs[0] until its
-	// presumed-abort timer fires.
-	f.coordinator.SetTxHook(func(s dirclient.TxStage) error {
-		if s == dirclient.TxAfterPrepare {
-			return dirclient.ErrTxHalt
+	// Leave the transaction prepared on both shards, its initiator
+	// halted: the resolver (shard 0) holds locks on f.dirs[0] until its
+	// takeover settles the transaction.
+	var once sync.Once
+	c.SetTxHook(func(_, _ int, s dirsvc.TxStage) (halt bool) {
+		if s == dirsvc.TxAfterPrepare {
+			once.Do(func() { halt = true })
 		}
-		return nil
+		return halt
 	})
-	_, err := f.coordinator.Apply(bgCtx, f.batch())
-	f.coordinator.SetTxHook(nil)
-	if !errors.Is(err, dirclient.ErrTxHalt) {
-		t.Fatalf("halted Apply: err = %v, want ErrTxHalt", err)
-	}
+	err := f.applyFor(time.Second)
+	c.SetTxHook(nil)
 
 	// An independent client's update to the locked directory parks in
 	// the lock-wait queue on whichever shard-0 server initiates it.
@@ -414,9 +578,17 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 		}
 		if werr != nil {
 			// Refused at the deadline: the queue is a fast path, the
-			// retry contract is intact — the write must land on retry.
+			// retry contract is intact — the write must land on retry. A
+			// retry parked past the transport's WORKING cap is re-sent to
+			// another replica while the first still holds it; when the
+			// lock goes, both admit it and the client may hear the
+			// second's "exists" for the write that landed.
 			if err := retryFor(crashRetryWait, func() error {
-				return f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
+				err := f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
+				if errors.Is(err, dirsvc.ErrExists) {
+					return nil
+				}
+				return err
 			}); err != nil {
 				t.Fatalf("retried write after lock-wait refusal: %v", err)
 			}
@@ -428,9 +600,9 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No decision ever existed: the transaction settles to abort and
-	// both shards accept new work.
-	f.assertSettles(t, false)
+	// The takeover drove the transaction to a decision; both shards
+	// agree on it and accept new work.
+	f.assertAtomic(t, err)
 }
 
 // TestTwoPhaseRPCStateTransfer proves the RPC kind's peer sync carries
@@ -439,11 +611,8 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 // a snapshot from its peer), the peer then crashes, and the restarted
 // server — now the resolver shard's only voice — must still answer the
 // decision query with "committed". A sync of images alone would answer
-// "unknown", which an orphaned participant reads as presumed abort. The
-// transaction is driven at the wire level so the test knows its id, and
-// under the default presumed-abort horizon: with one server of the pair
-// down every update first waits out the peer RPC, and a 300 ms horizon
-// would let the shards' resolvers race the coordinator.
+// "unknown", which a participant in doubt reads as presumed abort. The
+// transaction is driven at the wire level so the test knows its id.
 func TestTwoPhaseRPCStateTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
@@ -461,7 +630,7 @@ func TestTwoPhaseRPCStateTransfer(t *testing.T) {
 	masks := []dir.Rights{dir.AllRights, dir.AllRights, dir.AllRights}
 	for s, d := range f.dirs {
 		send(s, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
-			ID: id, Resolver: 0, Participants: []int{0, 1},
+			ID: id, Participants: []int{0, 1},
 			Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{
 				{Op: dirsvc.OpAppendRow, Dir: d, Name: f.name, Cap: d, Masks: masks},
 			}),

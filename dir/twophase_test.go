@@ -203,11 +203,11 @@ func scenarioCrossShardBatch(t *testing.T, client *dirclient.Client, shards int)
 // TestTwoPhaseCoordinatorCrash halts the resolver's coordinator — the
 // replica that received the batch — at every stage of the protocol,
 // with its server left running, so the client's request goes
-// unanswered. The resolver's takeover drives whatever was prepared to a
-// decision on every kind: before any prepare nothing ever exists; from
-// the resolver's prepare on, the takeover finishes the transaction;
-// after the resolver ordered the commit, the other shard learns it from
-// the resolver. Every outcome is all-or-nothing and releases the locks.
+// unanswered, and the client gives up before it would re-send it. The
+// resolver's takeover settles whatever was prepared on every kind:
+// before the decision it holds no plan, so it orders abort; after the
+// resolver ordered the commit, the other shard learns it from the
+// resolver. Every outcome is all-or-nothing and releases the locks.
 func TestTwoPhaseCoordinatorCrash(t *testing.T) {
 	skipShardedInShortLane(t)
 	const shards = 2
@@ -227,8 +227,8 @@ func TestTwoPhaseCoordinatorCrash(t *testing.T) {
 				committed bool // the transaction's eventual outcome
 			}{
 				{"BeforePrepare", dirsvc.TxBeforePrepare, false},
-				{"AfterResolverPrepare", dirsvc.TxAfterResolverPrepare, true},
-				{"AfterPrepare", dirsvc.TxAfterPrepare, true},
+				{"AfterResolverPrepare", dirsvc.TxAfterResolverPrepare, false},
+				{"AfterPrepare", dirsvc.TxAfterPrepare, false},
 				{"AfterResolverDecide", dirsvc.TxAfterResolverDecide, true},
 			}
 			for i, sc := range stages {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"dirsvc/internal/dirsvc"
 )
@@ -20,8 +21,8 @@ type persister interface {
 	// sync writes what record queued, before a reply to an update this
 	// server initiated and before every commit-block write.
 	sync() error
-	// tick is the flush loop's work; idle means no update for IdleFlush.
-	tick(idle bool)
+	// tick is the flush loop's work; quiet is how long no update came.
+	tick(quiet time.Duration)
 	checkpoint() error // Server.Checkpoint
 	// settle starts recovery: sync, drop what cannot be written, and
 	// return the highest sequence number the log holds.
@@ -48,7 +49,7 @@ func (w writeThrough) record(_ *dirsvc.Request, res *dirsvc.ApplyResult, _ uint6
 }
 
 func (w writeThrough) sync() error                         { return nil }
-func (w writeThrough) tick(bool)                           {}
+func (w writeThrough) tick(time.Duration)                  {}
 func (w writeThrough) checkpoint() error                   { return nil }
 func (w writeThrough) settle() uint64                      { return 0 }
 func (w writeThrough) install(snap *dirsvc.Snapshot) error { return w.s.installSnapshot(snap, true) }
@@ -100,8 +101,13 @@ func (n *nvramLog) checkpoint() error { return nil }
 func (n *nvramLog) settle() uint64    { return n.log.MaxSeq() }
 func (n *nvramLog) status(st *Status) { st.NVRAMUsed = n.log.UsedBytes() }
 
-func (n *nvramLog) tick(idle bool) {
-	if n.log.NeedsFlush() || (idle && n.log.Len() > 0) {
+// tick flushes a log past 3/4, one with records after IdleFlush of quiet,
+// and one past half after a tenth of that: a flush stalls the apply path,
+// so a lull is the time for one due soon (ARCHITECTURE.md, "The two
+// flushes that remain").
+func (n *nvramLog) tick(quiet time.Duration) {
+	idle := n.s.cfg.IdleFlush
+	if n.log.NeedsFlush() || (quiet >= idle && n.log.Len() > 0) || (quiet >= idle/10 && n.log.PastHalf()) {
 		_ = n.flush() // disk trouble: the log is kept, retry next tick
 	}
 }
@@ -111,13 +117,11 @@ func (n *nvramLog) tick(idle bool) {
 // log and re-logs the two-phase-commit state. On disk trouble the log is
 // kept, so a later round can retry.
 func (n *nvramLog) flush() error {
-	for _, obj := range n.s.front.Table.RAMDirtyObjects() {
-		olds, err := n.s.front.Applier.FlushObject(obj)
-		if err != nil {
-			return err
-		}
-		n.s.front.ScheduleCleanup(olds)
+	olds, err := n.s.front.Applier.FlushObjects(n.s.front.Table.RAMDirtyObjects())
+	if err != nil {
+		return err
 	}
+	n.s.front.ScheduleCleanup(olds)
 	if err := n.log.Clear(); err != nil {
 		return err
 	}
@@ -260,7 +264,8 @@ func (e *engineLog) checkpoint() error {
 	return nil
 }
 
-func (e *engineLog) tick(idle bool) {
+func (e *engineLog) tick(quiet time.Duration) {
+	idle := quiet >= e.s.cfg.IdleFlush
 	// No update of this server's own came along to carry the run (a
 	// replica without clients): write it anyway, so its disk trails the
 	// stream by a heartbeat at most.

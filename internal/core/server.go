@@ -64,7 +64,8 @@ type Config struct {
 	// HeartbeatInterval tunes the group failure detector (tests).
 	HeartbeatInterval time.Duration
 	// IdleFlush is how long the NVRAM variant waits for quiet before
-	// flushing the log (default 20× heartbeat).
+	// flushing the log (default 20× heartbeat); a log past half flushes
+	// after a tenth of it.
 	IdleFlush time.Duration
 }
 
@@ -203,7 +204,7 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 			front.Close()
 			return nil, fmt.Errorf("open nvram log: %w", err)
 		}
-		s.persist, every = &nvramLog{s: s, log: log}, cfg.IdleFlush/2
+		s.persist, every = &nvramLog{s: s, log: log}, cfg.IdleFlush/20
 	case cfg.Engine != nil:
 		s.persist, every = &engineLog{s: s, eng: cfg.Engine, ckptTicks: max(1, int(cfg.IdleFlush/2/beat))}, beat
 	default:
@@ -718,12 +719,12 @@ func (s *Server) flushLoop(every time.Duration) {
 		case <-ticker.C:
 		}
 		s.mu.Lock()
-		idle := time.Since(s.lastUpdate) >= s.cfg.IdleFlush
+		quiet := time.Since(s.lastUpdate)
 		recovering := s.recovering
 		s.mu.Unlock()
 		if !recovering {
 			s.applyMu.Lock()
-			s.persist.tick(idle)
+			s.persist.tick(quiet)
 			s.applyMu.Unlock()
 		}
 	}

@@ -384,7 +384,7 @@ func (a *Applier) ApplyUpdate(req *Request, seq uint64, durable bool) (*ApplyRes
 // the new images to the Bullet store and the object-table blocks to disk
 // before returning (the commit point of Fig. 5); otherwise only RAM
 // changes, and the caller makes the update durable its own way — an NVRAM
-// or engine log record now, FlushObject or a checkpoint later.
+// or engine log record now, FlushObjects or a checkpoint later.
 //
 // The outcome goes into res, which the caller owns and may reuse: it is
 // reset, its Reply is filled in place (allocated if nil), and its lists
@@ -451,38 +451,37 @@ func (a *Applier) Replay(req *Request, seq uint64) bool {
 	return a.applyUpdateLocked(req, seq, false, &a.unseen) == nil
 }
 
-// FlushObject writes the current image of obj through to Bullet and its
-// object-table block to disk (the NVRAM background flush). It returns the
-// superseded Bullet file, if any. The image is stored without the applier
-// lock held, so reads go on during the flush; the caller keeps updates
-// out.
-func (a *Applier) FlushObject(obj uint32) ([]capability.Capability, error) {
-	if obj == 0 {
-		return nil, nil
-	}
-	a.mu.RLock()
-	d := a.cache[obj]
-	var img []byte
-	if d != nil {
-		img = d.Encode()
-	}
-	a.mu.RUnlock()
-
+// FlushObjects writes the current images of objs through to Bullet,
+// then their object-table blocks to disk, each block once (the NVRAM
+// background flush). It returns the superseded Bullet files, which the
+// disk no longer names once the blocks are written; on error it returns
+// none. The images are stored without the applier lock held, so reads go
+// on during the flush; the caller keeps updates out.
+func (a *Applier) FlushObjects(objs []uint32) ([]capability.Capability, error) {
 	var olds []capability.Capability
-	if e, known := a.table.Get(obj); known && d != nil {
-		bcap, err := a.bullet.Create(img)
-		if err != nil {
-			return nil, fmt.Errorf("flush directory %d: %w", obj, err)
+	for _, obj := range objs {
+		a.mu.RLock()
+		d := a.cache[obj]
+		var img []byte
+		if d != nil {
+			img = d.Encode()
 		}
-		if !e.Cap.IsZero() {
-			olds = append(olds, e.Cap)
+		a.mu.RUnlock()
+		if e, known := a.table.Get(obj); known && d != nil {
+			bcap, err := a.bullet.Create(img)
+			if err != nil {
+				return nil, fmt.Errorf("flush directory %d: %w", obj, err)
+			}
+			if !e.Cap.IsZero() {
+				olds = append(olds, e.Cap)
+			}
+			e.Cap = bcap
+			a.table.SetRAM(obj, e)
 		}
-		e.Cap = bcap
-		a.table.SetRAM(obj, e)
 	}
 	// A slot the RAM apply cleared or stubbed has to reach the disk too, or
 	// a restart resurrects the directory.
-	if err := a.table.FlushBlocks([]uint32{obj}); err != nil {
+	if err := a.table.FlushBlocks(objs); err != nil {
 		return nil, err
 	}
 	return olds, nil

@@ -217,8 +217,8 @@ func TestApplierNonDurableSkipsDisk(t *testing.T) {
 	if reply.Status != StatusOK || reply.Caps[0].IsZero() {
 		t.Fatalf("RAM apply invisible: %+v", reply)
 	}
-	// FlushObject persists it.
-	if _, err := f.applier.FlushObject(RootObject); err != nil {
+	// FlushObjects persists it.
+	if _, err := f.applier.FlushObjects([]uint32{RootObject}); err != nil {
 		t.Fatal(err)
 	}
 	flushed := f.disk.Stats()

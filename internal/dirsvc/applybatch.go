@@ -142,7 +142,7 @@ func (a *Applier) applyBatchLocked(req *Request, seq uint64, durable bool, res *
 //     pointing at the old images; the new ones are orphan files.
 //
 // The persistence modes differ only in when step 3 happens: now, on the
-// NVRAM flush (FlushObject), or never (an engine checkpoint carries the
+// NVRAM flush (FlushObjects), or never (an engine checkpoint carries the
 // RAM state instead). The outcome goes into res, which the caller has
 // reset. Every image the commit takes out of the cache becomes the
 // applier's spare. Called with a.mu held.

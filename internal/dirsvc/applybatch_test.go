@@ -74,7 +74,7 @@ func TestBatchFlushDurability(t *testing.T) {
 		t.Fatalf("RAM-dirty = %v, want the created dir and the root", dirty)
 	}
 	for _, obj := range dirty {
-		if _, err := f.applier.FlushObject(obj); err != nil {
+		if _, err := f.applier.FlushObjects([]uint32{obj}); err != nil {
 			t.Fatalf("flush %d: %v", obj, err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestBatchFlushDurability(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	for _, obj := range f.table.RAMDirtyObjects() {
-		if _, err := f.applier.FlushObject(obj); err != nil {
+		if _, err := f.applier.FlushObjects([]uint32{obj}); err != nil {
 			t.Fatalf("flush deletion %d: %v", obj, err)
 		}
 	}

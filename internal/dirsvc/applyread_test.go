@@ -154,7 +154,7 @@ func TestApplierReadersSeeWholeImages(t *testing.T) {
 		if flushes++; flushes > cycles {
 			return nil // the Bullet store keeps every image flushed
 		}
-		if _, err := a.FlushObject(dir.Object); err != nil {
+		if _, err := a.FlushObjects([]uint32{dir.Object}); err != nil {
 			return err
 		}
 		e, _ := a.table.Get(dir.Object)

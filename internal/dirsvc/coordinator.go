@@ -3,19 +3,21 @@ package dirsvc
 import (
 	"sync"
 	"time"
+
+	"dirsvc/internal/rpc"
 )
 
 // This file is the coordinator of cross-shard transactions. A client
 // sends a spanning batch as one OpTx, carrying the whole plan, to the
 // resolver shard — its lowest participant — and the replica that
-// receives it orders the resolver's prepare (the record that carries the
-// plan), prepares the other participants, orders commit or abort on the
-// resolver's stream, propagates the decision, and answers with every
-// shard's step results and commit sequence number. Every step can be
-// repeated — a second prepare votes again, and the first decision in the
-// stream wins — so another resolver replica, given the client's re-sent
-// request or taking over an in-doubt transaction (txResolveLoop),
-// finishes what a crashed initiator began.
+// receives it orders the resolver's prepare, prepares the other
+// participants, orders commit or abort on the resolver's stream,
+// propagates the decision, and answers with every shard's step results
+// and commit sequence number. Every step can be repeated — a second
+// prepare votes again, and the first decision in the stream wins — so
+// another resolver replica, given the client's re-sent request, finishes
+// what a crashed initiator began, and one taking over an in-doubt
+// transaction (txResolveLoop) settles it.
 
 // TxStage names a point of the coordinator's protocol, where
 // fault-injection tests crash the initiating replica (SetTxHook).
@@ -43,26 +45,52 @@ func (f *FrontEnd) halted(stage TxStage) bool {
 	return true
 }
 
-// coordinate runs the transaction whose resolver record req carries — an
-// OpTx from a client, or an in-doubt record the takeover picks up — and
-// returns the client's answer.
-func (f *FrontEnd) coordinate(req *Request) *Reply {
+// startTx takes a client's OpTx off the initiator thread: a transaction
+// waits on the other shards, and a thread it held would be one the
+// resolver's own reads and updates lack. It coordinates on a goroutine
+// of its own that answers through the deferred RPC; a nil reply means
+// the answer is deferred.
+func (f *FrontEnd) startTx(rreq *rpc.Request, req *Request) *Reply {
 	p, err := DecodePrepare(req.Blob)
 	if err != nil || p.Resolver() != f.cfg.Shard || len(p.Others) != len(p.Participants)-1 {
 		return status(StatusBadRequest)
 	}
+	later := rreq.Defer()
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		_ = later.Reply(f.coordinate(p).AppendTo(nil))
+	}()
+	return nil
+}
+
+// coordinate runs transaction p — a client's OpTx, whose Others carry
+// the plan, or an in-doubt resolver record the takeover picks up — and
+// returns the client's answer. The record the resolver orders leaves
+// Others out: only the replica holding the request needs the plan, and
+// the NVRAM log re-appends the record at every flush until the
+// decision. So a takeover, which has no plan, orders abort — safe, as no
+// decision is ordered yet — unless the stream already holds one.
+func (f *FrontEnd) coordinate(p *Prepare) *Reply {
 	if f.halted(TxBeforePrepare) {
 		return status(StatusNoMajority)
 	}
 	steps := append([][]byte{p.Steps}, p.Others...)
-	votes := make([]*Reply, len(steps)) // yes votes, with their staged results
-	var no *Reply                       // the first no vote, its step index plan-wide
+	votes := make([]*Reply, len(p.Participants)) // yes votes, with their staged results
+	var no *Reply                                // the first no vote, its step index plan-wide
 	// A prepare held here is not re-sent: it would wait on its own locks.
 	if votes[0] = f.Applier.voteOf(p.ID); votes[0] == nil {
-		votes[0] = f.Update(&Request{Op: OpPrepare, Blob: req.Blob})
+		record := &Prepare{ID: p.ID, Participants: p.Participants, Steps: p.Steps}
+		votes[0] = f.Update(&Request{Op: OpPrepare, Blob: EncodePrepare(record)})
 	}
 	switch _, decided := f.Applier.decisionOf(p.ID); {
-	case votes[0].Status == StatusOK:
+	case decided, votes[0].Status == StatusOK && len(p.Others) == 0:
+		// Decided already (a retried request, or a takeover racing the
+		// initiator: finish what the stream holds), or the takeover.
+		votes[0], no = nil, status(StatusConflict)
+	case votes[0].Status != StatusOK:
+		return votes[0] // the resolver voted no: nothing is prepared anywhere
+	default:
 		if f.halted(TxAfterResolverPrepare) {
 			return status(StatusNoMajority)
 		}
@@ -83,12 +111,6 @@ func (f *FrontEnd) coordinate(req *Request) *Reply {
 		if no == nil && f.halted(TxAfterPrepare) {
 			return status(StatusNoMajority)
 		}
-	case !decided:
-		return votes[0] // the resolver voted no: nothing is prepared anywhere
-	default:
-		// Decided already — a retried request, or a takeover racing the
-		// initiator: finish what the stream holds.
-		votes[0], no = nil, status(StatusConflict)
 	}
 
 	// Undecided (no majority): the takeover and the queries settle it.
@@ -96,9 +118,9 @@ func (f *FrontEnd) coordinate(req *Request) *Reply {
 	if !ok || f.halted(TxAfterResolverDecide) {
 		return status(StatusNoMajority)
 	}
-	acks := make([]*Reply, len(steps))
+	acks := make([]*Reply, len(p.Participants))
 	decideReq := &Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: p.ID, Commit: d.commit})}
-	eachOther(len(steps), func(i int) {
+	eachOther(len(p.Participants), func(i int) {
 		acks[i] = f.retried(func() *Reply { return f.txCall(p.Participants[i], decideReq) })
 	})
 	if !d.commit {
@@ -203,7 +225,7 @@ func (f *FrontEnd) outcome(tx InDoubtTx) TxState {
 	if reply == nil || reply.Status != StatusOK || len(reply.Blob) != 1 {
 		return TxPrepared
 	}
-	if state := TxState(reply.Blob[0]); state != TxUnknown || tx.ResolverSeq == 0 {
+	if state := TxState(reply.Blob[0]); state != TxUnknown {
 		return state
 	}
 	return TxAborted

@@ -95,7 +95,8 @@ type Timeouts struct {
 	// before the client is told to retry elsewhere.
 	MinSeqWait time.Duration
 	// LockWait bounds how long a read or update waits on an object locked
-	// by a prepared transaction before refusing with conflict.
+	// by a prepared transaction before refusing with conflict: well inside
+	// the transport's patience (rpc.Patience).
 	LockWait time.Duration
 	// Takeover is how long a transaction stays in doubt before another
 	// replica takes over from its initiator (txResolveLoop). No outcome
@@ -114,9 +115,11 @@ func modelTimeouts(model *sim.LatencyModel, leaseTTL time.Duration) Timeouts {
 	}
 	t := Timeouts{
 		MinSeqWait: atLeast(15*time.Second, time.Second),
-		LockWait:   atLeast(5*time.Second, time.Second),
-		Takeover:   atLeast(30*time.Second, 3*time.Second),
-		LeaseTTL:   leaseTTL,
+		// A parked update is answered before its client gives up on this
+		// replica and sends it to another, where both copies could land.
+		LockWait: min(atLeast(5*time.Second, time.Second), rpc.Patience(model)/2),
+		Takeover: atLeast(30*time.Second, 3*time.Second),
+		LeaseTTL: leaseTTL,
 	}
 	if t.LeaseTTL <= 0 {
 		t.LeaseTTL = atLeast(60*time.Second, 2*time.Second)
@@ -306,7 +309,10 @@ func (f *FrontEnd) handleRPC(rreq *rpc.Request, dst []byte) []byte {
 	case req.Op == OpLeaseRenew:
 		return f.renew(req).AppendTo(dst)
 	case req.Op == OpTx:
-		return f.coordinate(req).AppendTo(dst)
+		if reply := f.startTx(rreq, req); reply != nil {
+			return reply.AppendTo(dst)
+		}
+		return dst
 	case req.Op.IsUpdate():
 		return f.updateInto(req, &sc.update).AppendTo(dst)
 	default:
@@ -469,11 +475,11 @@ func (f *FrontEnd) checkSeed(op uint64, step int) []byte {
 }
 
 // txResolveLoop settles the transactions left in doubt longer than
-// Takeover. At the resolver a replica drives such a transaction as its
-// initiator would (coordinate): whatever the initiator got done is kept,
-// and the decision lands on the resolver's stream. At any other
-// participant the loop asks the resolver how the transaction ended and
-// applies the answer through this shard's own update path.
+// Takeover. At the resolver a replica settles such a transaction
+// (coordinate): without the plan it orders abort, unless the stream
+// holds a decision, and propagates the outcome. At any other participant
+// the loop asks the resolver how the transaction ended and applies the
+// answer through this shard's own update path.
 func (f *FrontEnd) txResolveLoop() {
 	defer f.wg.Done()
 	ticker := time.NewTicker(f.Takeover / 4)
@@ -491,7 +497,9 @@ func (f *FrontEnd) txResolveLoop() {
 			switch {
 			case tx.Age < f.Takeover:
 			case tx.Resolver == f.cfg.Shard:
-				f.coordinate(tx.Req)
+				if p, err := DecodePrepare(tx.Req.Blob); err == nil {
+					f.coordinate(p)
+				}
 			default:
 				if state := f.outcome(tx); state == TxCommitted || state == TxAborted {
 					f.Update(&Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: tx.ID, Commit: state == TxCommitted})})

@@ -331,6 +331,13 @@ func (l *NVLog) NeedsFlush() bool {
 	return l.used*4 > len(l.img)*3
 }
 
+// PastHalf reports whether the log holds more than half of the region.
+func (l *NVLog) PastHalf() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.used*2 > len(l.img)
+}
+
 // MaxSeq returns the highest sequence number ever logged. Recovery takes
 // the maximum of this, the object table, and the commit block (§3).
 func (l *NVLog) MaxSeq() uint64 {

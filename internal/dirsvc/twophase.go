@@ -41,8 +41,8 @@ func NewTxID() TxID {
 // String implements fmt.Stringer (diagnostics).
 func (id TxID) String() string { return hex.EncodeToString(id[:]) }
 
-// Prepare is the decoded OpPrepare payload. The resolver's own record —
-// also the OpTx request a client sends it — carries the whole plan.
+// Prepare is the decoded OpPrepare payload, and that of the OpTx a client
+// sends the resolver, which alone carries the whole plan.
 type Prepare struct {
 	ID TxID
 	// ResolverSeq is the sequence number the resolver's prepare applied
@@ -52,7 +52,7 @@ type Prepare struct {
 	// first is the resolver.
 	Participants []int
 	// Steps is the EncodeBatchSteps blob of this shard's steps; Others,
-	// in the resolver's record only, those of the other participants.
+	// in an OpTx only, those of the other participants.
 	Steps  []byte
 	Others [][]byte
 }

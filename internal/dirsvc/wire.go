@@ -110,8 +110,8 @@ const (
 	// jumps to at least the snapshot's highest (Snapshot.MaxSeq).
 	OpRestoreShard
 
-	// OpTx is a cross-shard batch sent to its resolver shard: Blob is the
-	// resolver's EncodePrepare record, the whole plan. The receiving
+	// OpTx is a cross-shard batch sent to its resolver shard: Blob is an
+	// EncodePrepare payload with the whole plan (Others). The receiving
 	// replica coordinates (coordinator.go) and answers an EncodeTxOutcome.
 	OpTx
 )

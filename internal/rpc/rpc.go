@@ -226,6 +226,17 @@ type Client struct {
 	closed chan struct{} // closed when the demux exits (Close or crash)
 }
 
+// Patience is how long a client under model waits on a live server — one
+// that answers WORKING — before it sends the request to another replica:
+// (retransmits+1) reply time-outs. A request a server holds longer may
+// run on two replicas.
+func Patience(model *sim.LatencyModel) time.Duration {
+	// With a zero-scale model, processing takes wall-clock time only
+	// through goroutine scheduling; keep enough headroom that
+	// retransmissions stay exceptional.
+	return 3 * max(model.Timeout(15*time.Second), 200*time.Millisecond)
+}
+
 // NewClient creates a client endpoint on the given stack. Timeouts are
 // derived from the network's latency model.
 func NewClient(stack *flip.Stack) (*Client, error) {
@@ -236,13 +247,6 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		return nil, fmt.Errorf("register reply port: %w", err)
 	}
 	model := stack.Model()
-	replyTimeout := model.Timeout(15 * time.Second)
-	if replyTimeout < 200*time.Millisecond {
-		// With a zero-scale model, processing takes wall-clock time only
-		// through goroutine scheduling; keep enough headroom that
-		// retransmissions stay exceptional.
-		replyTimeout = 200 * time.Millisecond
-	}
 	cacheTTL := model.Timeout(60 * time.Second)
 	if cacheTTL < 5*time.Second {
 		cacheTTL = 5 * time.Second
@@ -256,7 +260,7 @@ func NewClient(stack *flip.Stack) (*Client, error) {
 		replyPort:    replyPort,
 		replies:      l,
 		locateWindow: model.Timeout(15 * time.Millisecond),
-		replyTimeout: replyTimeout,
+		replyTimeout: Patience(model) / 3,
 		probeFloor:   probeFloor,
 		retransmits:  2,
 		maxAttempts:  8,

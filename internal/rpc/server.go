@@ -42,6 +42,18 @@ func (r *Request) Reply(payload []byte) error {
 	return r.srv.stack.SendFrame(r.Src, frame)
 }
 
+// Defer takes the reply out of the handler's hands: the worker running
+// the handler sends nothing for r and goes on to the next request, and
+// whoever finishes the work answers the returned copy with Reply,
+// exactly once. The copy carries no Payload (that is the worker's); it
+// counts as in flight until answered.
+func (r *Request) Defer() *Request {
+	d := *r
+	d.Payload = nil
+	r.replied = true
+	return &d
+}
+
 // PushAddr is a client's long-lived notification endpoint: the reply
 // channel of the transaction that established a subscription. Frames
 // pushed to it are framed exactly like replies to that transaction, so
@@ -295,7 +307,7 @@ func (s *Server) ServeAppend(workers int, handler func(req *Request, dst []byte)
 					return
 				}
 				scratch = handler(&req, scratch[:0])
-				_ = req.Reply(scratch)
+				_ = req.Reply(scratch) // refused if the handler deferred it
 				if cap(scratch) > maxScratch {
 					scratch = nil
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -487,12 +488,13 @@ func TestTwoPhaseForceRecoverShard(t *testing.T) {
 	f.assertSettles(t, true)
 }
 
-// TestTwoPhaseResolverWholeShardCrash crashes the RESOLVER shard whole
-// while both shards are prepared and no decision is ordered. The NVRAM
-// log reinstates the resolver's prepare, which carries the whole plan,
-// and after the restart the resolver's takeover drives the transaction
-// to a decision the other shard follows.
-func TestTwoPhaseResolverWholeShardCrash(t *testing.T) {
+// TestTwoPhaseResolverWholeShardAbort crashes the RESOLVER shard whole
+// while both shards are prepared, no decision is ordered and the client
+// is gone. The NVRAM log reinstates the resolver's prepare, which does
+// not carry the plan, so after the restart the resolver's takeover
+// orders abort and the other shard follows — nothing may surface on
+// either shard.
+func TestTwoPhaseResolverWholeShardAbort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
 	}
@@ -507,12 +509,13 @@ func TestTwoPhaseResolverWholeShardCrash(t *testing.T) {
 		}
 		return halt
 	})
-	err := f.applyFor(crashRetryWait)
+	// The client gives up while the shard is down: nobody re-sends the plan.
+	_ = f.applyFor(time.Second)
 	c.SetTxHook(nil)
 	awaitCrash(t, crashed)
 
 	restartShard(t, c, 0)
-	f.assertAtomic(t, err)
+	f.assertSettles(t, false)
 }
 
 // TestTwoPhaseCrashDuringLockWait parks a plain update in the resolver
@@ -578,17 +581,9 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 		}
 		if werr != nil {
 			// Refused at the deadline: the queue is a fast path, the
-			// retry contract is intact — the write must land on retry. A
-			// retry parked past the transport's WORKING cap is re-sent to
-			// another replica while the first still holds it; when the
-			// lock goes, both admit it and the client may hear the
-			// second's "exists" for the write that landed.
+			// retry contract is intact — the write must land on retry.
 			if err := retryFor(crashRetryWait, func() error {
-				err := f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
-				if errors.Is(err, dirsvc.ErrExists) {
-					return nil
-				}
-				return err
+				return f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
 			}); err != nil {
 				t.Fatalf("retried write after lock-wait refusal: %v", err)
 			}
@@ -628,13 +623,15 @@ func TestTwoPhaseRPCStateTransfer(t *testing.T) {
 	c.CrashShardServer(0, 2)
 	id := dirsvc.NewTxID()
 	masks := []dir.Rights{dir.AllRights, dir.AllRights, dir.AllRights}
+	var resolverSeq uint64 // the participant's floor: where the resolver prepared
 	for s, d := range f.dirs {
-		send(s, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
-			ID: id, Participants: []int{0, 1},
+		vote := send(s, &dirsvc.Request{Op: dirsvc.OpPrepare, Blob: dirsvc.EncodePrepare(&dirsvc.Prepare{
+			ID: id, ResolverSeq: resolverSeq, Participants: []int{0, 1},
 			Steps: dirsvc.EncodeBatchSteps([]*dirsvc.Request{
 				{Op: dirsvc.OpAppendRow, Dir: d, Name: f.name, Cap: d, Masks: masks},
 			}),
 		})})
+		resolverSeq = vote.Seq
 	}
 	for s := range f.dirs {
 		send(s, &dirsvc.Request{Op: dirsvc.OpDecide, Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: id, Commit: true})})
@@ -692,5 +689,69 @@ func restartShard(t testing.TB, c *Cluster, shard int) {
 		if err := <-errs; err != nil {
 			t.Fatalf("restart shard %d: %v", shard, err)
 		}
+	}
+}
+
+// TestTwoPhaseCoordinatorsHoldNoInitiator holds more cross-shard
+// transactions than the resolver shard has initiator threads at the
+// point where their coordinators wait on the other shard — the wait a
+// slow or unreachable participant imposes. Every one of them must get
+// that far, and the resolver must meanwhile serve a single-shard update
+// within its lock wait: a coordinator runs off the initiator threads.
+func TestTwoPhaseCoordinatorsHoldNoInitiator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
+	}
+	const workers = 2
+	c, err := New(KindGroup, Options{Model: sim.FastModel(), Shards: 2, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	txs := make([]*txFixture, workers*c.ServersPerShard()+2)
+	for i := range txs {
+		txs[i] = newTxFixture(t, c, fmt.Sprintf("held%d", i))
+	}
+	free, err := createOn(txs[0].probe, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var held atomic.Int32 // coordinators waiting on the other shard
+	release := make(chan struct{})
+	c.SetTxHook(func(_, _ int, s dirsvc.TxStage) bool {
+		if s == dirsvc.TxAfterResolverPrepare {
+			held.Add(1)
+			<-release
+		}
+		return false
+	})
+	errs := make([]error, len(txs))
+	var sent sync.WaitGroup
+	for i, f := range txs {
+		sent.Add(1)
+		go func() {
+			defer sent.Done()
+			errs[i] = f.applyFor(crashRetryWait)
+		}()
+	}
+	for deadline := time.Now().Add(crashSettleWait); int(held.Load()) < len(txs); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d of %d coordinators reached the other shard", held.Load(), len(txs))
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(bgCtx, time.Second)
+	err = txs[0].probe.Append(ctx, free, "single", free, nil)
+	cancel()
+	close(release)
+	c.SetTxHook(nil)
+	if err != nil {
+		t.Fatalf("single-shard update with %d transactions held: %v", len(txs), err)
+	}
+	sent.Wait()
+	for i, f := range txs {
+		f.assertAtomic(t, errs[i])
 	}
 }

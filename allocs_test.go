@@ -77,12 +77,13 @@ func (w *warmPath) pair(tb testing.TB) {
 // the capability into a buffer it reuses. The pair measured 35: its
 // frames (10.6 a pair), the simulated network's queues (21.1, and 2.1 in
 // sim.(*Network).Nodes for its broadcasts), and the appended row on each
-// of three replicas, its name and masks in one allocation — and 39 over
-// the storage engine, whose write-ahead runs add a block image each;
-// both keep 4 of headroom. (6 and 47, 51 over the engine, while every
-// decode copied its names, the initiator allocated a waiter record and a
-// lock-wait target list per update, and the client a Caps slice per
-// lookup; 83 and 95 while every apply allocated its result and forked
+// of three replicas, its name and masks in one allocation — and 37 over
+// the storage engine, whose write-ahead run adds the disk's block image;
+// both keep 4 of headroom. (39 over the engine while it padded each
+// record of a run to blocks of its own in a fresh image; 6 and 47, 51
+// over the engine, while every decode copied its names, the initiator
+// allocated a waiter record and a lock-wait target list per update, and
+// the client a Caps slice per lookup; 83 and 95 while every apply allocated its result and forked
 // into fresh storage, the group thread copied every ORD to the heap and
 // the sequencer its acknowledgement record, and the initiator encoded
 // its request and the engine its records one by one; 203 before each
@@ -94,7 +95,7 @@ func (w *warmPath) pair(tb testing.TB) {
 const (
 	lookupAllocs     = 4
 	pairAllocs       = 39
-	pairAllocsEngine = 43
+	pairAllocsEngine = 41
 )
 
 // raceBuild is set under the race detector (race_test.go), where

@@ -375,7 +375,10 @@ func BenchmarkShardWriteScaling(b *testing.B) {
 // the client's two-phase protocol — the price of distributed atomicity.
 // Uncontended, every client works in directories of its own; contended,
 // all clients name the same directory per shard, so prepares collide on
-// its object lock and park in the server-side lock-wait queue.
+// its object lock and park in the server-side lock-wait queue. The
+// window spans several NVRAM flush cycles, each of which stalls a shard
+// for 0.7–1.2 s at paper scale, so that a run's rate does not hang on
+// whether one or two flushes fell inside it.
 func benchBatches(b *testing.B, contended bool) {
 	const shards, steps, nclients = 2, 8, 12
 	for _, mode := range []string{"single", "cross"} {
@@ -394,7 +397,7 @@ func benchBatches(b *testing.B, contended bool) {
 					}
 				}
 			}
-			closedLoop(b, nclients, window(b, 2*time.Second), func(w, i int) error {
+			closedLoop(b, nclients, window(b, 8*time.Second), func(w, i int) error {
 				batch := dir.NewBatch()
 				for k := 0; k < steps; k++ {
 					d := dirsets[w][k%len(dirsets[w])]

@@ -51,7 +51,7 @@ var durables = []durable{
 	{name: "nvram header", magic: "NVL3", nvram: true, kinds: []string{"group+nvram"}},
 	{name: "nvram record", magic: "NVR3", magicAt: 9, nvram: true, kinds: []string{"group+nvram"}},
 	{name: "engine manifest", magic: "ENG2", kinds: []string{"group+engine"}},
-	{name: "engine log record", magic: "ELG2", kinds: []string{"group+engine"}},
+	{name: "engine log record", magic: "ELG3", kinds: []string{"group+engine"}},
 	{name: "engine checkpoint", magic: "CKP2", kinds: []string{"group+engine"}},
 	{name: "intention block", magic: "INT1", kinds: []string{"rpc"}, cleared: true},
 }

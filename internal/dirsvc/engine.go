@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dirsvc/internal/codec"
@@ -25,9 +26,9 @@ import (
 // fresh log generation — the block-device equivalent of write-temp,
 // fsync, rename: a crash at any point leaves either the old checkpoint
 // with its full log, or the new checkpoint with an empty log. Manifest,
-// checkpoint and log records are sealed frames (codec.Seal); a record is
-// sealed for its log generation, so replay stops at the first torn or
-// stale one. Every write is synchronous
+// checkpoint and log runs are sealed frames (codec.Seal); each run that
+// AppendRun writes is one frame sealed for its log generation, so replay
+// stops at the first torn or stale run. Every write is synchronous
 // (vdisk models raw-partition writes), so nothing here needs an explicit
 // sync step.
 type Engine struct {
@@ -41,6 +42,11 @@ type Engine struct {
 	manifest     // as on disk, but for maxSeq, which every append raises
 	logTail  int // next free log block
 	recs     []LogRec
+	// frame is the buffer each run is sealed in, reused by the next one.
+	// kept holds the payloads of the runs appended since the last
+	// checkpoint back to back, which recs point into; a checkpoint drops
+	// those records and starts kept over.
+	frame, kept []byte
 }
 
 // manifest is the engine's root metadata: block 0 holds these fields in
@@ -64,16 +70,19 @@ type LogRec struct {
 var (
 	engMagic  = [4]byte{'E', 'N', 'G', '2'}
 	ckptMagic = [4]byte{'C', 'K', 'P', '2'}
-	logMagic  = [4]byte{'E', 'L', 'G', '2'}
+	logMagic  = [4]byte{'E', 'L', 'G', '3'}
 )
 
-// A log record is a frame sealed for its log generation of seq u64 |
-// payload, padded to a whole number of blocks so each append is one
-// sequential run; logRecHeader is what precedes the payload.
-const logRecHeader = codec.Header + 8
+// A log run is one frame sealed for its log generation, starting on a
+// block boundary, of count u32 and then count records packed back to
+// back, each seq u64 | len u32 | payload. Only the run's end is padded,
+// to a whole block, so the next run starts on a block of its own and no
+// block a run was written to is written again. logRecHeader is the bytes
+// a record takes besides its payload.
+const logRecHeader = 8 + 4
 
 var (
-	// ErrEngineFull is returned when a record does not fit in the log
+	// ErrEngineFull is returned when a run does not fit in the log
 	// region; the caller must checkpoint first.
 	ErrEngineFull = errors.New("dirsvc: engine log full")
 	// ErrNoCheckpoint is returned when no checkpoint has been written.
@@ -158,22 +167,21 @@ func (m *manifest) write(store vdisk.Storage) error {
 }
 
 // scanRunBlocks is how many log blocks one read of scanLog takes in: a
-// log of N one-block records is read in ⌈(N+1)/scanRunBlocks⌉ runs, one
-// seek each.
+// log of N blocks is read in ⌈(N+1)/scanRunBlocks⌉ reads, one seek each.
 const scanRunBlocks = 64
 
 // scanLog reads the log region sequentially, collecting the records of
-// generation gen. The current generation's records form a prefix of the
-// region; the scan stops at the first stale, torn, or empty record. It
-// reads the region in runs of scanRunBlocks blocks, and a record that
-// runs past the run in hand starts the next one (a stale one too: only
-// its CRC tells it). The records' payloads point into the runs, which
-// nothing writes to again.
+// generation gen. The current generation's runs form a prefix of the
+// region; the scan stops at the first stale, torn, or empty run. It reads
+// the region in reads of scanRunBlocks blocks, and a run that goes past
+// the read in hand starts the next one (a stale one too: only its CRC
+// tells it). The records' payloads point into the reads, which nothing
+// writes to again.
 func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec, int, error) {
 	var recs []LogRec
 	var run []byte // the blocks from runLo on, as last read
 	runLo, b, end := logStart, logStart, logStart+logBlocks
-	// hold makes sure the run in hand covers blocks b up to b+k.
+	// hold makes sure the read in hand covers blocks b up to b+k.
 	hold := func(k int) error {
 		if (b-runLo+k)*vdisk.BlockSize <= len(run) {
 			return nil
@@ -190,24 +198,39 @@ func scanLog(store vdisk.Storage, logStart, logBlocks int, gen uint64) ([]LogRec
 		hdr := run[(b-runLo)*vdisk.BlockSize:]
 		span := (codec.FrameLen(hdr) + vdisk.BlockSize - 1) / vdisk.BlockSize
 		if [4]byte(hdr) != logMagic || b+span > end {
-			break // never written, or not a record that fits
+			break // never written, or not a run that fits
 		}
 		if err := hold(span); err != nil {
 			return nil, 0, err
 		}
 		body, err := codec.Open(run[(b-runLo)*vdisk.BlockSize:], logMagic, gen)
-		if err != nil || len(body) < 8 {
+		if err != nil {
 			break // torn or stale: the log ends here
 		}
-		recs = append(recs, LogRec{Seq: binary.BigEndian.Uint64(body), Payload: body[8:]})
+		var whole bool
+		if recs, whole = appendRun(recs, body); !whole {
+			break
+		}
 		b += span
 	}
 	return recs, b, nil
 }
 
-// logRecBlocks returns the whole blocks an n-byte payload occupies.
-func logRecBlocks(n int) int {
-	return (logRecHeader + n + vdisk.BlockSize - 1) / vdisk.BlockSize
+// appendRun appends the records a run's body holds to recs, their
+// payloads pointing into body. whole is false, and recs as it was, when
+// the body is not a whole run.
+func appendRun(recs []LogRec, body []byte) (_ []LogRec, whole bool) {
+	rd := codec.NewAliasReader(body)
+	n, had := rd.Count32(logRecHeader), len(recs)
+	recs = slices.Grow(recs, n)
+	for range n {
+		recs = append(recs, LogRec{Seq: rd.U64(), Payload: rd.Bytes()})
+	}
+	if !rd.Done() {
+		clear(recs[had:])
+		return recs[:had], false
+	}
+	return recs, true
 }
 
 // AppendLog durably appends one operation record: a run of one.
@@ -215,12 +238,11 @@ func (e *Engine) AppendLog(seq uint64, payload []byte) error {
 	return e.AppendRun([]LogRec{{Seq: seq, Payload: payload}})
 }
 
-// AppendRun durably appends a run of operation records, in order, with
-// one sequential write. Each record keeps its own block-padded header, so
-// the log format is the same as for single appends and a write torn
-// part-way leaves a prefix of the run behind. The engine keeps its own
-// copy of each payload, in the block image it writes, so the caller may
-// reuse the payload slices once AppendRun returns.
+// AppendRun durably appends a run of operation records, in order, as one
+// sealed frame in one sequential write, and copies the payloads it keeps,
+// so the caller may reuse the payload slices once AppendRun returns. A
+// write torn part-way loses the whole run; a run this replica
+// acknowledged anything from was written whole first.
 // ErrEngineFull means the run does not fit; the caller must write a
 // checkpoint (which opens a fresh, empty log generation) and may then
 // drop the run — the checkpoint covers it.
@@ -230,32 +252,28 @@ func (e *Engine) AppendRun(recs []LogRec) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	span := 0
+	// The body goes in place behind the header's room, sealed last.
+	buf := binary.BigEndian.AppendUint32(append(e.frame[:0], make([]byte, codec.Header)...), uint32(len(recs)))
 	for _, r := range recs {
-		span += logRecBlocks(len(r.Payload))
+		buf = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(buf, r.Seq), uint32(len(r.Payload)))
+		buf = append(buf, r.Payload...)
 	}
+	e.frame = codec.Seal(buf[:0], logMagic, e.logGen, buf[codec.Header:])
+	span := (len(e.frame) + vdisk.BlockSize - 1) / vdisk.BlockSize
 	if e.logTail+span > e.logStart+e.logBlocks {
 		return fmt.Errorf("%w (%d of %d blocks used, %d more needed)",
 			ErrEngineFull, e.logTail-e.logStart, e.logBlocks, span)
 	}
-	buf := make([]byte, span*vdisk.BlockSize)
-	off := 0
-	for _, r := range recs {
-		body := binary.BigEndian.AppendUint64(buf[off+codec.Header:off+codec.Header], r.Seq)
-		codec.Seal(buf[off:off], logMagic, e.logGen, append(body, r.Payload...))
-		off += logRecBlocks(len(r.Payload)) * vdisk.BlockSize
-	}
-	if err := e.store.WriteRunSeq(e.logTail, buf); err != nil {
+	// The disk pads the last block with zeros.
+	if err := e.store.WriteRunSeq(e.logTail, e.frame); err != nil {
 		return err
 	}
 	e.logTail += span
-	// The kept records point into buf, which nothing writes to again.
-	off = 0
 	for _, r := range recs {
-		n := len(r.Payload)
-		e.recs = append(e.recs, LogRec{Seq: r.Seq, Payload: buf[off+logRecHeader : off+logRecHeader+n : off+logRecHeader+n]})
+		at := len(e.kept)
+		e.kept = append(e.kept, r.Payload...)
+		e.recs = append(e.recs, LogRec{Seq: r.Seq, Payload: e.kept[at:len(e.kept):len(e.kept)]})
 		e.maxSeq = max(e.maxSeq, r.Seq)
-		off += logRecBlocks(n) * vdisk.BlockSize
 	}
 	return nil
 }
@@ -282,7 +300,8 @@ func (e *Engine) WriteCheckpoint(seq uint64, payload []byte) error {
 	if err := next.write(e.store); err != nil {
 		return err
 	}
-	e.manifest, e.logTail, e.recs = next, e.logStart, nil
+	clear(e.recs)
+	e.manifest, e.logTail, e.recs, e.kept = next, e.logStart, e.recs[:0], e.kept[:0]
 	return nil
 }
 
@@ -316,15 +335,21 @@ func (e *Engine) CheckpointSeq() uint64 {
 }
 
 // LogSuffix returns the recovered/appended log records with sequence
-// numbers beyond after, in log order.
+// numbers beyond after, in log order. Their payloads are copies, in one
+// buffer: a checkpoint reuses the room of the engine's own.
 func (e *Engine) LogSuffix(after uint64) []LogRec {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]LogRec, 0, len(e.recs))
+	out, size := make([]LogRec, 0, len(e.recs)), 0
 	for _, r := range e.recs {
 		if r.Seq > after {
-			out = append(out, r)
+			out, size = append(out, r), size+len(r.Payload)
 		}
+	}
+	buf := make([]byte, 0, size)
+	for i, r := range out {
+		buf = append(buf, r.Payload...)
+		out[i].Payload = buf[len(buf)-len(r.Payload) : len(buf) : len(buf)]
 	}
 	return out
 }

@@ -21,12 +21,14 @@ const fuzzEngineBlocks = 32
 // never panics OpenEngine, which allocates at most a small multiple of
 // the partition's size, and an engine that opens once opens again to the
 // same checkpoint, records and maximum sequence number. With seal set,
-// manifest is the manifest's body and is sealed, and every record frame
-// the log holds is resealed for the log generation that body names, so
-// mutated fields get past the checksums to the body decoders. The seed
-// corpus, in testdata/fuzz/FuzzOpenEngine, holds images of the engine
-// tests' workloads: sealed bodies, whole blocks, and images of the
-// format before sealing, which no longer open.
+// manifest is the manifest's body and is sealed, and every run frame the
+// log holds is resealed for the log generation that body names, so
+// mutated fields get past the checksums to the run decoder, whose record
+// count the run's own bytes bound. The seed corpus, in
+// testdata/fuzz/FuzzOpenEngine, holds images of engine workloads —
+// appends, a run torn part-way, a record of several blocks, a log behind
+// a checkpoint, stale runs — as whole blocks, and two as manifest bodies
+// with seal set.
 func FuzzOpenEngine(f *testing.F) {
 	_, logStart, logBlocks, err := engineLayout(fuzzEngineBlocks)
 	if err != nil {
@@ -91,8 +93,8 @@ func FuzzOpenEngine(f *testing.F) {
 	})
 }
 
-// resealFrames walks img as a run of block-padded sealed frames, as
-// scanLog reads the log, and seals each again for gen with the length its
+// resealFrames walks img as a sequence of block-padded sealed frames, as
+// scanLog reads the log's runs, and seals each again for gen with the length its
 // header claims, until a frame runs past img's end.
 func resealFrames(img []byte, magic [4]byte, gen uint64) []byte {
 	for off := 0; off < len(img); {

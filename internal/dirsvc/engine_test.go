@@ -86,6 +86,19 @@ func TestEngineLogSuffixAndTruncate(t *testing.T) {
 	if len(recs) != 1 || recs[0].Seq != 6 {
 		t.Fatalf("post-checkpoint LogSuffix = %+v", recs)
 	}
+
+	// What LogSuffix returned stays as it was when a checkpoint hands the
+	// room of appended payloads to the next append.
+	recs = e2.LogSuffix(0)
+	if err := e2.WriteCheckpoint(6, []byte("ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.AppendLog(7, []byte("XXX-7")); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || string(recs[0].Payload) != "rec-6" {
+		t.Fatalf("LogSuffix before a checkpoint and an append = %+v", recs)
+	}
 }
 
 func TestEngineFullLog(t *testing.T) {
@@ -338,40 +351,77 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// logImage lays out engine log records of generation gen as AppendRun
-// writes them — header, payload, zero padding to whole blocks — and
-// returns the image with each record's first block.
-func logImage(gen uint64, recs []LogRec) (img []byte, at []int) {
-	for _, r := range recs {
+// logImage lays out engine log runs of generation gen as AppendRun
+// writes them — one sealed frame of packed records per run, zero padded
+// to whole blocks — and returns the image with each run's first block.
+func logImage(gen uint64, runs ...[]LogRec) (img []byte, at []int) {
+	for _, run := range runs {
 		at = append(at, len(img)/vdisk.BlockSize)
-		rec := make([]byte, logRecBlocks(len(r.Payload))*vdisk.BlockSize)
-		body := append(binary.BigEndian.AppendUint64(nil, r.Seq), r.Payload...)
-		codec.Seal(rec[:0], logMagic, gen, body)
-		img = append(img, rec...)
+		body := binary.BigEndian.AppendUint32(nil, uint32(len(run)))
+		for _, r := range run {
+			body = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(body, r.Seq), uint32(len(r.Payload)))
+			body = append(body, r.Payload...)
+		}
+		frame := make([]byte, logRunBlocks(run)*vdisk.BlockSize)
+		codec.Seal(frame[:0], logMagic, gen, body)
+		img = append(img, frame...)
 	}
 	return img, at
 }
 
-// TestEngineScanReadsRuns: opening an engine reads its log in runs of
-// scanRunBlocks blocks — at most ⌈N/64⌉ + 2 reads for N one-block
-// records, the manifest's included — and stops at a torn record, a
-// record of another generation, and a record running past the region's
-// end, each behind a record that straddles two runs.
+// logRunBlocks is the whole blocks one run of records takes in the log.
+func logRunBlocks(run []LogRec) int {
+	n := codec.Header + 4
+	for _, r := range run {
+		n += logRecHeader + len(r.Payload)
+	}
+	return (n + vdisk.BlockSize - 1) / vdisk.BlockSize
+}
+
+// logImageBlocks is the blocks runs take in the log.
+func logImageBlocks(runs [][]LogRec) int {
+	n := 0
+	for _, run := range runs {
+		n += logRunBlocks(run)
+	}
+	return n
+}
+
+// records returns n records of payload size each, seqs from first.
+func records(first uint64, n, size int) []LogRec {
+	out := make([]LogRec, n)
+	for i := range out {
+		p := bytes.Repeat([]byte{byte(i)}, size)
+		copy(p, fmt.Sprintf("rec-%d", first+uint64(i)))
+		out[i] = LogRec{Seq: first + uint64(i), Payload: p}
+	}
+	return out
+}
+
+// sameRecs fails t unless got holds want's records, in order.
+func sameRecs(t *testing.T, got, want []LogRec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Seq != want[i].Seq || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			t.Fatalf("record %d: seq %d %q, want seq %d %q", i, got[i].Seq, got[i].Payload, want[i].Seq, want[i].Payload)
+		}
+	}
+}
+
+// TestEngineScanReadsRuns: opening an engine reads its log in reads of
+// scanRunBlocks blocks — at most ⌈N/64⌉ + 2 reads for N one-block runs,
+// the manifest's included — and stops at a torn run, a run of another
+// generation, and a run going past the region's end, each behind a run
+// that straddles two reads. A run torn at any byte is lost whole, and
+// the next append takes its place.
 func TestEngineScanReadsRuns(t *testing.T) {
 	const blocks = 1024
 	_, logStart, logBlocks, err := engineLayout(blocks)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// records returns n records of payload size each, seqs from 1.
-	records := func(n, size int) []LogRec {
-		out := make([]LogRec, n)
-		for i := range out {
-			p := bytes.Repeat([]byte{byte(i)}, size)
-			copy(p, fmt.Sprintf("rec-%d", i+1))
-			out[i] = LogRec{Seq: uint64(i + 1), Payload: p}
-		}
-		return out
 	}
 	// open formats a fresh partition (log generation 0), writes img at
 	// the log's start and opens the engine on it, returning it with the
@@ -391,26 +441,19 @@ func TestEngineScanReadsRuns(t *testing.T) {
 		}
 		return e, disk.Stats().Reads - before
 	}
-	same := func(t *testing.T, got, want []LogRec) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%d records, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Seq != want[i].Seq || !bytes.Equal(got[i].Payload, want[i].Payload) {
-				t.Fatalf("record %d: seq %d %q, want seq %d %q", i, got[i].Seq, got[i].Payload, want[i].Seq, want[i].Payload)
-			}
-		}
-	}
 
 	t.Run("reads", func(t *testing.T) {
+		// n one-block runs of three records each.
 		const n = 150
-		want := records(n, 100)
-		img, _ := logImage(0, want)
+		want := records(1, 3*n, 100)
+		img, _ := logImage(0, slices.Collect(slices.Chunk(want, 3))...)
+		if len(img) != n*vdisk.BlockSize {
+			t.Fatalf("image of %d bytes, want %d one-block runs", len(img), n)
+		}
 		e, reads := open(img)
-		same(t, e.LogSuffix(0), want)
+		sameRecs(t, e.LogSuffix(0), want)
 		if limit := uint64((n+scanRunBlocks-1)/scanRunBlocks + 2); reads > limit {
-			t.Fatalf("open of %d one-block records took %d reads, want at most %d", n, reads, limit)
+			t.Fatalf("open of %d one-block runs took %d reads, want at most %d", n, reads, limit)
 		}
 		if e.logTail != logStart+n {
 			t.Fatalf("tail at block %d, want %d", e.logTail, logStart+n)
@@ -418,47 +461,49 @@ func TestEngineScanReadsRuns(t *testing.T) {
 	})
 
 	t.Run("stale record past the run", func(t *testing.T) {
-		// A record of another generation is told by its CRC alone: one
-		// that runs past the run in hand is read whole, one read more.
-		want := records(scanRunBlocks-2, 10)
-		img, _ := logImage(0, want)
+		// A run of another generation is told by its CRC alone: one that
+		// goes past the read in hand is read whole, one read more.
+		want := records(1, scanRunBlocks-2, 10)
+		img, _ := logImage(0, slices.Collect(slices.Chunk(want, 1))...)
 		stale, _ := logImage(1, []LogRec{{Seq: 99, Payload: make([]byte, 8*vdisk.BlockSize)}})
 		e, reads := open(append(img, stale...))
-		same(t, e.LogSuffix(0), want)
-		if reads != 3 { // the manifest, the first run, the stale record
+		sameRecs(t, e.LogSuffix(0), want)
+		if reads != 3 { // the manifest, the first read, the stale run
 			t.Fatalf("open took %d reads, want 3", reads)
 		}
 	})
 
-	// Every stop case puts a four-block record across the first run's
-	// end, then one-block records up to the bad one, the fifth after it.
-	straddle := append(records(scanRunBlocks-2, 10), LogRec{Seq: scanRunBlocks - 1, Payload: bytes.Repeat([]byte("s"), 3*vdisk.BlockSize)})
+	// Every stop case puts a four-block run across the first read's end,
+	// then one-block runs of two records up to the bad one, the fifth
+	// after it.
+	straddle := slices.Collect(slices.Chunk(records(1, scanRunBlocks-2, 10), 1))
+	straddle = append(straddle, records(scanRunBlocks-1, 1, 3*vdisk.BlockSize))
 	for i := range 5 {
-		straddle = append(straddle, LogRec{Seq: uint64(scanRunBlocks + i), Payload: []byte(fmt.Sprintf("after-%d", i))})
+		straddle = append(straddle, records(uint64(scanRunBlocks+2*i), 2, 40))
 	}
 	good := straddle[:len(straddle)-1]
 	stops := []struct {
 		name  string
-		image func() (img []byte, want []LogRec)
+		image func() (img []byte, want [][]LogRec)
 	}{
-		{"torn", func() ([]byte, []LogRec) {
-			img, at := logImage(0, straddle)
-			img[at[len(at)-1]*vdisk.BlockSize+logRecHeader] ^= 0xff
+		{"torn", func() ([]byte, [][]LogRec) {
+			img, at := logImage(0, straddle...)
+			img[at[len(at)-1]*vdisk.BlockSize+codec.Header+4+logRecHeader] ^= 0xff
 			return img, good
 		}},
-		{"other generation", func() ([]byte, []LogRec) {
-			img, _ := logImage(0, good)
-			stale, _ := logImage(1, straddle[len(straddle)-1:])
+		{"other generation", func() ([]byte, [][]LogRec) {
+			img, _ := logImage(0, good...)
+			stale, _ := logImage(1, straddle[len(straddle)-1])
 			return append(img, stale...), good
 		}},
-		{"past the region's end", func() ([]byte, []LogRec) {
-			// One-block records fill the region up to its last block,
-			// where a two-block record starts.
+		{"past the region's end", func() ([]byte, [][]LogRec) {
+			// One-block runs fill the region up to its last block, where
+			// a two-block run starts.
 			want := slices.Clone(good)
 			for seq := uint64(1000); logImageBlocks(want) < logBlocks-1; seq++ {
-				want = append(want, LogRec{Seq: seq, Payload: []byte("pad")})
+				want = append(want, []LogRec{{Seq: seq, Payload: []byte("pad")}})
 			}
-			img, _ := logImage(0, append(want, LogRec{Seq: 5000, Payload: make([]byte, vdisk.BlockSize)}))
+			img, _ := logImage(0, append(want, []LogRec{{Seq: 5000, Payload: make([]byte, vdisk.BlockSize)}})...)
 			return img[:logBlocks*vdisk.BlockSize], want
 		}},
 	}
@@ -473,21 +518,110 @@ func TestEngineScanReadsRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(t, recs, want)
+			sameRecs(t, recs, slices.Concat(want...))
 			if wantTail := logStart + logImageBlocks(want); tail != wantTail {
 				t.Fatalf("tail at block %d, want %d", tail, wantTail)
 			}
 			e, _ := open(img)
-			same(t, e.LogSuffix(0), want)
+			sameRecs(t, e.LogSuffix(0), slices.Concat(want...))
 		})
 	}
+
+	t.Run("torn at every byte", func(t *testing.T) {
+		// The third run spans two blocks; a power cut stores a prefix of
+		// it, cut at each of its bytes in turn.
+		runs := [][]LogRec{records(1, 3, 60), records(4, 2, 200), records(6, 5, 150), records(11, 2, 30)}
+		third := logRunBlocks(runs[2])
+		img, _ := logImage(0, runs[2])
+		frame := codec.FrameLen(img)
+		if third != 2 {
+			t.Fatalf("third run takes %d blocks, want 2", third)
+		}
+		wantTail := logStart + logImageBlocks(runs[:2])
+		for cut := range frame {
+			disk := vdisk.New(sim.FastModel(), blocks)
+			e, err := OpenEngine(disk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range runs[:2] {
+				if err := e.AppendRun(run); err != nil {
+					t.Fatal(err)
+				}
+			}
+			disk.SetWriteHook(func(int, []byte) int { return cut })
+			if err := e.AppendRun(runs[2]); !errors.Is(err, vdisk.ErrTorn) {
+				t.Fatalf("cut at byte %d: append = %v, want torn", cut, err)
+			}
+			if e.logTail != wantTail { // a retry goes where the torn run began
+				t.Fatalf("cut at byte %d: tail moved to block %d by a failed append", cut, e.logTail)
+			}
+			disk.SetWriteHook(nil)
+			re, err := OpenEngine(disk)
+			if err != nil {
+				t.Fatalf("cut at byte %d: reopen: %v", cut, err)
+			}
+			sameRecs(t, re.LogSuffix(0), slices.Concat(runs[:2]...))
+			if re.logTail != wantTail {
+				t.Fatalf("cut at byte %d: tail at block %d, want %d", cut, re.logTail, wantTail)
+			}
+			if err := re.AppendRun(runs[3]); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenEngine(disk)
+			if err != nil {
+				t.Fatalf("cut at byte %d: second reopen: %v", cut, err)
+			}
+			sameRecs(t, again.LogSuffix(0), slices.Concat(runs[0], runs[1], runs[3]))
+			if want := wantTail + logRunBlocks(runs[3]); again.logTail != want {
+				t.Fatalf("cut at byte %d: tail at block %d after the next append, want %d", cut, again.logTail, want)
+			}
+		}
+	})
 }
 
-// logImageBlocks is the blocks recs take in the log.
-func logImageBlocks(recs []LogRec) int {
-	n := 0
-	for _, r := range recs {
-		n += logRecBlocks(len(r.Payload))
+// logImageStore is a partition whose sequential run writes, the engine's
+// log appends, land in one preallocated image instead: an append over it
+// allocates only what the engine does.
+type logImageStore struct {
+	vdisk.Storage
+	img []byte
+}
+
+func (s *logImageStore) WriteRunSeq(start int, data []byte) error {
+	copy(s.img[start*vdisk.BlockSize:], data)
+	return nil
+}
+
+// TestEngineAppendRunAllocs: once a log generation has grown the
+// engine's buffers, appending a run of three records allocates nothing:
+// the run is sealed in a buffer the next run reuses, and the payloads it
+// keeps go into room a checkpoint hands back.
+func TestEngineAppendRunAllocs(t *testing.T) {
+	const blocks, runs = 1024, 100
+	store := &logImageStore{Storage: vdisk.New(sim.FastModel(), blocks), img: make([]byte, blocks*vdisk.BlockSize)}
+	e, err := OpenEngine(store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	run := records(1, 3, 100)
+	appendRun := func() {
+		for i := range run {
+			run[i].Seq += uint64(len(run))
+		}
+		if err := e.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range runs {
+		appendRun()
+	}
+	if err := e.WriteCheckpoint(run[len(run)-1].Seq, []byte("ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(runs-1, appendRun) // one warm-up run more
+	t.Logf("warm AppendRun of %d records: %.1f allocs", len(run), got)
+	if got != 0 {
+		t.Fatalf("warm AppendRun allocates %.1f times, want 0", got)
+	}
 }

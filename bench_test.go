@@ -375,7 +375,7 @@ func BenchmarkShardWriteScaling(b *testing.B) {
 // the client's two-phase protocol — the price of distributed atomicity.
 // Uncontended, every client works in directories of its own; contended,
 // all clients name the same directory per shard, so prepares collide on
-// its object lock and park in the server-side lock-wait queue. The
+// its object lock and park in the server-side lock wait. The
 // window spans several NVRAM flush cycles, each of which stalls a shard
 // for 0.7–1.2 s at paper scale, so that a run's rate does not hang on
 // whether one or two flushes fell inside it.

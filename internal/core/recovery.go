@@ -300,7 +300,7 @@ func (s *Server) loadLocalState() error {
 		return err
 	}
 	for _, d := range decided {
-		a.Replay(&dirsvc.Request{Op: dirsvc.OpDecide, Blob: dirsvc.EncodeDecide(&dirsvc.Decide{ID: d.ID, Commit: d.Commit})}, d.Seq)
+		a.RestoreDecided(d)
 	}
 	for _, tx := range held {
 		a.Replay(tx.Req, tx.Seq)

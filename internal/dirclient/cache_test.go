@@ -208,9 +208,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCachedClientEndToEnd drives a cached client against a live
 // single-server service: counters move, hits serve stale-free data.
 func TestCachedClientEndToEnd(t *testing.T) {
-	client := newService(t)
-	cached := NewWithRPC(client.RPC(), "client-test")
-	cached.cache = newReadCache(1, dir.CacheOptions{Enabled: true})
+	cached := newServiceWith(t, Options{Cache: dir.CacheOptions{Enabled: true}})
 	work, err := cached.CreateDir(bgCtx)
 	if err != nil {
 		t.Fatalf("CreateDir: %v", err)

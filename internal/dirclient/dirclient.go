@@ -176,20 +176,6 @@ func NewWithOptions(stack *flip.Stack, service string, opts Options) (*Client, e
 	return c, nil
 }
 
-// NewWithRPC wraps an existing RPC client (shared port cache) as an
-// unsharded client.
-func NewWithRPC(rc *rpc.Client, service string) *Client {
-	return &Client{
-		conns:     []conn{{rpc: rc, port: dirsvc.ServicePort(service)}},
-		base:      1,
-		total:     1,
-		seqs:      make([]atomic.Uint64, 1),
-		hub:       newWatchHub(),
-		watchers:  make([]*shardWatcher, 1),
-		watchStop: make(chan struct{}),
-	}
-}
-
 // Close releases the client's RPC endpoints, stopping the lease
 // watchers and closing every Watch stream first.
 func (c *Client) Close() {
@@ -332,19 +318,6 @@ func (c *Client) SessionFloor(shard int) uint64 {
 		return 0
 	}
 	return c.seqs[shard].Load()
-}
-
-// AdoptFloor raises this session's freshness floor for one shard to an
-// externally learned sequence number — causal-token handoff: a client
-// that adopts another session's SessionFloor is guaranteed to observe
-// everything that session observed, even when its balanced reads land
-// on a replica that is still catching up (the replica waits for the
-// floor, or refuses and the read fails over).
-func (c *Client) AdoptFloor(shard int, seq uint64) {
-	if shard < 0 || shard >= len(c.seqs) {
-		return
-	}
-	c.noteSeq(shard, seq)
 }
 
 // floor returns the MinSeq stamp for a read on shard: the session's

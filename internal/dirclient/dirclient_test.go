@@ -21,6 +21,12 @@ var bgCtx = context.Background()
 // backend — enough to exercise the full client surface.
 func newService(t *testing.T) *Client {
 	t.Helper()
+	return newServiceWith(t, Options{})
+}
+
+// newServiceWith is newService with a client built from opts.
+func newServiceWith(t *testing.T, opts Options) *Client {
+	t.Helper()
 	net := sim.NewNetwork(sim.FastModel(), 1)
 	const service = "client-test"
 
@@ -47,7 +53,7 @@ func newService(t *testing.T) *Client {
 	}
 
 	cstack := flip.NewStack(net.AddNode("client"))
-	client, err := New(cstack, service)
+	client, err := NewWithOptions(cstack, service, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,17 +79,14 @@ type Applier struct {
 
 	// Two-phase-commit participant state: staged transactions, the
 	// per-object locks they hold, and remembered outcomes. txCond wakes
-	// readers blocked on a locked object (see WaitUnlocked) and the
-	// write-side lock-wait queue (see AwaitLockFree), whose per-object
-	// FIFO tickets live in waiters.
+	// the reads and updates waiting in AwaitLockFree for a lock to go;
+	// activeWaiters of them wait now, at most waitSlots.
 	prepared      map[TxID]*preparedTx
 	locks         map[uint32]TxID
 	decided       map[TxID]decidedTx
 	decidedOrder  []TxID
 	txCond        *sync.Cond
-	waiters       map[uint32][]uint64
-	waitTicket    uint64
-	waitSlots     int // max parked waiters; negative = unbounded
+	waitSlots     int // negative = unbounded
 	activeWaiters int
 
 	// events, when attached, receives one Event per successfully applied

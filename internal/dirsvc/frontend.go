@@ -22,7 +22,7 @@ import (
 //	read:   decode → ready gate → catch up → wait for floor → 2PC lock
 //	        wait → route check (OpMigRead exempt) → sample applied seq →
 //	        lookup CPU → Applier.Read → stamp Reply.Seq
-//	update: decode → ready gate → lock-wait queue → route check →
+//	update: decode → ready gate → 2PC lock wait → route check →
 //	        check seeds → stamp Request.Server → update CPU → replicate
 //
 // plus the watch/lease operations, the cross-shard transaction
@@ -379,10 +379,10 @@ func (f *FrontEnd) readInto(req *Request, reply *Reply) *Reply {
 	// An object locked by a prepared two-phase transaction holds its
 	// readers until the decision: they then see exactly the pre- or
 	// post-batch state, never the pre-state of one shard after another
-	// shard exposed the commit. The wait is bounded so worker threads do
-	// not starve — the refused client retries while the transaction is
+	// shard exposed the commit. The wait is bounded in time and in
+	// threads — the refused client retries while the transaction is
 	// settled.
-	if obj != 0 && !f.Applier.WaitUnlocked(obj, f.LockWait) {
+	if err := f.Applier.AwaitLockFree([]uint32{obj}, f.LockWait); err != nil {
 		return status(StatusConflict)
 	}
 	// Elastic routing, checked after the lock wait so a read racing a
@@ -416,9 +416,9 @@ func (f *FrontEnd) updateInto(req *Request, reply *Reply) *Reply {
 		return status(StatusNoMajority)
 	}
 	// An update aimed at objects locked by a prepared transaction waits
-	// its turn in the lock-wait queue instead of being refused outright.
-	// The wait happens before replication, so the decide that releases
-	// the lock is never behind it; OpDecide itself has no wait targets.
+	// for the decision instead of being refused outright. The wait
+	// happens before replication, so the decide that releases the lock
+	// is never behind it; OpDecide itself has no wait targets.
 	var one [1]uint32
 	if err := f.Applier.AwaitLockFree(LockWaitTargets(one[:0], req, f.cfg.Shard), f.LockWait); err != nil {
 		return ErrorReply(err)

@@ -179,8 +179,8 @@ func TestApplierWaitSeq(t *testing.T) {
 }
 
 // TestFrontEndUpdateStages pins the update path's stage order: gate →
-// lock-wait queue → route check → seeds → server stamp → replicate, and
-// that a decide is never queued behind the locks it releases.
+// 2PC lock wait → route check → seeds → server stamp → replicate, and
+// that a decide never waits behind the locks it releases.
 func TestFrontEndUpdateStages(t *testing.T) {
 	f, b := newFrontFixture(t)
 	root, _ := f.Applier.RootCap()

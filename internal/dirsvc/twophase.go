@@ -292,6 +292,24 @@ func (a *Applier) RecentDecided(n int) []DecidedTx {
 	return out
 }
 
+// RestoreDecided carries one remembered outcome over a reload of the
+// replica's own storage (RecentDecided before it): a transaction the
+// reload staged again is decided as its decide record would decide it,
+// and any other outcome is remembered with its results, so a retried
+// decide answers the results the first one did. The applied sequence
+// number advances to the outcome's.
+func (a *Applier) RestoreDecided(d DecidedTx) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	defer a.advanceLocked(d.Seq)
+	if a.prepared[d.ID] != nil {
+		decide := &Request{Op: OpDecide, Blob: EncodeDecide(&Decide{ID: d.ID, Commit: d.Commit})}
+		_ = a.applyUpdateLocked(decide, d.Seq, false, &a.unseen)
+		return
+	}
+	a.rememberDecidedLocked(d.ID, decidedTx{commit: d.Commit, seq: d.Seq, results: d.Results})
+}
+
 // ResetTx discards all transaction state (recovery restart; the caller
 // reinstates in-doubt transactions from its recovery log afterwards).
 func (a *Applier) ResetTx() {
@@ -310,35 +328,6 @@ func (a *Applier) Locked(obj uint32) bool {
 	defer a.mu.RUnlock()
 	_, ok := a.locks[obj]
 	return ok
-}
-
-// WaitUnlocked blocks until obj is not locked by any prepared
-// transaction, or the timeout passes. Read paths use it so a reader
-// never observes the pre-batch state of one shard after another shard
-// already exposed the committed batch: a prepared object's readers are
-// held until the decision, then see exactly one side of it.
-func (a *Applier) WaitUnlocked(obj uint32, timeout time.Duration) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, locked := a.locks[obj]; !locked {
-		return true
-	}
-	deadline := time.Now().Add(timeout)
-	wake := time.AfterFunc(timeout, func() {
-		a.mu.Lock()
-		a.txCond.Broadcast()
-		a.mu.Unlock()
-	})
-	defer wake.Stop()
-	for {
-		if _, locked := a.locks[obj]; !locked {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		a.txCond.Wait()
-	}
 }
 
 // TxStateOf answers the decision query for one transaction id.

@@ -3,7 +3,6 @@ package dirsvc
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestPrepareDecideCodecs round-trips the 2PC wire payloads and rejects
@@ -263,34 +262,5 @@ func TestDecideReplay(t *testing.T) {
 	again := &Request{Op: OpAppendRow, Dir: root, Name: "staged", Cap: root, Masks: ownerMasks()}
 	if f.applier.Replay(again, 13) {
 		t.Fatal("a record the state already reflects replayed as applied")
-	}
-}
-
-// TestWaitUnlocked covers the reader-blocking primitive: an unlocked
-// object passes immediately, a locked one blocks until the decision.
-func TestWaitUnlocked(t *testing.T) {
-	f, id, _, _ := preparedFixture(t)
-	root, _ := f.applier.RootCap()
-	if !f.applier.WaitUnlocked(42, time.Millisecond) {
-		t.Fatal("unlocked object reported locked")
-	}
-	if f.applier.WaitUnlocked(root.Object, 10*time.Millisecond) {
-		t.Fatal("locked object reported free")
-	}
-	done := make(chan bool, 1)
-	go func() { done <- f.applier.WaitUnlocked(root.Object, 5*time.Second) }()
-	time.Sleep(10 * time.Millisecond)
-	if _, err := f.applier.ApplyUpdate(&Request{
-		Op: OpDecide, Blob: EncodeDecide(&Decide{ID: id, Commit: true}),
-	}, 9, true); err != nil {
-		t.Fatalf("decide: %v", err)
-	}
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("waiter timed out despite the decision")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never woke")
 	}
 }

@@ -519,13 +519,14 @@ func TestTwoPhaseResolverWholeShardAbort(t *testing.T) {
 }
 
 // TestTwoPhaseCrashDuringLockWait parks a plain update in the resolver
-// shard's lock-wait queue — behind a prepared transaction whose
+// shard's lock wait — behind a prepared transaction whose
 // initiating replica halted — then crashes a replica of that shard while
 // the waiter is parked. The waiter must come back within a bound: either
 // admitted once the takeover settles the transaction and releases the
 // locks, or refused with a conflict-classified error — never a hang.
-// Reads of the locked directory (Applier.WaitUnlocked path) must keep
-// flowing throughout, and the transaction still settles all-or-nothing.
+// Reads of the locked directory, which wait in the same bounded lock
+// wait, must keep flowing throughout, and the transaction still settles
+// all-or-nothing.
 func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
@@ -547,7 +548,7 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 	c.SetTxHook(nil)
 
 	// An independent client's update to the locked directory parks in
-	// the lock-wait queue on whichever shard-0 server initiates it.
+	// the lock wait on whichever shard-0 server initiates it.
 	writeDone := make(chan error, 1)
 	go func() {
 		writeDone <- f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
@@ -580,7 +581,7 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 			t.Fatalf("parked writer returned %v, want success or a conflict-classified refusal", werr)
 		}
 		if werr != nil {
-			// Refused at the deadline: the queue is a fast path, the
+			// Refused at the deadline: the wait is a fast path, the
 			// retry contract is intact — the write must land on retry.
 			if err := retryFor(crashRetryWait, func() error {
 				return f.probe.Append(bgCtx, f.dirs[0], "parked", f.dirs[0], nil)
@@ -589,7 +590,7 @@ func TestTwoPhaseCrashDuringLockWait(t *testing.T) {
 			}
 		}
 	case <-time.After(crashSettleWait):
-		t.Fatal("writer parked in the lock-wait queue hung past every deadline")
+		t.Fatal("writer parked in the lock wait hung past every deadline")
 	}
 	if err := <-readerDone; err != nil {
 		t.Fatal(err)
@@ -754,4 +755,108 @@ func TestTwoPhaseCoordinatorsHoldNoInitiator(t *testing.T) {
 	for i, f := range txs {
 		f.assertAtomic(t, errs[i])
 	}
+}
+
+// TestTwoPhaseReadPileUpLeavesDecideAThread holds a cross-shard
+// transaction prepared and piles reads of its locked shard-1 directory
+// onto that shard, twice as many as its replicas have initiator threads.
+// Reads count against the lock-wait budget of workers−1 slots, so each
+// replica keeps a thread for the decide that releases them: once the
+// coordinator goes on, the decide settles shard 1 within a quarter of
+// the lock wait. Were every thread parked in a read, each replica would
+// answer the decide NOTHERE until the readers' lock wait ran out.
+func TestTwoPhaseReadPileUpLeavesDecideAThread(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash schedule: covered by the dedicated 2PC CI lane")
+	}
+	const workers = 2
+	c, err := New(KindGroup, Options{Model: sim.FastModel(), Shards: 2, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	f := newTxFixture(t, c, "piled")
+	fronts := make([]*dirsvc.FrontEnd, c.ServersPerShard())
+	for i := range fronts {
+		m := c.shardMachine(1, i+1)
+		m.mu.Lock()
+		fronts[i] = m.front
+		m.mu.Unlock()
+	}
+	lockWait := fronts[0].LockWait
+	locked := func() bool {
+		for _, fe := range fronts {
+			if fe.Applier.Locked(f.dirs[1].Object) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var held atomic.Bool
+	release := make(chan struct{})
+	c.SetTxHook(func(_, _ int, s dirsvc.TxStage) bool {
+		if s == dirsvc.TxAfterPrepare {
+			held.Store(true)
+			<-release
+		}
+		return false
+	})
+	applied := make(chan error, 1)
+	go func() { applied <- f.applyFor(crashRetryWait) }()
+	for deadline := time.Now().Add(crashSettleWait); !held.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the transaction never prepared")
+		}
+	}
+	if !locked() {
+		close(release)
+		t.Fatal("shard 1 holds no lock on the prepared directory")
+	}
+
+	rc, _, err := c.NewRawClient()
+	if err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	port := dirsvc.ServicePort(dirsvc.ShardService(c.Service, 1, c.Shards()))
+	read := (&dirsvc.Request{Op: dirsvc.OpLookupSet, Dir: f.dirs[1], Set: []dirsvc.SetItem{{Name: f.name}}}).Encode()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2*workers*c.ServersPerShard(); i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = rc.Trans(port, read)
+				time.Sleep(2 * time.Millisecond)
+			}
+		}()
+	}
+	// Let the readers reach every replica and park there; no count of
+	// parked readers is visible from here, so this waits a tenth of
+	// their lock wait.
+	time.Sleep(lockWait / 10)
+
+	start := time.Now()
+	close(release)
+	for locked() && time.Since(start) < 2*lockWait {
+		time.Sleep(time.Millisecond)
+	}
+	settled, still := time.Since(start), locked()
+	t.Logf("shard 1 locked for %v after the coordinator went on (lock wait %v)", settled.Round(time.Millisecond), lockWait)
+	close(stop)
+	readers.Wait()
+	c.SetTxHook(nil)
+	if still || settled > lockWait/4 {
+		t.Fatalf("the decide had not settled shard 1 %v after the coordinator went on (still locked: %v), want within %v (a quarter of the lock wait)",
+			settled.Round(time.Millisecond), still, lockWait/4)
+	}
+	f.assertAtomic(t, <-applied)
 }

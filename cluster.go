@@ -27,6 +27,7 @@ import (
 
 	"dirsvc/dir"
 	"dirsvc/internal/bullet"
+	"dirsvc/internal/capability"
 	"dirsvc/internal/core"
 	"dirsvc/internal/dirclient"
 	"dirsvc/internal/dirsvc"
@@ -236,6 +237,23 @@ func New(kind Kind, opts Options) (*Cluster, error) {
 			sg.machines = append(sg.machines, m)
 		}
 	}
+	// Format every Bullet store at once: each machine has its own disk.
+	formatted := make([]error, opts.Shards*n)
+	var wg sync.WaitGroup
+	for s, sg := range c.shards {
+		for i, m := range sg.machines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				formatted[s*n+i] = c.startBullet(sg, m, bullet.NewStore)
+			}()
+		}
+	}
+	wg.Wait()
+	if err := errors.Join(formatted...); err != nil {
+		c.Close()
+		return nil, err
+	}
 
 	// Boot every directory server of every shard concurrently: each
 	// group service's recovery protocol needs a majority to assemble.
@@ -309,19 +327,21 @@ func (c *Cluster) buildMachine(sg *shardGroup, id int) (*machine, error) {
 	}
 
 	m.bulletNode = c.Net.AddNode(c.nodeName("bullet", sg.index, id))
-	m.bulletStack = flip.NewStack(m.bulletNode)
-	store, err := bullet.NewStore(dirsvc.BulletPort(sg.service, id), m.bulletPart)
-	if err != nil {
-		return nil, err
-	}
-	m.bulletSrv, err = bullet.NewServer(m.bulletStack, store, 2,
-		dirsvc.BulletPort(sg.service, id), dirsvc.PublicBulletPort(sg.service))
-	if err != nil {
-		return nil, err
-	}
-
 	m.dirNode = c.Net.AddNode(c.nodeName("dir", sg.index, id))
 	return m, nil
+}
+
+// startBullet serves m's Bullet store on a fresh stack, formatted
+// (bullet.NewStore) or reopened from its partition (bullet.OpenStore).
+func (c *Cluster) startBullet(sg *shardGroup, m *machine, open func(capability.Port, vdisk.Storage) (*bullet.Store, error)) error {
+	m.bulletStack = flip.NewStack(m.bulletNode)
+	store, err := open(dirsvc.BulletPort(sg.service, m.id), m.bulletPart)
+	if err != nil {
+		return err
+	}
+	m.bulletSrv, err = bullet.NewServer(m.bulletStack, store, 2,
+		dirsvc.BulletPort(sg.service, m.id), dirsvc.PublicBulletPort(sg.service))
+	return err
 }
 
 // bootServer starts the directory server process on machine m of shard sg.
@@ -335,14 +355,9 @@ func (c *Cluster) bootServer(sg *shardGroup, m *machine) error {
 		for _, mm := range sg.machines {
 			peers[mm.id] = mm.dirNode.ID()
 		}
-		var engine *dirsvc.Engine
+		var engine vdisk.Storage // the server opens it beside group formation
 		if m.enginePart != nil {
-			// Reopen across restarts: the partition's manifest carries the
-			// surviving checkpoint and log.
-			var err error
-			if engine, err = dirsvc.OpenEngine(m.enginePart); err != nil {
-				return fmt.Errorf("open engine (server %d, shard %d): %w", m.id, sg.index, err)
-			}
+			engine = m.enginePart
 		}
 		front.Replicas = c.opts.Servers
 		srv, err := core.NewServer(m.dirStack, core.Config{
@@ -471,10 +486,14 @@ func (c *Cluster) NewFileClient(dc *dirclient.Client) *bullet.Client {
 
 // CheckpointShard forces a synchronous storage-engine checkpoint on
 // every live replica of one shard (tests, tools and benchmarks; the
-// background flush loop cuts checkpoints on its own). A no-op for
-// deployments without Options.DiskEngine.
+// background flush loop cuts checkpoints on its own), all at once: each
+// replica writes its own disk. It returns every replica's error. A no-op
+// for deployments without Options.DiskEngine.
 func (c *Cluster) CheckpointShard(shard int) error {
-	for _, m := range c.shard(shard).machines {
+	machines := c.shard(shard).machines
+	errs := make([]error, len(machines))
+	var wg sync.WaitGroup
+	for i, m := range machines {
 		m.mu.Lock()
 		srv := m.core
 		if m.stop == nil {
@@ -484,11 +503,16 @@ func (c *Cluster) CheckpointShard(shard int) error {
 		if srv == nil {
 			continue
 		}
-		if err := srv.Checkpoint(); err != nil {
-			return err
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := srv.Checkpoint(); err != nil {
+				errs[i] = fmt.Errorf("checkpoint server %d (shard %d): %w", m.id, shard, err)
+			}
+		}()
 	}
-	return nil
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // ShardServerStatus returns a group server's status snapshot —
@@ -569,14 +593,7 @@ func (c *Cluster) RestartShardServer(shard, id int) error {
 
 func (c *Cluster) restartBullet(sg *shardGroup, m *machine) error {
 	m.bulletNode.Restart()
-	m.bulletStack = flip.NewStack(m.bulletNode)
-	store, err := bullet.OpenStore(dirsvc.BulletPort(sg.service, m.id), m.bulletPart)
-	if err != nil {
-		return err
-	}
-	m.bulletSrv, err = bullet.NewServer(m.bulletStack, store, 2,
-		dirsvc.BulletPort(sg.service, m.id), dirsvc.PublicBulletPort(sg.service))
-	return err
+	return c.startBullet(sg, m, bullet.OpenStore)
 }
 
 // PartitionServers splits the network: the shard-0 machines (directory +

@@ -69,15 +69,11 @@ func TestEngineWriteFailureIsNotAcknowledged(t *testing.T) {
 	model := sim.FastModel()
 	admin, part := engineDisk(t, model)
 	store := &failingStore{Storage: part}
-	engine, err := dirsvc.OpenEngine(store)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stack := newStack(t, sim.NewNetwork(model, 1))
 	srv, err := NewServer(stack, Config{
 		FrontConfig:       dirsvc.FrontConfig{Service: "engine-fail", ServerID: 1, Replicas: 1, Admin: admin},
 		Peers:             map[int]sim.NodeID{1: stack.Node().ID()},
-		Engine:            engine,
+		Engine:            store,
 		HeartbeatInterval: 15 * time.Millisecond,
 		IdleFlush:         time.Hour,
 	})
@@ -419,19 +415,15 @@ func tryBootEngineGroup(t *testing.T, n int, watch func(id int, cb *dirsvc.Commi
 	errs := make(chan error, n)
 	for id := 1; id <= n; id++ {
 		go func() {
-			engine, err := dirsvc.OpenEngine(g.parts[id])
-			if err != nil {
-				errs <- err
-				return
-			}
 			var admin vdisk.Storage = g.admins[id]
 			if watch != nil {
 				admin = &blockWatch{Storage: admin, replicas: n, watch: func(cb *dirsvc.CommitBlock) { watch(id, cb) }}
 			}
+			var err error
 			g.servers[id], err = NewServer(g.stacks[id], Config{
 				FrontConfig:       dirsvc.FrontConfig{Service: "engine-group", ServerID: id, Replicas: n, Admin: admin},
 				Peers:             peers,
-				Engine:            engine,
+				Engine:            g.parts[id],
 				HeartbeatInterval: 30 * time.Millisecond,
 				IdleFlush:         time.Hour,
 			})

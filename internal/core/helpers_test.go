@@ -22,15 +22,11 @@ func newLoneServer(t *testing.T, service string) *Server {
 	t.Helper()
 	model := sim.FastModel()
 	admin, part := engineDisk(t, model)
-	engine, err := dirsvc.OpenEngine(part)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stack := newStack(t, sim.NewNetwork(model, 1))
 	srv, err := NewServer(stack, Config{
 		FrontConfig:       dirsvc.FrontConfig{Service: service, ServerID: 1, Replicas: 1, Admin: admin},
 		Peers:             map[int]sim.NodeID{1: stack.Node().ID()},
-		Engine:            engine,
+		Engine:            part,
 		HeartbeatInterval: 15 * time.Millisecond,
 		IdleFlush:         time.Hour,
 	})

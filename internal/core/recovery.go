@@ -28,14 +28,19 @@ func (s *Server) beginEraLocked() {
 
 // recover runs the Fig. 6 recovery protocol until this server is a
 // member of a majority group holding the latest directory state. It is
-// called at boot and whenever the group cannot be rebuilt with a
-// majority.
-func (s *Server) recover() error {
+// called at boot, with the join NewServer started beside its disk reads,
+// and whenever the group cannot be rebuilt with a majority (joined nil),
+// when the join starts here. Either way the join runs beside the
+// persister's settle and the recovering-flag write, and the first round
+// waits for both the member and the flag: the flag is durable before
+// anything is replayed, pulled or installed. On an error before a round
+// could run, the joined member leaves its group.
+func (s *Server) recover(joined <-chan *group.Member) error {
 	s.applyMu.Lock()
 	logged := s.persist.settle()
 	s.applyMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	if s.closed { // Close comes only after NewServer: joined is nil
 		s.mu.Unlock()
 		return errors.New("core: server closed")
 	}
@@ -54,13 +59,19 @@ func (s *Server) recover() error {
 	// engine log (§3). If the recovering flag was already set, a previous
 	// recovery was interrupted and our state may be inconsistent —
 	// force the sequence number to zero so nobody syncs from us (§3).
+	// From here on the recovery port answers with it.
 	mySeq := max(s.front.StoredSeq(), logged)
 	if s.commit.Recovering {
 		mySeq = 0
 	}
 	s.recoverySeq = mySeq
+	s.loaded = true
 	mourned := lastfail.MournedFromConfig(allServerIDs(s.cfg.Replicas), upSet(s.commit))
 	stayedUp := s.neverDown
+	// Mark that recovery is in progress, so a crash mid-recovery is
+	// detected next boot (Fig. 4's recovering field).
+	s.commit.Recovering = true
+	commit := *s.commit
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -69,19 +80,17 @@ func (s *Server) recover() error {
 		// sequencer would order a leave: just close it.
 		old.Close()
 	}
-
-	// Mark that recovery is in progress, so a crash mid-recovery is
-	// detected next boot (Fig. 4's recovering field).
-	s.mu.Lock()
-	s.commit.Recovering = true
-	commit := *s.commit
-	s.mu.Unlock()
+	if joined == nil {
+		joined = s.join()
+	}
 	if err := commit.Write(s.cfg.Admin); err != nil {
+		leaveJoin(joined)
 		return fmt.Errorf("write recovering flag: %w", err)
 	}
 
 	rc, err := rpc.NewClient(s.stack)
 	if err != nil {
+		leaveJoin(joined)
 		return err
 	}
 	defer rc.Close()
@@ -93,9 +102,13 @@ func (s *Server) recover() error {
 	// alone (a beat at most, to notice Close); one that failed on a peer,
 	// whose state may come good without a view change, a third of a beat
 	// at most. Only a member that dissolved into a larger group, was
-	// excluded from a view or failed is replaced.
+	// excluded from a view or failed is replaced, and so is a background
+	// join that failed.
 	var member *group.Member
 	for {
+		if joined != nil {
+			member, joined = <-joined, nil
+		}
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
@@ -367,6 +380,9 @@ func (s *Server) pullState(rc *rpc.Client, src int) (uint64, error) {
 
 // handleRecoveryRPC serves the server-to-server recovery operations.
 func (s *Server) handleRecoveryRPC(req *rpc.Request) []byte {
+	if !s.awaitLoaded() {
+		return (&dirsvc.Reply{Status: dirsvc.StatusConflict}).Encode()
+	}
 	dreq, err := dirsvc.DecodeRequest(req.Payload)
 	if err != nil {
 		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
@@ -384,6 +400,21 @@ func (s *Server) handleRecoveryRPC(req *rpc.Request) []byte {
 	default:
 		return (&dirsvc.Reply{Status: dirsvc.StatusBadRequest}).Encode()
 	}
+}
+
+// awaitLoaded holds a recovery request at a booting replica until its
+// first recovery has derived the sequence number its stable storage holds
+// (and its request pipeline exists): an exchange answered earlier would
+// report a number below what its log holds. A peer's round waits out the
+// disk work this way instead of going on without us and waiting for a
+// view change. False if the server closed first.
+func (s *Server) awaitLoaded() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.loaded && !s.closed {
+		s.cond.Wait()
+	}
+	return s.loaded
 }
 
 // handleExchange answers a mourned-set exchange (Fig. 6). While this

@@ -52,12 +52,12 @@ type Config struct {
 	// logged to battery-backed RAM and flushed to disk in the
 	// background.
 	NVRAM *vdisk.NVRAM
-	// Engine, when non-nil, enables the disk-backed storage engine:
-	// applies go to RAM, its write-ahead log carries the critical-path
-	// durability, and background checkpoints of the shard state, not the
-	// object table and Bullet store, are the durable copy. Mutually
-	// exclusive with NVRAM.
-	Engine *dirsvc.Engine
+	// Engine, when non-nil, is the partition of the disk-backed storage
+	// engine, which NewServer opens: applies go to RAM, its write-ahead
+	// log carries the critical-path durability, and background
+	// checkpoints of the shard state, not the object table and Bullet
+	// store, are the durable copy. Mutually exclusive with NVRAM.
+	Engine vdisk.Storage
 	// DisableImprovement turns off the §3.2 recovery refinement, for the
 	// ablation experiments.
 	DisableImprovement bool
@@ -97,6 +97,9 @@ type Server struct {
 	groupSeq    uint64 // last group-stream seq applied (incl. membership)
 	groupResume uint64 // stream position the recovery snapshot covered; older messages are skipped, not re-applied
 	recovering  bool
+	// loaded is set once the first recovery has derived recoverySeq from
+	// stable storage; the recovery port holds its requests until then.
+	loaded      bool
 	recoverySeq uint64 // seq advertised in exchanges while recovering (§3)
 	era         uint64 // bumped on every recovery, wakes stuck initiators
 	neverDown   bool   // true while this process has been up since its last recovery
@@ -160,10 +163,15 @@ type localReply struct {
 	reply dirsvc.Reply
 }
 
-// NewServer boots a directory server replica on stack. It formats fresh
-// state on an empty admin partition, or reloads existing state, then runs
-// the recovery protocol to (re)join the service before accepting
-// requests.
+// NewServer boots a directory server replica on stack (Fig. 6). It
+// starts probing for its group at once and, beside the probes, reads its
+// commit block and object table and opens its NVRAM log or storage
+// engine (open); recovery then settles the persister and writes the
+// recovering flag, still beside the join, and its first round waits for
+// both the member and the loaded state. Fresh state is formatted on an
+// empty admin partition. NewServer returns once the replica serves in a
+// majority group with the latest state; a boot that fails after joining
+// leaves the group again.
 func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if cfg.Replicas < 1 || cfg.ServerID < 1 || cfg.ServerID > cfg.Replicas {
 		return nil, fmt.Errorf("core: bad server id %d of %d", cfg.ServerID, cfg.Replicas)
@@ -175,57 +183,43 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 	if cfg.IdleFlush <= 0 {
 		cfg.IdleFlush = 20 * beat
 	}
-
 	rc, err := rpc.NewClient(stack)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Bullet = bullet.NewClient(rc, dirsvc.BulletPort(cfg.Service, cfg.ServerID))
-	front, err := dirsvc.NewFrontEnd(stack, cfg.FrontConfig)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		cfg:     cfg,
-		stack:   stack,
-		beat:    beat,
-		front:   front,
-		commit:  front.Commit,
-		waiters: make(map[uint64]*waiter),
-		sendCh:  make(chan coalesceOp, 4*maxCoalesce),
-		stop:    make(chan struct{}),
+		cfg:        cfg,
+		stack:      stack,
+		beat:       beat,
+		recovering: true,
+		waiters:    make(map[uint64]*waiter),
+		sendCh:     make(chan coalesceOp, 4*maxCoalesce),
+		stop:       make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	var every time.Duration // the persister's tick; write-through has none
-	switch {
-	case cfg.NVRAM != nil:
-		log, err := dirsvc.OpenNVLog(cfg.NVRAM)
-		if err != nil {
-			front.Close()
-			return nil, fmt.Errorf("open nvram log: %w", err)
-		}
-		s.persist, every = &nvramLog{s: s, log: log}, cfg.IdleFlush/20
-	case cfg.Engine != nil:
-		s.persist, every = &engineLog{s: s, eng: cfg.Engine, ckptTicks: max(1, int(cfg.IdleFlush/2/beat))}, beat
-	default:
-		s.persist = writeThrough{s}
-	}
+	joined := s.join()
 
-	// Recovery servers answer even while we recover ourselves.
+	// Recovery servers answer even while we recover ourselves, once the
+	// sequence number our stable storage holds is known (awaitLoaded).
 	if s.recSrv, err = rpc.NewServer(stack, dirsvc.RecoveryPort(cfg.Service, cfg.ServerID)); err != nil {
-		front.Close()
+		leaveJoin(joined)
 		return nil, err
 	}
 	s.stopRec = s.recSrv.ServeFunc(2, s.handleRecoveryRPC)
 
-	// Run recovery to (re)join the service — this blocks until we are part
-	// of a majority group with up-to-date state (Fig. 6) — and only then
-	// open the client-facing port.
-	if err = s.recover(); err == nil {
-		err = front.Serve(s)
+	// Read the disk beside the join, then run recovery to (re)join the
+	// service — this blocks until we are part of a majority group with
+	// up-to-date state (Fig. 6) — and only then open the client-facing
+	// port.
+	every, err := s.open()
+	if err != nil {
+		leaveJoin(joined)
+	} else if err = s.recover(joined); err == nil {
+		err = s.front.Serve(s)
 	}
 	if err != nil {
-		s.shutdownRPC()
+		s.abandon()
 		return nil, err
 	}
 
@@ -237,6 +231,77 @@ func NewServer(stack *flip.Stack, cfg Config) (*Server, error) {
 		go s.flushLoop(every)
 	}
 	return s, nil
+}
+
+// open reads the replica's stable storage — commit block, object table,
+// and the NVRAM log or storage engine — into its request pipeline and
+// persister, and returns the persister's tick (write-through has none).
+// A boot runs it beside group formation.
+func (s *Server) open() (every time.Duration, err error) {
+	cfg := &s.cfg
+	front, err := dirsvc.NewFrontEnd(s.stack, cfg.FrontConfig)
+	if err != nil {
+		return 0, err
+	}
+	s.front, s.commit = front, front.Commit
+	switch {
+	case cfg.NVRAM != nil:
+		log, err := dirsvc.OpenNVLog(cfg.NVRAM)
+		if err != nil {
+			return 0, fmt.Errorf("open nvram log: %w", err)
+		}
+		s.persist = &nvramLog{s: s, log: log}
+		return cfg.IdleFlush / 20, nil
+	case cfg.Engine != nil:
+		// Reopen across restarts: the partition's manifest carries the
+		// surviving checkpoint and log.
+		eng, err := dirsvc.OpenEngine(cfg.Engine)
+		if err != nil {
+			return 0, fmt.Errorf("open engine: %w", err)
+		}
+		s.persist = &engineLog{s: s, eng: eng, ckptTicks: max(1, int(cfg.IdleFlush/2/s.beat))}
+		return s.beat, nil
+	default:
+		s.persist = writeThrough{s}
+		return 0, nil
+	}
+}
+
+// join starts JoinOrCreate in the background, so that its quiet beat
+// (or, on a restart, its round trip to the running group) passes while
+// recovery reads and writes the disk. The channel yields the member, or
+// nil if the join failed.
+func (s *Server) join() <-chan *group.Member {
+	cfg := s.groupConfig()
+	joined := make(chan *group.Member, 1)
+	go func() {
+		m, _ := group.JoinOrCreate(s.stack, cfg)
+		joined <- m
+	}()
+	return joined
+}
+
+// leaveJoin waits for a background join and takes its member out of the
+// group again. A boot that fails after joining must leave no silent
+// member behind: the running members would count it in every send's
+// resilience degree until failure detection dropped it.
+func leaveJoin(joined <-chan *group.Member) {
+	if m := <-joined; m != nil {
+		_ = m.Leave()
+	}
+}
+
+// abandon ends a boot that failed: the member recovery installed, if it
+// got that far, leaves its group, and the server shuts down.
+func (s *Server) abandon() {
+	s.mu.Lock()
+	member := s.member
+	s.member = nil
+	s.mu.Unlock()
+	if member != nil {
+		_ = member.Leave()
+	}
+	s.Close()
 }
 
 func (s *Server) groupConfig() group.Config {
@@ -288,7 +353,9 @@ func (s *Server) Close() {
 }
 
 func (s *Server) shutdownRPC() {
-	s.front.Close()
+	if s.front != nil { // nil when the boot failed to open the disk
+		s.front.Close()
+	}
 	s.recSrv.Close()
 	s.stopRec()
 }
@@ -520,7 +587,7 @@ func (s *Server) groupThread() {
 			// (group rebuild failed) enter recovery"); it fails only on
 			// shutdown, which the next turn sees.
 			if _, err := member.Reset(s.majorityNeeded()); err != nil {
-				_ = s.recover()
+				_ = s.recover(nil)
 			}
 		case errors.Is(err, group.ErrClosed), errors.Is(err, group.ErrLeft):
 			s.mu.Lock()
@@ -531,7 +598,7 @@ func (s *Server) groupThread() {
 			}
 			// The member left under us (its group yielded to a larger
 			// one on the port): run recovery to rejoin.
-			if err := s.recover(); err != nil {
+			if err := s.recover(nil); err != nil {
 				return
 			}
 		}

@@ -19,6 +19,7 @@ import (
 // version. The version shows in the image's sequence number: seq%3 == 1
 // holds "tmp" with masks up, 2 holds it with masks down, 0 lacks it.
 // Under -race a reader left outside the lock is reported as a race too.
+// The flush keeps to FlushObjects's contract: no apply runs beside it.
 func TestApplierReadersSeeWholeImages(t *testing.T) {
 	f := newApplier(t)
 	a := f.applier
@@ -149,11 +150,16 @@ func TestApplierReadersSeeWholeImages(t *testing.T) {
 		}
 		return fmt.Errorf("snapshot lacks the directory")
 	})
+	// FlushObjects's caller keeps updates out, as the NVRAM flush holds
+	// applyMu: the flush and its read-back take turns with the applies.
+	var updates sync.Mutex
 	flushes := 0
 	reader(func() error { // NVRAM-style flush, read back from Bullet
 		if flushes++; flushes > cycles {
 			return nil // the Bullet store keeps every image flushed
 		}
+		updates.Lock()
+		defer updates.Unlock()
 		if _, err := a.FlushObjects([]uint32{dir.Object}); err != nil {
 			return err
 		}
@@ -178,7 +184,10 @@ func TestApplierReadersSeeWholeImages(t *testing.T) {
 			{Op: OpDeleteRow, Dir: dir, Name: "tmp"},
 		} {
 			seq++
-			if err := a.ApplyUpdateInto(req, seq, false, &scratch); err != nil {
+			updates.Lock()
+			err := a.ApplyUpdateInto(req, seq, false, &scratch)
+			updates.Unlock()
+			if err != nil {
 				fail(fmt.Errorf("%v at seq %d: %w", req.Op, seq, err))
 			}
 		}

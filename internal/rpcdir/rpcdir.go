@@ -204,6 +204,11 @@ func (s *Server) Replicate(req *dirsvc.Request, reply *dirsvc.Reply) { *reply = 
 func (s *Server) replicate(req *dirsvc.Request) *dirsvc.Reply {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
+	// The peer acknowledged every intention it stored here once its own
+	// apply was done: make their copies first, so this update sees every
+	// acknowledged one (an append must find the directory the peer's
+	// client just created), as reads do in WaitFloor.
+	s.applyAllPending()
 
 	seq := s.front.Applier.AppliedSeq() + 1
 
